@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .corpus import EOS_TEXT, LyricSequence, MelodySequence, SyllableToken
+from .corpus import EOS_TEXT, LyricSequence, MelodyNote, MelodySequence, SyllableToken
 from .lm import SPACED, UNSPACED
 
 AUDIT_TOLERANCE = 1e-9
@@ -80,10 +80,26 @@ def _ranked_candidates(generator, distribution: dict[str, float]) -> list[tuple[
     return sorted(distribution.items(), key=lambda item: (-item[1], vocab.id_of(item[0])))
 
 
+def _proposals(
+    generator, history: Sequence[SyllableToken], note: Optional[MelodyNote], width: int
+) -> list[tuple[str, float]]:
+    """The generator's `width` most probable (text, probability) candidates,
+    ties broken by vocabulary id; past the final note (`note` None) only the
+    end token. Uses the generator's `top_candidates`/`prob` when it has them
+    and ranks its full `next_distribution` otherwise."""
+    if hasattr(generator, "top_candidates"):
+        if note is None:
+            return [(EOS_TEXT, generator.prob(history, None, EOS_TEXT))]
+        return generator.top_candidates(history, note, width)
+    distribution = generator.next_distribution(history, note)
+    if note is None:
+        return [(EOS_TEXT, distribution[EOS_TEXT])]
+    return _ranked_candidates(generator, distribution)[:width]
+
+
 def _initial_beams(generator, melody: MelodySequence, width: int) -> list[Beam]:
-    ranked = _ranked_candidates(generator, generator.next_distribution([], melody.notes[0]))
     beams = []
-    for text, prob in ranked[:width]:
+    for text, prob in _proposals(generator, (), melody.notes[0], width):
         step = TraceStep(prob, None, UNSPACED if text == EOS_TEXT else SPACED, prob)
         if text == EOS_TEXT:
             token = SyllableToken(EOS_TEXT, False)
@@ -99,41 +115,38 @@ def first_step(generator, melody: MelodySequence, config: FusionConfig) -> list[
 
     The first syllable always starts a word. Ties break by vocabulary id.
     """
-    available = len(generator.next_distribution([], melody.notes[0]))
-    if config.beam_size > available:
-        raise ValueError(f"beam_size {config.beam_size} exceeds {available} candidates")
-    return _initial_beams(generator, melody, config.beam_size)
+    beams = _initial_beams(generator, melody, config.beam_size)
+    if config.beam_size > len(beams):
+        raise ValueError(f"beam_size {config.beam_size} exceeds {len(beams)} candidates")
+    return beams
 
 
-def _expand_one(beam: Beam, text: str, prob: float, lm, config: FusionConfig) -> Beam:
+def _score(beam: Beam, text: str, prob: float, lm, config: FusionConfig) -> TraceStep:
+    """The trace step of extending `beam` with candidate `text`."""
     if text == EOS_TEXT:
-        if lm is not None:
-            lm_score = lm.score_with_spacing(beam.rendered, EOS_TEXT).value
-        else:
-            lm_score = 0.0
-        contribution = config.lambda_gen * prob + config.lambda_lm * lm_score
-        step = TraceStep(prob, lm_score, UNSPACED, contribution)
-        return Beam(
-            beam.tokens + (SyllableToken(EOS_TEXT, False),),
-            beam.rendered,
-            beam.cumulative + contribution,
-            True,
-            beam.trace + (step,),
-        )
-    if lm is not None:
+        lm_score = lm.score_with_spacing(beam.rendered, EOS_TEXT).value if lm is not None else 0.0
+        variant = UNSPACED
+    elif lm is not None:
         scored = lm.score_with_spacing(beam.rendered, text)
         lm_score, variant = scored.value, scored.chosen_variant
     else:
         lm_score, variant = 0.0, SPACED
     contribution = config.lambda_gen * prob + config.lambda_lm * lm_score
-    step = TraceStep(prob, lm_score, variant, contribution)
-    spaced = variant == SPACED
-    rendered = beam.rendered + ((" " + text) if spaced else text)
+    return TraceStep(prob, lm_score, variant, contribution)
+
+
+def _extend(beam: Beam, text: str, step: TraceStep) -> Beam:
+    if text == EOS_TEXT:
+        token, rendered, finished = SyllableToken(EOS_TEXT, False), beam.rendered, True
+    else:
+        spaced = step.variant == SPACED
+        token, finished = SyllableToken(text, spaced), False
+        rendered = beam.rendered + ((" " + text) if spaced else text)
     return Beam(
-        beam.tokens + (SyllableToken(text, spaced),),
+        beam.tokens + (token,),
         rendered,
-        beam.cumulative + contribution,
-        False,
+        beam.cumulative + step.contribution,
+        finished,
         beam.trace + (step,),
     )
 
@@ -159,23 +172,23 @@ def expand_step(
     note = melody.notes[t] if t < len(melody.notes) else None
     vocab = generator.vocab
 
-    # pool entries: (beam, parent index, candidate id; -1 keeps a frozen
-    # hypothesis ahead of same-score expansions of the same parent)
-    pool: list[tuple[Beam, int, int]] = []
+    # pool entries: (cumulative, parent index, candidate id, text, step); id
+    # -1 (text and step None) keeps a frozen hypothesis ahead of same-score
+    # expansions of the same parent. Only kept entries become hypotheses.
+    pool: list[tuple[float, int, int, Optional[str], Optional[TraceStep]]] = []
     for parent, beam in enumerate(beams):
         if beam.finished:
-            pool.append((beam, parent, -1))
+            pool.append((beam.cumulative, parent, -1, None, None))
             continue
-        distribution = generator.next_distribution(beam.tokens, note)
-        if note is None:
-            candidates = [(EOS_TEXT, distribution[EOS_TEXT])]
-        else:
-            candidates = _ranked_candidates(generator, distribution)[: config.beam_size]
-        for text, prob in candidates:
-            pool.append((_expand_one(beam, text, prob, lm, config), parent, vocab.id_of(text)))
+        for text, prob in _proposals(generator, beam.tokens, note, config.beam_size):
+            step = _score(beam, text, prob, lm, config)
+            pool.append((beam.cumulative + step.contribution, parent, vocab.id_of(text), text, step))
 
-    pool.sort(key=lambda entry: (-entry[0].cumulative, entry[1], entry[2]))
-    return [entry[0] for entry in pool[: config.beam_size]]
+    pool.sort(key=lambda entry: (-entry[0], entry[1], entry[2]))
+    return [
+        beams[parent] if text is None else _extend(beams[parent], text, step)
+        for _, parent, _, text, step in pool[: config.beam_size]
+    ]
 
 
 def decode(
@@ -196,8 +209,7 @@ def decode(
     """
     if lm is None and config.lambda_lm != 0:
         raise ValueError("an LM is required when lambda_lm > 0")
-    available = len(generator.next_distribution([], melody.notes[0]))
-    beams = _initial_beams(generator, melody, min(config.beam_size, available))
+    beams = _initial_beams(generator, melody, config.beam_size)
 
     for t in range(1, config.max_len):
         if all(beam.finished for beam in beams):

@@ -9,6 +9,7 @@ notes, one note per syllable.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -77,10 +78,10 @@ class MelodyNote:
     def __post_init__(self) -> None:
         if not isinstance(self.pitch, int) or not 0 <= self.pitch <= 127:
             raise ValueError(f"pitch must be an integer in [0, 127], got {self.pitch!r}")
-        if not self.duration > 0:
-            raise ValueError(f"duration must be positive, got {self.duration!r}")
-        if self.rest < 0:
-            raise ValueError(f"rest must be non-negative, got {self.rest!r}")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"duration must be finite and positive, got {self.duration!r}")
+        if not (math.isfinite(self.rest) and self.rest >= 0):
+            raise ValueError(f"rest must be finite and non-negative, got {self.rest!r}")
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,7 @@ class Vocabulary:
             if not _SYLLABLE_RE.match(text):
                 raise ValueError(f"illegal syllable text: {text!r}")
         self._texts: tuple[str, ...] = (BOS_TEXT, EOS_TEXT, *extra)
+        self._emittable = self._texts[1:]
         self._ids = {text: i for i, text in enumerate(self._texts)}
 
     @classmethod
@@ -149,7 +151,7 @@ class Vocabulary:
 
     def emittable(self) -> tuple[str, ...]:
         """Every token a generator may emit: all entries except BOS."""
-        return self._texts[1:]
+        return self._emittable
 
     def syllable_texts(self) -> tuple[str, ...]:
         """Non-reserved entries, in id order."""

@@ -8,9 +8,10 @@ the vocabulary, end token included.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .corpus import (
     BOS_TEXT,
@@ -50,6 +51,33 @@ def bucket_note(note: MelodyNote) -> NoteBucket:
     return NoteBucket(note.pitch % 12, note.pitch // 12, duration_class, note.rest > 0)
 
 
+class _Ranking(NamedTuple):
+    """One count table ranked for top-k queries.
+
+    `ranked` maps every token whose probability exceeds `floor` to that
+    probability, in (-probability, vocabulary id) order; every other
+    emittable token has probability `floor`.
+    """
+
+    counts: dict[str, int]  # keeps the table alive while its id keys the cache
+    total: int
+    ranked: dict[str, float]
+    floor: float
+
+
+def _rank(counts: dict[str, int], vocab: Vocabulary, k: float) -> _Ranking:
+    total = sum(counts.values())
+    denom = total + k * len(vocab.emittable())
+    if denom == 0:
+        return _Ranking(counts, total, {}, 1.0 / len(vocab.emittable()))
+    floor = k / denom
+    ranked = sorted(
+        ((text, (n + k) / denom) for text, n in counts.items()),
+        key=lambda item: (-item[1], vocab.id_of(item[0])),
+    )
+    return _Ranking(counts, total, {text: p for text, p in ranked if p > floor}, floor)
+
+
 class MelodyConditionedNgram:
     """Syllable n-gram conditioned on the current note bucket.
 
@@ -73,11 +101,13 @@ class MelodyConditionedNgram:
         self._by_hist: dict[tuple[str, ...], dict[str, int]] = {}
         self._by_bucket: dict[Optional[NoteBucket], dict[str, int]] = {}
         self._unigram: dict[str, int] = {}
+        # id(count table) -> _Ranking, built on first query; each entry holds
+        # its table, so the id cannot be reused while the entry lives
+        self._rankings: dict[int, _Ranking] = {}
 
     def _history_key(self, history: Sequence[SyllableToken]) -> tuple[str, ...]:
-        texts = [tok.text for tok in history]
-        padded = [BOS_TEXT] * max(0, self.history - len(texts)) + texts[-self.history :]
-        return tuple(padded)
+        texts = [tok.text for tok in history[-self.history :]]
+        return tuple([BOS_TEXT] * (self.history - len(texts)) + texts)
 
     def _count(self, hist_key: tuple[str, ...], bucket: Optional[NoteBucket], target: str) -> None:
         for table, key in (
@@ -94,29 +124,64 @@ class MelodyConditionedNgram:
         for tok in tokens:
             if tok.text not in self.vocab:
                 raise ValueError(f"syllable {tok.text!r} not in vocabulary")
+        self._rankings.clear()
         for i, tok in enumerate(tokens):
             hist_key = self._history_key(tokens[:i])
             self._count(hist_key, bucket_note(pair.melody.notes[i]), tok.text)
         self._count(self._history_key(tokens), None, EOS_TEXT)
 
-    def next_distribution(
+    def _serving_counts(
         self, history: Sequence[SyllableToken], note: Optional[MelodyNote]
-    ) -> dict[str, float]:
-        """Distribution over every emittable vocabulary entry (BOS excluded)."""
+    ) -> dict[str, int]:
+        """The count table that serves a query: the first non-empty one of
+        (history, bucket), (history), (bucket), unigram."""
         hist_key = self._history_key(history)
         bucket = bucket_note(note) if note is not None else None
-        counts = (
+        return (
             self._by_hist_bucket.get((hist_key, bucket))
             or self._by_hist.get(hist_key)
             or self._by_bucket.get(bucket)
             or self._unigram
         )
+
+    def _ranking(self, counts: dict[str, int]) -> _Ranking:
+        ranking = self._rankings.get(id(counts))
+        if ranking is None:
+            ranking = _rank(counts, self.vocab, self.k)
+            self._rankings[id(counts)] = ranking
+        return ranking
+
+    def next_distribution(
+        self, history: Sequence[SyllableToken], note: Optional[MelodyNote]
+    ) -> dict[str, float]:
+        """Distribution over every emittable vocabulary entry (BOS excluded)."""
+        counts = self._serving_counts(history, note)
         emittable = self.vocab.emittable()
-        total = sum(counts.values())
-        denom = total + self.k * len(emittable)
+        denom = self._ranking(counts).total + self.k * len(emittable)
         if denom == 0:
             return {text: 1.0 / len(emittable) for text in emittable}
         return {text: (counts.get(text, 0) + self.k) / denom for text in emittable}
+
+    def top_candidates(
+        self, history: Sequence[SyllableToken], note: Optional[MelodyNote], k: int
+    ) -> list[tuple[str, float]]:
+        """The first `k` entries of `next_distribution` ranked by
+        (-probability, vocabulary id), computed without building it."""
+        ranking = self._ranking(self._serving_counts(history, note))
+        top = list(itertools.islice(ranking.ranked.items(), k))
+        if len(top) < k:
+            rest = (text for text in self.vocab.emittable() if text not in ranking.ranked)
+            top.extend((text, ranking.floor) for text in itertools.islice(rest, k - len(top)))
+        return top
+
+    def prob(
+        self, history: Sequence[SyllableToken], note: Optional[MelodyNote], text: str
+    ) -> float:
+        """The `next_distribution` entry of one emittable token."""
+        if text == BOS_TEXT or text not in self.vocab:
+            raise ValueError(f"{text!r} is not an emittable token")
+        ranking = self._ranking(self._serving_counts(history, note))
+        return ranking.ranked.get(text, ranking.floor)
 
     # -- persistence ------------------------------------------------------
 
@@ -178,17 +243,23 @@ class MelodyConditionedNgram:
         if payload.get("bucketing") != _BUCKETING_VERSION:
             raise ValueError(f"unsupported bucketing version {payload.get('bucketing')}")
         model = cls(Vocabulary(payload["vocabulary"]), payload["history"], payload["k"])
+        emittable = frozenset(model.vocab.emittable())
+
+        def checked(counts: dict) -> dict[str, int]:
+            for text, n in counts.items():
+                if text not in emittable:
+                    raise ValueError(f"count key {text!r} is not an emittable vocabulary entry")
+                if type(n) is not int or n < 0:
+                    raise ValueError(f"count {n!r} for {text!r} is not a non-negative integer")
+            return counts
+
         for hist, bucket, counts in payload["hist_bucket"]:
-            model._by_hist_bucket[(tuple(hist), cls._bucket_from_json(bucket))] = {
-                t: int(n) for t, n in counts.items()
-            }
+            model._by_hist_bucket[(tuple(hist), cls._bucket_from_json(bucket))] = checked(counts)
         for hist, counts in payload["hist"]:
-            model._by_hist[tuple(hist)] = {t: int(n) for t, n in counts.items()}
+            model._by_hist[tuple(hist)] = checked(counts)
         for bucket, counts in payload["bucket"]:
-            model._by_bucket[cls._bucket_from_json(bucket)] = {
-                t: int(n) for t, n in counts.items()
-            }
-        model._unigram = {t: int(n) for t, n in payload["unigram"].items()}
+            model._by_bucket[cls._bucket_from_json(bucket)] = checked(counts)
+        model._unigram = checked(payload["unigram"])
         return model
 
     def stats(self) -> dict:

@@ -27,6 +27,9 @@ UNSPACED = "unspaced"
 _FORMAT = "syllabeam-charlm"
 _VERSION = 1
 
+# score_with_spacing results kept per model before the memo is emptied
+MEMO_LIMIT = 1 << 14
+
 
 def encode_text(text: str, alphabet: str = DEFAULT_ALPHABET) -> str:
     """Map the literal end marker to its reserved character and validate.
@@ -61,6 +64,8 @@ class CharNgramModel:
     suffix multiplies the per-character probability by BACKOFF_FACTOR
     (so backed-off scores are discounted, while conditional_distribution
     always reports the proper add-k distribution of the resolved level).
+    Every score therefore depends only on the last order-1 characters of
+    its context, which is what keys the score_with_spacing memo.
     """
 
     def __init__(self, order: int, k: float, alphabet: str = DEFAULT_ALPHABET):
@@ -73,12 +78,26 @@ class CharNgramModel:
         self.order = order
         self.k = k
         self.alphabet = alphabet
+        self._alphabet_set = frozenset(alphabet)
         # tables[L][context_of_length_L][next_char] -> count
         self._tables: list[dict[str, dict[str, int]]] = [{} for _ in range(order)]
+        # id(count table) -> (table, total); each entry holds its table, so
+        # the id cannot be reused while the entry lives
+        self._totals: dict[int, tuple[dict[str, int], int]] = {}
+        # (context suffix, syllable) -> score_with_spacing result
+        self._memo: dict[tuple[str, str], ContinuationScore] = {}
+
+    def _check_context(self, context: str) -> None:
+        if not self._alphabet_set.issuperset(context):
+            for pos, ch in enumerate(context):
+                if ch not in self._alphabet_set:
+                    raise ValueError(f"character {ch!r} at position {pos} not in alphabet")
 
     # -- training ---------------------------------------------------------
 
     def add_text(self, text: str) -> None:
+        self._totals.clear()
+        self._memo.clear()
         for pos in range(len(text)):
             ch = text[pos]
             if ch not in self.alphabet:
@@ -92,37 +111,43 @@ class CharNgramModel:
 
     # -- probabilities ----------------------------------------------------
 
-    def _resolve(self, context: str) -> tuple[dict[str, int], int]:
-        """Longest stored suffix of `context`: its count table and hop count."""
-        suffix = context[-(self.order - 1) :] if self.order > 1 else ""
+    def _suffix(self, context: str) -> str:
+        """The part of `context` that any score depends on."""
+        return context[-(self.order - 1) :] if self.order > 1 else ""
+
+    def _resolve(self, context: str) -> tuple[dict[str, int], int, int]:
+        """Longest stored suffix of `context`: its count table, the table's
+        total count and the hop count."""
+        suffix = self._suffix(context)
         hops = 0
         for length in range(len(suffix), -1, -1):
             sub = suffix[len(suffix) - length :]
             table = self._tables[length].get(sub)
             if table is not None:
-                return table, hops
+                entry = self._totals.get(id(table))
+                if entry is None:
+                    entry = self._totals[id(table)] = (table, sum(table.values()))
+                return table, entry[1], hops
             hops += 1
-        return {}, hops
+        return {}, 0, hops
 
     def char_prob(self, ch: str, context: str) -> float:
         """P(ch | context), discounted by BACKOFF_FACTOR per fallback hop."""
         if ch not in self.alphabet:
             raise ValueError(f"character {ch!r} not in alphabet")
-        table, hops = self._resolve(context)
+        table, total, hops = self._resolve(context)
         size = len(self.alphabet)
         if not table:
             return (BACKOFF_FACTOR ** hops) / size
-        total = sum(table.values())
         p = (table.get(ch, 0) + self.k) / (total + self.k * size)
         return (BACKOFF_FACTOR ** hops) * p
 
     def conditional_distribution(self, context: str) -> dict[str, float]:
         """Proper add-k distribution over the alphabet at the resolved level."""
-        table, _ = self._resolve(context)
+        table, total, _ = self._resolve(context)
         size = len(self.alphabet)
         if not table:
             return {ch: 1.0 / size for ch in self.alphabet}
-        total = sum(table.values())
         denom = total + self.k * size
         return {ch: (table.get(ch, 0) + self.k) / denom for ch in self.alphabet}
 
@@ -133,9 +158,11 @@ class CharNgramModel:
         following `context`, the context growing through the candidate."""
         if not candidate:
             raise ValueError("candidate must be non-empty")
-        for pos, ch in enumerate(context):
-            if ch not in self.alphabet:
-                raise ValueError(f"character {ch!r} at position {pos} not in alphabet")
+        self._check_context(context)
+        return self._continuation(context, candidate)
+
+    def _continuation(self, context: str, candidate: str) -> float:
+        """score_continuation without validating `context`."""
         running = context
         log_sum = 0.0
         for ch in candidate:
@@ -150,16 +177,28 @@ class CharNgramModel:
         """Score both renderings of a syllable and keep the better one.
 
         The end marker has a single rendering (the reserved character).
-        Ties break to the unspaced variant.
+        Ties break to the unspaced variant. Results are memoized per
+        (last order-1 context characters, syllable).
         """
         if not syllable_text:
             raise ValueError("syllable must be non-empty")
+        if syllable_text == EOS_TEXT and not context:
+            raise ValueError("end marker needs a non-empty context")
+        self._check_context(context)
+        suffix = self._suffix(context)
+        key = (suffix, syllable_text)
+        score = self._memo.get(key)
+        if score is None:
+            if len(self._memo) >= MEMO_LIMIT:
+                self._memo.clear()
+            score = self._memo[key] = self._score_spacing(suffix, syllable_text)
+        return score
+
+    def _score_spacing(self, context: str, syllable_text: str) -> ContinuationScore:
         if syllable_text == EOS_TEXT:
-            if not context:
-                raise ValueError("end marker needs a non-empty context")
-            return ContinuationScore(self.score_continuation(context, EOS_CHAR), UNSPACED)
-        unspaced = self.score_continuation(context, syllable_text)
-        spaced = self.score_continuation(context, " " + syllable_text)
+            return ContinuationScore(self._continuation(context, EOS_CHAR), UNSPACED)
+        unspaced = self._continuation(context, syllable_text)
+        spaced = self._continuation(context, " " + syllable_text)
         if unspaced >= spaced:
             return ContinuationScore(unspaced, UNSPACED)
         return ContinuationScore(spaced, SPACED)

@@ -195,6 +195,39 @@ class TestGenerate:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda counts: counts.__setitem__("zzz", 1), "not an emittable vocabulary entry"),
+            (lambda counts: counts.__setitem__("<eos>", 1.7), "is not a non-negative integer"),
+            (lambda counts: counts.__setitem__("<eos>", True), "is not a non-negative integer"),
+        ],
+    )
+    def test_corrupt_generator_counts(self, melody_path, models, capsys, edit, message):
+        lm_path, gen_path = models
+        with open(gen_path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        edit(payload["unigram"])
+        with open(gen_path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        code = main(["generate", "--melody", melody_path, "--generator", gen_path, "--lm", lm_path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("note", ["60:1:nan", "60:inf:0"])
+    def test_non_finite_melody(self, tmp_path, models, capsys, note):
+        lm_path, gen_path = models
+        path = tmp_path / "bad_melody.txt"
+        path.write_text("62:1:0 " + note + "\n")
+        code = main(["generate", "--melody", str(path), "--generator", gen_path, "--lm", lm_path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "must be finite" in captured.err
+
     def test_lm_required_when_weighted(self, melody_path, models, capsys):
         _, gen_path = models
         code, _ = run(capsys, ["generate", "--melody", melody_path, "--generator", gen_path])

@@ -116,6 +116,11 @@ class TestParseMelodyLine:
         with pytest.raises(ValueError):
             parse_melody_line(bad)
 
+    @pytest.mark.parametrize("bad", ["60:1:nan", "60:inf:0", "60:nan:0", "60:1:inf", "60:-inf:0"])
+    def test_non_finite(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_melody_line("62:1:0 " + bad)
+
 
 class TestRenderText:
     def test_one_word(self):
@@ -189,6 +194,16 @@ class TestAlignedCorpusIO:
             fh.write(json.dumps(good) + "\n")
             fh.write(json.dumps(bad) + "\n")
         with pytest.raises(ValueError, match="record 1"):
+            load_aligned_corpus(path)
+
+    @pytest.mark.parametrize("note", ["[60, NaN, 0]", "[60, Infinity, 0]", "[60, 1, NaN]",
+                                      "[60, 1, Infinity]", '[60, "nan", 0]', '[60, 1, "inf"]'])
+    def test_non_finite_note_reports_index(self, tmp_path, note):
+        path = tmp_path / "bad.jsonl"
+        good = '{"syllables": ["hey"], "word_initial": [true], "notes": [[60, 1, 0]]}'
+        bad = '{"syllables": ["hey"], "word_initial": [true], "notes": [%s]}' % note
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ValueError, match="record 1: .*must be finite"):
             load_aligned_corpus(path)
 
     def test_empty_file(self, tmp_path):

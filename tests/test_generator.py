@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter, defaultdict
@@ -208,3 +209,42 @@ class TestPersistence:
         path.write_text('{"format": "other"}')
         with pytest.raises(ValueError):
             MelodyConditionedNgram.load(path)
+
+
+class TestLoadRejectsCorruptCounts:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        corpus = make_corpus(6, seed=57)
+        vocab = build_vocabulary([p.lyric for p in corpus])
+        path = tmp_path / "gen.json"
+        train_generator(corpus, vocab, history=2, k=0.1).save(path)
+        return path
+
+    @staticmethod
+    def corrupt(path, table, edit):
+        payload = json.loads(path.read_text())
+        counts = payload["unigram"] if table == "unigram" else payload[table][0][-1]
+        edit(counts)
+        path.write_text(json.dumps(payload))
+
+    @pytest.mark.parametrize("table", ["hist_bucket", "hist", "bucket", "unigram"])
+    @pytest.mark.parametrize("key", ["zzz", BOS_TEXT])
+    def test_key_outside_emittable_vocabulary(self, saved, table, key):
+        self.corrupt(saved, table, lambda counts: counts.__setitem__(key, 1))
+        with pytest.raises(ValueError, match="not an emittable vocabulary entry"):
+            MelodyConditionedNgram.load(saved)
+
+    @pytest.mark.parametrize("table", ["hist_bucket", "hist", "bucket", "unigram"])
+    @pytest.mark.parametrize("count", [1.7, 2.0, True, False, -1, "3", None])
+    def test_count_not_a_non_negative_int(self, saved, table, count):
+        def edit(counts):
+            counts[next(iter(counts))] = count
+
+        self.corrupt(saved, table, edit)
+        with pytest.raises(ValueError, match="is not a non-negative integer"):
+            MelodyConditionedNgram.load(saved)
+
+    def test_zero_count_accepted(self, saved):
+        self.corrupt(saved, "unigram", lambda counts: counts.__setitem__(EOS_TEXT, 0))
+        model = MelodyConditionedNgram.load(saved)
+        assert math.isclose(sum(model.next_distribution([], None).values()), 1.0)

@@ -1,0 +1,112 @@
+"""The score_with_spacing memo and the cached table totals of the character LM.
+
+A memoized model must answer every query exactly as a freshly loaded one,
+follow added training text, and keep rejecting every input it rejected
+before.
+"""
+
+import random
+
+import pytest
+
+from syllabeam import lm as lm_module
+from syllabeam.corpus import EOS_TEXT, render_text
+from syllabeam.lm import CharNgramModel, lyric_lm_text, train_char_ngram
+
+from conftest import make_corpus
+
+LETTERS = "abcdefghijklmnopqrstuvwxyz'"
+
+
+def corpus_texts(n, seed):
+    return [lyric_lm_text(render_text(p.lyric)) for p in make_corpus(n, seed=seed)]
+
+
+def random_queries(rnd, n, texts):
+    """(context, syllable) pairs. Half the contexts are prefixes of training
+    texts, so their suffixes hit stored tables; the rest are random letters
+    ending in a common tail, so many contexts share a suffix."""
+    tails = ["", "a", " lo", "ver", "g i", "ing"]
+    for _ in range(n):
+        if rnd.random() < 0.5:
+            text = rnd.choice(texts)
+            context = text[: rnd.randint(0, len(text) - 1)]
+        else:
+            prefix = "".join(rnd.choice(LETTERS + " ") for _ in range(rnd.randint(0, 8)))
+            context = prefix + rnd.choice(tails)
+        syllable = rnd.choice(["ba", "by", "love", "ing", "o", "ver", "x", EOS_TEXT])
+        if syllable == EOS_TEXT and not context:
+            context = "a"
+        yield context, syllable
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_interleaved_queries_match_fresh_model(tmp_path, order):
+    path = tmp_path / "lm.json"
+    texts = corpus_texts(30, seed=order)
+    train_char_ngram(texts, order, 0.1).save(path)
+    model = CharNgramModel.load(path)
+    queries = list(random_queries(random.Random(order), 80, texts))
+    rnd = random.Random(100 + order)
+    for _ in range(3):
+        rnd.shuffle(queries)
+        for context, syllable in queries:
+            fresh = CharNgramModel.load(path).score_with_spacing(context, syllable)
+            assert model.score_with_spacing(context, syllable) == fresh
+
+
+def test_memo_follows_added_text():
+    texts = corpus_texts(20, seed=5)
+    grown = train_char_ngram(texts[:3], 4, 0.1)
+    queries = list(random_queries(random.Random(6), 40, texts))
+    contexts = [context for context, _ in queries]
+    for context, syllable in queries:
+        grown.score_with_spacing(context, syllable)
+        grown.char_prob("a", context)
+    for text in texts[3:]:
+        grown.add_text(text)
+    full = train_char_ngram(texts, 4, 0.1)
+    for context, syllable in queries:
+        assert grown.score_with_spacing(context, syllable) == full.score_with_spacing(context, syllable)
+    for context in contexts:
+        assert grown.char_prob("a", context) == full.char_prob("a", context)
+        assert grown.conditional_distribution(context) == full.conditional_distribution(context)
+
+
+def test_memo_limit_empties_and_stays_exact(tmp_path, monkeypatch):
+    monkeypatch.setattr(lm_module, "MEMO_LIMIT", 5)
+    path = tmp_path / "lm.json"
+    texts = corpus_texts(20, seed=7)
+    train_char_ngram(texts, 4, 0.1).save(path)
+    model = CharNgramModel.load(path)
+    for context, syllable in random_queries(random.Random(8), 80, texts):
+        fresh = CharNgramModel.load(path).score_with_spacing(context, syllable)
+        assert model.score_with_spacing(context, syllable) == fresh
+        assert len(model._memo) <= 5
+
+
+def test_invalid_context_raises_after_its_key_was_cached():
+    model = train_char_ngram(corpus_texts(10, seed=9), 4, 0.1)
+    model.score_with_spacing("ab lo", "ve")  # caches (" lo", "ve")
+    with pytest.raises(ValueError, match=r"character 'X' at position 1 not in alphabet"):
+        model.score_with_spacing("aX lo", "ve")
+    model.score_with_spacing("ab lo", EOS_TEXT)
+    with pytest.raises(ValueError, match=r"character '\?' at position 0 not in alphabet"):
+        model.score_with_spacing("?b lo", EOS_TEXT)
+
+
+@pytest.mark.parametrize(
+    "context, syllable, message",
+    [
+        ("ab", "", "syllable must be non-empty"),
+        ("", EOS_TEXT, "end marker needs a non-empty context"),
+        ("a1", "ba", "character '1' at position 1 not in alphabet"),
+        ("ab", "bA", "character 'A' not in alphabet"),
+    ],
+)
+def test_rejected_queries_keep_their_messages(context, syllable, message):
+    model = train_char_ngram(corpus_texts(10, seed=10), 4, 0.1)
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            model.score_with_spacing(context, syllable)
+        assert str(info.value) == message

@@ -1,0 +1,188 @@
+"""Generator top-k against its full distribution, and decode through both
+generator paths.
+
+`top_candidates(h, n, k)` must equal the first k entries of
+`next_distribution(h, n)` ranked by (-probability, vocabulary id), and
+`prob(h, n, text)` must equal the distribution's entry, float for float.
+"""
+
+import json
+import random
+
+import pytest
+
+from syllabeam.beam import FusionConfig, _ranked_candidates, decode, first_step
+from syllabeam.corpus import (
+    BOS_TEXT,
+    EOS_TEXT,
+    MelodyNote,
+    SyllableToken,
+    Vocabulary,
+    build_vocabulary,
+    render_text,
+)
+from syllabeam.generator import MelodyConditionedNgram, train_generator
+from syllabeam.lm import lyric_lm_text, train_char_ngram
+
+from conftest import PITCHES, make_corpus, make_melody
+
+
+def random_queries(vocab, rnd, n):
+    texts = vocab.syllable_texts()
+    for _ in range(n):
+        history = tuple(SyllableToken(rnd.choice(texts), True) for _ in range(rnd.randint(0, 4)))
+        if rnd.random() < 0.2:
+            note = None  # past the final note
+        else:
+            note = MelodyNote(
+                rnd.choice(PITCHES + [20, 100]), rnd.choice([0.5, 1.0, 2.0]), rnd.choice([0.0, 0.5])
+            )
+        yield history, note
+
+
+def assert_exact(model, history, note):
+    dist = model.next_distribution(history, note)
+    ranked = _ranked_candidates(model, dist)
+    for k in (1, 2, 3, 7, len(dist) - 1, len(dist), len(dist) + 5):
+        assert model.top_candidates(history, note, k) == ranked[:k]
+    for text, p in dist.items():
+        assert model.prob(history, note, text) == p
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trained_models_match_full_distribution(seed):
+    rnd = random.Random(seed)
+    corpus = make_corpus(rnd.randint(3, 40), seed=1000 + seed, min_syllables=2, max_syllables=12)
+    vocab = build_vocabulary([p.lyric for p in corpus])
+    k = rnd.choice([0.0, 0.1, 1.0, 3.5])
+    model = train_generator(corpus, vocab, history=rnd.randint(1, 3), k=k)
+    for history, note in random_queries(vocab, rnd, 60):
+        assert_exact(model, history, note)
+
+
+def test_smoothing_zero_ranks_unseen_last_in_id_order():
+    corpus = make_corpus(4, seed=7)
+    vocab = build_vocabulary([p.lyric for p in corpus])
+    model = train_generator(corpus, vocab, history=2, k=0.0)
+    rnd = random.Random(8)
+    for history, note in random_queries(vocab, rnd, 40):
+        assert_exact(model, history, note)
+        top = model.top_candidates(history, note, len(vocab) + 1)
+        zero = [text for text, p in top if p == 0.0]
+        assert zero == sorted(zero, key=vocab.id_of)
+
+
+def test_denominator_zero_is_uniform_in_id_order():
+    vocab = Vocabulary(["ba", "by", "love", "sun"])
+    model = MelodyConditionedNgram(vocab, history=2, k=0.0)  # no counts at all
+    for history, note in random_queries(vocab, random.Random(9), 10):
+        assert_exact(model, history, note)
+        top = model.top_candidates(history, note, 10)
+        assert top == [(text, 1.0 / len(vocab.emittable())) for text in vocab.emittable()]
+
+
+def test_past_the_end_bucket():
+    corpus = make_corpus(20, seed=10)
+    vocab = build_vocabulary([p.lyric for p in corpus])
+    model = train_generator(corpus, vocab, history=2, k=0.1)
+    for pair in corpus[:10]:
+        history = pair.lyric.syllables()
+        assert_exact(model, history, None)
+        assert model.prob(history, None, EOS_TEXT) == model.next_distribution(history, None)[EOS_TEXT]
+
+
+def test_loaded_model_with_zero_counts(tmp_path):
+    corpus = make_corpus(12, seed=11, min_syllables=3, max_syllables=8)
+    vocab = build_vocabulary([p.lyric for p in corpus])
+    rnd = random.Random(12)
+    for k in (0.0, 0.1):
+        path = tmp_path / f"gen{k}.json"
+        train_generator(corpus, vocab, history=2, k=k).save(path)
+        payload = json.loads(path.read_text())
+        rows = [row[-1] for row in payload["hist_bucket"] + payload["hist"] + payload["bucket"]]
+        for counts in rows + [payload["unigram"]]:
+            for text in counts:
+                if rnd.random() < 0.4:
+                    counts[text] = 0
+            counts.setdefault(rnd.choice(vocab.emittable()), 0)
+        for text in payload["unigram"]:
+            payload["unigram"][text] = 0  # an all-zero table that still serves
+        path.write_text(json.dumps(payload))
+        model = MelodyConditionedNgram.load(path)
+        for history, note in random_queries(vocab, rnd, 60):
+            assert_exact(model, history, note)
+
+
+def test_rankings_follow_added_pairs():
+    corpus = make_corpus(30, seed=13)
+    vocab = build_vocabulary([p.lyric for p in corpus])
+    grown = train_generator(corpus[:5], vocab, history=2, k=0.1)
+    queries = list(random_queries(vocab, random.Random(14), 40))
+    for history, note in queries:
+        grown.top_candidates(history, note, 5)
+    for pair in corpus[5:]:
+        grown.add_pair(pair)
+    full = train_generator(corpus, vocab, history=2, k=0.1)
+    for history, note in queries:
+        assert grown.top_candidates(history, note, 5) == full.top_candidates(history, note, 5)
+        assert_exact(grown, history, note)
+
+
+def test_prob_rejects_tokens_that_cannot_be_emitted():
+    vocab = Vocabulary(["la"])
+    model = MelodyConditionedNgram(vocab)
+    with pytest.raises(ValueError, match="not an emittable token"):
+        model.prob((), None, BOS_TEXT)
+    with pytest.raises(ValueError, match="not an emittable token"):
+        model.prob((), None, "zz")
+
+
+class DistributionOnly:
+    """A generator offering only the required interface."""
+
+    def __init__(self, model):
+        self.vocab = model.vocab
+        self.next_distribution = model.next_distribution
+
+
+@pytest.mark.parametrize("beam_size", [1, 3, 5, 12])
+def test_decode_same_through_both_generator_paths(beam_size):
+    corpus = make_corpus(60, seed=15)
+    vocab = build_vocabulary([p.lyric for p in corpus])
+    generator = train_generator(corpus, vocab, history=2, k=0.1)
+    lm = train_char_ngram([lyric_lm_text(render_text(p.lyric)) for p in corpus], 4, 0.1)
+    plain = DistributionOnly(generator)
+    rnd = random.Random(16)
+    for lambda_lm in (0.75, 0.0):
+        config = FusionConfig(beam_size=beam_size, lambda_lm=lambda_lm, lambda_gen=1 - lambda_lm, max_len=10)
+        for _ in range(4):
+            melody = make_melody(rnd, rnd.randint(1, 8))
+            assert decode(melody, generator, lm, config) == decode(melody, plain, lm, config)
+
+
+def test_decode_reads_no_full_distribution_when_top_k_is_offered():
+    corpus = make_corpus(20, seed=18)
+    vocab = build_vocabulary([p.lyric for p in corpus])
+    generator = train_generator(corpus, vocab, history=2, k=0.1)
+    expected = decode(corpus[0].melody, DistributionOnly(generator), None, FusionConfig(3, 0.0, 1.0, 30))
+
+    def refuse(history, note):
+        raise AssertionError("next_distribution called")
+
+    generator.next_distribution = refuse
+    assert decode(corpus[0].melody, generator, None, FusionConfig(3, 0.0, 1.0, 30)) == expected
+
+
+def test_first_step_bound_same_through_both_generator_paths():
+    vocab = Vocabulary(["la", "li"])
+    generator = MelodyConditionedNgram(vocab)
+    melody = make_melody(random.Random(17), 3)
+    config = FusionConfig(beam_size=4)
+    messages = []
+    for gen in (generator, DistributionOnly(generator)):
+        with pytest.raises(ValueError, match="exceeds 3 candidates") as info:
+            first_step(gen, melody, config)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    small = FusionConfig(beam_size=3)
+    assert first_step(generator, melody, small) == first_step(DistributionOnly(generator), melody, small)
