@@ -3,111 +3,20 @@
 A melody-conditioned generator proposes syllables; a character-level
 language model re-scores them (resolving word boundaries along the way);
 fused beam search ranks hypotheses by the weighted sum of both scores
-accumulated across steps.
+accumulated across steps. Everything else is imported from its submodule.
 """
 
-from .beam import (
-    Beam,
-    DecodeResult,
-    FusionConfig,
-    TraceStep,
-    audit_trace,
-    decode,
-    expand_step,
-    first_step,
-)
-from .corpus import (
-    AlignedPair,
-    BOS_TEXT,
-    EOS_TEXT,
-    LyricSequence,
-    MelodyNote,
-    MelodySequence,
-    SyllableToken,
-    Vocabulary,
-    build_vocabulary,
-    load_aligned_corpus,
-    parse_lyric_line,
-    parse_melody_line,
-    render_text,
-    serialize_lyric_line,
-    write_aligned_corpus,
-)
-from .generator import (
-    MelodyConditionedNgram,
-    NoteBucket,
-    bucket_note,
-    train_generator,
-)
-from .lm import (
-    CharNgramModel,
-    ContinuationScore,
-    nsp_accuracy,
-    train_char_ngram,
-)
-from .metrics import (
-    EvalPair,
-    EvalReport,
-    corpus_eval,
-    emit_llm_eval_prompt,
-    rouge_l,
-    rouge_n,
-    sentence_bleu,
-)
-from .nsp import (
-    BuilderConfig,
-    NspExample,
-    build_dataset,
-    build_examples_for_lyric,
-    read_nsp_tsv,
-    write_nsp_tsv,
-)
-
-__version__ = "0.1.0"
+from .beam import FusionConfig, decode
+from .corpus import build_vocabulary, load_aligned_corpus, render_text
+from .generator import train_generator
+from .lm import train_char_ngram
 
 __all__ = [
-    "AlignedPair",
-    "BOS_TEXT",
-    "Beam",
-    "BuilderConfig",
-    "CharNgramModel",
-    "ContinuationScore",
-    "DecodeResult",
-    "EOS_TEXT",
-    "EvalPair",
-    "EvalReport",
     "FusionConfig",
-    "LyricSequence",
-    "MelodyConditionedNgram",
-    "MelodyNote",
-    "MelodySequence",
-    "NoteBucket",
-    "NspExample",
-    "SyllableToken",
-    "TraceStep",
-    "Vocabulary",
-    "audit_trace",
-    "bucket_note",
-    "build_dataset",
-    "build_examples_for_lyric",
     "build_vocabulary",
-    "corpus_eval",
     "decode",
-    "emit_llm_eval_prompt",
-    "expand_step",
-    "first_step",
     "load_aligned_corpus",
-    "nsp_accuracy",
-    "parse_lyric_line",
-    "parse_melody_line",
-    "read_nsp_tsv",
     "render_text",
-    "rouge_l",
-    "rouge_n",
-    "sentence_bleu",
-    "serialize_lyric_line",
     "train_char_ngram",
     "train_generator",
-    "write_aligned_corpus",
-    "write_nsp_tsv",
 ]

@@ -19,7 +19,7 @@ extends the rendered text, which is the LM context for the next step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 from .corpus import EOS_TEXT, LyricSequence, MelodyNote, MelodySequence, SyllableToken
@@ -69,6 +69,11 @@ class Beam:
     trace: tuple[TraceStep, ...]
 
 
+# the hypothesis every search starts from, and the token that ends one
+_ROOT = Beam((), "", 0.0, False, ())
+_END = SyllableToken(EOS_TEXT, False)
+
+
 class DecodeResult(NamedTuple):
     lyric: LyricSequence
     cumulative: float
@@ -97,32 +102,22 @@ def _proposals(
     return _ranked_candidates(generator, distribution)[:width]
 
 
-def _initial_beams(generator, melody: MelodySequence, width: int) -> list[Beam]:
-    beams = []
-    for text, prob in _proposals(generator, (), melody.notes[0], width):
-        step = TraceStep(prob, None, UNSPACED if text == EOS_TEXT else SPACED, prob)
-        if text == EOS_TEXT:
-            token = SyllableToken(EOS_TEXT, False)
-            beams.append(Beam((token,), "", prob, True, (step,)))
-        else:
-            token = SyllableToken(text, True)
-            beams.append(Beam((token,), text, prob, False, (step,)))
-    return beams
-
-
 def first_step(generator, melody: MelodySequence, config: FusionConfig) -> list[Beam]:
     """The `beam_size` most probable first syllables, generator-only scored.
 
     The first syllable always starts a word. Ties break by vocabulary id.
     """
-    beams = _initial_beams(generator, melody, config.beam_size)
+    beams = _select([_ROOT], generator, None, melody, 0, config)
     if config.beam_size > len(beams):
         raise ValueError(f"beam_size {config.beam_size} exceeds {len(beams)} candidates")
     return beams
 
 
 def _score(beam: Beam, text: str, prob: float, lm, config: FusionConfig) -> TraceStep:
-    """The trace step of extending `beam` with candidate `text`."""
+    """The trace step of extending `beam` with candidate `text`; from the
+    root, the generator probability alone."""
+    if not beam.tokens:
+        return TraceStep(prob, None, UNSPACED if text == EOS_TEXT else SPACED, prob)
     if text == EOS_TEXT:
         lm_score = lm.score_with_spacing(beam.rendered, EOS_TEXT).value if lm is not None else 0.0
         variant = UNSPACED
@@ -137,11 +132,11 @@ def _score(beam: Beam, text: str, prob: float, lm, config: FusionConfig) -> Trac
 
 def _extend(beam: Beam, text: str, step: TraceStep) -> Beam:
     if text == EOS_TEXT:
-        token, rendered, finished = SyllableToken(EOS_TEXT, False), beam.rendered, True
+        token, rendered, finished = _END, beam.rendered, True
     else:
         spaced = step.variant == SPACED
         token, finished = SyllableToken(text, spaced), False
-        rendered = beam.rendered + ((" " + text) if spaced else text)
+        rendered = beam.rendered + ((" " + text) if spaced and beam.rendered else text)
     return Beam(
         beam.tokens + (token,),
         rendered,
@@ -169,6 +164,13 @@ def expand_step(
         raise ValueError("expand_step applies from step 1 onward")
     if all(beam.finished for beam in beams):
         raise ValueError("no unfinished hypothesis to expand")
+    return _select(beams, generator, lm, melody, t, config)
+
+
+def _select(
+    beams: Sequence[Beam], generator, lm, melody: MelodySequence, t: int, config: FusionConfig
+) -> list[Beam]:
+    """Step `t` of the search: propose, score, and keep the best `beam_size`."""
     note = melody.notes[t] if t < len(melody.notes) else None
     vocab = generator.vocab
 
@@ -209,27 +211,13 @@ def decode(
     """
     if lm is None and config.lambda_lm != 0:
         raise ValueError("an LM is required when lambda_lm > 0")
-    beams = _initial_beams(generator, melody, config.beam_size)
-
-    for t in range(1, config.max_len):
+    beams = [_ROOT]
+    for t in range(config.max_len):
         if all(beam.finished for beam in beams):
             break
-        beams = expand_step(beams, generator, lm, melody, t, config)
+        beams = _select(beams, generator, lm, melody, t, config)
 
-    closed = []
-    for beam in beams:
-        if beam.finished:
-            closed.append(beam)
-        else:
-            closed.append(
-                Beam(
-                    beam.tokens + (SyllableToken(EOS_TEXT, False),),
-                    beam.rendered,
-                    beam.cumulative,
-                    True,
-                    beam.trace,
-                )
-            )
+    closed = [b if b.finished else replace(b, tokens=b.tokens + (_END,), finished=True) for b in beams]
     ranked = sorted(enumerate(closed), key=lambda item: (-item[1].cumulative, item[0]))
     return [
         DecodeResult(LyricSequence(beam.tokens), beam.cumulative, beam.trace)

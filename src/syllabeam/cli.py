@@ -149,10 +149,6 @@ def cmd_train_lm(args: argparse.Namespace) -> int:
     corpus_path = _require_file(args.corpus, "corpus")
     order = settings.get("order", int, 4)
     k = settings.get("k", float, 0.1)
-    if order < 1:
-        raise UsageError("order must be >= 1")
-    if k < 0:
-        raise UsageError("k must be >= 0")
 
     pairs = load_aligned_corpus(corpus_path)
     texts = [lyric_lm_text(render_text(pair.lyric)) for pair in pairs]
@@ -169,10 +165,6 @@ def cmd_train_generator(args: argparse.Namespace) -> int:
     corpus_path = _require_file(args.corpus, "corpus")
     history = settings.get("history", int, 2)
     k = settings.get("k", float, 0.1)
-    if history < 1:
-        raise UsageError("history must be >= 1")
-    if k < 0:
-        raise UsageError("k must be >= 0")
 
     pairs = load_aligned_corpus(corpus_path)
     if not pairs:
@@ -225,6 +217,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
     with open(melody_path, "r", encoding="utf-8") as fh:
         melody = parse_melody_line(fh.read())
+    results = decode(melody, generator, lm, config)
+    if not audit_trace(results):
+        print("error: trace audit failed", file=sys.stderr)
+        return 1
 
     _echo(
         "generate",
@@ -238,10 +234,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "max_len": config.max_len,
         },
     )
-    results = decode(melody, generator, lm, config)
-    if not audit_trace(results):
-        print("error: trace audit failed", file=sys.stderr)
-        return 1
     for rank, result in enumerate(results, start=1):
         record = {
             "rank": rank,

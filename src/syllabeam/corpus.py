@@ -76,11 +76,13 @@ class MelodyNote:
     rest: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.pitch, int) or not 0 <= self.pitch <= 127:
+        if type(self.pitch) is not int or not 0 <= self.pitch <= 127:
             raise ValueError(f"pitch must be an integer in [0, 127], got {self.pitch!r}")
-        if not (math.isfinite(self.duration) and self.duration > 0):
+        if type(self.duration) not in (int, float) or not (
+            math.isfinite(self.duration) and self.duration > 0
+        ):
             raise ValueError(f"duration must be finite and positive, got {self.duration!r}")
-        if not (math.isfinite(self.rest) and self.rest >= 0):
+        if type(self.rest) not in (int, float) or not (math.isfinite(self.rest) and self.rest >= 0):
             raise ValueError(f"rest must be finite and non-negative, got {self.rest!r}")
 
 
@@ -130,18 +132,6 @@ class Vocabulary:
         self._texts: tuple[str, ...] = (BOS_TEXT, EOS_TEXT, *extra)
         self._emittable = self._texts[1:]
         self._ids = {text: i for i, text in enumerate(self._texts)}
-
-    @classmethod
-    def from_texts(cls, texts: Iterable[str]) -> "Vocabulary":
-        return cls(texts)
-
-    @property
-    def bos_id(self) -> int:
-        return 0
-
-    @property
-    def eos_id(self) -> int:
-        return 1
 
     def id_of(self, text: str) -> int:
         return self._ids[text]
@@ -252,7 +242,8 @@ def load_aligned_corpus(path) -> list[AlignedPair]:
 
     Each record is {"syllables": [...], "word_initial": [...],
     "notes": [[pitch, duration, rest], ...]} with all three lists the same
-    length. Errors are reported with the offending record index.
+    length, flags JSON booleans, pitches JSON integers and durations and
+    rests JSON numbers. Errors are reported with the offending record index.
     """
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -270,15 +261,15 @@ def load_aligned_corpus(path) -> list[AlignedPair]:
                         f"lists disagree in length: {len(syllables)} syllables, "
                         f"{len(flags)} flags, {len(notes)} notes"
                     )
-                tokens = tuple(
-                    SyllableToken(text, bool(flag))
-                    for text, flag in zip(syllables, flags)
-                )
+                for flag in flags:
+                    if type(flag) is not bool:
+                        raise ValueError(f"word_initial flag {flag!r} is not a boolean")
+                tokens = tuple(SyllableToken(text, flag) for text, flag in zip(syllables, flags))
                 melody = MelodySequence(
-                    tuple(MelodyNote(int(p), float(d), float(r)) for p, d, r in notes)
+                    tuple(MelodyNote(p, d, r) for p, d, r in notes)
                 )
                 pairs.append(AlignedPair(melody, LyricSequence(tokens)))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"record {idx}: {exc}") from exc
     return pairs
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
+from . import modelfile
 from .corpus import (
     BOS_TEXT,
     EOS_TEXT,
@@ -25,10 +27,15 @@ from .corpus import (
 DURATION_SHORT = "short"
 DURATION_MEDIUM = "medium"
 DURATION_LONG = "long"
+_DURATION_CLASSES = (DURATION_SHORT, DURATION_MEDIUM, DURATION_LONG)
 
 _FORMAT = "syllabeam-generator"
 _VERSION = 1
 _BUCKETING_VERSION = 1
+_SCHEMA = {
+    "bucketing": int, "history": int, "k": float, "vocabulary": list,
+    "hist_bucket": list, "hist": list, "bucket": list, "unigram": dict,
+}
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,21 @@ def bucket_note(note: MelodyNote) -> NoteBucket:
     else:
         duration_class = DURATION_LONG
     return NoteBucket(note.pitch % 12, note.pitch // 12, duration_class, note.rest > 0)
+
+
+def _bucket_from_json(data) -> Optional[NoteBucket]:
+    if data is None:
+        return None
+    if type(data) is list and len(data) == 4:
+        pitch_class, register, duration_class, has_rest = data
+        if (
+            type(pitch_class) is int
+            and type(register) is int
+            and duration_class in _DURATION_CLASSES
+            and type(has_rest) is bool
+        ):
+            return NoteBucket(pitch_class, register, duration_class, has_rest)
+    raise ValueError(f"bucket {data!r} is not [int, int, duration class, bool] or null")
 
 
 class _Ranking(NamedTuple):
@@ -92,8 +114,8 @@ class MelodyConditionedNgram:
     def __init__(self, vocab: Vocabulary, history: int = 2, k: float = 0.1):
         if history < 1:
             raise ValueError("history must be >= 1")
-        if k < 0:
-            raise ValueError("smoothing k must be >= 0")
+        if not 0 <= k < math.inf:
+            raise ValueError("smoothing k must be finite and >= 0")
         self.vocab = vocab
         self.history = history
         self.k = k
@@ -191,19 +213,11 @@ class MelodyConditionedNgram:
             return None
         return [bucket.pitch_class, bucket.register, bucket.duration_class, bucket.has_rest]
 
-    @staticmethod
-    def _bucket_from_json(data) -> Optional[NoteBucket]:
-        if data is None:
-            return None
-        return NoteBucket(int(data[0]), int(data[1]), data[2], bool(data[3]))
-
     def save(self, path) -> None:
         def sorted_counts(counts: dict[str, int]) -> dict[str, int]:
             return dict(sorted(counts.items()))
 
-        payload = {
-            "format": _FORMAT,
-            "version": _VERSION,
+        fields = {
             "bucketing": _BUCKETING_VERSION,
             "history": self.history,
             "k": self.k,
@@ -228,38 +242,59 @@ class MelodyConditionedNgram:
             ),
             "unigram": sorted_counts(self._unigram),
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+        modelfile.save(path, _FORMAT, _VERSION, fields)
 
     @classmethod
     def load(cls, path) -> "MelodyConditionedNgram":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != _FORMAT:
-            raise ValueError(f"not a {_FORMAT} file: {path}")
-        if payload.get("version") != _VERSION:
-            raise ValueError(f"unsupported version {payload.get('version')}")
-        if payload.get("bucketing") != _BUCKETING_VERSION:
-            raise ValueError(f"unsupported bucketing version {payload.get('bucketing')}")
+        """A saved model, once every history in its file is `history`
+        vocabulary entries or BOS, every bucket is [int, int, duration class,
+        bool] or null, and every count table maps emittable vocabulary
+        entries to non-negative integers."""
+        payload = modelfile.load(path, _FORMAT, _VERSION, _SCHEMA)
+        if payload["bucketing"] != _BUCKETING_VERSION:
+            raise ValueError(f"unsupported bucketing version {payload['bucketing']}")
+        if not set(map(type, payload["vocabulary"])) <= {str}:
+            raise ValueError("vocabulary entries must be strings")
         model = cls(Vocabulary(payload["vocabulary"]), payload["history"], payload["k"])
         emittable = frozenset(model.vocab.emittable())
+        known = emittable | {BOS_TEXT}
 
-        def checked(counts: dict) -> dict[str, int]:
-            for text, n in counts.items():
-                if text not in emittable:
-                    raise ValueError(f"count key {text!r} is not an emittable vocabulary entry")
-                if type(n) is not int or n < 0:
-                    raise ValueError(f"count {n!r} for {text!r} is not a non-negative integer")
-            return counts
+        def rows(name: str, width: int) -> list[list]:
+            for row in payload[name]:
+                if type(row) is not list or len(row) != width:
+                    raise ValueError(f"a {name!r} row is not a JSON array of {width}")
+            return payload[name]
 
-        for hist, bucket, counts in payload["hist_bucket"]:
-            model._by_hist_bucket[(tuple(hist), cls._bucket_from_json(bucket))] = checked(counts)
-        for hist, counts in payload["hist"]:
-            model._by_hist[tuple(hist)] = checked(counts)
-        for bucket, counts in payload["bucket"]:
-            model._by_bucket[cls._bucket_from_json(bucket)] = checked(counts)
-        model._unigram = checked(payload["unigram"])
+        def hist_key(data) -> tuple[str, ...]:
+            if type(data) is list and len(data) == model.history:
+                key = tuple(data)
+                try:
+                    if known.issuperset(key):
+                        return key
+                except TypeError:  # an unhashable entry
+                    pass
+            raise ValueError(f"history {data!r} is not {model.history} vocabulary entries")
+
+        # a model has few distinct buckets; each JSON form, told apart by its
+        # values and their types (1 == True), is checked once
+        buckets: dict[tuple[tuple, tuple], Optional[NoteBucket]] = {}
+
+        def bucket(data) -> Optional[NoteBucket]:
+            try:
+                return buckets[tuple(data), tuple(map(type, data))]
+            except (KeyError, TypeError):  # new, unhashable, or null or another scalar
+                parsed = _bucket_from_json(data)
+                if parsed is not None:
+                    buckets[tuple(data), tuple(map(type, data))] = parsed
+                return parsed
+
+        for hist, note, counts in rows("hist_bucket", 3):
+            model._by_hist_bucket[(hist_key(hist), bucket(note))] = modelfile.counts(counts, emittable)
+        for hist, counts in rows("hist", 2):
+            model._by_hist[hist_key(hist)] = modelfile.counts(counts, emittable)
+        for note, counts in rows("bucket", 2):
+            model._by_bucket[bucket(note)] = modelfile.counts(counts, emittable)
+        model._unigram = modelfile.counts(payload["unigram"], emittable)
         return model
 
     def stats(self) -> dict:

@@ -10,11 +10,11 @@ model.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from . import modelfile
 from .corpus import EOS_TEXT
 
 EOS_CHAR = "$"
@@ -31,16 +31,21 @@ _VERSION = 1
 MEMO_LIMIT = 1 << 14
 
 
+def _check_chars(text: str, allowed: frozenset) -> None:
+    """Raise ValueError naming the first character of `text` not in `allowed`."""
+    if not allowed.issuperset(text):
+        for pos, ch in enumerate(text):
+            if ch not in allowed:
+                raise ValueError(f"character {ch!r} at position {pos} not in alphabet")
+
+
 def encode_text(text: str, alphabet: str = DEFAULT_ALPHABET) -> str:
     """Map the literal end marker to its reserved character and validate.
 
     Raises ValueError naming the first out-of-alphabet character position.
     """
     encoded = text.replace(EOS_TEXT, EOS_CHAR)
-    allowed = set(alphabet)
-    for pos, ch in enumerate(encoded):
-        if ch not in allowed:
-            raise ValueError(f"character {ch!r} at position {pos} not in alphabet")
+    _check_chars(encoded, frozenset(alphabet))
     return encoded
 
 
@@ -71,8 +76,8 @@ class CharNgramModel:
     def __init__(self, order: int, k: float, alphabet: str = DEFAULT_ALPHABET):
         if order < 1:
             raise ValueError("order must be >= 1")
-        if k < 0:
-            raise ValueError("smoothing k must be >= 0")
+        if not 0 <= k < math.inf:
+            raise ValueError("smoothing k must be finite and >= 0")
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet contains duplicates")
         self.order = order
@@ -87,21 +92,15 @@ class CharNgramModel:
         # (context suffix, syllable) -> score_with_spacing result
         self._memo: dict[tuple[str, str], ContinuationScore] = {}
 
-    def _check_context(self, context: str) -> None:
-        if not self._alphabet_set.issuperset(context):
-            for pos, ch in enumerate(context):
-                if ch not in self._alphabet_set:
-                    raise ValueError(f"character {ch!r} at position {pos} not in alphabet")
-
     # -- training ---------------------------------------------------------
 
     def add_text(self, text: str) -> None:
+        """Count every character of `text`; a text with a character outside
+        the alphabet raises ValueError and changes nothing."""
+        _check_chars(text, self._alphabet_set)
         self._totals.clear()
         self._memo.clear()
-        for pos in range(len(text)):
-            ch = text[pos]
-            if ch not in self.alphabet:
-                raise ValueError(f"character {ch!r} at position {pos} not in alphabet")
+        for pos, ch in enumerate(text):
             for length in range(self.order):
                 if pos - length < 0:
                     break
@@ -133,11 +132,11 @@ class CharNgramModel:
 
     def char_prob(self, ch: str, context: str) -> float:
         """P(ch | context), discounted by BACKOFF_FACTOR per fallback hop."""
-        if ch not in self.alphabet:
+        if ch not in self._alphabet_set:
             raise ValueError(f"character {ch!r} not in alphabet")
         table, total, hops = self._resolve(context)
         size = len(self.alphabet)
-        if not table:
+        if not total:
             return (BACKOFF_FACTOR ** hops) / size
         p = (table.get(ch, 0) + self.k) / (total + self.k * size)
         return (BACKOFF_FACTOR ** hops) * p
@@ -146,7 +145,7 @@ class CharNgramModel:
         """Proper add-k distribution over the alphabet at the resolved level."""
         table, total, _ = self._resolve(context)
         size = len(self.alphabet)
-        if not table:
+        if not total:
             return {ch: 1.0 / size for ch in self.alphabet}
         denom = total + self.k * size
         return {ch: (table.get(ch, 0) + self.k) / denom for ch in self.alphabet}
@@ -158,7 +157,7 @@ class CharNgramModel:
         following `context`, the context growing through the candidate."""
         if not candidate:
             raise ValueError("candidate must be non-empty")
-        self._check_context(context)
+        _check_chars(context, self._alphabet_set)
         return self._continuation(context, candidate)
 
     def _continuation(self, context: str, candidate: str) -> float:
@@ -184,7 +183,7 @@ class CharNgramModel:
             raise ValueError("syllable must be non-empty")
         if syllable_text == EOS_TEXT and not context:
             raise ValueError("end marker needs a non-empty context")
-        self._check_context(context)
+        _check_chars(context, self._alphabet_set)
         suffix = self._suffix(context)
         key = (suffix, syllable_text)
         score = self._memo.get(key)
@@ -223,34 +222,35 @@ class CharNgramModel:
     # -- persistence ------------------------------------------------------
 
     def save(self, path) -> None:
-        payload = {
-            "format": _FORMAT,
-            "version": _VERSION,
-            "order": self.order,
-            "k": self.k,
-            "alphabet": self.alphabet,
-            "tables": [
-                {ctx: dict(sorted(counts.items())) for ctx, counts in sorted(level.items())}
-                for level in self._tables
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+        tables = [
+            {ctx: dict(sorted(counts.items())) for ctx, counts in sorted(level.items())}
+            for level in self._tables
+        ]
+        fields = {"order": self.order, "k": self.k, "alphabet": self.alphabet, "tables": tables}
+        modelfile.save(path, _FORMAT, _VERSION, fields)
 
     @classmethod
     def load(cls, path) -> "CharNgramModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != _FORMAT:
-            raise ValueError(f"not a {_FORMAT} file: {path}")
-        if payload.get("version") != _VERSION:
-            raise ValueError(f"unsupported version {payload.get('version')}")
+        """A saved model, once its file holds `order` count levels whose
+        level-L contexts are L alphabet characters long, each mapping
+        alphabet characters to non-negative integer counts."""
+        payload = modelfile.load(
+            path, _FORMAT, _VERSION, {"order": int, "k": float, "alphabet": str, "tables": list}
+        )
+        tables = payload["tables"]
+        if len(tables) != payload["order"]:
+            raise ValueError(f"{len(tables)} count levels for order {payload['order']}")
         model = cls(payload["order"], payload["k"], payload["alphabet"])
-        model._tables = [
-            {ctx: {ch: int(n) for ch, n in counts.items()} for ctx, counts in level.items()}
-            for level in payload["tables"]
-        ]
+        alphabet = model._alphabet_set
+        for length, level in enumerate(tables):
+            if type(level) is not dict:
+                raise ValueError(f"count level {length} is not a JSON object")
+            for context, counts in level.items():
+                if len(context) != length:
+                    raise ValueError(f"level-{length} context {context!r} has length {len(context)}")
+                _check_chars(context, alphabet)
+                modelfile.counts(counts, alphabet)
+        model._tables = tables
         return model
 
     def stats(self) -> dict:

@@ -1,0 +1,60 @@
+"""The model-file format shared by both scorers.
+
+A model file is one JSON object with sorted keys and a trailing newline. Its
+"format" and "version" fields name the model kind and its layout revision;
+every other field belongs to the model. `load` checks the header and the JSON
+type of each field a model names before the model reads any of them.
+"""
+
+from __future__ import annotations
+
+import json
+
+# the JSON type each schema type stands for; float takes any JSON number
+_JSON_NAMES = {
+    int: "integer", float: "number", str: "string", bool: "boolean", list: "array", dict: "object"
+}
+
+
+def save(path, fmt: str, version: int, fields: dict) -> None:
+    """Write `fields` under a `fmt`/`version` header as sorted-key JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"format": fmt, "version": version, **fields}, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def load(path, fmt: str, version: int, schema: dict[str, type]) -> dict:
+    """The payload of a `fmt` file of `version`, once every `schema` field is
+    present with its exact JSON type: `int` is a JSON integer and never a
+    bool, `float` any JSON number, and str, bool, list and dict their own
+    JSON types. Raises ValueError otherwise."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    if type(payload) is not dict or payload.get("format") != fmt:
+        raise ValueError(f"not a {fmt} file: {path}")
+    found = payload.get("version")
+    if type(found) is not int or found != version:
+        raise ValueError(f"unsupported {fmt} version {found!r}: {path}")
+    for name, kind in schema.items():
+        if name not in payload:
+            raise ValueError(f"{path}: missing field {name!r}")
+        value = payload[name]
+        if not (type(value) is kind or kind is float and type(value) is int):
+            raise ValueError(f"{path}: field {name!r} is not a JSON {_JSON_NAMES[kind]}")
+    return payload
+
+
+def counts(table, keys: frozenset) -> dict[str, int]:
+    """`table` itself, once it is a JSON object mapping members of `keys` to
+    non-negative integers. Raises ValueError naming the first bad entry."""
+    if type(table) is not dict:
+        raise ValueError("a count table is not a JSON object")
+    for key, n in table.items():
+        if key not in keys:
+            raise ValueError(f"count key {key!r} is not an emittable vocabulary entry")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"count {n!r} for {key!r} is not a non-negative integer")
+    return table

@@ -50,11 +50,6 @@ class SplitMix64:
         """True with probability p; consumes exactly one draw."""
         return self.random() < p
 
-    def choice(self, seq):
-        if not seq:
-            raise ValueError("choice() from empty sequence")
-        return seq[self.randrange(len(seq))]
-
 
 def substream(seed: int, index: int) -> SplitMix64:
     """Independent child stream for item `index` of a run seeded with `seed`.

@@ -102,7 +102,7 @@ def test_criterion_01_fusion_defaults(tmp_path, capsys):
 
 @criterion(2, "worked fusion example re-ranks 'ideas' first at 0.50 +- 1e-9")
 def test_criterion_02_worked_example():
-    vocab = Vocabulary.from_texts(["any", "big", "don't", "ger", "get", "ideas"])
+    vocab = Vocabulary(["any", "big", "don't", "ger", "get", "ideas"])
     history = ("don't", "get", "any", "big")
     gen = StubGenerator(vocab, {history: {"ger": 0.3, "ideas": 0.2}})
 
@@ -126,7 +126,7 @@ def test_criterion_03_beam_step_oracle():
     for _ in range(200):
         n_texts = rnd.randint(2, 7)  # plus the end token: at most 8 candidates
         texts = [f"s{chr(ord('a') + i)}" for i in range(n_texts)]
-        vocab = Vocabulary.from_texts(texts)
+        vocab = Vocabulary(texts)
         gen = RandomTableGenerator(vocab, rnd.randrange(10**9), eos_weight=rnd.choice([0.0, 0.1]))
         lm = RandomLM(rnd.randrange(10**9))
         beam_size = rnd.randint(1, 4)
@@ -150,7 +150,7 @@ def test_criterion_03_beam_step_oracle():
 
 @criterion(4, "decode with beam 27 attains the brute-force optimum for V=3, L=3")
 def test_criterion_04_global_optimum():
-    vocab = Vocabulary.from_texts(["la", "mi", "so"])
+    vocab = Vocabulary(["la", "mi", "so"])
     gen = RandomTableGenerator(vocab, seed=12345, eos_weight=0.0)
     lm = SpacedRandomLM(seed=54321, eos_score=0.0)
     melody = melody_of(3)

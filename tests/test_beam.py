@@ -194,11 +194,11 @@ class TestFirstStep:
     UNIFORM = {(): {t: 0.2 for t in ["ba", "da", "fa", "la", "ma"]}}
 
     def make_gen(self):
-        vocab = Vocabulary.from_texts(["ba", "da", "fa", "la", "ma"])
+        vocab = Vocabulary(["ba", "da", "fa", "la", "ma"])
         return StubGenerator(vocab, self.UNIFORM)
 
     def test_greedy_argmax(self):
-        vocab = Vocabulary.from_texts(["hi", "lo"])
+        vocab = Vocabulary(["hi", "lo"])
         gen = StubGenerator(vocab, {(): {"hi": 0.7, "lo": 0.3}})
         beams = first_step(gen, melody_of(3), FusionConfig(beam_size=1))
         assert len(beams) == 1
@@ -225,7 +225,7 @@ class TestFirstStep:
         assert step.contribution == step.generator_prob
 
     def test_eos_candidate_finishes(self):
-        vocab = Vocabulary.from_texts(["la"])
+        vocab = Vocabulary(["la"])
         gen = StubGenerator(vocab, {(): {EOS_TEXT: 0.9, "la": 0.1}})
         beams = first_step(gen, melody_of(2), FusionConfig(beam_size=2))
         assert beams[0].finished and beams[0].rendered == ""
@@ -236,7 +236,7 @@ class TestWorkedFusionExample:
     """The two-candidate re-ranking walkthrough: the generator prefers the
     word-completing syllable, the LM overrules it."""
 
-    VOCAB = Vocabulary.from_texts(["any", "big", "don't", "ger", "get", "ideas"])
+    VOCAB = Vocabulary(["any", "big", "don't", "ger", "get", "ideas"])
     HISTORY = ("don't", "get", "any", "big")
 
     def make_parent(self):
@@ -278,7 +278,7 @@ class TestExpandStep:
     def random_instance(self, rnd):
         n_texts = rnd.randint(2, 7)
         texts = [f"s{chr(ord('a') + i)}" for i in range(n_texts)]
-        vocab = Vocabulary.from_texts(texts)
+        vocab = Vocabulary(texts)
         gen = RandomTableGenerator(vocab, rnd.randrange(10**9), eos_weight=rnd.choice([0.0, 0.1]))
         lm = RandomLM(rnd.randrange(10**9))
         beam_size = rnd.randint(1, 4)
@@ -344,7 +344,7 @@ class TestExpandStep:
             ]
 
     def test_finished_beam_passes_through_and_wins_tie(self):
-        vocab = Vocabulary.from_texts(["la", "mi"])
+        vocab = Vocabulary(["la", "mi"])
         gen = StubGenerator(vocab, {}, default={"la": 0.4, "mi": 0.4, EOS_TEXT: 0.2})
         # child contribution = 0.5 * 0.4 + 0.5 * 0.6 = 0.5, so the open
         # parent's children tie the frozen beam's cumulative exactly
@@ -360,7 +360,7 @@ class TestExpandStep:
         with pytest.raises(ValueError):
             expand_step(
                 [word_beam(["la"], finished=True)],
-                StubGenerator(Vocabulary.from_texts(["la"]), {}),
+                StubGenerator(Vocabulary(["la"]), {}),
                 None,
                 melody_of(2),
                 1,
@@ -371,7 +371,7 @@ class TestExpandStep:
         with pytest.raises(ValueError):
             expand_step(
                 [word_beam(["la"])],
-                StubGenerator(Vocabulary.from_texts(["la"]), {}),
+                StubGenerator(Vocabulary(["la"]), {}),
                 None,
                 melody_of(2),
                 0,
@@ -484,7 +484,7 @@ class TestDecode:
     def test_global_optimum_small_universe(self):
         # every sequence survives when the beam is as wide as the whole
         # search tree, so the top result is the exhaustive maximum
-        vocab = Vocabulary.from_texts(["la", "mi", "so"])
+        vocab = Vocabulary(["la", "mi", "so"])
         gen = RandomTableGenerator(vocab, seed=12345, eos_weight=0.0)
         lm = SpacedRandomLM(seed=54321, eos_score=0.0)
         melody = melody_of(3)
@@ -497,7 +497,7 @@ class TestDecode:
     @pytest.mark.parametrize("n_texts,length", [(2, 4), (4, 2), (3, 3)])
     def test_global_optimum_other_universes(self, n_texts, length):
         texts = ["la", "mi", "so", "fa"][:n_texts]
-        vocab = Vocabulary.from_texts(texts)
+        vocab = Vocabulary(texts)
         gen = RandomTableGenerator(vocab, seed=1000 + n_texts, eos_weight=0.0)
         lm = SpacedRandomLM(seed=2000 + length, eos_score=0.0)
         melody = melody_of(length)
@@ -524,7 +524,7 @@ class TestDecode:
         assert audit_trace(results)
 
     def test_eos_top_candidate_finishes_immediately(self):
-        vocab = Vocabulary.from_texts(["la"])
+        vocab = Vocabulary(["la"])
         gen = StubGenerator(vocab, {(): {EOS_TEXT: 0.9, "la": 0.1}})
         results = decode(melody_of(2), gen, None, FusionConfig(beam_size=1, lambda_lm=0.0, lambda_gen=1.0))
         assert [t.text for t in results[0].lyric.tokens] == [EOS_TEXT]

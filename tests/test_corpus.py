@@ -167,7 +167,7 @@ class TestVocabulary:
         assert a == b
 
     def test_emittable_excludes_bos(self):
-        vocab = Vocabulary.from_texts(["la"])
+        vocab = Vocabulary(["la"])
         assert vocab.emittable() == (EOS_TEXT, "la")
 
 
@@ -225,3 +225,11 @@ class TestAlignedPair:
         lyric = parse_lyric_line("hey _you")
         with pytest.raises(ValueError):
             AlignedPair(melody, lyric)
+
+
+def test_integer_duration_and_rest_are_numbers(tmp_path):
+    # JSON integers are JSON numbers; the loader rejects only other types
+    # (tests/test_loader_fuzz.py)
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"syllables": ["hey"], "word_initial": [true], "notes": [[60, 2, 1]]}\n')
+    assert load_aligned_corpus(path)[0].melody.notes[0] == MelodyNote(60, 2.0, 1.0)

@@ -1,0 +1,439 @@
+"""Malformed model files and corpus records fail cleanly through the CLI.
+
+Each case starts from a valid saved file, damages one thing, and runs the
+command that reads it. Every case must exit 2 with exactly one `error:` line
+on stderr and nothing on stdout: no traceback, and no header echoed before
+the failure.
+"""
+
+import copy
+import json
+
+import pytest
+
+from syllabeam import modelfile
+from syllabeam.cli import main
+from syllabeam.corpus import (
+    BOS_TEXT,
+    EOS_TEXT,
+    Vocabulary,
+    build_vocabulary,
+    render_text,
+    write_aligned_corpus,
+)
+from syllabeam.generator import MelodyConditionedNgram, train_generator
+from syllabeam.lm import CharNgramModel, lyric_lm_text, train_char_ngram
+
+from conftest import make_corpus
+
+MELODY = "60:1:0 62:0.5:0 64:1:0.5 65:1:0 67:2:0\n"
+
+
+@pytest.fixture(scope="module")
+def payloads(tmp_path_factory):
+    """The parsed JSON of a valid LM file and a valid generator file."""
+    root = tmp_path_factory.mktemp("models")
+    corpus = make_corpus(30, seed=211, min_syllables=6, max_syllables=12)
+    texts = [lyric_lm_text(render_text(p.lyric)) for p in corpus]
+    train_char_ngram(texts, order=4, k=0.1).save(root / "lm.json")
+    vocab = build_vocabulary([p.lyric for p in corpus])
+    train_generator(corpus, vocab, history=2, k=0.1).save(root / "gen.json")
+    return {
+        "lm": json.loads((root / "lm.json").read_text()),
+        "gen": json.loads((root / "gen.json").read_text()),
+    }
+
+
+def field(name, value):
+    def mutate(payload):
+        payload[name] = value
+        return payload
+
+    return mutate
+
+
+def without(name):
+    def mutate(payload):
+        del payload[name]
+        return payload
+
+    return mutate
+
+
+def edit(fn):
+    """A mutation that changes the payload in place through `fn`."""
+
+    def mutate(payload):
+        fn(payload)
+        return payload
+
+    return mutate
+
+
+def header_cases(fields):
+    """Each field deleted, and each given every listed wrong JSON type."""
+    cases = []
+    for name, wrong in fields.items():
+        cases.append(pytest.param(without(name), id=f"no-{name}"))
+        for value in wrong:
+            cases.append(pytest.param(field(name, value), id=f"{name}={json.dumps(value)}"))
+    return cases
+
+
+def whole(value):
+    return pytest.param(lambda payload: value, id=f"top-level {json.dumps(value)}")
+
+
+def lm_context(level):
+    """Any stored context of LM level `level`."""
+
+    def pick(payload):
+        return next(iter(payload["tables"][level]))
+
+    return pick
+
+
+def lm_counts(payload):
+    level = payload["tables"][1]
+    return level[next(iter(level))]
+
+
+def set_first_count(value):
+    def fn(payload):
+        counts = lm_counts(payload)
+        counts[next(iter(counts))] = value
+
+    return fn
+
+
+def rename_lm_context(level, new):
+    def fn(payload):
+        table = payload["tables"][level]
+        table[new] = table.pop(lm_context(level)(payload))
+
+    return fn
+
+
+LM_CASES = header_cases(
+    {
+        "format": [1, None],
+        "version": ["1", True, 1.0, 2],
+        "order": ["4", 4.0, True],
+        "k": ["0.1", True, None],
+        "alphabet": [["a", "b"], None],
+        "tables": [{}, "x"],
+    }
+) + [
+    whole([]),
+    whole("syllabeam-charlm"),
+    pytest.param(field("order", 5), id="order 5, four levels"),
+    pytest.param(field("order", 3), id="order 3, four levels"),
+    pytest.param(edit(lambda p: p.update(order=5, tables=p["tables"][:1])), id="order 5, one level"),
+    pytest.param(edit(lambda p: p.update(tables=p["tables"][:2])), id="order 4, two levels"),
+    pytest.param(edit(lambda p: p.update(order=0, tables=[])), id="order 0"),
+    pytest.param(field("k", -0.5), id="negative k"),
+    pytest.param(field("k", float("nan")), id="k NaN"),
+    pytest.param(field("k", float("inf")), id="k Infinity"),
+    pytest.param(field("alphabet", ""), id="empty alphabet"),
+    pytest.param(field("alphabet", "aab"), id="alphabet with duplicates"),
+    pytest.param(edit(set_first_count(1.7)), id="count 1.7"),
+    pytest.param(edit(set_first_count(2.0)), id="count 2.0"),
+    pytest.param(edit(set_first_count(True)), id="count true"),
+    pytest.param(edit(set_first_count(-1)), id="count -1"),
+    pytest.param(edit(set_first_count("3")), id="count string"),
+    pytest.param(edit(set_first_count(None)), id="count null"),
+    pytest.param(edit(lambda p: lm_counts(p).update({"9": 1})), id="count key out of alphabet"),
+    pytest.param(edit(lambda p: lm_counts(p).update({"ab": 1})), id="count key of two characters"),
+    pytest.param(edit(rename_lm_context(1, "9")), id="context out of alphabet"),
+    pytest.param(edit(rename_lm_context(2, "a9")), id="context out of alphabet, level 2"),
+    pytest.param(edit(rename_lm_context(2, "a")), id="context too short"),
+    pytest.param(edit(rename_lm_context(1, "ab")), id="context too long"),
+    pytest.param(edit(lambda p: p["tables"].__setitem__(2, [])), id="level is an array"),
+    pytest.param(edit(lambda p: p["tables"][1].__setitem__("a", 3)), id="count table is a number"),
+]
+
+
+def gen_row(table):
+    def pick(payload):
+        return payload[table][0]
+
+    return pick
+
+
+def set_in_row(table, index, value):
+    return edit(lambda p: gen_row(table)(p).__setitem__(index, value))
+
+
+def retype_last_bucket(payload, index, kind):
+    """Give the last hist_bucket row the first row's bucket, one value
+    retyped: the bucket equals (==) a valid one already read."""
+    bucket = list(payload["hist_bucket"][0][1])
+    bucket[index] = kind(bucket[index])
+    payload["hist_bucket"][-1][1] = bucket
+
+
+def history_cases():
+    bad = ["ab", ["<bos>"], [BOS_TEXT, BOS_TEXT, BOS_TEXT], [BOS_TEXT, "zzz"], [BOS_TEXT, 5],
+           [BOS_TEXT, []], [BOS_TEXT, None], 2.0, None]
+    return [
+        pytest.param(set_in_row(table, 0, value), id=f"{table} history {json.dumps(value)}")
+        for table in ("hist_bucket", "hist")
+        for value in bad
+    ]
+
+
+def bucket_cases():
+    bad = ["short", [0, 5, "short"], [0, 5, "short", True, 1], [0, 5, "short", 1],
+           [0, 5, "short", 0], [0, 5, "tiny", True], [0.0, 5, "short", True],
+           [True, 5, "short", True], [0, 5.0, "short", False], [[], 5, "short", True],
+           [0, 5, ["short"], True], {"0": 5}, 5]
+    return [
+        pytest.param(set_in_row(table, index, value), id=f"{table} bucket {json.dumps(value)}")
+        for table, index in (("hist_bucket", 1), ("bucket", 0))
+        for value in bad
+    ]
+
+
+GEN_CASES = header_cases(
+    {
+        "format": [1],
+        "version": ["1", True, 1.0],
+        "bucketing": ["1", True, 1.0],
+        "history": [2.0, "2", True],
+        "k": ["0.1", False],
+        "vocabulary": ["la", {}],
+        "hist_bucket": [{}, 3],
+        "hist": [{}, None],
+        "bucket": [{}, "x"],
+        "unigram": [[], 0],
+    }
+) + [
+    whole([]),
+    whole(None),
+    pytest.param(field("bucketing", 2), id="bucketing 2"),
+    pytest.param(field("history", 0), id="history 0"),
+    pytest.param(field("k", -1), id="negative k"),
+    pytest.param(field("k", float("nan")), id="k NaN"),
+    pytest.param(field("k", float("inf")), id="k Infinity"),
+    pytest.param(edit(lambda p: p["vocabulary"].append(5)), id="vocabulary number"),
+    pytest.param(edit(lambda p: p["vocabulary"].append([])), id="vocabulary array"),
+    pytest.param(edit(lambda p: p["vocabulary"].append("Not ok")), id="vocabulary illegal text"),
+    pytest.param(edit(lambda p: p["hist_bucket"].__setitem__(0, 5)), id="hist_bucket row number"),
+    pytest.param(edit(lambda p: p["hist"].__setitem__(0, None)), id="hist row null"),
+    pytest.param(edit(lambda p: p["bucket"].__setitem__(0, "ab")), id="bucket row string"),
+    pytest.param(edit(lambda p: gen_row("hist_bucket")(p).pop()), id="hist_bucket row short"),
+    pytest.param(edit(lambda p: gen_row("hist")(p).append({})), id="hist row long"),
+    pytest.param(set_in_row("hist_bucket", 2, []), id="hist_bucket counts array"),
+    pytest.param(set_in_row("hist", 1, 4), id="hist counts number"),
+    pytest.param(set_in_row("bucket", 1, {"zzz": 1}), id="bucket counts key outside vocabulary"),
+    pytest.param(set_in_row("hist", 1, {EOS_TEXT: -2}), id="hist counts negative"),
+    pytest.param(edit(lambda p: retype_last_bucket(p, 3, int)), id="seen bucket with 0 or 1 for a bool"),
+    pytest.param(edit(lambda p: retype_last_bucket(p, 0, float)), id="seen bucket with a float pitch"),
+] + history_cases() + bucket_cases()
+
+
+def run_generate(tmp_path, capsys, lm, gen):
+    paths = {}
+    for name, payload in (("lm", lm), ("gen", gen)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    melody = tmp_path / "melody.txt"
+    melody.write_text(MELODY)
+    argv = ["generate", "--melody", str(melody), "--generator", str(paths["gen"]),
+            "--lm", str(paths["lm"])]
+    code = main(argv)
+    return code, capsys.readouterr()
+
+
+def assert_clean_failure(code, captured):
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_unmutated_files_decode(tmp_path, capsys, payloads):
+    code, captured = run_generate(tmp_path, capsys, payloads["lm"], payloads["gen"])
+    assert code == 0 and captured.err == ""
+    assert len(captured.out.splitlines()) > 1
+
+
+@pytest.mark.parametrize("mutate", LM_CASES)
+def test_lm_file(tmp_path, capsys, payloads, mutate):
+    lm = mutate(copy.deepcopy(payloads["lm"]))
+    assert_clean_failure(*run_generate(tmp_path, capsys, lm, payloads["gen"]))
+
+
+@pytest.mark.parametrize("mutate", GEN_CASES)
+def test_generator_file(tmp_path, capsys, payloads, mutate):
+    gen = mutate(copy.deepcopy(payloads["gen"]))
+    assert_clean_failure(*run_generate(tmp_path, capsys, payloads["lm"], gen))
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+LM_TINY = (
+    '{"alphabet": "%s", "format": "syllabeam-charlm", "k": %s, "order": 1, "tables": [{}], '
+    '"version": 1}'
+)
+# k overflows to infinity
+LM_1E400 = LM_TINY % ("a", "1e400")
+LM_NO_ALPHABET = LM_TINY % ("", "1")
+# a valid file, but decoding fails at step 1: the syllables are not in its alphabet
+LM_NO_LETTERS = LM_TINY % ("a", "1")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "{", '{"format": "syllabeam-charlm", "version": 1', "\xff", DEEP, LM_1E400, LM_NO_ALPHABET,
+     LM_NO_LETTERS],
+)
+def test_lm_file_text(tmp_path, capsys, payloads, text):
+    path = tmp_path / "lm.json"
+    gen = tmp_path / "gen.json"
+    melody = tmp_path / "melody.txt"
+    path.write_text(text, encoding="latin-1")
+    gen.write_text(json.dumps(payloads["gen"]))
+    melody.write_text(MELODY)
+    code = main(["generate", "--melody", str(melody), "--generator", str(gen), "--lm", str(path)])
+    assert_clean_failure(code, capsys.readouterr())
+
+
+@pytest.mark.parametrize("k", [float("nan"), float("inf"), -1])
+def test_k_must_be_finite_and_non_negative(k):
+    with pytest.raises(ValueError, match="must be finite"):
+        CharNgramModel(2, k)
+    with pytest.raises(ValueError, match="must be finite"):
+        MelodyConditionedNgram(Vocabulary(["la"]), 2, k)
+
+
+def test_integer_k_too_large_for_a_float_decodes(tmp_path, capsys, payloads):
+    lm = {**payloads["lm"], "k": 10**400}
+    gen = {**payloads["gen"], "k": 10**400}
+    code, captured = run_generate(tmp_path, capsys, lm, gen)
+    assert code == 0 and captured.err == ""
+
+
+@pytest.mark.parametrize("table, row", [("hist_bucket", [[BOS_TEXT, BOS_TEXT], None]),
+                                        ("bucket", [None, {}, {}])])
+def test_generator_row_of_wrong_width(tmp_path, payloads, table, row):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({**payloads["gen"], table: [row]}))
+    with pytest.raises(ValueError, match=f"a '{table}' row is not a JSON array of"):
+        MelodyConditionedNgram.load(path)
+
+
+def test_lm_zero_counts_load_as_unseen(tmp_path):
+    path = tmp_path / "lm.json"
+    tables = [{"": {"a": 0, "b": 0}}]
+    path.write_text(json.dumps({"format": "syllabeam-charlm", "version": 1, "order": 1, "k": 0,
+                                "alphabet": "ab", "tables": tables}))
+    assert CharNgramModel.load(path).char_prob("a", "") == 0.5
+
+
+GOOD_RECORD = {"syllables": ["hey", "you"], "word_initial": [True, True],
+               "notes": [[60, 1.0, 0.0], [62, 1, 0]]}
+
+
+def record_with(path, value):
+    record = copy.deepcopy(GOOD_RECORD)
+    target = record
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return record
+
+
+CORPUS_CASES = [
+    pytest.param(("notes", 0, 0), 60.7, id="pitch 60.7"),
+    pytest.param(("notes", 0, 0), 60.0, id="pitch 60.0"),
+    pytest.param(("notes", 0, 0), True, id="pitch true"),
+    pytest.param(("notes", 0, 0), "60", id="pitch string"),
+    pytest.param(("notes", 0, 0), None, id="pitch null"),
+    pytest.param(("word_initial", 1), "no", id="flag string"),
+    pytest.param(("word_initial", 1), 1, id="flag 1"),
+    pytest.param(("word_initial", 1), None, id="flag null"),
+    pytest.param(("notes", 0, 1), "1.5", id="duration string"),
+    pytest.param(("notes", 0, 1), True, id="duration true"),
+    pytest.param(("notes", 0, 1), None, id="duration null"),
+    pytest.param(("notes", 0, 2), "0", id="rest string"),
+    pytest.param(("notes", 0, 2), False, id="rest false"),
+    pytest.param(("notes", 0, 2), [0], id="rest array"),
+    pytest.param(("notes", 0, 1), 10**400, id="duration too large for a float"),
+]
+
+
+def corpus_run(tmp_path, capsys, command, line):
+    corpus = tmp_path / "corpus.jsonl"
+    write_aligned_corpus(make_corpus(3, seed=5), corpus)
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    code = main([command, "--corpus", str(corpus), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert_clean_failure(code, captured)
+    assert captured.err.startswith("error: record 3: ")
+    assert not (tmp_path / "out").exists()
+
+
+COMMANDS = ["train-lm", "train-generator", "build-nsp-dataset"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("path, value", CORPUS_CASES)
+def test_corpus_record(tmp_path, capsys, command, path, value):
+    corpus_run(tmp_path, capsys, command, json.dumps(record_with(path, value)))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_corpus_record_nested_too_deeply(tmp_path, capsys, command):
+    corpus_run(tmp_path, capsys, command, '{"notes": ' + DEEP + "}")
+
+
+class TestModelfile:
+    SCHEMA = {"n": int, "x": float, "flag": bool, "name": str, "rows": list, "table": dict}
+    FIELDS = {"n": 3, "x": 0.5, "flag": False, "name": "a", "rows": [], "table": {}}
+
+    def test_round_trip_and_bytes(self, tmp_path):
+        path = tmp_path / "m.json"
+        modelfile.save(path, "fmt", 2, {"b": 1, "a": [2]})
+        assert path.read_text() == '{"a": [2], "b": 1, "format": "fmt", "version": 2}\n'
+        assert modelfile.load(path, "fmt", 2, {"a": list, "b": int}) == {
+            "a": [2], "b": 1, "format": "fmt", "version": 2
+        }
+
+    def test_every_json_type_accepted(self, tmp_path):
+        path = tmp_path / "m.json"
+        modelfile.save(path, "fmt", 1, {**self.FIELDS, "x": 2})
+        assert modelfile.load(path, "fmt", 1, self.SCHEMA)["x"] == 2
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("n", True), ("n", 3.0), ("x", False), ("x", "0.5"), ("flag", 0), ("name", None),
+         ("rows", {}), ("table", [])],
+    )
+    def test_exact_json_type(self, tmp_path, name, value):
+        path = tmp_path / "m.json"
+        modelfile.save(path, "fmt", 1, {**self.FIELDS, name: value})
+        with pytest.raises(ValueError, match=f"field '{name}' is not a JSON"):
+            modelfile.load(path, "fmt", 1, self.SCHEMA)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_version_must_be_the_integer(self, tmp_path, version):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"format": "fmt", "version": version}))
+        with pytest.raises(ValueError, match="unsupported fmt version"):
+            modelfile.load(path, "fmt", 1, {})
+
+    @pytest.mark.parametrize("table", [{"a": 0, "b": 7}, {}])
+    def test_counts_accepts(self, table):
+        assert modelfile.counts(table, frozenset("ab")) is table
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [([], "not a JSON object"), ({"c": 1}, "count key 'c'"), ({"a": 1.0}, "count 1.0"),
+         ({"a": True}, "count True"), ({"a": -1}, "count -1")],
+    )
+    def test_counts_rejects(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            modelfile.counts(table, frozenset("ab"))
