@@ -24,7 +24,7 @@ from .corpus import (
     build_vocabulary,
 )
 from .generator import MelodyConditionedNgram, train_generator
-from .lm import CharNgramModel, lyric_lm_text, nsp_accuracy, train_char_ngram
+from .lm import CharNgramModel, lyric_lm_text, nsp_accuracy, nsp_metrics, train_char_ngram
 from .metrics import EvalPair, corpus_eval, emit_llm_eval_prompt
 from .nsp import BuilderConfig, build_dataset, read_nsp_tsv, write_nsp_tsv
 
@@ -287,16 +287,13 @@ def cmd_nsp_eval(args: argparse.Namespace) -> int:
         raise UsageError(f"dataset is empty: {dataset_path}")
 
     if args.scorer == "oracle":
-        # hands back each row's own label; rows are scored in file order
-        labels = iter([float(ex.label) for ex in dataset])
-        scorer = lambda context, candidate: next(labels)
+        # scores each row with its own label
+        result = nsp_metrics([(float(ex.label), ex.label) for ex in dataset], threshold)
     else:
         if args.lm is None:
             raise UsageError("--lm is required for the lm scorer")
         model = CharNgramModel.load(_require_file(args.lm, "lm model"))
-        scorer = model.nsp_score
-
-    result = nsp_accuracy(scorer, dataset, threshold)
+        result = nsp_accuracy(model.nsp_score, dataset, threshold)
     _echo(
         "nsp-eval",
         {"dataset": dataset_path, "scorer": args.scorer, "threshold": threshold},

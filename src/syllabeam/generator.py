@@ -246,10 +246,10 @@ class MelodyConditionedNgram:
 
     @classmethod
     def load(cls, path) -> "MelodyConditionedNgram":
-        """A saved model, once every history in its file is `history`
-        vocabulary entries or BOS, every bucket is [int, int, duration class,
-        bool] or null, and every count table maps emittable vocabulary
-        entries to non-negative integers."""
+        """A saved model, once both history tables have rows, every history
+        in its file is `history` vocabulary entries or BOS, every bucket is
+        [int, int, duration class, bool] or null, and every count table maps
+        emittable vocabulary entries to non-negative integers."""
         payload = modelfile.load(path, _FORMAT, _VERSION, _SCHEMA)
         if payload["bucketing"] != _BUCKETING_VERSION:
             raise ValueError(f"unsupported bucketing version {payload['bucketing']}")
@@ -288,6 +288,11 @@ class MelodyConditionedNgram:
                     buckets[tuple(data), tuple(map(type, data))] = parsed
                 return parsed
 
+        # training counts every syllable under its history, so a trained file
+        # has rows in both; without them no row would pin `history` down
+        for name in ("hist_bucket", "hist"):
+            if not payload[name]:
+                raise ValueError(f"{name!r} has no rows; a trained model always has some")
         for hist, note, counts in rows("hist_bucket", 3):
             model._by_hist_bucket[(hist_key(hist), bucket(note))] = modelfile.counts(counts, emittable)
         for hist, counts in rows("hist", 2):

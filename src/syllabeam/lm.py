@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import modelfile
 from .corpus import EOS_TEXT
@@ -27,7 +27,7 @@ UNSPACED = "unspaced"
 _FORMAT = "syllabeam-charlm"
 _VERSION = 1
 
-# score_with_spacing results kept per model before the memo is emptied
+# entries each per-model cache holds before it is emptied
 MEMO_LIMIT = 1 << 14
 
 
@@ -39,14 +39,27 @@ def _check_chars(text: str, allowed: frozenset) -> None:
                 raise ValueError(f"character {ch!r} at position {pos} not in alphabet")
 
 
+def _check_candidate(text: str, allowed: frozenset) -> None:
+    """Raise ValueError naming the first character of candidate `text` not in
+    `allowed`, before any of it is scored."""
+    if not allowed.issuperset(text):
+        bad = next(ch for ch in text if ch not in allowed)
+        raise ValueError(f"character {bad!r} not in alphabet")
+
+
+def _encode(text: str, allowed: frozenset) -> str:
+    """encode_text against an alphabet already made a set."""
+    encoded = text.replace(EOS_TEXT, EOS_CHAR)
+    _check_chars(encoded, allowed)
+    return encoded
+
+
 def encode_text(text: str, alphabet: str = DEFAULT_ALPHABET) -> str:
     """Map the literal end marker to its reserved character and validate.
 
     Raises ValueError naming the first out-of-alphabet character position.
     """
-    encoded = text.replace(EOS_TEXT, EOS_CHAR)
-    _check_chars(encoded, frozenset(alphabet))
-    return encoded
+    return _encode(text, frozenset(alphabet))
 
 
 @dataclass(frozen=True)
@@ -70,7 +83,7 @@ class CharNgramModel:
     (so backed-off scores are discounted, while conditional_distribution
     always reports the proper add-k distribution of the resolved level).
     Every score therefore depends only on the last order-1 characters of
-    its context, which is what keys the score_with_spacing memo.
+    its context, the context suffix, which keys every cache of the model.
     """
 
     def __init__(self, order: int, k: float, alphabet: str = DEFAULT_ALPHABET):
@@ -86,11 +99,13 @@ class CharNgramModel:
         self._alphabet_set = frozenset(alphabet)
         # tables[L][context_of_length_L][next_char] -> count
         self._tables: list[dict[str, dict[str, int]]] = [{} for _ in range(order)]
-        # id(count table) -> (table, total); each entry holds its table, so
-        # the id cannot be reused while the entry lives
-        self._totals: dict[int, tuple[dict[str, int], int]] = {}
+        # context suffix -> (count table of the level serving it, or None when
+        # that level has no counts; total + k * alphabet size; backoff factor)
+        self._levels: dict[str, tuple[Optional[dict[str, int]], float, float]] = {}
         # (context suffix, syllable) -> score_with_spacing result
         self._memo: dict[tuple[str, str], ContinuationScore] = {}
+        # (context suffix, candidate) -> score_continuation result
+        self._continuations: dict[tuple[str, str], float] = {}
 
     # -- training ---------------------------------------------------------
 
@@ -98,8 +113,9 @@ class CharNgramModel:
         """Count every character of `text`; a text with a character outside
         the alphabet raises ValueError and changes nothing."""
         _check_chars(text, self._alphabet_set)
-        self._totals.clear()
+        self._levels.clear()
         self._memo.clear()
+        self._continuations.clear()
         for pos, ch in enumerate(text):
             for length in range(self.order):
                 if pos - length < 0:
@@ -114,40 +130,39 @@ class CharNgramModel:
         """The part of `context` that any score depends on."""
         return context[-(self.order - 1) :] if self.order > 1 else ""
 
-    def _resolve(self, context: str) -> tuple[dict[str, int], int, int]:
-        """Longest stored suffix of `context`: its count table, the table's
-        total count and the hop count."""
-        suffix = self._suffix(context)
-        hops = 0
-        for length in range(len(suffix), -1, -1):
-            sub = suffix[len(suffix) - length :]
-            table = self._tables[length].get(sub)
-            if table is not None:
-                entry = self._totals.get(id(table))
-                if entry is None:
-                    entry = self._totals[id(table)] = (table, sum(table.values()))
-                return table, entry[1], hops
-            hops += 1
-        return {}, 0, hops
+    def _level(self, suffix: str) -> tuple[Optional[dict[str, int]], float, float]:
+        """The longest stored suffix of `suffix`: its count table (None when it
+        has no counts), the table's total + k * alphabet size, and
+        BACKOFF_FACTOR to the number of hops it took."""
+        level = self._levels.get(suffix)
+        if level is None:
+            if len(self._levels) >= MEMO_LIMIT:
+                self._levels.clear()
+            hops = 0
+            for length in range(len(suffix), -1, -1):
+                table = self._tables[length].get(suffix[len(suffix) - length :])
+                if table is not None:
+                    break
+                hops += 1
+            total = sum(table.values()) if table else 0
+            denom = total + self.k * len(self.alphabet)
+            level = self._levels[suffix] = (table if total else None, denom, BACKOFF_FACTOR ** hops)
+        return level
 
     def char_prob(self, ch: str, context: str) -> float:
         """P(ch | context), discounted by BACKOFF_FACTOR per fallback hop."""
         if ch not in self._alphabet_set:
             raise ValueError(f"character {ch!r} not in alphabet")
-        table, total, hops = self._resolve(context)
-        size = len(self.alphabet)
-        if not total:
-            return (BACKOFF_FACTOR ** hops) / size
-        p = (table.get(ch, 0) + self.k) / (total + self.k * size)
-        return (BACKOFF_FACTOR ** hops) * p
+        table, denom, factor = self._level(self._suffix(context))
+        if table is None:
+            return factor / len(self.alphabet)
+        return factor * ((table.get(ch, 0) + self.k) / denom)
 
     def conditional_distribution(self, context: str) -> dict[str, float]:
         """Proper add-k distribution over the alphabet at the resolved level."""
-        table, total, _ = self._resolve(context)
-        size = len(self.alphabet)
-        if not total:
-            return {ch: 1.0 / size for ch in self.alphabet}
-        denom = total + self.k * size
+        table, denom, _ = self._level(self._suffix(context))
+        if table is None:
+            return {ch: 1.0 / len(self.alphabet) for ch in self.alphabet}
         return {ch: (table.get(ch, 0) + self.k) / denom for ch in self.alphabet}
 
     # -- scoring ----------------------------------------------------------
@@ -158,18 +173,39 @@ class CharNgramModel:
         if not candidate:
             raise ValueError("candidate must be non-empty")
         _check_chars(context, self._alphabet_set)
-        return self._continuation(context, candidate)
+        return self._scored(self._suffix(context), candidate)
 
-    def _continuation(self, context: str, candidate: str) -> float:
-        """score_continuation without validating `context`."""
-        running = context
+    def _scored(self, suffix: str, candidate: str) -> float:
+        """score_continuation after a checked context ending in `suffix`,
+        memoized per (suffix, candidate); as in score_with_spacing, only a
+        miss needs to check the candidate."""
+        key = (suffix, candidate)
+        score = self._continuations.get(key)
+        if score is None:
+            _check_candidate(candidate, self._alphabet_set)
+            if len(self._continuations) >= MEMO_LIMIT:
+                self._continuations.clear()
+            score = self._continuations[key] = self._continuation(suffix, candidate)
+        return score
+
+    def _continuation(self, suffix: str, candidate: str) -> float:
+        """score_continuation of a checked candidate after a context ending
+        in `suffix`; only the running suffix is carried."""
+        keep = self.order - 1
+        levels = self._levels
         log_sum = 0.0
         for ch in candidate:
-            p = self.char_prob(ch, running)
+            # char_prob's arithmetic, inlined: this loop is the LM's hot path
+            table, denom, factor = levels.get(suffix) or self._level(suffix)
+            if table is None:
+                p = factor / len(self.alphabet)
+            else:
+                p = factor * ((table.get(ch, 0) + self.k) / denom)
             if p == 0.0:
                 return 0.0
             log_sum += math.log(p)
-            running += ch
+            if keep:
+                suffix = (suffix + ch)[-keep:]
         return math.exp(log_sum / len(candidate))
 
     def score_with_spacing(self, context: str, syllable_text: str) -> ContinuationScore:
@@ -188,16 +224,21 @@ class CharNgramModel:
         key = (suffix, syllable_text)
         score = self._memo.get(key)
         if score is None:
+            # a key holds the whole syllable and is stored only once the
+            # syllable passed this check, so a hit needs no second one; the
+            # syllable and a space are every character either variant scores
+            chars = EOS_CHAR if syllable_text == EOS_TEXT else syllable_text + " "
+            _check_candidate(chars, self._alphabet_set)
             if len(self._memo) >= MEMO_LIMIT:
                 self._memo.clear()
             score = self._memo[key] = self._score_spacing(suffix, syllable_text)
         return score
 
-    def _score_spacing(self, context: str, syllable_text: str) -> ContinuationScore:
+    def _score_spacing(self, suffix: str, syllable_text: str) -> ContinuationScore:
         if syllable_text == EOS_TEXT:
-            return ContinuationScore(self._continuation(context, EOS_CHAR), UNSPACED)
-        unspaced = self._continuation(context, syllable_text)
-        spaced = self._continuation(context, " " + syllable_text)
+            return ContinuationScore(self._continuation(suffix, EOS_CHAR), UNSPACED)
+        unspaced = self._continuation(suffix, syllable_text)
+        spaced = self._continuation(suffix, " " + syllable_text)
         if unspaced >= spaced:
             return ContinuationScore(unspaced, UNSPACED)
         return ContinuationScore(spaced, SPACED)
@@ -207,17 +248,20 @@ class CharNgramModel:
 
         Candidates use the underscore marker for a leading space and the
         literal end marker for end-of-sequence; contexts may embed the end
-        marker mid-string (corruption rows).
+        marker mid-string (corruption rows). Scores are memoized per
+        (context suffix, encoded candidate).
         """
-        encoded_context = encode_text(context, self.alphabet)
+        encoded_context = _encode(context, self._alphabet_set)
         if candidate.startswith("_"):
             body = candidate[1:]
-            encoded = " " + (EOS_CHAR if body == EOS_TEXT else encode_text(body, self.alphabet))
+            encoded = " " + (EOS_CHAR if body == EOS_TEXT else _encode(body, self._alphabet_set))
         elif candidate == EOS_TEXT:
             encoded = EOS_CHAR
         else:
-            encoded = encode_text(candidate, self.alphabet)
-        return self.score_continuation(encoded_context, encoded)
+            encoded = _encode(candidate, self._alphabet_set)
+        if not encoded:
+            raise ValueError("candidate must be non-empty")
+        return self._scored(self._suffix(encoded_context), encoded)
 
     # -- persistence ------------------------------------------------------
 
@@ -279,16 +323,18 @@ def nsp_accuracy(
     dataset: Iterable,
     threshold: float = 0.5,
 ) -> dict[str, float]:
-    """Thresholded accuracy and rank AUC of a continuation scorer.
+    """nsp_metrics of a continuation scorer, which maps each example's
+    (context, candidate) to a score."""
+    return nsp_metrics([(scorer(ex.context, ex.candidate), ex.label) for ex in dataset], threshold)
 
-    `scorer` maps (context, candidate) to a score; an example is counted
-    correct when (score >= threshold) agrees with its label. AUC is the
-    Mann-Whitney rank statistic with midranks for ties; it is NaN when the
-    dataset contains a single class.
+
+def nsp_metrics(scored: Sequence[tuple[float, int]], threshold: float = 0.5) -> dict[str, float]:
+    """Thresholded accuracy and rank AUC of (score, label) pairs.
+
+    A pair is counted correct when (score >= threshold) agrees with its
+    label. AUC is the Mann-Whitney rank statistic with midranks for ties; it
+    is NaN when the pairs contain a single class.
     """
-    scored: list[tuple[float, int]] = []
-    for example in dataset:
-        scored.append((scorer(example.context, example.candidate), example.label))
     if not scored:
         raise ValueError("empty dataset")
 

@@ -18,9 +18,10 @@ _JSON_NAMES = {
 
 def save(path, fmt: str, version: int, fields: dict) -> None:
     """Write `fields` under a `fmt`/`version` header as sorted-key JSON."""
+    # one dumps call: json.dump would take the pure-Python encoder
+    text = json.dumps({"format": fmt, "version": version, **fields}, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"format": fmt, "version": version, **fields}, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load(path, fmt: str, version: int, schema: dict[str, type]) -> dict:

@@ -21,11 +21,18 @@ seed: each lyric draws from its own substream keyed by (seed, lyric index).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .corpus import EOS_TEXT, LyricSequence, SyllableToken, render_text
+from .corpus import EOS_TEXT, LyricSequence, SyllableToken
 from .rng import SplitMix64, substream
+
+# The rows build_dataset writes. A context is (?:[a-z' ]|<eos>)+; the context
+# pattern matches the same strings, the empty one aside, without branching per
+# character. A candidate `_<eos>` is the end marker with its spacing flipped.
+_CONTEXT_RE = re.compile(r"[a-z' ]*(?:<eos>[a-z' ]*)*")
+_CANDIDATE_RE = re.compile(r"_?(?:[a-z']+|<eos>)")
 
 
 @dataclass(frozen=True)
@@ -98,8 +105,10 @@ def build_examples_for_lyric(
     occurrences.append((EOS_TEXT, False))
 
     examples: list[NspExample] = []
+    context = ""  # render_text of the first i syllables, grown one syllable per position
     for i in range(1, len(syllables) + 1):
-        context = render_text(LyricSequence(syllables[:i]))
+        last = syllables[i - 1]
+        context += " " + last.text if i > 1 and last.word_initial else last.text
         if i < len(syllables):
             true_text, true_spaced = syllables[i].text, syllables[i].word_initial
         else:
@@ -176,6 +185,12 @@ def write_nsp_tsv(examples: Iterable[NspExample], path) -> None:
 
 
 def read_nsp_tsv(path) -> list[NspExample]:
+    """The rows of an NSP TSV file, once each is a row the builder can write.
+
+    A context matches `(?:[a-z' ]|<eos>)+` and a candidate
+    `_?(?:[a-z']+|<eos>)`; the label is 0 or 1. Blank lines are skipped.
+    Raises ValueError naming the first bad line otherwise.
+    """
     examples = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -185,7 +200,12 @@ def read_nsp_tsv(path) -> list[NspExample]:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 3 columns, got {len(parts)}")
-            if parts[2] not in ("0", "1"):
-                raise ValueError(f"line {lineno}: bad label {parts[2]!r}")
-            examples.append(NspExample(parts[0], parts[1], int(parts[2])))
+            context, candidate, label = parts
+            if label not in ("0", "1"):
+                raise ValueError(f"line {lineno}: bad label {label!r}")
+            if not (context and _CONTEXT_RE.fullmatch(context)):
+                raise ValueError(f"line {lineno}: bad context {context!r}")
+            if not _CANDIDATE_RE.fullmatch(candidate):
+                raise ValueError(f"line {lineno}: bad candidate {candidate!r}")
+            examples.append(NspExample(context, candidate, int(label)))
     return examples

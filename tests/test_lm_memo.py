@@ -1,4 +1,4 @@
-"""The score_with_spacing memo and the cached table totals of the character LM.
+"""The memos and the per-suffix level cache of the character LM.
 
 A memoized model must answer every query exactly as a freshly loaded one,
 follow added training text, and keep rejecting every input it rejected
@@ -110,3 +110,41 @@ def test_rejected_queries_keep_their_messages(context, syllable, message):
         with pytest.raises(ValueError) as info:
             model.score_with_spacing(context, syllable)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("query", ["score_continuation", "score_with_spacing"])
+def test_out_of_alphabet_candidate_rejected_before_scoring(query):
+    # with k=0, P('a' | 'a') and P(' ' | 'a') are 0, so a walk that checked
+    # characters as it went would stop before it reached '9'
+    model = train_char_ngram(["ab"], order=2, k=0.0)
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            getattr(model, query)("a", "a9")
+        assert str(info.value) == "character '9' not in alphabet"
+    assert model._memo == {} and model._continuations == {}
+
+
+@pytest.mark.parametrize(
+    "query, cached, bad, message",
+    [
+        ("score_continuation", ("ab lo", "ve"), ("aX lo", "ve"), "character 'X' at position 1 not in alphabet"),
+        ("score_continuation", ("ab lo", "ve"), ("ab lo", "vE"), "character 'E' not in alphabet"),
+        ("nsp_score", ("ab lo", "_ve"), ("a? lo", "_ve"), "character '?' at position 1 not in alphabet"),
+        ("nsp_score", ("ab lo", "_ve"), ("ab lo", "_vE"), "character 'E' at position 1 not in alphabet"),
+        ("nsp_score", ("ab lo", "_ve"), ("ab lo", ""), "candidate must be non-empty"),
+    ],
+)
+def test_continuation_memo_hit_still_checks_the_query(query, cached, bad, message):
+    model = train_char_ngram(corpus_texts(10, seed=11), 4, 0.1)
+    getattr(model, query)(*cached)
+    with pytest.raises(ValueError) as info:
+        getattr(model, query)(*bad)
+    assert str(info.value) == message
+
+
+def test_nsp_score_is_memoized_per_suffix_and_candidate():
+    model = train_char_ngram(corpus_texts(10, seed=12), 4, 0.1)
+    first = model.nsp_score("my love<eos>for e", "_ver")
+    assert model.nsp_score("all for e", "_ver") == first
+    assert model._continuations == {("r e", " ver"): first}
+    assert model.score_continuation("or e", " ver") == first

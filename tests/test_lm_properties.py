@@ -1,0 +1,149 @@
+"""Property test: the character LM's caches never change a score.
+
+A model that has answered queries before, grown by `add_text` in between
+(from no text at all, too),
+and emptied its caches at a small `MEMO_LIMIT` must answer every public
+query exactly as a freshly loaded copy does, and exactly as a naive walker
+that counts the training texts itself and repeats the model's arithmetic.
+"""
+
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from syllabeam import lm as lm_module
+from syllabeam.corpus import EOS_TEXT
+from syllabeam.lm import (
+    BACKOFF_FACTOR,
+    DEFAULT_ALPHABET,
+    EOS_CHAR,
+    SPACED,
+    UNSPACED,
+    CharNgramModel,
+    ContinuationScore,
+)
+
+# few distinct characters, so queried contexts often have stored suffixes
+TEXT_CHARS = "abo ' " + EOS_CHAR
+# an empty list leaves the model untrained: every query falls through to the
+# empty level
+texts = st.lists(st.text(TEXT_CHARS, min_size=1, max_size=12), max_size=4)
+contexts = st.text("abo '", max_size=8)
+syllables = st.one_of(st.text("abo'", min_size=1, max_size=4), st.just(EOS_TEXT))
+candidates = st.text("abo' " + EOS_CHAR, min_size=1, max_size=5)
+# dataset notation: the end marker may sit mid-context, and `_` marks a space
+nsp_contexts = st.lists(st.sampled_from(["a", "b", "o", " ", "'", EOS_TEXT]), min_size=1, max_size=6).map("".join)
+nsp_candidates = st.tuples(st.sampled_from(["", "_"]), syllables).map("".join)
+queries = st.lists(
+    st.tuples(contexts, syllables, candidates, nsp_contexts, nsp_candidates), min_size=1, max_size=25
+)
+
+
+def naive_counts(training, order):
+    """tables[L][context][ch], counted straight from the texts."""
+    tables = [{} for _ in range(order)]
+    for text in training:
+        for pos, ch in enumerate(text):
+            for length in range(min(pos, order - 1) + 1):
+                table = tables[length].setdefault(text[pos - length : pos], {})
+                table[ch] = table.get(ch, 0) + 1
+    return tables
+
+
+class NaiveWalker:
+    """Every score from the counts, walking the whole context each time."""
+
+    def __init__(self, training, order, k):
+        self.tables = naive_counts(training, order)
+        self.order = order
+        self.k = k
+        self.size = len(DEFAULT_ALPHABET)
+
+    def level(self, context):
+        suffix = context[max(0, len(context) - (self.order - 1)) :]
+        for hops, length in enumerate(range(len(suffix), -1, -1)):
+            table = self.tables[length].get(suffix[len(suffix) - length :])
+            if table is not None:
+                return table, hops
+        return {}, len(suffix) + 1
+
+    def char_prob(self, ch, context):
+        table, hops = self.level(context)
+        total = sum(table.values())
+        if not total:
+            return (BACKOFF_FACTOR ** hops) / self.size
+        return (BACKOFF_FACTOR ** hops) * ((table.get(ch, 0) + self.k) / (total + self.k * self.size))
+
+    def conditional_distribution(self, context):
+        table, _ = self.level(context)
+        total = sum(table.values())
+        if not total:
+            return {ch: 1.0 / self.size for ch in DEFAULT_ALPHABET}
+        return {ch: (table.get(ch, 0) + self.k) / (total + self.k * self.size) for ch in DEFAULT_ALPHABET}
+
+    def score_continuation(self, context, candidate):
+        log_sum = 0.0
+        for ch in candidate:
+            p = self.char_prob(ch, context)
+            if p == 0.0:
+                return 0.0
+            log_sum += math.log(p)
+            context += ch
+        return math.exp(log_sum / len(candidate))
+
+    def score_with_spacing(self, context, syllable):
+        if syllable == EOS_TEXT:
+            return ContinuationScore(self.score_continuation(context, EOS_CHAR), UNSPACED)
+        unspaced = self.score_continuation(context, syllable)
+        spaced = self.score_continuation(context, " " + syllable)
+        if unspaced >= spaced:
+            return ContinuationScore(unspaced, UNSPACED)
+        return ContinuationScore(spaced, SPACED)
+
+    def nsp_score(self, context, candidate):
+        encoded = candidate.replace(EOS_TEXT, EOS_CHAR)
+        if encoded.startswith("_"):
+            encoded = " " + encoded[1:]
+        return self.score_continuation(context.replace(EOS_TEXT, EOS_CHAR), encoded)
+
+
+def answers(model, batch):
+    """Every public query of `batch`, as comparable tuples."""
+    return [
+        (
+            [model.char_prob(ch, context) for ch in candidate],
+            model.conditional_distribution(context),
+            model.score_continuation(context, candidate),
+            model.score_with_spacing(context or "a", syllable),
+            model.nsp_score(nsp_context, nsp_candidate),
+        )
+        for context, syllable, candidate, nsp_context, nsp_candidate in batch
+    ]
+
+
+@pytest.mark.parametrize("memo_limit", [lm_module.MEMO_LIMIT, 5])
+@pytest.mark.parametrize("k", [0.0, 0.1])
+@pytest.mark.parametrize("order", [1, 2, 4])
+@settings(max_examples=25, deadline=None)
+@given(first=texts, added=texts, before=queries, after=queries)
+def test_warm_model_matches_fresh_load_and_naive_walker(order, k, memo_limit, first, added, before, after):
+    with mock.patch.object(lm_module, "MEMO_LIMIT", memo_limit), tempfile.TemporaryDirectory() as tmp:
+        model = CharNgramModel(order, k)
+        for text in first:
+            model.add_text(text)
+        assert answers(model, before) == answers(NaiveWalker(first, order, k), before)
+        for text in added:
+            model.add_text(text)
+        path = Path(tmp) / "lm.json"
+        model.save(path)
+        fresh = CharNgramModel.load(path)
+        expected = answers(fresh, after + before)
+        assert answers(model, after + before) == expected
+        assert expected == answers(NaiveWalker(first + added, order, k), after + before)
+        for cache in (model._levels, model._memo, model._continuations):
+            assert len(cache) <= memo_limit

@@ -1,6 +1,6 @@
-"""Malformed model files and corpus records fail cleanly through the CLI.
+"""Malformed model files, corpus records and NSP rows fail cleanly through the CLI.
 
-Each case starts from a valid saved file, damages one thing, and runs the
+Each case starts from a valid file, damages one thing, and runs the
 command that reads it. Every case must exit 2 with exactly one `error:` line
 on stderr and nothing on stdout: no traceback, and no header echoed before
 the failure.
@@ -229,6 +229,10 @@ GEN_CASES = header_cases(
     pytest.param(set_in_row("hist", 1, {EOS_TEXT: -2}), id="hist counts negative"),
     pytest.param(edit(lambda p: retype_last_bucket(p, 3, int)), id="seen bucket with 0 or 1 for a bool"),
     pytest.param(edit(lambda p: retype_last_bucket(p, 0, float)), id="seen bucket with a float pitch"),
+    pytest.param(field("hist_bucket", []), id="no hist_bucket rows"),
+    pytest.param(field("hist", []), id="no hist rows"),
+    pytest.param(edit(lambda p: p.update(history=1_000_000, hist_bucket=[], hist=[])),
+                 id="history 1000000, no history rows"),
 ] + history_cases() + bucket_cases()
 
 
@@ -388,6 +392,78 @@ def test_corpus_record(tmp_path, capsys, command, path, value):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_corpus_record_nested_too_deeply(tmp_path, capsys, command):
     corpus_run(tmp_path, capsys, command, '{"notes": ' + DEEP + "}")
+
+
+# every row kind the builder writes: spaced and glued candidates, the end
+# marker mid-context, and the end marker with its spacing flipped
+NSP_ROWS = "i know\t_why\t1\ni know\twhy\t0\nmean to<eos> when\t_i\t0\ntel e phone\t_<eos>\t0\n"
+NSP_SCORERS = ["oracle", "lm"]
+
+
+def run_nsp_eval(tmp_path, capsys, payloads, scorer, data: bytes):
+    dataset = tmp_path / "nsp.tsv"
+    dataset.write_bytes(data)
+    argv = ["nsp-eval", "--dataset", str(dataset), "--scorer", scorer]
+    if scorer == "lm":
+        lm = tmp_path / "lm.json"
+        lm.write_text(json.dumps(payloads["lm"]))
+        argv += ["--lm", str(lm)]
+    code = main(argv)
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("scorer", NSP_SCORERS)
+def test_unmutated_nsp_rows_evaluate(tmp_path, capsys, payloads, scorer):
+    code, captured = run_nsp_eval(tmp_path, capsys, payloads, scorer, NSP_ROWS.encode())
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out.splitlines()[-1])["examples"] == 4
+
+
+NSP_LINES = [
+    pytest.param("i know\t\t1", id="empty candidate"),
+    pytest.param("i know\tVe\t1", id="capital in candidate"),
+    pytest.param("i know\t__ve\t1", id="two underscores"),
+    pytest.param("i know\tve_\t1", id="trailing underscore"),
+    pytest.param("i know\tve<eos>\t1", id="end marker inside candidate"),
+    pytest.param("i know\t_w hy\t1", id="space in candidate"),
+    pytest.param("i know\t$\t1", id="raw end character as candidate"),
+    pytest.param("i kn$w\t_ve\t1", id="raw end character in context"),
+    pytest.param("I know\t_ve\t1", id="capital in context"),
+    pytest.param("i know<eo\t_ve\t1", id="cut end marker"),
+    pytest.param("i 9\t_ve\t1", id="digit in context"),
+    pytest.param("i\u00e9\t_ve\t1", id="accented letter in context"),
+    pytest.param("\t_ve\t1", id="empty context"),
+    pytest.param("\ufeffi know\t_ve\t1", id="byte order mark mid-file"),
+    pytest.param("i know\t_ve\t2", id="label 2"),
+    pytest.param("i know\t_ve\t 1", id="label with a space"),
+    pytest.param("i know\t_ve", id="two columns"),
+    pytest.param("i know\t_ve\t1\t", id="trailing tab"),
+    pytest.param("i know\t_ve\t1\trandom", id="four columns"),
+]
+
+
+@pytest.mark.parametrize("scorer", NSP_SCORERS)
+@pytest.mark.parametrize("line", NSP_LINES)
+def test_nsp_row(tmp_path, capsys, payloads, scorer, line):
+    data = (NSP_ROWS + line + "\n").encode()
+    code, captured = run_nsp_eval(tmp_path, capsys, payloads, scorer, data)
+    assert_clean_failure(code, captured)
+    assert captured.err.startswith("error: line 5: ")
+
+
+@pytest.mark.parametrize("scorer", NSP_SCORERS)
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        pytest.param(b"\xef\xbb\xbf" + NSP_ROWS.encode(), "line 1: bad context", id="byte order mark"),
+        pytest.param(b"\xff" + NSP_ROWS.encode(), "'utf-8' codec can't decode", id="not UTF-8"),
+        pytest.param(b"\n\n", "dataset is empty", id="blank lines only"),
+    ],
+)
+def test_nsp_file(tmp_path, capsys, payloads, scorer, data, message):
+    code, captured = run_nsp_eval(tmp_path, capsys, payloads, scorer, data)
+    assert_clean_failure(code, captured)
+    assert captured.err.startswith(f"error: {message}")
 
 
 class TestModelfile:

@@ -14,6 +14,7 @@ from syllabeam.nsp import (
     read_nsp_tsv,
     write_nsp_tsv,
 )
+from syllabeam.lm import nsp_accuracy, nsp_metrics
 from syllabeam.rng import substream
 
 from conftest import make_corpus, make_lyric
@@ -32,6 +33,16 @@ NO_RANDOM_RULES = BuilderConfig(
 
 def rows_for(lyric, config, seed_index=0):
     return build_examples_for_lyric(lyric, config, substream(config.seed, seed_index))
+
+
+def test_contexts_are_rendered_prefixes():
+    # NO_RANDOM_RULES writes a positive and a random negative per position,
+    # both with the uncorrupted context
+    for index, pair in enumerate([PHONE, *[p.lyric for p in make_corpus(30, seed=65)]]):
+        syllables = pair.syllables()
+        prefixes = [render_text(LyricSequence(syllables[:i])) for i in range(1, len(syllables) + 1)]
+        contexts = [row.context for row in rows_for(pair, NO_RANDOM_RULES, index)]
+        assert contexts == [prefix for prefix in prefixes for _ in range(2)]
 
 
 class TestCandidateMarker:
@@ -275,3 +286,56 @@ class TestTsv:
         path.write_text("ctx\tcand\n")
         with pytest.raises(ValueError, match="3 columns"):
             read_nsp_tsv(path)
+
+    def test_every_row_kind_the_builder_writes(self, tmp_path):
+        rows = [
+            NspExample("i know why", "_your", 1),
+            NspExample("i know why", "your", 0),
+            NspExample("don't tel", "e", 1),
+            NspExample("mean to<eos> when", "_i", 0),
+            NspExample("<eos>", "_i", 0),
+            NspExample("tel e phone", "<eos>", 1),
+            NspExample("tel e phone", "_<eos>", 0),
+        ]
+        path = tmp_path / "data.tsv"
+        write_nsp_tsv(rows, path)
+        assert read_nsp_tsv(path) == rows
+
+    @pytest.mark.parametrize(
+        "context, candidate",
+        [
+            ("i know", ""),
+            ("i know", "Ve"),
+            ("i know", "__ve"),
+            ("i know", "ve<eos>"),
+            ("\ufeffi know", "_ve"),
+            ("i kn$w", "_ve"),
+            ("i know<eo", "_ve"),
+            ("", "_ve"),
+        ],
+    )
+    def test_rows_outside_the_grammar(self, tmp_path, context, candidate):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"i know\t_why\t1\n{context}\t{candidate}\t1\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            read_nsp_tsv(path)
+        bad = f"context {context!r}" if candidate == "_ve" else f"candidate {candidate!r}"
+        assert str(info.value) == f"line 2: bad {bad}"
+
+
+class TestMetric:
+    def test_scored_pairs_by_hand(self):
+        # midranks 1, 2.5, 2.5, 4: positives sum to 6.5, so AUC = (6.5 - 3) / 4
+        result = nsp_metrics([(1.0, 1), (0.0, 0), (0.5, 1), (0.5, 0)], threshold=0.5)
+        assert result == {"accuracy": 0.75, "auc": 0.875}
+
+    def test_empty(self):
+        with pytest.raises(ValueError, match="empty dataset"):
+            nsp_metrics([])
+
+    def test_accuracy_is_the_metric_of_the_scorer(self):
+        rows = []
+        build_dataset([p.lyric for p in make_corpus(20, seed=66)], BuilderConfig(seed=4), rows.append)
+        scorer = lambda context, candidate: (len(context) + len(candidate)) % 7 / 7
+        pairs = [(scorer(row.context, row.candidate), row.label) for row in rows]
+        assert nsp_accuracy(scorer, rows, 0.4) == nsp_metrics(pairs, 0.4)
