@@ -113,37 +113,14 @@ def first_step(generator, melody: MelodySequence, config: FusionConfig) -> list[
     return beams
 
 
-def _score(beam: Beam, text: str, prob: float, lm, config: FusionConfig) -> TraceStep:
-    """The trace step of extending `beam` with candidate `text`; from the
-    root, the generator probability alone."""
-    if not beam.tokens:
-        return TraceStep(prob, None, UNSPACED if text == EOS_TEXT else SPACED, prob)
-    if text == EOS_TEXT:
-        lm_score = lm.score_with_spacing(beam.rendered, EOS_TEXT).value if lm is not None else 0.0
-        variant = UNSPACED
-    elif lm is not None:
-        scored = lm.score_with_spacing(beam.rendered, text)
-        lm_score, variant = scored.value, scored.chosen_variant
-    else:
-        lm_score, variant = 0.0, SPACED
-    contribution = config.lambda_gen * prob + config.lambda_lm * lm_score
-    return TraceStep(prob, lm_score, variant, contribution)
-
-
-def _extend(beam: Beam, text: str, step: TraceStep) -> Beam:
+def _extend(beam: Beam, text: str, cumulative: float, step: TraceStep) -> Beam:
     if text == EOS_TEXT:
         token, rendered, finished = _END, beam.rendered, True
     else:
         spaced = step.variant == SPACED
         token, finished = SyllableToken(text, spaced), False
         rendered = beam.rendered + ((" " + text) if spaced and beam.rendered else text)
-    return Beam(
-        beam.tokens + (token,),
-        rendered,
-        beam.cumulative + step.contribution,
-        finished,
-        beam.trace + (step,),
-    )
+    return Beam(beam.tokens + (token,), rendered, cumulative, finished, beam.trace + (step,))
 
 
 def expand_step(
@@ -170,26 +147,51 @@ def expand_step(
 def _select(
     beams: Sequence[Beam], generator, lm, melody: MelodySequence, t: int, config: FusionConfig
 ) -> list[Beam]:
-    """Step `t` of the search: propose, score, and keep the best `beam_size`."""
-    note = melody.notes[t] if t < len(melody.notes) else None
-    vocab = generator.vocab
+    """Step `t` of the search: propose, score, and keep the best `beam_size`.
 
-    # pool entries: (cumulative, parent index, candidate id, text, step); id
-    # -1 (text and step None) keeps a frozen hypothesis ahead of same-score
-    # expansions of the same parent. Only kept entries become hypotheses.
-    pool: list[tuple[float, int, int, Optional[str], Optional[TraceStep]]] = []
+    A candidate adds lambda_gen * generator_prob + lambda_lm * lm_score to
+    its parent's score; from the root, the generator probability alone.
+    """
+    note = melody.notes[t] if t < len(melody.notes) else None
+    id_of = generator.vocab.id_of
+    lambda_gen, lambda_lm = config.lambda_gen, config.lambda_lm
+    score = lm.score_with_spacing if lm is not None else None
+
+    # pool entries: (cumulative, parent index, candidate id, text, generator
+    # prob, lm score, variant, contribution); id -1 (text None) keeps a frozen
+    # hypothesis ahead of same-score expansions of the same parent. Only kept
+    # entries become trace steps and hypotheses.
+    pool: list[tuple] = []
     for parent, beam in enumerate(beams):
+        base = beam.cumulative
         if beam.finished:
-            pool.append((beam.cumulative, parent, -1, None, None))
+            pool.append((base, parent, -1, None, None, None, None, None))
             continue
+        rendered, root = beam.rendered, not beam.tokens
         for text, prob in _proposals(generator, beam.tokens, note, config.beam_size):
-            step = _score(beam, text, prob, lm, config)
-            pool.append((beam.cumulative + step.contribution, parent, vocab.id_of(text), text, step))
+            if root:
+                lm_score, contribution = None, prob
+                variant = UNSPACED if text == EOS_TEXT else SPACED
+            else:
+                if text == EOS_TEXT:
+                    lm_score = score(rendered, EOS_TEXT).value if score is not None else 0.0
+                    variant = UNSPACED
+                elif score is not None:
+                    scored = score(rendered, text)
+                    lm_score, variant = scored.value, scored.chosen_variant
+                else:
+                    lm_score, variant = 0.0, SPACED
+                contribution = lambda_gen * prob + lambda_lm * lm_score
+            pool.append(
+                (base + contribution, parent, id_of(text), text, prob, lm_score, variant, contribution)
+            )
 
     pool.sort(key=lambda entry: (-entry[0], entry[1], entry[2]))
     return [
-        beams[parent] if text is None else _extend(beams[parent], text, step)
-        for _, parent, _, text, step in pool[: config.beam_size]
+        beams[parent]
+        if text is None
+        else _extend(beams[parent], text, cumulative, TraceStep(prob, lm_score, variant, contribution))
+        for cumulative, parent, _, text, prob, lm_score, variant, contribution in pool[: config.beam_size]
     ]
 
 

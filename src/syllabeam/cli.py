@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -282,6 +283,8 @@ def cmd_nsp_eval(args: argparse.Namespace) -> int:
     settings = Settings(args)
     dataset_path = _require_file(args.dataset, "dataset")
     threshold = settings.get("threshold", float, 0.5)
+    if not math.isfinite(threshold):
+        raise UsageError(f"threshold must be finite, got {threshold!r}")
     dataset = read_nsp_tsv(dataset_path)
     if not dataset:
         raise UsageError(f"dataset is empty: {dataset_path}")

@@ -18,6 +18,13 @@ BOS_TEXT = "<bos>"
 EOS_TEXT = "<eos>"
 
 _SYLLABLE_RE = re.compile(r"[a-z']+\Z")
+# melody text: ASCII decimal literals only, no digit-group underscores; the
+# non-finite spellings pass here so that MelodyNote rejects them by name
+_PITCH_RE = re.compile(r"[+-]?[0-9]+")
+_NUMBER_RE = re.compile(
+    r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)",
+    re.IGNORECASE,
+)
 
 
 @dataclass(frozen=True)
@@ -196,22 +203,22 @@ def serialize_lyric_line(lyric: LyricSequence) -> str:
 
 
 def parse_melody_line(line: str) -> MelodySequence:
-    """Parse whitespace-separated pitch:duration:rest triplets."""
+    """Parse whitespace-separated pitch:duration:rest triplets: an ASCII
+    decimal integer pitch, and duration and rest as ASCII decimal numbers."""
     pieces = line.split()
     if not pieces:
         raise ValueError("empty melody line")
     notes = []
     for piece in pieces:
         parts = piece.split(":")
-        if len(parts) != 3:
+        if not (
+            len(parts) == 3
+            and _PITCH_RE.fullmatch(parts[0])
+            and _NUMBER_RE.fullmatch(parts[1])
+            and _NUMBER_RE.fullmatch(parts[2])
+        ):
             raise ValueError(f"malformed note triplet: {piece!r}")
-        try:
-            pitch = int(parts[0])
-            duration = float(parts[1])
-            rest = float(parts[2])
-        except ValueError:
-            raise ValueError(f"malformed note triplet: {piece!r}") from None
-        notes.append(MelodyNote(pitch, duration, rest))
+        notes.append(MelodyNote(int(parts[0]), float(parts[1]), float(parts[2])))
     return MelodySequence(tuple(notes))
 
 

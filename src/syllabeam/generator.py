@@ -78,26 +78,28 @@ class _Ranking(NamedTuple):
 
     `ranked` maps every token whose probability exceeds `floor` to that
     probability, in (-probability, vocabulary id) order; every other
-    emittable token has probability `floor`.
+    emittable token has probability `floor`. `tops` keeps each top-k list
+    already asked for, padded with floor tokens, by k.
     """
 
     counts: dict[str, int]  # keeps the table alive while its id keys the cache
     total: int
     ranked: dict[str, float]
     floor: float
+    tops: dict[int, tuple[tuple[str, float], ...]]
 
 
 def _rank(counts: dict[str, int], vocab: Vocabulary, k: float) -> _Ranking:
     total = sum(counts.values())
     denom = total + k * len(vocab.emittable())
     if denom == 0:
-        return _Ranking(counts, total, {}, 1.0 / len(vocab.emittable()))
+        return _Ranking(counts, total, {}, 1.0 / len(vocab.emittable()), {})
     floor = k / denom
     ranked = sorted(
         ((text, (n + k) / denom) for text, n in counts.items()),
         key=lambda item: (-item[1], vocab.id_of(item[0])),
     )
-    return _Ranking(counts, total, {text: p for text, p in ranked if p > floor}, floor)
+    return _Ranking(counts, total, {text: p for text, p in ranked if p > floor}, floor, {})
 
 
 class MelodyConditionedNgram:
@@ -190,11 +192,14 @@ class MelodyConditionedNgram:
         """The first `k` entries of `next_distribution` ranked by
         (-probability, vocabulary id), computed without building it."""
         ranking = self._ranking(self._serving_counts(history, note))
-        top = list(itertools.islice(ranking.ranked.items(), k))
-        if len(top) < k:
-            rest = (text for text in self.vocab.emittable() if text not in ranking.ranked)
-            top.extend((text, ranking.floor) for text in itertools.islice(rest, k - len(top)))
-        return top
+        top = ranking.tops.get(k)
+        if top is None:
+            top = list(itertools.islice(ranking.ranked.items(), k))
+            if len(top) < k:
+                rest = (text for text in self.vocab.emittable() if text not in ranking.ranked)
+                top.extend((text, ranking.floor) for text in itertools.islice(rest, k - len(top)))
+            top = ranking.tops[k] = tuple(top)
+        return list(top)
 
     def prob(
         self, history: Sequence[SyllableToken], note: Optional[MelodyNote], text: str
@@ -214,32 +219,41 @@ class MelodyConditionedNgram:
         return [bucket.pitch_class, bucket.register, bucket.duration_class, bucket.has_rest]
 
     def save(self, path) -> None:
+        """Write the model; rows are in the order of their keys' JSON text."""
+
         def sorted_counts(counts: dict[str, int]) -> dict[str, int]:
             return dict(sorted(counts.items()))
 
+        # Each sort key is the JSON text of the row's key, built without the
+        # encoder: vocabulary entries need no JSON escapes, so a history's
+        # text is a join, and each distinct bucket is encoded once.
+        def hist_text(hist: tuple[str, ...]) -> str:
+            return '["' + '", "'.join(hist) + '"]'
+
+        buckets = {bucket for _, bucket in self._by_hist_bucket} | self._by_bucket.keys()
+        bucket_text = {bucket: json.dumps(self._bucket_json(bucket)) for bucket in buckets}
         fields = {
             "bucketing": _BUCKETING_VERSION,
             "history": self.history,
             "k": self.k,
             "vocabulary": list(self.vocab.syllable_texts()),
-            "hist_bucket": sorted(
-                (
-                    [list(hist), self._bucket_json(bucket), sorted_counts(counts)]
-                    for (hist, bucket), counts in self._by_hist_bucket.items()
-                ),
-                key=lambda row: json.dumps(row[:2]),
-            ),
-            "hist": sorted(
-                ([list(hist), sorted_counts(counts)] for hist, counts in self._by_hist.items()),
-                key=lambda row: json.dumps(row[0]),
-            ),
-            "bucket": sorted(
-                (
-                    [self._bucket_json(bucket), sorted_counts(counts)]
-                    for bucket, counts in self._by_bucket.items()
-                ),
-                key=lambda row: json.dumps(row[0]),
-            ),
+            "hist_bucket": [
+                [list(hist), self._bucket_json(bucket), sorted_counts(counts)]
+                for (hist, bucket), counts in sorted(
+                    self._by_hist_bucket.items(),
+                    key=lambda item: f"[{hist_text(item[0][0])}, {bucket_text[item[0][1]]}]",
+                )
+            ],
+            "hist": [
+                [list(hist), sorted_counts(counts)]
+                for hist, counts in sorted(self._by_hist.items(), key=lambda item: hist_text(item[0]))
+            ],
+            "bucket": [
+                [self._bucket_json(bucket), sorted_counts(counts)]
+                for bucket, counts in sorted(
+                    self._by_bucket.items(), key=lambda item: bucket_text[item[0]]
+                )
+            ],
             "unigram": sorted_counts(self._unigram),
         }
         modelfile.save(path, _FORMAT, _VERSION, fields)

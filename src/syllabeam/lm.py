@@ -106,6 +106,9 @@ class CharNgramModel:
         self._memo: dict[tuple[str, str], ContinuationScore] = {}
         # (context suffix, candidate) -> score_continuation result
         self._continuations: dict[tuple[str, str], float] = {}
+        # (context, its suffix) of the last context score_with_spacing checked;
+        # one attribute, so a reader in any thread sees a whole pair
+        self._checked: tuple[str, str] = ("", "")
 
     # -- training ---------------------------------------------------------
 
@@ -213,14 +216,22 @@ class CharNgramModel:
 
         The end marker has a single rendering (the reserved character).
         Ties break to the unspaced variant. Results are memoized per
-        (last order-1 context characters, syllable).
+        (last order-1 context characters, syllable). A context is checked once
+        for as long as it is the last one passed in: the beam scores every
+        candidate of a hypothesis against the same string object.
         """
         if not syllable_text:
             raise ValueError("syllable must be non-empty")
         if syllable_text == EOS_TEXT and not context:
             raise ValueError("end marker needs a non-empty context")
-        _check_chars(context, self._alphabet_set)
-        suffix = self._suffix(context)
+        checked = self._checked
+        if checked[0] is context:
+            suffix = checked[1]
+        else:
+            # a context that fails the check is never stored
+            _check_chars(context, self._alphabet_set)
+            suffix = self._suffix(context)
+            self._checked = (context, suffix)
         key = (suffix, syllable_text)
         score = self._memo.get(key)
         if score is None:

@@ -1,4 +1,4 @@
-"""Shared synthetic-corpus builders for the test suite."""
+"""Shared synthetic-corpus builders and scorer wrappers for the test suite."""
 
 from __future__ import annotations
 
@@ -67,3 +67,11 @@ def make_corpus(
     return [
         make_pair(rnd, rnd.randint(min_syllables, max_syllables)) for _ in range(n_pairs)
     ]
+
+
+class DistributionOnly:
+    """A generator offering only the required interface."""
+
+    def __init__(self, model):
+        self.vocab = model.vocab
+        self.next_distribution = model.next_distribution

@@ -346,6 +346,26 @@ class TestNspEval:
         assert 0.0 <= result["accuracy"] <= 1.0
         assert 0.0 <= result["auc"] <= 1.0
 
+    @pytest.mark.parametrize("threshold", ["nan", "NaN", "inf", "-inf"])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_non_finite_threshold(self, tmp_path, corpus_path, capsys, threshold, route):
+        tsv = str(tmp_path / "data.tsv")
+        assert main(["build-nsp-dataset", "--corpus", corpus_path, "--out", tsv, "--seed", "3"]) == 0
+        capsys.readouterr()
+        argv = ["nsp-eval", "--dataset", tsv, "--scorer", "oracle"]
+        if route == "flag":
+            argv += [f"--threshold={threshold}"]
+        else:
+            config_file = tmp_path / "eval.cfg"
+            config_file.write_text(f"threshold={threshold}\n")
+            argv += ["--config", str(config_file)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: threshold must be finite")
+        assert captured.err.count("\n") == 1
+
 
 class TestEmitPrompt:
     def make_sets(self, tmp_path):

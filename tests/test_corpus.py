@@ -121,6 +121,21 @@ class TestParseMelodyLine:
         with pytest.raises(ValueError, match="must be finite"):
             parse_melody_line("62:1:0 " + bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["6_0:1:0", "\u0666\u0660:1:0", "\uff16\uff10:1:0", "60:1_0:0", "60:1:0_5", "60:\u0661:0",
+         "60:1:\u0660", "60::0", "60:.:0", "60:1e:0", "0x3c:1:0", "60:1:0.0.0"],
+    )
+    def test_only_ascii_decimal_literals(self, bad):
+        with pytest.raises(ValueError, match="malformed note triplet"):
+            parse_melody_line("62:1:0 " + bad)
+
+    def test_decimal_literal_forms(self):
+        notes = parse_melody_line("+60:1.:.5 61:1e0:0 62:25E-2:0.0 63:2:1").notes
+        assert [(n.pitch, n.duration, n.rest) for n in notes] == [
+            (60, 1.0, 0.5), (61, 1.0, 0.0), (62, 0.25, 0.0), (63, 2.0, 1.0)
+        ]
+
 
 class TestRenderText:
     def test_one_word(self):

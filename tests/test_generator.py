@@ -204,6 +204,40 @@ class TestPersistence:
         model.save(b)
         assert a.read_bytes() == b.read_bytes()
 
+    @staticmethod
+    def wide_corpus(seed):
+        """Random syllables over the whole pitch range, so bucket integers have
+        one and two digits ("10" sorts before "9" as JSON text)."""
+        rnd = random.Random(seed)
+        pool = [o + v + c for o in ("", "b", "st") for v in "aeiou" for c in ("", "n", "'s")]
+        pairs = []
+        for _ in range(150):
+            n = rnd.randint(1, 8)
+            tokens = tuple(
+                SyllableToken(rnd.choice(pool), i == 0 or rnd.random() < 0.4) for i in range(n)
+            )
+            notes = tuple(
+                MelodyNote(rnd.randint(0, 127), rnd.choice([0.5, 1.0, 2.0]), rnd.choice([0.0, 0.5]))
+                for _ in range(n)
+            )
+            pairs.append(AlignedPair(MelodySequence(notes), LyricSequence(tokens)))
+        return pairs
+
+    @pytest.mark.parametrize("history", [1, 2, 3])
+    @pytest.mark.parametrize("vocabulary", ["small", "large"])
+    def test_rows_in_json_text_order(self, tmp_path, vocabulary, history):
+        corpus = make_corpus(60, seed=57) if vocabulary == "small" else self.wide_corpus(58)
+        vocab = build_vocabulary([p.lyric for p in corpus])
+        path = tmp_path / "gen.json"
+        train_generator(corpus, vocab, history=history, k=0.1).save(path)
+        payload = json.loads(path.read_text())
+        assert {len(str(row[0][0])) for row in payload["bucket"] if row[0]} == {1, 2}
+        assert payload["hist_bucket"] == sorted(
+            payload["hist_bucket"], key=lambda row: json.dumps(row[:2])
+        )
+        for table in ("hist", "bucket"):
+            assert payload[table] == sorted(payload[table], key=lambda row: json.dumps(row[0]))
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"format": "other"}')

@@ -148,3 +148,20 @@ def test_nsp_score_is_memoized_per_suffix_and_candidate():
     assert model.nsp_score("all for e", "_ver") == first
     assert model._continuations == {("r e", " ver"): first}
     assert model.score_continuation("or e", " ver") == first
+
+
+def test_rejected_context_is_never_kept_as_checked():
+    model = train_char_ngram(corpus_texts(10, seed=13), 4, 0.1)
+    fresh = train_char_ngram(corpus_texts(10, seed=13), 4, 0.1)
+    context, bad = "ab lo", "aX lo"
+    model.score_with_spacing(context, "ve")
+    for _ in range(2):  # the same rejected object twice, after a valid one
+        with pytest.raises(ValueError) as info:
+            model.score_with_spacing(bad, "ve")
+        assert str(info.value) == "character 'X' at position 1 not in alphabet"
+    for syllable in ("ve", EOS_TEXT):
+        assert model.score_with_spacing(context, syllable) == fresh.score_with_spacing(context, syllable)
+    # a checked context still rejects a bad syllable with the syllable's message
+    with pytest.raises(ValueError) as info:
+        model.score_with_spacing(context, "vE")
+    assert str(info.value) == "character 'E' not in alphabet"

@@ -236,13 +236,13 @@ GEN_CASES = header_cases(
 ] + history_cases() + bucket_cases()
 
 
-def run_generate(tmp_path, capsys, lm, gen):
+def run_generate(tmp_path, capsys, lm, gen, melody_text=MELODY):
     paths = {}
     for name, payload in (("lm", lm), ("gen", gen)):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(payload))
     melody = tmp_path / "melody.txt"
-    melody.write_text(MELODY)
+    melody.write_text(melody_text, encoding="utf-8")
     argv = ["generate", "--melody", str(melody), "--generator", str(paths["gen"]),
             "--lm", str(paths["lm"])]
     code = main(argv)
@@ -302,6 +302,15 @@ def test_lm_file_text(tmp_path, capsys, payloads, text):
     melody.write_text(MELODY)
     code = main(["generate", "--melody", str(melody), "--generator", str(gen), "--lm", str(path)])
     assert_clean_failure(code, capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "melody",
+    ["6_0:1:0", "\u0666\u0660:1:0", "60:1_0:0", "60:1:0_5", "60:\u0661:0", "60:1:nan", "60:inf:0", ""],
+)
+def test_melody_text(tmp_path, capsys, payloads, melody):
+    code, captured = run_generate(tmp_path, capsys, payloads["lm"], payloads["gen"], melody + "\n")
+    assert_clean_failure(code, captured)
 
 
 @pytest.mark.parametrize("k", [float("nan"), float("inf"), -1])

@@ -24,7 +24,7 @@ from syllabeam.corpus import (
 from syllabeam.generator import MelodyConditionedNgram, train_generator
 from syllabeam.lm import lyric_lm_text, train_char_ngram
 
-from conftest import PITCHES, make_corpus, make_melody
+from conftest import PITCHES, DistributionOnly, make_corpus, make_melody
 
 
 def random_queries(vocab, rnd, n):
@@ -45,6 +45,7 @@ def assert_exact(model, history, note):
     ranked = _ranked_candidates(model, dist)
     for k in (1, 2, 3, 7, len(dist) - 1, len(dist), len(dist) + 5):
         assert model.top_candidates(history, note, k) == ranked[:k]
+        assert model.top_candidates(history, note, k) == ranked[:k]  # from the cache
     for text, p in dist.items():
         assert model.prob(history, note, text) == p
 
@@ -128,6 +129,19 @@ def test_rankings_follow_added_pairs():
         assert_exact(grown, history, note)
 
 
+def test_returned_lists_do_not_share_the_cache():
+    corpus = make_corpus(20, seed=19)
+    vocab = build_vocabulary([p.lyric for p in corpus])
+    model = train_generator(corpus, vocab, history=2, k=0.1)
+    history, note = corpus[0].lyric.tokens[:2], corpus[0].melody.notes[2]
+    top = model.top_candidates(history, note, 4)
+    expected = list(top)
+    top[0] = ("zz", 1.0)
+    top.append(("zz", 1.0))
+    assert model.top_candidates(history, note, 4) == expected
+    assert model.top_candidates(history, note, 4) is not model.top_candidates(history, note, 4)
+
+
 def test_prob_rejects_tokens_that_cannot_be_emitted():
     vocab = Vocabulary(["la"])
     model = MelodyConditionedNgram(vocab)
@@ -135,14 +149,6 @@ def test_prob_rejects_tokens_that_cannot_be_emitted():
         model.prob((), None, BOS_TEXT)
     with pytest.raises(ValueError, match="not an emittable token"):
         model.prob((), None, "zz")
-
-
-class DistributionOnly:
-    """A generator offering only the required interface."""
-
-    def __init__(self, model):
-        self.vocab = model.vocab
-        self.next_distribution = model.next_distribution
 
 
 @pytest.mark.parametrize("beam_size", [1, 3, 5, 12])
