@@ -19,11 +19,11 @@ extends the rendered text, which is the LM context for the next step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .corpus import EOS_TEXT, LyricSequence, MelodyNote, MelodySequence, SyllableToken
-from .lm import SPACED, UNSPACED
+from .lm import SPACED, UNSPACED, ContinuationScore
 
 AUDIT_TOLERANCE = 1e-9
 
@@ -85,51 +85,64 @@ def _ranked_candidates(generator, distribution: dict[str, float]) -> list[tuple[
     return sorted(distribution.items(), key=lambda item: (-item[1], vocab.id_of(item[0])))
 
 
-def _proposals(
-    generator, history: Sequence[SyllableToken], note: Optional[MelodyNote], width: int
-) -> list[tuple[str, float]]:
-    """The generator's `width` most probable (text, probability) candidates,
-    ties broken by vocabulary id; past the final note (`note` None) only the
-    end token. Uses the generator's `top_candidates`/`prob` when it has them
-    and ranks its full `next_distribution` otherwise."""
-    if hasattr(generator, "top_candidates"):
-        if note is None:
-            return [(EOS_TEXT, generator.prob(history, None, EOS_TEXT))]
-        return generator.top_candidates(history, note, width)
-    distribution = generator.next_distribution(history, note)
-    if note is None:
-        return [(EOS_TEXT, distribution[EOS_TEXT])]
-    return _ranked_candidates(generator, distribution)[:width]
+class _Ranked:
+    """The keyed interface the search reads, over a generator offering only
+    `vocab` and `next_distribution`: a key is the token history itself."""
+
+    def __init__(self, generator):
+        self.vocab, self.next_distribution = generator.vocab, generator.next_distribution
+
+    def history_key(self, history: Sequence[SyllableToken]) -> tuple[SyllableToken, ...]:
+        return tuple(history)
+
+    def next_key(self, key: tuple, text: str, word_initial: bool) -> tuple[SyllableToken, ...]:
+        return key + (SyllableToken(text, word_initial),)
+
+    def bucket(self, note: Optional[MelodyNote]) -> Optional[MelodyNote]:
+        return note
+
+    def top_by_key(self, key: tuple, note: Optional[MelodyNote], k: int) -> tuple:
+        top = _ranked_candidates(self, self.next_distribution(key, note))[:k]
+        texts = tuple(text for text, _ in top)
+        return texts, tuple(p for _, p in top), tuple(map(self.vocab.id_of, texts))
+
+    def prob_by_key(self, key: tuple, note: Optional[MelodyNote], text: str) -> float:
+        return self.next_distribution(key, note)[text]
+
+
+def _silent(context: str, syllable_text: str) -> ContinuationScore:
+    """The LM score in a search that gives the LM no weight."""
+    return ContinuationScore(0.0, UNSPACED if syllable_text == EOS_TEXT else SPACED)
+
+
+def _seams(generator, lm) -> tuple:
+    """The keyed generator and the LM's batch and single scorers the search
+    reads. Each has one fallback: a generator without `top_by_key` is ranked
+    from its `next_distribution`, and an LM without `score_candidates` scores
+    one candidate at a time."""
+    single = _silent if lm is None else lm.score_with_spacing
+    batch = getattr(lm, "score_candidates", None) or (
+        lambda context, texts: tuple([single(context, text) for text in texts])
+    )
+    return (generator if hasattr(generator, "top_by_key") else _Ranked(generator)), batch, single
 
 
 def first_step(generator, melody: MelodySequence, config: FusionConfig) -> list[Beam]:
     """The `beam_size` most probable first syllables, generator-only scored.
 
     The first syllable always starts a word. Ties break by vocabulary id.
+    Raises ValueError when `beam_size` exceeds the number of candidates:
+    `decode` instead starts with every candidate and grows its beam set
+    through expansion.
     """
-    beams = _select([_ROOT], generator, None, melody, 0, config)
+    beams = _step([_ROOT], _seams(generator, None), melody, 0, config)
     if config.beam_size > len(beams):
         raise ValueError(f"beam_size {config.beam_size} exceeds {len(beams)} candidates")
     return beams
 
 
-def _extend(beam: Beam, text: str, cumulative: float, step: TraceStep) -> Beam:
-    if text == EOS_TEXT:
-        token, rendered, finished = _END, beam.rendered, True
-    else:
-        spaced = step.variant == SPACED
-        token, finished = SyllableToken(text, spaced), False
-        rendered = beam.rendered + ((" " + text) if spaced and beam.rendered else text)
-    return Beam(beam.tokens + (token,), rendered, cumulative, finished, beam.trace + (step,))
-
-
 def expand_step(
-    beams: Sequence[Beam],
-    generator,
-    lm,
-    melody: MelodySequence,
-    t: int,
-    config: FusionConfig,
+    beams: Sequence[Beam], generator, lm, melody: MelodySequence, t: int, config: FusionConfig
 ) -> list[Beam]:
     """One fused search step: propose, score, and keep the best `beam_size`.
 
@@ -141,66 +154,83 @@ def expand_step(
         raise ValueError("expand_step applies from step 1 onward")
     if all(beam.finished for beam in beams):
         raise ValueError("no unfinished hypothesis to expand")
-    return _select(beams, generator, lm, melody, t, config)
+    return _step(beams, _seams(generator, lm), melody, t, config)
 
 
-def _select(
-    beams: Sequence[Beam], generator, lm, melody: MelodySequence, t: int, config: FusionConfig
-) -> list[Beam]:
+def _step(beams: Sequence[Beam], seams: tuple, melody, t: int, config) -> list[Beam]:
+    key = seams[0].history_key
+    hyps = [(b.cumulative, b.finished, b.rendered, key(b.tokens), b) for b in beams]
+    return [_public(hyp) for hyp in _search(hyps, seams, melody, t, config)]
+
+
+def _public(hyp: tuple) -> Beam:
+    """A hypothesis as a `Beam`, its tokens and trace unwound from its node."""
+    cumulative, finished, rendered, _, node = hyp
+    tokens, trace = [], []
+    while type(node) is tuple:
+        node, (_, _, _, text, prob, scored, contribution) = node
+        end = text == EOS_TEXT
+        variant = UNSPACED if end else SPACED if scored is None else scored.chosen_variant
+        tokens.append(_END if end else SyllableToken(text, variant == SPACED))
+        lm_score = None if scored is None else scored.value
+        trace.append(TraceStep(prob, lm_score, variant, contribution))
+    if not tokens:  # passed through unchanged
+        return node
+    tokens, trace = node.tokens + tuple(tokens[::-1]), node.trace + tuple(trace[::-1])
+    return Beam(tokens, rendered, cumulative, finished, trace)
+
+
+def _search(hyps: list, seams: tuple, melody: MelodySequence, t: int, config: FusionConfig) -> list:
     """Step `t` of the search: propose, score, and keep the best `beam_size`.
 
-    A candidate adds lambda_gen * generator_prob + lambda_lm * lm_score to
-    its parent's score; from the root, the generator probability alone.
+    A hypothesis is (cumulative, finished, rendered, generator key, node),
+    its node a `Beam` or a (parent node, pool entry) back-pointer. A
+    candidate adds lambda_gen * generator_prob + lambda_lm * lm_score to its
+    parent's score; at step 0, the generator probability alone.
     """
+    generator, batch, single = seams
     note = melody.notes[t] if t < len(melody.notes) else None
-    id_of = generator.vocab.id_of
-    lambda_gen, lambda_lm = config.lambda_gen, config.lambda_lm
-    score = lm.score_with_spacing if lm is not None else None
+    bucket, end_id = generator.bucket(note), (generator.vocab.id_of(EOS_TEXT),)
+    width, lambda_gen, lambda_lm = config.beam_size, config.lambda_gen, config.lambda_lm
 
-    # pool entries: (cumulative, parent index, candidate id, text, generator
-    # prob, lm score, variant, contribution); id -1 (text None) keeps a frozen
-    # hypothesis ahead of same-score expansions of the same parent. Only kept
-    # entries become trace steps and hypotheses.
+    # pool entries: (-cumulative, parent index, candidate id, text, generator
+    # prob, LM score or None, contribution), in natural order; id -1 keeps a
+    # frozen hypothesis ahead of same-score expansions of its parent
     pool: list[tuple] = []
-    for parent, beam in enumerate(beams):
-        base = beam.cumulative
-        if beam.finished:
-            pool.append((base, parent, -1, None, None, None, None, None))
+    for parent, (base, finished, rendered, key, _) in enumerate(hyps):
+        if finished:
+            pool.append((-base, parent, -1))
             continue
-        rendered, root = beam.rendered, not beam.tokens
-        for text, prob in _proposals(generator, beam.tokens, note, config.beam_size):
-            if root:
-                lm_score, contribution = None, prob
-                variant = UNSPACED if text == EOS_TEXT else SPACED
-            else:
-                if text == EOS_TEXT:
-                    lm_score = score(rendered, EOS_TEXT).value if score is not None else 0.0
-                    variant = UNSPACED
-                elif score is not None:
-                    scored = score(rendered, text)
-                    lm_score, variant = scored.value, scored.chosen_variant
-                else:
-                    lm_score, variant = 0.0, SPACED
-                contribution = lambda_gen * prob + lambda_lm * lm_score
-            pool.append(
-                (base + contribution, parent, id_of(text), text, prob, lm_score, variant, contribution)
-            )
+        if note is None:  # past the final note, only the end token
+            top = (EOS_TEXT,), (generator.prob_by_key(key, None, EOS_TEXT),), end_id
+        else:
+            top = generator.top_by_key(key, bucket, width)
+        if t == 0:
+            pool += [(-(base + p), parent, i, text, p, None, p) for text, p, i in zip(*top)]
+            continue
+        scores = batch(rendered, top[0]) if note is not None else (single(rendered, EOS_TEXT),)
+        for text, prob, cid, scored in zip(*top, scores):
+            contribution = lambda_gen * prob + lambda_lm * scored.value
+            pool.append((-(base + contribution), parent, cid, text, prob, scored, contribution))
 
-    pool.sort(key=lambda entry: (-entry[0], entry[1], entry[2]))
-    return [
-        beams[parent]
-        if text is None
-        else _extend(beams[parent], text, cumulative, TraceStep(prob, lm_score, variant, contribution))
-        for cumulative, parent, _, text, prob, lm_score, variant, contribution in pool[: config.beam_size]
-    ]
+    pool.sort()
+    kept = []
+    for entry in pool[:width]:
+        _, _, rendered, key, node = hyp = hyps[entry[1]]
+        if entry[2] == -1:
+            kept.append(hyp)
+        elif entry[3] == EOS_TEXT:
+            kept.append((-entry[0], True, rendered, key, (node, entry)))
+        else:
+            text, scored = entry[3], entry[5]
+            spaced = scored is None or scored.chosen_variant == SPACED
+            rendered += " " + text if spaced and rendered else text
+            key = generator.next_key(key, text, spaced)
+            kept.append((-entry[0], False, rendered, key, (node, entry)))
+    return kept
 
 
-def decode(
-    melody: MelodySequence,
-    generator,
-    lm,
-    config: FusionConfig,
-) -> list[DecodeResult]:
+def decode(melody: MelodySequence, generator, lm, config: FusionConfig) -> list[DecodeResult]:
     """Full fused beam search over a melody.
 
     Expands until every hypothesis has ended or max_len steps have run;
@@ -208,29 +238,27 @@ def decode(
     token. Steps past the final note propose only the end token, so no
     output ever has more syllables than the melody has notes. When
     beam_size exceeds the candidate count the first step starts with every
-    candidate and the beam set grows through expansion. Requires an LM
-    unless lambda_lm is 0.
+    candidate and the beam set grows through expansion (`first_step`
+    raises instead). Requires an LM unless lambda_lm is 0.
     """
     if lm is None and config.lambda_lm != 0:
         raise ValueError("an LM is required when lambda_lm > 0")
-    beams = [_ROOT]
+    seams = _seams(generator, lm)
+    hyps = [(0.0, False, "", seams[0].history_key(()), _ROOT)]
     for t in range(config.max_len):
-        if all(beam.finished for beam in beams):
+        if all(hyp[1] for hyp in hyps):
             break
-        beams = _select(beams, generator, lm, melody, t, config)
-
-    closed = [b if b.finished else replace(b, tokens=b.tokens + (_END,), finished=True) for b in beams]
-    ranked = sorted(enumerate(closed), key=lambda item: (-item[1].cumulative, item[0]))
-    return [
-        DecodeResult(LyricSequence(beam.tokens), beam.cumulative, beam.trace)
-        for _, beam in ranked
-    ]
+        hyps = _search(hyps, seams, melody, t, config)
+    results = []
+    for beam in map(_public, hyps):
+        tokens = beam.tokens if beam.finished else beam.tokens + (_END,)
+        results.append(DecodeResult(LyricSequence(tokens), beam.cumulative, beam.trace))
+    return sorted(results, key=lambda result: -result.cumulative)  # stable: ties keep beam order
 
 
 def audit_trace(results: Sequence[DecodeResult]) -> bool:
     """Recompute every cumulative score from its trace contributions."""
-    for result in results:
-        total = sum(step.contribution for step in result.trace)
-        if abs(total - result.cumulative) > AUDIT_TOLERANCE:
-            return False
-    return True
+    return not any(
+        abs(sum(step.contribution for step in result.trace) - result.cumulative) > AUDIT_TOLERANCE
+        for result in results
+    )

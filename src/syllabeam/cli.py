@@ -1,9 +1,9 @@
 """Command-line entry point for dataset building, training, decoding, and evaluation.
 
-Every command resolves its settings as: explicit flags, then a key=value
-config file given with --config, then built-in defaults. The effective
-configuration is echoed as a JSON header line so runs are reproducible.
-Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
+Each optional flag is a setting, resolved as the flag, then its dest as a key
+of the --config key=value file (an unknown or repeated key fails), then the
+default. The effective configuration is echoed as a JSON header line. Exit
+codes: 0 success, 1 runtime failure, 2 usage or validation error.
 """
 
 from __future__ import annotations
@@ -13,9 +13,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, fields
 
 from .beam import FusionConfig, audit_trace, decode
 from .corpus import (
+    _NUMBER_RE,
+    _PITCH_RE,
     LyricSequence,
     load_aligned_corpus,
     parse_lyric_line,
@@ -30,8 +33,8 @@ from .metrics import EvalPair, corpus_eval, emit_llm_eval_prompt
 from .nsp import BuilderConfig, build_dataset, read_nsp_tsv, write_nsp_tsv
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """Bad input to a command: exit 2, like any other ValueError."""
 
 
 def _parse_bool(value: str) -> bool:
@@ -43,7 +46,24 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _decimal(cast, pattern):
+    """`cast` of the ASCII decimal literals `pattern` matches in melody text."""
+
+    def parse(text: str):
+        if not pattern.fullmatch(text):
+            raise ValueError(f"not an ASCII decimal {cast.__name__}: {text!r}")
+        return cast(text)
+
+    parse.__name__ = cast.__name__  # argparse names the type in its message
+    return parse
+
+
+_int, _float = _decimal(int, _PITCH_RE), _decimal(float, _NUMBER_RE)
+_CASTS = {int: _int, float: _float}
+
+
+def _load_config_file(path: str, keys: frozenset) -> dict[str, str]:
+    """The key=value lines of a config file, each key one of `keys`, once."""
     if not os.path.exists(path):
         raise UsageError(f"config file not found: {path}")
     values: dict[str, str] = {}
@@ -55,7 +75,11 @@ def _load_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in keys or key in values:
+                why = "repeated" if key in values else f"unknown (keys: {', '.join(sorted(keys))})"
+                raise UsageError(f"{path}:{lineno}: key {key!r} {why}")
+            values[key] = value.strip()
     return values
 
 
@@ -64,7 +88,7 @@ class Settings:
 
     def __init__(self, args: argparse.Namespace):
         self._args = args
-        self._file = _load_config_file(args.config) if getattr(args, "config", None) else {}
+        self._file = _load_config_file(args.config, args.config_keys) if args.config else {}
 
     def get(self, key: str, cast, default):
         flag = getattr(self._args, key, None)
@@ -76,10 +100,6 @@ class Settings:
             except ValueError as exc:
                 raise UsageError(f"config key {key}: {exc}") from exc
         return default
-
-    def explicit(self, key: str, cast):
-        """Value only when the flag or the config file provides it."""
-        return self.get(key, cast, None)
 
 
 def _require_file(path: str, what: str) -> str:
@@ -112,34 +132,16 @@ def _read_lyric_lines(path: str) -> list[LyricSequence]:
 def cmd_build_nsp_dataset(args: argparse.Namespace) -> int:
     settings = Settings(args)
     corpus_path = _require_file(args.corpus, "corpus")
-    try:
-        config = BuilderConfig(
-            spacing_negative_rate=settings.get("spacing_negative_rate", float, 0.6),
-            always_spacing_first_k=settings.get("always_spacing_first_k", int, 3),
-            context_swap_rate=settings.get("context_swap_rate", float, 0.4),
-            swap_space_rate=settings.get("swap_space_rate", float, 0.5),
-            seed=settings.get("seed", int, 0),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # every builder setting is read as the type of its default
+    defaults = {f.name: f.default for f in fields(BuilderConfig)}
+    config = BuilderConfig(**{key: settings.get(key, _CASTS[type(d)], d) for key, d in defaults.items()})
 
     lyrics = [pair.lyric for pair in load_aligned_corpus(corpus_path)]
     examples = []
     summary = build_dataset(lyrics, config, examples.append)
     write_nsp_tsv(examples, args.out)
 
-    _echo(
-        "build-nsp-dataset",
-        {
-            "corpus": corpus_path,
-            "out": args.out,
-            "seed": config.seed,
-            "spacing_negative_rate": config.spacing_negative_rate,
-            "always_spacing_first_k": config.always_spacing_first_k,
-            "context_swap_rate": config.context_swap_rate,
-            "swap_space_rate": config.swap_space_rate,
-        },
-    )
+    _echo("build-nsp-dataset", {"corpus": corpus_path, "out": args.out, **asdict(config)})
     summary["lyrics"] = len(lyrics)
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -148,8 +150,8 @@ def cmd_build_nsp_dataset(args: argparse.Namespace) -> int:
 def cmd_train_lm(args: argparse.Namespace) -> int:
     settings = Settings(args)
     corpus_path = _require_file(args.corpus, "corpus")
-    order = settings.get("order", int, 4)
-    k = settings.get("k", float, 0.1)
+    order = settings.get("order", _int, 4)
+    k = settings.get("k", _float, 0.1)
 
     pairs = load_aligned_corpus(corpus_path)
     texts = [lyric_lm_text(render_text(pair.lyric)) for pair in pairs]
@@ -164,8 +166,8 @@ def cmd_train_lm(args: argparse.Namespace) -> int:
 def cmd_train_generator(args: argparse.Namespace) -> int:
     settings = Settings(args)
     corpus_path = _require_file(args.corpus, "corpus")
-    history = settings.get("history", int, 2)
-    k = settings.get("k", float, 0.1)
+    history = settings.get("history", _int, 2)
+    k = settings.get("k", _float, 0.1)
 
     pairs = load_aligned_corpus(corpus_path)
     if not pairs:
@@ -174,17 +176,14 @@ def cmd_train_generator(args: argparse.Namespace) -> int:
     model = train_generator(pairs, vocab, history, k)
     model.save(args.out)
 
-    _echo(
-        "train-generator",
-        {"corpus": corpus_path, "out": args.out, "history": history, "k": k},
-    )
+    _echo("train-generator", {"corpus": corpus_path, "out": args.out, "history": history, "k": k})
     print(json.dumps({"pairs": len(pairs), **model.stats()}, sort_keys=True))
     return 0
 
 
 def _resolve_lambdas(settings: Settings) -> tuple[float, float]:
-    lambda_lm = settings.explicit("lambda_lm", float)
-    lambda_gen = settings.explicit("lambda_gen", float)
+    lambda_lm = settings.get("lambda_lm", _float, None)
+    lambda_gen = settings.get("lambda_gen", _float, None)
     if lambda_lm is None and lambda_gen is None:
         return 0.75, 0.25
     if lambda_lm is None:
@@ -198,43 +197,32 @@ def cmd_generate(args: argparse.Namespace) -> int:
     settings = Settings(args)
     melody_path = _require_file(args.melody, "melody file")
     generator_path = _require_file(args.generator, "generator model")
+    lm_path = settings.get("lm", str, None)
     lambda_lm, lambda_gen = _resolve_lambdas(settings)
-    try:
-        config = FusionConfig(
-            beam_size=settings.get("beam_size", int, 5),
-            lambda_lm=lambda_lm,
-            lambda_gen=lambda_gen,
-            max_len=settings.get("max_len", int, 20),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = FusionConfig(
+        beam_size=settings.get("beam_size", _int, 5),
+        lambda_lm=lambda_lm,
+        lambda_gen=lambda_gen,
+        max_len=settings.get("max_len", _int, 20),
+    )
 
     lm = None
-    if config.lambda_lm != 0 or args.lm is not None:
-        if args.lm is None:
+    if config.lambda_lm != 0 or lm_path is not None:
+        if lm_path is None:
             raise UsageError("--lm is required when lambda_lm > 0")
-        lm = CharNgramModel.load(_require_file(args.lm, "lm model"))
+        lm = CharNgramModel.load(_require_file(lm_path, "lm model"))
     generator = MelodyConditionedNgram.load(generator_path)
 
     with open(melody_path, "r", encoding="utf-8") as fh:
         melody = parse_melody_line(fh.read())
+    trace = settings.get("trace", _parse_bool, False)
     results = decode(melody, generator, lm, config)
     if not audit_trace(results):
         print("error: trace audit failed", file=sys.stderr)
         return 1
 
-    _echo(
-        "generate",
-        {
-            "melody": melody_path,
-            "generator": generator_path,
-            "lm": args.lm,
-            "lambda_lm": config.lambda_lm,
-            "lambda_gen": config.lambda_gen,
-            "beam_size": config.beam_size,
-            "max_len": config.max_len,
-        },
-    )
+    paths = {"melody": melody_path, "generator": generator_path, "lm": lm_path}
+    _echo("generate", {**paths, **asdict(config)})
     for rank, result in enumerate(results, start=1):
         record = {
             "rank": rank,
@@ -242,7 +230,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             "syllables": serialize_lyric_line(result.lyric),
             "text": render_text(result.lyric),
         }
-        if args.trace:
+        if trace:
             record["trace"] = [
                 [step.generator_prob, step.lm_score, step.variant, step.contribution]
                 for step in result.trace
@@ -268,11 +256,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     pairs = [EvalPair(c, r) for c, r in zip(candidates, references)]
     report = corpus_eval(pairs, word_level=word_level)
-    _echo(
-        "evaluate",
-        {"candidates": cand_path, "references": ref_path, "word_level": word_level},
-    )
-    if args.json:
+    _echo("evaluate", {"candidates": cand_path, "references": ref_path, "word_level": word_level})
+    if settings.get("json", _parse_bool, False):
         print(report.to_json())
     else:
         print(report.to_table())
@@ -282,25 +267,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_nsp_eval(args: argparse.Namespace) -> int:
     settings = Settings(args)
     dataset_path = _require_file(args.dataset, "dataset")
-    threshold = settings.get("threshold", float, 0.5)
+    threshold = settings.get("threshold", _float, 0.5)
     if not math.isfinite(threshold):
         raise UsageError(f"threshold must be finite, got {threshold!r}")
+    scorer = settings.get("scorer", str, "lm")
+    if scorer not in ("lm", "oracle"):
+        raise UsageError(f"config key scorer: expected lm or oracle, got {scorer!r}")
+    lm_path = settings.get("lm", str, None)
     dataset = read_nsp_tsv(dataset_path)
     if not dataset:
         raise UsageError(f"dataset is empty: {dataset_path}")
 
-    if args.scorer == "oracle":
+    if scorer == "oracle":
         # scores each row with its own label
         result = nsp_metrics([(float(ex.label), ex.label) for ex in dataset], threshold)
     else:
-        if args.lm is None:
+        if lm_path is None:
             raise UsageError("--lm is required for the lm scorer")
-        model = CharNgramModel.load(_require_file(args.lm, "lm model"))
+        model = CharNgramModel.load(_require_file(lm_path, "lm model"))
         result = nsp_accuracy(model.nsp_score, dataset, threshold)
-    _echo(
-        "nsp-eval",
-        {"dataset": dataset_path, "scorer": args.scorer, "threshold": threshold},
-    )
+    _echo("nsp-eval", {"dataset": dataset_path, "scorer": scorer, "threshold": threshold})
     print(json.dumps({**result, "examples": len(dataset)}, sort_keys=True))
     return 0
 
@@ -315,10 +301,7 @@ def cmd_emit_prompt(args: argparse.Namespace) -> int:
         with open(path, "r", encoding="utf-8") as fh:
             lyrics = [line.rstrip("\n") for line in fh if line.strip()]
         sets.append((name, lyrics))
-    try:
-        text = emit_llm_eval_prompt(sets, variant=args.variant)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    text = emit_llm_eval_prompt(sets, variant=args.variant)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -337,63 +320,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p: argparse.ArgumentParser) -> None:
+    def add_config(p: argparse.ArgumentParser, command) -> None:
+        """A config file may set what any optional flag of its command sets."""
         p.add_argument("--config", help="key=value config file")
+        flags = {action.dest for action in p._actions if action.option_strings and not action.required}
+        p.set_defaults(func=command, config_keys=frozenset(flags - {"help", "config"}))
 
     p = sub.add_parser("build-nsp-dataset", help="build the NSP fine-tuning dataset")
     p.add_argument("--corpus", required=True, help="aligned corpus JSONL")
     p.add_argument("--out", required=True, help="output TSV path")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--spacing-negative-rate", type=float, dest="spacing_negative_rate")
-    p.add_argument("--always-spacing-first-k", type=int, dest="always_spacing_first_k")
-    p.add_argument("--context-swap-rate", type=float, dest="context_swap_rate")
-    p.add_argument("--swap-space-rate", type=float, dest="swap_space_rate")
-    add_config(p)
-    p.set_defaults(func=cmd_build_nsp_dataset)
+    p.add_argument("--seed", type=_int)
+    p.add_argument("--spacing-negative-rate", type=_float, dest="spacing_negative_rate")
+    p.add_argument("--always-spacing-first-k", type=_int, dest="always_spacing_first_k")
+    p.add_argument("--context-swap-rate", type=_float, dest="context_swap_rate")
+    p.add_argument("--swap-space-rate", type=_float, dest="swap_space_rate")
+    add_config(p, cmd_build_nsp_dataset)
 
     p = sub.add_parser("train-lm", help="train the character LM scorer")
     p.add_argument("--corpus", required=True, help="aligned corpus JSONL")
     p.add_argument("--out", required=True, help="output model path")
-    p.add_argument("--order", type=int)
-    p.add_argument("--k", type=float)
-    add_config(p)
-    p.set_defaults(func=cmd_train_lm)
+    p.add_argument("--order", type=_int)
+    p.add_argument("--k", type=_float)
+    add_config(p, cmd_train_lm)
 
     p = sub.add_parser("train-generator", help="train the melody-conditioned generator")
     p.add_argument("--corpus", required=True, help="aligned corpus JSONL")
     p.add_argument("--out", required=True, help="output model path")
-    p.add_argument("--history", type=int)
-    p.add_argument("--k", type=float)
-    add_config(p)
-    p.set_defaults(func=cmd_train_generator)
+    p.add_argument("--history", type=_int)
+    p.add_argument("--k", type=_float)
+    add_config(p, cmd_train_generator)
 
     p = sub.add_parser("generate", help="decode lyrics for a melody")
     p.add_argument("--melody", required=True, help="melody file of pitch:duration:rest triplets")
     p.add_argument("--generator", required=True, help="generator model path")
     p.add_argument("--lm", help="character LM model path")
-    p.add_argument("--lambda-lm", type=float, dest="lambda_lm")
-    p.add_argument("--lambda-gen", type=float, dest="lambda_gen")
-    p.add_argument("--beam-size", type=int, dest="beam_size")
-    p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--trace", action="store_true", help="include per-step score traces")
-    add_config(p)
-    p.set_defaults(func=cmd_generate)
+    p.add_argument("--lambda-lm", type=_float, dest="lambda_lm")
+    p.add_argument("--lambda-gen", type=_float, dest="lambda_gen")
+    p.add_argument("--beam-size", type=_int, dest="beam_size")
+    p.add_argument("--max-len", type=_int, dest="max_len")
+    p.add_argument("--trace", action="store_true", default=None, help="include per-step score traces")
+    add_config(p, cmd_generate)
 
     p = sub.add_parser("evaluate", help="overlap metrics for candidate vs reference lyrics")
     p.add_argument("--candidates", required=True, help="one lyric line per row")
     p.add_argument("--references", required=True, help="one lyric line per row")
-    p.add_argument("--json", action="store_true", help="emit the report as JSON")
+    p.add_argument("--json", action="store_true", default=None, help="emit the report as JSON")
     p.add_argument("--word-level", action="store_true", dest="word_level", default=None)
-    add_config(p)
-    p.set_defaults(func=cmd_evaluate)
+    add_config(p, cmd_evaluate)
 
     p = sub.add_parser("nsp-eval", help="score a scorer against an NSP dataset")
     p.add_argument("--dataset", required=True, help="TSV dataset path")
     p.add_argument("--lm", help="character LM model path")
-    p.add_argument("--scorer", choices=("lm", "oracle"), default="lm")
-    p.add_argument("--threshold", type=float)
-    add_config(p)
-    p.set_defaults(func=cmd_nsp_eval)
+    p.add_argument("--scorer", choices=("lm", "oracle"))
+    p.add_argument("--threshold", type=_float)
+    add_config(p, cmd_nsp_eval)
 
     p = sub.add_parser("emit-prompt", help="emit the LLM-judge evaluation prompt")
     p.add_argument("--set", action="append", help="NAME=FILE, exactly three")
@@ -412,9 +392,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

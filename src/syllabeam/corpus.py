@@ -165,13 +165,15 @@ class Vocabulary:
 
 
 def parse_lyric_line(line: str) -> LyricSequence:
-    """Parse one whitespace-separated lyric line.
+    """Parse one lyric line of pieces separated by ASCII spaces and tabs.
 
     A leading underscore marks a word-initial syllable ("_ger" starts a new
     word, "ger" continues the previous one). The first syllable of a line is
-    always word-initial, marker or not. A trailing end token is accepted.
+    always word-initial, marker or not. A trailing end token is accepted, so
+    a line of only the end token is a lyric with no syllables. Any other
+    whitespace is part of a piece, which then is no legal syllable.
     """
-    pieces = line.split()
+    pieces = [piece for piece in re.split("[ \t]+", line) if piece]
     if not pieces:
         raise ValueError("empty lyric line")
     tokens = []
@@ -272,9 +274,7 @@ def load_aligned_corpus(path) -> list[AlignedPair]:
                     if type(flag) is not bool:
                         raise ValueError(f"word_initial flag {flag!r} is not a boolean")
                 tokens = tuple(SyllableToken(text, flag) for text, flag in zip(syllables, flags))
-                melody = MelodySequence(
-                    tuple(MelodyNote(p, d, r) for p, d, r in notes)
-                )
+                melody = MelodySequence(tuple(MelodyNote(p, d, r) for p, d, r in notes))
                 pairs.append(AlignedPair(melody, LyricSequence(tokens)))
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"record {idx}: {exc}") from exc

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from . import modelfile
@@ -38,8 +37,7 @@ _SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class NoteBucket:
+class NoteBucket(NamedTuple):
     """Discretized note features for count-based conditioning."""
 
     pitch_class: int
@@ -48,7 +46,10 @@ class NoteBucket:
     has_rest: bool
 
 
-def bucket_note(note: MelodyNote) -> NoteBucket:
+def bucket_note(note: Optional[MelodyNote]) -> Optional[NoteBucket]:
+    """The bucket of `note`; None, past the final note, for None."""
+    if note is None:
+        return None
     if note.duration < 1:
         duration_class = DURATION_SHORT
     elif note.duration == 1:
@@ -79,14 +80,15 @@ class _Ranking(NamedTuple):
     `ranked` maps every token whose probability exceeds `floor` to that
     probability, in (-probability, vocabulary id) order; every other
     emittable token has probability `floor`. `tops` keeps each top-k list
-    already asked for, padded with floor tokens, by k.
+    already asked for, padded with floor tokens, by k, as (texts,
+    probabilities, vocabulary ids) tuples.
     """
 
     counts: dict[str, int]  # keeps the table alive while its id keys the cache
     total: int
     ranked: dict[str, float]
     floor: float
-    tops: dict[int, tuple[tuple[str, float], ...]]
+    tops: dict[int, tuple[tuple[str, ...], tuple[float, ...], tuple[int, ...]]]
 
 
 def _rank(counts: dict[str, int], vocab: Vocabulary, k: float) -> _Ranking:
@@ -129,9 +131,16 @@ class MelodyConditionedNgram:
         # its table, so the id cannot be reused while the entry lives
         self._rankings: dict[int, _Ranking] = {}
 
-    def _history_key(self, history: Sequence[SyllableToken]) -> tuple[str, ...]:
+    def history_key(self, history: Sequence[SyllableToken]) -> tuple[str, ...]:
+        """The key of a token history: its last `history` texts, BOS-padded."""
         texts = [tok.text for tok in history[-self.history :]]
         return tuple([BOS_TEXT] * (self.history - len(texts)) + texts)
+
+    def next_key(self, key: tuple[str, ...], text: str, word_initial: bool) -> tuple[str, ...]:
+        """The key of the history keyed by `key` once `text` follows it."""
+        return key[1:] + (text,)
+
+    bucket = staticmethod(bucket_note)
 
     def _count(self, hist_key: tuple[str, ...], bucket: Optional[NoteBucket], target: str) -> None:
         for table, key in (
@@ -149,26 +158,21 @@ class MelodyConditionedNgram:
             if tok.text not in self.vocab:
                 raise ValueError(f"syllable {tok.text!r} not in vocabulary")
         self._rankings.clear()
-        for i, tok in enumerate(tokens):
-            hist_key = self._history_key(tokens[:i])
-            self._count(hist_key, bucket_note(pair.melody.notes[i]), tok.text)
-        self._count(self._history_key(tokens), None, EOS_TEXT)
+        key = self.history_key(())
+        for tok, note in zip(tokens, pair.melody.notes):
+            self._count(key, bucket_note(note), tok.text)
+            key = self.next_key(key, tok.text, tok.word_initial)
+        self._count(key, None, EOS_TEXT)
 
-    def _serving_counts(
-        self, history: Sequence[SyllableToken], note: Optional[MelodyNote]
-    ) -> dict[str, int]:
-        """The count table that serves a query: the first non-empty one of
-        (history, bucket), (history), (bucket), unigram."""
-        hist_key = self._history_key(history)
-        bucket = bucket_note(note) if note is not None else None
-        return (
-            self._by_hist_bucket.get((hist_key, bucket))
-            or self._by_hist.get(hist_key)
+    def _ranking(self, key: tuple[str, ...], bucket: Optional[NoteBucket]) -> _Ranking:
+        """The ranked count table that serves a query: the first non-empty
+        one of (history, bucket), (history), (bucket), unigram."""
+        counts = (
+            self._by_hist_bucket.get((key, bucket))
+            or self._by_hist.get(key)
             or self._by_bucket.get(bucket)
             or self._unigram
         )
-
-    def _ranking(self, counts: dict[str, int]) -> _Ranking:
         ranking = self._rankings.get(id(counts))
         if ranking is None:
             ranking = _rank(counts, self.vocab, self.k)
@@ -179,44 +183,52 @@ class MelodyConditionedNgram:
         self, history: Sequence[SyllableToken], note: Optional[MelodyNote]
     ) -> dict[str, float]:
         """Distribution over every emittable vocabulary entry (BOS excluded)."""
-        counts = self._serving_counts(history, note)
+        ranking = self._ranking(self.history_key(history), bucket_note(note))
         emittable = self.vocab.emittable()
-        denom = self._ranking(counts).total + self.k * len(emittable)
+        denom = ranking.total + self.k * len(emittable)
         if denom == 0:
             return {text: 1.0 / len(emittable) for text in emittable}
-        return {text: (counts.get(text, 0) + self.k) / denom for text in emittable}
+        return {text: (ranking.counts.get(text, 0) + self.k) / denom for text in emittable}
 
     def top_candidates(
         self, history: Sequence[SyllableToken], note: Optional[MelodyNote], k: int
     ) -> list[tuple[str, float]]:
         """The first `k` entries of `next_distribution` ranked by
         (-probability, vocabulary id), computed without building it."""
-        ranking = self._ranking(self._serving_counts(history, note))
+        texts, probs, _ = self.top_by_key(self.history_key(history), bucket_note(note), k)
+        return list(zip(texts, probs))
+
+    def top_by_key(self, key: tuple[str, ...], bucket: Optional[NoteBucket], k: int) -> tuple:
+        """`top_candidates` of the history keyed by `key` and a note bucket,
+        as one cached (texts, probabilities, vocabulary ids) tuple per k."""
+        ranking = self._ranking(key, bucket)
         top = ranking.tops.get(k)
         if top is None:
-            top = list(itertools.islice(ranking.ranked.items(), k))
-            if len(top) < k:
+            pairs = list(itertools.islice(ranking.ranked.items(), k))
+            if len(pairs) < k:
                 rest = (text for text in self.vocab.emittable() if text not in ranking.ranked)
-                top.extend((text, ranking.floor) for text in itertools.islice(rest, k - len(top)))
-            top = ranking.tops[k] = tuple(top)
-        return list(top)
+                pairs.extend((text, ranking.floor) for text in itertools.islice(rest, k - len(pairs)))
+            texts = tuple(text for text, _ in pairs)
+            probs = tuple(p for _, p in pairs)
+            top = ranking.tops[k] = (texts, probs, tuple(map(self.vocab.id_of, texts)))
+        return top
 
-    def prob(
-        self, history: Sequence[SyllableToken], note: Optional[MelodyNote], text: str
-    ) -> float:
+    def prob(self, history: Sequence[SyllableToken], note: Optional[MelodyNote], text: str) -> float:
         """The `next_distribution` entry of one emittable token."""
         if text == BOS_TEXT or text not in self.vocab:
             raise ValueError(f"{text!r} is not an emittable token")
-        ranking = self._ranking(self._serving_counts(history, note))
+        return self.prob_by_key(self.history_key(history), bucket_note(note), text)
+
+    def prob_by_key(self, key: tuple[str, ...], bucket: Optional[NoteBucket], text: str) -> float:
+        """`prob` of an emittable `text` after the history keyed by `key`."""
+        ranking = self._ranking(key, bucket)
         return ranking.ranked.get(text, ranking.floor)
 
     # -- persistence ------------------------------------------------------
 
     @staticmethod
     def _bucket_json(bucket: Optional[NoteBucket]):
-        if bucket is None:
-            return None
-        return [bucket.pitch_class, bucket.register, bucket.duration_class, bucket.has_rest]
+        return None if bucket is None else list(bucket)
 
     def save(self, path) -> None:
         """Write the model; rows are in the order of their keys' JSON text."""

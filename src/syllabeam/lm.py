@@ -106,8 +106,10 @@ class CharNgramModel:
         self._memo: dict[tuple[str, str], ContinuationScore] = {}
         # (context suffix, candidate) -> score_continuation result
         self._continuations: dict[tuple[str, str], float] = {}
-        # (context, its suffix) of the last context score_with_spacing checked;
-        # one attribute, so a reader in any thread sees a whole pair
+        # (context suffix, syllables) -> score_candidates result
+        self._candidates: dict[tuple[str, tuple[str, ...]], tuple[ContinuationScore, ...]] = {}
+        # (context, its suffix) of the last context that passed its check; one
+        # attribute, so a reader in any thread sees a whole pair
         self._checked: tuple[str, str] = ("", "")
 
     # -- training ---------------------------------------------------------
@@ -116,9 +118,8 @@ class CharNgramModel:
         """Count every character of `text`; a text with a character outside
         the alphabet raises ValueError and changes nothing."""
         _check_chars(text, self._alphabet_set)
-        self._levels.clear()
-        self._memo.clear()
-        self._continuations.clear()
+        for cache in (self._levels, self._memo, self._continuations, self._candidates):
+            cache.clear()
         for pos, ch in enumerate(text):
             for length in range(self.order):
                 if pos - length < 0:
@@ -211,28 +212,28 @@ class CharNgramModel:
                 suffix = (suffix + ch)[-keep:]
         return math.exp(log_sum / len(candidate))
 
+    def _checked_suffix(self, context: str) -> str:
+        """The suffix of `context`, checked unless it is the last one kept."""
+        checked = self._checked
+        if checked[0] is context:
+            return checked[1]
+        _check_chars(context, self._alphabet_set)
+        suffix = self._suffix(context)
+        self._checked = (context, suffix)
+        return suffix
+
     def score_with_spacing(self, context: str, syllable_text: str) -> ContinuationScore:
         """Score both renderings of a syllable and keep the better one.
 
         The end marker has a single rendering (the reserved character).
         Ties break to the unspaced variant. Results are memoized per
-        (last order-1 context characters, syllable). A context is checked once
-        for as long as it is the last one passed in: the beam scores every
-        candidate of a hypothesis against the same string object.
+        (last order-1 context characters, syllable).
         """
         if not syllable_text:
             raise ValueError("syllable must be non-empty")
         if syllable_text == EOS_TEXT and not context:
             raise ValueError("end marker needs a non-empty context")
-        checked = self._checked
-        if checked[0] is context:
-            suffix = checked[1]
-        else:
-            # a context that fails the check is never stored
-            _check_chars(context, self._alphabet_set)
-            suffix = self._suffix(context)
-            self._checked = (context, suffix)
-        key = (suffix, syllable_text)
+        key = (self._checked_suffix(context), syllable_text)
         score = self._memo.get(key)
         if score is None:
             # a key holds the whole syllable and is stored only once the
@@ -242,8 +243,25 @@ class CharNgramModel:
             _check_candidate(chars, self._alphabet_set)
             if len(self._memo) >= MEMO_LIMIT:
                 self._memo.clear()
-            score = self._memo[key] = self._score_spacing(suffix, syllable_text)
+            score = self._memo[key] = self._score_spacing(key[0], syllable_text)
         return score
+
+    def score_candidates(self, context: str, syllables: tuple[str, ...]) -> tuple:
+        """`score_with_spacing` of each syllable against one context, memoized
+        per (context suffix, syllables). A result is stored only once every
+        syllable passed its checks, so a hit checks the context alone."""
+        key = (self._suffix(context), syllables)
+        scores = self._candidates.get(key)
+        if scores is None:
+            scores = tuple([self.score_with_spacing(context, text) for text in syllables])
+            if len(self._candidates) >= MEMO_LIMIT:
+                self._candidates.clear()
+            self._candidates[key] = scores
+        elif context:
+            self._checked_suffix(context)
+        elif EOS_TEXT in syllables:
+            raise ValueError("end marker needs a non-empty context")
+        return scores
 
     def _score_spacing(self, suffix: str, syllable_text: str) -> ContinuationScore:
         if syllable_text == EOS_TEXT:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .corpus import EOS_TEXT, LyricSequence, render_text
@@ -33,8 +33,9 @@ class EvalPair:
     reference: LyricSequence
 
     def __post_init__(self) -> None:
-        if not self.candidate.syllables() or not self.reference.syllables():
-            raise ValueError("candidate and reference must be non-empty")
+        # a candidate may be empty (a decode that ended at once) and scores 0
+        if not self.reference.syllables():
+            raise ValueError("reference must have at least one syllable")
 
 
 def _clean(tokens: Sequence[str]) -> list[str]:
@@ -129,15 +130,7 @@ class EvalReport:
     pairs: int
 
     def to_dict(self) -> dict:
-        return {
-            "rouge1": self.rouge1,
-            "rouge2": self.rouge2,
-            "rougeL": self.rougeL,
-            "bleu2": self.bleu2,
-            "bleu3": self.bleu3,
-            "bleu4": self.bleu4,
-            "pairs": self.pairs,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -160,8 +153,8 @@ class EvalReport:
 def _pair_tokens(pair: EvalPair, word_level: bool) -> tuple[list[str], list[str]]:
     if word_level:
         return (
-            render_text(pair.candidate).split(" "),
-            render_text(pair.reference).split(" "),
+            render_text(pair.candidate).split(),
+            render_text(pair.reference).split(),
         )
     return pair.candidate.syllable_texts(), pair.reference.syllable_texts()
 

@@ -155,25 +155,17 @@ def build_dataset(
     return {"positives": positives, "negatives": negatives, "total": positives + negatives}
 
 
-def expected_examples_per_position(config: BuilderConfig, position: int) -> float:
-    """Expected row count for one position: positive + random negative,
-    plus the spacing and corruption rules at their firing rates."""
-    p_spacing = 1.0 if position <= config.always_spacing_first_k else config.spacing_negative_rate
-    return 2.0 + p_spacing + config.context_swap_rate
-
-
 def expected_dataset_size(corpus: Sequence[LyricSequence], config: BuilderConfig) -> tuple[float, float]:
-    """(mean, standard deviation) of the total row count under `config`."""
-    mean = 0.0
-    variance = 0.0
+    """(mean, standard deviation) of the total row count under `config`: per
+    position a positive and a random negative, plus the spacing and
+    corruption rules at their firing rates."""
+    mean = variance = 0.0
+    q = config.context_swap_rate
     for lyric in corpus:
         for i in range(1, len(lyric.syllables()) + 1):
-            mean += expected_examples_per_position(config, i)
-            if i > config.always_spacing_first_k:
-                p = config.spacing_negative_rate
-                variance += p * (1 - p)
-            q = config.context_swap_rate
-            variance += q * (1 - q)
+            p = 1.0 if i <= config.always_spacing_first_k else config.spacing_negative_rate
+            mean += 2.0 + p + q
+            variance += p * (1 - p) + q * (1 - q)
     return mean, math.sqrt(variance)
 
 

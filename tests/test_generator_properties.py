@@ -1,0 +1,81 @@
+"""Property test: a saved and loaded generator answers every query exactly.
+
+Over random corpora, histories 1-3 and smoothing k (0 included, where an
+empty table gives a zero denominator), a trained model and its reloaded copy
+give identical `next_distribution`, `top_candidates` and `prob` answers for
+random (history, note) pairs, asked cold and again from the caches. Each
+distribution covers every emittable entry and sums to 1 under `math.fsum`.
+"""
+
+import math
+import random
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from syllabeam.corpus import MelodyNote, SyllableToken, build_vocabulary
+from syllabeam.generator import MelodyConditionedNgram, train_generator
+
+from conftest import PITCHES, make_corpus
+
+notes = st.one_of(
+    st.none(),  # past the final note
+    st.builds(
+        MelodyNote,
+        st.sampled_from(PITCHES + [0, 20, 100, 127]),
+        st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+        st.sampled_from([0.0, 0.5]),
+    ),
+)
+
+
+def answers(model, queries, width):
+    rows = []
+    for history, note in queries:
+        distribution = model.next_distribution(history, note)
+        rows.append((
+            distribution,
+            model.top_candidates(history, note, width),
+            {text: model.prob(history, note, text) for text in distribution},
+        ))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    corpus_seed=st.integers(0, 10_000),
+    pairs=st.integers(1, 20),
+    history=st.integers(1, 3),
+    k=st.sampled_from([0.0, 0.1, 1.0]),
+    query_seed=st.integers(0, 10_000),
+    query_notes=st.lists(notes, min_size=1, max_size=12),
+    width=st.integers(1, 40),
+)
+def test_reloaded_model_answers_alike(corpus_seed, pairs, history, k, query_seed, query_notes, width):
+    corpus = make_corpus(pairs, seed=corpus_seed, min_syllables=1, max_syllables=8)
+    vocab = build_vocabulary([pair.lyric for pair in corpus])
+    model = train_generator(corpus, vocab, history, k)
+    rnd = random.Random(query_seed)
+    texts = vocab.syllable_texts()
+    queries = []
+    for note in query_notes:
+        if rnd.random() < 0.5:  # a history the corpus holds
+            pair = rnd.choice(corpus)
+            tokens = pair.lyric.syllables()[: rnd.randint(0, len(pair.lyric.syllables()))]
+        else:
+            tokens = tuple(SyllableToken(rnd.choice(texts), True) for _ in range(rnd.randint(0, 4)))
+        queries.append((tokens, note))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gen.json"
+        model.save(path)
+        loaded = MelodyConditionedNgram.load(path)
+    expected = answers(model, queries, width)
+    assert answers(loaded, queries, width) == expected
+    assert answers(loaded, queries, width) == expected  # from the caches
+    assert answers(model, queries, width) == expected
+    for distribution, _, _ in expected:
+        assert tuple(distribution) == vocab.emittable()
+        assert math.isclose(math.fsum(distribution.values()), 1.0, rel_tol=0, abs_tol=1e-12)

@@ -165,3 +165,103 @@ def test_rejected_context_is_never_kept_as_checked():
     with pytest.raises(ValueError) as info:
         model.score_with_spacing(context, "vE")
     assert str(info.value) == "character 'E' not in alphabet"
+
+
+# -- score_candidates --------------------------------------------------------
+
+
+def error_of(query, *args):
+    """The message `query(*args)` raises with, or None when it returns."""
+    try:
+        query(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_score_candidates_is_score_with_spacing_per_syllable(tmp_path, order):
+    path = tmp_path / "lm.json"
+    texts = corpus_texts(30, seed=20 + order)
+    train_char_ngram(texts, order, 0.1).save(path)
+    model = CharNgramModel.load(path)
+    rnd = random.Random(order)
+    pool = ["ba", "by", "love", "ing", "o", "ver", "x", EOS_TEXT]
+    for context, _ in random_queries(rnd, 120, texts):
+        syllables = tuple(rnd.sample(pool, rnd.randint(0, 4)))
+        if not context and EOS_TEXT in syllables:
+            context = "a"
+        fresh = CharNgramModel.load(path)
+        expected = tuple(fresh.score_with_spacing(context, s) for s in syllables)
+        assert model.score_candidates(context, syllables) == expected
+        assert model.score_candidates("".join(list(context)), syllables) == expected  # a hit
+
+
+def test_add_text_empties_the_candidates_cache():
+    texts = corpus_texts(20, seed=24)
+    grown = train_char_ngram(texts[:3], 4, 0.1)
+    syllables = ("ba", "ver", EOS_TEXT)
+    before = grown.score_candidates("my lo", syllables)
+    assert grown._candidates == {(" lo", syllables): before}
+    grown.add_text(texts[3])
+    assert grown._candidates == {}
+    for text in texts[4:]:
+        grown.add_text(text)
+    full = train_char_ngram(texts, 4, 0.1)
+    assert grown.score_candidates("my lo", syllables) == full.score_candidates("my lo", syllables)
+
+
+def test_candidates_cache_stays_within_the_limit(monkeypatch):
+    monkeypatch.setattr(lm_module, "MEMO_LIMIT", 5)
+    texts = corpus_texts(20, seed=25)
+    model = train_char_ngram(texts, 4, 0.1)
+    fresh = train_char_ngram(texts, 4, 0.1)
+    for context, syllable in random_queries(random.Random(26), 80, texts):
+        syllables = (syllable, "ba")
+        expected = tuple(fresh.score_with_spacing(context, s) for s in syllables)
+        assert model.score_candidates(context, syllables) == expected
+        assert len(model._candidates) <= 5
+
+
+BAD_BATCHES = [
+    ("ab lo", ("ve", "")),
+    ("ab lo", ("", "ve")),
+    ("", ("ve", EOS_TEXT)),
+    ("", ("", EOS_TEXT)),
+    ("a1 lo", ("ve", "ba")),
+    ("a1 lo", ("",)),
+    ("ab lo", ("ve", "bA")),
+    ("aX lo", ("vE", EOS_TEXT)),
+]
+
+
+@pytest.mark.parametrize("context, syllables", BAD_BATCHES)
+def test_bad_batch_rejected_as_its_first_bad_syllable(context, syllables):
+    model = train_char_ngram(corpus_texts(10, seed=27), 4, 0.1)
+    expected = next(
+        message
+        for message in (error_of(model.score_with_spacing, context, s) for s in syllables)
+        if message is not None
+    )
+    for _ in range(2):
+        assert error_of(model.score_candidates, context, syllables) == expected
+    assert model._candidates == {}
+
+
+@pytest.mark.parametrize(
+    "order, cached, bad, message",
+    [
+        (4, "ab lo", "aX lo", "character 'X' at position 1 not in alphabet"),
+        (4, "ab lo", "?b lo", "character '?' at position 0 not in alphabet"),
+        # at order 1 every context has the empty suffix, so "" hits the key of "a"
+        (1, "a", "", "end marker needs a non-empty context"),
+    ],
+)
+def test_candidates_hit_still_checks_the_context(order, cached, bad, message):
+    model = train_char_ngram(corpus_texts(10, seed=28), order, 0.1)
+    syllables = ("ve", EOS_TEXT)
+    model.score_candidates(cached, syllables)
+    assert (model._suffix(bad), syllables) in model._candidates
+    for _ in range(2):
+        assert error_of(model.score_candidates, bad, syllables) == message
+        assert error_of(model.score_with_spacing, bad, EOS_TEXT) == message

@@ -105,6 +105,9 @@ class NaiveWalker:
             return ContinuationScore(unspaced, UNSPACED)
         return ContinuationScore(spaced, SPACED)
 
+    def score_candidates(self, context, syllables):
+        return tuple(self.score_with_spacing(context, syllable) for syllable in syllables)
+
     def nsp_score(self, context, candidate):
         encoded = candidate.replace(EOS_TEXT, EOS_CHAR)
         if encoded.startswith("_"):
@@ -120,6 +123,7 @@ def answers(model, batch):
             model.conditional_distribution(context),
             model.score_continuation(context, candidate),
             model.score_with_spacing(context or "a", syllable),
+            model.score_candidates(context or "a", (syllable, "ab", syllable)),
             model.nsp_score(nsp_context, nsp_candidate),
         )
         for context, syllable, candidate, nsp_context, nsp_candidate in batch
@@ -145,5 +149,5 @@ def test_warm_model_matches_fresh_load_and_naive_walker(order, k, memo_limit, fi
         expected = answers(fresh, after + before)
         assert answers(model, after + before) == expected
         assert expected == answers(NaiveWalker(first + added, order, k), after + before)
-        for cache in (model._levels, model._memo, model._continuations):
+        for cache in (model._levels, model._memo, model._continuations, model._candidates):
             assert len(cache) <= memo_limit

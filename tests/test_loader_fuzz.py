@@ -522,3 +522,134 @@ class TestModelfile:
     def test_counts_rejects(self, table, message):
         with pytest.raises(ValueError, match=message):
             modelfile.counts(table, frozenset("ab"))
+
+
+# -- lyric lines and config files --------------------------------------------
+
+
+def run_evaluate(tmp_path, capsys, candidates: str, references: str = "la _mi\nso fa\n"):
+    cand, ref = tmp_path / "cand.txt", tmp_path / "ref.txt"
+    cand.write_text(candidates, encoding="utf-8")
+    ref.write_text(references, encoding="utf-8")
+    code = main(["evaluate", "--candidates", str(cand), "--references", str(ref), "--json"])
+    return code, capsys.readouterr(), str(cand)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        pytest.param("la\u00a0mi", id="no-break space"),
+        pytest.param("la\x1cmi", id="file separator"),
+        pytest.param("la\x0bmi", id="vertical tab"),
+        pytest.param("la\x0cmi", id="form feed"),
+        pytest.param("la\u2003mi", id="em space"),
+        pytest.param("la\u3000mi", id="ideographic space"),
+        pytest.param("la\x85mi", id="next line"),
+        pytest.param("\u00a0", id="no-break space alone"),
+        pytest.param("la _Mi", id="capital"),
+        pytest.param("la <eos> mi", id="end token mid-line"),
+        pytest.param("la __mi", id="two underscores"),
+        pytest.param("_", id="bare underscore"),
+        pytest.param(" \t ", id="blanks only"),
+    ],
+)
+def test_lyric_line(tmp_path, capsys, line):
+    code, captured, path = run_evaluate(tmp_path, capsys, "so fa\n" + line + "\n")
+    assert_clean_failure(code, captured)
+    assert captured.err.startswith(f"error: {path}:2: ")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        pytest.param("<eos>", id="end token alone"),
+        pytest.param("la\t_mi", id="tab"),
+        pytest.param("  la \t _mi\t", id="padding"),
+    ],
+)
+def test_lyric_line_accepted(tmp_path, capsys, line):
+    code, captured, _ = run_evaluate(tmp_path, capsys, line + "\nso fa\n")
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out.splitlines()[-1])["pairs"] == 2
+
+
+def run_with_config(tmp_path, capsys, command, text: str):
+    corpus = tmp_path / "corpus.jsonl"
+    write_aligned_corpus(make_corpus(3, seed=5), corpus)
+    config = tmp_path / "run.cfg"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main([command, "--corpus", str(corpus), "--out", str(out), "--config", str(config)])
+    captured = capsys.readouterr()
+    assert_clean_failure(code, captured)
+    assert not out.exists()
+    return captured.err, str(config)
+
+
+@pytest.mark.parametrize(
+    "command, text, line",
+    [
+        pytest.param("train-lm", "ordr=9\n", 1, id="misspelt key"),
+        pytest.param("train-lm", "k=0.1\nbeam_size=7\n", 2, id="key of generate"),
+        pytest.param("train-lm", "history=2\n", 1, id="key of train-generator"),
+        pytest.param("train-generator", "order=3\n", 1, id="key of train-lm"),
+        pytest.param("build-nsp-dataset", "threshold=0.5\n", 1, id="key of nsp-eval"),
+        pytest.param("train-lm", "config=other.cfg\n", 1, id="config itself"),
+        pytest.param("train-lm", "help=1\n", 1, id="help"),
+        pytest.param("train-lm", "corpus=x.jsonl\n", 1, id="required flag"),
+        pytest.param("train-lm", "Order=3\n", 1, id="capitalised key"),
+        pytest.param("train-lm", "--order=3\n", 1, id="flag spelling"),
+        pytest.param("train-lm", "=3\n", 1, id="empty key"),
+        pytest.param("train-lm", "k=0.1\n# note\nk=0.2\n", 3, id="repeated key"),
+        pytest.param("build-nsp-dataset", "seed=1\n seed = 1\n", 2, id="repeated key, padded"),
+        pytest.param("train-lm", "order\n", 1, id="no equals sign"),
+    ],
+)
+def test_config_key(tmp_path, capsys, command, text, line):
+    err, path = run_with_config(tmp_path, capsys, command, text)
+    assert err.startswith(f"error: {path}:{line}: ")
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        pytest.param("train-lm", "order=1_0\n", id="int with underscore"),
+        pytest.param("train-lm", "order=\u0663\n", id="Arabic-Indic digit"),
+        pytest.param("train-lm", "order=\uff13\n", id="full-width digit"),
+        pytest.param("train-lm", "order=3.0\n", id="int written as float"),
+        pytest.param("train-lm", "order=0x3\n", id="hexadecimal"),
+        pytest.param("train-lm", "order=\n", id="empty int"),
+        pytest.param("train-lm", "k=1_0.5\n", id="float with underscore"),
+        pytest.param("train-lm", "k=0,5\n", id="decimal comma"),
+        pytest.param("train-lm", "k=\u0661.5\n", id="float with Arabic-Indic digit"),
+        pytest.param("train-lm", "k=nan\n", id="nan k"),
+        pytest.param("train-generator", "history=+\n", id="sign alone"),
+        pytest.param("build-nsp-dataset", "seed=1e3\n", id="seed as float"),
+        pytest.param("build-nsp-dataset", "spacing_negative_rate=0.5.1\n", id="two points"),
+    ],
+)
+def test_config_value(tmp_path, capsys, command, text):
+    err, _ = run_with_config(tmp_path, capsys, command, text)
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train-lm", "--order", "1_0"],
+        ["train-lm", "--order", "\u0663"],
+        ["train-lm", "--k", "1_0.5"],
+        ["train-lm", "--k", " 0.5"],
+        ["train-generator", "--history", "\uff12"],
+        ["build-nsp-dataset", "--seed", "0x10"],
+    ],
+)
+def test_numeric_flag(tmp_path, capsys, argv):
+    corpus = tmp_path / "corpus.jsonl"
+    write_aligned_corpus(make_corpus(3, seed=5), corpus)
+    out = tmp_path / "out"
+    code = main(argv[:1] + ["--corpus", str(corpus), "--out", str(out)] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not out.exists()
+    kind = "int" if argv[1] != "--k" else "float"
+    assert captured.err.splitlines()[-1].endswith(f"invalid {kind} value: {argv[2]!r}")
