@@ -28,7 +28,7 @@ from .corpus import (
     build_vocabulary,
 )
 from .generator import MelodyConditionedNgram, train_generator
-from .lm import CharNgramModel, lyric_lm_text, nsp_accuracy, nsp_metrics, train_char_ngram
+from .lm import CharNgramModel, lyric_lm_text, nsp_metrics, train_char_ngram
 from .metrics import EvalPair, corpus_eval, emit_llm_eval_prompt
 from .nsp import BuilderConfig, build_dataset, read_nsp_tsv, write_nsp_tsv
 
@@ -112,18 +112,20 @@ def _echo(command: str, config: dict) -> None:
     print(json.dumps({"command": command, "config": config}, sort_keys=True))
 
 
+def _at_line(path: str, lineno: int, check, *args):
+    """`check(*args)`, its ValueError reported at `path:lineno:`."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise UsageError(f"{path}:{lineno}: {exc}") from exc
+
+
 def _read_lyric_lines(path: str) -> list[LyricSequence]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
     while lines and not lines[-1]:
         lines.pop()
-    lyrics = []
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            lyrics.append(parse_lyric_line(line))
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: {exc}") from exc
-    return lyrics
+    return [_at_line(path, lineno, parse_lyric_line, line) for lineno, line in enumerate(lines, start=1)]
 
 
 # -- commands ---------------------------------------------------------------
@@ -254,7 +256,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not candidates:
         raise UsageError("no evaluation pairs")
 
-    pairs = [EvalPair(c, r) for c, r in zip(candidates, references)]
+    texts = enumerate(zip(candidates, references), start=1)
+    pairs = [_at_line(ref_path, n, EvalPair, cand, ref) for n, (cand, ref) in texts]
     report = corpus_eval(pairs, word_level=word_level)
     _echo("evaluate", {"candidates": cand_path, "references": ref_path, "word_level": word_level})
     if settings.get("json", _parse_bool, False):
@@ -285,7 +288,7 @@ def cmd_nsp_eval(args: argparse.Namespace) -> int:
         if lm_path is None:
             raise UsageError("--lm is required for the lm scorer")
         model = CharNgramModel.load(_require_file(lm_path, "lm model"))
-        result = nsp_accuracy(model.nsp_score, dataset, threshold)
+        result = nsp_metrics(model.score_nsp_rows(dataset), threshold)
     _echo("nsp-eval", {"dataset": dataset_path, "scorer": scorer, "threshold": threshold})
     print(json.dumps({**result, "examples": len(dataset)}, sort_keys=True))
     return 0
@@ -299,8 +302,10 @@ def cmd_emit_prompt(args: argparse.Namespace) -> int:
         name, _, path = item.partition("=")
         _require_file(path, f"lyric set {name!r}")
         with open(path, "r", encoding="utf-8") as fh:
-            lyrics = [line.rstrip("\n") for line in fh if line.strip()]
-        sets.append((name, lyrics))
+            lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
+        for n, line in lines:
+            _at_line(path, n, parse_lyric_line, line)
+        sets.append((name, [line for _, line in lines]))
     text = emit_llm_eval_prompt(sets, variant=args.variant)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -57,11 +57,10 @@ class LyricSequence:
             object.__setattr__(self, "tokens", tuple(self.tokens))
         if not self.tokens:
             raise ValueError("lyric must contain at least one token")
-        for i, tok in enumerate(self.tokens):
-            if tok.is_eos and i != len(self.tokens) - 1:
-                raise ValueError(f"{EOS_TEXT} only allowed in final position")
-        non_end = [t for t in self.tokens if not t.is_eos]
-        if non_end and not non_end[0].word_initial:
+        if EOS_TEXT in [tok.text for tok in self.tokens[:-1]]:
+            raise ValueError(f"{EOS_TEXT} only allowed in final position")
+        # a first token that is the end token is the whole lyric
+        if not (self.tokens[0].is_eos or self.tokens[0].word_initial):
             raise ValueError("first syllable must be word-initial")
 
     def syllables(self) -> tuple[SyllableToken, ...]:
@@ -193,15 +192,8 @@ def parse_lyric_line(line: str) -> LyricSequence:
 
 def serialize_lyric_line(lyric: LyricSequence) -> str:
     """Inverse of parse_lyric_line."""
-    pieces = []
-    for i, tok in enumerate(lyric.tokens):
-        if tok.is_eos:
-            pieces.append(EOS_TEXT)
-        elif i > 0 and tok.word_initial:
-            pieces.append("_" + tok.text)
-        else:
-            pieces.append(tok.text)
-    return " ".join(pieces)
+    # the end token is never word-initial, so it is written as its text
+    return " ".join("_" + t.text if i and t.word_initial else t.text for i, t in enumerate(lyric.tokens))
 
 
 def parse_melody_line(line: str) -> MelodySequence:
@@ -227,23 +219,39 @@ def parse_melody_line(line: str) -> MelodySequence:
 def render_text(lyric: LyricSequence) -> str:
     """Join syllables into words: a space precedes every word-initial syllable
     except the first; the end token is omitted."""
-    out = []
-    for i, tok in enumerate(lyric.syllables()):
-        if i > 0 and tok.word_initial:
-            out.append(" ")
-        out.append(tok.text)
-    return "".join(out)
+    syllables = lyric.syllables()
+    return "".join(" " + t.text if i and t.word_initial else t.text for i, t in enumerate(syllables))
 
 
 def build_vocabulary(corpus: Sequence[LyricSequence]) -> Vocabulary:
     """Collect every distinct syllable of the corpus into a Vocabulary."""
     if not corpus:
         raise ValueError("empty corpus")
-    texts = set()
-    for lyric in corpus:
-        for tok in lyric.syllables():
-            texts.add(tok.text)
-    return Vocabulary(texts)
+    return Vocabulary({tok.text for lyric in corpus for tok in lyric.syllables()})
+
+
+def _token(seen: dict, text, flag: bool) -> SyllableToken:
+    """SyllableToken(text, flag), made once per text string and flag in `seen`."""
+    if type(text) is not str:
+        return SyllableToken(text, flag)
+    token = seen.get((text, flag))
+    if token is None:
+        token = seen[text, flag] = SyllableToken(text, flag)
+    return token
+
+
+def _note(seen: dict, pitch, duration, rest) -> MelodyNote:
+    """MelodyNote(pitch, duration, rest), made once per key in `seen`. The key
+    holds each value's type, as True == 1 == 1.0, and the sign of the rest, as
+    0.0 == -0.0; values no key can hold go to MelodyNote, which names them."""
+    try:
+        key = (pitch, duration, rest, type(pitch), type(duration), type(rest), math.copysign(1.0, rest))
+        note = seen.get(key)
+    except (TypeError, OverflowError):
+        return MelodyNote(pitch, duration, rest)
+    if note is None:
+        note = seen[key] = MelodyNote(pitch, duration, rest)
+    return note
 
 
 def load_aligned_corpus(path) -> list[AlignedPair]:
@@ -255,6 +263,7 @@ def load_aligned_corpus(path) -> list[AlignedPair]:
     rests JSON numbers. Errors are reported with the offending record index.
     """
     pairs = []
+    tokens_seen, notes_seen = {}, {}  # equal tokens and notes, shared
     with open(path, "r", encoding="utf-8") as fh:
         for idx, raw in enumerate(fh):
             raw = raw.strip()
@@ -273,8 +282,8 @@ def load_aligned_corpus(path) -> list[AlignedPair]:
                 for flag in flags:
                     if type(flag) is not bool:
                         raise ValueError(f"word_initial flag {flag!r} is not a boolean")
-                tokens = tuple(SyllableToken(text, flag) for text, flag in zip(syllables, flags))
-                melody = MelodySequence(tuple(MelodyNote(p, d, r) for p, d, r in notes))
+                tokens = tuple(_token(tokens_seen, text, flag) for text, flag in zip(syllables, flags))
+                melody = MelodySequence(tuple(_note(notes_seen, p, d, r) for p, d, r in notes))
                 pairs.append(AlignedPair(melody, LyricSequence(tokens)))
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"record {idx}: {exc}") from exc

@@ -11,7 +11,9 @@ model.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import modelfile
@@ -47,19 +49,14 @@ def _check_candidate(text: str, allowed: frozenset) -> None:
         raise ValueError(f"character {bad!r} not in alphabet")
 
 
-def _encode(text: str, allowed: frozenset) -> str:
-    """encode_text against an alphabet already made a set."""
-    encoded = text.replace(EOS_TEXT, EOS_CHAR)
-    _check_chars(encoded, allowed)
-    return encoded
-
-
-def encode_text(text: str, alphabet: str = DEFAULT_ALPHABET) -> str:
+def encode_text(text: str, alphabet: Iterable[str] = DEFAULT_ALPHABET) -> str:
     """Map the literal end marker to its reserved character and validate.
 
     Raises ValueError naming the first out-of-alphabet character position.
     """
-    return _encode(text, frozenset(alphabet))
+    encoded = text.replace(EOS_TEXT, EOS_CHAR)
+    _check_chars(encoded, frozenset(alphabet))  # a frozenset is not copied
+    return encoded
 
 
 @dataclass(frozen=True)
@@ -117,16 +114,22 @@ class CharNgramModel:
     def add_text(self, text: str) -> None:
         """Count every character of `text`; a text with a character outside
         the alphabet raises ValueError and changes nothing."""
-        _check_chars(text, self._alphabet_set)
+        self._add_texts([text])
+
+    def _add_texts(self, texts: Sequence[str]) -> None:
+        """add_text of every text, once all passed their check: each level's
+        (context, char) pairs are counted over all texts at once."""
+        for text in texts:
+            _check_chars(text, self._alphabet_set)
         for cache in (self._levels, self._memo, self._continuations, self._candidates):
             cache.clear()
-        for pos, ch in enumerate(text):
-            for length in range(self.order):
-                if pos - length < 0:
-                    break
-                context = text[pos - length : pos]
-                table = self._tables[length].setdefault(context, {})
-                table[ch] = table.get(ch, 0) + 1
+        for length, table in enumerate(self._tables):
+            grams = Counter()
+            for text in texts:
+                grams.update(zip(*[text[i:] for i in range(length + 1)]))
+            for gram, count in grams.items():
+                counts = table.setdefault("".join(gram[:-1]), {})
+                counts[gram[-1]] = counts.get(gram[-1], 0) + count
 
     # -- probabilities ----------------------------------------------------
 
@@ -276,21 +279,41 @@ class CharNgramModel:
         """Score a dataset-notation candidate against a dataset-notation context.
 
         Candidates use the underscore marker for a leading space and the
-        literal end marker for end-of-sequence; contexts may embed the end
-        marker mid-string (corruption rows). Scores are memoized per
-        (context suffix, encoded candidate).
+        literal end marker, as the whole syllable, for end-of-sequence;
+        contexts may embed the end marker mid-string (corruption rows). The
+        reserved character the end marker encodes to is rejected in both.
+        Scores are memoized per (context suffix, encoded candidate).
         """
-        encoded_context = _encode(context, self._alphabet_set)
-        if candidate.startswith("_"):
-            body = candidate[1:]
-            encoded = " " + (EOS_CHAR if body == EOS_TEXT else _encode(body, self._alphabet_set))
-        elif candidate == EOS_TEXT:
-            encoded = EOS_CHAR
+        if EOS_CHAR in context + candidate:
+            raise ValueError(f"character {EOS_CHAR!r} is reserved for {EOS_TEXT}")
+        encoded_context = encode_text(context, self._alphabet_set)
+        spaced = candidate.startswith("_")
+        body = candidate[spaced:]
+        if body == EOS_TEXT:
+            body = EOS_CHAR
+        elif not body:
+            raise ValueError("no syllable after '_'" if spaced else "candidate must be non-empty")
         else:
-            encoded = _encode(candidate, self._alphabet_set)
-        if not encoded:
-            raise ValueError("candidate must be non-empty")
-        return self._scored(self._suffix(encoded_context), encoded)
+            _check_chars(body, self._alphabet_set)
+        return self._scored(self._suffix(encoded_context), " " + body if spaced else body)
+
+    def score_nsp_rows(self, rows: Iterable) -> list[tuple[float, int]]:
+        """(nsp_score, label) of each row `nsp.read_nsp_tsv` returned. Those rows
+        are in the dataset grammar, which encodes to the default alphabet; while
+        the model's covers it, each run of equal contexts is encoded once and no
+        candidate is checked again."""
+        if not self._alphabet_set.issuperset(DEFAULT_ALPHABET):
+            return [(self.nsp_score(context, candidate), label) for context, candidate, label in rows]
+        scored = []
+        memo = self._continuations
+        last = suffix = None
+        for context, candidate, label in rows:
+            if context != last:
+                last, suffix = context, self._suffix(context.replace(EOS_TEXT, EOS_CHAR))
+            text = candidate.replace("_", " ").replace(EOS_TEXT, EOS_CHAR)
+            score = memo.get((suffix, text))  # _scored's lookup, inlined
+            scored.append((self._scored(suffix, text) if score is None else score, label))
+        return scored
 
     # -- persistence ------------------------------------------------------
 
@@ -339,11 +362,11 @@ def train_char_ngram(
     texts: Sequence[str], order: int, k: float, alphabet: str = DEFAULT_ALPHABET
 ) -> CharNgramModel:
     """Count n-grams of every text into a fresh model."""
+    texts = list(texts)
     if not texts:
         raise ValueError("empty training corpus")
     model = CharNgramModel(order, k, alphabet)
-    for text in texts:
-        model.add_text(text)
+    model._add_texts(texts)
     return model
 
 
@@ -375,16 +398,16 @@ def nsp_metrics(scored: Sequence[tuple[float, int]], threshold: float = 0.5) -> 
     if n_pos == 0 or n_neg == 0:
         return {"accuracy": accuracy, "auc": float("nan")}
 
-    ordered = sorted(scored, key=lambda item: item[0])
+    ordered = sorted(scored, key=itemgetter(0))
+    # one pass over the tie groups, each adding its midrank once per positive
     rank_sum_pos = 0.0
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j][0] == ordered[i][0]:
-            j += 1
-        midrank = (i + 1 + j) / 2.0
-        rank_sum_pos += midrank * sum(1 for _, label in ordered[i:j] if label == 1)
-        i = j
+    start, first, positives = 0, ordered[0][0], 0
+    for i, (score, label) in enumerate(ordered):
+        if score != first:
+            rank_sum_pos += (start + 1 + i) / 2.0 * positives
+            start, first, positives = i, score, 0
+        positives += label == 1
+    rank_sum_pos += (start + 1 + len(ordered)) / 2.0 * positives
     auc = (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return {"accuracy": accuracy, "auc": auc}
 

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .corpus import EOS_TEXT, LyricSequence, SyllableToken
@@ -33,17 +35,19 @@ from .rng import SplitMix64, substream
 # character. A candidate `_<eos>` is the end marker with its spacing flipped.
 _CONTEXT_RE = re.compile(r"[a-z' ]*(?:<eos>[a-z' ]*)*")
 _CANDIDATE_RE = re.compile(r"_?(?:[a-z']+|<eos>)")
+# a whole row in one match, so that a valid line costs one regex call
+_ROW_RE = re.compile(f"({_CONTEXT_RE.pattern})\t({_CANDIDATE_RE.pattern})\t([01])\n?")
 
 
-@dataclass(frozen=True)
-class NspExample:
-    context: str
-    candidate: str
-    label: int
+class NspExample(namedtuple("NspExample", "context candidate label")):
+    """One dataset row; a tuple, so it compares equal to (context, candidate, label)."""
 
-    def __post_init__(self) -> None:
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
+    __slots__ = ()
+
+    def __new__(cls, context: str, candidate: str, label: int) -> "NspExample":
+        if label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {label!r}")
+        return tuple.__new__(cls, (context, candidate, label))
 
 
 @dataclass(frozen=True)
@@ -77,14 +81,9 @@ def corrupted_context(
     joined to its neighbours according to `spaced`; all other syllables
     keep their own word boundaries.
     """
-    out = []
-    for i, tok in enumerate(syllables):
-        text = replacement if i == slot else tok.text
-        word_initial = spaced if i == slot else tok.word_initial
-        if i > 0 and word_initial:
-            out.append(" ")
-        out.append(text)
-    return "".join(out)
+    pieces = [(tok.text, tok.word_initial) for tok in syllables]
+    pieces[slot] = (replacement, spaced)
+    return "".join(" " + text if i and initial else text for i, (text, initial) in enumerate(pieces))
 
 
 def build_examples_for_lyric(
@@ -109,15 +108,13 @@ def build_examples_for_lyric(
     for i in range(1, len(syllables) + 1):
         last = syllables[i - 1]
         context += " " + last.text if i > 1 and last.word_initial else last.text
-        if i < len(syllables):
-            true_text, true_spaced = syllables[i].text, syllables[i].word_initial
-        else:
-            true_text, true_spaced = EOS_TEXT, False
+        true = occurrences[i]  # the end marker at the final position
+        true_text, true_spaced = true
         true_candidate = candidate_marker(true_text, true_spaced)
 
         examples.append(NspExample(context, true_candidate, 1))
 
-        pool = [occ for occ in occurrences if occ != (true_text, true_spaced)]
+        pool = [occ for occ in occurrences if occ != true]
         rand_text, rand_spaced = pool[rng.randrange(len(pool))]
         examples.append(NspExample(context, candidate_marker(rand_text, rand_spaced), 0))
 
@@ -144,15 +141,13 @@ def build_dataset(
     """Stream every lyric's rows to `sink` in lyric order; return counts."""
     if not corpus:
         raise ValueError("empty corpus")
-    positives = negatives = 0
+    positives = total = 0
     for index, lyric in enumerate(corpus):
         for example in build_examples_for_lyric(lyric, config, substream(config.seed, index)):
             sink(example)
-            if example.label == 1:
-                positives += 1
-            else:
-                negatives += 1
-    return {"positives": positives, "negatives": negatives, "total": positives + negatives}
+            positives += example.label
+            total += 1
+    return {"positives": positives, "negatives": total - positives, "total": total}
 
 
 def expected_dataset_size(corpus: Sequence[LyricSequence], config: BuilderConfig) -> tuple[float, float]:
@@ -184,8 +179,13 @@ def read_nsp_tsv(path) -> list[NspExample]:
     Raises ValueError naming the first bad line otherwise.
     """
     examples = []
+    make = partial(tuple.__new__, NspExample)  # _ROW_RE has checked the label
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            row = _ROW_RE.fullmatch(line)
+            if row and row[1]:
+                examples.append(make((row[1], row[2], int(row[3]))))
+                continue
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -197,7 +197,6 @@ def read_nsp_tsv(path) -> list[NspExample]:
                 raise ValueError(f"line {lineno}: bad label {label!r}")
             if not (context and _CONTEXT_RE.fullmatch(context)):
                 raise ValueError(f"line {lineno}: bad context {context!r}")
-            if not _CANDIDATE_RE.fullmatch(candidate):
-                raise ValueError(f"line {lineno}: bad candidate {candidate!r}")
-            examples.append(NspExample(context, candidate, int(label)))
+            # three columns, a good label and context: _ROW_RE failed on the candidate
+            raise ValueError(f"line {lineno}: bad candidate {candidate!r}")
     return examples

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from syllabeam.corpus import (
@@ -67,6 +68,22 @@ def make_corpus(
     return [
         make_pair(rnd, rnd.randint(min_syllables, max_syllables)) for _ in range(n_pairs)
     ]
+
+
+# 84 onset-vowel-coda syllables, for corpora whose words start at random
+SYLLABLES = ["".join(parts) for parts in itertools.product("bdklmst", ("a", "ee", "o", "ou"), ("", "n", "r"))]
+
+
+def random_syllable_corpus(n_pairs: int, seed: int) -> list[AlignedPair]:
+    """Lyrics of 6-20 syllables drawn from SYLLABLES, each after the first
+    starting a word at a coin flip."""
+    rnd = random.Random(seed)
+    pairs = []
+    for _ in range(n_pairs):
+        texts = rnd.choices(SYLLABLES, k=rnd.randint(6, 20))
+        tokens = tuple(SyllableToken(t, i == 0 or rnd.random() < 0.5) for i, t in enumerate(texts))
+        pairs.append(AlignedPair(make_melody(rnd, len(tokens)), LyricSequence(tokens)))
+    return pairs
 
 
 class DistributionOnly:

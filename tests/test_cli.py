@@ -314,6 +314,16 @@ class TestEvaluate:
         for key in ("rouge1", "rouge2", "rougeL", "bleu2", "bleu3", "bleu4"):
             assert 0.0 <= report[key] <= 1.0
 
+    def test_reference_without_syllables_names_its_line(self, tmp_path, capsys):
+        cand = tmp_path / "cand.txt"
+        ref = tmp_path / "ref.txt"
+        cand.write_text("la _mi\nfa _re\n")
+        ref.write_text("la _mi\n<eos>\n")
+        code = main(["evaluate", "--candidates", str(cand), "--references", str(ref)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {ref}:2: reference must have at least one syllable\n"
+
     def test_table_output(self, tmp_path, capsys):
         cand = tmp_path / "cand.txt"
         ref = tmp_path / "ref.txt"
@@ -392,6 +402,33 @@ class TestEmitPrompt:
         args = self.make_sets(tmp_path)[:4]
         code, _ = run(capsys, ["emit-prompt", *args])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "lines, lineno, message",
+        [
+            ("la mi\nLA bad\xa0x\n", 2, "illegal syllable text: 'LA'"),
+            ("\nla <eos> mi\n", 2, "<eos> only allowed at end of line"),
+            ("la\n\n  \nla\tmi\nmi\u2003so\n", 5, "illegal syllable text: 'mi\\u2003so'"),
+        ],
+    )
+    def test_bad_lyric_line_names_its_line(self, tmp_path, capsys, lines, lineno, message):
+        args = self.make_sets(tmp_path)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(lines, encoding="utf-8")
+        args[3] = f"baseline={bad}"
+        code = main(["emit-prompt", *args])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {bad}:{lineno}: {message}\n"
+
+    def test_lines_are_copied_as_written(self, tmp_path, capsys):
+        args = self.make_sets(tmp_path)
+        odd = tmp_path / "odd.txt"
+        odd.write_text("\n la  _mi\tso <eos>\n\n  \nfa\n", encoding="utf-8")
+        args[3] = f"baseline={odd}"
+        code, stdout = run(capsys, ["emit-prompt", *args])
+        assert code == 0
+        assert "=== baseline ===\n la  _mi\tso <eos>\nfa\n\n=== fused ===" in stdout
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "prompt.txt"

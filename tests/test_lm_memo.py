@@ -265,3 +265,23 @@ def test_candidates_hit_still_checks_the_context(order, cached, bad, message):
     for _ in range(2):
         assert error_of(model.score_candidates, bad, syllables) == message
         assert error_of(model.score_with_spacing, bad, EOS_TEXT) == message
+
+
+@pytest.mark.parametrize(
+    "bad, scored_as, message",
+    [
+        (("la", "$"), ("la", "$"), "character '$' is reserved for <eos>"),
+        (("la", "_$"), ("la", " $"), "character '$' is reserved for <eos>"),
+        (("la$", "_ve"), ("la$", " ve"), "character '$' is reserved for <eos>"),
+        (("ab lo", "_"), ("ab lo", " "), "no syllable after '_'"),
+        (("ab lo", "ve<eos>"), ("ab lo", "ve$"), "character '<' at position 2 not in alphabet"),
+        (("ab lo", "_ve_"), ("ab lo", " ve"), "character '_' at position 2 not in alphabet"),
+    ],
+)
+def test_nsp_score_rejects_text_outside_the_dataset_notation(bad, scored_as, message):
+    # `scored_as` is the continuation the bad query was once scored as; the
+    # second round finds it in the memo
+    model = train_char_ngram(corpus_texts(10, seed=29), 4, 0.1)
+    for _ in range(2):
+        assert error_of(model.nsp_score, *bad) == message
+        model.score_continuation(*scored_as)

@@ -151,3 +151,18 @@ def test_warm_model_matches_fresh_load_and_naive_walker(order, k, memo_limit, fi
         assert expected == answers(NaiveWalker(first + added, order, k), after + before)
         for cache in (model._levels, model._memo, model._continuations, model._candidates):
             assert len(cache) <= memo_limit
+
+
+@pytest.mark.parametrize("k", [0.0, 0.1, 2.5])
+@pytest.mark.parametrize("order", [1, 2, 4])
+@settings(max_examples=25, deadline=None)
+@given(training=texts, asked=st.lists(contexts, min_size=1, max_size=10))
+def test_conditional_distribution_sums_to_one(order, k, training, asked):
+    model = CharNgramModel(order, k)
+    for text in training:
+        model.add_text(text)
+    for context in asked:
+        distribution = model.conditional_distribution(context)
+        assert list(distribution) == list(DEFAULT_ALPHABET)
+        assert all(p >= 0.0 for p in distribution.values())
+        assert math.fsum(distribution.values()) == pytest.approx(1.0, rel=0, abs=1e-12)
