@@ -160,24 +160,31 @@ def expand_step(
 def _step(beams: Sequence[Beam], seams: tuple, melody, t: int, config) -> list[Beam]:
     key = seams[0].history_key
     hyps = [(b.cumulative, b.finished, b.rendered, key(b.tokens), b) for b in beams]
-    return [_public(hyp) for hyp in _search(hyps, seams, melody, t, config)]
+    return [_public(hyp, {}) for hyp in _search(hyps, seams, melody, t, config)]
 
 
-def _public(hyp: tuple) -> Beam:
-    """A hypothesis as a `Beam`, its tokens and trace unwound from its node."""
+def _public(hyp: tuple, memo: dict) -> Beam:
+    """A hypothesis as a `Beam`, its tokens and trace unwound from its node.
+    `memo` keeps each unwound node's (token, trace step) by the node's id, so
+    hypotheses sharing a prefix build its objects once; the nodes it names
+    must outlive it, or a new node could reuse an id."""
     cumulative, finished, rendered, _, node = hyp
-    tokens, trace = [], []
+    made = []
     while type(node) is tuple:
-        node, (_, _, _, text, prob, scored, contribution) = node
-        end = text == EOS_TEXT
-        variant = UNSPACED if end else SPACED if scored is None else scored.chosen_variant
-        tokens.append(_END if end else SyllableToken(text, variant == SPACED))
-        lm_score = None if scored is None else scored.value
-        trace.append(TraceStep(prob, lm_score, variant, contribution))
-    if not tokens:  # passed through unchanged
+        step = memo.get(id(node))
+        if step is None:
+            _, _, _, text, prob, scored, contribution = node[1]
+            end = text == EOS_TEXT
+            variant = UNSPACED if end else SPACED if scored is None else scored.chosen_variant
+            token = _END if end else SyllableToken(text, variant == SPACED)
+            lm_score = None if scored is None else scored.value
+            step = memo[id(node)] = token, TraceStep(prob, lm_score, variant, contribution)
+        made.append(step)
+        node = node[0]
+    if not made:  # passed through unchanged
         return node
-    tokens, trace = node.tokens + tuple(tokens[::-1]), node.trace + tuple(trace[::-1])
-    return Beam(tokens, rendered, cumulative, finished, trace)
+    tokens, trace = zip(*made[::-1])
+    return Beam(node.tokens + tokens, rendered, cumulative, finished, node.trace + trace)
 
 
 def _search(hyps: list, seams: tuple, melody: MelodySequence, t: int, config: FusionConfig) -> list:
@@ -195,9 +202,16 @@ def _search(hyps: list, seams: tuple, melody: MelodySequence, t: int, config: Fu
 
     # pool entries: (-cumulative, parent index, candidate id, text, generator
     # prob, LM score or None, contribution), in natural order; id -1 keeps a
-    # frozen hypothesis ahead of same-score expansions of its parent
+    # frozen hypothesis ahead of same-score expansions of its parent. A full
+    # pool keeps its best `width`, and a candidate worse than the last one is
+    # skipped unbuilt; a tie is kept and left to the sort's (parent, id) order.
     pool: list[tuple] = []
+    bound = math.inf
     for parent, (base, finished, rendered, key, _) in enumerate(hyps):
+        if len(pool) >= width:
+            pool.sort()
+            del pool[width:]
+            bound = pool[-1][0]
         if finished:
             pool.append((-base, parent, -1))
             continue
@@ -211,7 +225,9 @@ def _search(hyps: list, seams: tuple, melody: MelodySequence, t: int, config: Fu
         scores = batch(rendered, top[0]) if note is not None else (single(rendered, EOS_TEXT),)
         for text, prob, cid, scored in zip(*top, scores):
             contribution = lambda_gen * prob + lambda_lm * scored.value
-            pool.append((-(base + contribution), parent, cid, text, prob, scored, contribution))
+            cost = -(base + contribution)
+            if cost <= bound:
+                pool.append((cost, parent, cid, text, prob, scored, contribution))
 
     pool.sort()
     kept = []
@@ -249,8 +265,8 @@ def decode(melody: MelodySequence, generator, lm, config: FusionConfig) -> list[
         if all(hyp[1] for hyp in hyps):
             break
         hyps = _search(hyps, seams, melody, t, config)
-    results = []
-    for beam in map(_public, hyps):
+    results, memo = [], {}
+    for beam in (_public(hyp, memo) for hyp in hyps):
         tokens = beam.tokens if beam.finished else beam.tokens + (_END,)
         results.append(DecodeResult(LyricSequence(tokens), beam.cumulative, beam.trace))
     return sorted(results, key=lambda result: -result.cumulative)  # stable: ties keep beam order

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from typing import NamedTuple, Optional, Sequence
 
 from . import modelfile
@@ -142,27 +143,32 @@ class MelodyConditionedNgram:
 
     bucket = staticmethod(bucket_note)
 
-    def _count(self, hist_key: tuple[str, ...], bucket: Optional[NoteBucket], target: str) -> None:
-        for table, key in (
-            (self._by_hist_bucket, (hist_key, bucket)),
-            (self._by_hist, hist_key),
-            (self._by_bucket, bucket),
-        ):
-            slot = table.setdefault(key, {})
-            slot[target] = slot.get(target, 0) + 1
-        self._unigram[target] = self._unigram.get(target, 0) + 1
-
     def add_pair(self, pair: AlignedPair) -> None:
-        tokens = pair.lyric.syllables()
-        for tok in tokens:
-            if tok.text not in self.vocab:
-                raise ValueError(f"syllable {tok.text!r} not in vocabulary")
+        self._add_pairs([pair])
+
+    def _add_pairs(self, pairs: Sequence[AlignedPair]) -> None:
+        """add_pair of every pair, once all passed their check: the pairs'
+        (history, bucket, syllable) events are tallied with one Counter, then
+        each distinct event is added to the four tables."""
+        for pair in pairs:
+            for tok in pair.lyric.syllables():
+                if tok.text not in self.vocab:
+                    raise ValueError(f"syllable {tok.text!r} not in vocabulary")
         self._rankings.clear()
-        key = self.history_key(())
-        for tok, note in zip(tokens, pair.melody.notes):
-            self._count(key, bucket_note(note), tok.text)
-            key = self.next_key(key, tok.text, tok.word_initial)
-        self._count(key, None, EOS_TEXT)
+        events = Counter()
+        for pair in pairs:
+            # each history key is a window of the BOS-padded texts
+            texts = [BOS_TEXT] * self.history + [tok.text for tok in pair.lyric.syllables()] + [EOS_TEXT]
+            keys = zip(*[texts[i:] for i in range(self.history)])
+            events.update(zip(keys, [*map(bucket_note, pair.melody.notes), None], texts[self.history :]))
+        for (hist, bucket, target), n in events.items():
+            for slot in (
+                self._by_hist_bucket.setdefault((hist, bucket), {}),
+                self._by_hist.setdefault(hist, {}),
+                self._by_bucket.setdefault(bucket, {}),
+                self._unigram,
+            ):
+                slot[target] = slot.get(target, 0) + n
 
     def _ranking(self, key: tuple[str, ...], bucket: Optional[NoteBucket]) -> _Ranking:
         """The ranked count table that serves a query: the first non-empty
@@ -233,9 +239,6 @@ class MelodyConditionedNgram:
     def save(self, path) -> None:
         """Write the model; rows are in the order of their keys' JSON text."""
 
-        def sorted_counts(counts: dict[str, int]) -> dict[str, int]:
-            return dict(sorted(counts.items()))
-
         # Each sort key is the JSON text of the row's key, built without the
         # encoder: vocabulary entries need no JSON escapes, so a history's
         # text is a join, and each distinct bucket is encoded once.
@@ -250,23 +253,23 @@ class MelodyConditionedNgram:
             "k": self.k,
             "vocabulary": list(self.vocab.syllable_texts()),
             "hist_bucket": [
-                [list(hist), self._bucket_json(bucket), sorted_counts(counts)]
+                [list(hist), self._bucket_json(bucket), counts]
                 for (hist, bucket), counts in sorted(
                     self._by_hist_bucket.items(),
                     key=lambda item: f"[{hist_text(item[0][0])}, {bucket_text[item[0][1]]}]",
                 )
             ],
             "hist": [
-                [list(hist), sorted_counts(counts)]
+                [list(hist), counts]
                 for hist, counts in sorted(self._by_hist.items(), key=lambda item: hist_text(item[0]))
             ],
             "bucket": [
-                [self._bucket_json(bucket), sorted_counts(counts)]
+                [self._bucket_json(bucket), counts]
                 for bucket, counts in sorted(
                     self._by_bucket.items(), key=lambda item: bucket_text[item[0]]
                 )
             ],
-            "unigram": sorted_counts(self._unigram),
+            "unigram": self._unigram,
         }
         modelfile.save(path, _FORMAT, _VERSION, fields)
 
@@ -344,6 +347,5 @@ def train_generator(
     if not corpus:
         raise ValueError("empty corpus")
     model = MelodyConditionedNgram(vocab, history, k)
-    for pair in corpus:
-        model.add_pair(pair)
+    model._add_pairs(corpus)
     return model

@@ -318,11 +318,8 @@ class CharNgramModel:
     # -- persistence ------------------------------------------------------
 
     def save(self, path) -> None:
-        tables = [
-            {ctx: dict(sorted(counts.items())) for ctx, counts in sorted(level.items())}
-            for level in self._tables
-        ]
-        fields = {"order": self.order, "k": self.k, "alphabet": self.alphabet, "tables": tables}
+        # the codec's sort_keys orders every context and character
+        fields = {"order": self.order, "k": self.k, "alphabet": self.alphabet, "tables": self._tables}
         modelfile.save(path, _FORMAT, _VERSION, fields)
 
     @classmethod

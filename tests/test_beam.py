@@ -343,6 +343,64 @@ class TestExpandStep:
                 tuple(t.text for t in b.tokens) for b in base
             ]
 
+    def tie_heavy_instance(self, rnd):
+        # every candidate gets the same contribution: the uniform generator's
+        # probability at lambda_lm 0, the constant LM's score at lambda_lm 1,
+        # where the generator's random ranking puts candidate ids out of
+        # order. Cumulatives on a grid of quarters sum exactly, so parents,
+        # children and frozen beams tie with one another at the cut.
+        texts = ["la", "mi", "so", "fa", "re"][: rnd.randint(1, 5)]
+        vocab = Vocabulary(texts)
+        emittable = vocab.emittable()
+        lambda_lm = rnd.choice([0.0, 1.0])
+        weights = [1.0 if lambda_lm == 0 else rnd.random() for _ in emittable]
+        gen = StubGenerator(vocab, {}, default={t: w / sum(weights) for t, w in zip(emittable, weights)})
+        config = FusionConfig(
+            beam_size=rnd.randint(1, 3 * len(emittable) + 2), lambda_lm=lambda_lm, lambda_gen=1.0 - lambda_lm
+        )
+        parents = [
+            word_beam(rnd.choices(texts, k=rnd.randint(1, 3)), rnd.choice([0.25, 0.5, 0.75, 1.0]), rnd.random() < 0.3)
+            for _ in range(rnd.randint(1, 6))
+        ]
+        if all(p.finished for p in parents):
+            parents.append(word_beam(texts[:1], 0.5))
+        rnd.shuffle(parents)  # parents arrive in no particular score order
+        return parents, gen, ConstantLM(0.5), config
+
+    def test_matches_reference_when_ties_decide_the_cut(self):
+        rnd = random.Random(20261018)
+        ties_at_cut = 0
+        for _ in range(300):
+            parents, gen, lm, config = self.tie_heavy_instance(rnd)
+            melody = melody_of(4)
+            t = rnd.choice([1, 2, 3, 4, 6])  # 4 and 6 are past the final note
+            got = expand_step(parents, gen, lm, melody, t, config)
+            want = reference_expand(parents, gen, lm, melody, t, config)
+            assert project(got) == want
+            if t >= 4:
+                assert all(b.finished for b in got)
+            # the pool is larger than the beam and the kept scores tie at the cut
+            per_parent = 1 if t >= 4 else config.beam_size
+            pool = sum(1 if p.finished else min(per_parent, len(gen.vocab.emittable())) for p in parents)
+            ties_at_cut += pool > len(got) > 1 and got[-1].cumulative == got[-2].cumulative
+        assert ties_at_cut > 50
+
+    def test_frozen_beams_tie_expansions_in_any_parent_order(self):
+        vocab = Vocabulary(["la", "mi"])
+        gen = StubGenerator(vocab, {}, default={"la": 0.25, "mi": 0.25, EOS_TEXT: 0.5})
+        config = FusionConfig(beam_size=4, lambda_lm=1.0, lambda_gen=0.0)
+        # every expansion of an open 0.5 parent reaches 1.0, as do the frozen beams
+        parents = [
+            word_beam(["mi"], 1.0, finished=True),
+            word_beam(["la"], 0.5),
+            word_beam(["la", "la"], 1.0, finished=True),
+            word_beam(["mi", "la"], 0.5),
+        ]
+        for order in itertools.permutations(parents):
+            got = expand_step(list(order), gen, ConstantLM(0.5), melody_of(3), 1, config)
+            assert project(got) == reference_expand(list(order), gen, ConstantLM(0.5), melody_of(3), 1, config)
+            assert [b.cumulative for b in got] == [1.0] * 4
+
     def test_finished_beam_passes_through_and_wins_tie(self):
         vocab = Vocabulary(["la", "mi"])
         gen = StubGenerator(vocab, {}, default={"la": 0.4, "mi": 0.4, EOS_TEXT: 0.2})

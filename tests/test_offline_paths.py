@@ -1,7 +1,8 @@
 """The offline pipeline's fast paths give what their one-at-a-time forms give.
 
 `train_char_ngram` and `add_text` count each level over all texts at once,
-`nsp-eval` scores rows `read_nsp_tsv` has proven through `score_nsp_rows`,
+`train_generator` and `add_pair` tally (history, bucket, syllable) events
+before adding them to the four generator tables, `nsp-eval` scores rows `read_nsp_tsv` has proven through `score_nsp_rows`,
 `nsp_metrics` counts each tie group in one pass, and `load_aligned_corpus`
 shares equal tokens and notes. Each is checked against the form it replaced.
 """
@@ -14,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syllabeam.cli import main
-from syllabeam.corpus import load_aligned_corpus, render_text, write_aligned_corpus
+from syllabeam.corpus import (
+    BOS_TEXT,
+    EOS_TEXT,
+    build_vocabulary,
+    load_aligned_corpus,
+    render_text,
+    write_aligned_corpus,
+)
+from syllabeam.generator import MelodyConditionedNgram, bucket_note, train_generator
 from syllabeam.lm import (
     DEFAULT_ALPHABET,
     EOS_CHAR,
@@ -62,6 +71,51 @@ def test_train_char_ngram_counts_what_add_text_counts(tmp_path_factory, texts, o
 def test_train_char_ngram_rejects_the_first_bad_text_as_add_text_does():
     with pytest.raises(ValueError, match=r"^character 'X' at position 1 not in alphabet$"):
         train_char_ngram(["ab", "aXb", "a?"], 3, 0.1)
+
+
+def per_event_counts(pairs, history):
+    """The four generator tables as add_pair once counted them: one
+    (history, bucket, syllable) event and one table at a time."""
+    hist_bucket, hist, bucket, unigram = {}, {}, {}, {}
+    for pair in pairs:
+        texts = [BOS_TEXT] * history
+        events = [(tok.text, bucket_note(note)) for tok, note in zip(pair.lyric.syllables(), pair.melody.notes)]
+        for text, note_bucket in events + [(EOS_TEXT, None)]:
+            key = tuple(texts[-history:])
+            for table, table_key in ((hist_bucket, (key, note_bucket)), (hist, key), (bucket, note_bucket)):
+                slot = table.setdefault(table_key, {})
+                slot[text] = slot.get(text, 0) + 1
+            unigram[text] = unigram.get(text, 0) + 1
+            texts.append(text)
+    return hist_bucket, hist, bucket, unigram
+
+
+def generator_tables(model):
+    return model._by_hist_bucket, model._by_hist, model._by_bucket, model._unigram
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    pairs=st.integers(1, 12),
+    kind=st.sampled_from(["words", "syllables"]),
+    history=st.integers(1, 4),
+)
+def test_train_generator_counts_what_add_pair_counts(tmp_path_factory, seed, pairs, kind, history):
+    if kind == "words":
+        corpus = make_corpus(pairs, seed=seed, min_syllables=1, max_syllables=8)
+    else:
+        corpus = random_syllable_corpus(pairs, seed=seed)
+    vocab = build_vocabulary([p.lyric for p in corpus])
+    trained = train_generator(corpus, vocab, history, 0.1)
+    added = MelodyConditionedNgram(vocab, history, 0.1)
+    for pair in corpus:
+        added.add_pair(pair)
+    assert generator_tables(trained) == generator_tables(added) == per_event_counts(corpus, history)
+    tmp = tmp_path_factory.mktemp("generator")
+    trained.save(tmp / "trained.json")
+    added.save(tmp / "added.json")
+    assert (tmp / "trained.json").read_bytes() == (tmp / "added.json").read_bytes()
 
 
 CORPORA = {
