@@ -128,17 +128,12 @@ def _seams(generator, lm) -> tuple:
 
 
 def first_step(generator, melody: MelodySequence, config: FusionConfig) -> list[Beam]:
-    """The `beam_size` most probable first syllables, generator-only scored.
+    """The `beam_size` most probable first syllables, generator-only scored,
+    or every candidate when there are fewer.
 
     The first syllable always starts a word. Ties break by vocabulary id.
-    Raises ValueError when `beam_size` exceeds the number of candidates:
-    `decode` instead starts with every candidate and grows its beam set
-    through expansion.
     """
-    beams = _step([_ROOT], _seams(generator, None), melody, 0, config)
-    if config.beam_size > len(beams):
-        raise ValueError(f"beam_size {config.beam_size} exceeds {len(beams)} candidates")
-    return beams
+    return _step([_ROOT], _seams(generator, None), melody, 0, config)
 
 
 def expand_step(
@@ -252,10 +247,8 @@ def decode(melody: MelodySequence, generator, lm, config: FusionConfig) -> list[
     Expands until every hypothesis has ended or max_len steps have run;
     a hypothesis still open at the cutoff is closed with an unscored end
     token. Steps past the final note propose only the end token, so no
-    output ever has more syllables than the melody has notes. When
-    beam_size exceeds the candidate count the first step starts with every
-    candidate and the beam set grows through expansion (`first_step`
-    raises instead). Requires an LM unless lambda_lm is 0.
+    output ever has more syllables than the melody has notes. Requires an
+    LM unless lambda_lm is 0.
     """
     if lm is None and config.lambda_lm != 0:
         raise ValueError("an LM is required when lambda_lm > 0")

@@ -41,14 +41,6 @@ def _check_chars(text: str, allowed: frozenset) -> None:
                 raise ValueError(f"character {ch!r} at position {pos} not in alphabet")
 
 
-def _check_candidate(text: str, allowed: frozenset) -> None:
-    """Raise ValueError naming the first character of candidate `text` not in
-    `allowed`, before any of it is scored."""
-    if not allowed.issuperset(text):
-        bad = next(ch for ch in text if ch not in allowed)
-        raise ValueError(f"character {bad!r} not in alphabet")
-
-
 def encode_text(text: str, alphabet: Iterable[str] = DEFAULT_ALPHABET) -> str:
     """Map the literal end marker to its reserved character and validate.
 
@@ -105,9 +97,6 @@ class CharNgramModel:
         self._continuations: dict[tuple[str, str], float] = {}
         # (context suffix, syllables) -> score_candidates result
         self._candidates: dict[tuple[str, tuple[str, ...]], tuple[ContinuationScore, ...]] = {}
-        # (context, its suffix) of the last context that passed its check; one
-        # attribute, so a reader in any thread sees a whole pair
-        self._checked: tuple[str, str] = ("", "")
 
     # -- training ---------------------------------------------------------
 
@@ -184,12 +173,12 @@ class CharNgramModel:
 
     def _scored(self, suffix: str, candidate: str) -> float:
         """score_continuation after a checked context ending in `suffix`,
-        memoized per (suffix, candidate); as in score_with_spacing, only a
-        miss needs to check the candidate."""
+        memoized per (suffix, candidate); a key is stored only once its
+        candidate passed its check, so only a miss needs one."""
         key = (suffix, candidate)
         score = self._continuations.get(key)
         if score is None:
-            _check_candidate(candidate, self._alphabet_set)
+            _check_chars(candidate, self._alphabet_set)
             if len(self._continuations) >= MEMO_LIMIT:
                 self._continuations.clear()
             score = self._continuations[key] = self._continuation(suffix, candidate)
@@ -215,16 +204,6 @@ class CharNgramModel:
                 suffix = (suffix + ch)[-keep:]
         return math.exp(log_sum / len(candidate))
 
-    def _checked_suffix(self, context: str) -> str:
-        """The suffix of `context`, checked unless it is the last one kept."""
-        checked = self._checked
-        if checked[0] is context:
-            return checked[1]
-        _check_chars(context, self._alphabet_set)
-        suffix = self._suffix(context)
-        self._checked = (context, suffix)
-        return suffix
-
     def score_with_spacing(self, context: str, syllable_text: str) -> ContinuationScore:
         """Score both renderings of a syllable and keep the better one.
 
@@ -232,37 +211,41 @@ class CharNgramModel:
         Ties break to the unspaced variant. Results are memoized per
         (last order-1 context characters, syllable).
         """
-        if not syllable_text:
-            raise ValueError("syllable must be non-empty")
+        _check_chars(context, self._alphabet_set)
+        return self._scored_spacing(context, self._suffix(context), syllable_text)
+
+    def _scored_spacing(self, context: str, suffix: str, syllable_text: str) -> ContinuationScore:
+        """score_with_spacing after checked `context`, which ends in `suffix`.
+        A key holds the whole syllable and is stored only once the syllable
+        passed its check, so only a miss needs one."""
         if syllable_text == EOS_TEXT and not context:
             raise ValueError("end marker needs a non-empty context")
-        key = (self._checked_suffix(context), syllable_text)
+        key = (suffix, syllable_text)
         score = self._memo.get(key)
         if score is None:
-            # a key holds the whole syllable and is stored only once the
-            # syllable passed this check, so a hit needs no second one; the
-            # syllable and a space are every character either variant scores
+            if not syllable_text:
+                raise ValueError("syllable must be non-empty")
+            # the syllable and a space are every character either variant scores
             chars = EOS_CHAR if syllable_text == EOS_TEXT else syllable_text + " "
-            _check_candidate(chars, self._alphabet_set)
+            _check_chars(chars, self._alphabet_set)
             if len(self._memo) >= MEMO_LIMIT:
                 self._memo.clear()
-            score = self._memo[key] = self._score_spacing(key[0], syllable_text)
+            score = self._memo[key] = self._score_spacing(suffix, syllable_text)
         return score
 
     def score_candidates(self, context: str, syllables: tuple[str, ...]) -> tuple:
         """`score_with_spacing` of each syllable against one context, memoized
         per (context suffix, syllables). A result is stored only once every
         syllable passed its checks, so a hit checks the context alone."""
+        _check_chars(context, self._alphabet_set)
         key = (self._suffix(context), syllables)
         scores = self._candidates.get(key)
         if scores is None:
-            scores = tuple([self.score_with_spacing(context, text) for text in syllables])
+            scores = tuple([self._scored_spacing(context, key[0], text) for text in syllables])
             if len(self._candidates) >= MEMO_LIMIT:
                 self._candidates.clear()
             self._candidates[key] = scores
-        elif context:
-            self._checked_suffix(context)
-        elif EOS_TEXT in syllables:
+        elif not context and EOS_TEXT in syllables:
             raise ValueError("end marker needs a non-empty context")
         return scores
 

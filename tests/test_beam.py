@@ -215,8 +215,9 @@ class TestFirstStep:
         assert all(b.tokens[0].word_initial for b in beams)
 
     def test_beam_bigger_than_candidates(self):
-        with pytest.raises(ValueError):
-            first_step(self.make_gen(), melody_of(3), FusionConfig(beam_size=6))
+        beams = first_step(self.make_gen(), melody_of(3), FusionConfig(beam_size=6))
+        assert [b.tokens[0].text for b in beams] == ["ba", "da", "fa", "la", "ma"]
+        assert beams == first_step(self.make_gen(), melody_of(3), FusionConfig(beam_size=5))
 
     def test_no_lm_contribution_recorded(self):
         beams = first_step(self.make_gen(), melody_of(3), FusionConfig(beam_size=1))

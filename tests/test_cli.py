@@ -377,6 +377,78 @@ class TestNspEval:
         assert captured.err.count("\n") == 1
 
 
+class TestConfigFile:
+    # command, config value, echoed key, value the file sets, a flag for the
+    # same key, value the flag sets over the file
+    CASES = [
+        ("build-nsp-dataset", "swap_space_rate=0.25", "swap_space_rate", 0.25, ["--swap-space-rate", "0.75"], 0.75),
+        ("train-lm", "order=3", "order", 3, ["--order", "2"], 2),
+        ("train-generator", "history=1", "history", 1, ["--history", "3"], 3),
+        ("generate", "max_len=6", "max_len", 6, ["--max-len", "4"], 4),
+        ("evaluate", "word_level=yes", "word_level", True, ["--word-level"], True),
+        ("evaluate", "word_level=no", "word_level", False, ["--word-level"], True),
+        ("nsp-eval", "scorer=oracle", "scorer", "oracle", ["--scorer", "lm"], "lm"),
+    ]
+
+    @pytest.fixture
+    def argv_of(self, tmp_path, corpus_path, melody_path, models, capsys):
+        lm_path, gen_path = models
+        tsv = str(tmp_path / "data.tsv")
+        assert main(["build-nsp-dataset", "--corpus", corpus_path, "--out", tsv, "--seed", "3"]) == 0
+        capsys.readouterr()
+        lines = tmp_path / "lines.txt"
+        lines.write_text("la _mi _so\nfa _re\n")
+        train = ["--corpus", corpus_path, "--out", str(tmp_path / "out")]
+        return {
+            "build-nsp-dataset": train,
+            "train-lm": train,
+            "train-generator": train,
+            "generate": ["--melody", melody_path, "--generator", gen_path, "--lm", lm_path],
+            "evaluate": ["--candidates", str(lines), "--references", str(lines)],
+            "nsp-eval": ["--dataset", tsv, "--lm", lm_path],
+        }
+
+    @pytest.mark.parametrize("command, line, key, from_file, flag, from_flag", CASES)
+    def test_file_sets_the_default_and_a_flag_wins(
+        self, tmp_path, capsys, argv_of, command, line, key, from_file, flag, from_flag
+    ):
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(line + "\n")
+        argv = [command, *argv_of[command], "--config", str(config_file)]
+        code, stdout = run(capsys, argv)
+        assert code == 0
+        assert header_of(stdout)["config"][key] == from_file
+        code, stdout = run(capsys, argv + flag)
+        assert code == 0
+        assert header_of(stdout)["config"][key] == from_flag
+
+    @pytest.mark.parametrize(
+        "command, line, message",
+        [
+            ("nsp-eval", "scorer=bogus", "error: config key scorer: expected lm or oracle, got 'bogus'"),
+            ("evaluate", "json=maybe", "error: config key json: expected a boolean, got 'maybe'"),
+        ],
+    )
+    def test_bad_value_rejected(self, tmp_path, capsys, argv_of, command, line, message):
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(line + "\n")
+        code = main([command, *argv_of[command], "--config", str(config_file)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == message + "\n"
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_path(self, tmp_path, corpus_path, capsys, kind):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        out = tmp_path / "lm.json"
+        code = main(["train-lm", "--corpus", corpus_path, "--out", str(out), "--config", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err == f"error: config file not found: {path}\n"
+
+
 class TestEmitPrompt:
     def make_sets(self, tmp_path):
         args = []

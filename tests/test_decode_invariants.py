@@ -106,8 +106,6 @@ def test_decode_equals_the_search_rebuilt_step_by_step(
     corpus = make_corpus(pairs, seed=corpus_seed, min_syllables=1, max_syllables=10)
     lm, generator = train(corpus, 3, 0.1, history, 0.1)
     melody = make_melody(random.Random(melody_seed), notes)
-    # first_step needs a beam no wider than the first step's candidates
-    beam_size = min(beam_size, len(generator.vocab.emittable()))
     config = FusionConfig(beam_size, lambda_lm, 1.0 - lambda_lm, max_len)
 
     results = decode(melody, generator, lm, config)

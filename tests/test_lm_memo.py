@@ -101,7 +101,7 @@ def test_invalid_context_raises_after_its_key_was_cached():
         ("ab", "", "syllable must be non-empty"),
         ("", EOS_TEXT, "end marker needs a non-empty context"),
         ("a1", "ba", "character '1' at position 1 not in alphabet"),
-        ("ab", "bA", "character 'A' not in alphabet"),
+        ("ab", "bA", "character 'A' at position 1 not in alphabet"),
     ],
 )
 def test_rejected_queries_keep_their_messages(context, syllable, message):
@@ -120,7 +120,7 @@ def test_out_of_alphabet_candidate_rejected_before_scoring(query):
     for _ in range(2):
         with pytest.raises(ValueError) as info:
             getattr(model, query)("a", "a9")
-        assert str(info.value) == "character '9' not in alphabet"
+        assert str(info.value) == "character '9' at position 1 not in alphabet"
     assert model._memo == {} and model._continuations == {}
 
 
@@ -128,7 +128,7 @@ def test_out_of_alphabet_candidate_rejected_before_scoring(query):
     "query, cached, bad, message",
     [
         ("score_continuation", ("ab lo", "ve"), ("aX lo", "ve"), "character 'X' at position 1 not in alphabet"),
-        ("score_continuation", ("ab lo", "ve"), ("ab lo", "vE"), "character 'E' not in alphabet"),
+        ("score_continuation", ("ab lo", "ve"), ("ab lo", "vE"), "character 'E' at position 1 not in alphabet"),
         ("nsp_score", ("ab lo", "_ve"), ("a? lo", "_ve"), "character '?' at position 1 not in alphabet"),
         ("nsp_score", ("ab lo", "_ve"), ("ab lo", "_vE"), "character 'E' at position 1 not in alphabet"),
         ("nsp_score", ("ab lo", "_ve"), ("ab lo", ""), "candidate must be non-empty"),
@@ -150,7 +150,7 @@ def test_nsp_score_is_memoized_per_suffix_and_candidate():
     assert model.score_continuation("or e", " ver") == first
 
 
-def test_rejected_context_is_never_kept_as_checked():
+def test_rejected_context_fails_again_after_a_valid_one():
     model = train_char_ngram(corpus_texts(10, seed=13), 4, 0.1)
     fresh = train_char_ngram(corpus_texts(10, seed=13), 4, 0.1)
     context, bad = "ab lo", "aX lo"
@@ -164,7 +164,7 @@ def test_rejected_context_is_never_kept_as_checked():
     # a checked context still rejects a bad syllable with the syllable's message
     with pytest.raises(ValueError) as info:
         model.score_with_spacing(context, "vE")
-    assert str(info.value) == "character 'E' not in alphabet"
+    assert str(info.value) == "character 'E' at position 1 not in alphabet"
 
 
 # -- score_candidates --------------------------------------------------------

@@ -183,12 +183,9 @@ def test_first_step_bound_same_through_both_generator_paths():
     vocab = Vocabulary(["la", "li"])
     generator = MelodyConditionedNgram(vocab)
     melody = make_melody(random.Random(17), 3)
-    config = FusionConfig(beam_size=4)
-    messages = []
-    for gen in (generator, DistributionOnly(generator)):
-        with pytest.raises(ValueError, match="exceeds 3 candidates") as info:
-            first_step(gen, melody, config)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
+    # a beam wider than the 3 candidates (la, li and the end token) keeps them all
+    wide = first_step(generator, melody, FusionConfig(beam_size=4))
+    assert len(wide) == 3
+    assert wide == first_step(DistributionOnly(generator), melody, FusionConfig(beam_size=4))
     small = FusionConfig(beam_size=3)
-    assert first_step(generator, melody, small) == first_step(DistributionOnly(generator), melody, small)
+    assert first_step(generator, melody, small) == first_step(DistributionOnly(generator), melody, small) == wide
