@@ -91,10 +91,10 @@ def _load_config_file(path: str, flags: dict) -> dict:
             try:
                 value = cast(value.strip())
             except ValueError as exc:
-                raise UsageError(f"config key {key}: {exc}") from exc
+                raise UsageError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
             if action.choices is not None and value not in action.choices:  # set_defaults skips this
                 expected = " or ".join(action.choices)
-                raise UsageError(f"config key {key}: expected {expected}, got {value!r}")
+                raise UsageError(f"{path}:{lineno}: key {key!r}: expected {expected}, got {value!r}")
             values[key] = value
     return values
 
@@ -226,8 +226,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError(
             f"line count mismatch: {len(candidates)} candidates vs {len(references)} references"
         )
-    if not candidates:
-        raise UsageError("no evaluation pairs")
 
     texts = enumerate(zip(candidates, references), start=1)
     pairs = [_at_line(ref_path, n, EvalPair, cand, ref) for n, (cand, ref) in texts]

@@ -113,7 +113,8 @@ class MelodyConditionedNgram:
     seen its key, with add-k smoothing over the emittable vocabulary, so
     every returned distribution sums to one. A bucket of None stands for
     "past the final note" and is only ever paired with the end token in
-    training data.
+    training data. Only train_generator and load fill the tables, so a
+    table's ranking, built on its first query, never goes stale.
     """
 
     def __init__(self, vocab: Vocabulary, history: int = 2, k: float = 0.1):
@@ -143,33 +144,6 @@ class MelodyConditionedNgram:
 
     bucket = staticmethod(bucket_note)
 
-    def add_pair(self, pair: AlignedPair) -> None:
-        self._add_pairs([pair])
-
-    def _add_pairs(self, pairs: Sequence[AlignedPair]) -> None:
-        """add_pair of every pair, once all passed their check: the pairs'
-        (history, bucket, syllable) events are tallied with one Counter, then
-        each distinct event is added to the four tables."""
-        for pair in pairs:
-            for tok in pair.lyric.syllables():
-                if tok.text not in self.vocab:
-                    raise ValueError(f"syllable {tok.text!r} not in vocabulary")
-        self._rankings.clear()
-        events = Counter()
-        for pair in pairs:
-            # each history key is a window of the BOS-padded texts
-            texts = [BOS_TEXT] * self.history + [tok.text for tok in pair.lyric.syllables()] + [EOS_TEXT]
-            keys = zip(*[texts[i:] for i in range(self.history)])
-            events.update(zip(keys, [*map(bucket_note, pair.melody.notes), None], texts[self.history :]))
-        for (hist, bucket, target), n in events.items():
-            for slot in (
-                self._by_hist_bucket.setdefault((hist, bucket), {}),
-                self._by_hist.setdefault(hist, {}),
-                self._by_bucket.setdefault(bucket, {}),
-                self._unigram,
-            ):
-                slot[target] = slot.get(target, 0) + n
-
     def _ranking(self, key: tuple[str, ...], bucket: Optional[NoteBucket]) -> _Ranking:
         """The ranked count table that serves a query: the first non-empty
         one of (history, bucket), (history), (bucket), unigram."""
@@ -196,17 +170,11 @@ class MelodyConditionedNgram:
             return {text: 1.0 / len(emittable) for text in emittable}
         return {text: (ranking.counts.get(text, 0) + self.k) / denom for text in emittable}
 
-    def top_candidates(
-        self, history: Sequence[SyllableToken], note: Optional[MelodyNote], k: int
-    ) -> list[tuple[str, float]]:
-        """The first `k` entries of `next_distribution` ranked by
-        (-probability, vocabulary id), computed without building it."""
-        texts, probs, _ = self.top_by_key(self.history_key(history), bucket_note(note), k)
-        return list(zip(texts, probs))
-
     def top_by_key(self, key: tuple[str, ...], bucket: Optional[NoteBucket], k: int) -> tuple:
-        """`top_candidates` of the history keyed by `key` and a note bucket,
-        as one cached (texts, probabilities, vocabulary ids) tuple per k."""
+        """The first `k` entries of `next_distribution` after the history keyed
+        by `key` at a note bucket, ranked by (-probability, vocabulary id) and
+        computed without building it, as one cached (texts, probabilities,
+        vocabulary ids) tuple per k."""
         ranking = self._ranking(key, bucket)
         top = ranking.tops.get(k)
         if top is None:
@@ -219,14 +187,9 @@ class MelodyConditionedNgram:
             top = ranking.tops[k] = (texts, probs, tuple(map(self.vocab.id_of, texts)))
         return top
 
-    def prob(self, history: Sequence[SyllableToken], note: Optional[MelodyNote], text: str) -> float:
-        """The `next_distribution` entry of one emittable token."""
-        if text == BOS_TEXT or text not in self.vocab:
-            raise ValueError(f"{text!r} is not an emittable token")
-        return self.prob_by_key(self.history_key(history), bucket_note(note), text)
-
     def prob_by_key(self, key: tuple[str, ...], bucket: Optional[NoteBucket], text: str) -> float:
-        """`prob` of an emittable `text` after the history keyed by `key`."""
+        """The `next_distribution` entry of an emittable `text` after the
+        history keyed by `key` at a note bucket."""
         ranking = self._ranking(key, bucket)
         return ranking.ranked.get(text, ranking.floor)
 
@@ -343,9 +306,28 @@ class MelodyConditionedNgram:
 def train_generator(
     corpus: Sequence[AlignedPair], vocab: Vocabulary, history: int = 2, k: float = 0.1
 ) -> MelodyConditionedNgram:
-    """Count every (history, note bucket) -> syllable event of the corpus."""
+    """A model of every (history, note bucket) -> syllable event of the
+    corpus, once every pair passed its check: the events are tallied with one
+    Counter, then each distinct event is added to the four tables."""
     if not corpus:
         raise ValueError("empty corpus")
     model = MelodyConditionedNgram(vocab, history, k)
-    model._add_pairs(corpus)
+    for pair in corpus:
+        for tok in pair.lyric.syllables():
+            if tok.text not in vocab:
+                raise ValueError(f"syllable {tok.text!r} not in vocabulary")
+    events = Counter()
+    for pair in corpus:
+        # each history key is a window of the BOS-padded texts
+        texts = [BOS_TEXT] * history + [tok.text for tok in pair.lyric.syllables()] + [EOS_TEXT]
+        keys = zip(*[texts[i:] for i in range(history)])
+        events.update(zip(keys, [*map(bucket_note, pair.melody.notes), None], texts[history:]))
+    for (hist, bucket, target), n in events.items():
+        for slot in (
+            model._by_hist_bucket.setdefault((hist, bucket), {}),
+            model._by_hist.setdefault(hist, {}),
+            model._by_bucket.setdefault(bucket, {}),
+            model._unigram,
+        ):
+            slot[target] = slot.get(target, 0) + n
     return model

@@ -73,6 +73,7 @@ class CharNgramModel:
     always reports the proper add-k distribution of the resolved level).
     Every score therefore depends only on the last order-1 characters of
     its context, the context suffix, which keys every cache of the model.
+    Only train_char_ngram and load fill the counts, so no cache goes stale.
     """
 
     def __init__(self, order: int, k: float, alphabet: str = DEFAULT_ALPHABET):
@@ -97,28 +98,6 @@ class CharNgramModel:
         self._continuations: dict[tuple[str, str], float] = {}
         # (context suffix, syllables) -> score_candidates result
         self._candidates: dict[tuple[str, tuple[str, ...]], tuple[ContinuationScore, ...]] = {}
-
-    # -- training ---------------------------------------------------------
-
-    def add_text(self, text: str) -> None:
-        """Count every character of `text`; a text with a character outside
-        the alphabet raises ValueError and changes nothing."""
-        self._add_texts([text])
-
-    def _add_texts(self, texts: Sequence[str]) -> None:
-        """add_text of every text, once all passed their check: each level's
-        (context, char) pairs are counted over all texts at once."""
-        for text in texts:
-            _check_chars(text, self._alphabet_set)
-        for cache in (self._levels, self._memo, self._continuations, self._candidates):
-            cache.clear()
-        for length, table in enumerate(self._tables):
-            grams = Counter()
-            for text in texts:
-                grams.update(zip(*[text[i:] for i in range(length + 1)]))
-            for gram, count in grams.items():
-                counts = table.setdefault("".join(gram[:-1]), {})
-                counts[gram[-1]] = counts.get(gram[-1], 0) + count
 
     # -- probabilities ----------------------------------------------------
 
@@ -341,12 +320,20 @@ class CharNgramModel:
 def train_char_ngram(
     texts: Sequence[str], order: int, k: float, alphabet: str = DEFAULT_ALPHABET
 ) -> CharNgramModel:
-    """Count n-grams of every text into a fresh model."""
+    """A model of every text's n-grams, once every text passed its check:
+    each level's (context, char) pairs are counted over all texts at once."""
     texts = list(texts)
     if not texts:
         raise ValueError("empty training corpus")
     model = CharNgramModel(order, k, alphabet)
-    model._add_texts(texts)
+    for text in texts:
+        _check_chars(text, model._alphabet_set)
+    for length, table in enumerate(model._tables):
+        grams = Counter()
+        for text in texts:
+            grams.update(zip(*[text[i:] for i in range(length + 1)]))
+        for gram, count in grams.items():
+            table.setdefault("".join(gram[:-1]), {})[gram[-1]] = count
     return model
 
 

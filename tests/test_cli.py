@@ -1,8 +1,11 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from syllabeam.cli import main
+from syllabeam.cli import build_parser, main
 from syllabeam.corpus import write_aligned_corpus
 
 from conftest import make_corpus
@@ -324,6 +327,15 @@ class TestEvaluate:
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: {ref}:2: reference must have at least one syllable\n"
 
+    def test_no_pairs_is_usage_error(self, tmp_path, capsys):
+        cand = tmp_path / "cand.txt"
+        ref = tmp_path / "ref.txt"
+        cand.write_text("")
+        ref.write_text("\n\n")  # trailing blank lines are dropped, leaving none
+        code = main(["evaluate", "--candidates", str(cand), "--references", str(ref)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "error: no evaluation pairs\n")
+
     def test_table_output(self, tmp_path, capsys):
         cand = tmp_path / "cand.txt"
         ref = tmp_path / "ref.txt"
@@ -425,8 +437,9 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "command, line, message",
         [
-            ("nsp-eval", "scorer=bogus", "error: config key scorer: expected lm or oracle, got 'bogus'"),
-            ("evaluate", "json=maybe", "error: config key json: expected a boolean, got 'maybe'"),
+            ("nsp-eval", "scorer=bogus", "key 'scorer': expected lm or oracle, got 'bogus'"),
+            ("evaluate", "json=maybe", "key 'json': expected a boolean, got 'maybe'"),
+            ("train-lm", "order=x", "key 'order': not an ASCII decimal int: 'x'"),
         ],
     )
     def test_bad_value_rejected(self, tmp_path, capsys, argv_of, command, line, message):
@@ -435,7 +448,7 @@ class TestConfigFile:
         code = main([command, *argv_of[command], "--config", str(config_file)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err == message + "\n"
+        assert captured.err == f"error: {config_file}:1: {message}\n"
 
     @pytest.mark.parametrize("kind", ["missing", "directory"])
     def test_unreadable_config_path(self, tmp_path, corpus_path, capsys, kind):
@@ -515,3 +528,15 @@ class TestParser:
 
     def test_no_command(self, capsys):
         assert main([]) == 2
+
+    def test_readme_synopsis_lists_every_option(self):
+        """The README's CLI synopsis has one line per command, naming exactly
+        that command's options."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        synopsis = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = {line.split()[1]: line for line in synopsis.splitlines()}
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(lines) == sorted(sub.choices)
+        for command, parser in sub.choices.items():
+            options = {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
+            assert set(re.findall(r"--[a-z-]+", lines[command])) == options - {"--help"}, command

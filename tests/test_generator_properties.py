@@ -2,8 +2,8 @@
 
 Over random corpora, histories 1-3 and smoothing k (0 included, where an
 empty table gives a zero denominator), a trained model and its reloaded copy
-give identical `next_distribution`, `top_candidates` and `prob` answers for
-random (history, note) pairs, asked cold and again from the caches. Each
+give identical `next_distribution`, `top_by_key` and `prob_by_key` answers
+for random (history, note) pairs, asked cold and again from the caches. Each
 distribution covers every emittable entry and sums to 1 under `math.fsum`.
 """
 
@@ -35,10 +35,11 @@ def answers(model, queries, width):
     rows = []
     for history, note in queries:
         distribution = model.next_distribution(history, note)
+        key, bucket = model.history_key(history), model.bucket(note)
         rows.append((
             distribution,
-            model.top_candidates(history, note, width),
-            {text: model.prob(history, note, text) for text in distribution},
+            model.top_by_key(key, bucket, width),
+            {text: model.prob_by_key(key, bucket, text) for text in distribution},
         ))
     return rows
 

@@ -285,20 +285,3 @@ def test_continuation_score_validation():
         ContinuationScore(1.5, SPACED)
     with pytest.raises(ValueError):
         ContinuationScore(0.5, "sideways")
-
-
-def test_failed_add_text_changes_no_score():
-    model = train_char_ngram(["the rain in spain", "sing a song"], order=3, k=0.1)
-    contexts = ["", "a", "aa", "th", "sp", "zz"]
-
-    def scores():
-        return (
-            [model.conditional_distribution(context) for context in contexts],
-            [model.score_with_spacing(context or "a", "ain") for context in contexts],
-            model.stats(),
-        )
-
-    before = scores()
-    with pytest.raises(ValueError, match="character '9' at position 3 not in alphabet"):
-        model.add_text("aaa9")
-    assert scores() == before

@@ -1,10 +1,10 @@
 """Property test: the character LM's caches never change a score.
 
-A model that has answered queries before, grown by `add_text` in between
-(from no text at all, too),
-and emptied its caches at a small `MEMO_LIMIT` must answer every public
-query exactly as a freshly loaded copy does, and exactly as a naive walker
-that counts the training texts itself and repeats the model's arithmetic.
+A trained model (or an untrained one, from no text at all) that has
+answered queries before and emptied its caches at a small `MEMO_LIMIT` must
+answer every public query exactly as a freshly loaded copy does, and exactly
+as a naive walker that counts the training texts itself and repeats the
+model's arithmetic.
 """
 
 import math
@@ -26,13 +26,14 @@ from syllabeam.lm import (
     UNSPACED,
     CharNgramModel,
     ContinuationScore,
+    train_char_ngram,
 )
 
 # few distinct characters, so queried contexts often have stored suffixes
 TEXT_CHARS = "abo ' " + EOS_CHAR
 # an empty list leaves the model untrained: every query falls through to the
 # empty level
-texts = st.lists(st.text(TEXT_CHARS, min_size=1, max_size=12), max_size=4)
+texts = st.lists(st.text(TEXT_CHARS, min_size=1, max_size=12), max_size=8)
 contexts = st.text("abo '", max_size=8)
 syllables = st.one_of(st.text("abo'", min_size=1, max_size=4), st.just(EOS_TEXT))
 candidates = st.text("abo' " + EOS_CHAR, min_size=1, max_size=5)
@@ -115,6 +116,11 @@ class NaiveWalker:
         return self.score_continuation(context.replace(EOS_TEXT, EOS_CHAR), encoded)
 
 
+def trained(training, order, k):
+    """The model `train_char_ngram` makes of `training`; untrained for no text."""
+    return train_char_ngram(training, order, k) if training else CharNgramModel(order, k)
+
+
 def answers(model, batch):
     """Every public query of `batch`, as comparable tuples."""
     return [
@@ -134,21 +140,18 @@ def answers(model, batch):
 @pytest.mark.parametrize("k", [0.0, 0.1])
 @pytest.mark.parametrize("order", [1, 2, 4])
 @settings(max_examples=25, deadline=None)
-@given(first=texts, added=texts, before=queries, after=queries)
-def test_warm_model_matches_fresh_load_and_naive_walker(order, k, memo_limit, first, added, before, after):
+@given(training=texts, before=queries, after=queries)
+def test_warm_model_matches_fresh_load_and_naive_walker(order, k, memo_limit, training, before, after):
     with mock.patch.object(lm_module, "MEMO_LIMIT", memo_limit), tempfile.TemporaryDirectory() as tmp:
-        model = CharNgramModel(order, k)
-        for text in first:
-            model.add_text(text)
-        assert answers(model, before) == answers(NaiveWalker(first, order, k), before)
-        for text in added:
-            model.add_text(text)
+        model = trained(training, order, k)
+        walker = NaiveWalker(training, order, k)
+        assert answers(model, before) == answers(walker, before)
         path = Path(tmp) / "lm.json"
         model.save(path)
         fresh = CharNgramModel.load(path)
         expected = answers(fresh, after + before)
         assert answers(model, after + before) == expected
-        assert expected == answers(NaiveWalker(first + added, order, k), after + before)
+        assert expected == answers(walker, after + before)
         for cache in (model._levels, model._memo, model._continuations, model._candidates):
             assert len(cache) <= memo_limit
 
@@ -158,9 +161,7 @@ def test_warm_model_matches_fresh_load_and_naive_walker(order, k, memo_limit, fi
 @settings(max_examples=25, deadline=None)
 @given(training=texts, asked=st.lists(contexts, min_size=1, max_size=10))
 def test_conditional_distribution_sums_to_one(order, k, training, asked):
-    model = CharNgramModel(order, k)
-    for text in training:
-        model.add_text(text)
+    model = trained(training, order, k)
     for context in asked:
         distribution = model.conditional_distribution(context)
         assert list(distribution) == list(DEFAULT_ALPHABET)

@@ -1,9 +1,11 @@
 """Generator top-k against its full distribution, and decode through both
 generator paths.
 
-`top_candidates(h, n, k)` must equal the first k entries of
-`next_distribution(h, n)` ranked by (-probability, vocabulary id), and
-`prob(h, n, text)` must equal the distribution's entry, float for float.
+With `key = history_key(h)` and `bucket = bucket(n)`, the texts and
+probabilities of `top_by_key(key, bucket, k)` must equal the first k entries
+of `next_distribution(h, n)` ranked by (-probability, vocabulary id), and
+`prob_by_key(key, bucket, text)` must equal the distribution's entry, float
+for float.
 """
 
 import json
@@ -13,7 +15,6 @@ import pytest
 
 from syllabeam.beam import FusionConfig, _ranked_candidates, decode, first_step
 from syllabeam.corpus import (
-    BOS_TEXT,
     EOS_TEXT,
     MelodyNote,
     SyllableToken,
@@ -40,14 +41,24 @@ def random_queries(vocab, rnd, n):
         yield history, note
 
 
+def top(model, history, note, k):
+    """The top-k (text, probability) pairs of a history and note."""
+    texts, probs, _ = model.top_by_key(model.history_key(history), model.bucket(note), k)
+    return list(zip(texts, probs))
+
+
 def assert_exact(model, history, note):
     dist = model.next_distribution(history, note)
     ranked = _ranked_candidates(model, dist)
+    key, bucket = model.history_key(history), model.bucket(note)
     for k in (1, 2, 3, 7, len(dist) - 1, len(dist), len(dist) + 5):
-        assert model.top_candidates(history, note, k) == ranked[:k]
-        assert model.top_candidates(history, note, k) == ranked[:k]  # from the cache
+        answer = model.top_by_key(key, bucket, k)
+        texts, probs, ids = answer
+        assert list(zip(texts, probs)) == ranked[:k]
+        assert ids == tuple(map(model.vocab.id_of, texts))
+        assert model.top_by_key(key, bucket, k) is answer  # from the cache
     for text, p in dist.items():
-        assert model.prob(history, note, text) == p
+        assert model.prob_by_key(key, bucket, text) == p
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -68,8 +79,7 @@ def test_smoothing_zero_ranks_unseen_last_in_id_order():
     rnd = random.Random(8)
     for history, note in random_queries(vocab, rnd, 40):
         assert_exact(model, history, note)
-        top = model.top_candidates(history, note, len(vocab) + 1)
-        zero = [text for text, p in top if p == 0.0]
+        zero = [text for text, p in top(model, history, note, len(vocab) + 1) if p == 0.0]
         assert zero == sorted(zero, key=vocab.id_of)
 
 
@@ -78,8 +88,8 @@ def test_denominator_zero_is_uniform_in_id_order():
     model = MelodyConditionedNgram(vocab, history=2, k=0.0)  # no counts at all
     for history, note in random_queries(vocab, random.Random(9), 10):
         assert_exact(model, history, note)
-        top = model.top_candidates(history, note, 10)
-        assert top == [(text, 1.0 / len(vocab.emittable())) for text in vocab.emittable()]
+        uniform = 1.0 / len(vocab.emittable())
+        assert top(model, history, note, 10) == [(text, uniform) for text in vocab.emittable()]
 
 
 def test_past_the_end_bucket():
@@ -89,7 +99,8 @@ def test_past_the_end_bucket():
     for pair in corpus[:10]:
         history = pair.lyric.syllables()
         assert_exact(model, history, None)
-        assert model.prob(history, None, EOS_TEXT) == model.next_distribution(history, None)[EOS_TEXT]
+        eos = model.prob_by_key(model.history_key(history), None, EOS_TEXT)
+        assert eos == model.next_distribution(history, None)[EOS_TEXT]
 
 
 def test_loaded_model_with_zero_counts(tmp_path):
@@ -112,43 +123,6 @@ def test_loaded_model_with_zero_counts(tmp_path):
         model = MelodyConditionedNgram.load(path)
         for history, note in random_queries(vocab, rnd, 60):
             assert_exact(model, history, note)
-
-
-def test_rankings_follow_added_pairs():
-    corpus = make_corpus(30, seed=13)
-    vocab = build_vocabulary([p.lyric for p in corpus])
-    grown = train_generator(corpus[:5], vocab, history=2, k=0.1)
-    queries = list(random_queries(vocab, random.Random(14), 40))
-    for history, note in queries:
-        grown.top_candidates(history, note, 5)
-    for pair in corpus[5:]:
-        grown.add_pair(pair)
-    full = train_generator(corpus, vocab, history=2, k=0.1)
-    for history, note in queries:
-        assert grown.top_candidates(history, note, 5) == full.top_candidates(history, note, 5)
-        assert_exact(grown, history, note)
-
-
-def test_returned_lists_do_not_share_the_cache():
-    corpus = make_corpus(20, seed=19)
-    vocab = build_vocabulary([p.lyric for p in corpus])
-    model = train_generator(corpus, vocab, history=2, k=0.1)
-    history, note = corpus[0].lyric.tokens[:2], corpus[0].melody.notes[2]
-    top = model.top_candidates(history, note, 4)
-    expected = list(top)
-    top[0] = ("zz", 1.0)
-    top.append(("zz", 1.0))
-    assert model.top_candidates(history, note, 4) == expected
-    assert model.top_candidates(history, note, 4) is not model.top_candidates(history, note, 4)
-
-
-def test_prob_rejects_tokens_that_cannot_be_emitted():
-    vocab = Vocabulary(["la"])
-    model = MelodyConditionedNgram(vocab)
-    with pytest.raises(ValueError, match="not an emittable token"):
-        model.prob((), None, BOS_TEXT)
-    with pytest.raises(ValueError, match="not an emittable token"):
-        model.prob((), None, "zz")
 
 
 @pytest.mark.parametrize("beam_size", [1, 3, 5, 12])
