@@ -76,7 +76,7 @@ def _bucket_from_json(data) -> Optional[NoteBucket]:
 
 
 class _Ranking(NamedTuple):
-    """One count table ranked for top-k queries.
+    """One count table content ranked for top-k queries.
 
     `ranked` maps every token whose probability exceeds `floor` to that
     probability, in (-probability, vocabulary id) order; every other
@@ -85,24 +85,22 @@ class _Ranking(NamedTuple):
     probabilities, vocabulary ids) tuples.
     """
 
-    counts: dict[str, int]  # keeps the table alive while its id keys the cache
-    total: int
+    counts: dict[str, int]  # the first table ranked; equal tables share the ranking
     ranked: dict[str, float]
     floor: float
     tops: dict[int, tuple[tuple[str, ...], tuple[float, ...], tuple[int, ...]]]
 
 
 def _rank(counts: dict[str, int], vocab: Vocabulary, k: float) -> _Ranking:
-    total = sum(counts.values())
-    denom = total + k * len(vocab.emittable())
+    denom = sum(counts.values()) + k * len(vocab.emittable())
     if denom == 0:
-        return _Ranking(counts, total, {}, 1.0 / len(vocab.emittable()), {})
+        return _Ranking(counts, {}, 1.0 / len(vocab.emittable()), {})
     floor = k / denom
     ranked = sorted(
         ((text, (n + k) / denom) for text, n in counts.items()),
         key=lambda item: (-item[1], vocab.id_of(item[0])),
     )
-    return _Ranking(counts, total, {text: p for text, p in ranked if p > floor}, floor, {})
+    return _Ranking(counts, {text: p for text, p in ranked if p > floor}, floor, {})
 
 
 class MelodyConditionedNgram:
@@ -114,7 +112,7 @@ class MelodyConditionedNgram:
     every returned distribution sums to one. A bucket of None stands for
     "past the final note" and is only ever paired with the end token in
     training data. Only train_generator and load fill the tables, so a
-    table's ranking, built on its first query, never goes stale.
+    ranking, built on the first query of its content, never goes stale.
     """
 
     def __init__(self, vocab: Vocabulary, history: int = 2, k: float = 0.1):
@@ -129,9 +127,12 @@ class MelodyConditionedNgram:
         self._by_hist: dict[tuple[str, ...], dict[str, int]] = {}
         self._by_bucket: dict[Optional[NoteBucket], dict[str, int]] = {}
         self._unigram: dict[str, int] = {}
-        # id(count table) -> _Ranking, built on first query; each entry holds
-        # its table, so the id cannot be reused while the entry lives
+        # id(count table) -> _Ranking; every keyed table belongs to the model,
+        # which never changes, so no id is reused while the model lives
         self._rankings: dict[int, _Ranking] = {}
+        # hash(frozenset(table.items())) -> the first ranking of that hash; a
+        # frozenset key would keep a copy of every ranked table alive
+        self._by_content: dict[int, _Ranking] = {}
 
     def history_key(self, history: Sequence[SyllableToken]) -> tuple[str, ...]:
         """The key of a token history: its last `history` texts, BOS-padded."""
@@ -144,18 +145,26 @@ class MelodyConditionedNgram:
 
     bucket = staticmethod(bucket_note)
 
-    def _ranking(self, key: tuple[str, ...], bucket: Optional[NoteBucket]) -> _Ranking:
-        """The ranked count table that serves a query: the first non-empty
-        one of (history, bucket), (history), (bucket), unigram."""
-        counts = (
+    def _counts(self, key: tuple[str, ...], bucket: Optional[NoteBucket]) -> dict[str, int]:
+        """The count table that serves a query: the first non-empty one of
+        (history, bucket), (history), (bucket), unigram."""
+        return (
             self._by_hist_bucket.get((key, bucket))
             or self._by_hist.get(key)
             or self._by_bucket.get(bucket)
             or self._unigram
         )
+
+    def _ranking(self, key: tuple[str, ...], bucket: Optional[NoteBucket]) -> _Ranking:
+        """The ranking of the count table serving a query, shared by equal tables."""
+        counts = self._counts(key, bucket)
         ranking = self._rankings.get(id(counts))
         if ranking is None:
-            ranking = _rank(counts, self.vocab, self.k)
+            digest = hash(frozenset(counts.items()))
+            ranking = self._by_content.get(digest)
+            if ranking is None or ranking.counts != counts:
+                ranking = _rank(counts, self.vocab, self.k)
+                self._by_content.setdefault(digest, ranking)  # a collision keeps the first
             self._rankings[id(counts)] = ranking
         return ranking
 
@@ -163,12 +172,12 @@ class MelodyConditionedNgram:
         self, history: Sequence[SyllableToken], note: Optional[MelodyNote]
     ) -> dict[str, float]:
         """Distribution over every emittable vocabulary entry (BOS excluded)."""
-        ranking = self._ranking(self.history_key(history), bucket_note(note))
+        counts = self._counts(self.history_key(history), bucket_note(note))
         emittable = self.vocab.emittable()
-        denom = ranking.total + self.k * len(emittable)
+        denom = sum(counts.values()) + self.k * len(emittable)
         if denom == 0:
             return {text: 1.0 / len(emittable) for text in emittable}
-        return {text: (ranking.counts.get(text, 0) + self.k) / denom for text in emittable}
+        return {text: (counts.get(text, 0) + self.k) / denom for text in emittable}
 
     def top_by_key(self, key: tuple[str, ...], bucket: Optional[NoteBucket], k: int) -> tuple:
         """The first `k` entries of `next_distribution` after the history keyed
@@ -190,6 +199,8 @@ class MelodyConditionedNgram:
     def prob_by_key(self, key: tuple[str, ...], bucket: Optional[NoteBucket], text: str) -> float:
         """The `next_distribution` entry of an emittable `text` after the
         history keyed by `key` at a note bucket."""
+        if text == BOS_TEXT or text not in self.vocab:
+            raise ValueError(f"{text!r} is not an emittable token")
         ranking = self._ranking(key, bucket)
         return ranking.ranked.get(text, ranking.floor)
 
@@ -316,12 +327,15 @@ def train_generator(
         for tok in pair.lyric.syllables():
             if tok.text not in vocab:
                 raise ValueError(f"syllable {tok.text!r} not in vocabulary")
+    # equal notes have equal buckets, so each distinct note is bucketed once
+    buckets: dict[MelodyNote, NoteBucket] = {}
     events = Counter()
     for pair in corpus:
         # each history key is a window of the BOS-padded texts
         texts = [BOS_TEXT] * history + [tok.text for tok in pair.lyric.syllables()] + [EOS_TEXT]
         keys = zip(*[texts[i:] for i in range(history)])
-        events.update(zip(keys, [*map(bucket_note, pair.melody.notes), None], texts[history:]))
+        notes = [buckets.get(n) or buckets.setdefault(n, bucket_note(n)) for n in pair.melody.notes]
+        events.update(zip(keys, notes + [None], texts[history:]))
     for (hist, bucket, target), n in events.items():
         for slot in (
             model._by_hist_bucket.setdefault((hist, bucket), {}),

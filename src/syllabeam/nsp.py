@@ -20,7 +20,6 @@ seed: each lyric draws from its own substream keyed by (seed, lyric index).
 
 from __future__ import annotations
 
-import math
 import re
 from collections import namedtuple
 from dataclasses import dataclass
@@ -148,20 +147,6 @@ def build_dataset(
             positives += example.label
             total += 1
     return {"positives": positives, "negatives": total - positives, "total": total}
-
-
-def expected_dataset_size(corpus: Sequence[LyricSequence], config: BuilderConfig) -> tuple[float, float]:
-    """(mean, standard deviation) of the total row count under `config`: per
-    position a positive and a random negative, plus the spacing and
-    corruption rules at their firing rates."""
-    mean = variance = 0.0
-    q = config.context_swap_rate
-    for lyric in corpus:
-        for i in range(1, len(lyric.syllables()) + 1):
-            p = 1.0 if i <= config.always_spacing_first_k else config.spacing_negative_rate
-            mean += 2.0 + p + q
-            variance += p * (1 - p) + q * (1 - q)
-    return mean, math.sqrt(variance)
 
 
 def write_nsp_tsv(examples: Iterable[NspExample], path) -> None:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from typing import Sequence
 
 from syllabeam.corpus import (
     AlignedPair,
@@ -12,6 +14,7 @@ from syllabeam.corpus import (
     MelodySequence,
     SyllableToken,
 )
+from syllabeam.nsp import BuilderConfig
 
 # small word inventory, each word pre-split into syllables
 WORDS = [
@@ -92,3 +95,17 @@ class DistributionOnly:
     def __init__(self, model):
         self.vocab = model.vocab
         self.next_distribution = model.next_distribution
+
+
+def expected_dataset_size(corpus: Sequence[LyricSequence], config: BuilderConfig) -> tuple[float, float]:
+    """(mean, standard deviation) of the total row count under `config`: per
+    position a positive and a random negative, plus the spacing and
+    corruption rules at their firing rates."""
+    mean = variance = 0.0
+    q = config.context_swap_rate
+    for lyric in corpus:
+        for i in range(1, len(lyric.syllables()) + 1):
+            p = 1.0 if i <= config.always_spacing_first_k else config.spacing_negative_rate
+            mean += 2.0 + p + q
+            variance += p * (1 - p) + q * (1 - q)
+    return mean, math.sqrt(variance)

@@ -35,11 +35,10 @@ from syllabeam.nsp import (
     NspExample,
     build_dataset,
     candidate_marker,
-    expected_dataset_size,
     write_nsp_tsv,
 )
 
-from conftest import make_corpus, make_melody
+from conftest import expected_dataset_size, make_corpus, make_melody
 from test_beam import (
     ConstantLM,
     RandomLM,

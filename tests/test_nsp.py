@@ -10,14 +10,13 @@ from syllabeam.nsp import (
     build_examples_for_lyric,
     candidate_marker,
     corrupted_context,
-    expected_dataset_size,
     read_nsp_tsv,
     write_nsp_tsv,
 )
 from syllabeam.lm import nsp_accuracy, nsp_metrics
 from syllabeam.rng import substream
 
-from conftest import make_corpus, make_lyric
+from conftest import expected_dataset_size, make_corpus, make_lyric
 
 # the running example lyric: "i know why your mean to me when i call on the telephone"
 PHONE_LINE = "i _know _why _your _mean _to _me _when _i _call _on _the _tel e phone"

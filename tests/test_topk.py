@@ -15,6 +15,7 @@ import pytest
 
 from syllabeam.beam import FusionConfig, _ranked_candidates, decode, first_step
 from syllabeam.corpus import (
+    BOS_TEXT,
     EOS_TEXT,
     MelodyNote,
     SyllableToken,
@@ -22,7 +23,8 @@ from syllabeam.corpus import (
     build_vocabulary,
     render_text,
 )
-from syllabeam.generator import MelodyConditionedNgram, train_generator
+from syllabeam import generator as generator_module
+from syllabeam.generator import MelodyConditionedNgram, _rank, train_generator
 from syllabeam.lm import lyric_lm_text, train_char_ngram
 
 from conftest import PITCHES, DistributionOnly, make_corpus, make_melody
@@ -123,6 +125,65 @@ def test_loaded_model_with_zero_counts(tmp_path):
         model = MelodyConditionedNgram.load(path)
         for history, note in random_queries(vocab, rnd, 60):
             assert_exact(model, history, note)
+
+
+@pytest.mark.parametrize("text", ["zz", BOS_TEXT])
+def test_prob_by_key_rejects_a_text_the_model_cannot_emit(text):
+    corpus = make_corpus(20, seed=10)
+    model = train_generator(corpus, build_vocabulary([p.lyric for p in corpus]), history=2, k=0.1)
+    with pytest.raises(ValueError, match="not an emittable token"):
+        model.prob_by_key(model.history_key(()), None, text)
+
+
+NOTE = MelodyNote(60, 1.0, 0.0)
+
+
+def three_token_model():
+    """A history-1 model whose (history, bucket) rows at NOTE are set by hand."""
+    return MelodyConditionedNgram(Vocabulary(["la", "li", "lo"]), history=1, k=0.1)
+
+
+def test_equal_tables_share_one_ranking():
+    model = three_token_model()
+    bucket = model.bucket(NOTE)
+    model._by_hist_bucket[("la",), bucket] = {"li": 1}
+    model._by_hist_bucket[("li",), bucket] = {"li": 1}  # equal content, another table
+    model._by_hist_bucket[("lo",), bucket] = {"lo": 1}
+    shared = model.top_by_key(("la",), bucket, 2)
+    assert model.top_by_key(("li",), bucket, 2) is shared
+    assert model.top_by_key(("lo",), bucket, 2) != shared
+    for text in ("la", "li", "lo"):
+        assert_exact(model, (SyllableToken(text, True),), NOTE)
+
+
+def test_digest_collision_keeps_exact_answers():
+    model = three_token_model()
+    bucket = model.bucket(NOTE)
+    served = model._by_hist_bucket[("la",), bucket] = {"li": 2, "lo": 1}
+    digest = hash(frozenset(served.items()))
+    unequal = model._by_content[digest] = _rank({"lo": 5}, model.vocab, model.k)
+    assert_exact(model, (SyllableToken("la", True),), NOTE)
+    assert model._by_content[digest] is unequal  # the colliding table takes no slot
+    assert model._ranking(("la",), bucket).counts is served
+
+
+def test_each_distinct_table_content_is_ranked_once(monkeypatch):
+    corpus = make_corpus(60, seed=19)
+    vocab = build_vocabulary([p.lyric for p in corpus])
+    assert len(vocab) == 28
+    model = train_generator(corpus, vocab, history=2, k=0.1)
+    ranked, served = [], []
+    monkeypatch.setattr(
+        generator_module, "_rank", lambda counts, *args: ranked.append(counts) or _rank(counts, *args)
+    )
+    counts_of = model._counts
+    monkeypatch.setattr(model, "_counts", lambda *args: served.append(counts_of(*args)) or served[-1])
+    rnd = random.Random(20)
+    for _ in range(10):
+        decode(make_melody(rnd, rnd.randint(1, 12)), model, None, FusionConfig(5, 0.0, 1.0, 14))
+    contents = {frozenset(counts.items()) for counts in served}
+    assert sorted(map(sorted, map(dict.items, ranked))) == sorted(map(sorted, contents))
+    assert len({id(counts) for counts in served}) > len(ranked)
 
 
 @pytest.mark.parametrize("beam_size", [1, 3, 5, 12])
