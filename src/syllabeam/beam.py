@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .corpus import EOS_TEXT, LyricSequence, MelodyNote, MelodySequence, SyllableToken
+from .corpus import EOS_TEXT, LyricSequence, MelodySequence, SyllableToken
 from .lm import SPACED, UNSPACED, ContinuationScore
 
 AUDIT_TOLERANCE = 1e-9
@@ -80,51 +80,16 @@ class DecodeResult(NamedTuple):
     trace: tuple[TraceStep, ...]
 
 
-def _ranked_candidates(generator, distribution: dict[str, float]) -> list[tuple[str, float]]:
-    vocab = generator.vocab
-    return sorted(distribution.items(), key=lambda item: (-item[1], vocab.id_of(item[0])))
-
-
-class _Ranked:
-    """The keyed interface the search reads, over a generator offering only
-    `vocab` and `next_distribution`: a key is the token history itself."""
-
-    def __init__(self, generator):
-        self.vocab, self.next_distribution = generator.vocab, generator.next_distribution
-
-    def history_key(self, history: Sequence[SyllableToken]) -> tuple[SyllableToken, ...]:
-        return tuple(history)
-
-    def next_key(self, key: tuple, text: str, word_initial: bool) -> tuple[SyllableToken, ...]:
-        return key + (SyllableToken(text, word_initial),)
-
-    def bucket(self, note: Optional[MelodyNote]) -> Optional[MelodyNote]:
-        return note
-
-    def top_by_key(self, key: tuple, note: Optional[MelodyNote], k: int) -> tuple:
-        top = _ranked_candidates(self, self.next_distribution(key, note))[:k]
-        texts = tuple(text for text, _ in top)
-        return texts, tuple(p for _, p in top), tuple(map(self.vocab.id_of, texts))
-
-    def prob_by_key(self, key: tuple, note: Optional[MelodyNote], text: str) -> float:
-        return self.next_distribution(key, note)[text]
-
-
 def _silent(context: str, syllable_text: str) -> ContinuationScore:
     """The LM score in a search that gives the LM no weight."""
     return ContinuationScore(0.0, UNSPACED if syllable_text == EOS_TEXT else SPACED)
 
 
 def _seams(generator, lm) -> tuple:
-    """The keyed generator and the LM's batch and single scorers the search
-    reads. Each has one fallback: a generator without `top_by_key` is ranked
-    from its `next_distribution`, and an LM without `score_candidates` scores
-    one candidate at a time."""
-    single = _silent if lm is None else lm.score_with_spacing
-    batch = getattr(lm, "score_candidates", None) or (
-        lambda context, texts: tuple([single(context, text) for text in texts])
-    )
-    return (generator if hasattr(generator, "top_by_key") else _Ranked(generator)), batch, single
+    """The generator and the LM's batch and end-token scorers the search reads."""
+    if lm is None:
+        return generator, lambda context, texts: tuple(_silent(context, t) for t in texts), _silent
+    return generator, lm.score_candidates, lm.score_with_spacing
 
 
 def first_step(generator, melody: MelodySequence, config: FusionConfig) -> list[Beam]:

@@ -257,10 +257,10 @@ def _note(seen: dict, pitch, duration, rest) -> MelodyNote:
 def load_aligned_corpus(path) -> list[AlignedPair]:
     """Read aligned pairs from JSONL.
 
-    Each record is {"syllables": [...], "word_initial": [...],
-    "notes": [[pitch, duration, rest], ...]} with all three lists the same
-    length, flags JSON booleans, pitches JSON integers and durations and
-    rests JSON numbers. Errors are reported with the offending record index.
+    Each record is a JSON object {"syllables": [...], "word_initial": [...],
+    "notes": [[pitch, duration, rest], ...]} of JSON arrays of one length,
+    flags JSON booleans, pitches JSON integers and durations and rests JSON
+    numbers. Errors are reported with the offending record index.
     """
     pairs = []
     tokens_seen, notes_seen = {}, {}  # equal tokens and notes, shared
@@ -271,9 +271,12 @@ def load_aligned_corpus(path) -> list[AlignedPair]:
                 continue
             try:
                 record = json.loads(raw)
-                syllables = record["syllables"]
-                flags = record["word_initial"]
-                notes = record["notes"]
+                if type(record) is not dict:
+                    raise ValueError("not a JSON object")
+                for name in ("syllables", "word_initial", "notes"):
+                    if type(record[name]) is not list:
+                        raise ValueError(f"{name!r} is not a JSON array")
+                syllables, flags, notes = record["syllables"], record["word_initial"], record["notes"]
                 if not (len(syllables) == len(flags) == len(notes)):
                     raise ValueError(
                         f"lists disagree in length: {len(syllables)} syllables, "

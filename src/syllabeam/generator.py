@@ -249,16 +249,20 @@ class MelodyConditionedNgram:
 
     @classmethod
     def load(cls, path) -> "MelodyConditionedNgram":
-        """A saved model, once both history tables have rows, every history
-        in its file is `history` vocabulary entries or BOS, every bucket is
-        [int, int, duration class, bool] or null, and every count table maps
-        emittable vocabulary entries to non-negative integers."""
+        """A saved model, once its vocabulary is as `save` writes it (sorted,
+        distinct, without BOS or the end token), both history tables have
+        rows, every history in its file is `history` vocabulary entries or
+        BOS, every bucket is [int, int, duration class, bool] or null, and
+        every count table maps emittable vocabulary entries to non-negative
+        integers."""
         payload = modelfile.load(path, _FORMAT, _VERSION, _SCHEMA)
         if payload["bucketing"] != _BUCKETING_VERSION:
             raise ValueError(f"unsupported bucketing version {payload['bucketing']}")
         if not set(map(type, payload["vocabulary"])) <= {str}:
             raise ValueError("vocabulary entries must be strings")
         model = cls(Vocabulary(payload["vocabulary"]), payload["history"], payload["k"])
+        if list(model.vocab.syllable_texts()) != payload["vocabulary"]:
+            raise ValueError("vocabulary must be sorted, distinct entries without <bos> or <eos>")
         emittable = frozenset(model.vocab.emittable())
         known = emittable | {BOS_TEXT}
 

@@ -1,11 +1,19 @@
-"""Shared synthetic-corpus builders and scorer wrappers for the test suite."""
+"""Shared synthetic-corpus builders and scorer adapters for the test suite.
+
+Decode reads a generator only through its keyed interface and an LM only
+through `score_candidates` and `score_with_spacing`. `Keyed` and `Batched`
+derive those from the reference interfaces, `next_distribution` and
+`score_with_spacing`, for the test stubs and for the reference decodes the
+real models must match. `ranked_candidates`, the ranking `Keyed` applies, is
+also the oracle of the generator's top-k tests.
+"""
 
 from __future__ import annotations
 
 import itertools
 import math
 import random
-from typing import Sequence
+from typing import Optional, Sequence
 
 from syllabeam.corpus import (
     AlignedPair,
@@ -89,8 +97,44 @@ def random_syllable_corpus(n_pairs: int, seed: int) -> list[AlignedPair]:
     return pairs
 
 
-class DistributionOnly:
-    """A generator offering only the required interface."""
+def ranked_candidates(generator, distribution: dict[str, float]) -> list[tuple[str, float]]:
+    vocab = generator.vocab
+    return sorted(distribution.items(), key=lambda item: (-item[1], vocab.id_of(item[0])))
+
+
+class Keyed:
+    """The keyed interface decode reads, derived from a generator's `vocab`
+    and `next_distribution`: a key is the token history itself, and a
+    bucket the note itself."""
+
+    def history_key(self, history: Sequence[SyllableToken]) -> tuple[SyllableToken, ...]:
+        return tuple(history)
+
+    def next_key(self, key: tuple, text: str, word_initial: bool) -> tuple[SyllableToken, ...]:
+        return key + (SyllableToken(text, word_initial),)
+
+    def bucket(self, note: Optional[MelodyNote]) -> Optional[MelodyNote]:
+        return note
+
+    def top_by_key(self, key: tuple, note: Optional[MelodyNote], k: int) -> tuple:
+        top = ranked_candidates(self, self.next_distribution(key, note))[:k]
+        texts = tuple(text for text, _ in top)
+        return texts, tuple(p for _, p in top), tuple(map(self.vocab.id_of, texts))
+
+    def prob_by_key(self, key: tuple, note: Optional[MelodyNote], text: str) -> float:
+        return self.next_distribution(key, note)[text]
+
+
+class Batched:
+    """An LM's `score_candidates`, derived from its `score_with_spacing` one
+    candidate at a time."""
+
+    def score_candidates(self, context: str, syllables: tuple[str, ...]) -> tuple:
+        return tuple([self.score_with_spacing(context, text) for text in syllables])
+
+
+class DistributionOnly(Keyed):
+    """A generator keyed only through `vocab` and `next_distribution`."""
 
     def __init__(self, model):
         self.vocab = model.vocab

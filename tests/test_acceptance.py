@@ -38,7 +38,7 @@ from syllabeam.nsp import (
     write_nsp_tsv,
 )
 
-from conftest import expected_dataset_size, make_corpus, make_melody
+from conftest import Batched, expected_dataset_size, make_corpus, make_melody
 from test_beam import (
     ConstantLM,
     RandomLM,
@@ -105,7 +105,7 @@ def test_criterion_02_worked_example():
     history = ("don't", "get", "any", "big")
     gen = StubGenerator(vocab, {history: {"ger": 0.3, "ideas": 0.2}})
 
-    class FixedLM:
+    class FixedLM(Batched):
         def score_with_spacing(self, context, syllable):
             if syllable == "ideas":
                 return ContinuationScore(0.6, SPACED)

@@ -27,7 +27,7 @@ from syllabeam.generator import train_generator
 from syllabeam.lm import SPACED, UNSPACED, ContinuationScore, lyric_lm_text, train_char_ngram
 from syllabeam.corpus import render_text
 
-from conftest import make_corpus, make_melody
+from conftest import Batched, Keyed, make_corpus, make_melody
 
 
 def melody_of(n):
@@ -39,7 +39,7 @@ def word_beam(texts, cumulative=0.0, finished=False):
     return Beam(tokens, " ".join(texts), cumulative, finished, ())
 
 
-class StubGenerator:
+class StubGenerator(Keyed):
     """Distributions keyed by the history's syllable texts."""
 
     def __init__(self, vocab, table, default=None):
@@ -55,7 +55,7 @@ class StubGenerator:
         return dict(dist)
 
 
-class RandomTableGenerator:
+class RandomTableGenerator(Keyed):
     """Consistent random distributions per (history, note); end token mass 0."""
 
     def __init__(self, vocab, seed, eos_weight=0.0):
@@ -76,7 +76,7 @@ class RandomTableGenerator:
         return dict(self._cache[key])
 
 
-class RandomLM:
+class RandomLM(Batched):
     """Consistent random continuation scores per (context, syllable)."""
 
     def __init__(self, seed, eos_score=None):
@@ -113,7 +113,7 @@ class SpacedRandomLM(RandomLM):
         return self._cache[key]
 
 
-class ConstantLM:
+class ConstantLM(Batched):
     def __init__(self, value):
         self._value = value
 
@@ -246,7 +246,7 @@ class TestWorkedFusionExample:
     def test_lm_overrules_generator(self):
         gen = StubGenerator(self.VOCAB, {self.HISTORY: {"ger": 0.3, "ideas": 0.2}})
 
-        class FixedLM:
+        class FixedLM(Batched):
             def score_with_spacing(self, context, syllable):
                 assert context == "don't get any big"
                 if syllable == "ideas":
@@ -587,6 +587,52 @@ class TestDecode:
         gen = StubGenerator(vocab, {(): {EOS_TEXT: 0.9, "la": 0.1}})
         results = decode(melody_of(2), gen, None, FusionConfig(beam_size=1, lambda_lm=0.0, lambda_gen=1.0))
         assert [t.text for t in results[0].lyric.tokens] == [EOS_TEXT]
+
+
+class RecordingLM:
+    """Forwards each LM query to `lm` and records it as (method, context, syllables)."""
+
+    def __init__(self, lm):
+        self._lm, self.calls = lm, []
+
+    def score_candidates(self, context, syllables):
+        self.calls.append(("score_candidates", context, syllables))
+        return self._lm.score_candidates(context, syllables)
+
+    def score_with_spacing(self, context, syllable):
+        self.calls.append(("score_with_spacing", context, syllable))
+        return self._lm.score_with_spacing(context, syllable)
+
+
+def test_each_step_asks_the_lm_once_per_unfinished_hypothesis():
+    # before the final note, one batch of the generator's top candidates per
+    # hypothesis; past it, one end-token query per hypothesis
+    _, gen, lm = TestDecode().trained_setup()
+    recorder = RecordingLM(lm)
+    rnd = random.Random(13)
+    steps_before = steps_past = 0
+    for _ in range(8):
+        melody = make_melody(rnd, rnd.randint(1, 6))
+        config = FusionConfig(beam_size=rnd.randint(1, 6), max_len=10)
+        beams = first_step(gen, melody, config)
+        for t in range(1, config.max_len):
+            open_beams = [beam for beam in beams if not beam.finished]
+            if not open_beams:
+                break
+            recorder.calls.clear()
+            beams = expand_step(beams, gen, recorder, melody, t, config)
+            if t < len(melody.notes):
+                bucket = gen.bucket(melody.notes[t])
+                assert recorder.calls == [
+                    ("score_candidates", beam.rendered,
+                     gen.top_by_key(gen.history_key(beam.tokens), bucket, config.beam_size)[0])
+                    for beam in open_beams
+                ]
+                steps_before += 1
+            else:
+                assert recorder.calls == [("score_with_spacing", beam.rendered, EOS_TEXT) for beam in open_beams]
+                steps_past += 1
+    assert steps_before > 10 and steps_past > 3
 
 
 class TestAuditTrace:

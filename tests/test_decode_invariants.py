@@ -3,10 +3,11 @@
 Over small random corpora, melodies and beam sizes 1-12, a decode with a
 trained `CharNgramModel` and `MelodyConditionedNgram` passes `audit_trace`,
 emits no lyric longer than its melody, repeats exactly, and equals the decode
-through the reference interfaces: an LM offering only `score_with_spacing`,
-handed a new copy of every context so that it checks nearly every one anew,
-and a generator offering only `vocab` and `next_distribution`, whose
-candidates the beam ranks itself. It also equals the same search rebuilt
+through the reference interfaces: an LM scoring through `score_with_spacing`
+alone, one candidate at a time (`Batched`), handed a new copy of every
+context so that it checks nearly every one anew, and a generator answering
+from `vocab` and `next_distribution` alone, whose candidates `Keyed` ranks
+from the full distribution. It also equals the same search rebuilt
 through `first_step` and `expand_step`, whose hypotheses are unwound one step
 at a time, so the prefixes decode's results share change no output.
 """
@@ -24,13 +25,13 @@ from syllabeam.corpus import EOS_TEXT, LyricSequence, SyllableToken, build_vocab
 from syllabeam.generator import train_generator
 from syllabeam.lm import lyric_lm_text, train_char_ngram
 
-from conftest import DistributionOnly, make_corpus, make_melody
+from conftest import Batched, DistributionOnly, make_corpus, make_melody
 
 
-class SpacingOnly:
-    """An LM offering only `score_with_spacing`, passing it a new copy of
-    every context longer than one character (the interpreter shares shorter
-    strings)."""
+class SpacingOnly(Batched):
+    """An LM scoring through `score_with_spacing` alone, passing it a new copy
+    of every context longer than one character (the interpreter shares
+    shorter strings)."""
 
     def __init__(self, lm):
         self._lm = lm

@@ -218,6 +218,10 @@ GEN_CASES = header_cases(
     pytest.param(edit(lambda p: p["vocabulary"].append(5)), id="vocabulary number"),
     pytest.param(edit(lambda p: p["vocabulary"].append([])), id="vocabulary array"),
     pytest.param(edit(lambda p: p["vocabulary"].append("Not ok")), id="vocabulary illegal text"),
+    pytest.param(edit(lambda p: p["vocabulary"].insert(0, p["vocabulary"][0])), id="vocabulary duplicate"),
+    pytest.param(edit(lambda p: p["vocabulary"].reverse()), id="vocabulary unsorted"),
+    pytest.param(edit(lambda p: p["vocabulary"].insert(0, EOS_TEXT)), id="vocabulary with the end token"),
+    pytest.param(edit(lambda p: p["vocabulary"].insert(0, BOS_TEXT)), id="vocabulary with BOS"),
     pytest.param(edit(lambda p: p["hist_bucket"].__setitem__(0, 5)), id="hist_bucket row number"),
     pytest.param(edit(lambda p: p["hist"].__setitem__(0, None)), id="hist row null"),
     pytest.param(edit(lambda p: p["bucket"].__setitem__(0, "ab")), id="bucket row string"),
@@ -350,6 +354,8 @@ GOOD_RECORD = {"syllables": ["hey", "you"], "word_initial": [True, True],
 
 
 def record_with(path, value):
+    if not path:
+        return value
     record = copy.deepcopy(GOOD_RECORD)
     target = record
     for key in path[:-1]:
@@ -358,26 +364,33 @@ def record_with(path, value):
     return record
 
 
+# (path to the damaged value, its value, how the message after "record N: " starts)
 CORPUS_CASES = [
-    pytest.param(("notes", 0, 0), 60.7, id="pitch 60.7"),
-    pytest.param(("notes", 0, 0), 60.0, id="pitch 60.0"),
-    pytest.param(("notes", 0, 0), True, id="pitch true"),
-    pytest.param(("notes", 0, 0), "60", id="pitch string"),
-    pytest.param(("notes", 0, 0), None, id="pitch null"),
-    pytest.param(("word_initial", 1), "no", id="flag string"),
-    pytest.param(("word_initial", 1), 1, id="flag 1"),
-    pytest.param(("word_initial", 1), None, id="flag null"),
-    pytest.param(("notes", 0, 1), "1.5", id="duration string"),
-    pytest.param(("notes", 0, 1), True, id="duration true"),
-    pytest.param(("notes", 0, 1), None, id="duration null"),
-    pytest.param(("notes", 0, 2), "0", id="rest string"),
-    pytest.param(("notes", 0, 2), False, id="rest false"),
-    pytest.param(("notes", 0, 2), [0], id="rest array"),
-    pytest.param(("notes", 0, 1), 10**400, id="duration too large for a float"),
+    pytest.param(("notes", 0, 0), 60.7, "pitch must be", id="pitch 60.7"),
+    pytest.param(("notes", 0, 0), 60.0, "pitch must be", id="pitch 60.0"),
+    pytest.param(("notes", 0, 0), True, "pitch must be", id="pitch true"),
+    pytest.param(("notes", 0, 0), "60", "pitch must be", id="pitch string"),
+    pytest.param(("notes", 0, 0), None, "pitch must be", id="pitch null"),
+    pytest.param(("word_initial", 1), "no", "word_initial flag", id="flag string"),
+    pytest.param(("word_initial", 1), 1, "word_initial flag", id="flag 1"),
+    pytest.param(("word_initial", 1), None, "word_initial flag", id="flag null"),
+    pytest.param(("notes", 0, 1), "1.5", "duration must be", id="duration string"),
+    pytest.param(("notes", 0, 1), True, "duration must be", id="duration true"),
+    pytest.param(("notes", 0, 1), None, "duration must be", id="duration null"),
+    pytest.param(("notes", 0, 2), "0", "rest must be", id="rest string"),
+    pytest.param(("notes", 0, 2), False, "rest must be", id="rest false"),
+    pytest.param(("notes", 0, 2), [0], "rest must be", id="rest array"),
+    pytest.param(("notes", 0, 1), 10**400, "int too large", id="duration too large for a float"),
+    pytest.param((), ["x"], "not a JSON object", id="record array"),
+    pytest.param((), None, "not a JSON object", id="record null"),
+    pytest.param(("syllables",), "ab", "'syllables' is not a JSON array", id="syllables string"),
+    pytest.param(("syllables",), {"hey": 1, "you": 2}, "'syllables' is not a JSON array", id="syllables object"),
+    pytest.param(("word_initial",), {"a": True, "b": True}, "'word_initial' is not a JSON array", id="flags object"),
+    pytest.param(("notes",), "ab", "'notes' is not a JSON array", id="notes string"),
 ]
 
 
-def corpus_run(tmp_path, capsys, command, line):
+def corpus_run(tmp_path, capsys, command, line, message=""):
     corpus = tmp_path / "corpus.jsonl"
     write_aligned_corpus(make_corpus(3, seed=5), corpus)
     with open(corpus, "a", encoding="utf-8") as fh:
@@ -385,7 +398,7 @@ def corpus_run(tmp_path, capsys, command, line):
     code = main([command, "--corpus", str(corpus), "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert_clean_failure(code, captured)
-    assert captured.err.startswith("error: record 3: ")
+    assert captured.err.startswith(f"error: record 3: {message}")
     assert not (tmp_path / "out").exists()
 
 
@@ -393,9 +406,9 @@ COMMANDS = ["train-lm", "train-generator", "build-nsp-dataset"]
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-@pytest.mark.parametrize("path, value", CORPUS_CASES)
-def test_corpus_record(tmp_path, capsys, command, path, value):
-    corpus_run(tmp_path, capsys, command, json.dumps(record_with(path, value)))
+@pytest.mark.parametrize("path, value, message", CORPUS_CASES)
+def test_corpus_record(tmp_path, capsys, command, path, value, message):
+    corpus_run(tmp_path, capsys, command, json.dumps(record_with(path, value)), message)
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -1,5 +1,6 @@
-"""Generator top-k against its full distribution, and decode through both
-generator paths.
+"""Generator top-k against its full distribution, and decode through the
+model's keyed interface against the same interface derived from that
+distribution (`conftest.Keyed`).
 
 With `key = history_key(h)` and `bucket = bucket(n)`, the texts and
 probabilities of `top_by_key(key, bucket, k)` must equal the first k entries
@@ -13,7 +14,7 @@ import random
 
 import pytest
 
-from syllabeam.beam import FusionConfig, _ranked_candidates, decode, first_step
+from syllabeam.beam import FusionConfig, decode, first_step
 from syllabeam.corpus import (
     BOS_TEXT,
     EOS_TEXT,
@@ -27,7 +28,7 @@ from syllabeam import generator as generator_module
 from syllabeam.generator import MelodyConditionedNgram, _rank, train_generator
 from syllabeam.lm import lyric_lm_text, train_char_ngram
 
-from conftest import PITCHES, DistributionOnly, make_corpus, make_melody
+from conftest import PITCHES, DistributionOnly, make_corpus, make_melody, ranked_candidates
 
 
 def random_queries(vocab, rnd, n):
@@ -51,7 +52,7 @@ def top(model, history, note, k):
 
 def assert_exact(model, history, note):
     dist = model.next_distribution(history, note)
-    ranked = _ranked_candidates(model, dist)
+    ranked = ranked_candidates(model, dist)
     key, bucket = model.history_key(history), model.bucket(note)
     for k in (1, 2, 3, 7, len(dist) - 1, len(dist), len(dist) + 5):
         answer = model.top_by_key(key, bucket, k)
@@ -187,7 +188,7 @@ def test_each_distinct_table_content_is_ranked_once(monkeypatch):
 
 
 @pytest.mark.parametrize("beam_size", [1, 3, 5, 12])
-def test_decode_same_through_both_generator_paths(beam_size):
+def test_decode_same_through_the_reference_generator(beam_size):
     corpus = make_corpus(60, seed=15)
     vocab = build_vocabulary([p.lyric for p in corpus])
     generator = train_generator(corpus, vocab, history=2, k=0.1)
@@ -201,7 +202,7 @@ def test_decode_same_through_both_generator_paths(beam_size):
             assert decode(melody, generator, lm, config) == decode(melody, plain, lm, config)
 
 
-def test_decode_reads_no_full_distribution_when_top_k_is_offered():
+def test_decode_reads_no_full_distribution():
     corpus = make_corpus(20, seed=18)
     vocab = build_vocabulary([p.lyric for p in corpus])
     generator = train_generator(corpus, vocab, history=2, k=0.1)
