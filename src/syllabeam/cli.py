@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import asdict, fields
 
+from . import modelfile
 from .beam import FusionConfig, audit_trace, decode
 from .corpus import (
     _NUMBER_RE,
@@ -364,7 +365,8 @@ def main(argv=None) -> int:
             # the file's values become the command's defaults, so a flag still wins
             args.command_parser.set_defaults(**_load_config_file(args.config, args.config_flags))
             args = parser.parse_args(argv)
-        return args.func(args)
+        with modelfile.gc_paused():
+            return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -230,10 +230,8 @@ def build_vocabulary(corpus: Sequence[LyricSequence]) -> Vocabulary:
     return Vocabulary({tok.text for lyric in corpus for tok in lyric.syllables()})
 
 
-def _token(seen: dict, text, flag: bool) -> SyllableToken:
+def _token(seen: dict, text: str, flag: bool) -> SyllableToken:
     """SyllableToken(text, flag), made once per text string and flag in `seen`."""
-    if type(text) is not str:
-        return SyllableToken(text, flag)
     token = seen.get((text, flag))
     if token is None:
         token = seen[text, flag] = SyllableToken(text, flag)
@@ -259,8 +257,9 @@ def load_aligned_corpus(path) -> list[AlignedPair]:
 
     Each record is a JSON object {"syllables": [...], "word_initial": [...],
     "notes": [[pitch, duration, rest], ...]} of JSON arrays of one length,
-    flags JSON booleans, pitches JSON integers and durations and rests JSON
-    numbers. Errors are reported with the offending record index.
+    syllables JSON strings, flags JSON booleans, notes JSON arrays of three,
+    pitches JSON integers and durations and rests JSON numbers. Errors are
+    reported with the offending record index.
     """
     pairs = []
     tokens_seen, notes_seen = {}, {}  # equal tokens and notes, shared
@@ -282,9 +281,13 @@ def load_aligned_corpus(path) -> list[AlignedPair]:
                         f"lists disagree in length: {len(syllables)} syllables, "
                         f"{len(flags)} flags, {len(notes)} notes"
                     )
-                for flag in flags:
+                for i, (text, flag, note) in enumerate(zip(syllables, flags, notes)):
+                    if type(text) is not str:
+                        raise ValueError(f"syllable {i} is not a JSON string")
                     if type(flag) is not bool:
                         raise ValueError(f"word_initial flag {flag!r} is not a boolean")
+                    if type(note) is not list or len(note) != 3:
+                        raise ValueError(f"note {i} is not a JSON array of 3")
                 tokens = tuple(_token(tokens_seen, text, flag) for text, flag in zip(syllables, flags))
                 melody = MelodySequence(tuple(_note(notes_seen, p, d, r) for p, d, r in notes))
                 pairs.append(AlignedPair(melody, LyricSequence(tokens)))

@@ -248,6 +248,7 @@ class MelodyConditionedNgram:
         modelfile.save(path, _FORMAT, _VERSION, fields)
 
     @classmethod
+    @modelfile.gc_paused()
     def load(cls, path) -> "MelodyConditionedNgram":
         """A saved model, once its vocabulary is as `save` writes it (sorted,
         distinct, without BOS or the end token), both history tables have

@@ -285,6 +285,7 @@ class CharNgramModel:
         modelfile.save(path, _FORMAT, _VERSION, fields)
 
     @classmethod
+    @modelfile.gc_paused()
     def load(cls, path) -> "CharNgramModel":
         """A saved model, once its file holds `order` count levels whose
         level-L contexts are L alphabet characters long, each mapping

@@ -8,12 +8,29 @@ type of each field a model names before the model reads any of them.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 
 # the JSON type each schema type stands for; float takes any JSON number
 _JSON_NAMES = {
     int: "integer", float: "number", str: "string", bool: "boolean", list: "array", dict: "object"
 }
+
+
+@contextlib.contextmanager
+def gc_paused():
+    """Disable the cyclic garbage collector around the body or decorated call:
+    count tables make many objects and no cycles, so collections only re-walk
+    them. The pause is process-wide; the package is single-threaded. Every exit
+    path puts back the state it found, so nesting and a caller's pause hold."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save(path, fmt: str, version: int, fields: dict) -> None:

@@ -387,6 +387,10 @@ CORPUS_CASES = [
     pytest.param(("syllables",), {"hey": 1, "you": 2}, "'syllables' is not a JSON array", id="syllables object"),
     pytest.param(("word_initial",), {"a": True, "b": True}, "'word_initial' is not a JSON array", id="flags object"),
     pytest.param(("notes",), "ab", "'notes' is not a JSON array", id="notes string"),
+    pytest.param(("notes", 1), {"p": 60, "d": 1, "r": 0}, "note 1 is not a JSON array of 3", id="note object"),
+    pytest.param(("notes", 1), "abc", "note 1 is not a JSON array of 3", id="note string"),
+    pytest.param(("notes", 1), [60, 1], "note 1 is not a JSON array of 3", id="note of two"),
+    pytest.param(("syllables", 1), 5, "syllable 1 is not a JSON string", id="syllable number"),
 ]
 
 
