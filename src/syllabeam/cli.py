@@ -32,7 +32,7 @@ from .corpus import (
 from .generator import MelodyConditionedNgram, train_generator
 from .lm import CharNgramModel, lyric_lm_text, nsp_metrics, train_char_ngram
 from .metrics import EvalPair, corpus_eval, emit_llm_eval_prompt
-from .nsp import BuilderConfig, build_dataset, read_nsp_tsv, write_nsp_tsv
+from .nsp import BuilderConfig, build_dataset, check_corpus, nsp_line, read_nsp_tsv
 
 
 class UsageError(ValueError):
@@ -128,9 +128,9 @@ def cmd_build_nsp_dataset(args: argparse.Namespace) -> int:
     config = BuilderConfig(**{f.name: getattr(args, f.name) for f in fields(BuilderConfig)})
 
     lyrics = [pair.lyric for pair in load_aligned_corpus(corpus_path)]
-    examples = []
-    summary = build_dataset(lyrics, config, examples.append)
-    write_nsp_tsv(examples, args.out)
+    check_corpus(lyrics)  # before --out is opened, so a bad lyric leaves it as it was
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        summary = build_dataset(lyrics, config, lambda example: fh.write(nsp_line(example)))
 
     _echo("build-nsp-dataset", {"corpus": corpus_path, "out": args.out, **asdict(config)})
     summary["lyrics"] = len(lyrics)
@@ -243,20 +243,18 @@ def cmd_nsp_eval(args: argparse.Namespace) -> int:
     dataset_path = _require_file(args.dataset, "dataset")
     if not math.isfinite(args.threshold):
         raise UsageError(f"threshold must be finite, got {args.threshold!r}")
-    dataset = read_nsp_tsv(dataset_path)
-    if not dataset:
-        raise UsageError(f"dataset is empty: {dataset_path}")
-
+    rows = read_nsp_tsv(dataset_path)  # lazily: the scorer is ready, or has failed, before row 1
     if args.scorer == "oracle":
-        # scores each row with its own label
-        result = nsp_metrics([(float(ex.label), ex.label) for ex in dataset], args.threshold)
+        scored = [((0.0, 0), (1.0, 1))[label] for _, _, label in rows]  # each row scored by its label
     else:
         if args.lm is None:
             raise UsageError("--lm is required for the lm scorer")
-        model = CharNgramModel.load(_require_file(args.lm, "lm model"))
-        result = nsp_metrics(model.score_nsp_rows(dataset), args.threshold)
+        scored = CharNgramModel.load(_require_file(args.lm, "lm model")).score_nsp_rows(rows)
+    if not scored:
+        raise UsageError(f"dataset is empty: {dataset_path}")
+    result = nsp_metrics(scored, args.threshold)
     _echo("nsp-eval", {"dataset": dataset_path, "scorer": args.scorer, "threshold": args.threshold})
-    print(json.dumps({**result, "examples": len(dataset)}, sort_keys=True))
+    print(json.dumps({**result, "examples": len(scored)}, sort_keys=True))
     return 0
 
 

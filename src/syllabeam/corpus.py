@@ -285,7 +285,7 @@ def load_aligned_corpus(path) -> list[AlignedPair]:
                     if type(text) is not str:
                         raise ValueError(f"syllable {i} is not a JSON string")
                     if type(flag) is not bool:
-                        raise ValueError(f"word_initial flag {flag!r} is not a boolean")
+                        raise ValueError(f"word_initial flag {i} is not a JSON boolean")
                     if type(note) is not list or len(note) != 3:
                         raise ValueError(f"note {i} is not a JSON array of 3")
                 tokens = tuple(_token(tokens_seen, text, flag) for text, flag in zip(syllables, flags))

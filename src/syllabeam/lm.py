@@ -260,7 +260,7 @@ class CharNgramModel:
         return self._scored(self._suffix(encoded_context), " " + body if spaced else body)
 
     def score_nsp_rows(self, rows: Iterable) -> list[tuple[float, int]]:
-        """(nsp_score, label) of each row `nsp.read_nsp_tsv` returned. Those rows
+        """(nsp_score, label) of each row `nsp.read_nsp_tsv` yields. Those rows
         are in the dataset grammar, which encodes to the default alphabet; while
         the model's covers it, each run of equal contexts is encoded once and no
         candidate is checked again."""

@@ -24,7 +24,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import EOS_TEXT, LyricSequence, SyllableToken
 from .rng import SplitMix64, substream
@@ -47,6 +47,9 @@ class NspExample(namedtuple("NspExample", "context candidate label")):
         if label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {label!r}")
         return tuple.__new__(cls, (context, candidate, label))
+
+
+_row = partial(tuple.__new__, NspExample)  # a row whose label is known to be 0 or 1
 
 
 @dataclass(frozen=True)
@@ -111,14 +114,14 @@ def build_examples_for_lyric(
         true_text, true_spaced = true
         true_candidate = candidate_marker(true_text, true_spaced)
 
-        examples.append(NspExample(context, true_candidate, 1))
+        examples.append(_row((context, true_candidate, 1)))
 
         pool = [occ for occ in occurrences if occ != true]
         rand_text, rand_spaced = pool[rng.randrange(len(pool))]
-        examples.append(NspExample(context, candidate_marker(rand_text, rand_spaced), 0))
+        examples.append(_row((context, candidate_marker(rand_text, rand_spaced), 0)))
 
         if i <= config.always_spacing_first_k or rng.bernoulli(config.spacing_negative_rate):
-            examples.append(NspExample(context, candidate_marker(true_text, not true_spaced), 0))
+            examples.append(_row((context, candidate_marker(true_text, not true_spaced), 0)))
 
         if rng.bernoulli(config.context_swap_rate):
             slot = rng.randrange(i)
@@ -127,9 +130,18 @@ def build_examples_for_lyric(
             replacement = swap_pool[rng.randrange(len(swap_pool))][0]
             spaced = rng.bernoulli(config.swap_space_rate)
             corrupted = corrupted_context(syllables[:i], slot, replacement, spaced)
-            examples.append(NspExample(corrupted, true_candidate, 0))
+            examples.append(_row((corrupted, true_candidate, 0)))
 
     return examples
+
+
+def check_corpus(corpus: Sequence[LyricSequence]) -> None:
+    """Raise ValueError unless the corpus has a lyric and each has 2 syllables or more."""
+    if not corpus:
+        raise ValueError("empty corpus")
+    for index, lyric in enumerate(corpus):
+        if len(lyric.syllables()) < 2:
+            raise ValueError(f"lyric {index}: must contain at least 2 syllables")
 
 
 def build_dataset(
@@ -137,9 +149,8 @@ def build_dataset(
     config: BuilderConfig,
     sink: Callable[[NspExample], None],
 ) -> dict[str, int]:
-    """Stream every lyric's rows to `sink` in lyric order; return counts."""
-    if not corpus:
-        raise ValueError("empty corpus")
+    """Stream every lyric's rows to `sink` in lyric order once `check_corpus` passes; return counts."""
+    check_corpus(corpus)
     positives = total = 0
     for index, lyric in enumerate(corpus):
         for example in build_examples_for_lyric(lyric, config, substream(config.seed, index)):
@@ -149,27 +160,29 @@ def build_dataset(
     return {"positives": positives, "negatives": total - positives, "total": total}
 
 
+def nsp_line(example: NspExample) -> str:
+    """The TSV line of one row: context, candidate and label, tab-separated."""
+    return f"{example[0]}\t{example[1]}\t{example[2]}\n"
+
+
 def write_nsp_tsv(examples: Iterable[NspExample], path) -> None:
-    """Tab-separated context / candidate / label, one row per line."""
+    """One `nsp_line` per row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for ex in examples:
-            fh.write(f"{ex.context}\t{ex.candidate}\t{ex.label}\n")
+        fh.writelines(map(nsp_line, examples))
 
 
-def read_nsp_tsv(path) -> list[NspExample]:
-    """The rows of an NSP TSV file, once each is a row the builder can write.
+def read_nsp_tsv(path) -> Iterator[NspExample]:
+    """Each row of an NSP TSV file as its line is read, once it is a row the builder can write.
 
     A context matches `(?:[a-z' ]|<eos>)+` and a candidate
     `_?(?:[a-z']+|<eos>)`; the label is 0 or 1. Blank lines are skipped.
-    Raises ValueError naming the first bad line otherwise.
+    Iteration raises ValueError when it reaches a bad line, naming it.
     """
-    examples = []
-    make = partial(tuple.__new__, NspExample)  # _ROW_RE has checked the label
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             row = _ROW_RE.fullmatch(line)
             if row and row[1]:
-                examples.append(make((row[1], row[2], int(row[3]))))
+                yield _row((row[1], row[2], int(row[3])))  # _ROW_RE has checked the label
                 continue
             line = line.rstrip("\n")
             if not line:
@@ -184,4 +197,3 @@ def read_nsp_tsv(path) -> list[NspExample]:
                 raise ValueError(f"line {lineno}: bad context {context!r}")
             # three columns, a good label and context: _ROW_RE failed on the candidate
             raise ValueError(f"line {lineno}: bad candidate {candidate!r}")
-    return examples

@@ -69,7 +69,7 @@ def test_bulk_paths_make_no_reference_cycles(files, tmp_path):
     rows = []
     leaves_no_cycles(lambda: build_dataset(lyrics, BuilderConfig(seed=3), rows.append))
     write_nsp_tsv(rows, tmp_path / "nsp.tsv")
-    assert leaves_no_cycles(lambda: read_nsp_tsv(tmp_path / "nsp.tsv")) == rows
+    assert leaves_no_cycles(lambda: list(read_nsp_tsv(tmp_path / "nsp.tsv"))) == rows
     for pair in corpus[:4]:
         assert leaves_no_cycles(lambda: decode(pair.melody, generator, lm, FusionConfig(beam_size=4)))
 

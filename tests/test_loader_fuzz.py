@@ -371,9 +371,9 @@ CORPUS_CASES = [
     pytest.param(("notes", 0, 0), True, "pitch must be", id="pitch true"),
     pytest.param(("notes", 0, 0), "60", "pitch must be", id="pitch string"),
     pytest.param(("notes", 0, 0), None, "pitch must be", id="pitch null"),
-    pytest.param(("word_initial", 1), "no", "word_initial flag", id="flag string"),
-    pytest.param(("word_initial", 1), 1, "word_initial flag", id="flag 1"),
-    pytest.param(("word_initial", 1), None, "word_initial flag", id="flag null"),
+    pytest.param(("word_initial", 1), "no", "word_initial flag 1 is not a JSON boolean", id="flag string"),
+    pytest.param(("word_initial", 1), 1, "word_initial flag 1 is not a JSON boolean", id="flag 1"),
+    pytest.param(("word_initial", 1), None, "word_initial flag 1 is not a JSON boolean", id="flag null"),
     pytest.param(("notes", 0, 1), "1.5", "duration must be", id="duration string"),
     pytest.param(("notes", 0, 1), True, "duration must be", id="duration true"),
     pytest.param(("notes", 0, 1), None, "duration must be", id="duration null"),

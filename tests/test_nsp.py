@@ -267,7 +267,7 @@ class TestTsv:
         build_dataset(corpus, BuilderConfig(seed=9), rows.append)
         path = tmp_path / "data.tsv"
         write_nsp_tsv(rows, path)
-        assert read_nsp_tsv(path) == rows
+        assert list(read_nsp_tsv(path)) == rows
 
     def test_serialized_positive_row(self, tmp_path):
         path = tmp_path / "one.tsv"
@@ -278,13 +278,13 @@ class TestTsv:
         path = tmp_path / "bad.tsv"
         path.write_text("ctx\tcand\t2\n")
         with pytest.raises(ValueError, match="line 1"):
-            read_nsp_tsv(path)
+            list(read_nsp_tsv(path))
 
     def test_bad_columns(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("ctx\tcand\n")
         with pytest.raises(ValueError, match="3 columns"):
-            read_nsp_tsv(path)
+            list(read_nsp_tsv(path))
 
     def test_every_row_kind_the_builder_writes(self, tmp_path):
         rows = [
@@ -298,7 +298,7 @@ class TestTsv:
         ]
         path = tmp_path / "data.tsv"
         write_nsp_tsv(rows, path)
-        assert read_nsp_tsv(path) == rows
+        assert list(read_nsp_tsv(path)) == rows
 
     @pytest.mark.parametrize(
         "context, candidate",
@@ -317,7 +317,7 @@ class TestTsv:
         path = tmp_path / "bad.tsv"
         path.write_text(f"i know\t_why\t1\n{context}\t{candidate}\t1\n", encoding="utf-8")
         with pytest.raises(ValueError) as info:
-            read_nsp_tsv(path)
+            list(read_nsp_tsv(path))
         bad = f"context {context!r}" if candidate == "_ve" else f"candidate {candidate!r}"
         assert str(info.value) == f"line 2: bad {bad}"
 

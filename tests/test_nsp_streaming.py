@@ -1,0 +1,129 @@
+"""The NSP commands pass rows through instead of collecting them.
+
+`read_nsp_tsv` yields each row as it reads the line, `build-nsp-dataset`
+writes each row as the builder hands it to its sink, and `nsp-eval` feeds
+the rows straight into its scorer. Three consequences are pinned here:
+
+- a bad line surfaces when iteration reaches it, after the rows before it;
+- `build-nsp-dataset` checks every lyric before it opens `--out`;
+- `nsp-eval` has its scorer ready before it reads a row and scores each row
+  as it is read, so an LM-side error, a row the LM rejects included, is
+  reported before a dataset error on a later line.
+
+The memory guards compare `tracemalloc` peaks with the traced size of the
+rows collected in a list, the cost a command that holds the dataset pays.
+"""
+
+import contextlib
+import io
+import json
+import tracemalloc
+
+import pytest
+
+from syllabeam.cli import main
+from syllabeam.corpus import load_aligned_corpus, render_text, write_aligned_corpus
+from syllabeam.lm import DEFAULT_ALPHABET, lyric_lm_text, train_char_ngram
+from syllabeam.nsp import read_nsp_tsv
+
+from conftest import make_corpus
+
+
+def test_read_nsp_tsv_yields_the_rows_before_a_bad_line(tmp_path):
+    path = tmp_path / "nsp.tsv"
+    path.write_text("i know\t_why\t1\ni know\twhy\t0\ni know\t_why\t2\ntel e\tphone\t1\n", encoding="utf-8")
+    rows = read_nsp_tsv(path)
+    assert next(rows) == ("i know", "_why", 1)
+    assert next(rows) == ("i know", "why", 0)
+    with pytest.raises(ValueError, match=r"^line 3: bad label '2'$"):
+        next(rows)
+
+
+@pytest.mark.parametrize("existing", [b"context\t_candidate\t1\n", None], ids=["out exists", "out missing"])
+def test_short_lyric_fails_before_out_is_opened(tmp_path, capsys, existing):
+    corpus = tmp_path / "corpus.jsonl"
+    write_aligned_corpus(make_corpus(3, seed=5), corpus)
+    one_syllable = {"syllables": ["hey"], "word_initial": [True], "notes": [[60, 1, 0]]}
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.write("\n" + json.dumps(one_syllable) + "\n")  # record 4, the fourth lyric loaded
+    out = tmp_path / "nsp.tsv"
+    if existing is not None:
+        out.write_bytes(existing)
+    code = main(["build-nsp-dataset", "--corpus", str(corpus), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: lyric 3: must contain at least 2 syllables\n"
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == existing
+
+
+@pytest.mark.parametrize(
+    "lm_args, message",
+    [
+        pytest.param([], "--lm is required for the lm scorer", id="no lm"),
+        pytest.param(["--lm", "missing.json"], "lm model not found: missing.json", id="missing lm"),
+        pytest.param(["--lm", "lm.json"], "not a syllabeam-charlm file: lm.json", id="lm rejected"),
+    ],
+)
+def test_nsp_eval_reports_the_lm_side_first(tmp_path, capsys, monkeypatch, lm_args, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lm.json").write_text("[]", encoding="utf-8")
+    (tmp_path / "nsp.tsv").write_text("i know\t_why\t2\n", encoding="utf-8")  # line 1: bad label
+    code = main(["nsp-eval", "--dataset", "nsp.tsv", *lm_args])
+    captured = capsys.readouterr()
+    assert (code, captured) == (2, ("", f"error: {message}\n"))
+
+
+def test_nsp_eval_reports_a_row_the_lm_rejects_before_a_later_bad_line(tmp_path, capsys):
+    # this model's alphabet lacks the apostrophe of row 2, and line 3 is out of the grammar
+    lm = train_char_ngram(["love me$", "sky$"], 4, 0.1, DEFAULT_ALPHABET.replace("'", ""))
+    lm.save(tmp_path / "lm.json")
+    (tmp_path / "nsp.tsv").write_text("love\t_me\t1\ndon't\t_me\t0\nlove\tsky\t2\n", encoding="utf-8")
+    code = main(["nsp-eval", "--dataset", str(tmp_path / "nsp.tsv"), "--lm", str(tmp_path / "lm.json")])
+    captured = capsys.readouterr()
+    assert (code, captured) == (2, ("", "error: character \"'\" at position 3 not in alphabet\n"))
+
+
+def traced(call):
+    """(size, peak) bytes that tracemalloc saw while `call()` ran, its stdout dropped."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            call()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    """A 250-lyric corpus, an LM trained on it, about 10k NSP rows built from
+    it by the CLI, and the traced peaks of loading the corpus and of building."""
+    root = tmp_path_factory.mktemp("stream")
+    pairs = make_corpus(250, seed=5)
+    write_aligned_corpus(pairs, root / "corpus.jsonl")
+    train_char_ngram([lyric_lm_text(render_text(p.lyric)) for p in pairs], 4, 0.1).save(root / "lm.json")
+    _, load_peak = traced(lambda: load_aligned_corpus(root / "corpus.jsonl"))
+    argv = ["build-nsp-dataset", "--corpus", str(root / "corpus.jsonl"), "--out", str(root / "nsp.tsv")]
+    _, build_peak = traced(lambda: main(argv))
+    rows = []
+    rows_size, _ = traced(lambda: rows.extend(read_nsp_tsv(root / "nsp.tsv")))
+    assert len(rows) > 9_000
+    return root, load_peak, build_peak, rows_size
+
+
+def test_build_holds_little_beyond_its_corpus(dataset):
+    # a builder that collects its rows adds about 0.68x their size here (rows
+    # of one position share their context); a streaming one about 0.03x
+    _, load_peak, build_peak, rows_size = dataset
+    assert build_peak < load_peak + rows_size / 10
+
+
+def test_nsp_eval_holds_no_row_list(dataset):
+    # holding the rows read about 1.63x their size here; streaming, about
+    # 0.53x: the scorer keeps one (score, label) pair per row for nsp_metrics
+    root, _, _, rows_size = dataset
+    _, peak = traced(lambda: main(["nsp-eval", "--dataset", str(root / "nsp.tsv"), "--lm", str(root / "lm.json")]))
+    assert peak < rows_size * 3 / 4
