@@ -10,6 +10,7 @@ success, 1 runtime failure, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -282,6 +283,7 @@ def cmd_emit_prompt(args: argparse.Namespace) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+@functools.cache  # one per process: a parser is cyclic, so one per call is garbage
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="syllabeam",
@@ -360,9 +362,16 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if getattr(args, "config", None):
-            # the file's values become the command's defaults, so a flag still wins
-            args.command_parser.set_defaults(**_load_config_file(args.config, args.config_flags))
-            args = parser.parse_args(argv)
+            # the file's values become the command's defaults for one parse, so
+            # a flag still wins and the next call parses against the parser's own
+            values = _load_config_file(args.config, args.config_flags)
+            command = args.command_parser
+            previous = {dest: command.get_default(dest) for dest in values}
+            command.set_defaults(**values)
+            try:
+                args = parser.parse_args(argv)
+            finally:
+                command.set_defaults(**previous)
         with modelfile.gc_paused():
             return args.func(args)
     except ValueError as exc:

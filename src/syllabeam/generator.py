@@ -328,25 +328,39 @@ def train_generator(
     if not corpus:
         raise ValueError("empty corpus")
     model = MelodyConditionedNgram(vocab, history, k)
-    for pair in corpus:
-        for tok in pair.lyric.syllables():
-            if tok.text not in vocab:
-                raise ValueError(f"syllable {tok.text!r} not in vocabulary")
-    # equal notes have equal buckets, so each distinct note is bucketed once
-    buckets: dict[MelodyNote, NoteBucket] = {}
+    known = frozenset(vocab.emittable()) | {BOS_TEXT}
+    lyrics = [[tok.text for tok in pair.lyric.syllables()] for pair in corpus]
+    for text in itertools.chain.from_iterable(lyrics):
+        if text not in known:
+            raise ValueError(f"syllable {text!r} not in vocabulary")
+    # equal notes have equal buckets, so each note object is bucketed once
+    # (the corpus loader shares one object among equal notes)
+    buckets: dict[int, NoteBucket] = {}
     events = Counter()
-    for pair in corpus:
+    for pair, texts in zip(corpus, lyrics):
         # each history key is a window of the BOS-padded texts
-        texts = [BOS_TEXT] * history + [tok.text for tok in pair.lyric.syllables()] + [EOS_TEXT]
+        texts = [BOS_TEXT] * history + texts + [EOS_TEXT]
         keys = zip(*[texts[i:] for i in range(history)])
-        notes = [buckets.get(n) or buckets.setdefault(n, bucket_note(n)) for n in pair.melody.notes]
+        notes = [
+            buckets.get(id(n)) or buckets.setdefault(id(n), bucket_note(n)) for n in pair.melody.notes
+        ]
         events.update(zip(keys, notes + [None], texts[history:]))
+    by_hist_bucket, by_hist, by_bucket, unigram = (
+        model._by_hist_bucket, model._by_hist, model._by_bucket, model._unigram
+    )
     for (hist, bucket, target), n in events.items():
-        for slot in (
-            model._by_hist_bucket.setdefault((hist, bucket), {}),
-            model._by_hist.setdefault(hist, {}),
-            model._by_bucket.setdefault(bucket, {}),
-            model._unigram,
-        ):
-            slot[target] = slot.get(target, 0) + n
+        # each event is distinct, so its (history, bucket) row is only assigned
+        row = by_hist_bucket.get((hist, bucket))
+        if row is None:
+            row = by_hist_bucket[hist, bucket] = {}
+        row[target] = n
+        row = by_hist.get(hist)
+        if row is None:
+            row = by_hist[hist] = {}
+        row[target] = row.get(target, 0) + n
+        row = by_bucket.get(bucket)
+        if row is None:
+            row = by_bucket[bucket] = {}
+        row[target] = row.get(target, 0) + n
+        unigram[target] = unigram.get(target, 0) + n
     return model

@@ -21,6 +21,7 @@ from .corpus import EOS_TEXT
 
 EOS_CHAR = "$"
 DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz' " + EOS_CHAR
+_DEFAULT_SET = frozenset(DEFAULT_ALPHABET)
 BACKOFF_FACTOR = 0.4
 
 SPACED = "spaced"
@@ -41,7 +42,7 @@ def _check_chars(text: str, allowed: frozenset) -> None:
                 raise ValueError(f"character {ch!r} at position {pos} not in alphabet")
 
 
-def encode_text(text: str, alphabet: Iterable[str] = DEFAULT_ALPHABET) -> str:
+def encode_text(text: str, alphabet: Iterable[str] = _DEFAULT_SET) -> str:
     """Map the literal end marker to its reserved character and validate.
 
     Raises ValueError naming the first out-of-alphabet character position.
@@ -264,7 +265,7 @@ class CharNgramModel:
         are in the dataset grammar, which encodes to the default alphabet; while
         the model's covers it, each run of equal contexts is encoded once and no
         candidate is checked again."""
-        if not self._alphabet_set.issuperset(DEFAULT_ALPHABET):
+        if not self._alphabet_set.issuperset(_DEFAULT_SET):
             return [(self.nsp_score(context, candidate), label) for context, candidate, label in rows]
         scored = []
         memo = self._continuations
@@ -321,20 +322,35 @@ class CharNgramModel:
 def train_char_ngram(
     texts: Sequence[str], order: int, k: float, alphabet: str = DEFAULT_ALPHABET
 ) -> CharNgramModel:
-    """A model of every text's n-grams, once every text passed its check:
-    each level's (context, char) pairs are counted over all texts at once."""
+    """A model of every text's n-grams, once every text passed its check.
+
+    Only the order-grams are counted, in one pass over one string holding
+    every text after order-1 pad characters from outside the alphabet. No
+    order-gram spans two texts, and each shorter gram of a text is the suffix
+    of the order-gram ending where it ends, so each level's counts are summed
+    from the level above; grams holding a pad character are no text's."""
     texts = list(texts)
     if not texts:
         raise ValueError("empty training corpus")
     model = CharNgramModel(order, k, alphabet)
     for text in texts:
         _check_chars(text, model._alphabet_set)
-    for length, table in enumerate(model._tables):
-        grams = Counter()
-        for text in texts:
-            grams.update(zip(*[text[i:] for i in range(length + 1)]))
-        for gram, count in grams.items():
-            table.setdefault("".join(gram[:-1]), {})[gram[-1]] = count
+    # an alphabet of n characters leaves one of the first n+1 code points out
+    pad = min(set(map(chr, range(len(alphabet) + 1))) - model._alphabet_set)
+    gap = pad * (order - 1)
+    stream = gap + gap.join(texts)
+    grams = {"".join(gram): n for gram, n in Counter(zip(*[stream[i:] for i in range(order)])).items()}
+    for table in reversed(model._tables):
+        shorter: dict[str, int] = {}
+        for gram, n in grams.items():
+            if pad not in gram:
+                row = table.get(gram[:-1])
+                if row is None:
+                    row = table[gram[:-1]] = {}
+                row[gram[-1]] = n
+            suffix = gram[1:]
+            shorter[suffix] = shorter.get(suffix, 0) + n
+        grams = shorter
     return model
 
 

@@ -34,9 +34,12 @@ def gc_paused():
 
 
 def save(path, fmt: str, version: int, fields: dict) -> None:
-    """Write `fields` under a `fmt`/`version` header as sorted-key JSON."""
+    """Write `fields` under a `fmt`/`version` header as sorted-key JSON. Fields
+    are a model's own tables of strings and numbers, so none contains itself:
+    the cycle check is skipped, and any value JSON cannot hold still fails."""
     # one dumps call: json.dump would take the pure-Python encoder
-    text = json.dumps({"format": fmt, "version": version, **fields}, sort_keys=True)
+    payload = {"format": fmt, "version": version, **fields}
+    text = json.dumps(payload, sort_keys=True, check_circular=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from syllabeam.beam import FusionConfig
 from syllabeam.cli import build_parser, main
 from syllabeam.corpus import write_aligned_corpus
 
@@ -278,6 +279,23 @@ class TestGenerate:
         )
         assert code == 0
         assert header_of(stdout)["config"]["beam_size"] == 3
+
+    def test_config_file_sets_its_own_call_only(self, tmp_path, melody_path, models, capsys):
+        """`main` parses with one parser per process, so the defaults a config
+        file sets must not outlive its call."""
+        lm_path, gen_path = models
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("beam_size=2\nlambda_lm=0.5\n")
+        argv = ["generate", "--melody", melody_path, "--generator", gen_path, "--lm", lm_path]
+        code, stdout = run(capsys, [*argv, "--config", str(config_file)])
+        assert code == 0
+        assert header_of(stdout)["config"]["beam_size"] == 2
+        code, stdout = run(capsys, argv)
+        assert code == 0
+        config = header_of(stdout)["config"]
+        assert (config["beam_size"], config["lambda_lm"], config["lambda_gen"]) == (
+            FusionConfig.beam_size, FusionConfig.lambda_lm, FusionConfig.lambda_gen
+        )
 
 
 class TestEvaluate:
