@@ -163,8 +163,8 @@ def _search(hyps: list, seams: tuple, melody: MelodySequence, t: int, config: Fu
     # pool entries: (-cumulative, parent index, candidate id, text, generator
     # prob, LM score or None, contribution), in natural order; id -1 keeps a
     # frozen hypothesis ahead of same-score expansions of its parent. A full
-    # pool keeps its best `width`, and a candidate worse than the last one is
-    # skipped unbuilt; a tie is kept and left to the sort's (parent, id) order.
+    # pool keeps its best `width`. A candidate no better than the last one is
+    # skipped unbuilt: on a tie, its larger parent index sorts it after.
     pool: list[tuple] = []
     bound = math.inf
     for parent, (base, finished, rendered, key, _) in enumerate(hyps):
@@ -186,7 +186,7 @@ def _search(hyps: list, seams: tuple, melody: MelodySequence, t: int, config: Fu
         for text, prob, cid, scored in zip(*top, scores):
             contribution = lambda_gen * prob + lambda_lm * scored.value
             cost = -(base + contribution)
-            if cost <= bound:
+            if cost < bound:
                 pool.append((cost, parent, cid, text, prob, scored, contribution))
 
     pool.sort()

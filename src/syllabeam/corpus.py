@@ -142,9 +142,6 @@ class Vocabulary:
     def id_of(self, text: str) -> int:
         return self._ids[text]
 
-    def text_of(self, idx: int) -> str:
-        return self._texts[idx]
-
     def emittable(self) -> tuple[str, ...]:
         """Every token a generator may emit: all entries except BOS."""
         return self._emittable

@@ -20,8 +20,13 @@ from . import modelfile
 from .corpus import EOS_TEXT
 
 EOS_CHAR = "$"
+# every character a lyric in the corpus grammar encodes to: syllables match
+# [a-z']+, words are joined by spaces, and the end marker encodes to EOS_CHAR
 DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz' " + EOS_CHAR
-_DEFAULT_SET = frozenset(DEFAULT_ALPHABET)
+_ALPHABET = frozenset(DEFAULT_ALPHABET)
+_SIZE = len(DEFAULT_ALPHABET)
+# the pad train_char_ngram puts between texts: a character outside the alphabet
+_PAD = "\0"
 BACKOFF_FACTOR = 0.4
 
 SPACED = "spaced"
@@ -34,21 +39,21 @@ _VERSION = 1
 MEMO_LIMIT = 1 << 14
 
 
-def _check_chars(text: str, allowed: frozenset) -> None:
-    """Raise ValueError naming the first character of `text` not in `allowed`."""
-    if not allowed.issuperset(text):
+def _check_chars(text: str) -> None:
+    """Raise ValueError naming the first character of `text` not in the alphabet."""
+    if not _ALPHABET.issuperset(text):
         for pos, ch in enumerate(text):
-            if ch not in allowed:
+            if ch not in _ALPHABET:
                 raise ValueError(f"character {ch!r} at position {pos} not in alphabet")
 
 
-def encode_text(text: str, alphabet: Iterable[str] = _DEFAULT_SET) -> str:
+def encode_text(text: str) -> str:
     """Map the literal end marker to its reserved character and validate.
 
     Raises ValueError naming the first out-of-alphabet character position.
     """
     encoded = text.replace(EOS_TEXT, EOS_CHAR)
-    _check_chars(encoded, frozenset(alphabet))  # a frozenset is not copied
+    _check_chars(encoded)
     return encoded
 
 
@@ -65,7 +70,8 @@ class ContinuationScore:
 
 
 class CharNgramModel:
-    """Add-k smoothed character n-gram model with context backoff.
+    """Add-k smoothed character n-gram model over DEFAULT_ALPHABET, with
+    context backoff.
 
     Count tables are kept for every context length 0..order-1. A query uses
     the longest context suffix seen in training; each fallback to a shorter
@@ -77,17 +83,13 @@ class CharNgramModel:
     Only train_char_ngram and load fill the counts, so no cache goes stale.
     """
 
-    def __init__(self, order: int, k: float, alphabet: str = DEFAULT_ALPHABET):
+    def __init__(self, order: int, k: float):
         if order < 1:
             raise ValueError("order must be >= 1")
         if not 0 <= k < math.inf:
             raise ValueError("smoothing k must be finite and >= 0")
-        if len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet contains duplicates")
         self.order = order
         self.k = k
-        self.alphabet = alphabet
-        self._alphabet_set = frozenset(alphabet)
         # tables[L][context_of_length_L][next_char] -> count
         self._tables: list[dict[str, dict[str, int]]] = [{} for _ in range(order)]
         # context suffix -> (count table of the level serving it, or None when
@@ -121,25 +123,25 @@ class CharNgramModel:
                     break
                 hops += 1
             total = sum(table.values()) if table else 0
-            denom = total + self.k * len(self.alphabet)
+            denom = total + self.k * _SIZE
             level = self._levels[suffix] = (table if total else None, denom, BACKOFF_FACTOR ** hops)
         return level
 
     def char_prob(self, ch: str, context: str) -> float:
         """P(ch | context), discounted by BACKOFF_FACTOR per fallback hop."""
-        if ch not in self._alphabet_set:
+        if ch not in _ALPHABET:
             raise ValueError(f"character {ch!r} not in alphabet")
         table, denom, factor = self._level(self._suffix(context))
         if table is None:
-            return factor / len(self.alphabet)
+            return factor / _SIZE
         return factor * ((table.get(ch, 0) + self.k) / denom)
 
     def conditional_distribution(self, context: str) -> dict[str, float]:
         """Proper add-k distribution over the alphabet at the resolved level."""
         table, denom, _ = self._level(self._suffix(context))
         if table is None:
-            return {ch: 1.0 / len(self.alphabet) for ch in self.alphabet}
-        return {ch: (table.get(ch, 0) + self.k) / denom for ch in self.alphabet}
+            return {ch: 1.0 / _SIZE for ch in DEFAULT_ALPHABET}
+        return {ch: (table.get(ch, 0) + self.k) / denom for ch in DEFAULT_ALPHABET}
 
     # -- scoring ----------------------------------------------------------
 
@@ -148,7 +150,7 @@ class CharNgramModel:
         following `context`, the context growing through the candidate."""
         if not candidate:
             raise ValueError("candidate must be non-empty")
-        _check_chars(context, self._alphabet_set)
+        _check_chars(context)
         return self._scored(self._suffix(context), candidate)
 
     def _scored(self, suffix: str, candidate: str) -> float:
@@ -158,7 +160,7 @@ class CharNgramModel:
         key = (suffix, candidate)
         score = self._continuations.get(key)
         if score is None:
-            _check_chars(candidate, self._alphabet_set)
+            _check_chars(candidate)
             if len(self._continuations) >= MEMO_LIMIT:
                 self._continuations.clear()
             score = self._continuations[key] = self._continuation(suffix, candidate)
@@ -174,7 +176,7 @@ class CharNgramModel:
             # char_prob's arithmetic, inlined: this loop is the LM's hot path
             table, denom, factor = levels.get(suffix) or self._level(suffix)
             if table is None:
-                p = factor / len(self.alphabet)
+                p = factor / _SIZE
             else:
                 p = factor * ((table.get(ch, 0) + self.k) / denom)
             if p == 0.0:
@@ -191,7 +193,7 @@ class CharNgramModel:
         Ties break to the unspaced variant. Results are memoized per
         (last order-1 context characters, syllable).
         """
-        _check_chars(context, self._alphabet_set)
+        _check_chars(context)
         return self._scored_spacing(context, self._suffix(context), syllable_text)
 
     def _scored_spacing(self, context: str, suffix: str, syllable_text: str) -> ContinuationScore:
@@ -205,9 +207,7 @@ class CharNgramModel:
         if score is None:
             if not syllable_text:
                 raise ValueError("syllable must be non-empty")
-            # the syllable and a space are every character either variant scores
-            chars = EOS_CHAR if syllable_text == EOS_TEXT else syllable_text + " "
-            _check_chars(chars, self._alphabet_set)
+            _check_chars(EOS_CHAR if syllable_text == EOS_TEXT else syllable_text)
             if len(self._memo) >= MEMO_LIMIT:
                 self._memo.clear()
             score = self._memo[key] = self._score_spacing(suffix, syllable_text)
@@ -217,7 +217,7 @@ class CharNgramModel:
         """`score_with_spacing` of each syllable against one context, memoized
         per (context suffix, syllables). A result is stored only once every
         syllable passed its checks, so a hit checks the context alone."""
-        _check_chars(context, self._alphabet_set)
+        _check_chars(context)
         key = (self._suffix(context), syllables)
         scores = self._candidates.get(key)
         if scores is None:
@@ -249,7 +249,7 @@ class CharNgramModel:
         """
         if EOS_CHAR in context + candidate:
             raise ValueError(f"character {EOS_CHAR!r} is reserved for {EOS_TEXT}")
-        encoded_context = encode_text(context, self._alphabet_set)
+        encoded_context = encode_text(context)
         spaced = candidate.startswith("_")
         body = candidate[spaced:]
         if body == EOS_TEXT:
@@ -257,16 +257,13 @@ class CharNgramModel:
         elif not body:
             raise ValueError("no syllable after '_'" if spaced else "candidate must be non-empty")
         else:
-            _check_chars(body, self._alphabet_set)
+            _check_chars(body)
         return self._scored(self._suffix(encoded_context), " " + body if spaced else body)
 
     def score_nsp_rows(self, rows: Iterable) -> list[tuple[float, int]]:
         """(nsp_score, label) of each row `nsp.read_nsp_tsv` yields. Those rows
-        are in the dataset grammar, which encodes to the default alphabet; while
-        the model's covers it, each run of equal contexts is encoded once and no
-        candidate is checked again."""
-        if not self._alphabet_set.issuperset(_DEFAULT_SET):
-            return [(self.nsp_score(context, candidate), label) for context, candidate, label in rows]
+        are in the dataset grammar, which encodes into the alphabet, so each run
+        of equal contexts is encoded once and no candidate is checked again."""
         scored = []
         memo = self._continuations
         last = suffix = None
@@ -282,31 +279,32 @@ class CharNgramModel:
 
     def save(self, path) -> None:
         # the codec's sort_keys orders every context and character
-        fields = {"order": self.order, "k": self.k, "alphabet": self.alphabet, "tables": self._tables}
-        modelfile.save(path, _FORMAT, _VERSION, fields)
+        fields = {"order": self.order, "k": self.k, "tables": self._tables}
+        modelfile.save(path, _FORMAT, _VERSION, {"alphabet": DEFAULT_ALPHABET, **fields})
 
     @classmethod
     @modelfile.gc_paused()
     def load(cls, path) -> "CharNgramModel":
-        """A saved model, once its file holds `order` count levels whose
-        level-L contexts are L alphabet characters long, each mapping
-        alphabet characters to non-negative integer counts."""
+        """A saved model, once its file names DEFAULT_ALPHABET and holds
+        `order` count levels whose level-L contexts are L alphabet characters
+        long, each mapping alphabet characters to non-negative integer counts."""
         payload = modelfile.load(
             path, _FORMAT, _VERSION, {"order": int, "k": float, "alphabet": str, "tables": list}
         )
+        if payload["alphabet"] != DEFAULT_ALPHABET:
+            raise ValueError(f"alphabet must be {DEFAULT_ALPHABET!r}")
         tables = payload["tables"]
         if len(tables) != payload["order"]:
             raise ValueError(f"{len(tables)} count levels for order {payload['order']}")
-        model = cls(payload["order"], payload["k"], payload["alphabet"])
-        alphabet = model._alphabet_set
+        model = cls(payload["order"], payload["k"])
         for length, level in enumerate(tables):
             if type(level) is not dict:
                 raise ValueError(f"count level {length} is not a JSON object")
             for context, counts in level.items():
                 if len(context) != length:
                     raise ValueError(f"level-{length} context {context!r} has length {len(context)}")
-                _check_chars(context, alphabet)
-                modelfile.counts(counts, alphabet)
+                _check_chars(context)
+                modelfile.counts(counts, _ALPHABET)
         model._tables = tables
         return model
 
@@ -314,36 +312,32 @@ class CharNgramModel:
         return {
             "order": self.order,
             "k": self.k,
-            "alphabet_size": len(self.alphabet),
+            "alphabet_size": _SIZE,
             "contexts": sum(len(level) for level in self._tables),
         }
 
 
-def train_char_ngram(
-    texts: Sequence[str], order: int, k: float, alphabet: str = DEFAULT_ALPHABET
-) -> CharNgramModel:
+def train_char_ngram(texts: Sequence[str], order: int, k: float) -> CharNgramModel:
     """A model of every text's n-grams, once every text passed its check.
 
     Only the order-grams are counted, in one pass over one string holding
-    every text after order-1 pad characters from outside the alphabet. No
-    order-gram spans two texts, and each shorter gram of a text is the suffix
-    of the order-gram ending where it ends, so each level's counts are summed
-    from the level above; grams holding a pad character are no text's."""
+    every text after order-1 pad characters. No order-gram spans two texts,
+    and each shorter gram of a text is the suffix of the order-gram ending
+    where it ends, so each level's counts are summed from the level above;
+    grams holding a pad character are no text's."""
     texts = list(texts)
     if not texts:
         raise ValueError("empty training corpus")
-    model = CharNgramModel(order, k, alphabet)
+    model = CharNgramModel(order, k)
     for text in texts:
-        _check_chars(text, model._alphabet_set)
-    # an alphabet of n characters leaves one of the first n+1 code points out
-    pad = min(set(map(chr, range(len(alphabet) + 1))) - model._alphabet_set)
-    gap = pad * (order - 1)
+        _check_chars(text)
+    gap = _PAD * (order - 1)
     stream = gap + gap.join(texts)
     grams = {"".join(gram): n for gram, n in Counter(zip(*[stream[i:] for i in range(order)])).items()}
     for table in reversed(model._tables):
         shorter: dict[str, int] = {}
         for gram, n in grams.items():
-            if pad not in gram:
+            if _PAD not in gram:
                 row = table.get(gram[:-1])
                 if row is None:
                     row = table[gram[:-1]] = {}

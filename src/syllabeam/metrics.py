@@ -14,6 +14,9 @@ from typing import Sequence
 
 from .corpus import EOS_TEXT, LyricSequence, render_text
 
+# the clipped-match count BLEU gives an n-gram order that has no matches
+SMOOTHING_EPSILON = 0.1
+
 LLM_EVAL_PROMPT = (
     "I will send you three sets of generated candidate lyrics for 20-note "
     "melodies. I want you to evaluate them in terms of naturality, "
@@ -81,15 +84,10 @@ def rouge_l(candidate: Sequence[str], reference: Sequence[str]) -> dict[str, flo
     return _prf(lcs, len(cand), len(ref))
 
 
-def sentence_bleu(
-    candidate: Sequence[str],
-    reference: Sequence[str],
-    max_n: int,
-    smoothing_epsilon: float = 0.1,
-) -> float:
+def sentence_bleu(candidate: Sequence[str], reference: Sequence[str], max_n: int) -> float:
     """Sentence BLEU with uniform 1/max_n weights and brevity penalty.
 
-    Zero clipped-match counts are replaced by `smoothing_epsilon` matches;
+    Zero clipped-match counts are replaced by SMOOTHING_EPSILON matches;
     orders longer than the candidate leave the score at 0.
     """
     if max_n < 1:
@@ -107,13 +105,7 @@ def sentence_bleu(
             return 0.0
         ref_grams = _ngrams(ref, n)
         matches = sum(min(count, ref_grams[gram]) for gram, count in cand_grams.items())
-        if matches == 0:
-            if smoothing_epsilon <= 0:
-                return 0.0
-            precision = smoothing_epsilon / total
-        else:
-            precision = matches / total
-        log_sum += math.log(precision) / max_n
+        log_sum += math.log((matches or SMOOTHING_EPSILON) / total) / max_n
 
     brevity = 1.0 if len(cand) > len(ref) else math.exp(1.0 - len(ref) / len(cand))
     return brevity * math.exp(log_sum)

@@ -22,6 +22,7 @@ from syllabeam.corpus import (
 )
 from syllabeam.generator import train_generator
 from syllabeam.lm import (
+    DEFAULT_ALPHABET,
     SPACED,
     UNSPACED,
     ContinuationScore,
@@ -333,7 +334,7 @@ def test_criterion_09_lm_contracts():
         [lyric_lm_text(render_text(p.lyric)) for p in corpus], order=4, k=0.2
     )
     rnd = random.Random(910)
-    alphabet = model.alphabet
+    alphabet = DEFAULT_ALPHABET
     for _ in range(1000):
         context = "".join(rnd.choice(alphabet) for _ in range(rnd.randint(0, 7)))
         total = sum(model.conditional_distribution(context).values())

@@ -386,6 +386,17 @@ class TestExpandStep:
             ties_at_cut += pool > len(got) > 1 and got[-1].cumulative == got[-2].cumulative
         assert ties_at_cut > 50
 
+    def test_expansion_tied_with_a_full_pools_last_entry_is_cut(self):
+        # beam 2, lambda_lm 1, a constant LM: the first parent's two expansions
+        # fill the pool, and each expansion of the equal second parent ties
+        # its last entry exactly, so only the first parent's are kept
+        gen = StubGenerator(Vocabulary(["la", "mi"]), {}, default={"la": 0.5, "mi": 0.25, EOS_TEXT: 0.25})
+        config = FusionConfig(beam_size=2, lambda_lm=1.0, lambda_gen=0.0)
+        parents = [word_beam(["la"], 0.5), word_beam(["mi"], 0.5)]
+        got = expand_step(parents, gen, ConstantLM(0.5), melody_of(3), 1, config)
+        assert project(got) == reference_expand(parents, gen, ConstantLM(0.5), melody_of(3), 1, config)
+        assert [(b.tokens[0].text, b.cumulative) for b in got] == [("la", 1.0), ("la", 1.0)]
+
     def test_frozen_beams_tie_expansions_in_any_parent_order(self):
         vocab = Vocabulary(["la", "mi"])
         gen = StubGenerator(vocab, {}, default={"la": 0.25, "mi": 0.25, EOS_TEXT: 0.5})
@@ -652,6 +663,12 @@ class TestAuditTrace:
         bad = DecodeResult(lyric, 0.5, (TraceStep(0.5, None, SPACED, 0.4),))
         assert audit_trace([good])
         assert not audit_trace([bad])
+
+    def test_off_by_a_millionth_fails(self):
+        lyric = LyricSequence((SyllableToken("la", True), SyllableToken(EOS_TEXT, False)))
+        trace = (TraceStep(0.5, None, SPACED, 0.5),)
+        assert not audit_trace([DecodeResult(lyric, 0.5 + 1e-6, trace)])
+        assert not audit_trace([DecodeResult(lyric, 0.5 - 1e-6, trace)])
 
     def test_empty_trace_zero_cumulative(self):
         lyric = LyricSequence((SyllableToken(EOS_TEXT, False),))

@@ -162,8 +162,8 @@ class TestVocabulary:
     def test_reserved_and_sorted(self):
         vocab = build_vocabulary([parse_lyric_line("i _know")])
         assert len(vocab) == 4
-        assert vocab.text_of(0) == "<bos>"
-        assert vocab.text_of(1) == EOS_TEXT
+        assert vocab.id_of("<bos>") == 0
+        assert vocab.id_of(EOS_TEXT) == 1
         assert vocab.id_of("i") == 2
         assert vocab.id_of("know") == 3
 

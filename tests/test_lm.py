@@ -257,7 +257,7 @@ class TestPersistence:
         loaded = CharNgramModel.load(path)
         assert loaded.order == model.order
         assert loaded.k == model.k
-        assert loaded.alphabet == model.alphabet
+        assert loaded.stats() == model.stats()
         rnd = random.Random(31)
         for _ in range(50):
             context = random_text(rnd, rnd.randint(0, 6))

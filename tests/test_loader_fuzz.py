@@ -22,7 +22,7 @@ from syllabeam.corpus import (
     write_aligned_corpus,
 )
 from syllabeam.generator import MelodyConditionedNgram, train_generator
-from syllabeam.lm import CharNgramModel, lyric_lm_text, train_char_ngram
+from syllabeam.lm import DEFAULT_ALPHABET, CharNgramModel, lyric_lm_text, train_char_ngram
 
 from conftest import make_corpus
 
@@ -70,18 +70,22 @@ def edit(fn):
     return mutate
 
 
-def header_cases(fields):
-    """Each field deleted, and each given every listed wrong JSON type."""
+def header_cases(fmt, fields):
+    """Each field deleted, and each given every listed wrong JSON type, with
+    how its message starts once the file's path is taken out."""
+    templates = {"format": f"not a {fmt} file", "version": f"unsupported {fmt} version {{!r}}"}
     cases = []
     for name, wrong in fields.items():
-        cases.append(pytest.param(without(name), id=f"no-{name}"))
+        missing = templates.get(name, f"missing field {name!r}").format(None)
+        cases.append(pytest.param(without(name), missing, id=f"no-{name}"))
+        template = templates.get(name, f"field {name!r} is not a JSON")
         for value in wrong:
-            cases.append(pytest.param(field(name, value), id=f"{name}={json.dumps(value)}"))
+            cases.append(pytest.param(field(name, value), template.format(value), id=f"{name}={json.dumps(value)}"))
     return cases
 
 
-def whole(value):
-    return pytest.param(lambda payload: value, id=f"top-level {json.dumps(value)}")
+def whole(value, fmt):
+    return pytest.param(lambda payload: value, f"not a {fmt} file", id=f"top-level {json.dumps(value)}")
 
 
 def lm_context(level):
@@ -114,7 +118,12 @@ def rename_lm_context(level, new):
     return fn
 
 
+LM_ALPHABET = f"alphabet must be {DEFAULT_ALPHABET!r}"
+COUNT = "is not a non-negative integer"
+
+# (mutation, how the message starts once the file's path is taken out)
 LM_CASES = header_cases(
+    "syllabeam-charlm",
     {
         "format": [1, None],
         "version": ["1", True, 1.0, 2],
@@ -122,34 +131,44 @@ LM_CASES = header_cases(
         "k": ["0.1", True, None],
         "alphabet": [["a", "b"], None],
         "tables": [{}, "x"],
-    }
+    },
 ) + [
-    whole([]),
-    whole("syllabeam-charlm"),
-    pytest.param(field("order", 5), id="order 5, four levels"),
-    pytest.param(field("order", 3), id="order 3, four levels"),
-    pytest.param(edit(lambda p: p.update(order=5, tables=p["tables"][:1])), id="order 5, one level"),
-    pytest.param(edit(lambda p: p.update(tables=p["tables"][:2])), id="order 4, two levels"),
-    pytest.param(edit(lambda p: p.update(order=0, tables=[])), id="order 0"),
-    pytest.param(field("k", -0.5), id="negative k"),
-    pytest.param(field("k", float("nan")), id="k NaN"),
-    pytest.param(field("k", float("inf")), id="k Infinity"),
-    pytest.param(field("alphabet", ""), id="empty alphabet"),
-    pytest.param(field("alphabet", "aab"), id="alphabet with duplicates"),
-    pytest.param(edit(set_first_count(1.7)), id="count 1.7"),
-    pytest.param(edit(set_first_count(2.0)), id="count 2.0"),
-    pytest.param(edit(set_first_count(True)), id="count true"),
-    pytest.param(edit(set_first_count(-1)), id="count -1"),
-    pytest.param(edit(set_first_count("3")), id="count string"),
-    pytest.param(edit(set_first_count(None)), id="count null"),
-    pytest.param(edit(lambda p: lm_counts(p).update({"9": 1})), id="count key out of alphabet"),
-    pytest.param(edit(lambda p: lm_counts(p).update({"ab": 1})), id="count key of two characters"),
-    pytest.param(edit(rename_lm_context(1, "9")), id="context out of alphabet"),
-    pytest.param(edit(rename_lm_context(2, "a9")), id="context out of alphabet, level 2"),
-    pytest.param(edit(rename_lm_context(2, "a")), id="context too short"),
-    pytest.param(edit(rename_lm_context(1, "ab")), id="context too long"),
-    pytest.param(edit(lambda p: p["tables"].__setitem__(2, [])), id="level is an array"),
-    pytest.param(edit(lambda p: p["tables"][1].__setitem__("a", 3)), id="count table is a number"),
+    whole([], "syllabeam-charlm"),
+    whole("syllabeam-charlm", "syllabeam-charlm"),
+    pytest.param(field("order", 5), "4 count levels for order 5", id="order 5, four levels"),
+    pytest.param(field("order", 3), "4 count levels for order 3", id="order 3, four levels"),
+    pytest.param(edit(lambda p: p.update(order=5, tables=p["tables"][:1])), "1 count levels for order 5",
+                 id="order 5, one level"),
+    pytest.param(edit(lambda p: p.update(tables=p["tables"][:2])), "2 count levels for order 4",
+                 id="order 4, two levels"),
+    pytest.param(edit(lambda p: p.update(order=0, tables=[])), "order must be >= 1", id="order 0"),
+    pytest.param(field("k", -0.5), "smoothing k must be finite", id="negative k"),
+    pytest.param(field("k", float("nan")), "smoothing k must be finite", id="k NaN"),
+    pytest.param(field("k", float("inf")), "smoothing k must be finite", id="k Infinity"),
+    pytest.param(field("alphabet", ""), LM_ALPHABET, id="empty alphabet"),
+    pytest.param(field("alphabet", "aab"), LM_ALPHABET, id="alphabet with duplicates"),
+    pytest.param(field("alphabet", DEFAULT_ALPHABET.replace("'", "")), LM_ALPHABET, id="alphabet without '"),
+    pytest.param(field("alphabet", DEFAULT_ALPHABET + "9"), LM_ALPHABET, id="alphabet with a digit"),
+    pytest.param(edit(set_first_count(1.7)), f"count 1.7 for 'b' {COUNT}", id="count 1.7"),
+    pytest.param(edit(set_first_count(2.0)), f"count 2.0 for 'b' {COUNT}", id="count 2.0"),
+    pytest.param(edit(set_first_count(True)), f"count True for 'b' {COUNT}", id="count true"),
+    pytest.param(edit(set_first_count(-1)), f"count -1 for 'b' {COUNT}", id="count -1"),
+    pytest.param(edit(set_first_count("3")), f"count '3' for 'b' {COUNT}", id="count string"),
+    pytest.param(edit(set_first_count(None)), f"count None for 'b' {COUNT}", id="count null"),
+    pytest.param(edit(lambda p: lm_counts(p).update({"9": 1})), "count key '9' is not",
+                 id="count key out of alphabet"),
+    pytest.param(edit(lambda p: lm_counts(p).update({"ab": 1})), "count key 'ab' is not",
+                 id="count key of two characters"),
+    pytest.param(edit(rename_lm_context(1, "9")), "character '9' at position 0 not in alphabet",
+                 id="context out of alphabet"),
+    pytest.param(edit(rename_lm_context(2, "a9")), "character '9' at position 1 not in alphabet",
+                 id="context out of alphabet, level 2"),
+    pytest.param(edit(rename_lm_context(2, "a")), "level-2 context 'a' has length 1", id="context too short"),
+    pytest.param(edit(rename_lm_context(1, "ab")), "level-1 context 'ab' has length 2", id="context too long"),
+    pytest.param(edit(lambda p: p["tables"].__setitem__(2, [])), "count level 2 is not a JSON object",
+                 id="level is an array"),
+    pytest.param(edit(lambda p: p["tables"][1].__setitem__("a", 3)), "a count table is not a JSON object",
+                 id="count table is a number"),
 ]
 
 
@@ -176,7 +195,8 @@ def history_cases():
     bad = ["ab", ["<bos>"], [BOS_TEXT, BOS_TEXT, BOS_TEXT], [BOS_TEXT, "zzz"], [BOS_TEXT, 5],
            [BOS_TEXT, []], [BOS_TEXT, None], 2.0, None]
     return [
-        pytest.param(set_in_row(table, 0, value), id=f"{table} history {json.dumps(value)}")
+        pytest.param(set_in_row(table, 0, value), f"history {value!r} is not 2 vocabulary entries",
+                     id=f"{table} history {json.dumps(value)}")
         for table in ("hist_bucket", "hist")
         for value in bad
     ]
@@ -188,13 +208,19 @@ def bucket_cases():
            [True, 5, "short", True], [0, 5.0, "short", False], [[], 5, "short", True],
            [0, 5, ["short"], True], {"0": 5}, 5]
     return [
-        pytest.param(set_in_row(table, index, value), id=f"{table} bucket {json.dumps(value)}")
+        pytest.param(set_in_row(table, index, value), f"bucket {value!r} {BUCKET}",
+                     id=f"{table} bucket {json.dumps(value)}")
         for table, index in (("hist_bucket", 1), ("bucket", 0))
         for value in bad
     ]
 
 
+GEN_VOCABULARY = "vocabulary must be sorted, distinct entries without <bos> or <eos>"
+NO_ROWS = "has no rows; a trained model always has some"
+BUCKET = "is not [int, int, duration class, bool] or null"
+
 GEN_CASES = header_cases(
+    "syllabeam-generator",
     {
         "format": [1],
         "version": ["1", True, 1.0],
@@ -206,36 +232,51 @@ GEN_CASES = header_cases(
         "hist": [{}, None],
         "bucket": [{}, "x"],
         "unigram": [[], 0],
-    }
+    },
 ) + [
-    whole([]),
-    whole(None),
-    pytest.param(field("bucketing", 2), id="bucketing 2"),
-    pytest.param(field("history", 0), id="history 0"),
-    pytest.param(field("k", -1), id="negative k"),
-    pytest.param(field("k", float("nan")), id="k NaN"),
-    pytest.param(field("k", float("inf")), id="k Infinity"),
-    pytest.param(edit(lambda p: p["vocabulary"].append(5)), id="vocabulary number"),
-    pytest.param(edit(lambda p: p["vocabulary"].append([])), id="vocabulary array"),
-    pytest.param(edit(lambda p: p["vocabulary"].append("Not ok")), id="vocabulary illegal text"),
-    pytest.param(edit(lambda p: p["vocabulary"].insert(0, p["vocabulary"][0])), id="vocabulary duplicate"),
-    pytest.param(edit(lambda p: p["vocabulary"].reverse()), id="vocabulary unsorted"),
-    pytest.param(edit(lambda p: p["vocabulary"].insert(0, EOS_TEXT)), id="vocabulary with the end token"),
-    pytest.param(edit(lambda p: p["vocabulary"].insert(0, BOS_TEXT)), id="vocabulary with BOS"),
-    pytest.param(edit(lambda p: p["hist_bucket"].__setitem__(0, 5)), id="hist_bucket row number"),
-    pytest.param(edit(lambda p: p["hist"].__setitem__(0, None)), id="hist row null"),
-    pytest.param(edit(lambda p: p["bucket"].__setitem__(0, "ab")), id="bucket row string"),
-    pytest.param(edit(lambda p: gen_row("hist_bucket")(p).pop()), id="hist_bucket row short"),
-    pytest.param(edit(lambda p: gen_row("hist")(p).append({})), id="hist row long"),
-    pytest.param(set_in_row("hist_bucket", 2, []), id="hist_bucket counts array"),
-    pytest.param(set_in_row("hist", 1, 4), id="hist counts number"),
-    pytest.param(set_in_row("bucket", 1, {"zzz": 1}), id="bucket counts key outside vocabulary"),
-    pytest.param(set_in_row("hist", 1, {EOS_TEXT: -2}), id="hist counts negative"),
-    pytest.param(edit(lambda p: retype_last_bucket(p, 3, int)), id="seen bucket with 0 or 1 for a bool"),
-    pytest.param(edit(lambda p: retype_last_bucket(p, 0, float)), id="seen bucket with a float pitch"),
-    pytest.param(field("hist_bucket", []), id="no hist_bucket rows"),
-    pytest.param(field("hist", []), id="no hist rows"),
-    pytest.param(edit(lambda p: p.update(history=1_000_000, hist_bucket=[], hist=[])),
+    whole([], "syllabeam-generator"),
+    whole(None, "syllabeam-generator"),
+    pytest.param(field("bucketing", 2), "unsupported bucketing version 2", id="bucketing 2"),
+    pytest.param(field("history", 0), "history must be >= 1", id="history 0"),
+    pytest.param(field("k", -1), "smoothing k must be finite", id="negative k"),
+    pytest.param(field("k", float("nan")), "smoothing k must be finite", id="k NaN"),
+    pytest.param(field("k", float("inf")), "smoothing k must be finite", id="k Infinity"),
+    pytest.param(edit(lambda p: p["vocabulary"].append(5)), "vocabulary entries must be strings",
+                 id="vocabulary number"),
+    pytest.param(edit(lambda p: p["vocabulary"].append([])), "vocabulary entries must be strings",
+                 id="vocabulary array"),
+    pytest.param(edit(lambda p: p["vocabulary"].append("Not ok")), "illegal syllable text: 'Not ok'",
+                 id="vocabulary illegal text"),
+    pytest.param(edit(lambda p: p["vocabulary"].insert(0, p["vocabulary"][0])), GEN_VOCABULARY,
+                 id="vocabulary duplicate"),
+    pytest.param(edit(lambda p: p["vocabulary"].reverse()), GEN_VOCABULARY, id="vocabulary unsorted"),
+    pytest.param(edit(lambda p: p["vocabulary"].insert(0, EOS_TEXT)), GEN_VOCABULARY,
+                 id="vocabulary with the end token"),
+    pytest.param(edit(lambda p: p["vocabulary"].insert(0, BOS_TEXT)), GEN_VOCABULARY, id="vocabulary with BOS"),
+    pytest.param(edit(lambda p: p["hist_bucket"].__setitem__(0, 5)), "a 'hist_bucket' row is not a JSON array of 3",
+                 id="hist_bucket row number"),
+    pytest.param(edit(lambda p: p["hist"].__setitem__(0, None)), "a 'hist' row is not a JSON array of 2",
+                 id="hist row null"),
+    pytest.param(edit(lambda p: p["bucket"].__setitem__(0, "ab")), "a 'bucket' row is not a JSON array of 2",
+                 id="bucket row string"),
+    pytest.param(edit(lambda p: gen_row("hist_bucket")(p).pop()), "a 'hist_bucket' row is not a JSON array of 3",
+                 id="hist_bucket row short"),
+    pytest.param(edit(lambda p: gen_row("hist")(p).append({})), "a 'hist' row is not a JSON array of 2",
+                 id="hist row long"),
+    pytest.param(set_in_row("hist_bucket", 2, []), "a count table is not a JSON object",
+                 id="hist_bucket counts array"),
+    pytest.param(set_in_row("hist", 1, 4), "a count table is not a JSON object", id="hist counts number"),
+    pytest.param(set_in_row("bucket", 1, {"zzz": 1}), "count key 'zzz' is not an emittable vocabulary entry",
+                 id="bucket counts key outside vocabulary"),
+    pytest.param(set_in_row("hist", 1, {EOS_TEXT: -2}), f"count -2 for '{EOS_TEXT}' {COUNT}",
+                 id="hist counts negative"),
+    pytest.param(edit(lambda p: retype_last_bucket(p, 3, int)), f"bucket [0, 5, 'long', 0] {BUCKET}",
+                 id="seen bucket with 0 or 1 for a bool"),
+    pytest.param(edit(lambda p: retype_last_bucket(p, 0, float)), f"bucket [0.0, 5, 'long', False] {BUCKET}",
+                 id="seen bucket with a float pitch"),
+    pytest.param(field("hist_bucket", []), f"'hist_bucket' {NO_ROWS}", id="no hist_bucket rows"),
+    pytest.param(field("hist", []), f"'hist' {NO_ROWS}", id="no hist rows"),
+    pytest.param(edit(lambda p: p.update(history=1_000_000, hist_bucket=[], hist=[])), f"'hist_bucket' {NO_ROWS}",
                  id="history 1000000, no history rows"),
 ] + history_cases() + bucket_cases()
 
@@ -267,16 +308,25 @@ def test_unmutated_files_decode(tmp_path, capsys, payloads):
     assert len(captured.out.splitlines()) > 1
 
 
-@pytest.mark.parametrize("mutate", LM_CASES)
-def test_lm_file(tmp_path, capsys, payloads, mutate):
+def assert_model_failure(tmp_path, name, code, captured, message):
+    """A clean failure whose message, once the path of the model file `name`
+    is taken out, starts with `message`."""
+    assert_clean_failure(code, captured)
+    path = str(tmp_path / f"{name}.json")
+    err = captured.err.replace(f"{path}: ", "").replace(f": {path}", "")
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("mutate, message", LM_CASES)
+def test_lm_file(tmp_path, capsys, payloads, mutate, message):
     lm = mutate(copy.deepcopy(payloads["lm"]))
-    assert_clean_failure(*run_generate(tmp_path, capsys, lm, payloads["gen"]))
+    assert_model_failure(tmp_path, "lm", *run_generate(tmp_path, capsys, lm, payloads["gen"]), message)
 
 
-@pytest.mark.parametrize("mutate", GEN_CASES)
-def test_generator_file(tmp_path, capsys, payloads, mutate):
+@pytest.mark.parametrize("mutate, message", GEN_CASES)
+def test_generator_file(tmp_path, capsys, payloads, mutate, message):
     gen = mutate(copy.deepcopy(payloads["gen"]))
-    assert_clean_failure(*run_generate(tmp_path, capsys, payloads["lm"], gen))
+    assert_model_failure(tmp_path, "gen", *run_generate(tmp_path, capsys, payloads["lm"], gen), message)
 
 
 DEEP = "[" * 100_000 + "]" * 100_000
@@ -286,9 +336,9 @@ LM_TINY = (
     '"version": 1}'
 )
 # k overflows to infinity
-LM_1E400 = LM_TINY % ("a", "1e400")
+LM_1E400 = LM_TINY % (DEFAULT_ALPHABET, "1e400")
+# an alphabet other than the default one
 LM_NO_ALPHABET = LM_TINY % ("", "1")
-# a valid file, but decoding fails at step 1: the syllables are not in its alphabet
 LM_NO_LETTERS = LM_TINY % ("a", "1")
 
 
@@ -306,6 +356,13 @@ def test_lm_file_text(tmp_path, capsys, payloads, text):
     melody.write_text(MELODY)
     code = main(["generate", "--melody", str(melody), "--generator", str(gen), "--lm", str(path)])
     assert_clean_failure(code, capsys.readouterr())
+
+
+def test_lm_file_with_k_1e400_fails_on_k(tmp_path):
+    path = tmp_path / "lm.json"
+    path.write_text(LM_1E400)
+    with pytest.raises(ValueError, match="^smoothing k must be finite"):
+        CharNgramModel.load(path)
 
 
 @pytest.mark.parametrize(
@@ -345,8 +402,8 @@ def test_lm_zero_counts_load_as_unseen(tmp_path):
     path = tmp_path / "lm.json"
     tables = [{"": {"a": 0, "b": 0}}]
     path.write_text(json.dumps({"format": "syllabeam-charlm", "version": 1, "order": 1, "k": 0,
-                                "alphabet": "ab", "tables": tables}))
-    assert CharNgramModel.load(path).char_prob("a", "") == 0.5
+                                "alphabet": DEFAULT_ALPHABET, "tables": tables}))
+    assert CharNgramModel.load(path).char_prob("a", "") == 1 / len(DEFAULT_ALPHABET)
 
 
 GOOD_RECORD = {"syllables": ["hey", "you"], "word_initial": [True, True],
@@ -475,6 +532,14 @@ def test_nsp_row(tmp_path, capsys, payloads, scorer, line):
     code, captured = run_nsp_eval(tmp_path, capsys, payloads, scorer, data)
     assert_clean_failure(code, captured)
     assert captured.err.startswith("error: line 5: ")
+
+
+@pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET.replace("'", ""), DEFAULT_ALPHABET + "9"])
+def test_nsp_eval_rejects_an_lm_of_another_alphabet(tmp_path, capsys, payloads, alphabet):
+    lm = {**payloads["lm"], "alphabet": alphabet}
+    code, captured = run_nsp_eval(tmp_path, capsys, {"lm": lm}, "lm", NSP_ROWS.encode())
+    assert_clean_failure(code, captured)
+    assert captured.err == f"error: {LM_ALPHABET}\n"
 
 
 @pytest.mark.parametrize("scorer", NSP_SCORERS)

@@ -9,6 +9,7 @@ from syllabeam.corpus import parse_lyric_line
 from syllabeam.metrics import (
     EvalPair,
     LLM_EVAL_PROMPT,
+    SMOOTHING_EPSILON,
     corpus_eval,
     emit_llm_eval_prompt,
     rouge_l,
@@ -32,8 +33,9 @@ def brute_force_lcs(a, b):
     return best
 
 
-def reference_bleu(candidate, reference, max_n, epsilon=0.1):
-    """Independent sentence BLEU: explicit precision list, log-free product."""
+def reference_bleu(candidate, reference, max_n):
+    """Independent sentence BLEU: explicit precision list, log-free product; an
+    order without matches counts 0.1 of one."""
     if not candidate:
         return 0.0
     product = 1.0
@@ -44,12 +46,7 @@ def reference_bleu(candidate, reference, max_n, epsilon=0.1):
         ref_grams = Counter(tuple(reference[i : i + n]) for i in range(len(reference) - n + 1))
         cand_counts = Counter(cand_grams)
         matched = sum(min(c, ref_grams[g]) for g, c in cand_counts.items())
-        if matched == 0:
-            if epsilon <= 0:
-                return 0.0
-            p = epsilon / len(cand_grams)
-        else:
-            p = matched / len(cand_grams)
+        p = (matched if matched else 0.1) / len(cand_grams)
         product *= p ** (1.0 / max_n)
     bp = 1.0 if len(candidate) > len(reference) else math.exp(1.0 - len(reference) / len(candidate))
     return bp * product
@@ -125,8 +122,11 @@ class TestSentenceBleu:
         ref = ["a", "b", "c", "d", "e"]
         assert math.isclose(sentence_bleu(cand, ref, 2), math.exp(1 - 5 / 4), abs_tol=1e-12)
 
-    def test_no_overlap_unsmoothed(self):
-        assert sentence_bleu(["a", "b", "c"], ["x", "y", "z"], 2, smoothing_epsilon=0.0) == 0.0
+    def test_no_overlap_counts_epsilon_matches(self):
+        # no unigram or bigram matches, equal lengths: sqrt(0.1/3 * 0.1/2)
+        got = sentence_bleu(["a", "b", "c"], ["x", "y", "z"], 2)
+        assert math.isclose(got, math.sqrt(SMOOTHING_EPSILON / 3 * SMOOTHING_EPSILON / 2), rel_tol=1e-12)
+        assert SMOOTHING_EPSILON == 0.1
 
     def test_matches_independent_reference(self):
         rnd = random.Random(23)
