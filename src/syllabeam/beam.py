@@ -5,7 +5,7 @@ each surviving hypothesis proposes its top generator candidates; every
 candidate is scored by the LM against the hypothesis's rendered text (both
 spacing variants, best one kept), and the per-step fused value
 
-    lambda_gen * generator_prob + lambda_lm * lm_score
+    lambda_gen * generator_prob + lambda_lm * lm_score    (lambda_gen = 1 - lambda_lm)
 
 is added to the parent's cumulative score. Hypotheses that emitted the end
 token are frozen and compete on their frozen cumulative score. Selection
@@ -19,7 +19,7 @@ extends the rendered text, which is the LM context for the next step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .corpus import EOS_TEXT, LyricSequence, MelodySequence, SyllableToken
@@ -30,22 +30,21 @@ AUDIT_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class FusionConfig:
+    """Search settings; the generator weight is the LM weight's complement."""
+
     beam_size: int = 5
     lambda_lm: float = 0.75
-    lambda_gen: float = 0.25
     max_len: int = 20
+    lambda_gen: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
-        if self.lambda_lm < 0 or self.lambda_gen < 0:
-            raise ValueError("fusion weights must be non-negative")
-        if not math.isclose(self.lambda_lm + self.lambda_gen, 1.0, abs_tol=1e-12):
-            raise ValueError(
-                f"fusion weights must sum to 1, got {self.lambda_lm + self.lambda_gen!r}"
-            )
+        if not 0 <= self.lambda_lm <= 1:  # nan fails both comparisons
+            raise ValueError(f"lambda_lm must be in [0, 1], got {self.lambda_lm!r}")
+        object.__setattr__(self, "lambda_gen", 1.0 - self.lambda_lm)
 
 
 @dataclass(frozen=True)

@@ -168,23 +168,10 @@ def cmd_train_generator(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_lambdas(args: argparse.Namespace) -> tuple[float, float]:
-    """The fusion weights, the one not set completing the one set to 1."""
-    lambda_lm, lambda_gen = args.lambda_lm, args.lambda_gen
-    if lambda_lm is None and lambda_gen is None:
-        return FusionConfig.lambda_lm, FusionConfig.lambda_gen
-    if lambda_lm is None:
-        return 1.0 - lambda_gen, lambda_gen
-    if lambda_gen is None:
-        return lambda_lm, 1.0 - lambda_lm
-    return lambda_lm, lambda_gen
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     melody_path = _require_file(args.melody, "melody file")
     generator_path = _require_file(args.generator, "generator model")
-    lambda_lm, lambda_gen = _resolve_lambdas(args)
-    config = FusionConfig(args.beam_size, lambda_lm, lambda_gen, args.max_len)
+    config = FusionConfig(args.beam_size, args.lambda_lm, args.max_len)
 
     lm = None
     if config.lambda_lm != 0 or args.lm is not None:
@@ -324,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--melody", required=True, help="melody file of pitch:duration:rest triplets")
     p.add_argument("--generator", required=True, help="generator model path")
     p.add_argument("--lm", help="character LM model path")
-    p.add_argument("--lambda-lm", type=_float)
-    p.add_argument("--lambda-gen", type=_float)
+    p.add_argument("--lambda-lm", type=_float, default=FusionConfig.lambda_lm)
     p.add_argument("--beam-size", type=_int, default=FusionConfig.beam_size)
     p.add_argument("--max-len", type=_int, default=FusionConfig.max_len)
     p.add_argument("--trace", action="store_true", help="include per-step score traces")

@@ -17,7 +17,8 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import modelfile
-from .corpus import EOS_TEXT
+from .corpus import _SYLLABLE_RE, EOS_TEXT
+from .nsp import _CANDIDATE_RE
 
 EOS_CHAR = "$"
 # every character a lyric in the corpus grammar encodes to: syllables match
@@ -147,7 +148,10 @@ class CharNgramModel:
 
     def score_continuation(self, context: str, candidate: str) -> float:
         """Geometric mean of per-character probabilities of `candidate`
-        following `context`, the context growing through the candidate."""
+        following `context`, the context growing through the candidate.
+
+        Both may be any alphabet text: a candidate holding EOS_CHAR scores
+        the end of a lyric, and one holding a space crosses a word boundary."""
         if not candidate:
             raise ValueError("candidate must be non-empty")
         _check_chars(context)
@@ -189,9 +193,10 @@ class CharNgramModel:
     def score_with_spacing(self, context: str, syllable_text: str) -> ContinuationScore:
         """Score both renderings of a syllable and keep the better one.
 
-        The end marker has a single rendering (the reserved character).
-        Ties break to the unspaced variant. Results are memoized per
-        (last order-1 context characters, syllable).
+        A syllable is the end marker, which has a single rendering (the
+        reserved character), or corpus syllable text, `[a-z']+`. Ties break
+        to the unspaced variant. Results are memoized per (last order-1
+        context characters, syllable).
         """
         _check_chars(context)
         return self._scored_spacing(context, self._suffix(context), syllable_text)
@@ -205,9 +210,11 @@ class CharNgramModel:
         key = (suffix, syllable_text)
         score = self._memo.get(key)
         if score is None:
-            if not syllable_text:
-                raise ValueError("syllable must be non-empty")
-            _check_chars(EOS_CHAR if syllable_text == EOS_TEXT else syllable_text)
+            if syllable_text != EOS_TEXT and not _SYLLABLE_RE.match(syllable_text):
+                if not syllable_text:
+                    raise ValueError("syllable must be non-empty")
+                _check_chars(syllable_text)
+                raise ValueError(f"illegal syllable text: {syllable_text!r}")
             if len(self._memo) >= MEMO_LIMIT:
                 self._memo.clear()
             score = self._memo[key] = self._score_spacing(suffix, syllable_text)
@@ -241,24 +248,24 @@ class CharNgramModel:
     def nsp_score(self, context: str, candidate: str) -> float:
         """Score a dataset-notation candidate against a dataset-notation context.
 
-        Candidates use the underscore marker for a leading space and the
-        literal end marker, as the whole syllable, for end-of-sequence;
-        contexts may embed the end marker mid-string (corruption rows). The
-        reserved character the end marker encodes to is rejected in both.
+        A candidate matches `_?(?:[a-z']+|<eos>)`: one syllable or the end
+        marker, the underscore marking a leading space; contexts may embed
+        the end marker mid-string (corruption rows). The reserved character
+        the end marker encodes to is rejected in both.
         Scores are memoized per (context suffix, encoded candidate).
         """
         if EOS_CHAR in context + candidate:
             raise ValueError(f"character {EOS_CHAR!r} is reserved for {EOS_TEXT}")
         encoded_context = encode_text(context)
-        spaced = candidate.startswith("_")
-        body = candidate[spaced:]
-        if body == EOS_TEXT:
-            body = EOS_CHAR
-        elif not body:
-            raise ValueError("no syllable after '_'" if spaced else "candidate must be non-empty")
-        else:
+        if not _CANDIDATE_RE.fullmatch(candidate):
+            spaced = candidate.startswith("_")
+            body = candidate[spaced:]
+            if not body:
+                raise ValueError("no syllable after '_'" if spaced else "candidate must be non-empty")
             _check_chars(body)
-        return self._scored(self._suffix(encoded_context), " " + body if spaced else body)
+            raise ValueError(f"candidate {candidate!r} does not match {_CANDIDATE_RE.pattern}")
+        text = candidate.replace("_", " ").replace(EOS_TEXT, EOS_CHAR)
+        return self._scored(self._suffix(encoded_context), text)
 
     def score_nsp_rows(self, rows: Iterable) -> list[tuple[float, int]]:
         """(nsp_score, label) of each row `nsp.read_nsp_tsv` yields. Those rows

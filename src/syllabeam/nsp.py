@@ -24,7 +24,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .corpus import EOS_TEXT, LyricSequence, SyllableToken
 from .rng import SplitMix64, substream
@@ -163,12 +163,6 @@ def build_dataset(
 def nsp_line(example: NspExample) -> str:
     """The TSV line of one row: context, candidate and label, tab-separated."""
     return f"{example[0]}\t{example[1]}\t{example[2]}\n"
-
-
-def write_nsp_tsv(examples: Iterable[NspExample], path) -> None:
-    """One `nsp_line` per row."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(map(nsp_line, examples))
 
 
 def read_nsp_tsv(path) -> Iterator[NspExample]:

@@ -36,7 +36,7 @@ from syllabeam.nsp import (
     NspExample,
     build_dataset,
     candidate_marker,
-    write_nsp_tsv,
+    nsp_line,
 )
 
 from conftest import Batched, expected_dataset_size, make_corpus, make_melody
@@ -113,7 +113,7 @@ def test_criterion_02_worked_example():
             return ContinuationScore(0.1, UNSPACED)  # below the 0.167 break-even
 
     parent = word_beam(list(history))
-    config = FusionConfig(beam_size=2, lambda_lm=0.75, lambda_gen=0.25)
+    config = FusionConfig(beam_size=2, lambda_lm=0.75)
     beams = expand_step([parent], gen, FixedLM(), melody_of(6), 4, config)
     assert beams[0].tokens[-1].text == "ideas"
     assert abs(beams[0].cumulative - 0.50) <= 1e-9
@@ -132,7 +132,7 @@ def test_criterion_03_beam_step_oracle():
         beam_size = rnd.randint(1, 4)
         lambda_lm = rnd.choice([0.0, 0.25, 0.5, 0.75, 1.0])
         config = FusionConfig(
-            beam_size=beam_size, lambda_lm=lambda_lm, lambda_gen=1.0 - lambda_lm, max_len=10
+            beam_size=beam_size, lambda_lm=lambda_lm, max_len=10
         )
         parents = []
         n_parents = rnd.randint(1, beam_size)
@@ -154,7 +154,7 @@ def test_criterion_04_global_optimum():
     gen = RandomTableGenerator(vocab, seed=12345, eos_weight=0.0)
     lm = SpacedRandomLM(seed=54321, eos_score=0.0)
     melody = melody_of(3)
-    config = FusionConfig(beam_size=27, lambda_lm=0.75, lambda_gen=0.25, max_len=3)
+    config = FusionConfig(beam_size=27, lambda_lm=0.75, max_len=3)
     results = decode(melody, gen, lm, config)
     best_seq, best_score = brute_force_decode(melody, gen, lm, config, 3)
     assert tuple(t.text for t in results[0].lyric.syllables()) == best_seq
@@ -200,7 +200,7 @@ def test_criterion_05_degeneracy(tmp_path):
     for trial in range(5):
         melody = make_melody(random.Random(trial), 10)
         for beam_size in (1, 3, 5):
-            config0 = FusionConfig(beam_size=beam_size, lambda_lm=0.0, lambda_gen=1.0, max_len=10)
+            config0 = FusionConfig(beam_size=beam_size, lambda_lm=0.0, max_len=10)
             got = decode(melody, gen, None, config0)
             want = generator_only_search(melody, beam_size, 10)
             assert [tuple(t.text for t in r.lyric.syllables()) for r in got] == [
@@ -208,7 +208,7 @@ def test_criterion_05_degeneracy(tmp_path):
             ]
             # a constant LM shifts every same-step expansion equally
             config_c = FusionConfig(
-                beam_size=beam_size, lambda_lm=0.75, lambda_gen=0.25, max_len=10
+                beam_size=beam_size, lambda_lm=0.75, max_len=10
             )
             constant = decode(melody, gen, ConstantLM(0.37), config_c)
             assert [tuple(t.text for t in r.lyric.tokens) for r in constant] == [
@@ -226,7 +226,7 @@ def test_criterion_06_dataset_builder(tmp_path):
     rows = []
     build_dataset([phone], BuilderConfig(seed=99), rows.append)
     tsv_path = tmp_path / "phone.tsv"
-    write_nsp_tsv(rows, tsv_path)
+    tsv_path.write_text("".join(map(nsp_line, rows)), encoding="utf-8")
     tsv_lines = set(tsv_path.read_text(encoding="utf-8").splitlines())
     for i in range(1, len(syllables)):
         context = render_text(LyricSequence(syllables[:i]))

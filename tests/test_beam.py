@@ -177,13 +177,23 @@ class TestFusionConfig:
         assert config.beam_size == 5
         assert config.max_len == 20
 
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            FusionConfig(lambda_lm=0.6, lambda_gen=0.6)
+    @pytest.mark.parametrize("lambda_lm", [0.0, 0.1, 0.3, 0.5, 0.75, 1.0])
+    def test_lambda_gen_is_lambda_lms_complement(self, lambda_lm):
+        assert FusionConfig(lambda_lm=lambda_lm).lambda_gen == 1.0 - lambda_lm
+
+    def test_lambda_gen_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            FusionConfig(lambda_lm=0.3, lambda_gen=0.7)
 
     def test_negative_weight(self):
-        with pytest.raises(ValueError):
-            FusionConfig(lambda_lm=1.2, lambda_gen=-0.2)
+        for lambda_lm in (-0.2, 1.2):  # a negative LM or generator weight
+            with pytest.raises(ValueError, match=r"lambda_lm must be in \[0, 1\]"):
+                FusionConfig(lambda_lm=lambda_lm)
+
+    @pytest.mark.parametrize("lambda_lm", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight(self, lambda_lm):
+        with pytest.raises(ValueError, match=r"lambda_lm must be in \[0, 1\]"):
+            FusionConfig(lambda_lm=lambda_lm)
 
     def test_beam_size_positive(self):
         with pytest.raises(ValueError):
@@ -253,7 +263,7 @@ class TestWorkedFusionExample:
                     return ContinuationScore(0.6, SPACED)
                 return ContinuationScore(0.1, UNSPACED)
 
-        config = FusionConfig(beam_size=2, lambda_lm=0.75, lambda_gen=0.25)
+        config = FusionConfig(beam_size=2, lambda_lm=0.75)
         beams = expand_step([self.make_parent()], gen, FixedLM(), melody_of(6), 4, config)
 
         assert beams[0].tokens[-1].text == "ideas"
@@ -270,7 +280,7 @@ class TestWorkedFusionExample:
         lm = train_char_ngram([lyric_lm_text(t) for t in texts], order=4, k=0.01)
         assert lm.score_with_spacing("don't get any big", "ger").value < 0.167
         gen = StubGenerator(self.VOCAB, {self.HISTORY: {"ger": 0.3, "ideas": 0.2}})
-        config = FusionConfig(beam_size=2, lambda_lm=0.75, lambda_gen=0.25)
+        config = FusionConfig(beam_size=2, lambda_lm=0.75)
         beams = expand_step([self.make_parent()], gen, lm, melody_of(6), 4, config)
         assert beams[0].tokens[-1].text == "ideas"
 
@@ -285,7 +295,7 @@ class TestExpandStep:
         beam_size = rnd.randint(1, 4)
         lambda_lm = rnd.choice([0.0, 0.25, 0.5, 0.75, 1.0])
         config = FusionConfig(
-            beam_size=beam_size, lambda_lm=lambda_lm, lambda_gen=1.0 - lambda_lm, max_len=10
+            beam_size=beam_size, lambda_lm=lambda_lm, max_len=10
         )
         n_parents = rnd.randint(1, beam_size)
         parents = []
@@ -323,7 +333,7 @@ class TestExpandStep:
         rnd = random.Random(41)
         for _ in range(50):
             parents, gen, lm, melody, t, _ = self.random_instance(rnd)
-            config = FusionConfig(beam_size=3, lambda_lm=0.0, lambda_gen=1.0)
+            config = FusionConfig(beam_size=3, lambda_lm=0.0)
             with_lm = expand_step(parents, gen, lm, melody, t, config)
             without = expand_step(parents, gen, None, melody, t, config)
             assert [tuple(t.text for t in b.tokens) for b in with_lm] == [
@@ -337,7 +347,7 @@ class TestExpandStep:
         for _ in range(50):
             parents, gen, _, melody, t, _ = self.random_instance(rnd)
             parents = [Beam(p.tokens, p.rendered, p.cumulative, False, p.trace) for p in parents]
-            config = FusionConfig(beam_size=3, lambda_lm=0.75, lambda_gen=0.25)
+            config = FusionConfig(beam_size=3, lambda_lm=0.75)
             shifted = expand_step(parents, gen, ConstantLM(0.37), melody, t, config)
             base = expand_step(parents, gen, ConstantLM(0.0), melody, t, config)
             assert [tuple(t.text for t in b.tokens) for b in shifted] == [
@@ -357,7 +367,7 @@ class TestExpandStep:
         weights = [1.0 if lambda_lm == 0 else rnd.random() for _ in emittable]
         gen = StubGenerator(vocab, {}, default={t: w / sum(weights) for t, w in zip(emittable, weights)})
         config = FusionConfig(
-            beam_size=rnd.randint(1, 3 * len(emittable) + 2), lambda_lm=lambda_lm, lambda_gen=1.0 - lambda_lm
+            beam_size=rnd.randint(1, 3 * len(emittable) + 2), lambda_lm=lambda_lm
         )
         parents = [
             word_beam(rnd.choices(texts, k=rnd.randint(1, 3)), rnd.choice([0.25, 0.5, 0.75, 1.0]), rnd.random() < 0.3)
@@ -391,7 +401,7 @@ class TestExpandStep:
         # fill the pool, and each expansion of the equal second parent ties
         # its last entry exactly, so only the first parent's are kept
         gen = StubGenerator(Vocabulary(["la", "mi"]), {}, default={"la": 0.5, "mi": 0.25, EOS_TEXT: 0.25})
-        config = FusionConfig(beam_size=2, lambda_lm=1.0, lambda_gen=0.0)
+        config = FusionConfig(beam_size=2, lambda_lm=1.0)
         parents = [word_beam(["la"], 0.5), word_beam(["mi"], 0.5)]
         got = expand_step(parents, gen, ConstantLM(0.5), melody_of(3), 1, config)
         assert project(got) == reference_expand(parents, gen, ConstantLM(0.5), melody_of(3), 1, config)
@@ -400,7 +410,7 @@ class TestExpandStep:
     def test_frozen_beams_tie_expansions_in_any_parent_order(self):
         vocab = Vocabulary(["la", "mi"])
         gen = StubGenerator(vocab, {}, default={"la": 0.25, "mi": 0.25, EOS_TEXT: 0.5})
-        config = FusionConfig(beam_size=4, lambda_lm=1.0, lambda_gen=0.0)
+        config = FusionConfig(beam_size=4, lambda_lm=1.0)
         # every expansion of an open 0.5 parent reaches 1.0, as do the frozen beams
         parents = [
             word_beam(["mi"], 1.0, finished=True),
@@ -420,7 +430,7 @@ class TestExpandStep:
         # parent's children tie the frozen beam's cumulative exactly
         frozen = word_beam(["mi"], cumulative=1.0, finished=True)
         open_beam = word_beam(["la"], cumulative=0.5)
-        config = FusionConfig(beam_size=2, lambda_lm=0.5, lambda_gen=0.5)
+        config = FusionConfig(beam_size=2, lambda_lm=0.5)
         result = expand_step([frozen, open_beam], gen, ConstantLM(0.6), melody_of(4), 1, config)
         assert result[0] is frozen
         assert result[1].cumulative == 1.0
@@ -434,7 +444,7 @@ class TestExpandStep:
                 None,
                 melody_of(2),
                 1,
-                FusionConfig(lambda_lm=0.0, lambda_gen=1.0),
+                FusionConfig(lambda_lm=0.0),
             )
 
     def test_step_zero_rejected(self):
@@ -445,7 +455,7 @@ class TestExpandStep:
                 None,
                 melody_of(2),
                 0,
-                FusionConfig(lambda_lm=0.0, lambda_gen=1.0),
+                FusionConfig(lambda_lm=0.0),
             )
 
 
@@ -522,7 +532,7 @@ class TestDecode:
     def test_greedy_generator_only(self):
         _, gen, _ = self.trained_setup()
         melody = make_melody(random.Random(9), 8)
-        config = FusionConfig(beam_size=1, lambda_lm=0.0, lambda_gen=1.0, max_len=8)
+        config = FusionConfig(beam_size=1, lambda_lm=0.0, max_len=8)
         results = decode(melody, gen, None, config)
         assert len(results) == 1
         # greedy reference: argmax at each step
@@ -538,7 +548,7 @@ class TestDecode:
     def test_lambda_zero_token_identical_to_generator_only(self):
         _, gen, lm = self.trained_setup()
         melody = make_melody(random.Random(10), 10)
-        config = FusionConfig(beam_size=4, lambda_lm=0.0, lambda_gen=1.0, max_len=10)
+        config = FusionConfig(beam_size=4, lambda_lm=0.0, max_len=10)
         with_lm = decode(melody, gen, lm, config)
         without = decode(melody, gen, None, config)
         assert [tuple(t.text for t in r.lyric.tokens) for r in with_lm] == [
@@ -558,7 +568,7 @@ class TestDecode:
         gen = RandomTableGenerator(vocab, seed=12345, eos_weight=0.0)
         lm = SpacedRandomLM(seed=54321, eos_score=0.0)
         melody = melody_of(3)
-        config = FusionConfig(beam_size=27, lambda_lm=0.75, lambda_gen=0.25, max_len=3)
+        config = FusionConfig(beam_size=27, lambda_lm=0.75, max_len=3)
         results = decode(melody, gen, lm, config)
         best_seq, best_score = brute_force_decode(melody, gen, lm, config, 3)
         assert tuple(t.text for t in results[0].lyric.syllables()) == best_seq
@@ -572,7 +582,7 @@ class TestDecode:
         lm = SpacedRandomLM(seed=2000 + length, eos_score=0.0)
         melody = melody_of(length)
         config = FusionConfig(
-            beam_size=n_texts**length, lambda_lm=0.75, lambda_gen=0.25, max_len=length
+            beam_size=n_texts**length, lambda_lm=0.75, max_len=length
         )
         results = decode(melody, gen, lm, config)
         best_seq, best_score = brute_force_decode(melody, gen, lm, config, length)
@@ -596,7 +606,7 @@ class TestDecode:
     def test_eos_top_candidate_finishes_immediately(self):
         vocab = Vocabulary(["la"])
         gen = StubGenerator(vocab, {(): {EOS_TEXT: 0.9, "la": 0.1}})
-        results = decode(melody_of(2), gen, None, FusionConfig(beam_size=1, lambda_lm=0.0, lambda_gen=1.0))
+        results = decode(melody_of(2), gen, None, FusionConfig(beam_size=1, lambda_lm=0.0))
         assert [t.text for t in results[0].lyric.tokens] == [EOS_TEXT]
 
 

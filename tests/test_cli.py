@@ -171,25 +171,39 @@ class TestGenerate:
         records = [json.loads(line) for line in stdout.splitlines()[1:]]
         assert len(records) == 1
 
-    def test_conflicting_lambdas(self, melody_path, models, capsys):
+    def test_lambda_gen_is_not_a_setting(self, tmp_path, melody_path, models, capsys):
+        """The generator weight is 1 - lambda_lm, so neither a flag nor a
+        config key sets it."""
         lm_path, gen_path = models
-        code, _ = run(
-            capsys,
-            [
-                "generate",
-                "--melody",
-                melody_path,
-                "--generator",
-                gen_path,
-                "--lm",
-                lm_path,
-                "--lambda-lm",
-                "0.6",
-                "--lambda-gen",
-                "0.6",
-            ],
-        )
-        assert code == 2
+        argv = ["generate", "--melody", melody_path, "--generator", gen_path, "--lm", lm_path]
+        assert main([*argv, "--lambda-gen", "0.3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --lambda-gen" in captured.err
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("lambda_gen=0.3\n")
+        assert main([*argv, "--config", str(config_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {config_file}:1: key 'lambda_gen' unknown")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
+    def test_lambda_lm_outside_unit_interval(self, melody_path, models, capsys, value):
+        lm_path, gen_path = models
+        argv = ["generate", "--melody", melody_path, "--generator", gen_path, "--lm", lm_path]
+        assert main([*argv, "--lambda-lm", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: lambda_lm must be in [0, 1], got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("value", ["0.3", "0.1", "1"])
+    def test_lambda_gen_echo_is_lambda_lms_complement(self, melody_path, models, capsys, value):
+        lm_path, gen_path = models
+        argv = ["generate", "--melody", melody_path, "--generator", gen_path, "--lm", lm_path]
+        code, stdout = run(capsys, [*argv, "--lambda-lm", value])
+        assert code == 0
+        config = header_of(stdout)["config"]
+        assert (config["lambda_lm"], config["lambda_gen"]) == (float(value), 1.0 - float(value))
 
     def test_deterministic(self, melody_path, models, capsys):
         lm_path, gen_path = models
@@ -294,7 +308,7 @@ class TestGenerate:
         assert code == 0
         config = header_of(stdout)["config"]
         assert (config["beam_size"], config["lambda_lm"], config["lambda_gen"]) == (
-            FusionConfig.beam_size, FusionConfig.lambda_lm, FusionConfig.lambda_gen
+            FusionConfig.beam_size, FusionConfig.lambda_lm, 1.0 - FusionConfig.lambda_lm
         )
 
 

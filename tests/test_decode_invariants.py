@@ -66,7 +66,7 @@ def test_decode_invariants(
     corpus = make_corpus(pairs, seed=corpus_seed, min_syllables=1, max_syllables=10)
     lm, generator = train(corpus, order, lm_k, history, gen_k)
     melody = make_melody(random.Random(melody_seed), notes)
-    config = FusionConfig(beam_size, lambda_lm, 1.0 - lambda_lm, max_len)
+    config = FusionConfig(beam_size, lambda_lm, max_len)
 
     results = decode(melody, generator, lm, config)
     assert audit_trace(results)
@@ -107,7 +107,7 @@ def test_decode_equals_the_search_rebuilt_step_by_step(
     corpus = make_corpus(pairs, seed=corpus_seed, min_syllables=1, max_syllables=10)
     lm, generator = train(corpus, 3, 0.1, history, 0.1)
     melody = make_melody(random.Random(melody_seed), notes)
-    config = FusionConfig(beam_size, lambda_lm, 1.0 - lambda_lm, max_len)
+    config = FusionConfig(beam_size, lambda_lm, max_len)
 
     results = decode(melody, generator, lm, config)
     assert results == stepwise_decode(melody, generator, lm, config)

@@ -24,7 +24,7 @@ from syllabeam.corpus import build_vocabulary, load_aligned_corpus, render_text,
 from syllabeam.generator import MelodyConditionedNgram, train_generator
 from syllabeam.lm import CharNgramModel, lyric_lm_text, train_char_ngram
 from syllabeam.modelfile import gc_paused
-from syllabeam.nsp import BuilderConfig, build_dataset, read_nsp_tsv, write_nsp_tsv
+from syllabeam.nsp import BuilderConfig, build_dataset, nsp_line, read_nsp_tsv
 
 from conftest import make_corpus
 
@@ -68,7 +68,7 @@ def test_bulk_paths_make_no_reference_cycles(files, tmp_path):
     generator = leaves_no_cycles(lambda: MelodyConditionedNgram.load(root / "gen.json"))
     rows = []
     leaves_no_cycles(lambda: build_dataset(lyrics, BuilderConfig(seed=3), rows.append))
-    write_nsp_tsv(rows, tmp_path / "nsp.tsv")
+    (tmp_path / "nsp.tsv").write_text("".join(map(nsp_line, rows)), encoding="utf-8")
     assert leaves_no_cycles(lambda: list(read_nsp_tsv(tmp_path / "nsp.tsv"))) == rows
     for pair in corpus[:4]:
         assert leaves_no_cycles(lambda: decode(pair.melody, generator, lm, FusionConfig(beam_size=4)))

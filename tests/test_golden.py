@@ -27,6 +27,10 @@ COMMANDS = {
     "nsp-eval oracle": ["nsp-eval", "--dataset", "nsp.tsv", "--scorer", "oracle", "--threshold", "0.7"],
     "generate": ["generate", "--melody", "melody.txt", "--generator", "gen.json", "--lm", "lm.json",
                  "--beam-size", "4", "--trace"],
+    "generate lambda-lm 0.3": ["generate", "--melody", "melody.txt", "--generator", "gen.json",
+                               "--lm", "lm.json", "--beam-size", "4", "--lambda-lm", "0.3", "--trace"],
+    "generate lambda-lm 0": ["generate", "--melody", "melody.txt", "--generator", "gen.json",
+                             "--beam-size", "4", "--lambda-lm", "0", "--trace"],
     "evaluate": ["evaluate", "--candidates", "candidates.txt", "--references", "references.txt", "--json"],
 }
 FILES = ("lm.json", "gen.json", "nsp.tsv")
@@ -73,6 +77,8 @@ GOLDEN = {
         "nsp-eval lm": "e7ff6fb8945b4505ddc94d5334f3e5b97916a7f65f5f5fa287c1226aa8ba13a0",
         "nsp-eval oracle": "bf19b21c407575d697cd3057e50f8484f880cd6ac5e5da1c4079e9926485050d",
         "generate": "6533c4aa85b498f25cc36bb2fc397c6da2199c1dc8b3667784f9d7cca31853fa",
+        "generate lambda-lm 0.3": "3a232aad931637c0e832131ad86c536ce0209ad55b275b8a350407921e773427",
+        "generate lambda-lm 0": "c9bd11c5fdec1535567c5d950c54ba3300fb1b9e732e26bd5212e47e2545c4cb",
         "evaluate": "8be09d30790df76fdbdff1662e781acf5997cdc3d5950a5e28cad53eda6d6968",
         "lm.json": "11d87ed8a6f29c5a09b002e11efbb793fd097331182f1d265dd81cf95398a348",
         "gen.json": "688eaa6cfa2d375071248b17994143800f9ed360d988e04dd9673dad18bec66f",
@@ -85,6 +91,8 @@ GOLDEN = {
         "nsp-eval lm": "2547ae64e1b3c5adf3d20612a601270201cb1fd3e6261a1b417661917581b400",
         "nsp-eval oracle": "b45c75eeea78a8b7c43b739953614d4e912abb37a61818057bd2ea9d7a60add3",
         "generate": "742496770262028a0d490f264ba0ede44cedbead84e787de2b71a53d43c047fa",
+        "generate lambda-lm 0.3": "bea54841faac381a77614f0b5cf5e4d61e8cd09f82affef317af797fac84b1d8",
+        "generate lambda-lm 0": "986f758c25093d5741a3caa685e0f8a787cf1ab670b3672268005d4a731fac85",
         "evaluate": "26927aaf73ac5601314dd6237da0f7ab881f024cd4bae2201fb0d5dc6505cedb",
         "lm.json": "1b00ef7a7f721dd54bb910420c51fd9254a325518ae095a473a574a6e46a6fea",
         "gen.json": "011eb89c564b18e76ddd4a1ff3a9d4eea12fdb4322c3a3247408cf8ba78d6947",

@@ -252,3 +252,26 @@ def test_nsp_score_rejects_text_outside_the_dataset_notation(bad, scored_as, mes
     for _ in range(2):
         assert error_of(model.nsp_score, *bad) == message
         model.score_continuation(*scored_as)
+
+
+@pytest.mark.parametrize("candidate", ["a b", "_ b", " b", "_a b", "_ "])
+def test_nsp_score_rejects_a_candidate_outside_the_row_grammar(candidate):
+    # alphabet text that is no `_?(?:[a-z']+|<eos>)`, even once scored as a continuation
+    model = train_char_ngram(corpus_texts(10, seed=30), 4, 0.1)
+    for _ in range(2):
+        assert error_of(model.nsp_score, "la", candidate) == (
+            f"candidate {candidate!r} does not match _?(?:[a-z']+|<eos>)"
+        )
+        model.score_continuation("la", candidate.replace("_", " "))
+
+
+@pytest.mark.parametrize("syllable", ["a$", "$", "mi$", "a b", " a", "a "])
+def test_a_syllable_outside_the_corpus_grammar_is_rejected(syllable):
+    # alphabet text that is neither <eos> nor [a-z']+; score_continuation takes it
+    model = train_char_ngram(corpus_texts(10, seed=31), 4, 0.1)
+    message = f"illegal syllable text: {syllable!r}"
+    for _ in range(2):
+        assert error_of(model.score_with_spacing, "la", syllable) == message
+        assert error_of(model.score_candidates, "la", ("mi", syllable)) == message
+        assert 0.0 < model.score_continuation("la", syllable) <= 1.0
+    assert all(key[1] != syllable for key in model._memo) and model._candidates == {}

@@ -10,8 +10,8 @@ from syllabeam.nsp import (
     build_examples_for_lyric,
     candidate_marker,
     corrupted_context,
+    nsp_line,
     read_nsp_tsv,
-    write_nsp_tsv,
 )
 from syllabeam.lm import nsp_accuracy, nsp_metrics
 from syllabeam.rng import substream
@@ -266,12 +266,12 @@ class TestTsv:
         rows = []
         build_dataset(corpus, BuilderConfig(seed=9), rows.append)
         path = tmp_path / "data.tsv"
-        write_nsp_tsv(rows, path)
+        path.write_text("".join(map(nsp_line, rows)), encoding="utf-8")
         assert list(read_nsp_tsv(path)) == rows
 
     def test_serialized_positive_row(self, tmp_path):
         path = tmp_path / "one.tsv"
-        write_nsp_tsv([NspExample("i know why your mean to me when", "_i", 1)], path)
+        path.write_text(nsp_line(NspExample("i know why your mean to me when", "_i", 1)), encoding="utf-8")
         assert path.read_text(encoding="utf-8") == "i know why your mean to me when\t_i\t1\n"
 
     def test_bad_label(self, tmp_path):
@@ -297,7 +297,7 @@ class TestTsv:
             NspExample("tel e phone", "_<eos>", 0),
         ]
         path = tmp_path / "data.tsv"
-        write_nsp_tsv(rows, path)
+        path.write_text("".join(map(nsp_line, rows)), encoding="utf-8")
         assert list(read_nsp_tsv(path)) == rows
 
     @pytest.mark.parametrize(

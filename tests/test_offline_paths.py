@@ -34,7 +34,7 @@ from syllabeam.lm import (
     nsp_metrics,
     train_char_ngram,
 )
-from syllabeam.nsp import BuilderConfig, NspExample, build_dataset, read_nsp_tsv, write_nsp_tsv
+from syllabeam.nsp import BuilderConfig, NspExample, build_dataset, nsp_line, read_nsp_tsv
 
 from conftest import make_corpus, random_syllable_corpus
 
@@ -125,7 +125,7 @@ def test_nsp_eval_prints_nsp_accuracy_of_nsp_score(tmp_path, capsys, corpus):
     model.save(tmp_path / "lm.json")
     rows = []
     build_dataset([p.lyric for p in pairs], BuilderConfig(seed=5), rows.append)
-    write_nsp_tsv(rows, tmp_path / "nsp.tsv")
+    (tmp_path / "nsp.tsv").write_text("".join(map(nsp_line, rows)), encoding="utf-8")
     expected = nsp_accuracy(CharNgramModel.load(tmp_path / "lm.json").nsp_score, rows)
     code, out, err = nsp_eval(capsys, tmp_path / "nsp.tsv", tmp_path / "lm.json")
     assert (code, err) == (0, "")
@@ -137,7 +137,7 @@ def test_score_nsp_rows_pairs_each_score_with_its_label(tmp_path):
     model = train_char_ngram([lyric_lm_text(render_text(p.lyric)) for p in pairs], 3, 0.1)
     rows = []
     build_dataset([p.lyric for p in pairs], BuilderConfig(seed=6), rows.append)
-    write_nsp_tsv(rows, tmp_path / "nsp.tsv")
+    (tmp_path / "nsp.tsv").write_text("".join(map(nsp_line, rows)), encoding="utf-8")
     assert model.score_nsp_rows(read_nsp_tsv(tmp_path / "nsp.tsv")) == [
         (model.nsp_score(row.context, row.candidate), row.label) for row in rows
     ]
@@ -162,7 +162,7 @@ grammar_rows = st.lists(
 @given(rows=grammar_rows, order=st.integers(1, 5))
 def test_every_row_in_the_grammar_scores_as_nsp_score_scores_it(tmp_path_factory, rows, order):
     path = tmp_path_factory.mktemp("nsp") / "rows.tsv"
-    write_nsp_tsv(rows, path)
+    path.write_text("".join(map(nsp_line, rows)), encoding="utf-8")
     texts = [lyric_lm_text(render_text(p.lyric)) for p in make_corpus(10, seed=74)]
     # two models, so that neither answers from a cache the other filled
     by_rows, by_row = train_char_ngram(texts, order, 0.1), train_char_ngram(texts, order, 0.1)

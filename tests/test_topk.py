@@ -181,7 +181,7 @@ def test_each_distinct_table_content_is_ranked_once(monkeypatch):
     monkeypatch.setattr(model, "_counts", lambda *args: served.append(counts_of(*args)) or served[-1])
     rnd = random.Random(20)
     for _ in range(10):
-        decode(make_melody(rnd, rnd.randint(1, 12)), model, None, FusionConfig(5, 0.0, 1.0, 14))
+        decode(make_melody(rnd, rnd.randint(1, 12)), model, None, FusionConfig(5, 0.0, 14))
     contents = {frozenset(counts.items()) for counts in served}
     assert sorted(map(sorted, map(dict.items, ranked))) == sorted(map(sorted, contents))
     assert len({id(counts) for counts in served}) > len(ranked)
@@ -196,7 +196,7 @@ def test_decode_same_through_the_reference_generator(beam_size):
     plain = DistributionOnly(generator)
     rnd = random.Random(16)
     for lambda_lm in (0.75, 0.0):
-        config = FusionConfig(beam_size=beam_size, lambda_lm=lambda_lm, lambda_gen=1 - lambda_lm, max_len=10)
+        config = FusionConfig(beam_size=beam_size, lambda_lm=lambda_lm, max_len=10)
         for _ in range(4):
             melody = make_melody(rnd, rnd.randint(1, 8))
             assert decode(melody, generator, lm, config) == decode(melody, plain, lm, config)
@@ -206,13 +206,13 @@ def test_decode_reads_no_full_distribution():
     corpus = make_corpus(20, seed=18)
     vocab = build_vocabulary([p.lyric for p in corpus])
     generator = train_generator(corpus, vocab, history=2, k=0.1)
-    expected = decode(corpus[0].melody, DistributionOnly(generator), None, FusionConfig(3, 0.0, 1.0, 30))
+    expected = decode(corpus[0].melody, DistributionOnly(generator), None, FusionConfig(3, 0.0, 30))
 
     def refuse(history, note):
         raise AssertionError("next_distribution called")
 
     generator.next_distribution = refuse
-    assert decode(corpus[0].melody, generator, None, FusionConfig(3, 0.0, 1.0, 30)) == expected
+    assert decode(corpus[0].melody, generator, None, FusionConfig(3, 0.0, 30)) == expected
 
 
 def test_first_step_bound_same_through_both_generator_paths():
