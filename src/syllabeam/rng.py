@@ -23,6 +23,13 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def _mix(z: int) -> int:
+    """The two xor-shift-multiply rounds and final xor-shift of one draw."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
     """Deterministic 64-bit generator; never uses global state."""
 
@@ -31,10 +38,7 @@ class SplitMix64:
 
     def next_uint64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
+        return _mix(self._state)
 
     def random(self) -> float:
         """Uniform float in [0, 1): the top 53 bits of one draw / 2**53."""
@@ -57,7 +61,4 @@ def substream(seed: int, index: int) -> SplitMix64:
     The child seed is the SplitMix64 mix of (seed XOR (index + 1) * gamma),
     so substreams are reproducible and order-independent.
     """
-    z = (seed ^ (((index + 1) * _GAMMA) & _MASK)) & _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return SplitMix64(z ^ (z >> 31))
+    return SplitMix64(_mix((seed ^ (((index + 1) * _GAMMA) & _MASK)) & _MASK))

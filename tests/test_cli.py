@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from syllabeam.beam import FusionConfig
 from syllabeam.cli import build_parser, main
 from syllabeam.corpus import write_aligned_corpus
 
@@ -171,21 +170,13 @@ class TestGenerate:
         records = [json.loads(line) for line in stdout.splitlines()[1:]]
         assert len(records) == 1
 
-    def test_lambda_gen_is_not_a_setting(self, tmp_path, melody_path, models, capsys):
-        """The generator weight is 1 - lambda_lm, so neither a flag nor a
-        config key sets it."""
+    def test_lambda_gen_is_not_a_setting(self, melody_path, models, capsys):
+        """The generator weight is 1 - lambda_lm, so no flag sets it."""
         lm_path, gen_path = models
         argv = ["generate", "--melody", melody_path, "--generator", gen_path, "--lm", lm_path]
         assert main([*argv, "--lambda-gen", "0.3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "unrecognized arguments: --lambda-gen" in captured.err
-        config_file = tmp_path / "run.cfg"
-        config_file.write_text("lambda_gen=0.3\n")
-        assert main([*argv, "--config", str(config_file)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {config_file}:1: key 'lambda_gen' unknown")
-        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
     def test_lambda_lm_outside_unit_interval(self, melody_path, models, capsys, value):
@@ -250,66 +241,6 @@ class TestGenerate:
         _, gen_path = models
         code, _ = run(capsys, ["generate", "--melody", melody_path, "--generator", gen_path])
         assert code == 2
-
-    def test_config_file_and_flag_precedence(self, tmp_path, melody_path, models, capsys):
-        lm_path, gen_path = models
-        config_file = tmp_path / "run.cfg"
-        config_file.write_text("beam_size=2\nlambda_lm=0.5\n# comment\n")
-        code, stdout = run(
-            capsys,
-            [
-                "generate",
-                "--melody",
-                melody_path,
-                "--generator",
-                gen_path,
-                "--lm",
-                lm_path,
-                "--config",
-                str(config_file),
-            ],
-        )
-        assert code == 0
-        config = header_of(stdout)["config"]
-        assert config["beam_size"] == 2
-        assert config["lambda_lm"] == 0.5
-        assert config["lambda_gen"] == 0.5
-
-        code, stdout = run(
-            capsys,
-            [
-                "generate",
-                "--melody",
-                melody_path,
-                "--generator",
-                gen_path,
-                "--lm",
-                lm_path,
-                "--config",
-                str(config_file),
-                "--beam-size",
-                "3",
-            ],
-        )
-        assert code == 0
-        assert header_of(stdout)["config"]["beam_size"] == 3
-
-    def test_config_file_sets_its_own_call_only(self, tmp_path, melody_path, models, capsys):
-        """`main` parses with one parser per process, so the defaults a config
-        file sets must not outlive its call."""
-        lm_path, gen_path = models
-        config_file = tmp_path / "run.cfg"
-        config_file.write_text("beam_size=2\nlambda_lm=0.5\n")
-        argv = ["generate", "--melody", melody_path, "--generator", gen_path, "--lm", lm_path]
-        code, stdout = run(capsys, [*argv, "--config", str(config_file)])
-        assert code == 0
-        assert header_of(stdout)["config"]["beam_size"] == 2
-        code, stdout = run(capsys, argv)
-        assert code == 0
-        config = header_of(stdout)["config"]
-        assert (config["beam_size"], config["lambda_lm"], config["lambda_gen"]) == (
-            FusionConfig.beam_size, FusionConfig.lambda_lm, 1.0 - FusionConfig.lambda_lm
-        )
 
 
 class TestEvaluate:
@@ -401,97 +332,16 @@ class TestNspEval:
         assert 0.0 <= result["auc"] <= 1.0
 
     @pytest.mark.parametrize("threshold", ["nan", "NaN", "inf", "-inf"])
-    @pytest.mark.parametrize("route", ["flag", "config"])
-    def test_non_finite_threshold(self, tmp_path, corpus_path, capsys, threshold, route):
+    def test_non_finite_threshold(self, tmp_path, corpus_path, capsys, threshold):
         tsv = str(tmp_path / "data.tsv")
         assert main(["build-nsp-dataset", "--corpus", corpus_path, "--out", tsv, "--seed", "3"]) == 0
         capsys.readouterr()
-        argv = ["nsp-eval", "--dataset", tsv, "--scorer", "oracle"]
-        if route == "flag":
-            argv += [f"--threshold={threshold}"]
-        else:
-            config_file = tmp_path / "eval.cfg"
-            config_file.write_text(f"threshold={threshold}\n")
-            argv += ["--config", str(config_file)]
-        code = main(argv)
+        code = main(["nsp-eval", "--dataset", tsv, "--scorer", "oracle", f"--threshold={threshold}"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: threshold must be finite")
         assert captured.err.count("\n") == 1
-
-
-class TestConfigFile:
-    # command, config value, echoed key, value the file sets, a flag for the
-    # same key, value the flag sets over the file
-    CASES = [
-        ("build-nsp-dataset", "swap_space_rate=0.25", "swap_space_rate", 0.25, ["--swap-space-rate", "0.75"], 0.75),
-        ("train-lm", "order=3", "order", 3, ["--order", "2"], 2),
-        ("train-generator", "history=1", "history", 1, ["--history", "3"], 3),
-        ("generate", "max_len=6", "max_len", 6, ["--max-len", "4"], 4),
-        ("evaluate", "word_level=yes", "word_level", True, ["--word-level"], True),
-        ("evaluate", "word_level=no", "word_level", False, ["--word-level"], True),
-        ("nsp-eval", "scorer=oracle", "scorer", "oracle", ["--scorer", "lm"], "lm"),
-    ]
-
-    @pytest.fixture
-    def argv_of(self, tmp_path, corpus_path, melody_path, models, capsys):
-        lm_path, gen_path = models
-        tsv = str(tmp_path / "data.tsv")
-        assert main(["build-nsp-dataset", "--corpus", corpus_path, "--out", tsv, "--seed", "3"]) == 0
-        capsys.readouterr()
-        lines = tmp_path / "lines.txt"
-        lines.write_text("la _mi _so\nfa _re\n")
-        train = ["--corpus", corpus_path, "--out", str(tmp_path / "out")]
-        return {
-            "build-nsp-dataset": train,
-            "train-lm": train,
-            "train-generator": train,
-            "generate": ["--melody", melody_path, "--generator", gen_path, "--lm", lm_path],
-            "evaluate": ["--candidates", str(lines), "--references", str(lines)],
-            "nsp-eval": ["--dataset", tsv, "--lm", lm_path],
-        }
-
-    @pytest.mark.parametrize("command, line, key, from_file, flag, from_flag", CASES)
-    def test_file_sets_the_default_and_a_flag_wins(
-        self, tmp_path, capsys, argv_of, command, line, key, from_file, flag, from_flag
-    ):
-        config_file = tmp_path / "run.cfg"
-        config_file.write_text(line + "\n")
-        argv = [command, *argv_of[command], "--config", str(config_file)]
-        code, stdout = run(capsys, argv)
-        assert code == 0
-        assert header_of(stdout)["config"][key] == from_file
-        code, stdout = run(capsys, argv + flag)
-        assert code == 0
-        assert header_of(stdout)["config"][key] == from_flag
-
-    @pytest.mark.parametrize(
-        "command, line, message",
-        [
-            ("nsp-eval", "scorer=bogus", "key 'scorer': expected lm or oracle, got 'bogus'"),
-            ("evaluate", "json=maybe", "key 'json': expected a boolean, got 'maybe'"),
-            ("train-lm", "order=x", "key 'order': not an ASCII decimal int: 'x'"),
-        ],
-    )
-    def test_bad_value_rejected(self, tmp_path, capsys, argv_of, command, line, message):
-        config_file = tmp_path / "run.cfg"
-        config_file.write_text(line + "\n")
-        code = main([command, *argv_of[command], "--config", str(config_file)])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == f"error: {config_file}:1: {message}\n"
-
-    @pytest.mark.parametrize("kind", ["missing", "directory"])
-    def test_unreadable_config_path(self, tmp_path, corpus_path, capsys, kind):
-        path = tmp_path / "run.cfg"
-        if kind == "directory":
-            path.mkdir()
-        out = tmp_path / "lm.json"
-        code = main(["train-lm", "--corpus", corpus_path, "--out", str(out), "--config", str(path)])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == "" and not out.exists()
-        assert captured.err == f"error: config file not found: {path}\n"
 
 
 class TestEmitPrompt:
@@ -572,3 +422,40 @@ class TestParser:
         for command, parser in sub.choices.items():
             options = {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
             assert set(re.findall(r"--[a-z-]+", lines[command])) == options - {"--help"}, command
+
+    def test_readme_names_only_real_options(self):
+        """Every --option README.md names, in prose too, is an option of some
+        command, of pip or of perfbench."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {o for parser in sub.choices.values() for a in parser._actions for o in a.option_strings}
+        others = {"--no-build-isolation", "--workload", "--seconds"}
+        assert set(re.findall(r"--[a-z][a-z-]*", readme)) - options - others == set()
+
+    @pytest.mark.parametrize(
+        "command", ["train-lm", "train-generator", "build-nsp-dataset", "generate", "evaluate", "nsp-eval"]
+    )
+    def test_config_is_not_an_option(self, tmp_path, corpus_path, melody_path, models, capsys, command):
+        """Settings are flags only: `--config FILE` is an unknown argument, even
+        when FILE exists."""
+        lm_path, gen_path = models
+        lines = tmp_path / "lines.txt"
+        lines.write_text("la _mi _so\nfa _re\n")
+        tsv = tmp_path / "data.tsv"
+        tsv.write_text("la\t_mi\t1\n")
+        out = tmp_path / "out"
+        argv = {
+            "train-lm": ["--corpus", corpus_path, "--out", str(out)],
+            "train-generator": ["--corpus", corpus_path, "--out", str(out)],
+            "build-nsp-dataset": ["--corpus", corpus_path, "--out", str(out)],
+            "generate": ["--melody", melody_path, "--generator", gen_path, "--lm", lm_path],
+            "evaluate": ["--candidates", str(lines), "--references", str(lines)],
+            "nsp-eval": ["--dataset", str(tsv), "--lm", lm_path],
+        }[command]
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("# no settings\n")
+        code = main([command, *argv, "--config", str(config_file)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "unrecognized arguments: --config" in captured.err
+        assert not out.exists()

@@ -74,7 +74,7 @@ def test_bulk_paths_make_no_reference_cycles(files, tmp_path):
         assert leaves_no_cycles(lambda: decode(pair.melody, generator, lm, FusionConfig(beam_size=4)))
 
 
-@pytest.mark.parametrize("command", ["ok", "bad corpus", "bad model", "unwritable out", "config"])
+@pytest.mark.parametrize("command", ["ok", "bad corpus", "bad model", "unwritable out"])
 def test_main_makes_no_reference_cycles(files, tmp_path, capsys, command):
     """`cli.main` parses with the one parser of the process, whose object graph
     is cyclic, so once the first call has built it no call leaves cyclic
@@ -108,7 +108,6 @@ def run_main(files, tmp_path, command):
     bad_lm = tmp_path / "bad_lm.json"
     bad_lm.write_text(json.dumps({"format": "syllabeam-charlm", "version": 99}))
     (tmp_path / "melody.txt").write_text("60:1:0 62:1:0 64:2:0\n")
-    (tmp_path / "lm.cfg").write_text("order=3\n")
     argv = {
         "ok": ["train-lm", "--corpus", str(root / "corpus.jsonl"), "--out", str(tmp_path / "lm.json")],
         "bad corpus": ["train-generator", "--corpus", str(bad_corpus), "--out", str(tmp_path / "g.json")],
@@ -116,8 +115,6 @@ def run_main(files, tmp_path, command):
                       str(root / "gen.json"), "--lm", str(bad_lm)],
         "unwritable out": ["train-lm", "--corpus", str(root / "corpus.jsonl"),
                            "--out", str(tmp_path / "missing" / "lm.json")],
-        "config": ["train-lm", "--corpus", str(root / "corpus.jsonl"), "--out", str(tmp_path / "lm.json"),
-                   "--config", str(tmp_path / "lm.cfg")],
     }[command]
     return cli.main(argv)
 

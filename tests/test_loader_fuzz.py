@@ -606,7 +606,7 @@ class TestModelfile:
             modelfile.counts(table, frozenset("ab"))
 
 
-# -- lyric lines and config files --------------------------------------------
+# -- lyric lines and numeric flags --------------------------------------------
 
 
 def run_evaluate(tmp_path, capsys, candidates: str, references: str = "la _mi\nso fa\n"):
@@ -655,64 +655,13 @@ def test_lyric_line_accepted(tmp_path, capsys, line):
     assert json.loads(captured.out.splitlines()[-1])["pairs"] == 2
 
 
-def run_with_config(tmp_path, capsys, command, text: str):
+def run_training(tmp_path, capsys, argv):
+    """`argv` run on a small corpus, writing `out`: (exit code, captured, out)."""
     corpus = tmp_path / "corpus.jsonl"
     write_aligned_corpus(make_corpus(3, seed=5), corpus)
-    config = tmp_path / "run.cfg"
-    config.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
-    code = main([command, "--corpus", str(corpus), "--out", str(out), "--config", str(config)])
-    captured = capsys.readouterr()
-    assert_clean_failure(code, captured)
-    assert not out.exists()
-    return captured.err, str(config)
-
-
-@pytest.mark.parametrize(
-    "command, text, line",
-    [
-        pytest.param("train-lm", "ordr=9\n", 1, id="misspelt key"),
-        pytest.param("train-lm", "k=0.1\nbeam_size=7\n", 2, id="key of generate"),
-        pytest.param("train-lm", "history=2\n", 1, id="key of train-generator"),
-        pytest.param("train-generator", "order=3\n", 1, id="key of train-lm"),
-        pytest.param("build-nsp-dataset", "threshold=0.5\n", 1, id="key of nsp-eval"),
-        pytest.param("train-lm", "config=other.cfg\n", 1, id="config itself"),
-        pytest.param("train-lm", "help=1\n", 1, id="help"),
-        pytest.param("train-lm", "corpus=x.jsonl\n", 1, id="required flag"),
-        pytest.param("train-lm", "Order=3\n", 1, id="capitalised key"),
-        pytest.param("train-lm", "--order=3\n", 1, id="flag spelling"),
-        pytest.param("train-lm", "=3\n", 1, id="empty key"),
-        pytest.param("train-lm", "k=0.1\n# note\nk=0.2\n", 3, id="repeated key"),
-        pytest.param("build-nsp-dataset", "seed=1\n seed = 1\n", 2, id="repeated key, padded"),
-        pytest.param("train-lm", "order\n", 1, id="no equals sign"),
-    ],
-)
-def test_config_key(tmp_path, capsys, command, text, line):
-    err, path = run_with_config(tmp_path, capsys, command, text)
-    assert err.startswith(f"error: {path}:{line}: ")
-
-
-@pytest.mark.parametrize(
-    "command, text",
-    [
-        pytest.param("train-lm", "order=1_0\n", id="int with underscore"),
-        pytest.param("train-lm", "order=\u0663\n", id="Arabic-Indic digit"),
-        pytest.param("train-lm", "order=\uff13\n", id="full-width digit"),
-        pytest.param("train-lm", "order=3.0\n", id="int written as float"),
-        pytest.param("train-lm", "order=0x3\n", id="hexadecimal"),
-        pytest.param("train-lm", "order=\n", id="empty int"),
-        pytest.param("train-lm", "k=1_0.5\n", id="float with underscore"),
-        pytest.param("train-lm", "k=0,5\n", id="decimal comma"),
-        pytest.param("train-lm", "k=\u0661.5\n", id="float with Arabic-Indic digit"),
-        pytest.param("train-lm", "k=nan\n", id="nan k"),
-        pytest.param("train-generator", "history=+\n", id="sign alone"),
-        pytest.param("build-nsp-dataset", "seed=1e3\n", id="seed as float"),
-        pytest.param("build-nsp-dataset", "spacing_negative_rate=0.5.1\n", id="two points"),
-    ],
-)
-def test_config_value(tmp_path, capsys, command, text):
-    err, _ = run_with_config(tmp_path, capsys, command, text)
-    assert err.startswith("error: ")
+    code = main(argv[:1] + ["--corpus", str(corpus), "--out", str(out)] + argv[1:])
+    return code, capsys.readouterr(), out
 
 
 @pytest.mark.parametrize(
@@ -724,14 +673,25 @@ def test_config_value(tmp_path, capsys, command, text):
         ["train-lm", "--k", " 0.5"],
         ["train-generator", "--history", "\uff12"],
         ["build-nsp-dataset", "--seed", "0x10"],
+        ["train-lm", "--order", "\uff13"],
+        ["train-lm", "--order", "3.0"],
+        ["train-lm", "--order", "0x3"],
+        ["train-lm", "--order", ""],
+        ["train-lm", "--k", "0,5"],
+        ["train-lm", "--k", "\u0661.5"],
+        ["train-generator", "--history", "+"],
+        ["build-nsp-dataset", "--seed", "1e3"],
+        ["build-nsp-dataset", "--spacing-negative-rate", "0.5.1"],
     ],
 )
 def test_numeric_flag(tmp_path, capsys, argv):
-    corpus = tmp_path / "corpus.jsonl"
-    write_aligned_corpus(make_corpus(3, seed=5), corpus)
-    out = tmp_path / "out"
-    code = main(argv[:1] + ["--corpus", str(corpus), "--out", str(out)] + argv[1:])
-    captured = capsys.readouterr()
+    code, captured, out = run_training(tmp_path, capsys, argv)
     assert code == 2 and captured.out == "" and not out.exists()
-    kind = "int" if argv[1] != "--k" else "float"
+    kind = "float" if argv[1] in ("--k", "--spacing-negative-rate") else "int"
     assert captured.err.splitlines()[-1].endswith(f"invalid {kind} value: {argv[2]!r}")
+
+
+def test_non_finite_k(tmp_path, capsys):
+    code, captured, out = run_training(tmp_path, capsys, ["train-lm", "--k", "nan"])
+    assert code == 2 and captured.out == "" and not out.exists()
+    assert captured.err == "error: smoothing k must be finite and >= 0\n"
