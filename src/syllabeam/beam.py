@@ -57,19 +57,7 @@ class TraceStep:
     contribution: float
 
 
-@dataclass(frozen=True)
-class Beam:
-    """One partial hypothesis; rendered text always reflects the chosen variants."""
-
-    tokens: tuple[SyllableToken, ...]
-    rendered: str
-    cumulative: float
-    finished: bool
-    trace: tuple[TraceStep, ...]
-
-
-# the hypothesis every search starts from, and the token that ends one
-_ROOT = Beam((), "", 0.0, False, ())
+# the token that ends a hypothesis
 _END = SyllableToken(EOS_TEXT, False)
 
 
@@ -91,45 +79,13 @@ def _seams(generator, lm) -> tuple:
     return generator, lm.score_candidates, lm.score_with_spacing
 
 
-def first_step(generator, melody: MelodySequence, config: FusionConfig) -> list[Beam]:
-    """The `beam_size` most probable first syllables, generator-only scored,
-    or every candidate when there are fewer.
-
-    The first syllable always starts a word. Ties break by vocabulary id.
-    """
-    return _step([_ROOT], _seams(generator, None), melody, 0, config)
-
-
-def expand_step(
-    beams: Sequence[Beam], generator, lm, melody: MelodySequence, t: int, config: FusionConfig
-) -> list[Beam]:
-    """One fused search step: propose, score, and keep the best `beam_size`.
-
-    Finished hypotheses pass through unchanged. Past the final note only the
-    end token may be proposed. Requires t >= 1 and at least one unfinished
-    hypothesis.
-    """
-    if t < 1:
-        raise ValueError("expand_step applies from step 1 onward")
-    if all(beam.finished for beam in beams):
-        raise ValueError("no unfinished hypothesis to expand")
-    return _step(beams, _seams(generator, lm), melody, t, config)
-
-
-def _step(beams: Sequence[Beam], seams: tuple, melody, t: int, config) -> list[Beam]:
-    key = seams[0].history_key
-    hyps = [(b.cumulative, b.finished, b.rendered, key(b.tokens), b) for b in beams]
-    return [_public(hyp, {}) for hyp in _search(hyps, seams, melody, t, config)]
-
-
-def _public(hyp: tuple, memo: dict) -> Beam:
-    """A hypothesis as a `Beam`, its tokens and trace unwound from its node.
-    `memo` keeps each unwound node's (token, trace step) by the node's id, so
-    hypotheses sharing a prefix build its objects once; the nodes it names
-    must outlive it, or a new node could reuse an id."""
-    cumulative, finished, rendered, _, node = hyp
+def _unwind(node, memo: dict) -> tuple[tuple[SyllableToken, ...], tuple[TraceStep, ...]]:
+    """A hypothesis's tokens and trace, unwound from its node. `memo` keeps
+    each unwound node's (token, trace step) by the node's id, so hypotheses
+    sharing a prefix build its objects once; the nodes it names must outlive
+    it, or a new node could reuse an id."""
     made = []
-    while type(node) is tuple:
+    while node is not None:
         step = memo.get(id(node))
         if step is None:
             _, _, _, text, prob, scored, contribution = node[1]
@@ -140,17 +96,14 @@ def _public(hyp: tuple, memo: dict) -> Beam:
             step = memo[id(node)] = token, TraceStep(prob, lm_score, variant, contribution)
         made.append(step)
         node = node[0]
-    if not made:  # passed through unchanged
-        return node
-    tokens, trace = zip(*made[::-1])
-    return Beam(node.tokens + tokens, rendered, cumulative, finished, node.trace + trace)
+    return tuple(zip(*made[::-1]))
 
 
 def _search(hyps: list, seams: tuple, melody: MelodySequence, t: int, config: FusionConfig) -> list:
     """Step `t` of the search: propose, score, and keep the best `beam_size`.
 
     A hypothesis is (cumulative, finished, rendered, generator key, node),
-    its node a `Beam` or a (parent node, pool entry) back-pointer. A
+    its node None at the root or a (parent node, pool entry) back-pointer. A
     candidate adds lambda_gen * generator_prob + lambda_lm * lm_score to its
     parent's score; at step 0, the generator probability alone.
     """
@@ -217,15 +170,16 @@ def decode(melody: MelodySequence, generator, lm, config: FusionConfig) -> list[
     if lm is None and config.lambda_lm != 0:
         raise ValueError("an LM is required when lambda_lm > 0")
     seams = _seams(generator, lm)
-    hyps = [(0.0, False, "", seams[0].history_key(()), _ROOT)]
+    hyps = [(0.0, False, "", seams[0].history_key(()), None)]
     for t in range(config.max_len):
         if all(hyp[1] for hyp in hyps):
             break
         hyps = _search(hyps, seams, melody, t, config)
     results, memo = [], {}
-    for beam in (_public(hyp, memo) for hyp in hyps):
-        tokens = beam.tokens if beam.finished else beam.tokens + (_END,)
-        results.append(DecodeResult(LyricSequence(tokens), beam.cumulative, beam.trace))
+    for cumulative, finished, _, _, node in hyps:
+        tokens, trace = _unwind(node, memo)
+        tokens = tokens if finished else tokens + (_END,)
+        results.append(DecodeResult(LyricSequence(tokens), cumulative, trace))
     return sorted(results, key=lambda result: -result.cumulative)  # stable: ties keep beam order
 
 

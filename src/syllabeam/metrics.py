@@ -121,11 +121,8 @@ class EvalReport:
     bleu4: float
     pairs: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     def to_table(self) -> str:
         rows = [

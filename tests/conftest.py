@@ -5,7 +5,10 @@ through `score_candidates` and `score_with_spacing`. `Keyed` and `Batched`
 derive those from the reference interfaces, `next_distribution` and
 `score_with_spacing`, for the test stubs and for the reference decodes the
 real models must match. `ranked_candidates`, the ranking `Keyed` applies, is
-also the oracle of the generator's top-k tests.
+also the oracle of the generator's top-k tests. `reference_decode` rebuilds
+decode's search from `next_distribution` and `score_with_spacing` alone, one
+materialize-and-sort step (`reference_expand`) at a time, as decode's
+selection oracle.
 """
 
 from __future__ import annotations
@@ -13,15 +16,18 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
+from syllabeam.beam import DecodeResult, TraceStep
 from syllabeam.corpus import (
+    EOS_TEXT,
     AlignedPair,
     LyricSequence,
     MelodyNote,
     MelodySequence,
     SyllableToken,
 )
+from syllabeam.lm import SPACED, UNSPACED
 from syllabeam.nsp import BuilderConfig
 
 # small word inventory, each word pre-split into syllables
@@ -139,6 +145,90 @@ class DistributionOnly(Keyed):
     def __init__(self, model):
         self.vocab = model.vocab
         self.next_distribution = model.next_distribution
+
+
+class Hypothesis(NamedTuple):
+    """One hypothesis of the reference search; `rendered` is its LM context."""
+
+    tokens: tuple[SyllableToken, ...]
+    rendered: str
+    cumulative: float
+    finished: bool
+    trace: tuple[TraceStep, ...]
+
+
+END = SyllableToken(EOS_TEXT, False)
+
+
+def reference_expand(beams, generator, lm, melody, t, config):
+    """Step t >= 1 of the search: materialize every candidate, sort, keep the
+    best; written independently of decode to serve as its selection oracle."""
+    note = melody.notes[t] if t < len(melody.notes) else None
+    entries = []
+    for parent, beam in enumerate(beams):
+        if beam.finished:
+            entries.append((beam.cumulative, parent, -1, beam))
+            continue
+        dist = generator.next_distribution(beam.tokens, note)
+        if note is None:
+            ranked = [(EOS_TEXT, dist[EOS_TEXT])]
+        else:
+            ranked = sorted(
+                dist.items(), key=lambda kv: (-kv[1], generator.vocab.id_of(kv[0]))
+            )[: config.beam_size]
+        for text, prob in ranked:
+            if lm is None:
+                lm_score, variant = 0.0, SPACED if text != EOS_TEXT else UNSPACED
+            else:
+                scored = lm.score_with_spacing(beam.rendered, text)
+                lm_score, variant = scored.value, scored.chosen_variant
+            contribution = config.lambda_gen * prob + config.lambda_lm * lm_score
+            cumulative = beam.cumulative + contribution
+            trace = beam.trace + (TraceStep(prob, lm_score, variant, contribution),)
+            if text == EOS_TEXT:
+                child = Hypothesis(beam.tokens + (END,), beam.rendered, cumulative, True, trace)
+            else:
+                spaced = variant == SPACED
+                tokens = beam.tokens + (SyllableToken(text, spaced),)
+                rendered = beam.rendered + ((" " + text) if spaced else text)
+                child = Hypothesis(tokens, rendered, cumulative, False, trace)
+            entries.append((cumulative, parent, generator.vocab.id_of(text), child))
+    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
+    return [hyp for _, _, _, hyp in entries[: config.beam_size]]
+
+
+def reference_steps(melody, generator, lm, config):
+    """The hypotheses after each step of the reference search, step 0 first.
+    Step 0 ranks the first syllables by generator probability alone; each
+    later step is `reference_expand`, until every hypothesis has ended or
+    `max_len` steps have run."""
+    dist = generator.next_distribution((), melody.notes[0])
+    beams = []
+    for text, prob in ranked_candidates(generator, dist)[: config.beam_size]:
+        end = text == EOS_TEXT
+        trace = (TraceStep(prob, None, UNSPACED if end else SPACED, prob),)
+        if end:
+            beams.append(Hypothesis((END,), "", prob, True, trace))
+        else:
+            beams.append(Hypothesis((SyllableToken(text, True),), text, prob, False, trace))
+    steps = [beams]
+    for t in range(1, config.max_len):
+        if all(beam.finished for beam in beams):
+            break
+        beams = reference_expand(beams, generator, lm, melody, t, config)
+        steps.append(beams)
+    return steps
+
+
+def reference_decode(melody, generator, lm, config):
+    """decode's results from the reference search: a hypothesis still open at
+    the cutoff is closed with an unscored end token, and the results are
+    sorted stably by cumulative score."""
+    results = [
+        DecodeResult(LyricSequence(b.tokens if b.finished else b.tokens + (END,)), b.cumulative, b.trace)
+        for b in reference_steps(melody, generator, lm, config)[-1]
+    ]
+    return sorted(results, key=lambda result: -result.cumulative)
 
 
 def expected_dataset_size(corpus: Sequence[LyricSequence], config: BuilderConfig) -> tuple[float, float]:

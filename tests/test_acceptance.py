@@ -3,12 +3,13 @@
 Run with `pytest -s tests/test_acceptance.py` to see the PASS/FAIL lines.
 """
 
+import dataclasses
 import functools
 import json
 import math
 import random
 
-from syllabeam.beam import FusionConfig, audit_trace, decode, expand_step
+from syllabeam.beam import FusionConfig, audit_trace, decode
 from syllabeam.cli import main
 from syllabeam.corpus import (
     EOS_TEXT,
@@ -39,18 +40,16 @@ from syllabeam.nsp import (
     nsp_line,
 )
 
-from conftest import Batched, expected_dataset_size, make_corpus, make_melody
+from conftest import Batched, expected_dataset_size, make_corpus, make_melody, reference_decode
 from test_beam import (
+    WORKED_HISTORY,
     ConstantLM,
     RandomLM,
     RandomTableGenerator,
     SpacedRandomLM,
-    StubGenerator,
     brute_force_decode,
     melody_of,
-    project,
-    reference_expand,
-    word_beam,
+    worked_example_generator,
 )
 from test_metrics import brute_force_lcs, reference_bleu, random_tokens
 
@@ -102,25 +101,22 @@ def test_criterion_01_fusion_defaults(tmp_path, capsys):
 
 @criterion(2, "worked fusion example re-ranks 'ideas' first at 0.50 +- 1e-9")
 def test_criterion_02_worked_example():
-    vocab = Vocabulary(["any", "big", "don't", "ger", "get", "ideas"])
-    history = ("don't", "get", "any", "big")
-    gen = StubGenerator(vocab, {history: {"ger": 0.3, "ideas": 0.2}})
-
     class FixedLM(Batched):
         def score_with_spacing(self, context, syllable):
+            if syllable in WORKED_HISTORY:
+                return ContinuationScore(0.0, SPACED)
             if syllable == "ideas":
                 return ContinuationScore(0.6, SPACED)
             return ContinuationScore(0.1, UNSPACED)  # below the 0.167 break-even
 
-    parent = word_beam(list(history))
-    config = FusionConfig(beam_size=2, lambda_lm=0.75)
-    beams = expand_step([parent], gen, FixedLM(), melody_of(6), 4, config)
-    assert beams[0].tokens[-1].text == "ideas"
-    assert abs(beams[0].cumulative - 0.50) <= 1e-9
-    assert abs(beams[1].cumulative - 0.15) <= 1e-9
+    config = FusionConfig(beam_size=2, lambda_lm=0.75, max_len=len(WORKED_HISTORY) + 1)
+    results = decode(melody_of(6), worked_example_generator(), FixedLM(), config)
+    assert render_text(results[0].lyric) == "don't get any big ideas"
+    assert abs(results[0].trace[-1].contribution - 0.50) <= 1e-9
+    assert abs(results[1].trace[-1].contribution - 0.15) <= 1e-9
 
 
-@criterion(3, "expand_step equals materialize-and-sort reference on 200 random instances")
+@criterion(3, "decode equals the materialize-and-sort reference on 200 random instances")
 def test_criterion_03_beam_step_oracle():
     rnd = random.Random(424242)
     for _ in range(200):
@@ -131,21 +127,9 @@ def test_criterion_03_beam_step_oracle():
         lm = RandomLM(rnd.randrange(10**9))
         beam_size = rnd.randint(1, 4)
         lambda_lm = rnd.choice([0.0, 0.25, 0.5, 0.75, 1.0])
-        config = FusionConfig(
-            beam_size=beam_size, lambda_lm=lambda_lm, max_len=10
-        )
-        parents = []
-        n_parents = rnd.randint(1, beam_size)
-        for i in range(n_parents):
-            tokens = [rnd.choice(texts) for _ in range(rnd.randint(1, 3))]
-            finished = rnd.random() < 0.2 and i < n_parents - 1
-            parents.append(word_beam(tokens, cumulative=rnd.uniform(0.0, 2.0), finished=finished))
-        if all(p.finished for p in parents):
-            parents[0] = word_beam([texts[0]], cumulative=0.5)
-        melody = melody_of(rnd.randint(5, 8))
-        t = rnd.randint(1, 4)
-        got = expand_step(parents, gen, lm, melody, t, config)
-        assert project(got) == reference_expand(parents, gen, lm, melody, t, config)
+        config = FusionConfig(beam_size=beam_size, lambda_lm=lambda_lm, max_len=rnd.randint(1, 10))
+        melody = melody_of(rnd.randint(1, 8))
+        assert decode(melody, gen, lm, config) == reference_decode(melody, gen, lm, config)
 
 
 @criterion(4, "decode with beam 27 attains the brute-force optimum for V=3, L=3")
@@ -375,6 +359,6 @@ def test_criterion_10_end_to_end(tmp_path):
         for result, reference in zip(results, references)
     ]
     report = corpus_eval(pairs)
-    for value in report.to_dict().values():
+    for value in dataclasses.asdict(report).values():
         assert math.isfinite(value)
         assert value >= 0.0

@@ -4,16 +4,7 @@ import random
 
 import pytest
 
-from syllabeam.beam import (
-    Beam,
-    DecodeResult,
-    FusionConfig,
-    TraceStep,
-    audit_trace,
-    decode,
-    expand_step,
-    first_step,
-)
+from syllabeam.beam import DecodeResult, FusionConfig, TraceStep, audit_trace, decode
 from syllabeam.corpus import (
     EOS_TEXT,
     LyricSequence,
@@ -27,16 +18,11 @@ from syllabeam.generator import train_generator
 from syllabeam.lm import SPACED, UNSPACED, ContinuationScore, lyric_lm_text, train_char_ngram
 from syllabeam.corpus import render_text
 
-from conftest import Batched, Keyed, make_corpus, make_melody
+from conftest import Batched, Keyed, make_corpus, make_melody, reference_decode, reference_steps
 
 
 def melody_of(n):
     return MelodySequence(tuple(MelodyNote(60 + i, 1.0, 0.0) for i in range(n)))
-
-
-def word_beam(texts, cumulative=0.0, finished=False):
-    tokens = tuple(SyllableToken(t, True) for t in texts)
-    return Beam(tokens, " ".join(texts), cumulative, finished, ())
 
 
 class StubGenerator(Keyed):
@@ -121,54 +107,6 @@ class ConstantLM(Batched):
         return ContinuationScore(self._value, UNSPACED if syllable == EOS_TEXT else SPACED)
 
 
-def reference_expand(beams, generator, lm, melody, t, config):
-    """Materialize every candidate, sort, keep the best; written independently
-    of expand_step to serve as its selection oracle."""
-    note = melody.notes[t] if t < len(melody.notes) else None
-    entries = []
-    for parent, beam in enumerate(beams):
-        if beam.finished:
-            entries.append((beam.cumulative, parent, -1, beam))
-            continue
-        dist = generator.next_distribution(beam.tokens, note)
-        if note is None:
-            ranked = [(EOS_TEXT, dist[EOS_TEXT])]
-        else:
-            ranked = sorted(
-                dist.items(), key=lambda kv: (-kv[1], generator.vocab.id_of(kv[0]))
-            )[: config.beam_size]
-        for text, prob in ranked:
-            if lm is None:
-                lm_score, variant = 0.0, SPACED if text != EOS_TEXT else UNSPACED
-            else:
-                scored = lm.score_with_spacing(beam.rendered, text)
-                lm_score, variant = scored.value, scored.chosen_variant
-            contribution = config.lambda_gen * prob + config.lambda_lm * lm_score
-            cumulative = beam.cumulative + contribution
-            if text == EOS_TEXT:
-                tokens = beam.tokens + (SyllableToken(EOS_TEXT, False),)
-                rendered, finished = beam.rendered, True
-            else:
-                spaced = variant == SPACED
-                tokens = beam.tokens + (SyllableToken(text, spaced),)
-                rendered = beam.rendered + ((" " + text) if spaced else text)
-                finished = False
-            entries.append((cumulative, parent, generator.vocab.id_of(text),
-                            (tokens, rendered, cumulative, finished)))
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    out = []
-    for _, parent, cid, payload in entries[: config.beam_size]:
-        if isinstance(payload, Beam):
-            out.append((payload.tokens, payload.rendered, payload.cumulative, payload.finished))
-        else:
-            out.append(payload)
-    return out
-
-
-def project(beams):
-    return [(b.tokens, b.rendered, b.cumulative, b.finished) for b in beams]
-
-
 class TestFusionConfig:
     def test_defaults(self):
         config = FusionConfig()
@@ -201,77 +139,85 @@ class TestFusionConfig:
 
 
 class TestFirstStep:
+    """Step 0, generator-only, through a decode of one step."""
+
     UNIFORM = {(): {t: 0.2 for t in ["ba", "da", "fa", "la", "ma"]}}
 
     def make_gen(self):
         vocab = Vocabulary(["ba", "da", "fa", "la", "ma"])
         return StubGenerator(vocab, self.UNIFORM)
 
+    def first_step(self, gen, beam_size):
+        # at the default lambda_lm, so a step-0 score weighted by lambda_gen would show
+        return decode(melody_of(3), gen, ConstantLM(0.5), FusionConfig(beam_size=beam_size, max_len=1))
+
     def test_greedy_argmax(self):
         vocab = Vocabulary(["hi", "lo"])
-        gen = StubGenerator(vocab, {(): {"hi": 0.7, "lo": 0.3}})
-        beams = first_step(gen, melody_of(3), FusionConfig(beam_size=1))
-        assert len(beams) == 1
-        assert beams[0].tokens[0].text == "hi"
-        assert beams[0].cumulative == 0.7
+        results = self.first_step(StubGenerator(vocab, {(): {"hi": 0.7, "lo": 0.3}}), 1)
+        assert len(results) == 1
+        assert results[0].lyric.tokens[0].text == "hi"
+        assert results[0].cumulative == 0.7
 
     def test_uniform_tie_break_by_id(self):
-        beams = first_step(self.make_gen(), melody_of(3), FusionConfig(beam_size=3))
-        assert [b.tokens[0].text for b in beams] == ["ba", "da", "fa"]
-        assert all(b.cumulative == 0.2 for b in beams)
+        results = self.first_step(self.make_gen(), 3)
+        assert [r.lyric.tokens[0].text for r in results] == ["ba", "da", "fa"]
+        assert all(r.cumulative == 0.2 for r in results)
 
     def test_first_token_word_initial(self):
-        beams = first_step(self.make_gen(), melody_of(3), FusionConfig(beam_size=2))
-        assert all(b.tokens[0].word_initial for b in beams)
+        results = self.first_step(self.make_gen(), 2)
+        assert all(r.lyric.tokens[0].word_initial for r in results)
 
     def test_beam_bigger_than_candidates(self):
-        beams = first_step(self.make_gen(), melody_of(3), FusionConfig(beam_size=6))
-        assert [b.tokens[0].text for b in beams] == ["ba", "da", "fa", "la", "ma"]
-        assert beams == first_step(self.make_gen(), melody_of(3), FusionConfig(beam_size=5))
+        results = self.first_step(self.make_gen(), 6)
+        assert [r.lyric.tokens[0].text for r in results] == ["ba", "da", "fa", "la", "ma"]
+        assert results == self.first_step(self.make_gen(), 5)
 
     def test_no_lm_contribution_recorded(self):
-        beams = first_step(self.make_gen(), melody_of(3), FusionConfig(beam_size=1))
-        step = beams[0].trace[0]
+        step = self.first_step(self.make_gen(), 1)[0].trace[0]
         assert step.lm_score is None
         assert step.contribution == step.generator_prob
 
     def test_eos_candidate_finishes(self):
         vocab = Vocabulary(["la"])
-        gen = StubGenerator(vocab, {(): {EOS_TEXT: 0.9, "la": 0.1}})
-        beams = first_step(gen, melody_of(2), FusionConfig(beam_size=2))
-        assert beams[0].finished and beams[0].rendered == ""
-        assert not beams[1].finished
+        results = self.first_step(StubGenerator(vocab, {(): {EOS_TEXT: 0.9, "la": 0.1}}), 2)
+        # the end token is a scored step; the open hypothesis is closed unscored
+        assert [t.text for t in results[0].lyric.tokens] == [EOS_TEXT] and len(results[0].trace) == 1
+        assert [t.text for t in results[1].lyric.tokens] == ["la", EOS_TEXT] and len(results[1].trace) == 1
+
+
+WORKED_VOCAB = Vocabulary(["any", "big", "don't", "ger", "get", "ideas"])
+WORKED_HISTORY = ("don't", "get", "any", "big")
+
+
+def worked_example_generator():
+    """Forces the history "don't get any big", then prefers the
+    word-completing "ger" (0.3) to "ideas" (0.2)."""
+    table = {WORKED_HISTORY[:i]: {text: 1.0} for i, text in enumerate(WORKED_HISTORY)}
+    table[WORKED_HISTORY] = {"ger": 0.3, "ideas": 0.2}
+    return StubGenerator(WORKED_VOCAB, table)
 
 
 class TestWorkedFusionExample:
     """The two-candidate re-ranking walkthrough: the generator prefers the
     word-completing syllable, the LM overrules it."""
 
-    VOCAB = Vocabulary(["any", "big", "don't", "ger", "get", "ideas"])
-    HISTORY = ("don't", "get", "any", "big")
-
-    def make_parent(self):
-        return word_beam(self.HISTORY)
+    CONFIG = FusionConfig(beam_size=2, lambda_lm=0.75, max_len=len(WORKED_HISTORY) + 1)
 
     def test_lm_overrules_generator(self):
-        gen = StubGenerator(self.VOCAB, {self.HISTORY: {"ger": 0.3, "ideas": 0.2}})
-
         class FixedLM(Batched):
             def score_with_spacing(self, context, syllable):
+                if syllable in WORKED_HISTORY:
+                    return ContinuationScore(0.0, SPACED)
                 assert context == "don't get any big"
                 if syllable == "ideas":
                     return ContinuationScore(0.6, SPACED)
                 return ContinuationScore(0.1, UNSPACED)
 
-        config = FusionConfig(beam_size=2, lambda_lm=0.75)
-        beams = expand_step([self.make_parent()], gen, FixedLM(), melody_of(6), 4, config)
+        results = decode(melody_of(6), worked_example_generator(), FixedLM(), self.CONFIG)
 
-        assert beams[0].tokens[-1].text == "ideas"
-        assert math.isclose(beams[0].cumulative, 0.50, abs_tol=1e-9)
-        assert beams[0].rendered == "don't get any big ideas"
-        assert beams[1].tokens[-1].text == "ger"
-        assert math.isclose(beams[1].cumulative, 0.15, abs_tol=1e-9)
-        assert beams[1].rendered == "don't get any bigger"
+        assert [render_text(r.lyric) for r in results] == ["don't get any big ideas", "don't get any bigger"]
+        assert math.isclose(results[0].trace[-1].contribution, 0.50, abs_tol=1e-9)
+        assert math.isclose(results[1].trace[-1].contribution, 0.15, abs_tol=1e-9)
 
     def test_with_trained_lm(self):
         # an LM trained where "big ideas" is frequent scores "ger" below the
@@ -279,13 +225,14 @@ class TestWorkedFusionExample:
         texts = ["don't get any big ideas", "big ideas are the best ideas", "big ideas win"]
         lm = train_char_ngram([lyric_lm_text(t) for t in texts], order=4, k=0.01)
         assert lm.score_with_spacing("don't get any big", "ger").value < 0.167
-        gen = StubGenerator(self.VOCAB, {self.HISTORY: {"ger": 0.3, "ideas": 0.2}})
-        config = FusionConfig(beam_size=2, lambda_lm=0.75)
-        beams = expand_step([self.make_parent()], gen, lm, melody_of(6), 4, config)
-        assert beams[0].tokens[-1].text == "ideas"
+        results = decode(melody_of(6), worked_example_generator(), lm, self.CONFIG)
+        assert render_text(results[0].lyric) == "don't get any big ideas"
 
 
 class TestExpandStep:
+    """The steps after the first, checked through decode against
+    `reference_decode`."""
+
     def random_instance(self, rnd):
         n_texts = rnd.randint(2, 7)
         texts = [f"s{chr(ord('a') + i)}" for i in range(n_texts)]
@@ -294,72 +241,62 @@ class TestExpandStep:
         lm = RandomLM(rnd.randrange(10**9))
         beam_size = rnd.randint(1, 4)
         lambda_lm = rnd.choice([0.0, 0.25, 0.5, 0.75, 1.0])
-        config = FusionConfig(
-            beam_size=beam_size, lambda_lm=lambda_lm, max_len=10
-        )
-        n_parents = rnd.randint(1, beam_size)
-        parents = []
-        for i in range(n_parents):
-            length = rnd.randint(1, 3)
-            choice = [rnd.choice(texts) for _ in range(length)]
-            finished = rnd.random() < 0.2 and i < n_parents - 1
-            parents.append(word_beam(choice, cumulative=rnd.uniform(0.0, 2.0), finished=finished))
-        if all(p.finished for p in parents):
-            parents[0] = word_beam(["sa"], cumulative=0.5)
-        melody = melody_of(rnd.randint(5, 8))
-        t = rnd.randint(1, 4)
-        return parents, gen, lm, melody, t, config
+        config = FusionConfig(beam_size=beam_size, lambda_lm=lambda_lm, max_len=rnd.randint(1, 10))
+        melody = melody_of(rnd.randint(1, 8))
+        return gen, lm, melody, config
 
     def test_matches_reference_on_200_random_instances(self):
         rnd = random.Random(20240501)
         for _ in range(200):
-            parents, gen, lm, melody, t, config = self.random_instance(rnd)
-            got = expand_step(parents, gen, lm, melody, t, config)
-            want = reference_expand(parents, gen, lm, melody, t, config)
-            assert project(got) == want
+            gen, lm, melody, config = self.random_instance(rnd)
+            assert decode(melody, gen, lm, config) == reference_decode(melody, gen, lm, config)
 
     def test_matches_reference_past_melody_end(self):
         rnd = random.Random(99)
         for _ in range(20):
-            parents, gen, lm, melody, _, config = self.random_instance(rnd)
-            t = len(melody.notes) + 1
-            got = expand_step(parents, gen, lm, melody, t, config)
-            want = reference_expand(parents, gen, lm, melody, t, config)
-            assert project(got) == want
-            # only the end token may be proposed past the final note
-            assert all(b.finished for b in got)
+            gen, lm, _, config = self.random_instance(rnd)
+            melody = melody_of(rnd.randint(1, 3))
+            config = FusionConfig(config.beam_size, config.lambda_lm, len(melody) + rnd.randint(1, 3))
+            got = decode(melody, gen, lm, config)
+            assert got == reference_decode(melody, gen, lm, config)
+            # only the end token may be proposed past the final note, so
+            # every hypothesis ends with a scored end step
+            assert all(len(r.trace) == len(r.lyric.tokens) for r in got)
 
     def test_lambda_zero_matches_no_lm(self):
         rnd = random.Random(41)
         for _ in range(50):
-            parents, gen, lm, melody, t, _ = self.random_instance(rnd)
-            config = FusionConfig(beam_size=3, lambda_lm=0.0)
-            with_lm = expand_step(parents, gen, lm, melody, t, config)
-            without = expand_step(parents, gen, None, melody, t, config)
-            assert [tuple(t.text for t in b.tokens) for b in with_lm] == [
-                tuple(t.text for t in b.tokens) for b in without
+            gen, lm, melody, config = self.random_instance(rnd)
+            config = FusionConfig(beam_size=3, lambda_lm=0.0, max_len=config.max_len)
+            with_lm = decode(melody, gen, lm, config)
+            without = decode(melody, gen, None, config)
+            assert without == reference_decode(melody, gen, None, config)
+            assert [[t.text for t in r.lyric.tokens] for r in with_lm] == [
+                [t.text for t in r.lyric.tokens] for r in without
             ]
-            assert [b.cumulative for b in with_lm] == [b.cumulative for b in without]
+            assert [r.cumulative for r in with_lm] == [r.cumulative for r in without]
 
     def test_constant_lm_keeps_selection(self):
-        # shifting every expansion by lambda_lm * c cannot reorder them
+        # shifting every expansion by lambda_lm * c cannot reorder them. The
+        # generator gives the end token no mass and the beam is no wider than
+        # the syllables, so no hypothesis ends before the melody does and
+        # every hypothesis takes the same shift at every step
         rnd = random.Random(43)
         for _ in range(50):
-            parents, gen, _, melody, t, _ = self.random_instance(rnd)
-            parents = [Beam(p.tokens, p.rendered, p.cumulative, False, p.trace) for p in parents]
-            config = FusionConfig(beam_size=3, lambda_lm=0.75)
-            shifted = expand_step(parents, gen, ConstantLM(0.37), melody, t, config)
-            base = expand_step(parents, gen, ConstantLM(0.0), melody, t, config)
-            assert [tuple(t.text for t in b.tokens) for b in shifted] == [
-                tuple(t.text for t in b.tokens) for b in base
-            ]
+            gen, _, melody, config = self.random_instance(rnd)
+            gen = RandomTableGenerator(gen.vocab, rnd.randrange(10**9))
+            config = FusionConfig(min(3, len(gen.vocab.syllable_texts())), 0.75, config.max_len)
+            shifted = decode(melody, gen, ConstantLM(0.37), config)
+            assert shifted == reference_decode(melody, gen, ConstantLM(0.37), config)
+            base = decode(melody, gen, ConstantLM(0.0), config)
+            assert [r.lyric for r in shifted] == [r.lyric for r in base]
 
     def tie_heavy_instance(self, rnd):
-        # every candidate gets the same contribution: the uniform generator's
-        # probability at lambda_lm 0, the constant LM's score at lambda_lm 1,
-        # where the generator's random ranking puts candidate ids out of
-        # order. Cumulatives on a grid of quarters sum exactly, so parents,
-        # children and frozen beams tie with one another at the cut.
+        # every candidate after the first step gets the same contribution:
+        # the uniform generator's probability at lambda_lm 0, the constant
+        # LM's score at lambda_lm 1, where the generator's random ranking
+        # puts candidate ids out of order. Hypotheses of equal length then
+        # tie with one another at the cut, and with hypotheses that ended.
         texts = ["la", "mi", "so", "fa", "re"][: rnd.randint(1, 5)]
         vocab = Vocabulary(texts)
         emittable = vocab.emittable()
@@ -367,96 +304,77 @@ class TestExpandStep:
         weights = [1.0 if lambda_lm == 0 else rnd.random() for _ in emittable]
         gen = StubGenerator(vocab, {}, default={t: w / sum(weights) for t, w in zip(emittable, weights)})
         config = FusionConfig(
-            beam_size=rnd.randint(1, 3 * len(emittable) + 2), lambda_lm=lambda_lm
+            beam_size=rnd.randint(1, 3 * len(emittable) + 2), lambda_lm=lambda_lm, max_len=rnd.randint(1, 6)
         )
-        parents = [
-            word_beam(rnd.choices(texts, k=rnd.randint(1, 3)), rnd.choice([0.25, 0.5, 0.75, 1.0]), rnd.random() < 0.3)
-            for _ in range(rnd.randint(1, 6))
-        ]
-        if all(p.finished for p in parents):
-            parents.append(word_beam(texts[:1], 0.5))
-        rnd.shuffle(parents)  # parents arrive in no particular score order
-        return parents, gen, ConstantLM(0.5), config
+        return gen, ConstantLM(0.5), melody_of(rnd.randint(1, 4)), config
 
     def test_matches_reference_when_ties_decide_the_cut(self):
         rnd = random.Random(20261018)
         ties_at_cut = 0
         for _ in range(300):
-            parents, gen, lm, config = self.tie_heavy_instance(rnd)
-            melody = melody_of(4)
-            t = rnd.choice([1, 2, 3, 4, 6])  # 4 and 6 are past the final note
-            got = expand_step(parents, gen, lm, melody, t, config)
-            want = reference_expand(parents, gen, lm, melody, t, config)
-            assert project(got) == want
-            if t >= 4:
-                assert all(b.finished for b in got)
-            # the pool is larger than the beam and the kept scores tie at the cut
-            per_parent = 1 if t >= 4 else config.beam_size
-            pool = sum(1 if p.finished else min(per_parent, len(gen.vocab.emittable())) for p in parents)
-            ties_at_cut += pool > len(got) > 1 and got[-1].cumulative == got[-2].cumulative
+            gen, lm, melody, config = self.tie_heavy_instance(rnd)
+            assert decode(melody, gen, lm, config) == reference_decode(melody, gen, lm, config)
+            # some step's pool is larger than the beam and the kept scores
+            # tie at the cut
+            steps = reference_steps(melody, gen, lm, config)
+            for t, (parents, kept) in enumerate(zip(steps, steps[1:]), start=1):
+                per_parent = 1 if t >= len(melody) else min(config.beam_size, len(gen.vocab.emittable()))
+                pool = sum(1 if p.finished else per_parent for p in parents)
+                if pool > len(kept) > 1 and kept[-1].cumulative == kept[-2].cumulative:
+                    ties_at_cut += 1
+                    break
         assert ties_at_cut > 50
 
     def test_expansion_tied_with_a_full_pools_last_entry_is_cut(self):
-        # beam 2, lambda_lm 1, a constant LM: the first parent's two expansions
-        # fill the pool, and each expansion of the equal second parent ties
-        # its last entry exactly, so only the first parent's are kept
-        gen = StubGenerator(Vocabulary(["la", "mi"]), {}, default={"la": 0.5, "mi": 0.25, EOS_TEXT: 0.25})
-        config = FusionConfig(beam_size=2, lambda_lm=1.0)
-        parents = [word_beam(["la"], 0.5), word_beam(["mi"], 0.5)]
-        got = expand_step(parents, gen, ConstantLM(0.5), melody_of(3), 1, config)
-        assert project(got) == reference_expand(parents, gen, ConstantLM(0.5), melody_of(3), 1, config)
-        assert [(b.tokens[0].text, b.cumulative) for b in got] == [("la", 1.0), ("la", 1.0)]
+        # beam 2, lambda_lm 1, a constant LM: two equal first syllables; the
+        # first one's two expansions fill the pool, and each expansion of the
+        # second ties its last entry exactly, so only the first's are kept
+        gen = StubGenerator(
+            Vocabulary(["la", "mi"]),
+            {(): {"la": 0.5, "mi": 0.5}},
+            default={"la": 0.5, "mi": 0.25, EOS_TEXT: 0.25},
+        )
+        config = FusionConfig(beam_size=2, lambda_lm=1.0, max_len=2)
+        got = decode(melody_of(3), gen, ConstantLM(0.5), config)
+        assert got == reference_decode(melody_of(3), gen, ConstantLM(0.5), config)
+        assert [(r.lyric.tokens[0].text, r.cumulative) for r in got] == [("la", 1.0), ("la", 1.0)]
 
     def test_frozen_beams_tie_expansions_in_any_parent_order(self):
-        vocab = Vocabulary(["la", "mi"])
-        gen = StubGenerator(vocab, {}, default={"la": 0.25, "mi": 0.25, EOS_TEXT: 0.5})
-        config = FusionConfig(beam_size=4, lambda_lm=1.0)
-        # every expansion of an open 0.5 parent reaches 1.0, as do the frozen beams
-        parents = [
-            word_beam(["mi"], 1.0, finished=True),
-            word_beam(["la"], 0.5),
-            word_beam(["la", "la"], 1.0, finished=True),
-            word_beam(["mi", "la"], 0.5),
+        # lambda_lm 1 and an LM scoring 0: no step after the first adds to a
+        # score, so every hypothesis ties. After step 1 the beam holds, in
+        # order, "la <eos>" (ended), "la la", "la mi" and "mi <eos>" (ended);
+        # at step 2 the first ended one passes through ahead of its followers'
+        # expansions, and those expansions cut the last one
+        gen = StubGenerator(
+            Vocabulary(["la", "mi"]),
+            {(): {"la": 0.5, "mi": 0.5}},
+            default={"la": 0.25, "mi": 0.25, EOS_TEXT: 0.5},
+        )
+        config = FusionConfig(beam_size=4, lambda_lm=1.0, max_len=3)
+        steps = reference_steps(melody_of(3), gen, ConstantLM(0.0), config)
+        assert [[t.text for t in b.tokens] for b in steps[1]] == [
+            ["la", EOS_TEXT], ["la", "la"], ["la", "mi"], ["mi", EOS_TEXT]
         ]
-        for order in itertools.permutations(parents):
-            got = expand_step(list(order), gen, ConstantLM(0.5), melody_of(3), 1, config)
-            assert project(got) == reference_expand(list(order), gen, ConstantLM(0.5), melody_of(3), 1, config)
-            assert [b.cumulative for b in got] == [1.0] * 4
+        got = decode(melody_of(3), gen, ConstantLM(0.0), config)
+        assert got == reference_decode(melody_of(3), gen, ConstantLM(0.0), config)
+        assert [[t.text for t in r.lyric.tokens] for r in got] == [
+            ["la", EOS_TEXT], ["la", "la", EOS_TEXT], ["la", "la", "la", EOS_TEXT], ["la", "la", "mi", EOS_TEXT]
+        ]
+        assert [r.cumulative for r in got] == [0.5] * 4
 
     def test_finished_beam_passes_through_and_wins_tie(self):
+        # step 0 ends one hypothesis on the end token at 0.75 and opens "la"
+        # at 0.25; each step-1 child adds 0.5 * 0.5 + 0.5 * 0.5 = 0.5, so the
+        # open parent's children tie the ended hypothesis exactly
         vocab = Vocabulary(["la", "mi"])
-        gen = StubGenerator(vocab, {}, default={"la": 0.4, "mi": 0.4, EOS_TEXT: 0.2})
-        # child contribution = 0.5 * 0.4 + 0.5 * 0.6 = 0.5, so the open
-        # parent's children tie the frozen beam's cumulative exactly
-        frozen = word_beam(["mi"], cumulative=1.0, finished=True)
-        open_beam = word_beam(["la"], cumulative=0.5)
-        config = FusionConfig(beam_size=2, lambda_lm=0.5)
-        result = expand_step([frozen, open_beam], gen, ConstantLM(0.6), melody_of(4), 1, config)
-        assert result[0] is frozen
-        assert result[1].cumulative == 1.0
-        assert result[1].tokens[-1].text == "la"  # then id order among children
-
-    def test_requires_unfinished_beam(self):
-        with pytest.raises(ValueError):
-            expand_step(
-                [word_beam(["la"], finished=True)],
-                StubGenerator(Vocabulary(["la"]), {}),
-                None,
-                melody_of(2),
-                1,
-                FusionConfig(lambda_lm=0.0),
-            )
-
-    def test_step_zero_rejected(self):
-        with pytest.raises(ValueError):
-            expand_step(
-                [word_beam(["la"])],
-                StubGenerator(Vocabulary(["la"]), {}),
-                None,
-                melody_of(2),
-                0,
-                FusionConfig(lambda_lm=0.0),
-            )
+        gen = StubGenerator(vocab, {(): {EOS_TEXT: 0.75, "la": 0.25}}, default={"la": 0.5, "mi": 0.5})
+        config = FusionConfig(beam_size=2, lambda_lm=0.5, max_len=2)
+        got = decode(melody_of(4), gen, ConstantLM(0.5), config)
+        assert got == reference_decode(melody_of(4), gen, ConstantLM(0.5), config)
+        # the ended hypothesis is kept as it was, ahead of the children
+        assert [t.text for t in got[0].lyric.tokens] == [EOS_TEXT] and len(got[0].trace) == 1
+        assert got[1].cumulative == got[0].cumulative == 0.75
+        assert [t.text for t in got[1].lyric.syllables()] == ["la", "la"]  # then id order among children
 
 
 def brute_force_decode(melody, gen, lm, config, length):
@@ -627,7 +545,8 @@ class RecordingLM:
 
 def test_each_step_asks_the_lm_once_per_unfinished_hypothesis():
     # before the final note, one batch of the generator's top candidates per
-    # hypothesis; past it, one end-token query per hypothesis
+    # open hypothesis; past it, one end-token query per open hypothesis. The
+    # reference search gives each step's hypotheses.
     _, gen, lm = TestDecode().trained_setup()
     recorder = RecordingLM(lm)
     rnd = random.Random(13)
@@ -635,24 +554,24 @@ def test_each_step_asks_the_lm_once_per_unfinished_hypothesis():
     for _ in range(8):
         melody = make_melody(rnd, rnd.randint(1, 6))
         config = FusionConfig(beam_size=rnd.randint(1, 6), max_len=10)
-        beams = first_step(gen, melody, config)
-        for t in range(1, config.max_len):
+        recorder.calls.clear()
+        decode(melody, gen, recorder, config)
+        expected = []
+        steps = reference_steps(melody, gen, lm, config)
+        for t, beams in enumerate(steps[:-1], start=1):
             open_beams = [beam for beam in beams if not beam.finished]
-            if not open_beams:
-                break
-            recorder.calls.clear()
-            beams = expand_step(beams, gen, recorder, melody, t, config)
             if t < len(melody.notes):
                 bucket = gen.bucket(melody.notes[t])
-                assert recorder.calls == [
+                expected += [
                     ("score_candidates", beam.rendered,
                      gen.top_by_key(gen.history_key(beam.tokens), bucket, config.beam_size)[0])
                     for beam in open_beams
                 ]
                 steps_before += 1
             else:
-                assert recorder.calls == [("score_with_spacing", beam.rendered, EOS_TEXT) for beam in open_beams]
+                expected += [("score_with_spacing", beam.rendered, EOS_TEXT) for beam in open_beams]
                 steps_past += 1
+        assert recorder.calls == expected
     assert steps_before > 10 and steps_past > 3
 
 

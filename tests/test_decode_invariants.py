@@ -20,12 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syllabeam import lm as lm_module
-from syllabeam.beam import DecodeResult, FusionConfig, audit_trace, decode, expand_step, first_step
-from syllabeam.corpus import EOS_TEXT, LyricSequence, SyllableToken, build_vocabulary, render_text
+from syllabeam.beam import FusionConfig, audit_trace, decode
+from syllabeam.corpus import EOS_TEXT, build_vocabulary, render_text
 from syllabeam.generator import train_generator
 from syllabeam.lm import lyric_lm_text, train_char_ngram
 
-from conftest import Batched, DistributionOnly, make_corpus, make_melody
+from conftest import Batched, DistributionOnly, make_corpus, make_melody, reference_decode
 
 
 class SpacingOnly(Batched):
@@ -75,21 +75,6 @@ def test_decode_invariants(
     assert decode(melody, DistributionOnly(generator), SpacingOnly(lm), config) == results
 
 
-def stepwise_decode(melody, generator, lm, config):
-    """decode's search through the public step functions."""
-    beams = first_step(generator, melody, config)
-    for t in range(1, config.max_len):
-        if all(beam.finished for beam in beams):
-            break
-        beams = expand_step(beams, generator, lm, melody, t, config)
-    end = SyllableToken(EOS_TEXT, False)
-    results = [
-        DecodeResult(LyricSequence(b.tokens if b.finished else b.tokens + (end,)), b.cumulative, b.trace)
-        for b in beams
-    ]
-    return sorted(results, key=lambda result: -result.cumulative)
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     corpus_seed=st.integers(0, 10_000),
@@ -110,7 +95,14 @@ def test_decode_equals_the_search_rebuilt_step_by_step(
     config = FusionConfig(beam_size, lambda_lm, max_len)
 
     results = decode(melody, generator, lm, config)
-    assert results == stepwise_decode(melody, generator, lm, config)
+    assert results == reference_decode(melody, generator, lm, config)
+    for result in results:
+        tokens = result.lyric.tokens
+        assert tokens[-1].text == EOS_TEXT
+        if len(tokens) > config.max_len:  # closed at the cutoff: no step for the end token
+            assert len(result.trace) == config.max_len == len(tokens) - 1
+        else:  # chose the end token: a scored step
+            assert len(result.trace) == len(tokens)
     # results with equal token prefixes share the prefix's trace steps
     for a in results:
         for b in results:

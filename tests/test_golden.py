@@ -31,7 +31,14 @@ COMMANDS = {
                                "--lm", "lm.json", "--beam-size", "4", "--lambda-lm", "0.3", "--trace"],
     "generate lambda-lm 0": ["generate", "--melody", "melody.txt", "--generator", "gen.json",
                              "--beam-size", "4", "--lambda-lm", "0", "--trace"],
+    "generate no trace": ["generate", "--melody", "melody.txt", "--generator", "gen.json", "--lm", "lm.json",
+                          "--beam-size", "4"],
     "evaluate": ["evaluate", "--candidates", "candidates.txt", "--references", "references.txt", "--json"],
+    "evaluate table": ["evaluate", "--candidates", "candidates.txt", "--references", "references.txt"],
+    "evaluate word-level": ["evaluate", "--candidates", "candidates.txt", "--references", "references.txt",
+                            "--word-level", "--json"],
+    "emit-prompt": ["emit-prompt", "--set", "references=references.txt", "--set", "candidates=candidates.txt",
+                    "--set", "references again=references.txt", "--variant", "annotated"],
 }
 FILES = ("lm.json", "gen.json", "nsp.tsv")
 
@@ -79,7 +86,11 @@ GOLDEN = {
         "generate": "6533c4aa85b498f25cc36bb2fc397c6da2199c1dc8b3667784f9d7cca31853fa",
         "generate lambda-lm 0.3": "3a232aad931637c0e832131ad86c536ce0209ad55b275b8a350407921e773427",
         "generate lambda-lm 0": "c9bd11c5fdec1535567c5d950c54ba3300fb1b9e732e26bd5212e47e2545c4cb",
+        "generate no trace": "368ff7a44816d233c2e5c54700e03eb7a9a5aace301b591e1d3e466cc2828d97",
         "evaluate": "8be09d30790df76fdbdff1662e781acf5997cdc3d5950a5e28cad53eda6d6968",
+        "evaluate table": "0aebbc57d8af5ef7024d42fa4f58f060a4823965831e02f1382e7e0ac83ab7b2",
+        "evaluate word-level": "97afb3beb2c09a631db7efe79894b237be558e84def06286990340f9a85988c7",
+        "emit-prompt": "5d35f31c273ca24072d40597318711bd26fb67cc98c0a7ad80928a151f5bcc06",
         "lm.json": "11d87ed8a6f29c5a09b002e11efbb793fd097331182f1d265dd81cf95398a348",
         "gen.json": "688eaa6cfa2d375071248b17994143800f9ed360d988e04dd9673dad18bec66f",
         "nsp.tsv": "33e34458bf5f3125a2ff6e1a321b6c4f01675a6295d81480e5a126f208258886",
@@ -93,7 +104,11 @@ GOLDEN = {
         "generate": "742496770262028a0d490f264ba0ede44cedbead84e787de2b71a53d43c047fa",
         "generate lambda-lm 0.3": "bea54841faac381a77614f0b5cf5e4d61e8cd09f82affef317af797fac84b1d8",
         "generate lambda-lm 0": "986f758c25093d5741a3caa685e0f8a787cf1ab670b3672268005d4a731fac85",
+        "generate no trace": "263c600a23ddbfffd0b218bf6e1c4bc648e57c35b91e8505168ed8b988801bf4",
         "evaluate": "26927aaf73ac5601314dd6237da0f7ab881f024cd4bae2201fb0d5dc6505cedb",
+        "evaluate table": "3f1ba45c8a492616f604d3e7bf3dc1f0c77396817a38a99282701ae0c7b38319",
+        "evaluate word-level": "7c5f5f4a1180a134e29e3ca3c7ca66e5e6e4a05b831885295060d0a4625a33c9",
+        "emit-prompt": "77f2ebcb4a19a094bbd3d30b3941f06e8c687bbbf36ff6d516ac70271401f450",
         "lm.json": "1b00ef7a7f721dd54bb910420c51fd9254a325518ae095a473a574a6e46a6fea",
         "gen.json": "011eb89c564b18e76ddd4a1ff3a9d4eea12fdb4322c3a3247408cf8ba78d6947",
         "nsp.tsv": "207f5e44166f03a766d622b22718ea6cdd6fbd5e5c317d85a1ac981887377a63",

@@ -1,0 +1,18 @@
+"""The mutants `tools/mutants.py` runs still name text their target file holds
+exactly once, so a change to the source cannot quietly retire one."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_each_listed_mutant_applies_once():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    target, listed = mutants.load(mutants.MUTANTS)
+    source = (ROOT / target).read_text(encoding="utf-8")
+    assert listed
+    for _, old, new in listed:
+        assert mutants.mutate(source, old, new) != source

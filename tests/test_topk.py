@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from syllabeam.beam import FusionConfig, decode, first_step
+from syllabeam.beam import FusionConfig, decode
 from syllabeam.corpus import (
     BOS_TEXT,
     EOS_TEXT,
@@ -219,9 +219,12 @@ def test_first_step_bound_same_through_both_generator_paths():
     vocab = Vocabulary(["la", "li"])
     generator = MelodyConditionedNgram(vocab)
     melody = make_melody(random.Random(17), 3)
+
+    def first_step(generator, beam_size):
+        return decode(melody, generator, None, FusionConfig(beam_size, 0.0, max_len=1))
+
     # a beam wider than the 3 candidates (la, li and the end token) keeps them all
-    wide = first_step(generator, melody, FusionConfig(beam_size=4))
+    wide = first_step(generator, 4)
     assert len(wide) == 3
-    assert wide == first_step(DistributionOnly(generator), melody, FusionConfig(beam_size=4))
-    small = FusionConfig(beam_size=3)
-    assert first_step(generator, melody, small) == first_step(DistributionOnly(generator), melody, small) == wide
+    assert wide == first_step(DistributionOnly(generator), 4)
+    assert first_step(generator, 3) == first_step(DistributionOnly(generator), 3) == wide

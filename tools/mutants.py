@@ -1,0 +1,102 @@
+"""Run the listed text mutants of the source against a set of tests.
+
+    python tools/mutants.py [PYTEST_TARGET ...]    (default: tests/test_beam.py)
+
+Reads `tools/mutants_beam.txt`. Each mutant is applied to its own copy of the
+repository under a temporary directory, never to the checkout, and the
+targets run there under pytest with `-x` and a fixed `--hypothesis-seed`, at
+most two mutants at a time. The unmutated copy runs first and must pass.
+Prints one line per mutant, killed (with the first failing test) or survived,
+and exits 1 if any survived.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MUTANTS = Path(__file__).resolve().parent / "mutants_beam.txt"
+ARROW = " → "
+TIMEOUT_S = 900
+SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_run")
+
+
+def load(path: Path) -> tuple[str, list[tuple[str, str, str]]]:
+    """The target file and the (id, old, new) mutants a mutant file lists."""
+    target, mutants = None, []
+    for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        ident, _, rest = line.partition(" ")
+        if ident == "file":
+            target = rest
+            continue
+        old, arrow, new = rest.partition(ARROW)
+        if not arrow or not old:
+            raise ValueError(f"{path}:{n}: expected 'ID old{ARROW}new'")
+        mutants.append((ident, old.replace("\\n", "\n"), new.replace("\\n", "\n")))
+    if target is None:
+        raise ValueError(f"{path}: no 'file' line")
+    return target, mutants
+
+
+def mutate(text: str, old: str, new: str) -> str:
+    """`text` with its one occurrence of `old` replaced by `new`."""
+    count = text.count(old)
+    if count != 1:
+        raise ValueError(f"{old!r} occurs {count} times, not once")
+    return text.replace(old, new)
+
+
+def run(target: str, mutant, pytest_args: list[str]) -> tuple[bool, str]:
+    """(passed, first failing test) of the tests on a copy carrying `mutant`."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=SKIPPED)
+        if mutant is not None:
+            path = copy / target
+            path.write_text(mutate(path.read_text(encoding="utf-8"), *mutant[1:]), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
+                "--hypothesis-seed=0", *pytest_args]
+        try:
+            done = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return False, f"timed out after {TIMEOUT_S} s"
+    if done.returncode == 0:
+        return True, ""
+    for line in done.stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return False, line.split(" ", 2)[1]
+    return False, f"pytest exit {done.returncode}"
+
+
+def main(argv: list[str]) -> int:
+    target, mutants = load(MUTANTS)
+    source = (ROOT / target).read_text(encoding="utf-8")
+    for ident, old, new in mutants:
+        try:
+            mutate(source, old, new)
+        except ValueError as exc:
+            print(f"error: {ident}: {exc}", file=sys.stderr)
+            return 2
+    pytest_args = argv or ["tests/test_beam.py"]
+    passed, failing = run(target, None, pytest_args)
+    if not passed:
+        print(f"error: the unmutated tests fail: {failing}", file=sys.stderr)
+        return 2
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        outcomes = list(pool.map(lambda mutant: run(target, mutant, pytest_args), mutants))
+    for (ident, _, _), (passed, failing) in zip(mutants, outcomes):
+        print(f"{ident}  survived" if passed else f"{ident}  killed  {failing}")
+    return 1 if any(passed for passed, _ in outcomes) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
