@@ -195,7 +195,8 @@ def cmd_nsp_eval(args: argparse.Namespace) -> int:
     if not scored:
         raise ValueError(f"dataset is empty: {dataset_path}")
     result = nsp_metrics(scored, args.threshold)
-    _echo("nsp-eval", {"dataset": dataset_path, "scorer": args.scorer, "threshold": args.threshold})
+    config = {"dataset": dataset_path, "lm": args.lm, "scorer": args.scorer, "threshold": args.threshold}
+    _echo("nsp-eval", config)
     print(json.dumps({**result, "examples": len(scored)}, sort_keys=True))
     return 0
 

@@ -2,8 +2,8 @@
 
 A count-based model over (syllable history, note bucket) pairs standing in
 for a trained sequence decoder: given the recent syllables and the current
-note's discretized features it returns a full probability distribution over
-the vocabulary, end token included.
+note's discretized features it answers from a probability distribution over
+the vocabulary, end token included, its top entries or one entry at a time.
 """
 
 from __future__ import annotations
@@ -168,22 +168,11 @@ class MelodyConditionedNgram:
             self._rankings[id(counts)] = ranking
         return ranking
 
-    def next_distribution(
-        self, history: Sequence[SyllableToken], note: Optional[MelodyNote]
-    ) -> dict[str, float]:
-        """Distribution over every emittable vocabulary entry (BOS excluded)."""
-        counts = self._counts(self.history_key(history), bucket_note(note))
-        emittable = self.vocab.emittable()
-        denom = sum(counts.values()) + self.k * len(emittable)
-        if denom == 0:
-            return {text: 1.0 / len(emittable) for text in emittable}
-        return {text: (counts.get(text, 0) + self.k) / denom for text in emittable}
-
     def top_by_key(self, key: tuple[str, ...], bucket: Optional[NoteBucket], k: int) -> tuple:
-        """The first `k` entries of `next_distribution` after the history keyed
-        by `key` at a note bucket, ranked by (-probability, vocabulary id) and
-        computed without building it, as one cached (texts, probabilities,
-        vocabulary ids) tuple per k."""
+        """The first `k` entries of the distribution over every emittable
+        entry after the history keyed by `key` at a note bucket, ranked by
+        (-probability, vocabulary id) and computed without building it, as one
+        cached (texts, probabilities, vocabulary ids) tuple per k."""
         ranking = self._ranking(key, bucket)
         top = ranking.tops.get(k)
         if top is None:
@@ -197,8 +186,8 @@ class MelodyConditionedNgram:
         return top
 
     def prob_by_key(self, key: tuple[str, ...], bucket: Optional[NoteBucket], text: str) -> float:
-        """The `next_distribution` entry of an emittable `text` after the
-        history keyed by `key` at a note bucket."""
+        """The probability of an emittable `text` after the history keyed by
+        `key` at a note bucket."""
         if text == BOS_TEXT or text not in self.vocab:
             raise ValueError(f"{text!r} is not an emittable token")
         ranking = self._ranking(key, bucket)

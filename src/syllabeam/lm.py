@@ -76,9 +76,8 @@ class CharNgramModel:
 
     Count tables are kept for every context length 0..order-1. A query uses
     the longest context suffix seen in training; each fallback to a shorter
-    suffix multiplies the per-character probability by BACKOFF_FACTOR
-    (so backed-off scores are discounted, while conditional_distribution
-    always reports the proper add-k distribution of the resolved level).
+    suffix multiplies the per-character probability by BACKOFF_FACTOR, so
+    backed-off scores are discounted.
     Every score therefore depends only on the last order-1 characters of
     its context, the context suffix, which keys every cache of the model.
     Only train_char_ngram and load fill the counts, so no cache goes stale.
@@ -98,7 +97,7 @@ class CharNgramModel:
         self._levels: dict[str, tuple[Optional[dict[str, int]], float, float]] = {}
         # (context suffix, syllable) -> score_with_spacing result
         self._memo: dict[tuple[str, str], ContinuationScore] = {}
-        # (context suffix, candidate) -> score_continuation result
+        # (context suffix, candidate) -> _continuation result
         self._continuations: dict[tuple[str, str], float] = {}
         # (context suffix, syllables) -> score_candidates result
         self._candidates: dict[tuple[str, tuple[str, ...]], tuple[ContinuationScore, ...]] = {}
@@ -128,39 +127,12 @@ class CharNgramModel:
             level = self._levels[suffix] = (table if total else None, denom, BACKOFF_FACTOR ** hops)
         return level
 
-    def char_prob(self, ch: str, context: str) -> float:
-        """P(ch | context), discounted by BACKOFF_FACTOR per fallback hop."""
-        if ch not in _ALPHABET:
-            raise ValueError(f"character {ch!r} not in alphabet")
-        table, denom, factor = self._level(self._suffix(context))
-        if table is None:
-            return factor / _SIZE
-        return factor * ((table.get(ch, 0) + self.k) / denom)
-
-    def conditional_distribution(self, context: str) -> dict[str, float]:
-        """Proper add-k distribution over the alphabet at the resolved level."""
-        table, denom, _ = self._level(self._suffix(context))
-        if table is None:
-            return {ch: 1.0 / _SIZE for ch in DEFAULT_ALPHABET}
-        return {ch: (table.get(ch, 0) + self.k) / denom for ch in DEFAULT_ALPHABET}
-
     # -- scoring ----------------------------------------------------------
 
-    def score_continuation(self, context: str, candidate: str) -> float:
-        """Geometric mean of per-character probabilities of `candidate`
-        following `context`, the context growing through the candidate.
-
-        Both may be any alphabet text: a candidate holding EOS_CHAR scores
-        the end of a lyric, and one holding a space crosses a word boundary."""
-        if not candidate:
-            raise ValueError("candidate must be non-empty")
-        _check_chars(context)
-        return self._scored(self._suffix(context), candidate)
-
     def _scored(self, suffix: str, candidate: str) -> float:
-        """score_continuation after a checked context ending in `suffix`,
-        memoized per (suffix, candidate); a key is stored only once its
-        candidate passed its check, so only a miss needs one."""
+        """_continuation after a checked context ending in `suffix`, memoized
+        per (suffix, candidate); a key is stored only once its candidate passed
+        its check, so only a miss needs one."""
         key = (suffix, candidate)
         score = self._continuations.get(key)
         if score is None:
@@ -171,13 +143,14 @@ class CharNgramModel:
         return score
 
     def _continuation(self, suffix: str, candidate: str) -> float:
-        """score_continuation of a checked candidate after a context ending
-        in `suffix`; only the running suffix is carried."""
+        """Geometric mean of the per-character probabilities of a checked
+        candidate after a context ending in `suffix`, the suffix growing
+        through the candidate; EOS_CHAR in a candidate scores a lyric's end."""
         keep = self.order - 1
         levels = self._levels
         log_sum = 0.0
         for ch in candidate:
-            # char_prob's arithmetic, inlined: this loop is the LM's hot path
+            # P(ch | suffix), discounted by BACKOFF_FACTOR per fallback hop
             table, denom, factor = levels.get(suffix) or self._level(suffix)
             if table is None:
                 p = factor / _SIZE

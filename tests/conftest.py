@@ -1,14 +1,16 @@
-"""Shared synthetic-corpus builders and scorer adapters for the test suite.
+"""Shared synthetic-corpus builders, scorer adapters and oracles for the test suite.
 
 Decode reads a generator only through its keyed interface and an LM only
 through `score_candidates` and `score_with_spacing`. `Keyed` and `Batched`
-derive those from the reference interfaces, `next_distribution` and
-`score_with_spacing`, for the test stubs and for the reference decodes the
-real models must match. `ranked_candidates`, the ranking `Keyed` applies, is
-also the oracle of the generator's top-k tests. `reference_decode` rebuilds
-decode's search from `next_distribution` and `score_with_spacing` alone, one
-materialize-and-sort step (`reference_expand`) at a time, as decode's
-selection oracle.
+derive those from the reference interfaces, a full `next_distribution` and
+`score_with_spacing`, for the test stubs and the reference generator.
+`NaiveGenerator` counts a corpus's events itself and serves the full
+distribution the trained generator must match, float for float; it is the
+generator oracle of the top-k tests and of the reference decodes.
+`continuation_scores` reads the LM's score of any alphabet text through
+`score_nsp_rows`. `reference_decode` rebuilds decode's search from
+`next_distribution` and `score_with_spacing` alone, one materialize-and-sort
+step (`reference_expand`) at a time, as decode's selection oracle.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from syllabeam.beam import DecodeResult, TraceStep
 from syllabeam.corpus import (
+    BOS_TEXT,
     EOS_TEXT,
     AlignedPair,
     LyricSequence,
@@ -27,7 +30,7 @@ from syllabeam.corpus import (
     MelodySequence,
     SyllableToken,
 )
-from syllabeam.lm import SPACED, UNSPACED
+from syllabeam.lm import EOS_CHAR, SPACED, UNSPACED
 from syllabeam.nsp import BuilderConfig
 
 # small word inventory, each word pre-split into syllables
@@ -139,12 +142,63 @@ class Batched:
         return tuple([self.score_with_spacing(context, text) for text in syllables])
 
 
-class DistributionOnly(Keyed):
-    """A generator keyed only through `vocab` and `next_distribution`."""
+class NaiveGenerator(Keyed):
+    """The generator's distributions, counted from the corpus without its code.
 
-    def __init__(self, model):
-        self.vocab = model.vocab
-        self.next_distribution = model.next_distribution
+    Every lyric position, and the end token after the last one under the
+    bucket None, is one (BOS-padded history, note bucket, syllable) event,
+    counted in four tables. A query is served by the first table that holds
+    its condition, in the order (history and bucket), history, bucket,
+    unigram, with add-k smoothing over `vocab.emittable()`. `tables` maps each
+    table's name, as a model file names it, to {condition: {text: count}}.
+    """
+
+    def __init__(self, corpus, vocab, history, k):
+        self.vocab, self.history, self.k = vocab, history, k
+        self.tables = {"hist_bucket": {}, "hist": {}, "bucket": {}, "unigram": {}}
+        for pair in corpus:
+            texts = [BOS_TEXT] * history + pair.lyric.syllable_texts() + [EOS_TEXT]
+            for i, note in enumerate([*pair.melody.notes, None]):
+                hist, target = tuple(texts[i : i + history]), texts[i + history]
+                for table, condition in self.conditions(hist, note):
+                    counts = self.tables[table].setdefault(condition, {})
+                    counts[target] = counts.get(target, 0) + 1
+
+    @staticmethod
+    def note_bucket(note):
+        if note is None:
+            return None
+        duration = "short" if note.duration < 1 else "medium" if note.duration == 1 else "long"
+        return (note.pitch % 12, note.pitch // 12, duration, note.rest > 0)
+
+    def conditions(self, hist, note):
+        bucket = self.note_bucket(note)
+        return [("hist_bucket", (hist, bucket)), ("hist", hist), ("bucket", bucket), ("unigram", ())]
+
+    def next_distribution(self, history, note):
+        texts = [tok.text for tok in history[-self.history :]]
+        hist = tuple([BOS_TEXT] * (self.history - len(texts)) + texts)
+        for table, condition in self.conditions(hist, note):
+            counts = self.tables[table].get(condition)
+            if counts:
+                break
+        else:
+            counts = {}
+        emittable = self.vocab.emittable()
+        denom = sum(counts.values()) + self.k * len(emittable)
+        if denom == 0:
+            return {text: 1.0 / len(emittable) for text in emittable}
+        return {text: (counts.get(text, 0) + self.k) / denom for text in emittable}
+
+
+def continuation_scores(lm, context, texts):
+    """The LM's score of each alphabet text in `texts` after `context`, the
+    geometric mean of its per-character probabilities (so a one-character
+    text scores P(ch | context), discounted per backoff hop), read through
+    `score_nsp_rows` with each text written in dataset notation."""
+    context = context.replace(EOS_CHAR, EOS_TEXT)
+    rows = [(context, text.replace(" ", "_").replace(EOS_CHAR, EOS_TEXT), 1) for text in texts]
+    return [score for score, _ in lm.score_nsp_rows(rows)]
 
 
 class Hypothesis(NamedTuple):

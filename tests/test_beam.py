@@ -18,7 +18,15 @@ from syllabeam.generator import train_generator
 from syllabeam.lm import SPACED, UNSPACED, ContinuationScore, lyric_lm_text, train_char_ngram
 from syllabeam.corpus import render_text
 
-from conftest import Batched, Keyed, make_corpus, make_melody, reference_decode, reference_steps
+from conftest import (
+    Batched,
+    Keyed,
+    NaiveGenerator,
+    make_corpus,
+    make_melody,
+    reference_decode,
+    reference_steps,
+)
 
 
 def melody_of(n):
@@ -406,13 +414,14 @@ def brute_force_decode(melody, gen, lm, config, length):
 
 class TestDecode:
     def trained_setup(self, n_pairs=60, seed=71, k=0.05):
+        """The trained generator's NaiveGenerator, the generator and the LM."""
         corpus = make_corpus(n_pairs, seed=seed, min_syllables=6, max_syllables=12)
         vocab = build_vocabulary([p.lyric for p in corpus])
         gen = train_generator(corpus, vocab, history=2, k=k)
         lm = train_char_ngram(
             [lyric_lm_text(render_text(p.lyric)) for p in corpus], order=4, k=0.1
         )
-        return corpus, gen, lm
+        return NaiveGenerator(corpus, vocab, 2, k), gen, lm
 
     def test_output_shape_and_audit(self):
         _, gen, lm = self.trained_setup()
@@ -448,7 +457,7 @@ class TestDecode:
             assert math.isclose(running, result.cumulative, abs_tol=1e-9)
 
     def test_greedy_generator_only(self):
-        _, gen, _ = self.trained_setup()
+        naive, gen, _ = self.trained_setup()
         melody = make_melody(random.Random(9), 8)
         config = FusionConfig(beam_size=1, lambda_lm=0.0, max_len=8)
         results = decode(melody, gen, None, config)
@@ -456,7 +465,7 @@ class TestDecode:
         # greedy reference: argmax at each step
         tokens = []
         for t in range(8):
-            dist = gen.next_distribution(tokens, melody.notes[t])
+            dist = naive.next_distribution(tokens, melody.notes[t])
             best = min(dist.items(), key=lambda kv: (-kv[1], gen.vocab.id_of(kv[0])))
             if best[0] == EOS_TEXT:
                 break
@@ -547,7 +556,7 @@ def test_each_step_asks_the_lm_once_per_unfinished_hypothesis():
     # before the final note, one batch of the generator's top candidates per
     # open hypothesis; past it, one end-token query per open hypothesis. The
     # reference search gives each step's hypotheses.
-    _, gen, lm = TestDecode().trained_setup()
+    naive, gen, lm = TestDecode().trained_setup()
     recorder = RecordingLM(lm)
     rnd = random.Random(13)
     steps_before = steps_past = 0
@@ -557,7 +566,7 @@ def test_each_step_asks_the_lm_once_per_unfinished_hypothesis():
         recorder.calls.clear()
         decode(melody, gen, recorder, config)
         expected = []
-        steps = reference_steps(melody, gen, lm, config)
+        steps = reference_steps(melody, naive, lm, config)
         for t, beams in enumerate(steps[:-1], start=1):
             open_beams = [beam for beam in beams if not beam.finished]
             if t < len(melody.notes):

@@ -316,6 +316,7 @@ class TestNspEval:
         capsys.readouterr()
         code, stdout = run(capsys, ["nsp-eval", "--dataset", tsv, "--scorer", "oracle"])
         assert code == 0
+        assert header_of(stdout)["config"]["lm"] is None
         result = json.loads(stdout.splitlines()[-1])
         assert result["accuracy"] == 1.0
         assert result["auc"] == 1.0
@@ -327,6 +328,7 @@ class TestNspEval:
         capsys.readouterr()
         code, stdout = run(capsys, ["nsp-eval", "--dataset", tsv, "--lm", lm_path])
         assert code == 0
+        assert header_of(stdout)["config"]["lm"] == lm_path
         result = json.loads(stdout.splitlines()[-1])
         assert 0.0 <= result["accuracy"] <= 1.0
         assert 0.0 <= result["auc"] <= 1.0

@@ -5,11 +5,11 @@ trained `CharNgramModel` and `MelodyConditionedNgram` passes `audit_trace`,
 emits no lyric longer than its melody, repeats exactly, and equals the decode
 through the reference interfaces: an LM scoring through `score_with_spacing`
 alone, one candidate at a time (`Batched`), handed a new copy of every
-context so that it checks nearly every one anew, and a generator answering
-from `vocab` and `next_distribution` alone, whose candidates `Keyed` ranks
-from the full distribution. It also equals the same search rebuilt
-through `first_step` and `expand_step`, whose hypotheses are unwound one step
-at a time, so the prefixes decode's results share change no output.
+context so that it checks nearly every one anew, and `NaiveGenerator`, which
+counts the corpus itself and whose candidates `Keyed` ranks from the full
+distribution. It also equals `reference_decode` on the same naive generator,
+the search rebuilt one materialize-and-sort step at a time, so the prefixes
+decode's results share change no output.
 """
 
 import random
@@ -25,7 +25,7 @@ from syllabeam.corpus import EOS_TEXT, build_vocabulary, render_text
 from syllabeam.generator import train_generator
 from syllabeam.lm import lyric_lm_text, train_char_ngram
 
-from conftest import Batched, DistributionOnly, make_corpus, make_melody, reference_decode
+from conftest import Batched, NaiveGenerator, make_corpus, make_melody, reference_decode
 
 
 class SpacingOnly(Batched):
@@ -41,9 +41,10 @@ class SpacingOnly(Batched):
 
 
 def train(corpus, order, lm_k, history, gen_k):
+    """The LM, the generator, and the generator's NaiveGenerator."""
     lm = train_char_ngram([lyric_lm_text(render_text(p.lyric)) for p in corpus], order, lm_k)
     vocab = build_vocabulary([p.lyric for p in corpus])
-    return lm, train_generator(corpus, vocab, history, gen_k)
+    return lm, train_generator(corpus, vocab, history, gen_k), NaiveGenerator(corpus, vocab, history, gen_k)
 
 
 @settings(max_examples=100, deadline=None)
@@ -64,7 +65,7 @@ def test_decode_invariants(
     corpus_seed, pairs, melody_seed, notes, beam_size, lambda_lm, max_len, order, lm_k, history, gen_k
 ):
     corpus = make_corpus(pairs, seed=corpus_seed, min_syllables=1, max_syllables=10)
-    lm, generator = train(corpus, order, lm_k, history, gen_k)
+    lm, generator, naive = train(corpus, order, lm_k, history, gen_k)
     melody = make_melody(random.Random(melody_seed), notes)
     config = FusionConfig(beam_size, lambda_lm, max_len)
 
@@ -72,7 +73,7 @@ def test_decode_invariants(
     assert audit_trace(results)
     assert all(len(result.lyric.syllables()) <= len(melody) for result in results)
     assert decode(melody, generator, lm, config) == results
-    assert decode(melody, DistributionOnly(generator), SpacingOnly(lm), config) == results
+    assert decode(melody, naive, SpacingOnly(lm), config) == results
 
 
 @settings(max_examples=100, deadline=None)
@@ -90,12 +91,12 @@ def test_decode_equals_the_search_rebuilt_step_by_step(
     corpus_seed, pairs, melody_seed, notes, beam_size, lambda_lm, max_len, history
 ):
     corpus = make_corpus(pairs, seed=corpus_seed, min_syllables=1, max_syllables=10)
-    lm, generator = train(corpus, 3, 0.1, history, 0.1)
+    lm, generator, naive = train(corpus, 3, 0.1, history, 0.1)
     melody = make_melody(random.Random(melody_seed), notes)
     config = FusionConfig(beam_size, lambda_lm, max_len)
 
     results = decode(melody, generator, lm, config)
-    assert results == reference_decode(melody, generator, lm, config)
+    assert results == reference_decode(melody, naive, lm, config)
     for result in results:
         tokens = result.lyric.tokens
         assert tokens[-1].text == EOS_TEXT
@@ -117,12 +118,12 @@ def test_threads_sharing_models_decode_as_sequentially(monkeypatch):
     rnd = random.Random(22)
     melodies = [make_melody(rnd, rnd.randint(4, 12)) for _ in range(12)]
     config = FusionConfig(beam_size=6, max_len=14)
-    lm, generator = train(corpus, 4, 0.1, 2, 0.1)
+    lm, generator, _ = train(corpus, 4, 0.1, 2, 0.1)
     expected = [decode(melody, generator, lm, config) for melody in melodies]
 
     # cold, shared models whose memos empty often, and frequent thread switches
     monkeypatch.setattr(lm_module, "MEMO_LIMIT", 64)
-    lm, generator = train(corpus, 4, 0.1, 2, 0.1)
+    lm, generator, _ = train(corpus, 4, 0.1, 2, 0.1)
 
     def decode_all(start):
         order = melodies[start:] + melodies[:start]

@@ -41,6 +41,13 @@ def simple_pair(line, pitches):
     return AlignedPair(MelodySequence(notes), LyricSequence(tokens))
 
 
+def distribution(model, history, note):
+    """The distribution that serves a (history, note) query, read one entry
+    at a time through `prob_by_key`."""
+    key, bucket = model.history_key(history), model.bucket(note)
+    return {text: model.prob_by_key(key, bucket, text) for text in model.vocab.emittable()}
+
+
 class TestBucketNote:
     def test_medium_no_rest(self):
         assert bucket_note(MelodyNote(60, 1.0, 0.0)) == NoteBucket(0, 5, DURATION_MEDIUM, False)
@@ -59,7 +66,7 @@ class TestTraining:
         pair = simple_pair("he llo", [60, 62])
         vocab = build_vocabulary([pair.lyric])
         model = train_generator([pair], vocab, history=2, k=0.0)
-        dist = model.next_distribution(pair.lyric.tokens[:1], pair.melody.notes[1])
+        dist = distribution(model, pair.lyric.tokens[:1], pair.melody.notes[1])
         assert dist["llo"] == 1.0
         assert sum(dist.values()) == 1.0
 
@@ -70,7 +77,7 @@ class TestTraining:
         vocab = build_vocabulary([pair.lyric])
         k = 0.5
         model = train_generator([pair], vocab, history=2, k=k)
-        dist = model.next_distribution(pair.lyric.tokens[:1], pair.melody.notes[1])
+        dist = distribution(model, pair.lyric.tokens[:1], pair.melody.notes[1])
         assert math.isclose(dist["llo"], (1 + k) / (1 + 3 * k), abs_tol=1e-12)
         assert math.isclose(dist[EOS_TEXT], k / (1 + 3 * k), abs_tol=1e-12)
 
@@ -78,7 +85,7 @@ class TestTraining:
         pair = simple_pair("he llo", [60, 62])
         vocab = build_vocabulary([pair.lyric])
         model = train_generator([pair], vocab, history=2, k=0.0)
-        dist = model.next_distribution(pair.lyric.tokens, None)
+        dist = distribution(model, pair.lyric.tokens, None)
         assert dist[EOS_TEXT] == 1.0
 
     def test_out_of_vocabulary(self):
@@ -106,6 +113,8 @@ class TestTraining:
 
 
 class TestNextDistribution:
+    """The distribution that serves a query, as decode reads it."""
+
     def test_sums_to_one_on_random_queries(self):
         corpus = make_corpus(30, seed=51)
         vocab = build_vocabulary([p.lyric for p in corpus])
@@ -117,16 +126,17 @@ class TestNextDistribution:
                 SyllableToken(rnd.choice(texts), True) for _ in range(rnd.randint(0, 4))
             ]
             note = MelodyNote(rnd.randint(0, 127), rnd.choice([0.5, 1.0, 2.0]), 0.0)
-            dist = model.next_distribution(history, note)
-            assert math.isclose(sum(dist.values()), 1.0, abs_tol=1e-9)
-            assert BOS_TEXT not in dist
+            # wider than the emittable entries: decode's read of every one
+            ranked, probs, _ = model.top_by_key(model.history_key(history), model.bucket(note), len(vocab))
+            assert math.isclose(sum(probs), 1.0, abs_tol=1e-9)
+            assert sorted(ranked) == sorted(vocab.emittable())
 
     def test_unseen_history_with_smoothing_strictly_positive(self):
         corpus = make_corpus(5, seed=52)
         vocab = build_vocabulary([p.lyric for p in corpus])
         model = train_generator(corpus, vocab, history=2, k=0.05)
         history = [SyllableToken("night", True), SyllableToken("night", True)]
-        dist = model.next_distribution(history, MelodyNote(1, 0.5, 0.5))
+        dist = distribution(model, history, MelodyNote(1, 0.5, 0.5))
         assert all(p > 0.0 for p in dist.values())
 
     def test_backoff_reaches_unigram(self):
@@ -135,7 +145,7 @@ class TestNextDistribution:
         model = train_generator([pair], vocab, history=2, k=0.0)
         # history and bucket both unseen in training: unigram counts serve
         history = [SyllableToken("rld", True), SyllableToken("he", True)]
-        dist = model.next_distribution(history, MelodyNote(1, 0.5, 0.5))
+        dist = distribution(model, history, MelodyNote(1, 0.5, 0.5))
         # 5 events total: he, llo, wo, rld, eos
         assert math.isclose(dist["he"], 1 / 5, abs_tol=1e-12)
         assert math.isclose(dist[EOS_TEXT], 1 / 5, abs_tol=1e-12)
@@ -167,7 +177,7 @@ class TestNextDistribution:
                         break
                 if note:
                     break
-            dist = model.next_distribution(history, note)
+            dist = distribution(model, history, note)
             for text, count in counter.items():
                 assert math.isclose(dist[text], count / total, abs_tol=1e-12)
             checked += 1
@@ -180,7 +190,7 @@ class TestNextDistribution:
         b = train_generator(corpus, vocab, history=2, k=0.1)
         history = corpus[0].lyric.tokens[:2]
         note = corpus[0].melody.notes[2]
-        assert a.next_distribution(history, note) == b.next_distribution(history, note)
+        assert distribution(a, history, note) == distribution(b, history, note)
 
 
 class TestPersistence:
@@ -197,10 +207,9 @@ class TestPersistence:
         for _ in range(30):
             history = [SyllableToken(rnd.choice(texts), True) for _ in range(rnd.randint(0, 3))]
             note = MelodyNote(rnd.randint(30, 90), rnd.choice([0.5, 1.0, 2.0]), rnd.choice([0.0, 1.0]))
-            assert loaded.next_distribution(history, note) == model.next_distribution(history, note)
-        assert loaded.next_distribution(corpus[0].lyric.tokens, None) == model.next_distribution(
-            corpus[0].lyric.tokens, None
-        )
+            assert distribution(loaded, history, note) == distribution(model, history, note)
+        history = corpus[0].lyric.tokens
+        assert distribution(loaded, history, None) == distribution(model, history, None)
 
     def test_save_is_deterministic(self, tmp_path):
         corpus = make_corpus(5, seed=56)
@@ -288,4 +297,4 @@ class TestLoadRejectsCorruptCounts:
     def test_zero_count_accepted(self, saved):
         self.corrupt(saved, "unigram", lambda counts: counts.__setitem__(EOS_TEXT, 0))
         model = MelodyConditionedNgram.load(saved)
-        assert math.isclose(sum(model.next_distribution([], None).values()), 1.0)
+        assert math.isclose(sum(distribution(model, [], None).values()), 1.0)

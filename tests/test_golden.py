@@ -81,8 +81,8 @@ GOLDEN = {
         "train-lm": "54403be88b53d5c0748a0b72b4611cc0c801ee0eef67aecfa13aa60591e75500",
         "train-generator": "a36200061604c142013f917fd84e6ff76d5468e4fc5fcb45dc9103350df283ae",
         "build-nsp-dataset": "d3325488ae91a40b631593a8ad49464dbe557f62666557e9a7b3f37541a407b2",
-        "nsp-eval lm": "e7ff6fb8945b4505ddc94d5334f3e5b97916a7f65f5f5fa287c1226aa8ba13a0",
-        "nsp-eval oracle": "bf19b21c407575d697cd3057e50f8484f880cd6ac5e5da1c4079e9926485050d",
+        "nsp-eval lm": "3b8e8f2229ccd80640365c6ed8bdbd3cd1a722ce9a7a4aa73815c4d94cf0b9ef",
+        "nsp-eval oracle": "4beb49bb82bdedb5c33f85f022433fc30300c1403c384b36608cca6ccb94d819",
         "generate": "6533c4aa85b498f25cc36bb2fc397c6da2199c1dc8b3667784f9d7cca31853fa",
         "generate lambda-lm 0.3": "3a232aad931637c0e832131ad86c536ce0209ad55b275b8a350407921e773427",
         "generate lambda-lm 0": "c9bd11c5fdec1535567c5d950c54ba3300fb1b9e732e26bd5212e47e2545c4cb",
@@ -99,8 +99,8 @@ GOLDEN = {
         "train-lm": "4c9ae016f9206868bc85aa60a07efa691b2fba80a74e8cc1fff55044f571e269",
         "train-generator": "129a417cbb5e312fd2abfe7d317db3f3070afca18d4ccbf3616b598bd7fd668d",
         "build-nsp-dataset": "0d82e9ad80bc85c47e7c531808d648054cba2caa6bd7fbcd3c8e5f539852adf6",
-        "nsp-eval lm": "2547ae64e1b3c5adf3d20612a601270201cb1fd3e6261a1b417661917581b400",
-        "nsp-eval oracle": "b45c75eeea78a8b7c43b739953614d4e912abb37a61818057bd2ea9d7a60add3",
+        "nsp-eval lm": "b46205154ea4e6821c04a963f6752857bec7b70c07bd4c56ee91b77c8e36872c",
+        "nsp-eval oracle": "0b6389f24bc9ea4ca9d407ef4c49aa67b93b0e15438d9ed4d280828674052bb9",
         "generate": "742496770262028a0d490f264ba0ede44cedbead84e787de2b71a53d43c047fa",
         "generate lambda-lm 0.3": "bea54841faac381a77614f0b5cf5e4d61e8cd09f82affef317af797fac84b1d8",
         "generate lambda-lm 0": "986f758c25093d5741a3caa685e0f8a787cf1ab670b3672268005d4a731fac85",

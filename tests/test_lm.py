@@ -4,6 +4,7 @@ import random
 import pytest
 
 from syllabeam.lm import (
+    BACKOFF_FACTOR,
     DEFAULT_ALPHABET,
     EOS_CHAR,
     SPACED,
@@ -17,6 +18,8 @@ from syllabeam.lm import (
 )
 from syllabeam.nsp import NspExample
 
+from conftest import continuation_scores
+
 A = len(DEFAULT_ALPHABET)  # 26 letters + apostrophe + space + end char = 29
 
 
@@ -24,20 +27,27 @@ def random_text(rnd, length):
     return "".join(rnd.choice(DEFAULT_ALPHABET) for _ in range(length))
 
 
+def score(model, context, text):
+    """The continuation score of alphabet `text` after `context`; for one
+    character, P(ch | context) discounted per backoff hop."""
+    [value] = continuation_scores(model, context, [text])
+    return value
+
+
 class TestTraining:
     def test_single_symbol_corpus(self):
         model = train_char_ngram(["aaa"], order=2, k=0.0)
-        assert model.char_prob("a", "a") == 1.0
+        assert score(model, "a", "a") == 1.0
 
     def test_count_ratio(self):
         model = train_char_ngram(["ab", "ab"], order=2, k=0.0)
-        assert model.char_prob("b", "a") == 1.0
+        assert score(model, "a", "b") == 1.0
 
     def test_add_k_by_hand(self):
         assert A == 29
         model = train_char_ngram(["ab"], order=2, k=1.0)
         # one observation of context "a": (1 + 1) / (1 + 29)
-        assert math.isclose(model.char_prob("b", "a"), 2 / 30, abs_tol=1e-12)
+        assert math.isclose(score(model, "a", "b"), 2 / 30, abs_tol=1e-12)
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
@@ -56,58 +66,66 @@ class TestBackoff:
     def test_unseen_context_discounted(self):
         model = train_char_ngram(["abc"], order=3, k=0.0)
         # context "xb" unseen, suffix "b" seen with only "c" following
-        assert math.isclose(model.char_prob("c", "xb"), 0.4 * 1.0, abs_tol=1e-12)
+        assert math.isclose(score(model, "xb", "c"), 0.4 * 1.0, abs_tol=1e-12)
 
     def test_two_hops(self):
         model = train_char_ngram(["abc"], order=3, k=0.0)
         # context "xy": neither "xy" nor "y" seen, unigram serves
-        unigram = model.char_prob("a", "")
-        assert math.isclose(model.char_prob("a", "xy"), 0.4 * 0.4 * unigram, abs_tol=1e-12)
+        unigram = score(model, "", "a")
+        assert math.isclose(score(model, "xy", "a"), 0.4 * 0.4 * unigram, abs_tol=1e-12)
 
     def test_long_context_truncated_to_order(self):
         model = train_char_ngram(["abcabc"], order=2, k=0.0)
-        assert model.char_prob("b", "zzzzza") == model.char_prob("b", "a")
+        assert score(model, "zzzzza", "b") == score(model, "a", "b")
 
 
 class TestDistributions:
+    """The per-character scores at a context: the add-k distribution of the
+    level serving it, discounted by BACKOFF_FACTOR per hop to that level."""
+
     def test_stored_contexts_sum_to_one(self):
         model = train_char_ngram(["hello world", "hold the line"], order=3, k=0.5)
-        for context in ["", "h", "he", "l", " ", "zz", "qq"]:
-            dist = model.conditional_distribution(context)
-            assert math.isclose(sum(dist.values()), 1.0, abs_tol=1e-9)
+        # "zz" and "qq" back off twice, to the unigram level
+        hops = {"": 0, "h": 0, "he": 0, "l": 0, " ": 0, "zz": 2, "qq": 2}
+        for context, n in hops.items():
+            total = sum(continuation_scores(model, context, DEFAULT_ALPHABET))
+            assert math.isclose(total, BACKOFF_FACTOR**n, abs_tol=1e-9)
 
     def test_random_contexts_sum_to_one(self):
         model = train_char_ngram(["the rain in spain"], order=4, k=0.1)
         rnd = random.Random(5)
         for _ in range(300):
             context = random_text(rnd, rnd.randint(0, 6))
-            assert math.isclose(
-                sum(model.conditional_distribution(context).values()), 1.0, abs_tol=1e-9
-            )
+            total = sum(continuation_scores(model, context, DEFAULT_ALPHABET))
+            assert any(math.isclose(total, BACKOFF_FACTOR**n, abs_tol=1e-9) for n in range(4))
 
     def test_smoothing_makes_scores_positive(self):
         model = train_char_ngram(["abc"], order=2, k=0.01)
         rnd = random.Random(9)
         for _ in range(100):
             candidate = random_text(rnd, rnd.randint(1, 5))
-            assert model.score_continuation("", candidate) > 0.0
+            assert score(model, "", candidate) > 0.0
 
 
 class TestScoreContinuation:
+    """The continuation score behind every LM query, through `score_nsp_rows`
+    where a case needs any alphabet text, through `score_candidates` where it
+    needs a rejection."""
+
     def test_certainty(self):
         model = train_char_ngram(["ab", "ab"], order=2, k=0.0)
-        assert model.score_continuation("a", "b") == 1.0
+        assert score(model, "a", "b") == 1.0
 
     def test_geometric_mean_by_hand(self):
         # P(b | a) = 0.5 and P(c | b) = 0.5, so score("a", "bc") = sqrt(0.25)
         model = train_char_ngram(["ab", "ac", "bc", "bd"], order=2, k=0.0)
-        assert math.isclose(model.score_continuation("a", "bc"), 0.5, abs_tol=1e-12)
+        assert math.isclose(score(model, "a", "bc"), 0.5, abs_tol=1e-12)
 
     def test_uniform_single_char(self):
         # every alphabet char appears exactly once: unigram is uniform
         model = train_char_ngram([DEFAULT_ALPHABET], order=2, k=0.0)
-        for ch in DEFAULT_ALPHABET:
-            assert math.isclose(model.score_continuation("", ch), 1 / A, abs_tol=1e-12)
+        for value in continuation_scores(model, "", DEFAULT_ALPHABET):
+            assert math.isclose(value, 1 / A, abs_tol=1e-12)
 
     def test_matches_naive_walker(self):
         model = train_char_ngram(["the rain in spain stays", "sing a song"], order=3, k=0.2)
@@ -115,33 +133,34 @@ class TestScoreContinuation:
         for _ in range(100):
             context = random_text(rnd, rnd.randint(0, 8))
             candidate = random_text(rnd, rnd.randint(1, 6))
-            # naive reference: explicit product, then the length root
+            # naive reference: explicit product of one-character scores,
+            # then the length root
             product = 1.0
             running = context
             for ch in candidate:
-                product *= model.char_prob(ch, running)
+                product *= score(model, running, ch)
                 running += ch
             expected = product ** (1.0 / len(candidate))
-            assert math.isclose(model.score_continuation(context, candidate), expected, abs_tol=1e-12)
+            assert math.isclose(score(model, context, candidate), expected, abs_tol=1e-12)
 
     def test_range(self):
         model = train_char_ngram(["some words here"], order=3, k=0.3)
         rnd = random.Random(17)
         for _ in range(200):
-            score = model.score_continuation(random_text(rnd, 4), random_text(rnd, 3))
-            assert 0.0 <= score <= 1.0
+            value = score(model, random_text(rnd, 4), random_text(rnd, 3))
+            assert 0.0 <= value <= 1.0
 
     def test_empty_candidate_rejected(self):
         model = train_char_ngram(["ab"], order=2, k=0.0)
-        with pytest.raises(ValueError):
-            model.score_continuation("a", "")
+        with pytest.raises(ValueError, match="^syllable must be non-empty$"):
+            model.score_candidates("a", ("",))
 
     def test_out_of_alphabet_rejected(self):
         model = train_char_ngram(["ab"], order=2, k=0.0)
         with pytest.raises(ValueError, match="position 1"):
-            model.score_continuation("aQ", "b")
-        with pytest.raises(ValueError):
-            model.score_continuation("a", "b9")
+            model.score_candidates("aQ", ("b",))
+        with pytest.raises(ValueError, match="position 1"):
+            model.score_candidates("a", ("b9",))
 
 
 class TestScoreWithSpacing:
@@ -160,8 +179,7 @@ class TestScoreWithSpacing:
     def test_empty_context_takes_max(self):
         model = train_char_ngram(["i am", "am i"], order=2, k=0.1)
         result = model.score_with_spacing("", "i")
-        expected = max(model.score_continuation("", "i"), model.score_continuation("", " i"))
-        assert result.value == expected
+        assert result.value == max(continuation_scores(model, "", ["i", " i"]))
 
     def test_value_is_exact_max(self):
         model = train_char_ngram(["hello world", "hell of a ride"], order=3, k=0.05)
@@ -170,8 +188,7 @@ class TestScoreWithSpacing:
             context = random_text(rnd, rnd.randint(1, 8))
             syllable = "".join(rnd.choice("abcdefgh'") for _ in range(rnd.randint(1, 4)))
             result = model.score_with_spacing(context, syllable)
-            spaced = model.score_continuation(context, " " + syllable)
-            unspaced = model.score_continuation(context, syllable)
+            unspaced, spaced = continuation_scores(model, context, [syllable, " " + syllable])
             assert result.value == max(spaced, unspaced)
             if unspaced >= spaced:
                 assert result.chosen_variant == UNSPACED
@@ -185,7 +202,7 @@ class TestScoreWithSpacing:
     def test_eos_single_variant(self):
         model = train_char_ngram([lyric_lm_text("telephone")], order=3, k=0.1)
         result = model.score_with_spacing("telephone", "<eos>")
-        assert result.value == model.score_continuation("telephone", EOS_CHAR)
+        assert result.value == score(model, "telephone", EOS_CHAR)
         assert result.chosen_variant == UNSPACED
 
     def test_eos_requires_context(self):
@@ -208,15 +225,19 @@ class TestEncodeText:
 
 class TestNspScore:
     def test_marker_means_space(self):
+        # each rendering wins the spacing choice once, and scores as its row
         model = train_char_ngram(["big ideas", "bigger"], order=3, k=0.1)
-        assert model.nsp_score("big", "_ideas") == model.score_continuation("big", " ideas")
-        assert model.nsp_score("big", "ger") == model.score_continuation("big", "ger")
+        assert model.score_with_spacing("big", "ideas") == ContinuationScore(
+            model.nsp_score("big", "_ideas"), SPACED
+        )
+        assert model.score_with_spacing("big", "ger") == ContinuationScore(
+            model.nsp_score("big", "ger"), UNSPACED
+        )
 
     def test_eos_candidate(self):
         model = train_char_ngram([lyric_lm_text("telephone")], order=3, k=0.1)
-        assert model.nsp_score("telephone", "<eos>") == model.score_continuation(
-            "telephone", EOS_CHAR
-        )
+        expected = model.score_with_spacing("telephone", "<eos>")
+        assert model.nsp_score("telephone", "<eos>") == expected.value
 
     def test_corrupted_context_scored(self):
         model = train_char_ngram([lyric_lm_text("mean to me when")], order=3, k=0.1)
@@ -262,9 +283,7 @@ class TestPersistence:
         for _ in range(50):
             context = random_text(rnd, rnd.randint(0, 6))
             candidate = random_text(rnd, rnd.randint(1, 4))
-            assert loaded.score_continuation(context, candidate) == model.score_continuation(
-                context, candidate
-            )
+            assert score(loaded, context, candidate) == score(model, context, candidate)
 
     def test_save_is_deterministic(self, tmp_path):
         model = train_char_ngram(["hello world"], order=3, k=0.5)

@@ -12,7 +12,7 @@ from syllabeam import lm as lm_module
 from syllabeam.corpus import EOS_TEXT, render_text
 from syllabeam.lm import CharNgramModel, lyric_lm_text, train_char_ngram
 
-from conftest import make_corpus
+from conftest import continuation_scores, make_corpus
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz'"
 
@@ -93,14 +93,18 @@ def test_rejected_queries_keep_their_messages(context, syllable, message):
         assert str(info.value) == message
 
 
-@pytest.mark.parametrize("query", ["score_continuation", "score_with_spacing"])
+@pytest.mark.parametrize("query", ["score_nsp_rows", "score_with_spacing"])
 def test_out_of_alphabet_candidate_rejected_before_scoring(query):
     # with k=0, P('a' | 'a') and P(' ' | 'a') are 0, so a walk that checked
     # characters as it went would stop before it reached '9'
     model = train_char_ngram(["ab"], order=2, k=0.0)
+    ask = {
+        "score_nsp_rows": lambda: model.score_nsp_rows([("a", "a9", 1)]),
+        "score_with_spacing": lambda: model.score_with_spacing("a", "a9"),
+    }[query]
     for _ in range(2):
         with pytest.raises(ValueError) as info:
-            getattr(model, query)("a", "a9")
+            ask()
         assert str(info.value) == "character '9' at position 1 not in alphabet"
     assert model._memo == {} and model._continuations == {}
 
@@ -108,8 +112,8 @@ def test_out_of_alphabet_candidate_rejected_before_scoring(query):
 @pytest.mark.parametrize(
     "query, cached, bad, message",
     [
-        ("score_continuation", ("ab lo", "ve"), ("aX lo", "ve"), "character 'X' at position 1 not in alphabet"),
-        ("score_continuation", ("ab lo", "ve"), ("ab lo", "vE"), "character 'E' at position 1 not in alphabet"),
+        ("score_with_spacing", ("ab lo", "ve"), ("aX lo", "ve"), "character 'X' at position 1 not in alphabet"),
+        ("score_with_spacing", ("ab lo", "ve"), ("ab lo", "vE"), "character 'E' at position 1 not in alphabet"),
         ("nsp_score", ("ab lo", "_ve"), ("a? lo", "_ve"), "character '?' at position 1 not in alphabet"),
         ("nsp_score", ("ab lo", "_ve"), ("ab lo", "_vE"), "character 'E' at position 1 not in alphabet"),
         ("nsp_score", ("ab lo", "_ve"), ("ab lo", ""), "candidate must be non-empty"),
@@ -128,7 +132,7 @@ def test_nsp_score_is_memoized_per_suffix_and_candidate():
     first = model.nsp_score("my love<eos>for e", "_ver")
     assert model.nsp_score("all for e", "_ver") == first
     assert model._continuations == {("r e", " ver"): first}
-    assert model.score_continuation("or e", " ver") == first
+    assert model.score_nsp_rows([("or e", "_ver", 1)]) == [(first, 1)]
 
 
 def test_rejected_context_fails_again_after_a_valid_one():
@@ -249,9 +253,11 @@ def test_nsp_score_rejects_text_outside_the_dataset_notation(bad, scored_as, mes
     # `scored_as` is the continuation the bad query was once scored as; the
     # second round finds it in the memo
     model = train_char_ngram(corpus_texts(10, seed=29), 4, 0.1)
+    context, text = scored_as
     for _ in range(2):
         assert error_of(model.nsp_score, *bad) == message
-        model.score_continuation(*scored_as)
+        continuation_scores(model, context, [text])
+        assert (model._suffix(context), text) in model._continuations
 
 
 @pytest.mark.parametrize("candidate", ["a b", "_ b", " b", "_a b", "_ "])
@@ -262,16 +268,16 @@ def test_nsp_score_rejects_a_candidate_outside_the_row_grammar(candidate):
         assert error_of(model.nsp_score, "la", candidate) == (
             f"candidate {candidate!r} does not match _?(?:[a-z']+|<eos>)"
         )
-        model.score_continuation("la", candidate.replace("_", " "))
+        continuation_scores(model, "la", [candidate.replace("_", " ")])
 
 
 @pytest.mark.parametrize("syllable", ["a$", "$", "mi$", "a b", " a", "a "])
 def test_a_syllable_outside_the_corpus_grammar_is_rejected(syllable):
-    # alphabet text that is neither <eos> nor [a-z']+; score_continuation takes it
+    # alphabet text that is neither <eos> nor [a-z']+; a continuation takes it
     model = train_char_ngram(corpus_texts(10, seed=31), 4, 0.1)
     message = f"illegal syllable text: {syllable!r}"
     for _ in range(2):
         assert error_of(model.score_with_spacing, "la", syllable) == message
         assert error_of(model.score_candidates, "la", ("mi", syllable)) == message
-        assert 0.0 < model.score_continuation("la", syllable) <= 1.0
+        assert 0.0 < continuation_scores(model, "la", [syllable])[0] <= 1.0
     assert all(key[1] != syllable for key in model._memo) and model._candidates == {}

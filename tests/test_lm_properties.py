@@ -4,7 +4,10 @@ A trained model (or an untrained one, from no text at all) that has
 answered queries before and emptied its caches at a small `MEMO_LIMIT` must
 answer every public query exactly as a freshly loaded copy does, and exactly
 as a naive walker that counts the training texts itself and repeats the
-model's arithmetic.
+model's arithmetic. Decode never builds an LM distribution, so "each
+distribution sums to 1" is asserted of the walker's distributions alone; the
+model's one-character continuations must equal the walker's per-character
+probabilities.
 """
 
 import math
@@ -28,6 +31,8 @@ from syllabeam.lm import (
     ContinuationScore,
     train_char_ngram,
 )
+
+from conftest import continuation_scores
 
 # few distinct characters, so queried contexts often have stored suffixes
 TEXT_CHARS = "abo ' " + EOS_CHAR
@@ -109,11 +114,16 @@ class NaiveWalker:
     def score_candidates(self, context, syllables):
         return tuple(self.score_with_spacing(context, syllable) for syllable in syllables)
 
+    def score_nsp_rows(self, rows):
+        return [
+            (self.score_continuation(context.replace(EOS_TEXT, EOS_CHAR),
+                                     candidate.replace("_", " ").replace(EOS_TEXT, EOS_CHAR)), label)
+            for context, candidate, label in rows
+        ]
+
     def nsp_score(self, context, candidate):
-        encoded = candidate.replace(EOS_TEXT, EOS_CHAR)
-        if encoded.startswith("_"):
-            encoded = " " + encoded[1:]
-        return self.score_continuation(context.replace(EOS_TEXT, EOS_CHAR), encoded)
+        [(score, _)] = self.score_nsp_rows([(context, candidate, 1)])
+        return score
 
 
 def trained(training, order, k):
@@ -122,12 +132,13 @@ def trained(training, order, k):
 
 
 def answers(model, batch):
-    """Every public query of `batch`, as comparable tuples."""
+    """Every public query of `batch`, as comparable tuples: the continuation
+    score of `candidate` and of each of its characters, read through
+    `score_nsp_rows`, then the syllable and NSP queries."""
     return [
         (
-            [model.char_prob(ch, context) for ch in candidate],
-            model.conditional_distribution(context),
-            model.score_continuation(context, candidate),
+            continuation_scores(model, context, [candidate, *candidate]),
+            model.score_nsp_rows([(nsp_context, nsp_candidate, 1)]),
             model.score_with_spacing(context or "a", syllable),
             model.score_candidates(context or "a", (syllable, "ab", syllable)),
             model.nsp_score(nsp_context, nsp_candidate),
@@ -161,9 +172,9 @@ def test_warm_model_matches_fresh_load_and_naive_walker(order, k, memo_limit, tr
 @settings(max_examples=25, deadline=None)
 @given(training=texts, asked=st.lists(contexts, min_size=1, max_size=10))
 def test_conditional_distribution_sums_to_one(order, k, training, asked):
-    model = trained(training, order, k)
+    walker = NaiveWalker(training, order, k)
     for context in asked:
-        distribution = model.conditional_distribution(context)
+        distribution = walker.conditional_distribution(context)
         assert list(distribution) == list(DEFAULT_ALPHABET)
         assert all(p >= 0.0 for p in distribution.values())
         assert math.fsum(distribution.values()) == pytest.approx(1.0, rel=0, abs=1e-12)

@@ -11,8 +11,10 @@ def test_each_listed_mutant_applies_once():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
-    target, listed = mutants.load(mutants.MUTANTS)
-    source = (ROOT / target).read_text(encoding="utf-8")
-    assert listed
-    for _, old, new in listed:
-        assert mutants.mutate(source, old, new) != source
+    assert {"mutants_beam.txt", "mutants_generator.txt"} <= {path.name for path in mutants.MUTANT_FILES}
+    for path in mutants.MUTANT_FILES:
+        target, tests, listed = mutants.load(path)
+        source = (ROOT / target).read_text(encoding="utf-8")
+        assert listed and all((ROOT / test).is_file() for test in tests)
+        for _, old, new in listed:
+            assert mutants.mutate(source, old, new) != source

@@ -214,9 +214,7 @@ def test_nsp_metrics_equals_the_grouping_loop_on_many_rows():
     assert nsp_metrics(scored, 0.3) == grouped_metrics(scored, 0.3)
 
 
-def test_nsp_example_label_is_checked():
-    with pytest.raises(ValueError, match=r"^label must be 0 or 1, got 2$"):
-        NspExample("i know", "_why", 2)
+def test_nsp_example_equals_its_tuple():
     assert NspExample("i know", "_why", 1) == ("i know", "_why", 1)
 
 

@@ -1,12 +1,12 @@
-"""Generator top-k against its full distribution, and decode through the
-model's keyed interface against the same interface derived from that
-distribution (`conftest.Keyed`).
+"""Generator top-k against the full distribution `conftest.NaiveGenerator`
+counts from the same corpus, and decode through the model's keyed interface
+against decode through the naive model's (`conftest.Keyed`).
 
 With `key = history_key(h)` and `bucket = bucket(n)`, the texts and
 probabilities of `top_by_key(key, bucket, k)` must equal the first k entries
-of `next_distribution(h, n)` ranked by (-probability, vocabulary id), and
-`prob_by_key(key, bucket, text)` must equal the distribution's entry, float
-for float.
+of the naive `next_distribution(h, n)` ranked by (-probability, vocabulary
+id), and `prob_by_key(key, bucket, text)` must equal the distribution's
+entry, float for float.
 """
 
 import json
@@ -28,7 +28,7 @@ from syllabeam import generator as generator_module
 from syllabeam.generator import MelodyConditionedNgram, _rank, train_generator
 from syllabeam.lm import lyric_lm_text, train_char_ngram
 
-from conftest import PITCHES, DistributionOnly, make_corpus, make_melody, ranked_candidates
+from conftest import PITCHES, NaiveGenerator, make_corpus, make_melody, ranked_candidates
 
 
 def random_queries(vocab, rnd, n):
@@ -50,8 +50,8 @@ def top(model, history, note, k):
     return list(zip(texts, probs))
 
 
-def assert_exact(model, history, note):
-    dist = model.next_distribution(history, note)
+def assert_exact(model, naive, history, note):
+    dist = naive.next_distribution(history, note)
     ranked = ranked_candidates(model, dist)
     key, bucket = model.history_key(history), model.bucket(note)
     for k in (1, 2, 3, 7, len(dist) - 1, len(dist), len(dist) + 5):
@@ -70,18 +70,19 @@ def test_trained_models_match_full_distribution(seed):
     corpus = make_corpus(rnd.randint(3, 40), seed=1000 + seed, min_syllables=2, max_syllables=12)
     vocab = build_vocabulary([p.lyric for p in corpus])
     k = rnd.choice([0.0, 0.1, 1.0, 3.5])
-    model = train_generator(corpus, vocab, history=rnd.randint(1, 3), k=k)
+    h = rnd.randint(1, 3)
+    model, naive = train_generator(corpus, vocab, h, k), NaiveGenerator(corpus, vocab, h, k)
     for history, note in random_queries(vocab, rnd, 60):
-        assert_exact(model, history, note)
+        assert_exact(model, naive, history, note)
 
 
 def test_smoothing_zero_ranks_unseen_last_in_id_order():
     corpus = make_corpus(4, seed=7)
     vocab = build_vocabulary([p.lyric for p in corpus])
-    model = train_generator(corpus, vocab, history=2, k=0.0)
+    model, naive = train_generator(corpus, vocab, history=2, k=0.0), NaiveGenerator(corpus, vocab, 2, 0.0)
     rnd = random.Random(8)
     for history, note in random_queries(vocab, rnd, 40):
-        assert_exact(model, history, note)
+        assert_exact(model, naive, history, note)
         zero = [text for text, p in top(model, history, note, len(vocab) + 1) if p == 0.0]
         assert zero == sorted(zero, key=vocab.id_of)
 
@@ -90,7 +91,7 @@ def test_denominator_zero_is_uniform_in_id_order():
     vocab = Vocabulary(["ba", "by", "love", "sun"])
     model = MelodyConditionedNgram(vocab, history=2, k=0.0)  # no counts at all
     for history, note in random_queries(vocab, random.Random(9), 10):
-        assert_exact(model, history, note)
+        assert_exact(model, NaiveGenerator([], vocab, 2, 0.0), history, note)
         uniform = 1.0 / len(vocab.emittable())
         assert top(model, history, note, 10) == [(text, uniform) for text in vocab.emittable()]
 
@@ -98,12 +99,12 @@ def test_denominator_zero_is_uniform_in_id_order():
 def test_past_the_end_bucket():
     corpus = make_corpus(20, seed=10)
     vocab = build_vocabulary([p.lyric for p in corpus])
-    model = train_generator(corpus, vocab, history=2, k=0.1)
+    model, naive = train_generator(corpus, vocab, history=2, k=0.1), NaiveGenerator(corpus, vocab, 2, 0.1)
     for pair in corpus[:10]:
         history = pair.lyric.syllables()
-        assert_exact(model, history, None)
+        assert_exact(model, naive, history, None)
         eos = model.prob_by_key(model.history_key(history), None, EOS_TEXT)
-        assert eos == model.next_distribution(history, None)[EOS_TEXT]
+        assert eos == naive.next_distribution(history, None)[EOS_TEXT]
 
 
 def test_loaded_model_with_zero_counts(tmp_path):
@@ -124,8 +125,17 @@ def test_loaded_model_with_zero_counts(tmp_path):
             payload["unigram"][text] = 0  # an all-zero table that still serves
         path.write_text(json.dumps(payload))
         model = MelodyConditionedNgram.load(path)
+        naive = NaiveGenerator([], vocab, 2, k)  # the file's tables, read without the loader
+        naive.tables["hist_bucket"] = {(tuple(h), tuple_or_none(b)): c for h, b, c in payload["hist_bucket"]}
+        naive.tables["hist"] = {tuple(h): c for h, c in payload["hist"]}
+        naive.tables["bucket"] = {tuple_or_none(b): c for b, c in payload["bucket"]}
+        naive.tables["unigram"] = {(): payload["unigram"]}
         for history, note in random_queries(vocab, rnd, 60):
-            assert_exact(model, history, note)
+            assert_exact(model, naive, history, note)
+
+
+def tuple_or_none(bucket):
+    return None if bucket is None else tuple(bucket)
 
 
 @pytest.mark.parametrize("text", ["zz", BOS_TEXT])
@@ -139,31 +149,35 @@ def test_prob_by_key_rejects_a_text_the_model_cannot_emit(text):
 NOTE = MelodyNote(60, 1.0, 0.0)
 
 
-def three_token_model():
-    """A history-1 model whose (history, bucket) rows at NOTE are set by hand."""
-    return MelodyConditionedNgram(Vocabulary(["la", "li", "lo"]), history=1, k=0.1)
+def three_token_models(rows):
+    """A history-1 model and its naive copy, each holding `rows`, {history
+    text: counts}, as its only (history, bucket) rows, at NOTE."""
+    vocab = Vocabulary(["la", "li", "lo"])
+    model, naive = MelodyConditionedNgram(vocab, history=1, k=0.1), NaiveGenerator([], vocab, 1, 0.1)
+    for text, counts in rows.items():
+        model._by_hist_bucket[(text,), model.bucket(NOTE)] = counts
+        naive.tables["hist_bucket"][(text,), naive.note_bucket(NOTE)] = dict(counts)
+    return model, naive
 
 
 def test_equal_tables_share_one_ranking():
-    model = three_token_model()
+    # equal content in two tables, and another
+    model, naive = three_token_models({"la": {"li": 1}, "li": {"li": 1}, "lo": {"lo": 1}})
     bucket = model.bucket(NOTE)
-    model._by_hist_bucket[("la",), bucket] = {"li": 1}
-    model._by_hist_bucket[("li",), bucket] = {"li": 1}  # equal content, another table
-    model._by_hist_bucket[("lo",), bucket] = {"lo": 1}
     shared = model.top_by_key(("la",), bucket, 2)
     assert model.top_by_key(("li",), bucket, 2) is shared
     assert model.top_by_key(("lo",), bucket, 2) != shared
     for text in ("la", "li", "lo"):
-        assert_exact(model, (SyllableToken(text, True),), NOTE)
+        assert_exact(model, naive, (SyllableToken(text, True),), NOTE)
 
 
 def test_digest_collision_keeps_exact_answers():
-    model = three_token_model()
+    model, naive = three_token_models({"la": {"li": 2, "lo": 1}})
     bucket = model.bucket(NOTE)
-    served = model._by_hist_bucket[("la",), bucket] = {"li": 2, "lo": 1}
+    served = model._by_hist_bucket[("la",), bucket]
     digest = hash(frozenset(served.items()))
     unequal = model._by_content[digest] = _rank({"lo": 5}, model.vocab, model.k)
-    assert_exact(model, (SyllableToken("la", True),), NOTE)
+    assert_exact(model, naive, (SyllableToken("la", True),), NOTE)
     assert model._by_content[digest] is unequal  # the colliding table takes no slot
     assert model._ranking(("la",), bucket).counts is served
 
@@ -193,26 +207,13 @@ def test_decode_same_through_the_reference_generator(beam_size):
     vocab = build_vocabulary([p.lyric for p in corpus])
     generator = train_generator(corpus, vocab, history=2, k=0.1)
     lm = train_char_ngram([lyric_lm_text(render_text(p.lyric)) for p in corpus], 4, 0.1)
-    plain = DistributionOnly(generator)
+    naive = NaiveGenerator(corpus, vocab, 2, 0.1)
     rnd = random.Random(16)
     for lambda_lm in (0.75, 0.0):
         config = FusionConfig(beam_size=beam_size, lambda_lm=lambda_lm, max_len=10)
         for _ in range(4):
             melody = make_melody(rnd, rnd.randint(1, 8))
-            assert decode(melody, generator, lm, config) == decode(melody, plain, lm, config)
-
-
-def test_decode_reads_no_full_distribution():
-    corpus = make_corpus(20, seed=18)
-    vocab = build_vocabulary([p.lyric for p in corpus])
-    generator = train_generator(corpus, vocab, history=2, k=0.1)
-    expected = decode(corpus[0].melody, DistributionOnly(generator), None, FusionConfig(3, 0.0, 30))
-
-    def refuse(history, note):
-        raise AssertionError("next_distribution called")
-
-    generator.next_distribution = refuse
-    assert decode(corpus[0].melody, generator, None, FusionConfig(3, 0.0, 30)) == expected
+            assert decode(melody, generator, lm, config) == decode(melody, naive, lm, config)
 
 
 def test_first_step_bound_same_through_both_generator_paths():
@@ -226,5 +227,6 @@ def test_first_step_bound_same_through_both_generator_paths():
     # a beam wider than the 3 candidates (la, li and the end token) keeps them all
     wide = first_step(generator, 4)
     assert len(wide) == 3
-    assert wide == first_step(DistributionOnly(generator), 4)
-    assert first_step(generator, 3) == first_step(DistributionOnly(generator), 3) == wide
+    naive = NaiveGenerator([], vocab, 2, 0.1)
+    assert wide == first_step(naive, 4)
+    assert first_step(generator, 3) == first_step(naive, 3) == wide

@@ -1,13 +1,16 @@
 """Run the listed text mutants of the source against a set of tests.
 
-    python tools/mutants.py [PYTEST_TARGET ...]    (default: tests/test_beam.py)
+    python tools/mutants.py [PYTEST_TARGET ...]
 
-Reads `tools/mutants_beam.txt`. Each mutant is applied to its own copy of the
-repository under a temporary directory, never to the checkout, and the
-targets run there under pytest with `-x` and a fixed `--hypothesis-seed`, at
-most two mutants at a time. The unmutated copy runs first and must pass.
-Prints one line per mutant, killed (with the first failing test) or survived,
-and exits 1 if any survived.
+Reads every `tools/mutants_*.txt`. Each file names the source file its
+mutants change and the pytest targets they run against by default; targets
+given on the command line replace those of every file. Each mutant is
+applied to its own copy of the repository under a temporary directory, never
+to the checkout, and the targets run there under pytest with `-x` and a
+fixed `--hypothesis-seed`, at most two copies at a time. Each file's targets
+first run on an unmutated copy and must pass. Prints one line per mutant,
+killed (with the first failing test) or survived, and exits 1 if any
+survived.
 """
 
 from __future__ import annotations
@@ -21,15 +24,16 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MUTANTS = Path(__file__).resolve().parent / "mutants_beam.txt"
+MUTANT_FILES = sorted(Path(__file__).resolve().parent.glob("mutants_*.txt"))
 ARROW = " → "
 TIMEOUT_S = 900
 SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_run")
 
 
-def load(path: Path) -> tuple[str, list[tuple[str, str, str]]]:
-    """The target file and the (id, old, new) mutants a mutant file lists."""
-    target, mutants = None, []
+def load(path: Path) -> tuple[str, list[str], list[tuple[str, str, str]]]:
+    """The target file, the default pytest targets and the (id, old, new)
+    mutants a mutant file lists."""
+    target, tests, mutants = None, None, []
     for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -37,13 +41,16 @@ def load(path: Path) -> tuple[str, list[tuple[str, str, str]]]:
         if ident == "file":
             target = rest
             continue
+        if ident == "tests":
+            tests = rest.split()
+            continue
         old, arrow, new = rest.partition(ARROW)
         if not arrow or not old:
             raise ValueError(f"{path}:{n}: expected 'ID old{ARROW}new'")
         mutants.append((ident, old.replace("\\n", "\n"), new.replace("\\n", "\n")))
-    if target is None:
-        raise ValueError(f"{path}: no 'file' line")
-    return target, mutants
+    if target is None or not tests:
+        raise ValueError(f"{path}: no 'file' line or no 'tests' line")
+    return target, tests, mutants
 
 
 def mutate(text: str, old: str, new: str) -> str:
@@ -78,22 +85,26 @@ def run(target: str, mutant, pytest_args: list[str]) -> tuple[bool, str]:
 
 
 def main(argv: list[str]) -> int:
-    target, mutants = load(MUTANTS)
-    source = (ROOT / target).read_text(encoding="utf-8")
-    for ident, old, new in mutants:
-        try:
-            mutate(source, old, new)
-        except ValueError as exc:
-            print(f"error: {ident}: {exc}", file=sys.stderr)
-            return 2
-    pytest_args = argv or ["tests/test_beam.py"]
-    passed, failing = run(target, None, pytest_args)
-    if not passed:
-        print(f"error: the unmutated tests fail: {failing}", file=sys.stderr)
-        return 2
+    baselines, jobs = [], []  # (name, target, None, tests) and (id, target, mutant, tests)
+    for path in MUTANT_FILES:
+        target, tests, mutants = load(path)
+        tests = argv or tests
+        source = (ROOT / target).read_text(encoding="utf-8")
+        for ident, old, new in mutants:
+            try:
+                mutate(source, old, new)
+            except ValueError as exc:
+                print(f"error: {ident}: {exc}", file=sys.stderr)
+                return 2
+            jobs.append((ident, target, (ident, old, new), tests))
+        baselines.append((path.name, target, None, tests))
     with ThreadPoolExecutor(max_workers=2) as pool:
-        outcomes = list(pool.map(lambda mutant: run(target, mutant, pytest_args), mutants))
-    for (ident, _, _), (passed, failing) in zip(mutants, outcomes):
+        for (name, *_), (passed, failing) in zip(baselines, pool.map(lambda job: run(*job[1:]), baselines)):
+            if not passed:
+                print(f"error: {name}: the unmutated tests fail: {failing}", file=sys.stderr)
+                return 2
+        outcomes = list(pool.map(lambda job: run(*job[1:]), jobs))
+    for (ident, *_), (passed, failing) in zip(jobs, outcomes):
         print(f"{ident}  survived" if passed else f"{ident}  killed  {failing}")
     return 1 if any(passed for passed, _ in outcomes) else 0
 
