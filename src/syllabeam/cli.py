@@ -182,6 +182,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_nsp_eval(args: argparse.Namespace) -> int:
+    if args.scorer == "oracle" and args.lm is not None:
+        raise ValueError("--lm is not read by the oracle scorer")
     dataset_path = _require_file(args.dataset, "dataset")
     if not math.isfinite(args.threshold):
         raise ValueError(f"threshold must be finite, got {args.threshold!r}")

@@ -30,12 +30,9 @@ DURATION_LONG = "long"
 _DURATION_CLASSES = (DURATION_SHORT, DURATION_MEDIUM, DURATION_LONG)
 
 _FORMAT = "syllabeam-generator"
-_VERSION = 1
+_VERSION = 2
 _BUCKETING_VERSION = 1
-_SCHEMA = {
-    "bucketing": int, "history": int, "k": float, "vocabulary": list,
-    "hist_bucket": list, "hist": list, "bucket": list, "unigram": dict,
-}
+_SCHEMA = {"bucketing": int, "history": int, "k": float, "vocabulary": list, "hist_bucket": list}
 
 
 class NoteBucket(NamedTuple):
@@ -109,10 +106,12 @@ class MelodyConditionedNgram:
     Four count tables back each other off: (history, bucket) -> (history)
     -> (bucket) -> unigram; a query is served by the first table that has
     seen its key, with add-k smoothing over the emittable vocabulary, so
-    every returned distribution sums to one. A bucket of None stands for
-    "past the final note" and is only ever paired with the end token in
-    training data. Only train_generator and load fill the tables, so a
-    ranking, built on the first query of its content, never goes stale.
+    every returned distribution sums to one. The other three tables sum the
+    (history, bucket) counts, as in the "stupid backoff" of Brants et al.
+    (2007). A bucket of None stands for "past the final note" and is only
+    ever paired with the end token in training data. Only train_generator
+    and load fill the tables, so a ranking, built on the first query of its
+    content, never goes stale.
     """
 
     def __init__(self, vocab: Vocabulary, history: int = 2, k: float = 0.1):
@@ -144,6 +143,23 @@ class MelodyConditionedNgram:
         return key[1:] + (text,)
 
     bucket = staticmethod(bucket_note)
+
+    def _derive(self) -> None:
+        """Fill the (history), (bucket) and unigram tables: sums of the (history, bucket) rows."""
+        by_hist, by_bucket, unigram = self._by_hist, self._by_bucket, self._unigram
+        for (hist, bucket), counts in self._by_hist_bucket.items():
+            hist_row = by_hist.get(hist)
+            if hist_row is None:
+                hist_row = by_hist[hist] = {}
+            bucket_row = by_bucket.get(bucket)
+            if bucket_row is None:
+                bucket_row = by_bucket[bucket] = {}
+            for target, n in counts.items():
+                hist_row[target] = hist_row.get(target, 0) + n
+                bucket_row[target] = bucket_row.get(target, 0) + n
+        for counts in by_bucket.values():
+            for target, n in counts.items():
+                unigram[target] = unigram.get(target, 0) + n
 
     def _counts(self, key: tuple[str, ...], bucket: Optional[NoteBucket]) -> dict[str, int]:
         """The count table that serves a query: the first non-empty one of
@@ -200,16 +216,16 @@ class MelodyConditionedNgram:
         return None if bucket is None else list(bucket)
 
     def save(self, path) -> None:
-        """Write the model; rows are in the order of their keys' JSON text."""
+        """Write the model's (history, bucket) rows, in the order of their
+        keys' JSON text; `load` derives the other tables from them."""
 
         # Each sort key is the JSON text of the row's key, built without the
         # encoder: vocabulary entries need no JSON escapes, so a history's
-        # text is a join, and each distinct bucket is encoded once.
+        # text is a join, and each key of the (bucket) table is encoded once.
         def hist_text(hist: tuple[str, ...]) -> str:
             return '["' + '", "'.join(hist) + '"]'
 
-        buckets = {bucket for _, bucket in self._by_hist_bucket} | self._by_bucket.keys()
-        bucket_text = {bucket: json.dumps(self._bucket_json(bucket)) for bucket in buckets}
+        bucket_text = {bucket: json.dumps(self._bucket_json(bucket)) for bucket in self._by_bucket}
         fields = {
             "bucketing": _BUCKETING_VERSION,
             "history": self.history,
@@ -222,17 +238,6 @@ class MelodyConditionedNgram:
                     key=lambda item: f"[{hist_text(item[0][0])}, {bucket_text[item[0][1]]}]",
                 )
             ],
-            "hist": [
-                [list(hist), counts]
-                for hist, counts in sorted(self._by_hist.items(), key=lambda item: hist_text(item[0]))
-            ],
-            "bucket": [
-                [self._bucket_json(bucket), counts]
-                for bucket, counts in sorted(
-                    self._by_bucket.items(), key=lambda item: bucket_text[item[0]]
-                )
-            ],
-            "unigram": self._unigram,
         }
         modelfile.save(path, _FORMAT, _VERSION, fields)
 
@@ -240,11 +245,10 @@ class MelodyConditionedNgram:
     @modelfile.gc_paused()
     def load(cls, path) -> "MelodyConditionedNgram":
         """A saved model, once its vocabulary is as `save` writes it (sorted,
-        distinct, without BOS or the end token), both history tables have
-        rows, every history in its file is `history` vocabulary entries or
-        BOS, every bucket is [int, int, duration class, bool] or null, and
-        every count table maps emittable vocabulary entries to non-negative
-        integers."""
+        distinct, without BOS or the end token), it has (history, bucket) rows
+        of distinct keys, each history is `history` vocabulary entries or BOS,
+        each bucket [int, int, duration class, bool] or null, and each count
+        table maps emittable vocabulary entries to non-negative integers."""
         payload = modelfile.load(path, _FORMAT, _VERSION, _SCHEMA)
         if payload["bucketing"] != _BUCKETING_VERSION:
             raise ValueError(f"unsupported bucketing version {payload['bucketing']}")
@@ -255,12 +259,6 @@ class MelodyConditionedNgram:
             raise ValueError("vocabulary must be sorted, distinct entries without <bos> or <eos>")
         emittable = frozenset(model.vocab.emittable())
         known = emittable | {BOS_TEXT}
-
-        def rows(name: str, width: int) -> list[list]:
-            for row in payload[name]:
-                if type(row) is not list or len(row) != width:
-                    raise ValueError(f"a {name!r} row is not a JSON array of {width}")
-            return payload[name]
 
         def hist_key(data) -> tuple[str, ...]:
             if type(data) is list and len(data) == model.history:
@@ -285,18 +283,20 @@ class MelodyConditionedNgram:
                     buckets[tuple(data), tuple(map(type, data))] = parsed
                 return parsed
 
-        # training counts every syllable under its history, so a trained file
-        # has rows in both; without them no row would pin `history` down
-        for name in ("hist_bucket", "hist"):
-            if not payload[name]:
-                raise ValueError(f"{name!r} has no rows; a trained model always has some")
-        for hist, note, counts in rows("hist_bucket", 3):
-            model._by_hist_bucket[(hist_key(hist), bucket(note))] = modelfile.counts(counts, emittable)
-        for hist, counts in rows("hist", 2):
-            model._by_hist[hist_key(hist)] = modelfile.counts(counts, emittable)
-        for note, counts in rows("bucket", 2):
-            model._by_bucket[bucket(note)] = modelfile.counts(counts, emittable)
-        model._unigram = modelfile.counts(payload["unigram"], emittable)
+        # training counts every syllable under its history and bucket, so a
+        # trained file has rows; without them no row would pin `history` down
+        if not payload["hist_bucket"]:
+            raise ValueError("'hist_bucket' has no rows; a trained model always has some")
+        by_hist_bucket = model._by_hist_bucket
+        for row in payload["hist_bucket"]:
+            if type(row) is not list or len(row) != 3:
+                raise ValueError("a 'hist_bucket' row is not a JSON array of 3")
+            hist, note, counts = row
+            key = hist_key(hist), bucket(note)
+            if key in by_hist_bucket:
+                raise ValueError(f"repeated 'hist_bucket' row for history {hist!r} and bucket {note!r}")
+            by_hist_bucket[key] = modelfile.counts(counts, emittable)
+        model._derive()
         return model
 
     def stats(self) -> dict:
@@ -313,7 +313,7 @@ def train_generator(
 ) -> MelodyConditionedNgram:
     """A model of every (history, note bucket) -> syllable event of the
     corpus, once every pair passed its check: the events are tallied with one
-    Counter, then each distinct event is added to the four tables."""
+    Counter, and each distinct event's count is its (history, bucket) row's."""
     if not corpus:
         raise ValueError("empty corpus")
     model = MelodyConditionedNgram(vocab, history, k)
@@ -334,22 +334,12 @@ def train_generator(
             buckets.get(id(n)) or buckets.setdefault(id(n), bucket_note(n)) for n in pair.melody.notes
         ]
         events.update(zip(keys, notes + [None], texts[history:]))
-    by_hist_bucket, by_hist, by_bucket, unigram = (
-        model._by_hist_bucket, model._by_hist, model._by_bucket, model._unigram
-    )
+    by_hist_bucket = model._by_hist_bucket
     for (hist, bucket, target), n in events.items():
         # each event is distinct, so its (history, bucket) row is only assigned
         row = by_hist_bucket.get((hist, bucket))
         if row is None:
             row = by_hist_bucket[hist, bucket] = {}
         row[target] = n
-        row = by_hist.get(hist)
-        if row is None:
-            row = by_hist[hist] = {}
-        row[target] = row.get(target, 0) + n
-        row = by_bucket.get(bucket)
-        if row is None:
-            row = by_bucket[bucket] = {}
-        row[target] = row.get(target, 0) + n
-        unigram[target] = unigram.get(target, 0) + n
+    model._derive()
     return model

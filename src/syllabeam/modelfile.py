@@ -3,7 +3,8 @@
 A model file is one JSON object with sorted keys and a trailing newline. Its
 "format" and "version" fields name the model kind and its layout revision;
 every other field belongs to the model. `load` checks the header and the JSON
-type of each field a model names before the model reads any of them.
+type of each field a model names, and rejects any field it does not name,
+before the model reads any of them.
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ def save(path, fmt: str, version: int, fields: dict) -> None:
 
 def load(path, fmt: str, version: int, schema: dict[str, type]) -> dict:
     """The payload of a `fmt` file of `version`, once every `schema` field is
-    present with its exact JSON type: `int` is a JSON integer and never a
-    bool, `float` any JSON number, and str, bool, list and dict their own
-    JSON types. Raises ValueError otherwise."""
+    present with its exact JSON type and the file has no field beyond these
+    and the header: `int` is a JSON integer and never a bool, `float` any
+    JSON number, and str, bool, list and dict their own JSON types. Raises
+    ValueError otherwise."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -65,6 +67,9 @@ def load(path, fmt: str, version: int, schema: dict[str, type]) -> dict:
         value = payload[name]
         if not (type(value) is kind or kind is float and type(value) is int):
             raise ValueError(f"{path}: field {name!r} is not a JSON {_JSON_NAMES[kind]}")
+    unknown = sorted(payload.keys() - schema.keys() - {"format", "version"})
+    if unknown:
+        raise ValueError(f"{path}: unknown field {unknown[0]!r}")
     return payload
 
 

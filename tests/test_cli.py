@@ -216,7 +216,7 @@ class TestGenerate:
         lm_path, gen_path = models
         with open(gen_path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        edit(payload["unigram"])
+        edit(payload["hist_bucket"][0][-1])
         with open(gen_path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
         code = main(["generate", "--melody", melody_path, "--generator", gen_path, "--lm", lm_path])
@@ -332,6 +332,19 @@ class TestNspEval:
         result = json.loads(stdout.splitlines()[-1])
         assert 0.0 <= result["accuracy"] <= 1.0
         assert 0.0 <= result["auc"] <= 1.0
+
+    def test_oracle_scorer_rejects_an_lm(self, tmp_path, corpus_path, models, capsys):
+        lm_path, _ = models
+        tsv = str(tmp_path / "data.tsv")
+        assert main(["build-nsp-dataset", "--corpus", corpus_path, "--out", tsv, "--seed", "3"]) == 0
+        capsys.readouterr()
+        # the dataset is never read: an unreadable one fails the same way
+        for dataset in (tsv, str(tmp_path)):
+            code = main(["nsp-eval", "--dataset", dataset, "--scorer", "oracle", "--lm", lm_path])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == "error: --lm is not read by the oracle scorer\n"
 
     @pytest.mark.parametrize("threshold", ["nan", "NaN", "inf", "-inf"])
     def test_non_finite_threshold(self, tmp_path, corpus_path, capsys, threshold):

@@ -247,12 +247,26 @@ class TestPersistence:
         path = tmp_path / "gen.json"
         train_generator(corpus, vocab, history=history, k=0.1).save(path)
         payload = json.loads(path.read_text())
-        assert {len(str(row[0][0])) for row in payload["bucket"] if row[0]} == {1, 2}
+        assert set(payload) == {"format", "version", "bucketing", "history", "k", "vocabulary", "hist_bucket"}
+        assert {len(str(row[1][0])) for row in payload["hist_bucket"] if row[1]} == {1, 2}
         assert payload["hist_bucket"] == sorted(
             payload["hist_bucket"], key=lambda row: json.dumps(row[:2])
         )
-        for table in ("hist", "bucket"):
-            assert payload[table] == sorted(payload[table], key=lambda row: json.dumps(row[0]))
+
+    @pytest.mark.parametrize("history", [1, 2, 3])
+    @pytest.mark.parametrize("vocabulary", ["small", "large"])
+    def test_saving_a_loaded_file_writes_it_again(self, tmp_path, vocabulary, history):
+        corpus = make_corpus(60, seed=57) if vocabulary == "small" else self.wide_corpus(58)
+        vocab = build_vocabulary([p.lyric for p in corpus])
+        model = train_generator(corpus, vocab, history=history, k=0.1)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        model.save(first)
+        loaded = MelodyConditionedNgram.load(first)
+        loaded.save(second)
+        assert second.read_bytes() == first.read_bytes()
+        # the derived tables of the loaded model are the trained ones
+        for name in ("_by_hist_bucket", "_by_hist", "_by_bucket", "_unigram"):
+            assert getattr(loaded, name) == getattr(model, name)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"
@@ -271,30 +285,42 @@ class TestLoadRejectsCorruptCounts:
         return path
 
     @staticmethod
-    def corrupt(path, table, edit):
+    def corrupt(path, edit):
+        """Edit the counts of the file's first (history, bucket) row; returns
+        the row's history key and bucket."""
         payload = json.loads(path.read_text())
-        counts = payload["unigram"] if table == "unigram" else payload[table][0][-1]
+        hist, bucket, counts = payload["hist_bucket"][0]
         edit(counts)
         path.write_text(json.dumps(payload))
+        return tuple(hist), None if bucket is None else NoteBucket(*bucket)
 
-    @pytest.mark.parametrize("table", ["hist_bucket", "hist", "bucket", "unigram"])
+    @pytest.mark.parametrize("table", ["hist_bucket"])
     @pytest.mark.parametrize("key", ["zzz", BOS_TEXT])
     def test_key_outside_emittable_vocabulary(self, saved, table, key):
-        self.corrupt(saved, table, lambda counts: counts.__setitem__(key, 1))
+        self.corrupt(saved, lambda counts: counts.__setitem__(key, 1))
         with pytest.raises(ValueError, match="not an emittable vocabulary entry"):
             MelodyConditionedNgram.load(saved)
 
-    @pytest.mark.parametrize("table", ["hist_bucket", "hist", "bucket", "unigram"])
+    @pytest.mark.parametrize("table", ["hist_bucket"])
     @pytest.mark.parametrize("count", [1.7, 2.0, True, False, -1, "3", None])
     def test_count_not_a_non_negative_int(self, saved, table, count):
         def edit(counts):
             counts[next(iter(counts))] = count
 
-        self.corrupt(saved, table, edit)
+        self.corrupt(saved, edit)
         with pytest.raises(ValueError, match="is not a non-negative integer"):
             MelodyConditionedNgram.load(saved)
 
     def test_zero_count_accepted(self, saved):
-        self.corrupt(saved, "unigram", lambda counts: counts.__setitem__(EOS_TEXT, 0))
+        served = {}
+
+        def edit(counts):
+            counts[EOS_TEXT] = 0
+            served.update(counts)
+
+        key, bucket = self.corrupt(saved, edit)
         model = MelodyConditionedNgram.load(saved)
-        assert math.isclose(sum(distribution(model, [], None).values()), 1.0)
+        texts, probs, _ = model.top_by_key(key, bucket, len(model.vocab.emittable()))
+        assert math.isclose(sum(probs), 1.0)
+        denom = sum(served.values()) + model.k * len(texts)
+        assert model.prob_by_key(key, bucket, EOS_TEXT) == model.k / denom

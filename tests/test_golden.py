@@ -92,7 +92,7 @@ GOLDEN = {
         "evaluate word-level": "97afb3beb2c09a631db7efe79894b237be558e84def06286990340f9a85988c7",
         "emit-prompt": "5d35f31c273ca24072d40597318711bd26fb67cc98c0a7ad80928a151f5bcc06",
         "lm.json": "11d87ed8a6f29c5a09b002e11efbb793fd097331182f1d265dd81cf95398a348",
-        "gen.json": "688eaa6cfa2d375071248b17994143800f9ed360d988e04dd9673dad18bec66f",
+        "gen.json": "55ec32888cb52ed2d13059473286d675a125f05b1376e773f5f991f613c0b743",
         "nsp.tsv": "33e34458bf5f3125a2ff6e1a321b6c4f01675a6295d81480e5a126f208258886",
     },
     "syllables": {
@@ -110,7 +110,7 @@ GOLDEN = {
         "evaluate word-level": "7c5f5f4a1180a134e29e3ca3c7ca66e5e6e4a05b831885295060d0a4625a33c9",
         "emit-prompt": "77f2ebcb4a19a094bbd3d30b3941f06e8c687bbbf36ff6d516ac70271401f450",
         "lm.json": "1b00ef7a7f721dd54bb910420c51fd9254a325518ae095a473a574a6e46a6fea",
-        "gen.json": "011eb89c564b18e76ddd4a1ff3a9d4eea12fdb4322c3a3247408cf8ba78d6947",
+        "gen.json": "e76aa5e2553407255746cb9308b75ede6a976ca9834d851a7580f1791f92433c",
         "nsp.tsv": "207f5e44166f03a766d622b22718ea6cdd6fbd5e5c317d85a1ac981887377a63",
     },
 }

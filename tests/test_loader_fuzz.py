@@ -170,6 +170,7 @@ LM_CASES = header_cases(
                  id="level is an array"),
     pytest.param(edit(lambda p: p["tables"][1].__setitem__("a", 3)), "a count table is not a JSON object",
                  id="count table is a number"),
+    pytest.param(field("tabels", []), "unknown field 'tabels'", id="unknown field tabels"),
 ]
 
 
@@ -196,9 +197,8 @@ def history_cases():
     bad = ["ab", ["<bos>"], [BOS_TEXT, BOS_TEXT, BOS_TEXT], [BOS_TEXT, "zzz"], [BOS_TEXT, 5],
            [BOS_TEXT, []], [BOS_TEXT, None], 2.0, None]
     return [
-        pytest.param(set_in_row(table, 0, value), f"history {value!r} is not 2 vocabulary entries",
-                     id=f"{table} history {json.dumps(value)}")
-        for table in ("hist_bucket", "hist")
+        pytest.param(set_in_row("hist_bucket", 0, value), f"history {value!r} is not 2 vocabulary entries",
+                     id=f"hist_bucket history {json.dumps(value)}")
         for value in bad
     ]
 
@@ -209,9 +209,8 @@ def bucket_cases():
            [True, 5, "short", True], [0, 5.0, "short", False], [[], 5, "short", True],
            [0, 5, ["short"], True], {"0": 5}, 5]
     return [
-        pytest.param(set_in_row(table, index, value), f"bucket {value!r} {BUCKET}",
-                     id=f"{table} bucket {json.dumps(value)}")
-        for table, index in (("hist_bucket", 1), ("bucket", 0))
+        pytest.param(set_in_row("hist_bucket", 1, value), f"bucket {value!r} {BUCKET}",
+                     id=f"hist_bucket bucket {json.dumps(value)}")
         for value in bad
     ]
 
@@ -224,17 +223,19 @@ GEN_CASES = header_cases(
     "syllabeam-generator",
     {
         "format": [1],
-        "version": ["1", True, 1.0],
+        "version": ["1", True, 1.0, 1],
         "bucketing": ["1", True, 1.0],
         "history": [2.0, "2", True],
         "k": ["0.1", False],
         "vocabulary": ["la", {}],
         "hist_bucket": [{}, 3],
-        "hist": [{}, None],
-        "bucket": [{}, "x"],
-        "unigram": [[], 0],
     },
 ) + [
+    # the tables the version-1 layout also stored, whatever their value
+    pytest.param(field(name, value), f"unknown field {name!r}", id=f"{name}={json.dumps(value)}")
+    for name, values in {"hist": [{}, None], "bucket": [{}, "x"], "unigram": [[], 0]}.items()
+    for value in values
+] + [
     whole([], "syllabeam-generator"),
     whole(None, "syllabeam-generator"),
     pytest.param(field("bucketing", 2), "unsupported bucketing version 2", id="bucketing 2"),
@@ -256,28 +257,20 @@ GEN_CASES = header_cases(
     pytest.param(edit(lambda p: p["vocabulary"].insert(0, BOS_TEXT)), GEN_VOCABULARY, id="vocabulary with BOS"),
     pytest.param(edit(lambda p: p["hist_bucket"].__setitem__(0, 5)), "a 'hist_bucket' row is not a JSON array of 3",
                  id="hist_bucket row number"),
-    pytest.param(edit(lambda p: p["hist"].__setitem__(0, None)), "a 'hist' row is not a JSON array of 2",
-                 id="hist row null"),
-    pytest.param(edit(lambda p: p["bucket"].__setitem__(0, "ab")), "a 'bucket' row is not a JSON array of 2",
-                 id="bucket row string"),
     pytest.param(edit(lambda p: gen_row("hist_bucket")(p).pop()), "a 'hist_bucket' row is not a JSON array of 3",
                  id="hist_bucket row short"),
-    pytest.param(edit(lambda p: gen_row("hist")(p).append({})), "a 'hist' row is not a JSON array of 2",
-                 id="hist row long"),
     pytest.param(set_in_row("hist_bucket", 2, []), "a count table is not a JSON object",
                  id="hist_bucket counts array"),
-    pytest.param(set_in_row("hist", 1, 4), "a count table is not a JSON object", id="hist counts number"),
-    pytest.param(set_in_row("bucket", 1, {"zzz": 1}), "count key 'zzz' is not an emittable vocabulary entry",
-                 id="bucket counts key outside vocabulary"),
-    pytest.param(set_in_row("hist", 1, {EOS_TEXT: -2}), f"count -2 for '{EOS_TEXT}' {COUNT}",
-                 id="hist counts negative"),
     pytest.param(edit(lambda p: retype_last_bucket(p, 3, int)), f"bucket [0, 5, 'long', 0] {BUCKET}",
                  id="seen bucket with 0 or 1 for a bool"),
     pytest.param(edit(lambda p: retype_last_bucket(p, 0, float)), f"bucket [0.0, 5, 'long', False] {BUCKET}",
                  id="seen bucket with a float pitch"),
+    pytest.param(edit(lambda p: p["hist_bucket"].insert(1, [*p["hist_bucket"][0][:2], {EOS_TEXT: 1}])),
+                 "repeated 'hist_bucket' row for history", id="repeated hist_bucket row"),
+    pytest.param(field("hist", [[[BOS_TEXT, BOS_TEXT], {EOS_TEXT: 1}]]), "unknown field 'hist'",
+                 id="hist rows of version 1"),
     pytest.param(field("hist_bucket", []), f"'hist_bucket' {NO_ROWS}", id="no hist_bucket rows"),
-    pytest.param(field("hist", []), f"'hist' {NO_ROWS}", id="no hist rows"),
-    pytest.param(edit(lambda p: p.update(history=1_000_000, hist_bucket=[], hist=[])), f"'hist_bucket' {NO_ROWS}",
+    pytest.param(edit(lambda p: p.update(history=1_000_000, hist_bucket=[])), f"'hist_bucket' {NO_ROWS}",
                  id="history 1000000, no history rows"),
 ] + history_cases() + bucket_cases()
 
@@ -390,8 +383,7 @@ def test_integer_k_too_large_for_a_float_decodes(tmp_path, capsys, payloads):
     assert code == 0 and captured.err == ""
 
 
-@pytest.mark.parametrize("table, row", [("hist_bucket", [[BOS_TEXT, BOS_TEXT], None]),
-                                        ("bucket", [None, {}, {}])])
+@pytest.mark.parametrize("table, row", [("hist_bucket", [[BOS_TEXT, BOS_TEXT], None])])
 def test_generator_row_of_wrong_width(tmp_path, payloads, table, row):
     path = tmp_path / "gen.json"
     path.write_text(json.dumps({**payloads["gen"], table: [row]}))

@@ -115,21 +115,27 @@ def test_loaded_model_with_zero_counts(tmp_path):
         path = tmp_path / f"gen{k}.json"
         train_generator(corpus, vocab, history=2, k=k).save(path)
         payload = json.loads(path.read_text())
-        rows = [row[-1] for row in payload["hist_bucket"] + payload["hist"] + payload["bucket"]]
-        for counts in rows + [payload["unigram"]]:
+        zeroed = payload["hist_bucket"][0][0]
+        for hist, _, counts in payload["hist_bucket"]:
             for text in counts:
-                if rnd.random() < 0.4:
+                if rnd.random() < 0.4 or hist == zeroed:
                     counts[text] = 0
             counts.setdefault(rnd.choice(vocab.emittable()), 0)
-        for text in payload["unigram"]:
-            payload["unigram"][text] = 0  # an all-zero table that still serves
         path.write_text(json.dumps(payload))
         model = MelodyConditionedNgram.load(path)
-        naive = NaiveGenerator([], vocab, 2, k)  # the file's tables, read without the loader
+        naive = NaiveGenerator([], vocab, 2, k)  # the file's rows, read and summed without the loader
         naive.tables["hist_bucket"] = {(tuple(h), tuple_or_none(b)): c for h, b, c in payload["hist_bucket"]}
-        naive.tables["hist"] = {tuple(h): c for h, c in payload["hist"]}
-        naive.tables["bucket"] = {tuple_or_none(b): c for b, c in payload["bucket"]}
-        naive.tables["unigram"] = {(): payload["unigram"]}
+        for (hist, bucket), counts in naive.tables["hist_bucket"].items():
+            for table, condition in (("hist", hist), ("bucket", bucket), ("unigram", ())):
+                summed = naive.tables[table].setdefault(condition, {})
+                for text, n in counts.items():
+                    summed[text] = summed.get(text, 0) + n
+        # the first row's history has an all-zero history table that still serves
+        history = tuple(SyllableToken(text, True) for text in zeroed if text != BOS_TEXT)
+        note = MelodyNote(20, 0.5, 0.5)
+        served = model._counts(model.history_key(history), model.bucket(note))
+        assert served is model._by_hist[tuple(zeroed)] and not any(served.values())
+        assert_exact(model, naive, history, note)
         for history, note in random_queries(vocab, rnd, 60):
             assert_exact(model, naive, history, note)
 
