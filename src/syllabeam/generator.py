@@ -110,8 +110,11 @@ class MelodyConditionedNgram:
     (history, bucket) counts, as in the "stupid backoff" of Brants et al.
     (2007). A bucket of None stands for "past the final note" and is only
     ever paired with the end token in training data. Only train_generator
-    and load fill the tables, so a ranking, built on the first query of its
-    content, never goes stale.
+    and load fill the tables, and nothing changes them after, so a ranking,
+    built on the first query of its content, never goes stale, and tables
+    share objects rather than copy them: a history of one (history, bucket)
+    row has that row as its (history) table, and a loaded model's history
+    keys hold the vocabulary's own strings.
     """
 
     def __init__(self, vocab: Vocabulary, history: int = 2, k: float = 0.1):
@@ -145,15 +148,25 @@ class MelodyConditionedNgram:
     bucket = staticmethod(bucket_note)
 
     def _derive(self) -> None:
-        """Fill the (history), (bucket) and unigram tables: sums of the (history, bucket) rows."""
+        """Fill the (history), (bucket) and unigram tables: sums of the (history,
+        bucket) rows. A history's table is its first row itself until a second
+        row of it arrives, which sums into a copy, so no row's counts change and
+        a history of one row keeps one table, and one ranking, for both keys."""
         by_hist, by_bucket, unigram = self._by_hist, self._by_bucket, self._unigram
+        summed = set()  # the histories whose table is a sum of two or more rows
         for (hist, bucket), counts in self._by_hist_bucket.items():
-            hist_row = by_hist.get(hist)
-            if hist_row is None:
-                hist_row = by_hist[hist] = {}
             bucket_row = by_bucket.get(bucket)
             if bucket_row is None:
                 bucket_row = by_bucket[bucket] = {}
+            hist_row = by_hist.get(hist)
+            if hist_row is None:  # the history's first row: only the bucket sum takes it
+                by_hist[hist] = counts
+                for target, n in counts.items():
+                    bucket_row[target] = bucket_row.get(target, 0) + n
+                continue
+            if hist not in summed:
+                summed.add(hist)
+                hist_row = by_hist[hist] = dict(hist_row)
             for target, n in counts.items():
                 hist_row[target] = hist_row.get(target, 0) + n
                 bucket_row[target] = bucket_row.get(target, 0) + n
@@ -225,14 +238,17 @@ class MelodyConditionedNgram:
         def hist_text(hist: tuple[str, ...]) -> str:
             return '["' + '", "'.join(hist) + '"]'
 
-        bucket_text = {bucket: json.dumps(self._bucket_json(bucket)) for bucket in self._by_bucket}
+        # Each row is a tuple of the model's own history tuple, its bucket's one
+        # JSON list and its counts: the encoder writes tuples as arrays.
+        bucket_json = {bucket: self._bucket_json(bucket) for bucket in self._by_bucket}
+        bucket_text = {bucket: json.dumps(data) for bucket, data in bucket_json.items()}
         fields = {
             "bucketing": _BUCKETING_VERSION,
             "history": self.history,
             "k": self.k,
             "vocabulary": list(self.vocab.syllable_texts()),
             "hist_bucket": [
-                [list(hist), self._bucket_json(bucket), counts]
+                (hist, bucket_json[bucket], counts)
                 for (hist, bucket), counts in sorted(
                     self._by_hist_bucket.items(),
                     key=lambda item: f"[{hist_text(item[0][0])}, {bucket_text[item[0][1]]}]",
@@ -250,6 +266,12 @@ class MelodyConditionedNgram:
         each bucket [int, int, duration class, bool] or null, and each count
         table maps emittable vocabulary entries to non-negative integers."""
         payload = modelfile.load(path, _FORMAT, _VERSION, _SCHEMA)
+        with modelfile.naming(path):
+            return cls._from_payload(payload)
+
+    @classmethod
+    def _from_payload(cls, payload: dict) -> "MelodyConditionedNgram":
+        """The model of a payload whose header and field types `load` checked."""
         if payload["bucketing"] != _BUCKETING_VERSION:
             raise ValueError(f"unsupported bucketing version {payload['bucketing']}")
         if not set(map(type, payload["vocabulary"])) <= {str}:
@@ -258,15 +280,15 @@ class MelodyConditionedNgram:
         if list(model.vocab.syllable_texts()) != payload["vocabulary"]:
             raise ValueError("vocabulary must be sorted, distinct entries without <bos> or <eos>")
         emittable = frozenset(model.vocab.emittable())
-        known = emittable | {BOS_TEXT}
+        # each history entry maps to the vocabulary's own string object, so a
+        # key holds none of the strings the parser made for its row
+        known = {text: text for text in (*model.vocab.emittable(), BOS_TEXT)}
 
         def hist_key(data) -> tuple[str, ...]:
             if type(data) is list and len(data) == model.history:
-                key = tuple(data)
                 try:
-                    if known.issuperset(key):
-                        return key
-                except TypeError:  # an unhashable entry
+                    return tuple(map(known.__getitem__, data))
+                except (KeyError, TypeError):  # not an entry, or unhashable
                     pass
             raise ValueError(f"history {data!r} is not {model.history} vocabulary entries")
 
@@ -285,17 +307,26 @@ class MelodyConditionedNgram:
 
         # training counts every syllable under its history and bucket, so a
         # trained file has rows; without them no row would pin `history` down
-        if not payload["hist_bucket"]:
+        rows = payload.pop("hist_bucket")
+        if not rows:
             raise ValueError("'hist_bucket' has no rows; a trained model always has some")
+        # rows are popped from the end of the reversed list, so each parsed row
+        # is released once read, and the first bad row in file order is named
+        rows.reverse()
         by_hist_bucket = model._by_hist_bucket
-        for row in payload["hist_bucket"]:
+        # a saved file holds the rows of each history together, and each run
+        # of them shares one key tuple, built and checked once
+        last, hist = object(), ()  # `last` equals no parsed history
+        while rows:
+            row = rows.pop()
             if type(row) is not list or len(row) != 3:
                 raise ValueError("a 'hist_bucket' row is not a JSON array of 3")
-            hist, note, counts = row
-            key = hist_key(hist), bucket(note)
-            if key in by_hist_bucket:
-                raise ValueError(f"repeated 'hist_bucket' row for history {hist!r} and bucket {note!r}")
-            by_hist_bucket[key] = modelfile.counts(counts, emittable)
+            data, note, counts = row
+            if data != last:
+                hist, last = hist_key(data), data
+            if by_hist_bucket.setdefault((hist, bucket(note)), counts) is not counts:
+                raise ValueError(f"repeated 'hist_bucket' row for history {data!r} and bucket {note!r}")
+            modelfile.counts(counts, emittable)
         model._derive()
         return model
 
@@ -341,5 +372,6 @@ def train_generator(
         if row is None:
             row = by_hist_bucket[hist, bucket] = {}
         row[target] = n
+    del events  # the rows hold every count now; free the tally before the sums
     model._derive()
     return model

@@ -271,6 +271,12 @@ class CharNgramModel:
         payload = modelfile.load(
             path, _FORMAT, _VERSION, {"order": int, "k": float, "alphabet": str, "tables": list}
         )
+        with modelfile.naming(path):
+            return cls._from_payload(payload)
+
+    @classmethod
+    def _from_payload(cls, payload: dict) -> "CharNgramModel":
+        """The model of a payload whose header and field types `load` checked."""
         if payload["alphabet"] != DEFAULT_ALPHABET:
             raise ValueError(f"alphabet must be {DEFAULT_ALPHABET!r}")
         tables = payload["tables"]

@@ -34,6 +34,17 @@ def gc_paused():
             gc.enable()
 
 
+@contextlib.contextmanager
+def naming(path):
+    """Prefix `PATH: ` to a ValueError raised in the body. `load` reads the
+    JSON text under it, and each model its checked payload, so an error in a
+    model file's text, fields or content names the file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def save(path, fmt: str, version: int, fields: dict) -> None:
     """Write `fields` under a `fmt`/`version` header as sorted-key JSON. Fields
     are a model's own tables of strings and numbers, so none contains itself:
@@ -51,11 +62,11 @@ def load(path, fmt: str, version: int, schema: dict[str, type]) -> dict:
     and the header: `int` is a JSON integer and never a bool, `float` any
     JSON number, and str, bool, list and dict their own JSON types. Raises
     ValueError otherwise."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, naming(path):
         try:
             payload = json.load(fh)
         except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+            raise ValueError("JSON nested too deeply") from None
     if type(payload) is not dict or payload.get("format") != fmt:
         raise ValueError(f"not a {fmt} file: {path}")
     found = payload.get("version")

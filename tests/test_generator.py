@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter, defaultdict
 
 import pytest
@@ -25,7 +27,7 @@ from syllabeam.generator import (
     train_generator,
 )
 
-from conftest import make_corpus
+from conftest import NaiveGenerator, make_corpus
 
 
 def toks(line):
@@ -324,3 +326,99 @@ class TestLoadRejectsCorruptCounts:
         assert math.isclose(sum(probs), 1.0)
         denom = sum(served.values()) + model.k * len(texts)
         assert model.prob_by_key(key, bucket, EOS_TEXT) == model.k / denom
+
+
+class TestSharing:
+    """The model keeps one object per distinct row, string and sum. Nothing
+    changes a model once it is trained or loaded, so sharing is safe."""
+
+    @classmethod
+    def corpus(cls, vocabulary):
+        if vocabulary == "small":
+            return make_corpus(60, seed=57)
+        return TestPersistence.wide_corpus(58) if vocabulary == "large" else cls.many_syllables(59)
+
+    @staticmethod
+    def many_syllables(seed):
+        """Hundreds of syllables over a few octaves: most histories have one
+        row, as in a large-vocabulary corpus."""
+        rnd = random.Random(seed)
+        pool = [o + v + c for o in ("", "b", "d", "k", "l", "m", "r", "s", "t", "st")
+                for v in ("a", "e", "i", "o", "u", "ai", "ou") for c in ("", "n", "s", "t", "'s", "ng")]
+        pairs = []
+        for _ in range(400):
+            n = rnd.randint(2, 10)
+            tokens = tuple(SyllableToken(rnd.choice(pool), i == 0 or rnd.random() < 0.4) for i in range(n))
+            notes = tuple(
+                MelodyNote(rnd.randint(55, 76), rnd.choice([0.5, 1.0, 2.0]), rnd.choice([0.0, 0.5]))
+                for _ in range(n)
+            )
+            pairs.append(AlignedPair(MelodySequence(notes), LyricSequence(tokens)))
+        return pairs
+
+    @staticmethod
+    def model(tmp_path, corpus, history, source):
+        vocab = build_vocabulary([p.lyric for p in corpus])
+        model = train_generator(corpus, vocab, history=history, k=0.1)
+        if source == "trained":
+            return model
+        model.save(tmp_path / "gen.json")
+        return MelodyConditionedNgram.load(tmp_path / "gen.json")
+
+    @pytest.mark.parametrize("source", ["trained", "loaded"])
+    @pytest.mark.parametrize("history", [1, 2, 3])
+    @pytest.mark.parametrize("vocabulary", ["small", "large", "many"])
+    def test_a_history_of_one_row_keeps_that_row(self, tmp_path, vocabulary, history, source):
+        """At history 1 the small and large corpora have no history of one
+        row; the many-syllable one has such histories at every history."""
+        corpus = self.corpus(vocabulary)
+        model = self.model(tmp_path, corpus, history, source)
+        rows = defaultdict(list)
+        for (hist, _), counts in model._by_hist_bucket.items():
+            rows[hist].append(counts)
+        assert any(len(of_hist) > 1 for of_hist in rows.values())
+        for hist, of_hist in rows.items():
+            table = model._by_hist[hist]
+            if len(of_hist) == 1:
+                assert table is of_hist[0]
+            else:
+                assert all(table is not row for row in of_hist)
+        # summing left every row as counted, and each history table is the sum
+        naive = NaiveGenerator(corpus, model.vocab, history, model.k)
+        assert model._by_hist_bucket == naive.tables["hist_bucket"]
+        assert model._by_hist == naive.tables["hist"]
+        assert model._by_bucket == naive.tables["bucket"]
+
+    @pytest.mark.parametrize("history", [1, 2, 3])
+    @pytest.mark.parametrize("vocabulary", ["small", "large"])
+    def test_loaded_histories_hold_the_vocabulary_strings(self, tmp_path, vocabulary, history):
+        """Each loaded history is one tuple of the vocabulary's own strings,
+        shared by all its rows and its (history) table key."""
+        model = self.model(tmp_path, self.corpus(vocabulary), history, "loaded")
+        own = {text: text for text in (BOS_TEXT, *model.vocab.emittable())}
+        rows = (hist for hist, _ in model._by_hist_bucket)
+        assert len({id(hist) for hist in itertools.chain(rows, model._by_hist)}) == len(model._by_hist)
+        for hist in model._by_hist:
+            assert all(text is own[text] for text in hist)
+
+    @pytest.mark.parametrize("history", [1, 2, 3])
+    @pytest.mark.parametrize("vocabulary", ["small", "many"])
+    def test_load_peaks_no_higher_than_parsing(self, tmp_path, vocabulary, history):
+        """The parsed rows are released as the model is built, so loading
+        peaks where parsing the file alone does."""
+        path = tmp_path / "gen.json"
+        self.model(tmp_path, self.corpus(vocabulary), history, "trained").save(path)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def parse():
+            with open(path, encoding="utf-8") as fh:
+                return json.load(fh)
+
+        assert peak(lambda: MelodyConditionedNgram.load(path)) <= 1.05 * peak(parse)

@@ -9,6 +9,7 @@ the failure.
 import copy
 import json
 import math
+import re
 
 import pytest
 
@@ -303,11 +304,16 @@ def test_unmutated_files_decode(tmp_path, capsys, payloads):
 
 
 def assert_model_failure(tmp_path, name, code, captured, message):
-    """A clean failure whose message, once the path of the model file `name`
-    is taken out, starts with `message`."""
+    """A clean failure that names the model file `name`, as a `PATH: ` prefix
+    or, for a header error, a `: PATH` suffix, and whose message, once the
+    path is taken out, starts with `message`."""
     assert_clean_failure(code, captured)
     path = str(tmp_path / f"{name}.json")
-    err = captured.err.replace(f"{path}: ", "").replace(f": {path}", "")
+    if captured.err.startswith(f"error: {path}: "):
+        err = captured.err.replace(f"{path}: ", "", 1)
+    else:
+        assert captured.err.endswith(f": {path}\n")
+        err = captured.err[: -len(f": {path}\n")]
     assert err.startswith(f"error: {message}")
 
 
@@ -349,13 +355,13 @@ def test_lm_file_text(tmp_path, capsys, payloads, text):
     gen.write_text(json.dumps(payloads["gen"]))
     melody.write_text(MELODY)
     code = main(["generate", "--melody", str(melody), "--generator", str(gen), "--lm", str(path)])
-    assert_clean_failure(code, capsys.readouterr())
+    assert_model_failure(tmp_path, "lm", code, capsys.readouterr(), "")
 
 
 def test_lm_file_with_k_1e400_fails_on_k(tmp_path):
     path = tmp_path / "lm.json"
     path.write_text(LM_1E400)
-    with pytest.raises(ValueError, match="^smoothing k must be finite"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: smoothing k must be finite"):
         CharNgramModel.load(path)
 
 
@@ -533,7 +539,7 @@ def test_nsp_eval_rejects_an_lm_of_another_alphabet(tmp_path, capsys, payloads, 
     lm = {**payloads["lm"], "alphabet": alphabet}
     code, captured = run_nsp_eval(tmp_path, capsys, {"lm": lm}, "lm", NSP_ROWS.encode())
     assert_clean_failure(code, captured)
-    assert captured.err == f"error: {LM_ALPHABET}\n"
+    assert captured.err == f"error: {tmp_path / 'lm.json'}: {LM_ALPHABET}\n"
 
 
 @pytest.mark.parametrize("scorer", NSP_SCORERS)
