@@ -20,8 +20,10 @@ from .beam import FusionConfig, audit_trace, decode
 from .corpus import (
     _NUMBER_RE,
     _PITCH_RE,
+    AlignedPair,
     LyricSequence,
     load_aligned_corpus,
+    naming,
     parse_lyric_line,
     parse_melody_line,
     render_text,
@@ -59,64 +61,59 @@ def _echo(command: str, config: dict) -> None:
     print(json.dumps({"command": command, "config": config}, sort_keys=True))
 
 
-def _at_line(path: str, lineno: int, check, *args):
-    """`check(*args)`, its ValueError reported at `path:lineno:`."""
-    try:
-        return check(*args)
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from exc
-
-
 def _read_lyric_lines(path: str) -> list[LyricSequence]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, naming(path) as place:
         lines = [line.rstrip("\n") for line in fh]
-    while lines and not lines[-1]:
-        lines.pop()
-    return [_at_line(path, lineno, parse_lyric_line, line) for lineno, line in enumerate(lines, start=1)]
+        while lines and not lines[-1]:
+            lines.pop()
+        return [parse_lyric_line(line) for place.line, line in enumerate(lines, start=1)]
+
+
+def _read_corpus(path: str) -> list[AlignedPair]:
+    """The pairs of the corpus file at `path`, which must hold one."""
+    pairs = load_aligned_corpus(_require_file(path, "corpus"))
+    if not pairs:
+        with naming(path):
+            raise ValueError("corpus is empty")
+    return pairs
 
 
 # -- commands ---------------------------------------------------------------
 
 
 def cmd_build_nsp_dataset(args: argparse.Namespace) -> int:
-    corpus_path = _require_file(args.corpus, "corpus")
     config = BuilderConfig(**{f.name: getattr(args, f.name) for f in fields(BuilderConfig)})
 
-    lyrics = [pair.lyric for pair in load_aligned_corpus(corpus_path)]
-    check_corpus(lyrics)  # before --out is opened, so a bad lyric leaves it as it was
+    lyrics = [pair.lyric for pair in _read_corpus(args.corpus)]
+    with naming(args.corpus):
+        check_corpus(lyrics)  # before --out is opened, so a bad lyric leaves it as it was
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         summary = build_dataset(lyrics, config, lambda example: fh.write(nsp_line(example)))
 
-    _echo("build-nsp-dataset", {"corpus": corpus_path, "out": args.out, **asdict(config)})
+    _echo("build-nsp-dataset", {"corpus": args.corpus, "out": args.out, **asdict(config)})
     summary["lyrics"] = len(lyrics)
     print(json.dumps(summary, sort_keys=True))
     return 0
 
 
 def cmd_train_lm(args: argparse.Namespace) -> int:
-    corpus_path = _require_file(args.corpus, "corpus")
-
-    pairs = load_aligned_corpus(corpus_path)
+    pairs = _read_corpus(args.corpus)
     texts = [lyric_lm_text(render_text(pair.lyric)) for pair in pairs]
     model = train_char_ngram(texts, args.order, args.k)
     model.save(args.out)
 
-    _echo("train-lm", {"corpus": corpus_path, "out": args.out, "order": args.order, "k": args.k})
+    _echo("train-lm", {"corpus": args.corpus, "out": args.out, "order": args.order, "k": args.k})
     print(json.dumps({"texts": len(texts), **model.stats()}, sort_keys=True))
     return 0
 
 
 def cmd_train_generator(args: argparse.Namespace) -> int:
-    corpus_path = _require_file(args.corpus, "corpus")
-
-    pairs = load_aligned_corpus(corpus_path)
-    if not pairs:
-        raise ValueError(f"corpus is empty: {corpus_path}")
+    pairs = _read_corpus(args.corpus)
     vocab = build_vocabulary([pair.lyric for pair in pairs])
     model = train_generator(pairs, vocab, args.history, args.k)
     model.save(args.out)
 
-    config = {"corpus": corpus_path, "out": args.out, "history": args.history, "k": args.k}
+    config = {"corpus": args.corpus, "out": args.out, "history": args.history, "k": args.k}
     _echo("train-generator", config)
     print(json.dumps({"pairs": len(pairs), **model.stats()}, sort_keys=True))
     return 0
@@ -127,14 +124,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     generator_path = _require_file(args.generator, "generator model")
     config = FusionConfig(args.beam_size, args.lambda_lm, args.max_len)
 
-    lm = None
-    if config.lambda_lm != 0 or args.lm is not None:
-        if args.lm is None:
-            raise ValueError("--lm is required when lambda_lm > 0")
-        lm = CharNgramModel.load(_require_file(args.lm, "lm model"))
+    lm = None if args.lm is None else CharNgramModel.load(_require_file(args.lm, "lm model"))
     generator = MelodyConditionedNgram.load(generator_path)
 
-    with open(melody_path, "r", encoding="utf-8") as fh:
+    with open(melody_path, "r", encoding="utf-8") as fh, naming(melody_path):
         melody = parse_melody_line(fh.read())
     results = decode(melody, generator, lm, config)
     if not audit_trace(results):
@@ -170,8 +163,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"line count mismatch: {len(candidates)} candidates vs {len(references)} references"
         )
 
-    texts = enumerate(zip(candidates, references), start=1)
-    pairs = [_at_line(ref_path, n, EvalPair, cand, ref) for n, (cand, ref) in texts]
+    with naming(ref_path) as place:
+        pairs = [EvalPair(c, r) for place.line, (c, r) in enumerate(zip(candidates, references), start=1)]
     report = corpus_eval(pairs, word_level=args.word_level)
     _echo("evaluate", {"candidates": cand_path, "references": ref_path, "word_level": args.word_level})
     if args.json:
@@ -195,7 +188,8 @@ def cmd_nsp_eval(args: argparse.Namespace) -> int:
             raise ValueError("--lm is required for the lm scorer")
         scored = CharNgramModel.load(_require_file(args.lm, "lm model")).score_nsp_rows(rows)
     if not scored:
-        raise ValueError(f"dataset is empty: {dataset_path}")
+        with naming(dataset_path):
+            raise ValueError("dataset is empty")
     result = nsp_metrics(scored, args.threshold)
     config = {"dataset": dataset_path, "lm": args.lm, "scorer": args.scorer, "threshold": args.threshold}
     _echo("nsp-eval", config)
@@ -210,10 +204,10 @@ def cmd_emit_prompt(args: argparse.Namespace) -> int:
             raise ValueError(f"--set expects NAME=FILE, got {item!r}")
         name, _, path = item.partition("=")
         _require_file(path, f"lyric set {name!r}")
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, naming(path) as place:
             lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
-        for n, line in lines:
-            _at_line(path, n, parse_lyric_line, line)
+            for place.line, line in lines:
+                parse_lyric_line(line)
         sets.append((name, [line for _, line in lines]))
     text = emit_llm_eval_prompt(sets, variant=args.variant)
     if args.out:

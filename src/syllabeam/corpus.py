@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 BOS_TEXT = "<bos>"
 EOS_TEXT = "<eos>"
 
+_RECORD_KEYS = frozenset(("syllables", "word_initial", "notes"))
 _SYLLABLE_RE = re.compile(r"[a-z']+\Z")
 # melody text: ASCII decimal literals only, no digit-group underscores; the
 # non-finite spellings pass here so that MelodyNote rejects them by name
@@ -25,6 +26,29 @@ _NUMBER_RE = re.compile(
     r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)",
     re.IGNORECASE,
 )
+
+
+class naming:
+    """The one way an input error names its place. A ValueError raised in the
+    body, or the OverflowError or RecursionError of a number or a nesting the
+    input holds, is raised again as a ValueError reading `PATH: message`, or
+    `PATH:LINE: message` once `line`, a 1-based file line, is set. A reader
+    sets `line` as it goes, so only a failure formats; a decoding error names
+    no line, as text is decoded by the chunk."""
+
+    __slots__ = ("path", "line")
+
+    def __init__(self, path) -> None:
+        self.path, self.line = path, None
+
+    def __enter__(self) -> "naming":
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, (ValueError, OverflowError, RecursionError)):
+            if self.line is None or isinstance(exc, UnicodeDecodeError):
+                raise ValueError(f"{self.path}: {exc}") from exc
+            raise ValueError(f"{self.path}:{self.line}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -174,9 +198,7 @@ def parse_lyric_line(line: str) -> LyricSequence:
         raise ValueError("empty lyric line")
     tokens = []
     for i, piece in enumerate(pieces):
-        if piece == EOS_TEXT:
-            if i != len(pieces) - 1:
-                raise ValueError(f"{EOS_TEXT} only allowed at end of line")
+        if piece == EOS_TEXT:  # LyricSequence rejects one before the last piece
             tokens.append(SyllableToken(EOS_TEXT, False))
             continue
         word_initial = piece.startswith("_")
@@ -250,46 +272,46 @@ def _note(seen: dict, pitch, duration, rest) -> MelodyNote:
 
 
 def load_aligned_corpus(path) -> list[AlignedPair]:
-    """Read aligned pairs from JSONL.
+    """Read aligned pairs from JSONL, one record a non-blank line.
 
-    Each record is a JSON object {"syllables": [...], "word_initial": [...],
-    "notes": [[pitch, duration, rest], ...]} of JSON arrays of one length,
-    syllables JSON strings, flags JSON booleans, notes JSON arrays of three,
-    pitches JSON integers and durations and rests JSON numbers. Errors are
-    reported with the offending record index.
+    Each record is a JSON object of exactly the keys "syllables",
+    "word_initial" and "notes", each a JSON array of one length: syllables
+    JSON strings, flags JSON booleans, notes JSON arrays of three, pitches
+    JSON integers and durations and rests JSON numbers. An error names the
+    file and the record's 1-based line, blank lines counted (`naming`).
     """
     pairs = []
     tokens_seen, notes_seen = {}, {}  # equal tokens and notes, shared
-    with open(path, "r", encoding="utf-8") as fh:
-        for idx, raw in enumerate(fh):
+    with open(path, "r", encoding="utf-8") as fh, naming(path) as place:
+        for place.line, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:
                 continue
-            try:
-                record = json.loads(raw)
-                if type(record) is not dict:
-                    raise ValueError("not a JSON object")
-                for name in ("syllables", "word_initial", "notes"):
-                    if type(record[name]) is not list:
-                        raise ValueError(f"{name!r} is not a JSON array")
-                syllables, flags, notes = record["syllables"], record["word_initial"], record["notes"]
-                if not (len(syllables) == len(flags) == len(notes)):
-                    raise ValueError(
-                        f"lists disagree in length: {len(syllables)} syllables, "
-                        f"{len(flags)} flags, {len(notes)} notes"
-                    )
-                for i, (text, flag, note) in enumerate(zip(syllables, flags, notes)):
-                    if type(text) is not str:
-                        raise ValueError(f"syllable {i} is not a JSON string")
-                    if type(flag) is not bool:
-                        raise ValueError(f"word_initial flag {i} is not a JSON boolean")
-                    if type(note) is not list or len(note) != 3:
-                        raise ValueError(f"note {i} is not a JSON array of 3")
-                tokens = tuple(_token(tokens_seen, text, flag) for text, flag in zip(syllables, flags))
-                melody = MelodySequence(tuple(_note(notes_seen, p, d, r) for p, d, r in notes))
-                pairs.append(AlignedPair(melody, LyricSequence(tokens)))
-            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-                raise ValueError(f"record {idx}: {exc}") from exc
+            record = json.loads(raw)
+            if type(record) is not dict:
+                raise ValueError("not a JSON object")
+            if record.keys() != _RECORD_KEYS:
+                extra, missing = record.keys() - _RECORD_KEYS, _RECORD_KEYS - record.keys()
+                raise ValueError(f"unknown key {min(extra)!r}" if extra else f"missing key {min(missing)!r}")
+            for name in ("syllables", "word_initial", "notes"):
+                if type(record[name]) is not list:
+                    raise ValueError(f"{name!r} is not a JSON array")
+            syllables, flags, notes = record["syllables"], record["word_initial"], record["notes"]
+            if not (len(syllables) == len(flags) == len(notes)):
+                raise ValueError(
+                    f"lists disagree in length: {len(syllables)} syllables, "
+                    f"{len(flags)} flags, {len(notes)} notes"
+                )
+            for i, (text, flag, note) in enumerate(zip(syllables, flags, notes)):
+                if type(text) is not str:
+                    raise ValueError(f"syllable {i} is not a JSON string")
+                if type(flag) is not bool:
+                    raise ValueError(f"word_initial flag {i} is not a JSON boolean")
+                if type(note) is not list or len(note) != 3:
+                    raise ValueError(f"note {i} is not a JSON array of 3")
+            tokens = tuple(_token(tokens_seen, text, flag) for text, flag in zip(syllables, flags))
+            melody = MelodySequence(tuple(_note(notes_seen, p, d, r) for p, d, r in notes))
+            pairs.append(AlignedPair(melody, LyricSequence(tokens)))
     return pairs
 
 

@@ -22,6 +22,7 @@ from .corpus import (
     MelodyNote,
     SyllableToken,
     Vocabulary,
+    naming,
 )
 
 DURATION_SHORT = "short"
@@ -229,15 +230,11 @@ class MelodyConditionedNgram:
         return None if bucket is None else list(bucket)
 
     def save(self, path) -> None:
-        """Write the model's (history, bucket) rows, in the order of their
-        keys' JSON text; `load` derives the other tables from them."""
-
-        # Each sort key is the JSON text of the row's key, built without the
-        # encoder: vocabulary entries need no JSON escapes, so a history's
-        # text is a join, and each key of the (bucket) table is encoded once.
-        def hist_text(hist: tuple[str, ...]) -> str:
-            return '["' + '", "'.join(hist) + '"]'
-
+        """Write the model's (history, bucket) rows in the order of their keys'
+        JSON text; `load` derives the other tables from them. Entries are made
+        of [a-z'<>], all above the `"` that ends a JSON string, and histories are
+        of one length, so a flat tuple of a row's history entries and its bucket's
+        text keeps that order, and it compares faster than a nested tuple."""
         # Each row is a tuple of the model's own history tuple, its bucket's one
         # JSON list and its counts: the encoder writes tuples as arrays.
         bucket_json = {bucket: self._bucket_json(bucket) for bucket in self._by_bucket}
@@ -251,7 +248,7 @@ class MelodyConditionedNgram:
                 (hist, bucket_json[bucket], counts)
                 for (hist, bucket), counts in sorted(
                     self._by_hist_bucket.items(),
-                    key=lambda item: f"[{hist_text(item[0][0])}, {bucket_text[item[0][1]]}]",
+                    key=lambda item: (*item[0][0], bucket_text[item[0][1]]),
                 )
             ],
         }
@@ -265,9 +262,8 @@ class MelodyConditionedNgram:
         of distinct keys, each history is `history` vocabulary entries or BOS,
         each bucket [int, int, duration class, bool] or null, and each count
         table maps emittable vocabulary entries to non-negative integers."""
-        payload = modelfile.load(path, _FORMAT, _VERSION, _SCHEMA)
-        with modelfile.naming(path):
-            return cls._from_payload(payload)
+        with naming(path):
+            return cls._from_payload(modelfile.load(path, _FORMAT, _VERSION, _SCHEMA))
 
     @classmethod
     def _from_payload(cls, payload: dict) -> "MelodyConditionedNgram":

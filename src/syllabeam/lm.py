@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import modelfile
-from .corpus import _SYLLABLE_RE, EOS_TEXT
+from .corpus import _SYLLABLE_RE, EOS_TEXT, naming
 from .nsp import _CANDIDATE_RE
 
 EOS_CHAR = "$"
@@ -35,6 +35,7 @@ UNSPACED = "unspaced"
 
 _FORMAT = "syllabeam-charlm"
 _VERSION = 1
+_SCHEMA = {"order": int, "k": float, "alphabet": str, "tables": list}
 
 # entries each per-model cache holds before it is emptied
 MEMO_LIMIT = 1 << 14
@@ -268,11 +269,8 @@ class CharNgramModel:
         """A saved model, once its file names DEFAULT_ALPHABET and holds
         `order` count levels whose level-L contexts are L alphabet characters
         long, each mapping alphabet characters to non-negative integer counts."""
-        payload = modelfile.load(
-            path, _FORMAT, _VERSION, {"order": int, "k": float, "alphabet": str, "tables": list}
-        )
-        with modelfile.naming(path):
-            return cls._from_payload(payload)
+        with naming(path):
+            return cls._from_payload(modelfile.load(path, _FORMAT, _VERSION, _SCHEMA))
 
     @classmethod
     def _from_payload(cls, payload: dict) -> "CharNgramModel":

@@ -34,17 +34,6 @@ def gc_paused():
             gc.enable()
 
 
-@contextlib.contextmanager
-def naming(path):
-    """Prefix `PATH: ` to a ValueError raised in the body. `load` reads the
-    JSON text under it, and each model its checked payload, so an error in a
-    model file's text, fields or content names the file."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def save(path, fmt: str, version: int, fields: dict) -> None:
     """Write `fields` under a `fmt`/`version` header as sorted-key JSON. Fields
     are a model's own tables of strings and numbers, so none contains itself:
@@ -61,26 +50,24 @@ def load(path, fmt: str, version: int, schema: dict[str, type]) -> dict:
     present with its exact JSON type and the file has no field beyond these
     and the header: `int` is a JSON integer and never a bool, `float` any
     JSON number, and str, bool, list and dict their own JSON types. Raises
-    ValueError otherwise."""
-    with open(path, "r", encoding="utf-8") as fh, naming(path):
-        try:
-            payload = json.load(fh)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply") from None
+    ValueError otherwise, or RecursionError for JSON nested too deeply; a
+    model's `load` names the file under `corpus.naming`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
     if type(payload) is not dict or payload.get("format") != fmt:
-        raise ValueError(f"not a {fmt} file: {path}")
+        raise ValueError(f"not a {fmt} file")
     found = payload.get("version")
     if type(found) is not int or found != version:
-        raise ValueError(f"unsupported {fmt} version {found!r}: {path}")
+        raise ValueError(f"unsupported {fmt} version {found!r}")
     for name, kind in schema.items():
         if name not in payload:
-            raise ValueError(f"{path}: missing field {name!r}")
+            raise ValueError(f"missing field {name!r}")
         value = payload[name]
         if not (type(value) is kind or kind is float and type(value) is int):
-            raise ValueError(f"{path}: field {name!r} is not a JSON {_JSON_NAMES[kind]}")
+            raise ValueError(f"field {name!r} is not a JSON {_JSON_NAMES[kind]}")
     unknown = sorted(payload.keys() - schema.keys() - {"format", "version"})
     if unknown:
-        raise ValueError(f"{path}: unknown field {unknown[0]!r}")
+        raise ValueError(f"unknown field {unknown[0]!r}")
     return payload
 
 

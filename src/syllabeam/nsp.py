@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Sequence
 
-from .corpus import EOS_TEXT, LyricSequence, SyllableToken
+from .corpus import EOS_TEXT, LyricSequence, SyllableToken, naming
 from .rng import SplitMix64, substream
 
 # The rows build_dataset writes. A context is (?:[a-z' ]|<eos>)+; the context
@@ -162,9 +162,10 @@ def read_nsp_tsv(path) -> Iterator[NspExample]:
 
     A context matches `(?:[a-z' ]|<eos>)+` and a candidate
     `_?(?:[a-z']+|<eos>)`; the label is 0 or 1. Blank lines are skipped.
-    Iteration raises ValueError when it reaches a bad line, naming it.
+    Iteration raises ValueError when it reaches a bad line, naming the file
+    and the line (`naming`).
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, naming(path) as place:
         for lineno, line in enumerate(fh, start=1):
             row = _ROW_RE.fullmatch(line)
             if row and row[1]:
@@ -173,13 +174,14 @@ def read_nsp_tsv(path) -> Iterator[NspExample]:
             line = line.rstrip("\n")
             if not line:
                 continue
+            place.line = lineno  # set for a bad line only, so a good row costs nothing
             parts = line.split("\t")
             if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 3 columns, got {len(parts)}")
+                raise ValueError(f"expected 3 columns, got {len(parts)}")
             context, candidate, label = parts
             if label not in ("0", "1"):
-                raise ValueError(f"line {lineno}: bad label {label!r}")
+                raise ValueError(f"bad label {label!r}")
             if not (context and _CONTEXT_RE.fullmatch(context)):
-                raise ValueError(f"line {lineno}: bad context {context!r}")
+                raise ValueError(f"bad context {context!r}")
             # three columns, a good label and context: _ROW_RE failed on the candidate
-            raise ValueError(f"line {lineno}: bad candidate {candidate!r}")
+            raise ValueError(f"bad candidate {candidate!r}")

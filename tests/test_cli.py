@@ -389,7 +389,7 @@ class TestEmitPrompt:
         "lines, lineno, message",
         [
             ("la mi\nLA bad\xa0x\n", 2, "illegal syllable text: 'LA'"),
-            ("\nla <eos> mi\n", 2, "<eos> only allowed at end of line"),
+            ("\nla <eos> mi\n", 2, "<eos> only allowed in final position"),
             ("la\n\n  \nla\tmi\nmi\u2003so\n", 5, "illegal syllable text: 'mi\\u2003so'"),
         ],
     )

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -208,7 +209,7 @@ class TestAlignedCorpusIO:
         with open(path, "w") as fh:
             fh.write(json.dumps(good) + "\n")
             fh.write(json.dumps(bad) + "\n")
-        with pytest.raises(ValueError, match="record 1"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: lists disagree in length"):
             load_aligned_corpus(path)
 
     @pytest.mark.parametrize("note", ["[60, NaN, 0]", "[60, Infinity, 0]", "[60, 1, NaN]",
@@ -218,7 +219,7 @@ class TestAlignedCorpusIO:
         good = '{"syllables": ["hey"], "word_initial": [true], "notes": [[60, 1, 0]]}'
         bad = '{"syllables": ["hey"], "word_initial": [true], "notes": [%s]}' % note
         path.write_text(good + "\n" + bad + "\n")
-        with pytest.raises(ValueError, match="record 1: .*must be finite"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: .*must be finite"):
             load_aligned_corpus(path)
 
     def test_empty_file(self, tmp_path):

@@ -1,0 +1,102 @@
+"""Every input names the place of a content error one way.
+
+For each of the six inputs (corpus JSONL, lyric lines, NSP TSV, melody text,
+and the LM and generator model files), one bad file goes through a command
+that reads it. The command must exit 2 with nothing on stdout and one stderr
+line, `error: PATH: message` for a fault of the whole file, or
+`error: PATH:LINE: message` where LINE is the 1-based file line, blank lines
+counted.
+"""
+
+import json
+import re
+
+import pytest
+
+from syllabeam.cli import main
+from syllabeam.corpus import build_vocabulary, render_text, write_aligned_corpus
+from syllabeam.generator import train_generator
+from syllabeam.lm import lyric_lm_text, train_char_ngram
+
+from conftest import make_corpus
+
+RECORD = '{"syllables": ["la", "mi"], "word_initial": [true, false], "notes": [[60, 1, 0], [62, 1, 0]]}'
+ONE_SYLLABLE = '{"syllables": ["la"], "word_initial": [true], "notes": [[60, 1, 0]]}'
+# a good record, a blank line, and a record with a misspelt key on line 3
+CORPUS_BLANK_LINE = RECORD + "\n\n" + RECORD.replace('"syllables"', '"sylables"') + "\n"
+CORPUS = ["--corpus", "{bad}", "--out", "{out}"]
+EVALUATE = ["evaluate", "--candidates", "{good}/lyrics.txt", "--references", "{good}/lyrics.txt"]
+EMIT = ["emit-prompt", "--set", "a={good}/lyrics.txt", "--set", "b={good}/lyrics.txt", "--set", "c={bad}"]
+NSP_EVAL = ["nsp-eval", "--scorer", "oracle", "--dataset", "{bad}"]
+GENERATE = ["generate", "--melody", "{good}/melody.txt", "--generator", "{good}/gen.json", "--lm", "{good}/lm.json"]
+
+
+def swap(argv, flag, value="{bad}"):
+    """`argv` with the value after `flag` replaced."""
+    at = argv.index(flag) + 1
+    return [*argv[:at], value, *argv[at + 1:]]
+
+
+def model(name, change):
+    """The text of the good model file `name` once `change` has edited its JSON object."""
+
+    def text(good):
+        payload = json.loads((good / name).read_text(encoding="utf-8"))
+        change(payload)
+        return json.dumps(payload)
+
+    return text
+
+
+@pytest.fixture(scope="module")
+def good(tmp_path_factory):
+    """A directory holding a good file of each input."""
+    root = tmp_path_factory.mktemp("good")
+    pairs = make_corpus(20, seed=5)
+    write_aligned_corpus(pairs, root / "corpus.jsonl")
+    train_char_ngram([lyric_lm_text(render_text(p.lyric)) for p in pairs], 4, 0.1).save(root / "lm.json")
+    vocab = build_vocabulary([p.lyric for p in pairs])
+    train_generator(pairs, vocab, 2, 0.1).save(root / "gen.json")
+    (root / "melody.txt").write_text("60:1:0 62:0.5:0 64:1:0.5\n", encoding="utf-8")
+    (root / "lyrics.txt").write_text("la _mi\nso fa\n", encoding="utf-8")
+    return root
+
+
+# (the command, with "{bad}" for the bad file; the bad file's text, or a
+# function of the good directory giving it; the place after PATH)
+CASES = [
+    pytest.param(["train-lm", *CORPUS], CORPUS_BLANK_LINE, ":3", id="corpus record, train-lm"),
+    pytest.param(["train-generator", *CORPUS], CORPUS_BLANK_LINE, ":3", id="corpus record, train-generator"),
+    pytest.param(["build-nsp-dataset", *CORPUS], CORPUS_BLANK_LINE, ":3", id="corpus record, build-nsp-dataset"),
+    pytest.param(["train-lm", *CORPUS], RECORD + "\n{\n", ":2", id="corpus JSON"),
+    # past the reader's first chunk, so the decoding fails after lines were read
+    pytest.param(["train-lm", *CORPUS], (RECORD + "\n").encode() * 200 + b"\xff\n", "", id="corpus not UTF-8"),
+    pytest.param(["train-generator", *CORPUS], "\n\n", "", id="corpus empty"),
+    pytest.param(["build-nsp-dataset", *CORPUS], ONE_SYLLABLE + "\n", "", id="corpus lyric of one syllable"),
+    pytest.param(swap(EVALUATE, "--candidates"), "la _mi\nso\nLA\n", ":3", id="candidate lyric line"),
+    pytest.param(swap(EVALUATE, "--references"), "la _mi\n<eos>\n", ":2", id="reference without syllables"),
+    pytest.param(EMIT, "\nla <eos> mi\n", ":2", id="prompt lyric line"),
+    pytest.param(NSP_EVAL, "i know\t_why\t1\n\ni know\t_why\t2\n", ":3", id="nsp row"),
+    pytest.param(NSP_EVAL, "\n", "", id="nsp dataset empty"),
+    pytest.param(swap(GENERATE, "--melody"), "60:1:0 61:x:0\n", "", id="melody"),
+    pytest.param(swap(GENERATE, "--lm"), model("lm.json", lambda p: p.update(version=2)), "", id="lm header"),
+    pytest.param(swap(GENERATE, "--lm"), model("lm.json", lambda p: p.update(order=3)), "", id="lm content"),
+    pytest.param(swap(GENERATE, "--generator"), model("gen.json", lambda p: p.update(format="x")), "",
+                 id="generator header"),
+    pytest.param(swap(GENERATE, "--generator"), model("gen.json", lambda p: p["vocabulary"].reverse()), "",
+                 id="generator content"),
+]
+
+
+@pytest.mark.parametrize("argv, bad, place", CASES)
+def test_an_input_error_names_its_file_and_line(tmp_path, capsys, good, argv, bad, place):
+    path = tmp_path / "bad"
+    text = bad(good) if callable(bad) else bad
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    code = main([arg.format(bad=path, good=good, out=tmp_path / "out") for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert re.fullmatch(f"error: {re.escape(str(path))}{place}: [^\n]+\n", captured.err), captured.err

@@ -304,17 +304,10 @@ def test_unmutated_files_decode(tmp_path, capsys, payloads):
 
 
 def assert_model_failure(tmp_path, name, code, captured, message):
-    """A clean failure that names the model file `name`, as a `PATH: ` prefix
-    or, for a header error, a `: PATH` suffix, and whose message, once the
-    path is taken out, starts with `message`."""
+    """A clean failure that names the model file `name` as its `PATH: `
+    prefix, and whose message after it starts with `message`."""
     assert_clean_failure(code, captured)
-    path = str(tmp_path / f"{name}.json")
-    if captured.err.startswith(f"error: {path}: "):
-        err = captured.err.replace(f"{path}: ", "", 1)
-    else:
-        assert captured.err.endswith(f": {path}\n")
-        err = captured.err[: -len(f": {path}\n")]
-    assert err.startswith(f"error: {message}")
+    assert captured.err.startswith(f"error: {tmp_path / f'{name}.json'}: {message}")
 
 
 @pytest.mark.parametrize("mutate, message", LM_CASES)
@@ -421,7 +414,7 @@ def record_with(path, value):
     return record
 
 
-# (path to the damaged value, its value, how the message after "record N: " starts)
+# (path to the damaged value, its value, how the message after "PATH:LINE: " starts)
 CORPUS_CASES = [
     pytest.param(("notes", 0, 0), 60.7, "pitch must be", id="pitch 60.7"),
     pytest.param(("notes", 0, 0), 60.0, "pitch must be", id="pitch 60.0"),
@@ -448,6 +441,7 @@ CORPUS_CASES = [
     pytest.param(("notes", 1), "abc", "note 1 is not a JSON array of 3", id="note string"),
     pytest.param(("notes", 1), [60, 1], "note 1 is not a JSON array of 3", id="note of two"),
     pytest.param(("syllables", 1), 5, "syllable 1 is not a JSON string", id="syllable number"),
+    pytest.param(("sylables",), ["hey", "you"], "unknown key 'sylables'", id="unknown key"),
 ]
 
 
@@ -459,7 +453,7 @@ def corpus_run(tmp_path, capsys, command, line, message=""):
     code = main([command, "--corpus", str(corpus), "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert_clean_failure(code, captured)
-    assert captured.err.startswith(f"error: record 3: {message}")
+    assert captured.err.startswith(f"error: {corpus}:4: {message}")
     assert not (tmp_path / "out").exists()
 
 
@@ -531,7 +525,7 @@ def test_nsp_row(tmp_path, capsys, payloads, scorer, line):
     data = (NSP_ROWS + line + "\n").encode()
     code, captured = run_nsp_eval(tmp_path, capsys, payloads, scorer, data)
     assert_clean_failure(code, captured)
-    assert captured.err.startswith("error: line 5: ")
+    assert captured.err.startswith(f"error: {tmp_path / 'nsp.tsv'}:5: ")
 
 
 @pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET.replace("'", ""), DEFAULT_ALPHABET + "9"])
@@ -546,15 +540,15 @@ def test_nsp_eval_rejects_an_lm_of_another_alphabet(tmp_path, capsys, payloads, 
 @pytest.mark.parametrize(
     "data, message",
     [
-        pytest.param(b"\xef\xbb\xbf" + NSP_ROWS.encode(), "line 1: bad context", id="byte order mark"),
-        pytest.param(b"\xff" + NSP_ROWS.encode(), "'utf-8' codec can't decode", id="not UTF-8"),
-        pytest.param(b"\n\n", "dataset is empty", id="blank lines only"),
+        pytest.param(b"\xef\xbb\xbf" + NSP_ROWS.encode(), ":1: bad context", id="byte order mark"),
+        pytest.param(b"\xff" + NSP_ROWS.encode(), ": 'utf-8' codec can't decode", id="not UTF-8"),
+        pytest.param(b"\n\n", ": dataset is empty", id="blank lines only"),
     ],
 )
 def test_nsp_file(tmp_path, capsys, payloads, scorer, data, message):
     code, captured = run_nsp_eval(tmp_path, capsys, payloads, scorer, data)
     assert_clean_failure(code, captured)
-    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.startswith(f"error: {tmp_path / 'nsp.tsv'}{message}")
 
 
 class TestModelfile:

@@ -11,10 +11,11 @@ def test_each_listed_mutant_applies_once():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
-    assert {"mutants_beam.txt", "mutants_generator.txt"} <= {path.name for path in mutants.MUTANT_FILES}
+    names = {"mutants_beam.txt", "mutants_generator.txt", "mutants_inputs.txt"}
+    assert names <= {path.name for path in mutants.MUTANT_FILES}
     for path in mutants.MUTANT_FILES:
-        target, tests, listed = mutants.load(path)
-        source = (ROOT / target).read_text(encoding="utf-8")
+        tests, listed = mutants.load(path)
         assert listed and all((ROOT / test).is_file() for test in tests)
-        for _, old, new in listed:
+        for _, target, old, new in listed:
+            source = (ROOT / target).read_text(encoding="utf-8")
             assert mutants.mutate(source, old, new) != source

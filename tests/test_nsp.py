@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -277,7 +278,7 @@ class TestTsv:
     def test_bad_label(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("ctx\tcand\t2\n")
-        with pytest.raises(ValueError, match="line 1"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: bad label '2'$"):
             list(read_nsp_tsv(path))
 
     def test_bad_columns(self, tmp_path):
@@ -319,7 +320,7 @@ class TestTsv:
         with pytest.raises(ValueError) as info:
             list(read_nsp_tsv(path))
         bad = f"context {context!r}" if candidate == "_ve" else f"candidate {candidate!r}"
-        assert str(info.value) == f"line 2: bad {bad}"
+        assert str(info.value) == f"{path}:2: bad {bad}"
 
 
 class TestMetric:

@@ -16,6 +16,7 @@ rows collected in a list, the cost a command that holds the dataset pays.
 import contextlib
 import io
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -34,7 +35,7 @@ def test_read_nsp_tsv_yields_the_rows_before_a_bad_line(tmp_path):
     rows = read_nsp_tsv(path)
     assert next(rows) == ("i know", "_why", 1)
     assert next(rows) == ("i know", "why", 0)
-    with pytest.raises(ValueError, match=r"^line 3: bad label '2'$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: bad label '2'$"):
         next(rows)
 
 
@@ -44,14 +45,14 @@ def test_short_lyric_fails_before_out_is_opened(tmp_path, capsys, existing):
     write_aligned_corpus(make_corpus(3, seed=5), corpus)
     one_syllable = {"syllables": ["hey"], "word_initial": [True], "notes": [[60, 1, 0]]}
     with open(corpus, "a", encoding="utf-8") as fh:
-        fh.write("\n" + json.dumps(one_syllable) + "\n")  # record 4, the fourth lyric loaded
+        fh.write("\n" + json.dumps(one_syllable) + "\n")  # line 5, the fourth lyric loaded
     out = tmp_path / "nsp.tsv"
     if existing is not None:
         out.write_bytes(existing)
     code = main(["build-nsp-dataset", "--corpus", str(corpus), "--out", str(out)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == "error: lyric 3: must contain at least 2 syllables\n"
+    assert captured.err == f"error: {corpus}: lyric 3: must contain at least 2 syllables\n"
     if existing is None:
         assert not out.exists()
     else:
@@ -63,7 +64,7 @@ def test_short_lyric_fails_before_out_is_opened(tmp_path, capsys, existing):
     [
         pytest.param([], "--lm is required for the lm scorer", id="no lm"),
         pytest.param(["--lm", "missing.json"], "lm model not found: missing.json", id="missing lm"),
-        pytest.param(["--lm", "lm.json"], "not a syllabeam-charlm file: lm.json", id="lm rejected"),
+        pytest.param(["--lm", "lm.json"], "lm.json: not a syllabeam-charlm file", id="lm rejected"),
     ],
 )
 def test_nsp_eval_reports_the_lm_side_first(tmp_path, capsys, monkeypatch, lm_args, message):

@@ -11,6 +11,7 @@ checked against the form it replaced.
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -245,7 +246,7 @@ def test_shared_notes_keep_every_message(tmp_path, first, second, message):
     path = corpus_file(tmp_path, [first, first], [first, second])
     with pytest.raises(ValueError) as info:
         load_aligned_corpus(path)
-    assert str(info.value) == message
+    assert str(info.value) == message.replace("record 1", f"{path}:2", 1)  # record 1 is line 2
 
 
 def test_shared_notes_keep_their_types_and_signs(tmp_path):
@@ -262,7 +263,7 @@ def test_shared_notes_keep_their_types_and_signs(tmp_path):
 
 def test_a_note_of_the_wrong_shape_keeps_its_message(tmp_path):
     path = corpus_file(tmp_path, [[60, 1.0, 0.0]], [[60, 1.0]])
-    with pytest.raises(ValueError, match=r"^record 1: note 0 is not a JSON array of 3$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: note 0 is not a JSON array of 3$"):
         load_aligned_corpus(path)
 
 
@@ -273,5 +274,5 @@ def test_shared_tokens_keep_every_message(tmp_path):
         {"syllables": ["la", ["la"]], "word_initial": [True, False], "notes": [[60, 1.0, 0.0]] * 2},
     ]
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
-    with pytest.raises(ValueError, match=r"^record 1: syllable 1 is not a JSON string$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: syllable 1 is not a JSON string$"):
         load_aligned_corpus(path)

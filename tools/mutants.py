@@ -2,15 +2,15 @@
 
     python tools/mutants.py [PYTEST_TARGET ...]
 
-Reads every `tools/mutants_*.txt`. Each file names the source file its
-mutants change and the pytest targets they run against by default; targets
-given on the command line replace those of every file. Each mutant is
-applied to its own copy of the repository under a temporary directory, never
-to the checkout, and the targets run there under pytest with `-x` and a
-fixed `--hypothesis-seed`, at most two copies at a time. Each file's targets
-first run on an unmutated copy and must pass. Prints one line per mutant,
-killed (with the first failing test) or survived, and exits 1 if any
-survived.
+Reads every `tools/mutants_*.txt`. Each file names the pytest targets its
+mutants run against by default, and each mutant changes the source file the
+last `file` line before it names; targets given on the command line replace
+those of every file. Each mutant is applied to its own copy of the
+repository under a temporary directory, never to the checkout, and the
+targets run there under pytest with `-x` and a fixed `--hypothesis-seed`, at
+most two copies at a time. Each file's targets first run on an unmutated
+copy and must pass. Prints one line per mutant, killed (with the first
+failing test) or survived, and exits 1 if any survived.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ TIMEOUT_S = 900
 SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_run")
 
 
-def load(path: Path) -> tuple[str, list[str], list[tuple[str, str, str]]]:
-    """The target file, the default pytest targets and the (id, old, new)
+def load(path: Path) -> tuple[list[str], list[tuple[str, str, str, str]]]:
+    """The default pytest targets and the (id, target file, old, new)
     mutants a mutant file lists."""
     target, tests, mutants = None, None, []
     for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -45,12 +45,12 @@ def load(path: Path) -> tuple[str, list[str], list[tuple[str, str, str]]]:
             tests = rest.split()
             continue
         old, arrow, new = rest.partition(ARROW)
-        if not arrow or not old:
-            raise ValueError(f"{path}:{n}: expected 'ID old{ARROW}new'")
-        mutants.append((ident, old.replace("\\n", "\n"), new.replace("\\n", "\n")))
-    if target is None or not tests:
-        raise ValueError(f"{path}: no 'file' line or no 'tests' line")
-    return target, tests, mutants
+        if not arrow or not old or target is None:
+            raise ValueError(f"{path}:{n}: expected 'ID old{ARROW}new' after a 'file' line")
+        mutants.append((ident, target, old.replace("\\n", "\n"), new.replace("\\n", "\n")))
+    if not mutants or not tests:
+        raise ValueError(f"{path}: no mutant or no 'tests' line")
+    return tests, mutants
 
 
 def mutate(text: str, old: str, new: str) -> str:
@@ -61,14 +61,16 @@ def mutate(text: str, old: str, new: str) -> str:
     return text.replace(old, new)
 
 
-def run(target: str, mutant, pytest_args: list[str]) -> tuple[bool, str]:
-    """(passed, first failing test) of the tests on a copy carrying `mutant`."""
+def run(mutant, pytest_args: list[str]) -> tuple[bool, str]:
+    """(passed, first failing test) of the tests on a copy carrying `mutant`,
+    a (target file, old, new) triple, or on an unmutated copy for None."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=SKIPPED)
         if mutant is not None:
+            target, old, new = mutant
             path = copy / target
-            path.write_text(mutate(path.read_text(encoding="utf-8"), *mutant[1:]), encoding="utf-8")
+            path.write_text(mutate(path.read_text(encoding="utf-8"), old, new), encoding="utf-8")
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
                 "--hypothesis-seed=0", *pytest_args]
@@ -80,24 +82,23 @@ def run(target: str, mutant, pytest_args: list[str]) -> tuple[bool, str]:
         return True, ""
     for line in done.stdout.splitlines():
         if line.startswith(("FAILED ", "ERROR ")):
-            return False, line.split(" ", 2)[1]
+            return False, line.split(" ", 1)[1].split(" - ", 1)[0]  # an id may hold spaces
     return False, f"pytest exit {done.returncode}"
 
 
 def main(argv: list[str]) -> int:
-    baselines, jobs = [], []  # (name, target, None, tests) and (id, target, mutant, tests)
+    baselines, jobs = [], []  # (name, None, tests) and (id, (target, old, new), tests)
     for path in MUTANT_FILES:
-        target, tests, mutants = load(path)
+        tests, mutants = load(path)
         tests = argv or tests
-        source = (ROOT / target).read_text(encoding="utf-8")
-        for ident, old, new in mutants:
+        for ident, target, old, new in mutants:
             try:
-                mutate(source, old, new)
+                mutate((ROOT / target).read_text(encoding="utf-8"), old, new)
             except ValueError as exc:
                 print(f"error: {ident}: {exc}", file=sys.stderr)
                 return 2
-            jobs.append((ident, target, (ident, old, new), tests))
-        baselines.append((path.name, target, None, tests))
+            jobs.append((ident, (target, old, new), tests))
+        baselines.append((path.name, None, tests))
     with ThreadPoolExecutor(max_workers=2) as pool:
         for (name, *_), (passed, failing) in zip(baselines, pool.map(lambda job: run(*job[1:]), baselines)):
             if not passed:
