@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, fields
 
@@ -21,11 +20,12 @@ from .corpus import (
     _NUMBER_RE,
     _PITCH_RE,
     AlignedPair,
-    LyricSequence,
     load_aligned_corpus,
     naming,
+    open_input,
     parse_lyric_line,
     parse_melody_line,
+    read_lines,
     render_text,
     serialize_lyric_line,
     build_vocabulary,
@@ -51,27 +51,19 @@ def _decimal(cast, pattern):
 _int, _float = _decimal(int, _PITCH_RE), _decimal(float, _NUMBER_RE)
 
 
-def _require_file(path: str, what: str) -> str:
-    if not os.path.isfile(path):
-        raise ValueError(f"{what} not found: {path}")
-    return path
-
-
 def _echo(command: str, config: dict) -> None:
     print(json.dumps({"command": command, "config": config}, sort_keys=True))
 
 
-def _read_lyric_lines(path: str) -> list[LyricSequence]:
-    with open(path, "r", encoding="utf-8") as fh, naming(path) as place:
-        lines = [line.rstrip("\n") for line in fh]
-        while lines and not lines[-1]:
-            lines.pop()
-        return [parse_lyric_line(line) for place.line, line in enumerate(lines, start=1)]
+def _lyric_line(line: str) -> str:
+    """`line` as written, once it parses as a lyric line."""
+    parse_lyric_line(line)
+    return line
 
 
 def _read_corpus(path: str) -> list[AlignedPair]:
     """The pairs of the corpus file at `path`, which must hold one."""
-    pairs = load_aligned_corpus(_require_file(path, "corpus"))
+    pairs = load_aligned_corpus(path)
     if not pairs:
         with naming(path):
             raise ValueError("corpus is empty")
@@ -120,21 +112,17 @@ def cmd_train_generator(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    melody_path = _require_file(args.melody, "melody file")
-    generator_path = _require_file(args.generator, "generator model")
     config = FusionConfig(args.beam_size, args.lambda_lm, args.max_len)
-
-    lm = None if args.lm is None else CharNgramModel.load(_require_file(args.lm, "lm model"))
-    generator = MelodyConditionedNgram.load(generator_path)
-
-    with open(melody_path, "r", encoding="utf-8") as fh, naming(melody_path):
+    lm = None if args.lm is None else CharNgramModel.load(args.lm)
+    generator = MelodyConditionedNgram.load(args.generator)
+    with naming(args.melody), open_input(args.melody) as fh:
         melody = parse_melody_line(fh.read())
     results = decode(melody, generator, lm, config)
     if not audit_trace(results):
         print("error: trace audit failed", file=sys.stderr)
         return 1
 
-    paths = {"melody": melody_path, "generator": generator_path, "lm": args.lm}
+    paths = {"melody": args.melody, "generator": args.generator, "lm": args.lm}
     _echo("generate", {**paths, **asdict(config)})
     for rank, result in enumerate(results, start=1):
         record = {
@@ -153,18 +141,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cand_path = _require_file(args.candidates, "candidates file")
-    ref_path = _require_file(args.references, "references file")
-
-    candidates = _read_lyric_lines(cand_path)
-    references = _read_lyric_lines(ref_path)
-    if len(candidates) != len(references):
-        raise ValueError(
-            f"line count mismatch: {len(candidates)} candidates vs {len(references)} references"
-        )
-
-    with naming(ref_path) as place:
-        pairs = [EvalPair(c, r) for place.line, (c, r) in enumerate(zip(candidates, references), start=1)]
+    cand_path, ref_path = args.candidates, args.references
+    candidates = list(read_lines(cand_path, parse_lyric_line))
+    # each reference pairs with its candidate as its line is read, so that
+    # EvalPair's check names the line; a reference past the last candidate
+    # pairs with None, and the count check rejects the pair list
+    rest = iter(candidates)
+    pairs = list(read_lines(ref_path, lambda line: EvalPair(next(rest, None), parse_lyric_line(line))))
+    with naming(cand_path):
+        if len(pairs) != len(candidates):
+            raise ValueError(f"{len(candidates)} lyric lines, but {len(pairs)} in {ref_path}")
+        if not pairs:
+            raise ValueError(f"no lyric lines, and none in {ref_path}")
     report = corpus_eval(pairs, word_level=args.word_level)
     _echo("evaluate", {"candidates": cand_path, "references": ref_path, "word_level": args.word_level})
     if args.json:
@@ -177,21 +165,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_nsp_eval(args: argparse.Namespace) -> int:
     if args.scorer == "oracle" and args.lm is not None:
         raise ValueError("--lm is not read by the oracle scorer")
-    dataset_path = _require_file(args.dataset, "dataset")
     if not math.isfinite(args.threshold):
         raise ValueError(f"threshold must be finite, got {args.threshold!r}")
-    rows = read_nsp_tsv(dataset_path)  # lazily: the scorer is ready, or has failed, before row 1
+    rows = read_nsp_tsv(args.dataset)  # lazily: the scorer is ready, or has failed, before it opens
     if args.scorer == "oracle":
         scored = [((0.0, 0), (1.0, 1))[label] for _, _, label in rows]  # each row scored by its label
     else:
         if args.lm is None:
             raise ValueError("--lm is required for the lm scorer")
-        scored = CharNgramModel.load(_require_file(args.lm, "lm model")).score_nsp_rows(rows)
+        scored = CharNgramModel.load(args.lm).score_nsp_rows(rows)
     if not scored:
-        with naming(dataset_path):
+        with naming(args.dataset):
             raise ValueError("dataset is empty")
     result = nsp_metrics(scored, args.threshold)
-    config = {"dataset": dataset_path, "lm": args.lm, "scorer": args.scorer, "threshold": args.threshold}
+    config = {"dataset": args.dataset, "lm": args.lm, "scorer": args.scorer, "threshold": args.threshold}
     _echo("nsp-eval", config)
     print(json.dumps({**result, "examples": len(scored)}, sort_keys=True))
     return 0
@@ -203,12 +190,7 @@ def cmd_emit_prompt(args: argparse.Namespace) -> int:
         if "=" not in item:
             raise ValueError(f"--set expects NAME=FILE, got {item!r}")
         name, _, path = item.partition("=")
-        _require_file(path, f"lyric set {name!r}")
-        with open(path, "r", encoding="utf-8") as fh, naming(path) as place:
-            lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
-            for place.line, line in lines:
-                parse_lyric_line(line)
-        sets.append((name, [line for _, line in lines]))
+        sets.append((name, list(read_lines(path, _lyric_line))))
     text = emit_llm_eval_prompt(sets, variant=args.variant)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

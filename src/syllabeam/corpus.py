@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 BOS_TEXT = "<bos>"
 EOS_TEXT = "<eos>"
@@ -32,9 +33,10 @@ class naming:
     """The one way an input error names its place. A ValueError raised in the
     body, or the OverflowError or RecursionError of a number or a nesting the
     input holds, is raised again as a ValueError reading `PATH: message`, or
-    `PATH:LINE: message` once `line`, a 1-based file line, is set. A reader
-    sets `line` as it goes, so only a failure formats; a decoding error names
-    no line, as text is decoded by the chunk."""
+    `PATH:LINE: message` once `line`, a 1-based file line, is set. Every input
+    is opened under it (`open_input`), and `read_lines` sets `line` as it
+    reads, so only a failure formats; a decoding error names no line, as text
+    is decoded by the chunk."""
 
     __slots__ = ("path", "line")
 
@@ -49,6 +51,28 @@ class naming:
             if self.line is None or isinstance(exc, UnicodeDecodeError):
                 raise ValueError(f"{self.path}: {exc}") from exc
             raise ValueError(f"{self.path}:{self.line}: {exc}") from exc
+
+
+def open_input(path):
+    """The input file at `path`, open for reading as UTF-8 text; call it under
+    `naming`. A missing path raises ValueError `no such file`, and a directory,
+    FIFO or device `not a regular file`, before anything is opened, so a FIFO
+    never blocks."""
+    if not os.path.isfile(path):
+        raise ValueError("not a regular file" if os.path.exists(path) else "no such file")
+    return open(path, "r", encoding="utf-8")
+
+
+def read_lines(path, parse: Callable[[str], object]) -> Iterator:
+    """`parse(line)` of each line of the input file at `path`, its newline
+    removed, as the line is read. Only an empty line is skipped: any other
+    line, blanks and all, is one record and is passed as written. The file is
+    opened at the first record asked for; its errors and those of `parse` are
+    named under `naming`, the latter with their line."""
+    with naming(path) as place, open_input(path) as fh:
+        for place.line, line in enumerate(fh, start=1):
+            if line != "\n":
+                yield parse(line.rstrip("\n"))
 
 
 @dataclass(frozen=True)
@@ -272,7 +296,7 @@ def _note(seen: dict, pitch, duration, rest) -> MelodyNote:
 
 
 def load_aligned_corpus(path) -> list[AlignedPair]:
-    """Read aligned pairs from JSONL, one record a non-blank line.
+    """Read aligned pairs from JSONL, one record a line (`read_lines`).
 
     Each record is a JSON object of exactly the keys "syllables",
     "word_initial" and "notes", each a JSON array of one length: syllables
@@ -280,39 +304,36 @@ def load_aligned_corpus(path) -> list[AlignedPair]:
     JSON integers and durations and rests JSON numbers. An error names the
     file and the record's 1-based line, blank lines counted (`naming`).
     """
-    pairs = []
     tokens_seen, notes_seen = {}, {}  # equal tokens and notes, shared
-    with open(path, "r", encoding="utf-8") as fh, naming(path) as place:
-        for place.line, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            record = json.loads(raw)
-            if type(record) is not dict:
-                raise ValueError("not a JSON object")
-            if record.keys() != _RECORD_KEYS:
-                extra, missing = record.keys() - _RECORD_KEYS, _RECORD_KEYS - record.keys()
-                raise ValueError(f"unknown key {min(extra)!r}" if extra else f"missing key {min(missing)!r}")
-            for name in ("syllables", "word_initial", "notes"):
-                if type(record[name]) is not list:
-                    raise ValueError(f"{name!r} is not a JSON array")
-            syllables, flags, notes = record["syllables"], record["word_initial"], record["notes"]
-            if not (len(syllables) == len(flags) == len(notes)):
-                raise ValueError(
-                    f"lists disagree in length: {len(syllables)} syllables, "
-                    f"{len(flags)} flags, {len(notes)} notes"
-                )
-            for i, (text, flag, note) in enumerate(zip(syllables, flags, notes)):
-                if type(text) is not str:
-                    raise ValueError(f"syllable {i} is not a JSON string")
-                if type(flag) is not bool:
-                    raise ValueError(f"word_initial flag {i} is not a JSON boolean")
-                if type(note) is not list or len(note) != 3:
-                    raise ValueError(f"note {i} is not a JSON array of 3")
-            tokens = tuple(_token(tokens_seen, text, flag) for text, flag in zip(syllables, flags))
-            melody = MelodySequence(tuple(_note(notes_seen, p, d, r) for p, d, r in notes))
-            pairs.append(AlignedPair(melody, LyricSequence(tokens)))
-    return pairs
+
+    def pair(line: str) -> AlignedPair:
+        record = json.loads(line)
+        if type(record) is not dict:
+            raise ValueError("not a JSON object")
+        if record.keys() != _RECORD_KEYS:
+            extra, missing = record.keys() - _RECORD_KEYS, _RECORD_KEYS - record.keys()
+            raise ValueError(f"unknown key {min(extra)!r}" if extra else f"missing key {min(missing)!r}")
+        for name in ("syllables", "word_initial", "notes"):
+            if type(record[name]) is not list:
+                raise ValueError(f"{name!r} is not a JSON array")
+        syllables, flags, notes = record["syllables"], record["word_initial"], record["notes"]
+        if not (len(syllables) == len(flags) == len(notes)):
+            raise ValueError(
+                f"lists disagree in length: {len(syllables)} syllables, "
+                f"{len(flags)} flags, {len(notes)} notes"
+            )
+        for i, (text, flag, note) in enumerate(zip(syllables, flags, notes)):
+            if type(text) is not str:
+                raise ValueError(f"syllable {i} is not a JSON string")
+            if type(flag) is not bool:
+                raise ValueError(f"word_initial flag {i} is not a JSON boolean")
+            if type(note) is not list or len(note) != 3:
+                raise ValueError(f"note {i} is not a JSON array of 3")
+        tokens = tuple(_token(tokens_seen, text, flag) for text, flag in zip(syllables, flags))
+        melody = MelodySequence(tuple(_note(notes_seen, p, d, r) for p, d, r in notes))
+        return AlignedPair(melody, LyricSequence(tokens))
+
+    return list(read_lines(path, pair))
 
 
 def write_aligned_corpus(pairs: Iterable[AlignedPair], path) -> None:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import modelfile
 from .corpus import _SYLLABLE_RE, EOS_TEXT, naming
-from .nsp import _CANDIDATE_RE
+from .nsp import check_row
 
 EOS_CHAR = "$"
 # every character a lyric in the corpus grammar encodes to: syllables match
@@ -220,26 +220,15 @@ class CharNgramModel:
         return ContinuationScore(spaced, SPACED)
 
     def nsp_score(self, context: str, candidate: str) -> float:
-        """Score a dataset-notation candidate against a dataset-notation context.
-
-        A candidate matches `_?(?:[a-z']+|<eos>)`: one syllable or the end
-        marker, the underscore marking a leading space; contexts may embed
-        the end marker mid-string (corruption rows). The reserved character
-        the end marker encodes to is rejected in both.
+        """Score a dataset-notation candidate against a dataset-notation context,
+        once the two are a row the builder can write (`nsp.check_row`): the
+        candidate's underscore marks a leading space, and a context may embed
+        the end marker mid-string (corruption rows).
         Scores are memoized per (context suffix, encoded candidate).
         """
-        if EOS_CHAR in context + candidate:
-            raise ValueError(f"character {EOS_CHAR!r} is reserved for {EOS_TEXT}")
-        encoded_context = encode_text(context)
-        if not _CANDIDATE_RE.fullmatch(candidate):
-            spaced = candidate.startswith("_")
-            body = candidate[spaced:]
-            if not body:
-                raise ValueError("no syllable after '_'" if spaced else "candidate must be non-empty")
-            _check_chars(body)
-            raise ValueError(f"candidate {candidate!r} does not match {_CANDIDATE_RE.pattern}")
+        check_row(context, candidate)
         text = candidate.replace("_", " ").replace(EOS_TEXT, EOS_CHAR)
-        return self._scored(self._suffix(encoded_context), text)
+        return self._scored(self._suffix(context.replace(EOS_TEXT, EOS_CHAR)), text)
 
     def score_nsp_rows(self, rows: Iterable) -> list[tuple[float, int]]:
         """(nsp_score, label) of each row `nsp.read_nsp_tsv` yields. Those rows

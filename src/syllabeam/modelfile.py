@@ -13,6 +13,8 @@ import contextlib
 import gc
 import json
 
+from .corpus import open_input
+
 # the JSON type each schema type stands for; float takes any JSON number
 _JSON_NAMES = {
     int: "integer", float: "number", str: "string", bool: "boolean", list: "array", dict: "object"
@@ -50,9 +52,10 @@ def load(path, fmt: str, version: int, schema: dict[str, type]) -> dict:
     present with its exact JSON type and the file has no field beyond these
     and the header: `int` is a JSON integer and never a bool, `float` any
     JSON number, and str, bool, list and dict their own JSON types. Raises
-    ValueError otherwise, or RecursionError for JSON nested too deeply; a
+    ValueError otherwise, as for a path that is no regular file
+    (`corpus.open_input`), or RecursionError for JSON nested too deeply; a
     model's `load` names the file under `corpus.naming`."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         payload = json.load(fh)
     if type(payload) is not dict or payload.get("format") != fmt:
         raise ValueError(f"not a {fmt} file")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Sequence
 
-from .corpus import EOS_TEXT, LyricSequence, SyllableToken, naming
+from .corpus import EOS_TEXT, LyricSequence, SyllableToken, read_lines
 from .rng import SplitMix64, substream
 
 # The rows build_dataset writes. A context is (?:[a-z' ]|<eos>)+; the context
@@ -35,7 +35,7 @@ from .rng import SplitMix64, substream
 _CONTEXT_RE = re.compile(r"[a-z' ]*(?:<eos>[a-z' ]*)*")
 _CANDIDATE_RE = re.compile(r"_?(?:[a-z']+|<eos>)")
 # a whole row in one match, so that a valid line costs one regex call
-_ROW_RE = re.compile(f"({_CONTEXT_RE.pattern})\t({_CANDIDATE_RE.pattern})\t([01])\n?")
+_ROW_RE = re.compile(f"({_CONTEXT_RE.pattern})\t({_CANDIDATE_RE.pattern})\t([01])")
 
 
 # One dataset row; a tuple, so it compares equal to (context, candidate, label).
@@ -157,31 +157,33 @@ def nsp_line(example: NspExample) -> str:
     return f"{example[0]}\t{example[1]}\t{example[2]}\n"
 
 
-def read_nsp_tsv(path) -> Iterator[NspExample]:
-    """Each row of an NSP TSV file as its line is read, once it is a row the builder can write.
+def check_row(context: str, candidate: str, label: str = "1") -> None:
+    """Raise ValueError unless the columns are a row the builder can write: a
+    label of 0 or 1, a context of `(?:[a-z' ]|<eos>)+` and a candidate of
+    `_?(?:[a-z']+|<eos>)`, checked in that order. A scorer's query has no
+    label, and takes the default."""
+    if label not in ("0", "1"):
+        raise ValueError(f"bad label {label!r}")
+    if not (context and _CONTEXT_RE.fullmatch(context)):
+        raise ValueError(f"bad context {context!r}")
+    if not _CANDIDATE_RE.fullmatch(candidate):
+        raise ValueError(f"bad candidate {candidate!r}")
 
-    A context matches `(?:[a-z' ]|<eos>)+` and a candidate
-    `_?(?:[a-z']+|<eos>)`; the label is 0 or 1. Blank lines are skipped.
-    Iteration raises ValueError when it reaches a bad line, naming the file
-    and the line (`naming`).
-    """
-    with open(path, "r", encoding="utf-8") as fh, naming(path) as place:
-        for lineno, line in enumerate(fh, start=1):
-            row = _ROW_RE.fullmatch(line)
-            if row and row[1]:
-                yield _row((row[1], row[2], int(row[3])))  # _ROW_RE has checked the label
-                continue
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            place.line = lineno  # set for a bad line only, so a good row costs nothing
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"expected 3 columns, got {len(parts)}")
-            context, candidate, label = parts
-            if label not in ("0", "1"):
-                raise ValueError(f"bad label {label!r}")
-            if not (context and _CONTEXT_RE.fullmatch(context)):
-                raise ValueError(f"bad context {context!r}")
-            # three columns, a good label and context: _ROW_RE failed on the candidate
-            raise ValueError(f"bad candidate {candidate!r}")
+
+def _parse_row(line: str) -> NspExample:
+    """The row of one TSV line; a valid line costs one regex call."""
+    row = _ROW_RE.fullmatch(line)
+    if row and row[1]:
+        return _row((row[1], row[2], int(row[3])))  # _ROW_RE has checked the label
+    parts = line.split("\t")
+    if len(parts) != 3:
+        raise ValueError(f"expected 3 columns, got {len(parts)}")
+    check_row(*parts)  # raises: _ROW_RE matches every row it passes
+    return _row((parts[0], parts[1], int(parts[2])))
+
+
+def read_nsp_tsv(path) -> Iterator[NspExample]:
+    """Each row of an NSP TSV file as its line is read (`read_lines`), once it
+    is a row the builder can write (`check_row`). Iteration raises ValueError
+    when it reaches a bad line, naming the file and the line (`naming`)."""
+    return read_lines(path, _parse_row)

@@ -267,6 +267,17 @@ class TestEvaluate:
         code, _ = run(capsys, ["evaluate", "--candidates", str(cand), "--references", str(ref)])
         assert code == 2
 
+    @pytest.mark.parametrize("cand_lines, ref_lines", [(2, 1), (1, 2)])
+    def test_line_count_mismatch_names_both_files(self, tmp_path, capsys, cand_lines, ref_lines):
+        cand = tmp_path / "cand.txt"
+        ref = tmp_path / "ref.txt"
+        cand.write_text("la _mi\n\n" * cand_lines)  # empty lines are skipped, not counted
+        ref.write_text("fa _re\n" * ref_lines)
+        code = main(["evaluate", "--candidates", str(cand), "--references", str(ref)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {cand}: {cand_lines} lyric lines, but {ref_lines} in {ref}\n"
+
     def test_sample_lyrics_score_in_range(self, tmp_path, capsys):
         cand = tmp_path / "cand.txt"
         ref = tmp_path / "ref.txt"
@@ -294,10 +305,11 @@ class TestEvaluate:
         cand = tmp_path / "cand.txt"
         ref = tmp_path / "ref.txt"
         cand.write_text("")
-        ref.write_text("\n\n")  # trailing blank lines are dropped, leaving none
+        ref.write_text("\n\n")  # empty lines are skipped, leaving none
         code = main(["evaluate", "--candidates", str(cand), "--references", str(ref)])
         captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (2, "", "error: no evaluation pairs\n")
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {cand}: no lyric lines, and none in {ref}\n"
 
     def test_table_output(self, tmp_path, capsys):
         cand = tmp_path / "cand.txt"
@@ -390,7 +402,10 @@ class TestEmitPrompt:
         [
             ("la mi\nLA bad\xa0x\n", 2, "illegal syllable text: 'LA'"),
             ("\nla <eos> mi\n", 2, "<eos> only allowed in final position"),
-            ("la\n\n  \nla\tmi\nmi\u2003so\n", 5, "illegal syllable text: 'mi\\u2003so'"),
+            ("la\n\n  \nla\tmi\nmi\u2003so\n", 3, "empty lyric line"),
+            ("la\n\nla\tmi\nmi\u2003so\n", 4, "illegal syllable text: 'mi\\u2003so'"),
+            ("la mi\n \t \n", 2, "empty lyric line"),
+            ("la mi\n\x0c\n", 2, "illegal syllable text: '\\x0c'"),
         ],
     )
     def test_bad_lyric_line_names_its_line(self, tmp_path, capsys, lines, lineno, message):
@@ -406,7 +421,7 @@ class TestEmitPrompt:
     def test_lines_are_copied_as_written(self, tmp_path, capsys):
         args = self.make_sets(tmp_path)
         odd = tmp_path / "odd.txt"
-        odd.write_text("\n la  _mi\tso <eos>\n\n  \nfa\n", encoding="utf-8")
+        odd.write_text("\n la  _mi\tso <eos>\n\n\nfa\n", encoding="utf-8")
         args[3] = f"baseline={odd}"
         code, stdout = run(capsys, ["emit-prompt", *args])
         assert code == 0

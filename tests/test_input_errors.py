@@ -5,11 +5,16 @@ and the LM and generator model files), one bad file goes through a command
 that reads it. The command must exit 2 with nothing on stdout and one stderr
 line, `error: PATH: message` for a fault of the whole file, or
 `error: PATH:LINE: message` where LINE is the 1-based file line, blank lines
-counted.
+counted. Each input is opened one way: a missing path fails with
+`error: PATH: no such file`, and a directory or FIFO with
+`error: PATH: not a regular file`, before anything is read.
 """
 
+import contextlib
 import json
+import os
 import re
+import threading
 
 import pytest
 
@@ -28,6 +33,7 @@ CORPUS = ["--corpus", "{bad}", "--out", "{out}"]
 EVALUATE = ["evaluate", "--candidates", "{good}/lyrics.txt", "--references", "{good}/lyrics.txt"]
 EMIT = ["emit-prompt", "--set", "a={good}/lyrics.txt", "--set", "b={good}/lyrics.txt", "--set", "c={bad}"]
 NSP_EVAL = ["nsp-eval", "--scorer", "oracle", "--dataset", "{bad}"]
+NSP_EVAL_LM = ["nsp-eval", "--dataset", "{good}/nsp.tsv", "--lm", "{bad}"]
 GENERATE = ["generate", "--melody", "{good}/melody.txt", "--generator", "{good}/gen.json", "--lm", "{good}/lm.json"]
 
 
@@ -59,6 +65,7 @@ def good(tmp_path_factory):
     train_generator(pairs, vocab, 2, 0.1).save(root / "gen.json")
     (root / "melody.txt").write_text("60:1:0 62:0.5:0 64:1:0.5\n", encoding="utf-8")
     (root / "lyrics.txt").write_text("la _mi\nso fa\n", encoding="utf-8")
+    (root / "nsp.tsv").write_text("i know\t_why\t1\n", encoding="utf-8")
     return root
 
 
@@ -69,12 +76,19 @@ CASES = [
     pytest.param(["train-generator", *CORPUS], CORPUS_BLANK_LINE, ":3", id="corpus record, train-generator"),
     pytest.param(["build-nsp-dataset", *CORPUS], CORPUS_BLANK_LINE, ":3", id="corpus record, build-nsp-dataset"),
     pytest.param(["train-lm", *CORPUS], RECORD + "\n{\n", ":2", id="corpus JSON"),
+    # only an empty line is skipped: a line of blanks is a record, passed as written
+    pytest.param(["train-lm", *CORPUS], RECORD + "\n  \n" + RECORD + "\n", ":2", id="corpus line of spaces"),
+    pytest.param(["train-lm", *CORPUS], RECORD + "\n\n\u00a0\n", ":3", id="corpus no-break space line"),
+    pytest.param(["train-generator", *CORPUS], RECORD + "\n\u00a0" + RECORD + "\u00a0\n", ":2",
+                 id="corpus record padded with no-break spaces"),
     # past the reader's first chunk, so the decoding fails after lines were read
     pytest.param(["train-lm", *CORPUS], (RECORD + "\n").encode() * 200 + b"\xff\n", "", id="corpus not UTF-8"),
     pytest.param(["train-generator", *CORPUS], "\n\n", "", id="corpus empty"),
     pytest.param(["build-nsp-dataset", *CORPUS], ONE_SYLLABLE + "\n", "", id="corpus lyric of one syllable"),
     pytest.param(swap(EVALUATE, "--candidates"), "la _mi\nso\nLA\n", ":3", id="candidate lyric line"),
     pytest.param(swap(EVALUATE, "--references"), "la _mi\n<eos>\n", ":2", id="reference without syllables"),
+    pytest.param(swap(EVALUATE, "--references"), "la _mi\n\n<eos>\n", ":3",
+                 id="reference without syllables after an empty line"),
     pytest.param(EMIT, "\nla <eos> mi\n", ":2", id="prompt lyric line"),
     pytest.param(NSP_EVAL, "i know\t_why\t1\n\ni know\t_why\t2\n", ":3", id="nsp row"),
     pytest.param(NSP_EVAL, "\n", "", id="nsp dataset empty"),
@@ -100,3 +114,56 @@ def test_an_input_error_names_its_file_and_line(tmp_path, capsys, good, argv, ba
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert re.fullmatch(f"error: {re.escape(str(path))}{place}: [^\n]+\n", captured.err), captured.err
+
+
+# each input through every command that reads it, "{bad}" standing for its path
+READERS = [
+    pytest.param(["train-lm", *CORPUS], id="corpus, train-lm"),
+    pytest.param(["train-generator", *CORPUS], id="corpus, train-generator"),
+    pytest.param(["build-nsp-dataset", *CORPUS], id="corpus, build-nsp-dataset"),
+    pytest.param(swap(EVALUATE, "--candidates"), id="candidates"),
+    pytest.param(swap(EVALUATE, "--references"), id="references"),
+    pytest.param(EMIT, id="prompt lyric set"),
+    pytest.param(NSP_EVAL, id="nsp dataset"),
+    pytest.param(NSP_EVAL_LM, id="lm, nsp-eval"),
+    pytest.param(swap(GENERATE, "--lm"), id="lm, generate"),
+    pytest.param(swap(GENERATE, "--generator"), id="generator"),
+    pytest.param(swap(GENERATE, "--melody"), id="melody"),
+]
+
+
+@contextlib.contextmanager
+def released_after(fifo, seconds):
+    """Open and close the write end of `fifo` once `seconds` have passed, so a
+    reader that opened it sees it end rather than block the test run."""
+
+    def release():
+        try:
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:  # no reader has it open
+            pass
+
+    timer = threading.Timer(seconds, release)
+    timer.start()
+    try:
+        yield
+    finally:
+        timer.cancel()
+        timer.join(timeout=10)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("missing", "no such file"), ("directory", "not a regular file"), ("fifo", "not a regular file")
+])
+@pytest.mark.parametrize("argv", READERS)
+def test_an_input_that_is_no_file_fails_before_it_is_read(tmp_path, capsys, good, argv, kind, message):
+    path = tmp_path / "bad"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(path)
+    with released_after(path, 5.0):
+        code = main([arg.format(bad=path, good=good, out=tmp_path / "out") for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {path}: {message}\n")
+    assert not (tmp_path / "out").exists()

@@ -16,7 +16,7 @@ from syllabeam.lm import (
     nsp_accuracy,
     train_char_ngram,
 )
-from syllabeam.nsp import NspExample
+from syllabeam.nsp import NspExample, read_nsp_tsv
 
 from conftest import continuation_scores
 
@@ -243,6 +243,22 @@ class TestNspScore:
         model = train_char_ngram([lyric_lm_text("mean to me when")], order=3, k=0.1)
         score = model.nsp_score("mean to<eos>when", "_i")
         assert 0.0 <= score <= 1.0
+
+    @pytest.mark.parametrize(
+        "context, candidate, message",
+        [("", "_la", "bad context ''"), ("la$", "_ve", "bad context 'la$'"), ("i Know", "_ve", "bad context 'i Know'"),
+         ("la", "", "bad candidate ''"), ("la", "Ve", "bad candidate 'Ve'"), ("la", "_<eos>x", "bad candidate '_<eos>x'")],
+    )
+    def test_rejects_what_the_dataset_reader_rejects(self, tmp_path, context, candidate, message):
+        # one row grammar: the query fails as the TSV line of its row does
+        path = tmp_path / "row.tsv"
+        path.write_text(f"{context}\t{candidate}\t1\n", encoding="utf-8")
+        model = train_char_ngram([lyric_lm_text("la mi")], order=3, k=0.1)
+        with pytest.raises(ValueError) as by_score:
+            model.nsp_score(context, candidate)
+        with pytest.raises(ValueError) as by_reader:
+            list(read_nsp_tsv(path))
+        assert (str(by_score.value), str(by_reader.value)) == (message, f"{path}:1: {message}")
 
 
 class TestNspAccuracy:

@@ -114,9 +114,9 @@ def test_out_of_alphabet_candidate_rejected_before_scoring(query):
     [
         ("score_with_spacing", ("ab lo", "ve"), ("aX lo", "ve"), "character 'X' at position 1 not in alphabet"),
         ("score_with_spacing", ("ab lo", "ve"), ("ab lo", "vE"), "character 'E' at position 1 not in alphabet"),
-        ("nsp_score", ("ab lo", "_ve"), ("a? lo", "_ve"), "character '?' at position 1 not in alphabet"),
-        ("nsp_score", ("ab lo", "_ve"), ("ab lo", "_vE"), "character 'E' at position 1 not in alphabet"),
-        ("nsp_score", ("ab lo", "_ve"), ("ab lo", ""), "candidate must be non-empty"),
+        ("nsp_score", ("ab lo", "_ve"), ("a? lo", "_ve"), "bad context 'a? lo'"),
+        ("nsp_score", ("ab lo", "_ve"), ("ab lo", "_vE"), "bad candidate '_vE'"),
+        ("nsp_score", ("ab lo", "_ve"), ("ab lo", ""), "bad candidate ''"),
     ],
 )
 def test_continuation_memo_hit_still_checks_the_query(query, cached, bad, message):
@@ -241,12 +241,13 @@ def test_candidates_hit_still_checks_the_context(order, cached, bad, message):
 @pytest.mark.parametrize(
     "bad, scored_as, message",
     [
-        (("la", "$"), ("la", "$"), "character '$' is reserved for <eos>"),
-        (("la", "_$"), ("la", " $"), "character '$' is reserved for <eos>"),
-        (("la$", "_ve"), ("la$", " ve"), "character '$' is reserved for <eos>"),
-        (("ab lo", "_"), ("ab lo", " "), "no syllable after '_'"),
-        (("ab lo", "ve<eos>"), ("ab lo", "ve$"), "character '<' at position 2 not in alphabet"),
-        (("ab lo", "_ve_"), ("ab lo", " ve"), "character '_' at position 2 not in alphabet"),
+        (("la", "$"), ("la", "$"), "bad candidate '$'"),
+        (("la", "_$"), ("la", " $"), "bad candidate '_$'"),
+        (("la$", "_ve"), ("la$", " ve"), "bad context 'la$'"),
+        (("ab lo", "_"), ("ab lo", " "), "bad candidate '_'"),
+        (("ab lo", "ve<eos>"), ("ab lo", "ve$"), "bad candidate 've<eos>'"),
+        (("ab lo", "_ve_"), ("ab lo", " ve"), "bad candidate '_ve_'"),
+        (("", "_la"), ("", " la"), "bad context ''"),
     ],
 )
 def test_nsp_score_rejects_text_outside_the_dataset_notation(bad, scored_as, message):
@@ -265,9 +266,7 @@ def test_nsp_score_rejects_a_candidate_outside_the_row_grammar(candidate):
     # alphabet text that is no `_?(?:[a-z']+|<eos>)`, even once scored as a continuation
     model = train_char_ngram(corpus_texts(10, seed=30), 4, 0.1)
     for _ in range(2):
-        assert error_of(model.nsp_score, "la", candidate) == (
-            f"candidate {candidate!r} does not match _?(?:[a-z']+|<eos>)"
-        )
+        assert error_of(model.nsp_score, "la", candidate) == f"bad candidate {candidate!r}"
         continuation_scores(model, "la", [candidate.replace("_", " ")])
 
 

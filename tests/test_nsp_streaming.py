@@ -63,7 +63,7 @@ def test_short_lyric_fails_before_out_is_opened(tmp_path, capsys, existing):
     "lm_args, message",
     [
         pytest.param([], "--lm is required for the lm scorer", id="no lm"),
-        pytest.param(["--lm", "missing.json"], "lm model not found: missing.json", id="missing lm"),
+        pytest.param(["--lm", "missing.json"], "missing.json: no such file", id="missing lm"),
         pytest.param(["--lm", "lm.json"], "lm.json: not a syllabeam-charlm file", id="lm rejected"),
     ],
 )
