@@ -240,9 +240,9 @@ def serialize_lyric_line(lyric: LyricSequence) -> str:
 
 
 def parse_melody_line(line: str) -> MelodySequence:
-    """Parse whitespace-separated pitch:duration:rest triplets: an ASCII
-    decimal integer pitch, and duration and rest as ASCII decimal numbers."""
-    pieces = line.split()
+    """Parse pitch:duration:rest triplets, an ASCII decimal integer pitch and two
+    ASCII decimal numbers, separated by ASCII spaces, tabs and line ends."""
+    pieces = [piece for piece in re.split("[ \t\r\n]+", line) if piece]
     if not pieces:
         raise ValueError("empty melody line")
     notes = []

@@ -37,8 +37,10 @@ _FORMAT = "syllabeam-charlm"
 _VERSION = 1
 _SCHEMA = {"order": int, "k": float, "alphabet": str, "tables": list}
 
-# entries each per-model cache holds before it is emptied
+# entries the level and NSP caches each hold before they are emptied; the
+# row table holds twice as many, its syllable scores and batches together
 MEMO_LIMIT = 1 << 14
+_NO_ROW: dict = {}  # the row of a suffix with no entry; never written
 
 
 def _check_chars(text: str) -> None:
@@ -96,12 +98,12 @@ class CharNgramModel:
         # context suffix -> (count table of the level serving it, or None when
         # that level has no counts; total + k * alphabet size; backoff factor)
         self._levels: dict[str, tuple[Optional[dict[str, int]], float, float]] = {}
-        # (context suffix, syllable) -> score_with_spacing result
-        self._memo: dict[tuple[str, str], ContinuationScore] = {}
+        # context suffix -> row: syllable -> its ContinuationScore, and
+        # syllables tuple -> its score_candidates result; _entries counts both
+        self._rows: dict[str, dict] = {}
+        self._entries = 0
         # (context suffix, candidate) -> _continuation result
         self._continuations: dict[tuple[str, str], float] = {}
-        # (context suffix, syllables) -> score_candidates result
-        self._candidates: dict[tuple[str, tuple[str, ...]], tuple[ContinuationScore, ...]] = {}
 
     # -- probabilities ----------------------------------------------------
 
@@ -165,59 +167,55 @@ class CharNgramModel:
         return math.exp(log_sum / len(candidate))
 
     def score_with_spacing(self, context: str, syllable_text: str) -> ContinuationScore:
-        """Score both renderings of a syllable and keep the better one.
+        """Score both renderings of a syllable and keep the better one, ties to
+        the unspaced variant. A syllable is the end marker, which has a single
+        rendering (the reserved character), or corpus syllable text, `[a-z']+`."""
+        return self.score_candidates(context, (syllable_text,))[0]
 
-        A syllable is the end marker, which has a single rendering (the
-        reserved character), or corpus syllable text, `[a-z']+`. Ties break
-        to the unspaced variant. Results are memoized per (last order-1
-        context characters, syllable).
-        """
+    def score_candidates(self, context: str, syllables: tuple[str, ...]) -> tuple:
+        """`score_with_spacing` of each syllable against one context, memoized in
+        the context suffix's row per syllable and per tuple; an entry is stored
+        once its syllables passed their checks, so a hit checks the context alone."""
         _check_chars(context)
-        return self._scored_spacing(context, self._suffix(context), syllable_text)
+        suffix = self._suffix(context)
+        scores = self._rows.get(suffix, _NO_ROW).get(syllables)
+        if scores is None:
+            scores = tuple([self._scored_syllable(context, suffix, text) for text in syllables])
+            self._store(suffix, syllables, scores)
+        elif not context and EOS_TEXT in syllables:
+            raise ValueError("end marker needs a non-empty context")
+        return scores
 
-    def _scored_spacing(self, context: str, suffix: str, syllable_text: str) -> ContinuationScore:
-        """score_with_spacing after checked `context`, which ends in `suffix`.
-        A key holds the whole syllable and is stored only once the syllable
-        passed its check, so only a miss needs one."""
+    def _scored_syllable(self, context: str, suffix: str, syllable_text: str) -> ContinuationScore:
+        """score_with_spacing after checked `context`, which ends in `suffix`."""
         if syllable_text == EOS_TEXT and not context:
             raise ValueError("end marker needs a non-empty context")
-        key = (suffix, syllable_text)
-        score = self._memo.get(key)
+        score = self._rows.get(suffix, _NO_ROW).get(syllable_text)
         if score is None:
             if syllable_text != EOS_TEXT and not _SYLLABLE_RE.match(syllable_text):
                 if not syllable_text:
                     raise ValueError("syllable must be non-empty")
                 _check_chars(syllable_text)
                 raise ValueError(f"illegal syllable text: {syllable_text!r}")
-            if len(self._memo) >= MEMO_LIMIT:
-                self._memo.clear()
-            score = self._memo[key] = self._score_spacing(suffix, syllable_text)
+            score = self._store(suffix, syllable_text, self._score_spacing(suffix, syllable_text))
         return score
 
-    def score_candidates(self, context: str, syllables: tuple[str, ...]) -> tuple:
-        """`score_with_spacing` of each syllable against one context, memoized
-        per (context suffix, syllables). A result is stored only once every
-        syllable passed its checks, so a hit checks the context alone."""
-        _check_chars(context)
-        key = (self._suffix(context), syllables)
-        scores = self._candidates.get(key)
-        if scores is None:
-            scores = tuple([self._scored_spacing(context, key[0], text) for text in syllables])
-            if len(self._candidates) >= MEMO_LIMIT:
-                self._candidates.clear()
-            self._candidates[key] = scores
-        elif not context and EOS_TEXT in syllables:
-            raise ValueError("end marker needs a non-empty context")
-        return scores
+    def _store(self, suffix: str, key, value):
+        """`value`, stored under `key` in the row of `suffix`; the whole table
+        is emptied first when it holds 2 * MEMO_LIMIT entries."""
+        if self._entries >= 2 * MEMO_LIMIT:
+            self._rows.clear()
+            self._entries = 0
+        self._entries += 1
+        self._rows.setdefault(suffix, {})[key] = value
+        return value
 
     def _score_spacing(self, suffix: str, syllable_text: str) -> ContinuationScore:
         if syllable_text == EOS_TEXT:
             return ContinuationScore(self._continuation(suffix, EOS_CHAR), UNSPACED)
         unspaced = self._continuation(suffix, syllable_text)
         spaced = self._continuation(suffix, " " + syllable_text)
-        if unspaced >= spaced:
-            return ContinuationScore(unspaced, UNSPACED)
-        return ContinuationScore(spaced, SPACED)
+        return ContinuationScore(*((unspaced, UNSPACED) if unspaced >= spaced else (spaced, SPACED)))
 
     def nsp_score(self, context: str, candidate: str) -> float:
         """Score a dataset-notation candidate against a dataset-notation context,

@@ -93,6 +93,9 @@ CASES = [
     pytest.param(NSP_EVAL, "i know\t_why\t1\n\ni know\t_why\t2\n", ":3", id="nsp row"),
     pytest.param(NSP_EVAL, "\n", "", id="nsp dataset empty"),
     pytest.param(swap(GENERATE, "--melody"), "60:1:0 61:x:0\n", "", id="melody"),
+    # only ASCII spaces, tabs and line ends separate notes; other whitespace is part of a triplet
+    *[pytest.param(swap(GENERATE, "--melody"), f"60:1:0{ch}62:1:0\n", "", id=f"melody separator {ch!r}")
+      for ch in ["\u00a0", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]],
     pytest.param(swap(GENERATE, "--lm"), model("lm.json", lambda p: p.update(version=2)), "", id="lm header"),
     pytest.param(swap(GENERATE, "--lm"), model("lm.json", lambda p: p.update(order=3)), "", id="lm content"),
     pytest.param(swap(GENERATE, "--generator"), model("gen.json", lambda p: p.update(format="x")), "",

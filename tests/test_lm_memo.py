@@ -9,10 +9,12 @@ import random
 import pytest
 
 from syllabeam import lm as lm_module
-from syllabeam.corpus import EOS_TEXT, render_text
+from syllabeam.beam import FusionConfig, decode
+from syllabeam.corpus import EOS_TEXT, build_vocabulary, render_text
+from syllabeam.generator import train_generator
 from syllabeam.lm import CharNgramModel, lyric_lm_text, train_char_ngram
 
-from conftest import continuation_scores, make_corpus
+from conftest import continuation_scores, make_corpus, make_melody
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz'"
 
@@ -63,7 +65,7 @@ def test_memo_limit_empties_and_stays_exact(tmp_path, monkeypatch):
     for context, syllable in random_queries(random.Random(8), 80, texts):
         fresh = CharNgramModel.load(path).score_with_spacing(context, syllable)
         assert model.score_with_spacing(context, syllable) == fresh
-        assert len(model._memo) <= 5
+        assert sum(map(len, model._rows.values())) <= 2 * 5
 
 
 def test_invalid_context_raises_after_its_key_was_cached():
@@ -106,7 +108,7 @@ def test_out_of_alphabet_candidate_rejected_before_scoring(query):
         with pytest.raises(ValueError) as info:
             ask()
         assert str(info.value) == "character '9' at position 1 not in alphabet"
-    assert model._memo == {} and model._continuations == {}
+    assert model._rows == {} and model._continuations == {}
 
 
 @pytest.mark.parametrize(
@@ -191,7 +193,7 @@ def test_candidates_cache_stays_within_the_limit(monkeypatch):
         syllables = (syllable, "ba")
         expected = tuple(fresh.score_with_spacing(context, s) for s in syllables)
         assert model.score_candidates(context, syllables) == expected
-        assert len(model._candidates) <= 5
+        assert sum(map(len, model._rows.values())) <= 2 * 5
 
 
 BAD_BATCHES = [
@@ -216,7 +218,7 @@ def test_bad_batch_rejected_as_its_first_bad_syllable(context, syllables):
     )
     for _ in range(2):
         assert error_of(model.score_candidates, context, syllables) == expected
-    assert model._candidates == {}
+    assert all(syllables not in row for row in model._rows.values())
 
 
 @pytest.mark.parametrize(
@@ -232,7 +234,7 @@ def test_candidates_hit_still_checks_the_context(order, cached, bad, message):
     model = train_char_ngram(corpus_texts(10, seed=28), order, 0.1)
     syllables = ("ve", EOS_TEXT)
     model.score_candidates(cached, syllables)
-    assert (model._suffix(bad), syllables) in model._candidates
+    assert syllables in model._rows[model._suffix(bad)]
     for _ in range(2):
         assert error_of(model.score_candidates, bad, syllables) == message
         assert error_of(model.score_with_spacing, bad, EOS_TEXT) == message
@@ -279,4 +281,54 @@ def test_a_syllable_outside_the_corpus_grammar_is_rejected(syllable):
         assert error_of(model.score_with_spacing, "la", syllable) == message
         assert error_of(model.score_candidates, "la", ("mi", syllable)) == message
         assert 0.0 < continuation_scores(model, "la", [syllable])[0] <= 1.0
-    assert all(key[1] != syllable for key in model._memo) and model._candidates == {}
+    assert [list(row) for row in model._rows.values()] == [["mi"]]
+
+
+# -- work counts ---------------------------------------------------------------
+
+
+class Recording:
+    """An LM that records the (context suffix, syllables) of each query decode
+    makes, an end-token query as a batch of one."""
+
+    def __init__(self, lm):
+        self.lm, self.batches = lm, set()
+
+    def score_candidates(self, context, syllables):
+        self.batches.add((self.lm._suffix(context), syllables))
+        return self.lm.score_candidates(context, syllables)
+
+    def score_with_spacing(self, context, syllable):
+        self.batches.add((self.lm._suffix(context), (syllable,)))
+        return self.lm.score_with_spacing(context, syllable)
+
+
+def decode_counting(corpus, melodies, config):
+    """The (suffix, text) of every `_continuation` computed over decodes of
+    `melodies` on one fresh model, in order, and the batches decode asked."""
+    lm = train_char_ngram([lyric_lm_text(render_text(p.lyric)) for p in corpus], 4, 0.1)
+    computed, continuation = [], lm._continuation
+    lm._continuation = lambda suffix, text: computed.append((suffix, text)) or continuation(suffix, text)
+    generator = train_generator(corpus, build_vocabulary([p.lyric for p in corpus]), 2, 0.1)
+    recording = Recording(lm)
+    for melody in melodies:
+        decode(melody, generator, recording, config)
+    return computed, recording.batches
+
+
+def test_decode_computes_each_continuation_once(monkeypatch):
+    corpus = make_corpus(60, seed=41)
+    rnd = random.Random(42)
+    # melodies shorter than max_len also ask the end token past their last note
+    melodies = [make_melody(rnd, rnd.randint(4, 14)) for _ in range(20)]
+    config = FusionConfig(beam_size=5, max_len=12)
+    computed, batches = decode_counting(corpus, melodies, config)
+    syllables = {(suffix, text.lstrip(" ")) for suffix, text in computed}
+    # a limit that the syllable scores fit under and the batches fit under,
+    # but the two together do not
+    limit = max(len(syllables), len(batches)) + 1
+    assert limit < len(syllables) + len(batches)
+    monkeypatch.setattr(lm_module, "MEMO_LIMIT", limit)
+    limited, _ = decode_counting(corpus, melodies, config)
+    assert len(limited) == len(set(limited))
+    assert limited == computed
