@@ -204,9 +204,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._texts)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Vocabulary) and self._texts == other._texts
-
 
 def parse_lyric_line(line: str) -> LyricSequence:
     """Parse one lyric line of pieces separated by ASCII spaces and tabs.

@@ -51,16 +51,6 @@ def _check_chars(text: str) -> None:
                 raise ValueError(f"character {ch!r} at position {pos} not in alphabet")
 
 
-def encode_text(text: str) -> str:
-    """Map the literal end marker to its reserved character and validate.
-
-    Raises ValueError naming the first out-of-alphabet character position.
-    """
-    encoded = text.replace(EOS_TEXT, EOS_CHAR)
-    _check_chars(encoded)
-    return encoded
-
-
 @dataclass(frozen=True)
 class ContinuationScore:
     value: float
@@ -102,7 +92,8 @@ class CharNgramModel:
         # syllables tuple -> its score_candidates result; _entries counts both
         self._rows: dict[str, dict] = {}
         self._entries = 0
-        # (context suffix, candidate) -> _continuation result
+        # (context suffix, encoded NSP candidate) -> _continuation result; read
+        # and written only by score_nsp_rows
         self._continuations: dict[tuple[str, str], float] = {}
 
     # -- probabilities ----------------------------------------------------
@@ -131,19 +122,6 @@ class CharNgramModel:
         return level
 
     # -- scoring ----------------------------------------------------------
-
-    def _scored(self, suffix: str, candidate: str) -> float:
-        """_continuation after a checked context ending in `suffix`, memoized
-        per (suffix, candidate); a key is stored only once its candidate passed
-        its check, so only a miss needs one."""
-        key = (suffix, candidate)
-        score = self._continuations.get(key)
-        if score is None:
-            _check_chars(candidate)
-            if len(self._continuations) >= MEMO_LIMIT:
-                self._continuations.clear()
-            score = self._continuations[key] = self._continuation(suffix, candidate)
-        return score
 
     def _continuation(self, suffix: str, candidate: str) -> float:
         """Geometric mean of the per-character probabilities of a checked
@@ -218,20 +196,18 @@ class CharNgramModel:
         return ContinuationScore(*((unspaced, UNSPACED) if unspaced >= spaced else (spaced, SPACED)))
 
     def nsp_score(self, context: str, candidate: str) -> float:
-        """Score a dataset-notation candidate against a dataset-notation context,
-        once the two are a row the builder can write (`nsp.check_row`): the
-        candidate's underscore marks a leading space, and a context may embed
-        the end marker mid-string (corruption rows).
-        Scores are memoized per (context suffix, encoded candidate).
-        """
+        """A one-row `score_nsp_rows`, once `context` and `candidate` are a row
+        the builder can write (`nsp.check_row`): the candidate's underscore marks
+        a leading space, and a context may embed the end marker mid-string
+        (corruption rows)."""
         check_row(context, candidate)
-        text = candidate.replace("_", " ").replace(EOS_TEXT, EOS_CHAR)
-        return self._scored(self._suffix(context.replace(EOS_TEXT, EOS_CHAR)), text)
+        return self.score_nsp_rows(((context, candidate, 1),))[0][0]
 
     def score_nsp_rows(self, rows: Iterable) -> list[tuple[float, int]]:
-        """(nsp_score, label) of each row `nsp.read_nsp_tsv` yields. Those rows
-        are in the dataset grammar, which encodes into the alphabet, so each run
-        of equal contexts is encoded once and no candidate is checked again."""
+        """(nsp_score, label) of each row `nsp.read_nsp_tsv` yields, the one NSP
+        scoring path. Each run of equal contexts is encoded once, and scores are
+        memoized per (context suffix, encoded candidate); a key is stored only
+        once its candidate passed its character check, so only a miss needs one."""
         scored = []
         memo = self._continuations
         last = suffix = None
@@ -239,8 +215,14 @@ class CharNgramModel:
             if context != last:
                 last, suffix = context, self._suffix(context.replace(EOS_TEXT, EOS_CHAR))
             text = candidate.replace("_", " ").replace(EOS_TEXT, EOS_CHAR)
-            score = memo.get((suffix, text))  # _scored's lookup, inlined
-            scored.append((self._scored(suffix, text) if score is None else score, label))
+            key = (suffix, text)
+            score = memo.get(key)
+            if score is None:
+                _check_chars(text)
+                if len(memo) >= MEMO_LIMIT:
+                    memo.clear()
+                score = memo[key] = self._continuation(suffix, text)
+            scored.append((score, label))
         return scored
 
     # -- persistence ------------------------------------------------------
@@ -362,5 +344,9 @@ def nsp_metrics(scored: Sequence[tuple[float, int]], threshold: float = 0.5) -> 
 
 
 def lyric_lm_text(rendered: str) -> str:
-    """Training-text form of a rendered lyric: the text plus the end character."""
-    return encode_text(rendered) + EOS_CHAR
+    """Training-text form of a rendered lyric: the text with the literal end
+    marker mapped to EOS_CHAR, plus EOS_CHAR. Raises ValueError naming the
+    first out-of-alphabet character position."""
+    encoded = rendered.replace(EOS_TEXT, EOS_CHAR) + EOS_CHAR
+    _check_chars(encoded)
+    return encoded

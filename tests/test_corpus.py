@@ -180,7 +180,7 @@ class TestVocabulary:
         corpus = [p.lyric for p in make_corpus(20, seed=3)]
         a = build_vocabulary(corpus)
         b = build_vocabulary(list(reversed(corpus)))
-        assert a == b
+        assert a.syllable_texts() == b.syllable_texts()
 
     def test_emittable_excludes_bos(self):
         vocab = Vocabulary(["la"])

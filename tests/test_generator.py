@@ -203,7 +203,7 @@ class TestPersistence:
         path = tmp_path / "gen.json"
         model.save(path)
         loaded = MelodyConditionedNgram.load(path)
-        assert loaded.vocab == model.vocab
+        assert loaded.vocab.syllable_texts() == model.vocab.syllable_texts()
         rnd = random.Random(77)
         texts = vocab.syllable_texts()
         for _ in range(30):

@@ -11,7 +11,6 @@ from syllabeam.lm import (
     UNSPACED,
     CharNgramModel,
     ContinuationScore,
-    encode_text,
     lyric_lm_text,
     nsp_accuracy,
     train_char_ngram,
@@ -213,11 +212,11 @@ class TestScoreWithSpacing:
 
 class TestEncodeText:
     def test_end_marker_mapped(self):
-        assert encode_text("mean to<eos>when") == "mean to" + EOS_CHAR + "when"
+        assert lyric_lm_text("mean to<eos>when") == "mean to" + EOS_CHAR + "when" + EOS_CHAR
 
     def test_rejects_unknown_chars(self):
         with pytest.raises(ValueError, match="position 2"):
-            encode_text("ab9")
+            lyric_lm_text("ab9")
 
     def test_lyric_lm_text_appends_end(self):
         assert lyric_lm_text("big ideas") == "big ideas" + EOS_CHAR

@@ -12,7 +12,8 @@ from syllabeam import lm as lm_module
 from syllabeam.beam import FusionConfig, decode
 from syllabeam.corpus import EOS_TEXT, build_vocabulary, render_text
 from syllabeam.generator import train_generator
-from syllabeam.lm import CharNgramModel, lyric_lm_text, train_char_ngram
+from syllabeam.lm import EOS_CHAR, CharNgramModel, lyric_lm_text, train_char_ngram
+from syllabeam.nsp import BuilderConfig, build_dataset
 
 from conftest import continuation_scores, make_corpus, make_melody
 
@@ -303,12 +304,19 @@ class Recording:
         return self.lm.score_with_spacing(context, syllable)
 
 
-def decode_counting(corpus, melodies, config):
-    """The (suffix, text) of every `_continuation` computed over decodes of
-    `melodies` on one fresh model, in order, and the batches decode asked."""
+def counting_model(corpus):
+    """A fresh model of `corpus` and the list it appends the (suffix, text) of
+    each `_continuation` it computes to, in order."""
     lm = train_char_ngram([lyric_lm_text(render_text(p.lyric)) for p in corpus], 4, 0.1)
     computed, continuation = [], lm._continuation
     lm._continuation = lambda suffix, text: computed.append((suffix, text)) or continuation(suffix, text)
+    return lm, computed
+
+
+def decode_counting(corpus, melodies, config):
+    """The (suffix, text) of every `_continuation` computed over decodes of
+    `melodies` on one fresh model, in order, and the batches decode asked."""
+    lm, computed = counting_model(corpus)
     generator = train_generator(corpus, build_vocabulary([p.lyric for p in corpus]), 2, 0.1)
     recording = Recording(lm)
     for melody in melodies:
@@ -332,3 +340,20 @@ def test_decode_computes_each_continuation_once(monkeypatch):
     limited, _ = decode_counting(corpus, melodies, config)
     assert len(limited) == len(set(limited))
     assert limited == computed
+
+
+def test_nsp_rows_compute_each_continuation_once():
+    corpus = make_corpus(40, seed=43)
+    rows = []
+    build_dataset([p.lyric for p in corpus], BuilderConfig(seed=44), rows.append)
+    lm, computed = counting_model(corpus)
+    scored = lm.score_nsp_rows(rows)
+    keys = {
+        (lm._suffix(c.replace(EOS_TEXT, EOS_CHAR)), k.replace("_", " ").replace(EOS_TEXT, EOS_CHAR))
+        for c, k, _ in rows
+    }
+    assert len(keys) < len(rows)
+    assert sorted(computed) == sorted(keys)
+    one_by_one, computed_by_row = counting_model(corpus)
+    assert [(one_by_one.nsp_score(c, k), label) for c, k, label in rows] == scored
+    assert computed_by_row == computed
