@@ -25,6 +25,7 @@ from .corpus import (
     open_input,
     parse_lyric_line,
     parse_melody_line,
+    raise_at_record,
     read_lines,
     render_text,
     serialize_lyric_line,
@@ -33,7 +34,7 @@ from .corpus import (
 from .generator import MelodyConditionedNgram, train_generator
 from .lm import CharNgramModel, lyric_lm_text, nsp_metrics, train_char_ngram
 from .metrics import EvalPair, corpus_eval, emit_llm_eval_prompt
-from .nsp import BuilderConfig, build_dataset, check_corpus, nsp_line, read_nsp_tsv
+from .nsp import BuilderConfig, ShortLyricError, read_nsp_tsv, write_dataset
 
 
 def _decimal(cast, pattern):
@@ -77,10 +78,10 @@ def cmd_build_nsp_dataset(args: argparse.Namespace) -> int:
     config = BuilderConfig(**{f.name: getattr(args, f.name) for f in fields(BuilderConfig)})
 
     lyrics = [pair.lyric for pair in _read_corpus(args.corpus)]
-    with naming(args.corpus):
-        check_corpus(lyrics)  # before --out is opened, so a bad lyric leaves it as it was
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        summary = build_dataset(lyrics, config, lambda example: fh.write(nsp_line(example)))
+    try:
+        summary = write_dataset(lyrics, config, args.out)  # checks every lyric before it opens --out
+    except ShortLyricError as exc:
+        raise_at_record(args.corpus, exc.index, exc.reason)
 
     _echo("build-nsp-dataset", {"corpus": args.corpus, "out": args.out, **asdict(config)})
     summary["lyrics"] = len(lyrics)

@@ -8,12 +8,13 @@ notes, one note per syllable.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 BOS_TEXT = "<bos>"
 EOS_TEXT = "<eos>"
@@ -73,6 +74,23 @@ def read_lines(path, parse: Callable[[str], object]) -> Iterator:
         for place.line, line in enumerate(fh, start=1):
             if line != "\n":
                 yield parse(line.rstrip("\n"))
+
+
+def raise_at_record(path, index: int, message: str) -> NoReturn:
+    """Raise ValueError `message`, named at the line of the input file at
+    `path` that holds its record `index` (0-based), as `read_lines` counts
+    records: for a check that runs once the whole file is read, so that only
+    a failure reads the file again."""
+    records = itertools.count()
+
+    def parse(line: str) -> None:
+        if next(records) == index:
+            raise ValueError(message)
+
+    for _ in read_lines(path, parse):
+        pass
+    with naming(path):  # the file lost the record since it was read
+        raise ValueError(f"record {index}: {message}")
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,15 @@ seed: each lyric draws from its own substream keyed by (seed, lyric index).
 
 from __future__ import annotations
 
+import os
 import re
+import shutil
+import signal
+import tempfile
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 from .corpus import EOS_TEXT, LyricSequence, SyllableToken, read_lines
 from .rng import SplitMix64, substream
@@ -127,13 +131,42 @@ def build_examples_for_lyric(
     return examples
 
 
+class ShortLyricError(ValueError):
+    """A lyric of fewer than 2 syllables; `index` is its place in the corpus."""
+
+    reason = "must contain at least 2 syllables"
+
+    def __init__(self, index: int) -> None:
+        super().__init__(f"lyric {index}: {self.reason}")
+        self.index = index
+
+
 def check_corpus(corpus: Sequence[LyricSequence]) -> None:
-    """Raise ValueError unless the corpus has a lyric and each has 2 syllables or more."""
+    """Raise ValueError unless the corpus has a lyric, and ShortLyricError
+    unless each has 2 syllables or more."""
     if not corpus:
         raise ValueError("empty corpus")
     for index, lyric in enumerate(corpus):
         if len(lyric.syllables()) < 2:
-            raise ValueError(f"lyric {index}: must contain at least 2 syllables")
+            raise ShortLyricError(index)
+
+
+def _build(
+    corpus: Sequence[LyricSequence], first: int, config: BuilderConfig, sink: Callable[[NspExample], None]
+) -> tuple[int, int]:
+    """Stream the rows of `corpus` to `sink` in lyric order, its lyric i drawing
+    from the substream of index `first + i`; return (positives, total)."""
+    positives = total = 0
+    for index, lyric in enumerate(corpus, start=first):
+        for example in build_examples_for_lyric(lyric, config, substream(config.seed, index)):
+            sink(example)
+            positives += example.label
+            total += 1
+    return positives, total
+
+
+def _summary(positives: int, total: int) -> dict[str, int]:
+    return {"positives": positives, "negatives": total - positives, "total": total}
 
 
 def build_dataset(
@@ -143,13 +176,80 @@ def build_dataset(
 ) -> dict[str, int]:
     """Stream every lyric's rows to `sink` in lyric order once `check_corpus` passes; return counts."""
     check_corpus(corpus)
-    positives = total = 0
-    for index, lyric in enumerate(corpus):
-        for example in build_examples_for_lyric(lyric, config, substream(config.seed, index)):
-            sink(example)
-            positives += example.label
-            total += 1
-    return {"positives": positives, "negatives": total - positives, "total": total}
+    return _summary(*_build(corpus, 0, config, sink))
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# the child's counts, ahead of its rows in its spill file; fixed width, so
+# that the child can write it last over a blank one
+_HEADER = "{:20d} {:20d}\n"
+
+
+def write_dataset(corpus: Sequence[LyricSequence], config: BuilderConfig, path) -> dict[str, int]:
+    """`build_dataset` with each row written to a new file at `path` as its
+    `nsp_line`, opened once `check_corpus` passes; return counts.
+
+    Where `os.fork` exists, two CPUs are free and the corpus has two lyrics
+    or more, a forked child builds the rows of the second half of the
+    lyrics into an unlinked temporary file while this process writes those
+    of the first half, then this process copies the child's rows after its
+    own in chunks. Each lyric draws from its own substream, so the file is
+    the same byte for byte either way. The child leaves by `os._exit`,
+    flushing none of this process's buffers; it is always reaped, and killed
+    first if this process fails. A child that fails raises
+    ChildProcessError. Like the collector pause, this assumes one thread:
+    a fork beside other threads may copy a lock another thread holds."""
+    check_corpus(corpus)
+    half = len(corpus) // 2
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+
+        def write(example: NspExample) -> None:
+            fh.write(nsp_line(example))
+
+        if not (half and hasattr(os, "fork") and _cpus() > 1):
+            return _summary(*_build(corpus, 0, config, write))
+        with tempfile.TemporaryFile() as spill:
+            pid = os.fork()
+            if pid == 0:
+                _build_in_child(corpus[half:], half, config, spill.fileno())
+            try:
+                positives, total = _build(corpus[:half], 0, config, write)
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                last = len(corpus) - 1
+                raise ChildProcessError(f"the process building lyrics {half} to {last} exited with code {code}")
+            spill.seek(0)
+            child_positives, child_total = map(int, spill.readline().split())
+            fh.flush()
+            shutil.copyfileobj(spill, fh.buffer)
+    return _summary(positives + child_positives, total + child_total)
+
+
+def _build_in_child(corpus: Sequence[LyricSequence], first: int, config: BuilderConfig, fd: int) -> NoReturn:
+    """In a forked child: write the `_HEADER` and rows of `corpus`, lyric
+    `first` onwards, to the file open at `fd`, then leave by `os._exit`, with
+    code 0 once every row is written and 1 on any failure."""
+    code = 1
+    try:
+        with open(fd, "w", encoding="utf-8", newline="", closefd=False) as out:
+            out.write(_HEADER.format(0, 0))
+            counts = _build(corpus, first, config, lambda example: out.write(nsp_line(example)))
+            out.seek(0)
+            out.write(_HEADER.format(*counts))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def nsp_line(example: NspExample) -> str:

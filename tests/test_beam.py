@@ -146,7 +146,7 @@ class TestFusionConfig:
             FusionConfig(beam_size=0)
 
 
-class TestFirstStep:
+class TestDecodeStepZero:
     """Step 0, generator-only, through a decode of one step."""
 
     UNIFORM = {(): {t: 0.2 for t in ["ba", "da", "fa", "la", "ma"]}}

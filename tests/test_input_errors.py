@@ -84,7 +84,7 @@ CASES = [
     # past the reader's first chunk, so the decoding fails after lines were read
     pytest.param(["train-lm", *CORPUS], (RECORD + "\n").encode() * 200 + b"\xff\n", "", id="corpus not UTF-8"),
     pytest.param(["train-generator", *CORPUS], "\n\n", "", id="corpus empty"),
-    pytest.param(["build-nsp-dataset", *CORPUS], ONE_SYLLABLE + "\n", "", id="corpus lyric of one syllable"),
+    pytest.param(["build-nsp-dataset", *CORPUS], ONE_SYLLABLE + "\n", ":1", id="corpus lyric of one syllable"),
     pytest.param(swap(EVALUATE, "--candidates"), "la _mi\nso\nLA\n", ":3", id="candidate lyric line"),
     pytest.param(swap(EVALUATE, "--references"), "la _mi\n<eos>\n", ":2", id="reference without syllables"),
     pytest.param(swap(EVALUATE, "--references"), "la _mi\n\n<eos>\n", ":3",

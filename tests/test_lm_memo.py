@@ -112,6 +112,23 @@ def test_out_of_alphabet_candidate_rejected_before_scoring(query):
     assert model._rows == {} and model._continuations == {}
 
 
+def test_score_nsp_rows_rejects_an_empty_candidate():
+    model = train_char_ngram(corpus_texts(10, seed=12), 4, 0.1)
+    with pytest.raises(ValueError) as info:
+        model.score_nsp_rows([("la", "", 1)])
+    assert str(info.value) == "candidate must be non-empty"
+    assert model._continuations == {}
+
+
+def test_score_nsp_rows_rejects_a_context_outside_the_alphabet():
+    # the context's own suffix ("la") is cached first, so only a context check finds 'A'
+    model = train_char_ngram(corpus_texts(10, seed=12), 3, 0.1)
+    model.score_nsp_rows([("la", "la", 1)])
+    with pytest.raises(ValueError) as info:
+        model.score_nsp_rows([("la", "la", 1), ("A9?la", "la", 1)])
+    assert str(info.value) == "character 'A' at position 0 not in alphabet"
+
+
 @pytest.mark.parametrize(
     "query, cached, bad, message",
     [

@@ -5,7 +5,8 @@ writes each row as the builder hands it to its sink, and `nsp-eval` feeds
 the rows straight into its scorer. Three consequences are pinned here:
 
 - a bad line surfaces when iteration reaches it, after the rows before it;
-- `build-nsp-dataset` checks every lyric before it opens `--out`;
+- `build-nsp-dataset` checks every lyric before it opens `--out`, and names
+  a short lyric by its file line;
 - `nsp-eval` has its scorer ready before it reads a row, so an LM-side
   error is reported before a dataset error.
 
@@ -21,6 +22,7 @@ import tracemalloc
 
 import pytest
 
+from syllabeam import nsp
 from syllabeam.cli import main
 from syllabeam.corpus import load_aligned_corpus, render_text, write_aligned_corpus
 from syllabeam.lm import lyric_lm_text, train_char_ngram
@@ -52,7 +54,7 @@ def test_short_lyric_fails_before_out_is_opened(tmp_path, capsys, existing):
     code = main(["build-nsp-dataset", "--corpus", str(corpus), "--out", str(out)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == f"error: {corpus}: lyric 3: must contain at least 2 syllables\n"
+    assert captured.err == f"error: {corpus}:5: must contain at least 2 syllables\n"
     if existing is None:
         assert not out.exists()
     else:
@@ -97,18 +99,28 @@ def dataset(tmp_path_factory):
     train_char_ngram([lyric_lm_text(render_text(p.lyric)) for p in pairs], 4, 0.1).save(root / "lm.json")
     _, load_peak = traced(lambda: load_aligned_corpus(root / "corpus.jsonl"))
     argv = ["build-nsp-dataset", "--corpus", str(root / "corpus.jsonl"), "--out", str(root / "nsp.tsv")]
-    _, build_peak = traced(lambda: main(argv))
+    build_peaks = {}
+    for cpus in (2, 1):  # forked, then serial
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(nsp, "_cpus", lambda: cpus)
+            _, build_peaks[cpus] = traced(lambda: main(argv))
     rows = []
     rows_size, _ = traced(lambda: rows.extend(read_nsp_tsv(root / "nsp.tsv")))
     assert len(rows) > 9_000
-    return root, load_peak, build_peak, rows_size
+    return root, load_peak, build_peaks, rows_size
 
 
 def test_build_holds_little_beyond_its_corpus(dataset):
     # a builder that collects its rows adds about 0.68x their size here (rows
-    # of one position share their context); a streaming one about 0.03x
-    _, load_peak, build_peak, rows_size = dataset
-    assert build_peak < load_peak + rows_size / 10
+    # of one position share their context); a streaming one about 0.03x. On
+    # the forked path the child's rows reach --out in chunks.
+    _, load_peak, build_peaks, rows_size = dataset
+    assert build_peaks[2] < load_peak + rows_size / 10
+
+
+def test_serial_build_holds_little_beyond_its_corpus(dataset):
+    _, load_peak, build_peaks, rows_size = dataset
+    assert build_peaks[1] < load_peak + rows_size / 10
 
 
 def test_nsp_eval_holds_no_row_list(dataset):
