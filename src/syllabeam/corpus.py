@@ -310,19 +310,33 @@ def _note(seen: dict, pitch, duration, rest) -> MelodyNote:
     return note
 
 
+def _object(pairs: list) -> dict:
+    """The dict of one JSON object's (key, value) pairs, once no key repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError(f"repeated key {next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))!r}")
+    return obj
+
+
+# json.loads builds a decoder per call that names a hook; records share this one
+_RECORD_DECODER = json.JSONDecoder(object_pairs_hook=_object)
+
+
 def load_aligned_corpus(path) -> list[AlignedPair]:
     """Read aligned pairs from JSONL, one record a line (`read_lines`).
 
     Each record is a JSON object of exactly the keys "syllables",
-    "word_initial" and "notes", each a JSON array of one length: syllables
-    JSON strings, flags JSON booleans, notes JSON arrays of three, pitches
-    JSON integers and durations and rests JSON numbers. An error names the
-    file and the record's 1-based line, blank lines counted (`naming`).
+    "word_initial" and "notes", once each, all JSON arrays of one length:
+    syllables JSON strings, flags JSON booleans, notes JSON arrays of 3,
+    pitches JSON integers, durations and rests JSON numbers. An error names
+    the file and the record's 1-based line, blank lines counted (`naming`).
     """
     tokens_seen, notes_seen = {}, {}  # equal tokens and notes, shared
 
     def pair(line: str) -> AlignedPair:
-        record = json.loads(line)
+        if line.startswith("\ufeff"):  # json.loads's own check, which the decoder lacks
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        record = _RECORD_DECODER.decode(line)
         if type(record) is not dict:
             raise ValueError("not a JSON object")
         if record.keys() != _RECORD_KEYS:

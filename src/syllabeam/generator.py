@@ -28,7 +28,6 @@ from .corpus import (
 DURATION_SHORT = "short"
 DURATION_MEDIUM = "medium"
 DURATION_LONG = "long"
-_DURATION_CLASSES = (DURATION_SHORT, DURATION_MEDIUM, DURATION_LONG)
 
 _FORMAT = "syllabeam-generator"
 _VERSION = 2
@@ -58,19 +57,24 @@ def bucket_note(note: Optional[MelodyNote]) -> Optional[NoteBucket]:
     return NoteBucket(note.pitch % 12, note.pitch // 12, duration_class, note.rest > 0)
 
 
+# Every bucket a note has: 128 pitches x 3 duration classes x a rest or none.
+# Each is keyed by its values and their types, as 1 == True and 0 == 0.0, so
+# one lookup checks a JSON bucket, and only an array of a note's values passes.
+_BUCKETS = {
+    (*bucket, *map(type, bucket)): bucket
+    for bucket in (bucket_note(MelodyNote(p, d, r)) for p in range(128) for d in (0.5, 1, 2) for r in (0, 1))
+}
+
+
 def _bucket_from_json(data) -> Optional[NoteBucket]:
-    if data is None:
-        return None
-    if type(data) is list and len(data) == 4:
-        pitch_class, register, duration_class, has_rest = data
-        if (
-            type(pitch_class) is int
-            and type(register) is int
-            and duration_class in _DURATION_CLASSES
-            and type(has_rest) is bool
-        ):
-            return NoteBucket(pitch_class, register, duration_class, has_rest)
-    raise ValueError(f"bucket {data!r} is not [int, int, duration class, bool] or null")
+    try:
+        return None if data is None else _BUCKETS[(*data, *map(type, data))]
+    except (KeyError, TypeError):  # no note's bucket, unhashable, or no array
+        pass
+    raise ValueError(
+        f"bucket {data!r} is not a note's"
+        " [pitch class 0-11, register 0-10, duration class, rest flag] or null"
+    )
 
 
 class _Ranking(NamedTuple):
@@ -225,27 +229,22 @@ class MelodyConditionedNgram:
 
     # -- persistence ------------------------------------------------------
 
-    @staticmethod
-    def _bucket_json(bucket: Optional[NoteBucket]):
-        return None if bucket is None else list(bucket)
-
     def save(self, path) -> None:
         """Write the model's (history, bucket) rows in the order of their keys'
         JSON text; `load` derives the other tables from them. Entries are made
         of [a-z'<>], all above the `"` that ends a JSON string, and histories are
         of one length, so a flat tuple of a row's history entries and its bucket's
         text keeps that order, and it compares faster than a nested tuple."""
-        # Each row is a tuple of the model's own history tuple, its bucket's one
-        # JSON list and its counts: the encoder writes tuples as arrays.
-        bucket_json = {bucket: self._bucket_json(bucket) for bucket in self._by_bucket}
-        bucket_text = {bucket: json.dumps(data) for bucket, data in bucket_json.items()}
+        # Each row is a tuple of the model's own history tuple, bucket tuple and
+        # counts: the encoder writes tuples, NoteBucket among them, as arrays.
+        bucket_text = {bucket: json.dumps(bucket) for bucket in self._by_bucket}
         fields = {
             "bucketing": _BUCKETING_VERSION,
             "history": self.history,
             "k": self.k,
             "vocabulary": list(self.vocab.syllable_texts()),
             "hist_bucket": [
-                (hist, bucket_json[bucket], counts)
+                (hist, bucket, counts)
                 for (hist, bucket), counts in sorted(
                     self._by_hist_bucket.items(),
                     key=lambda item: (*item[0][0], bucket_text[item[0][1]]),
@@ -260,7 +259,7 @@ class MelodyConditionedNgram:
         """A saved model, once its vocabulary is as `save` writes it (sorted,
         distinct, without BOS or the end token), it has (history, bucket) rows
         of distinct keys, each history is `history` vocabulary entries or BOS,
-        each bucket [int, int, duration class, bool] or null, and each count
+        each bucket null or one a note has (`_BUCKETS`), and each count
         table maps emittable vocabulary entries to non-negative integers."""
         with naming(path):
             return cls._from_payload(modelfile.load(path, _FORMAT, _VERSION, _SCHEMA))
@@ -288,19 +287,6 @@ class MelodyConditionedNgram:
                     pass
             raise ValueError(f"history {data!r} is not {model.history} vocabulary entries")
 
-        # a model has few distinct buckets; each JSON form, told apart by its
-        # values and their types (1 == True), is checked once
-        buckets: dict[tuple[tuple, tuple], Optional[NoteBucket]] = {}
-
-        def bucket(data) -> Optional[NoteBucket]:
-            try:
-                return buckets[tuple(data), tuple(map(type, data))]
-            except (KeyError, TypeError):  # new, unhashable, or null or another scalar
-                parsed = _bucket_from_json(data)
-                if parsed is not None:
-                    buckets[tuple(data), tuple(map(type, data))] = parsed
-                return parsed
-
         # training counts every syllable under its history and bucket, so a
         # trained file has rows; without them no row would pin `history` down
         rows = payload.pop("hist_bucket")
@@ -320,7 +306,7 @@ class MelodyConditionedNgram:
             data, note, counts = row
             if data != last:
                 hist, last = hist_key(data), data
-            if by_hist_bucket.setdefault((hist, bucket(note)), counts) is not counts:
+            if by_hist_bucket.setdefault((hist, _bucket_from_json(note)), counts) is not counts:
                 raise ValueError(f"repeated 'hist_bucket' row for history {data!r} and bucket {note!r}")
             modelfile.counts(counts, emittable)
         model._derive()

@@ -279,7 +279,6 @@ def _parse_row(line: str) -> NspExample:
     if len(parts) != 3:
         raise ValueError(f"expected 3 columns, got {len(parts)}")
     check_row(*parts)  # raises: _ROW_RE matches every row it passes
-    return _row((parts[0], parts[1], int(parts[2])))
 
 
 def read_nsp_tsv(path) -> Iterator[NspExample]:

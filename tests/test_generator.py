@@ -270,6 +270,17 @@ class TestPersistence:
         for name in ("_by_hist_bucket", "_by_hist", "_by_bucket", "_unigram"):
             assert getattr(loaded, name) == getattr(model, name)
 
+    def test_every_note_bucket_loads(self, tmp_path):
+        """A file may hold each of the 768 buckets a MIDI note has, those of
+        pitches 0 and 127 included, and loads each as trained."""
+        notes = tuple(MelodyNote(p, d, r) for p in range(128) for d in (0.5, 1.0, 2.0) for r in (0.0, 0.5))
+        tokens = tuple(SyllableToken("la", i == 0) for i in range(len(notes)))
+        corpus = [AlignedPair(MelodySequence(notes), LyricSequence(tokens))]
+        model = train_generator(corpus, build_vocabulary([corpus[0].lyric]), history=1)
+        assert len(model._by_bucket) == 768 + 1  # and null, past the final note
+        model.save(tmp_path / "gen.json")
+        assert MelodyConditionedNgram.load(tmp_path / "gen.json")._by_hist_bucket == model._by_hist_bucket
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"format": "other"}')
@@ -402,10 +413,12 @@ class TestSharing:
             assert all(text is own[text] for text in hist)
 
     @pytest.mark.parametrize("history", [1, 2, 3])
-    @pytest.mark.parametrize("vocabulary", ["small", "many"])
+    @pytest.mark.parametrize("vocabulary", ["small", "large", "many"])
     def test_load_peaks_no_higher_than_parsing(self, tmp_path, vocabulary, history):
         """The parsed rows are released as the model is built, so loading
-        peaks where parsing the file alone does."""
+        peaks where parsing the file alone does. Buckets are checked against
+        one table built at import, so the large corpus's hundreds of buckets
+        cost a load nothing to hold."""
         path = tmp_path / "gen.json"
         self.model(tmp_path, self.corpus(vocabulary), history, "trained").save(path)
 

@@ -76,6 +76,8 @@ CASES = [
     pytest.param(["train-generator", *CORPUS], CORPUS_BLANK_LINE, ":3", id="corpus record, train-generator"),
     pytest.param(["build-nsp-dataset", *CORPUS], CORPUS_BLANK_LINE, ":3", id="corpus record, build-nsp-dataset"),
     pytest.param(["train-lm", *CORPUS], RECORD + "\n{\n", ":2", id="corpus JSON"),
+    # a lone carriage return ends a line, as a line feed does
+    pytest.param(["train-generator", *CORPUS], RECORD + "\r{\n", ":2", id="corpus JSON after a lone CR"),
     # only an empty line is skipped: a line of blanks is a record, passed as written
     pytest.param(["train-lm", *CORPUS], RECORD + "\n  \n" + RECORD + "\n", ":2", id="corpus line of spaces"),
     pytest.param(["train-lm", *CORPUS], RECORD + "\n\n\u00a0\n", ":3", id="corpus no-break space line"),
@@ -117,6 +119,16 @@ def test_an_input_error_names_its_file_and_line(tmp_path, capsys, good, argv, ba
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert re.fullmatch(f"error: {re.escape(str(path))}{place}: [^\n]+\n", captured.err), captured.err
+
+
+@pytest.mark.parametrize("text", [b"la _mi\rso fa\n", b"la _mi\r\nso fa\r\n"])
+def test_a_lone_cr_or_a_crlf_ends_one_line(tmp_path, capsys, good, text):
+    """Inputs are read with universal newlines: a line feed, a CR LF pair and
+    a lone carriage return each end one line, so each file holds two lyrics."""
+    path = tmp_path / "lyrics.txt"
+    path.write_bytes(text)
+    assert main(["evaluate", "--json", "--candidates", str(path), "--references", str(good / "lyrics.txt")]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["pairs"] == 2
 
 
 # each input through every command that reads it, "{bad}" standing for its path

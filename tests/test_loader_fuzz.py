@@ -208,7 +208,10 @@ def bucket_cases():
     bad = ["short", [0, 5, "short"], [0, 5, "short", True, 1], [0, 5, "short", 1],
            [0, 5, "short", 0], [0, 5, "tiny", True], [0.0, 5, "short", True],
            [True, 5, "short", True], [0, 5.0, "short", False], [[], 5, "short", True],
-           [0, 5, ["short"], True], {"0": 5}, 5]
+           [0, 5, ["short"], True], {"0": 5}, 5,
+           # well typed, but no MIDI pitch 0-127 has it: [8, 10] would be pitch 128
+           [12, 5, "short", True], [-1, 5, "short", True], [0, 11, "short", True],
+           [0, -1, "short", True], [8, 10, "short", True]]
     return [
         pytest.param(set_in_row("hist_bucket", 1, value), f"bucket {value!r} {BUCKET}",
                      id=f"hist_bucket bucket {json.dumps(value)}")
@@ -218,7 +221,7 @@ def bucket_cases():
 
 GEN_VOCABULARY = "vocabulary must be sorted, distinct entries without <bos> or <eos>"
 NO_ROWS = "has no rows; a trained model always has some"
-BUCKET = "is not [int, int, duration class, bool] or null"
+BUCKET = "is not a note's [pitch class 0-11, register 0-10, duration class, rest flag] or null"
 
 GEN_CASES = header_cases(
     "syllabeam-generator",
@@ -469,6 +472,18 @@ def test_corpus_record(tmp_path, capsys, command, path, value, message):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_corpus_record_nested_too_deeply(tmp_path, capsys, command):
     corpus_run(tmp_path, capsys, command, '{"notes": ' + DEEP + "}")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_corpus_record_with_a_repeated_key(tmp_path, capsys, command):
+    """A second "syllables" list is not read in place of the first."""
+    line = json.dumps(GOOD_RECORD)[:-1] + ', "syllables": ["hey", "hey"]}'
+    corpus_run(tmp_path, capsys, command, line, "repeated key 'syllables'\n")
+
+
+def test_corpus_record_after_a_byte_order_mark(tmp_path, capsys):
+    """The record decoder, which json.loads would build per call, keeps its BOM message."""
+    corpus_run(tmp_path, capsys, "train-lm", "\ufeff" + json.dumps(GOOD_RECORD), "Unexpected UTF-8 BOM")
 
 
 # every row kind the builder writes: spaced and glued candidates, the end

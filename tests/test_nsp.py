@@ -2,14 +2,18 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syllabeam.corpus import EOS_TEXT, LyricSequence, SyllableToken, parse_lyric_line, render_text
 from syllabeam.nsp import (
+    _ROW_RE,
     BuilderConfig,
     NspExample,
     build_dataset,
     build_examples_for_lyric,
     candidate_marker,
+    check_row,
     corrupted_context,
     nsp_line,
     read_nsp_tsv,
@@ -321,6 +325,33 @@ class TestTsv:
             list(read_nsp_tsv(path))
         bad = f"context {context!r}" if candidate == "_ve" else f"candidate {candidate!r}"
         assert str(info.value) == f"{path}:2: bad {bad}"
+
+
+# a column is drawn from the grammar's pieces, or from those and look-alikes
+# and separators outside the grammar
+def column(*pieces, min_size=0):
+    return st.lists(st.sampled_from(pieces), min_size=min_size, max_size=5).map("".join)
+
+
+ANY = column("a", "z", "'", " ", "<eos>", "_", "0", "1", "<", "eos>", "$", "A", "9", "\u00e9", "\ufeff",
+             "\x0b", "\r", "\n")
+CONTEXTS = st.one_of(column("a", "z", "'", " ", "<eos>", min_size=1), ANY)
+CANDIDATES = st.one_of(st.builds(str.__add__, st.sampled_from(["", "_"]),
+                                 st.one_of(st.just("<eos>"), column("a", "z", "'", min_size=1))), ANY)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(context=CONTEXTS, candidate=CANDIDATES, label=st.one_of(st.sampled_from(["0", "1"]), ANY))
+def test_row_pattern_accepts_exactly_the_checked_rows(context, candidate, label):
+    """A line the one-regex path reads, its context non-empty, is a row
+    `check_row` passes, and no other, so `_parse_row` needs no fallback read."""
+    match = _ROW_RE.fullmatch(f"{context}\t{candidate}\t{label}")
+    try:
+        check_row(context, candidate, label)
+    except ValueError:
+        assert not (match and match[1])
+    else:
+        assert match and match.groups() == (context, candidate, label)
 
 
 class TestMetric:
