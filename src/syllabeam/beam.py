@@ -159,7 +159,7 @@ def _search(hyps: list, seams: tuple, melody: MelodySequence, t: int, config: Fu
 
 
 def decode(melody: MelodySequence, generator, lm, config: FusionConfig) -> list[DecodeResult]:
-    """Full fused beam search over a melody.
+    """Full fused beam search over a melody; the results come best first.
 
     Expands until every hypothesis has ended or max_len steps have run;
     a hypothesis still open at the cutoff is closed with an unscored end
@@ -180,7 +180,7 @@ def decode(melody: MelodySequence, generator, lm, config: FusionConfig) -> list[
         tokens, trace = _unwind(node, memo)
         tokens = tokens if finished else tokens + (_END,)
         results.append(DecodeResult(LyricSequence(tokens), cumulative, trace))
-    return sorted(results, key=lambda result: -result.cumulative)  # stable: ties keep beam order
+    return results  # _search keeps its hypotheses best first
 
 
 def audit_trace(results: Sequence[DecodeResult]) -> bool:

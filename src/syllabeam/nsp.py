@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import re
-import shutil
 import signal
 import tempfile
 from collections import namedtuple
@@ -153,19 +152,21 @@ def check_corpus(corpus: Sequence[LyricSequence]) -> None:
 
 def _build(
     corpus: Sequence[LyricSequence], first: int, config: BuilderConfig, sink: Callable[[NspExample], None]
-) -> tuple[int, int]:
+) -> int:
     """Stream the rows of `corpus` to `sink` in lyric order, its lyric i drawing
-    from the substream of index `first + i`; return (positives, total)."""
-    positives = total = 0
+    from the substream of index `first + i`; return the number of rows."""
+    total = 0
     for index, lyric in enumerate(corpus, start=first):
-        for example in build_examples_for_lyric(lyric, config, substream(config.seed, index)):
+        examples = build_examples_for_lyric(lyric, config, substream(config.seed, index))
+        for example in examples:
             sink(example)
-            positives += example.label
-            total += 1
-    return positives, total
+        total += len(examples)
+    return total
 
 
-def _summary(positives: int, total: int) -> dict[str, int]:
+def _summary(corpus: Sequence[LyricSequence], total: int) -> dict[str, int]:
+    """The counts of `total` rows built from `corpus`: one positive per position."""
+    positives = sum(len(lyric.syllables()) for lyric in corpus)
     return {"positives": positives, "negatives": total - positives, "total": total}
 
 
@@ -176,7 +177,7 @@ def build_dataset(
 ) -> dict[str, int]:
     """Stream every lyric's rows to `sink` in lyric order once `check_corpus` passes; return counts."""
     check_corpus(corpus)
-    return _summary(*_build(corpus, 0, config, sink))
+    return _summary(corpus, _build(corpus, 0, config, sink))
 
 
 def _cpus() -> int:
@@ -185,11 +186,6 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-# the child's counts, ahead of its rows in its spill file; fixed width, so
-# that the child can write it last over a blank one
-_HEADER = "{:20d} {:20d}\n"
 
 
 def write_dataset(corpus: Sequence[LyricSequence], config: BuilderConfig, path) -> dict[str, int]:
@@ -214,13 +210,13 @@ def write_dataset(corpus: Sequence[LyricSequence], config: BuilderConfig, path) 
             fh.write(nsp_line(example))
 
         if not (half and hasattr(os, "fork") and _cpus() > 1):
-            return _summary(*_build(corpus, 0, config, write))
+            return _summary(corpus, _build(corpus, 0, config, write))
         with tempfile.TemporaryFile() as spill:
             pid = os.fork()
             if pid == 0:
                 _build_in_child(corpus[half:], half, config, spill.fileno())
             try:
-                positives, total = _build(corpus[:half], 0, config, write)
+                total = _build(corpus[:half], 0, config, write)
             except BaseException:
                 os.kill(pid, signal.SIGKILL)
                 raise
@@ -230,23 +226,21 @@ def write_dataset(corpus: Sequence[LyricSequence], config: BuilderConfig, path) 
                 last = len(corpus) - 1
                 raise ChildProcessError(f"the process building lyrics {half} to {last} exited with code {code}")
             spill.seek(0)
-            child_positives, child_total = map(int, spill.readline().split())
             fh.flush()
-            shutil.copyfileobj(spill, fh.buffer)
-    return _summary(positives + child_positives, total + child_total)
+            while chunk := spill.read(1 << 16):
+                fh.buffer.write(chunk)
+                total += chunk.count(b"\n")  # rows hold no line break
+    return _summary(corpus, total)
 
 
 def _build_in_child(corpus: Sequence[LyricSequence], first: int, config: BuilderConfig, fd: int) -> NoReturn:
-    """In a forked child: write the `_HEADER` and rows of `corpus`, lyric
-    `first` onwards, to the file open at `fd`, then leave by `os._exit`, with
-    code 0 once every row is written and 1 on any failure."""
+    """In a forked child: write the rows of `corpus`, lyric `first` onwards,
+    to the file open at `fd`, then leave by `os._exit`, with code 0 once
+    every row is written and 1 on any failure."""
     code = 1
     try:
         with open(fd, "w", encoding="utf-8", newline="", closefd=False) as out:
-            out.write(_HEADER.format(0, 0))
-            counts = _build(corpus, first, config, lambda example: out.write(nsp_line(example)))
-            out.seek(0)
-            out.write(_HEADER.format(*counts))
+            _build(corpus, first, config, lambda example: out.write(nsp_line(example)))
         code = 0
     finally:
         os._exit(code)

@@ -145,6 +145,10 @@ class TestFusionConfig:
         with pytest.raises(ValueError):
             FusionConfig(beam_size=0)
 
+    def test_max_len_positive(self):
+        with pytest.raises(ValueError, match="max_len must be >= 1"):
+            FusionConfig(max_len=0)
+
 
 class TestDecodeStepZero:
     """Step 0, generator-only, through a decode of one step."""

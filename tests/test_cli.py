@@ -115,6 +115,14 @@ class TestTrain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["train-lm", "build-nsp-dataset"])
+    def test_out_in_a_missing_directory_exits_1(self, tmp_path, corpus_path, capsys, command):
+        out = tmp_path / "missing" / "out"
+        code = main([command, "--corpus", corpus_path, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: [Errno 2] ") and captured.err.count("\n") == 1
+
     def test_order_zero_usage_error(self, tmp_path, corpus_path, capsys):
         code, _ = run(
             capsys,
@@ -391,6 +399,13 @@ class TestEmitPrompt:
         )
         assert code == 0
         assert "syllable-split" in stdout
+
+    def test_set_without_a_file_is_usage_error(self, tmp_path, capsys):
+        args = self.make_sets(tmp_path)
+        args[3] = "a"
+        code = main(["emit-prompt", *args])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", "error: --set expects NAME=FILE, got 'a'\n")
 
     def test_two_sets_usage_error(self, tmp_path, capsys):
         args = self.make_sets(tmp_path)[:4]

@@ -51,6 +51,10 @@ class TestLyricSequence:
         with pytest.raises(ValueError):
             LyricSequence((SyllableToken("hey", False),))
 
+    def test_a_list_is_stored_as_a_tuple(self):
+        tokens = [SyllableToken("hey", True), SyllableToken("you", False)]
+        assert LyricSequence(tokens).tokens == tuple(tokens)
+
     def test_syllables_strips_eos(self):
         lyric = parse_lyric_line("hey _you <eos>")
         assert [t.text for t in lyric.syllables()] == ["hey", "you"]
@@ -107,6 +111,10 @@ class TestParseMelodyLine:
 
     def test_singleton(self):
         assert len(parse_melody_line("60:1:0")) == 1
+
+    def test_a_list_is_stored_as_a_tuple(self):
+        notes = [MelodyNote(60, 1, 0), MelodyNote(62, 0.5, 0.5)]
+        assert MelodySequence(notes).notes == tuple(notes)
 
     def test_pitch_out_of_range(self):
         with pytest.raises(ValueError):

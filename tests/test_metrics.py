@@ -84,6 +84,10 @@ class TestRougeN:
     def test_eos_ignored(self):
         assert rouge_n(["a", "b", "<eos>"], ["a", "b"], 1)["f1"] == 1.0
 
+    def test_n_zero(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            rouge_n(["a"], ["a"], 0)
+
 
 class TestRougeL:
     def test_hand_lcs(self):
@@ -111,6 +115,10 @@ class TestRougeL:
 
 
 class TestSentenceBleu:
+    def test_max_n_zero(self):
+        with pytest.raises(ValueError, match="max_n must be >= 1"):
+            sentence_bleu(["a"], ["a"], 0)
+
     def test_identical(self):
         tokens = ["a", "b", "c", "d", "e"]
         for n in (2, 3, 4):

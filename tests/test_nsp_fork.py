@@ -67,6 +67,11 @@ def test_forked_build_writes_the_serial_bytes(tmp_path, capsys, monkeypatch, cor
     assert_no_child_left()
 
 
+def test_cpus_without_an_affinity_call_counts_the_cpus(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert nsp._cpus() == (os.cpu_count() or 1)
+
+
 def test_a_failing_child_fails_the_command(tmp_path, capsys, monkeypatch, corpus_of):
     corpus, out = corpus_of(101), tmp_path / "nsp.tsv"
     substream = nsp.substream
