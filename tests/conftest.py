@@ -6,11 +6,12 @@ derive those from the reference interfaces, a full `next_distribution` and
 `score_with_spacing`, for the test stubs and the reference generator.
 `NaiveGenerator` counts a corpus's events itself and serves the full
 distribution the trained generator must match, float for float; it is the
-generator oracle of the top-k tests and of the reference decodes.
-`continuation_scores` reads the LM's score of any alphabet text through
-`score_nsp_rows`. `reference_decode` rebuilds decode's search from
-`next_distribution` and `score_with_spacing` alone, one materialize-and-sort
-step (`reference_expand`) at a time, as decode's selection oracle.
+generator oracle of the top-k tests and of the search oracles.
+`NaiveWalker` is the LM's counting oracle: it counts the training texts
+itself and repeats the model's arithmetic, and trained and reloaded models
+must match it exactly. `continuation_scores` reads the LM's score of any
+alphabet text through `score_nsp_rows`. Decode's rules and the search
+oracles built on them live in `decode_rules.py`.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-from syllabeam.beam import DecodeResult, TraceStep
 from syllabeam.corpus import (
     BOS_TEXT,
     EOS_TEXT,
@@ -30,7 +30,7 @@ from syllabeam.corpus import (
     MelodySequence,
     SyllableToken,
 )
-from syllabeam.lm import EOS_CHAR, SPACED, UNSPACED
+from syllabeam.lm import BACKOFF_FACTOR, DEFAULT_ALPHABET, EOS_CHAR, SPACED, UNSPACED, ContinuationScore
 from syllabeam.nsp import BuilderConfig
 
 # small word inventory, each word pre-split into syllables
@@ -201,88 +201,80 @@ def continuation_scores(lm, context, texts):
     return [score for score, _ in lm.score_nsp_rows(rows)]
 
 
-class Hypothesis(NamedTuple):
-    """One hypothesis of the reference search; `rendered` is its LM context."""
-
-    tokens: tuple[SyllableToken, ...]
-    rendered: str
-    cumulative: float
-    finished: bool
-    trace: tuple[TraceStep, ...]
-
-
-END = SyllableToken(EOS_TEXT, False)
+def naive_counts(training, order):
+    """tables[L][context][ch], counted straight from the texts."""
+    tables = [{} for _ in range(order)]
+    for text in training:
+        for pos, ch in enumerate(text):
+            for length in range(min(pos, order - 1) + 1):
+                table = tables[length].setdefault(text[pos - length : pos], {})
+                table[ch] = table.get(ch, 0) + 1
+    return tables
 
 
-def reference_expand(beams, generator, lm, melody, t, config):
-    """Step t >= 1 of the search: materialize every candidate, sort, keep the
-    best; written independently of decode to serve as its selection oracle."""
-    note = melody.notes[t] if t < len(melody.notes) else None
-    entries = []
-    for parent, beam in enumerate(beams):
-        if beam.finished:
-            entries.append((beam.cumulative, parent, -1, beam))
-            continue
-        dist = generator.next_distribution(beam.tokens, note)
-        if note is None:
-            ranked = [(EOS_TEXT, dist[EOS_TEXT])]
-        else:
-            ranked = sorted(
-                dist.items(), key=lambda kv: (-kv[1], generator.vocab.id_of(kv[0]))
-            )[: config.beam_size]
-        for text, prob in ranked:
-            if lm is None:
-                lm_score, variant = 0.0, SPACED if text != EOS_TEXT else UNSPACED
-            else:
-                scored = lm.score_with_spacing(beam.rendered, text)
-                lm_score, variant = scored.value, scored.chosen_variant
-            contribution = config.lambda_gen * prob + config.lambda_lm * lm_score
-            cumulative = beam.cumulative + contribution
-            trace = beam.trace + (TraceStep(prob, lm_score, variant, contribution),)
-            if text == EOS_TEXT:
-                child = Hypothesis(beam.tokens + (END,), beam.rendered, cumulative, True, trace)
-            else:
-                spaced = variant == SPACED
-                tokens = beam.tokens + (SyllableToken(text, spaced),)
-                rendered = beam.rendered + ((" " + text) if spaced else text)
-                child = Hypothesis(tokens, rendered, cumulative, False, trace)
-            entries.append((cumulative, parent, generator.vocab.id_of(text), child))
-    entries.sort(key=lambda e: (-e[0], e[1], e[2]))
-    return [hyp for _, _, _, hyp in entries[: config.beam_size]]
+class NaiveWalker:
+    """Every score from the counts, walking the whole context each time."""
 
+    def __init__(self, training, order, k):
+        self.tables = naive_counts(training, order)
+        self.order = order
+        self.k = k
+        self.size = len(DEFAULT_ALPHABET)
 
-def reference_steps(melody, generator, lm, config):
-    """The hypotheses after each step of the reference search, step 0 first.
-    Step 0 ranks the first syllables by generator probability alone; each
-    later step is `reference_expand`, until every hypothesis has ended or
-    `max_len` steps have run."""
-    dist = generator.next_distribution((), melody.notes[0])
-    beams = []
-    for text, prob in ranked_candidates(generator, dist)[: config.beam_size]:
-        end = text == EOS_TEXT
-        trace = (TraceStep(prob, None, UNSPACED if end else SPACED, prob),)
-        if end:
-            beams.append(Hypothesis((END,), "", prob, True, trace))
-        else:
-            beams.append(Hypothesis((SyllableToken(text, True),), text, prob, False, trace))
-    steps = [beams]
-    for t in range(1, config.max_len):
-        if all(beam.finished for beam in beams):
-            break
-        beams = reference_expand(beams, generator, lm, melody, t, config)
-        steps.append(beams)
-    return steps
+    def level(self, context):
+        suffix = context[max(0, len(context) - (self.order - 1)) :]
+        for hops, length in enumerate(range(len(suffix), -1, -1)):
+            table = self.tables[length].get(suffix[len(suffix) - length :])
+            if table is not None:
+                return table, hops
+        return {}, len(suffix) + 1
 
+    def char_prob(self, ch, context):
+        table, hops = self.level(context)
+        total = sum(table.values())
+        if not total:
+            return (BACKOFF_FACTOR ** hops) / self.size
+        return (BACKOFF_FACTOR ** hops) * ((table.get(ch, 0) + self.k) / (total + self.k * self.size))
 
-def reference_decode(melody, generator, lm, config):
-    """decode's results from the reference search: a hypothesis still open at
-    the cutoff is closed with an unscored end token, and the results are
-    sorted stably by cumulative score."""
-    results = [
-        DecodeResult(LyricSequence(b.tokens if b.finished else b.tokens + (END,)), b.cumulative, b.trace)
-        for b in reference_steps(melody, generator, lm, config)[-1]
-    ]
-    return sorted(results, key=lambda result: -result.cumulative)
+    def conditional_distribution(self, context):
+        table, _ = self.level(context)
+        total = sum(table.values())
+        if not total:
+            return {ch: 1.0 / self.size for ch in DEFAULT_ALPHABET}
+        return {ch: (table.get(ch, 0) + self.k) / (total + self.k * self.size) for ch in DEFAULT_ALPHABET}
+
+    def score_continuation(self, context, candidate):
+        log_sum = 0.0
+        for ch in candidate:
+            p = self.char_prob(ch, context)
+            if p == 0.0:
+                return 0.0
+            log_sum += math.log(p)
+            context += ch
+        return math.exp(log_sum / len(candidate))
+
+    def score_with_spacing(self, context, syllable):
+        if syllable == EOS_TEXT:
+            return ContinuationScore(self.score_continuation(context, EOS_CHAR), UNSPACED)
+        unspaced = self.score_continuation(context, syllable)
+        spaced = self.score_continuation(context, " " + syllable)
+        if unspaced >= spaced:
+            return ContinuationScore(unspaced, UNSPACED)
+        return ContinuationScore(spaced, SPACED)
+
+    def score_candidates(self, context, syllables):
+        return tuple(self.score_with_spacing(context, syllable) for syllable in syllables)
+
+    def score_nsp_rows(self, rows):
+        return [
+            (self.score_continuation(context.replace(EOS_TEXT, EOS_CHAR),
+                                     candidate.replace("_", " ").replace(EOS_TEXT, EOS_CHAR)), label)
+            for context, candidate, label in rows
+        ]
+
+    def nsp_score(self, context, candidate):
+        [(score, _)] = self.score_nsp_rows([(context, candidate, 1)])
+        return score
 
 
 def expected_dataset_size(corpus: Sequence[LyricSequence], config: BuilderConfig) -> tuple[float, float]:

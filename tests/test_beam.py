@@ -1,6 +1,7 @@
-import itertools
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,15 +19,8 @@ from syllabeam.generator import train_generator
 from syllabeam.lm import SPACED, UNSPACED, ContinuationScore, lyric_lm_text, train_char_ngram
 from syllabeam.corpus import render_text
 
-from conftest import (
-    Batched,
-    Keyed,
-    NaiveGenerator,
-    make_corpus,
-    make_melody,
-    reference_decode,
-    reference_steps,
-)
+from conftest import Batched, Keyed, NaiveGenerator, make_corpus, make_melody
+from decode_rules import exhaustive, reference_decode, reference_steps
 
 
 def melody_of(n):
@@ -389,33 +383,6 @@ class TestExpandStep:
         assert [t.text for t in got[1].lyric.syllables()] == ["la", "la"]  # then id order among children
 
 
-def brute_force_decode(melody, gen, lm, config, length):
-    """Exhaustive maximization of the cumulative fused score over every
-    fixed-length syllable sequence; mirrors the decoder's accumulation."""
-    texts = [t for t in gen.vocab.emittable() if t != EOS_TEXT]
-    best = None
-    for seq in itertools.product(texts, repeat=length):
-        tokens = []
-        rendered = ""
-        cumulative = 0.0
-        for t, text in enumerate(seq):
-            note = melody.notes[t]
-            dist = gen.next_distribution(tokens, note)
-            prob = dist[text]
-            if t == 0:
-                cumulative = prob
-                rendered = text
-            else:
-                lm_score = lm.score_with_spacing(rendered, text).value
-                contribution = config.lambda_gen * prob + config.lambda_lm * lm_score
-                cumulative = cumulative + contribution
-                rendered = rendered + " " + text
-            tokens.append(SyllableToken(text, True))
-        if best is None or cumulative > best[1]:
-            best = (seq, cumulative)
-    return best
-
-
 class TestDecode:
     def trained_setup(self, n_pairs=60, seed=71, k=0.05):
         """The trained generator's NaiveGenerator, the generator and the LM."""
@@ -493,17 +460,14 @@ class TestDecode:
             decode(melody, gen, None, FusionConfig())
 
     def test_global_optimum_small_universe(self):
-        # every sequence survives when the beam is as wide as the whole
-        # search tree, so the top result is the exhaustive maximum
+        # an end token adds 0, so the optimum runs to the cutoff; a beam of
+        # V^L cuts nothing before the last step, and that step keeps the best
         vocab = Vocabulary(["la", "mi", "so"])
         gen = RandomTableGenerator(vocab, seed=12345, eos_weight=0.0)
         lm = SpacedRandomLM(seed=54321, eos_score=0.0)
         melody = melody_of(3)
         config = FusionConfig(beam_size=27, lambda_lm=0.75, max_len=3)
-        results = decode(melody, gen, lm, config)
-        best_seq, best_score = brute_force_decode(melody, gen, lm, config, 3)
-        assert tuple(t.text for t in results[0].lyric.syllables()) == best_seq
-        assert math.isclose(results[0].cumulative, best_score, abs_tol=1e-12)
+        assert decode(melody, gen, lm, config)[0] == exhaustive(melody, gen, lm, config)
 
     @pytest.mark.parametrize("n_texts,length", [(2, 4), (4, 2), (3, 3)])
     def test_global_optimum_other_universes(self, n_texts, length):
@@ -515,10 +479,19 @@ class TestDecode:
         config = FusionConfig(
             beam_size=n_texts**length, lambda_lm=0.75, max_len=length
         )
-        results = decode(melody, gen, lm, config)
-        best_seq, best_score = brute_force_decode(melody, gen, lm, config, length)
-        assert tuple(t.text for t in results[0].lyric.syllables()) == best_seq
-        assert math.isclose(results[0].cumulative, best_score, abs_tol=1e-12)
+        assert decode(melody, gen, lm, config)[0] == exhaustive(melody, gen, lm, config)
+
+    def test_no_result_beats_the_exhaustive_optimum(self):
+        # a beam of 1 follows the one path `children` leaves, so it is the optimum
+        naive, gen, lm = self.trained_setup()
+        rnd = random.Random(20261019)
+        for _ in range(40):
+            melody = make_melody(rnd, rnd.randint(1, 6))
+            config = FusionConfig(rnd.randint(1, 5), rnd.choice([0.0, 0.25, 0.75, 1.0]), rnd.randint(1, 7))
+            results, best = decode(melody, gen, lm, config), exhaustive(melody, naive, lm, config)
+            assert all(result.cumulative <= best.cumulative for result in results)
+            if config.beam_size == 1:
+                assert results == [best]
 
     def test_melody_exhausted_scores_end_transition(self):
         # max_len beyond the melody: hypotheses close with a scored end
@@ -539,6 +512,17 @@ class TestDecode:
         gen = StubGenerator(vocab, {(): {EOS_TEXT: 0.9, "la": 0.1}})
         results = decode(melody_of(2), gen, None, FusionConfig(beam_size=1, lambda_lm=0.0))
         assert [t.text for t in results[0].lyric.tokens] == [EOS_TEXT]
+
+
+def test_decode_rules_import_only_data_types_from_the_package():
+    # the oracles must restate decode's rules, not reuse its search
+    allowed = {"DecodeResult", "TraceStep", "EOS_TEXT", "LyricSequence", "SyllableToken", "SPACED", "UNSPACED"}
+    tree = ast.parse((Path(__file__).parent / "decode_rules.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "syllabeam" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "syllabeam":
+            assert {alias.name for alias in node.names} <= allowed, node.module
 
 
 class RecordingLM:

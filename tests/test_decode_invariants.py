@@ -7,9 +7,11 @@ through the reference interfaces: an LM scoring through `score_with_spacing`
 alone, one candidate at a time (`Batched`), handed a new copy of every
 context so that it checks nearly every one anew, and `NaiveGenerator`, which
 counts the corpus itself and whose candidates `Keyed` ranks from the full
-distribution. It also equals `reference_decode` on the same naive generator,
-the search rebuilt one materialize-and-sort step at a time, so the prefixes
-decode's results share change no output.
+distribution. It also equals `reference_decode`, the beam rebuilt over
+`decode_rules.children`, on oracles alone: the same naive generator and
+`NaiveWalker`, which counts the LM's training texts itself. So that check
+reads no code of `lm.py` or `generator.py`, and the prefixes decode's
+results share change no output.
 """
 
 import random
@@ -25,7 +27,8 @@ from syllabeam.corpus import EOS_TEXT, build_vocabulary, render_text
 from syllabeam.generator import train_generator
 from syllabeam.lm import lyric_lm_text, train_char_ngram
 
-from conftest import Batched, NaiveGenerator, make_corpus, make_melody, reference_decode
+from conftest import Batched, NaiveGenerator, NaiveWalker, make_corpus, make_melody
+from decode_rules import reference_decode
 
 
 class SpacingOnly(Batched):
@@ -95,8 +98,9 @@ def test_decode_equals_the_search_rebuilt_step_by_step(
     melody = make_melody(random.Random(melody_seed), notes)
     config = FusionConfig(beam_size, lambda_lm, max_len)
 
+    walker = NaiveWalker([lyric_lm_text(render_text(p.lyric)) for p in corpus], 3, 0.1)
     results = decode(melody, generator, lm, config)
-    assert results == reference_decode(melody, naive, lm, config)
+    assert results == reference_decode(melody, naive, walker, config)
     for result in results:
         tokens = result.lyric.tokens
         assert tokens[-1].text == EOS_TEXT

@@ -3,7 +3,7 @@
 A trained model (or an untrained one, from no text at all) that has
 answered queries before and emptied its caches at a small `MEMO_LIMIT` must
 answer every public query exactly as a freshly loaded copy does, and exactly
-as a naive walker that counts the training texts itself and repeats the
+as `NaiveWalker`, which counts the training texts itself and repeats the
 model's arithmetic. Decode never builds an LM distribution, so "each
 distribution sums to 1" is asserted of the walker's distributions alone; the
 model's one-character continuations must equal the walker's per-character
@@ -21,18 +21,9 @@ from hypothesis import strategies as st
 
 from syllabeam import lm as lm_module
 from syllabeam.corpus import EOS_TEXT
-from syllabeam.lm import (
-    BACKOFF_FACTOR,
-    DEFAULT_ALPHABET,
-    EOS_CHAR,
-    SPACED,
-    UNSPACED,
-    CharNgramModel,
-    ContinuationScore,
-    train_char_ngram,
-)
+from syllabeam.lm import DEFAULT_ALPHABET, EOS_CHAR, CharNgramModel, train_char_ngram
 
-from conftest import continuation_scores
+from conftest import NaiveWalker, continuation_scores
 
 # few distinct characters, so queried contexts often have stored suffixes
 TEXT_CHARS = "abo ' " + EOS_CHAR
@@ -48,82 +39,6 @@ nsp_candidates = st.tuples(st.sampled_from(["", "_"]), syllables).map("".join)
 queries = st.lists(
     st.tuples(contexts, syllables, candidates, nsp_contexts, nsp_candidates), min_size=1, max_size=25
 )
-
-
-def naive_counts(training, order):
-    """tables[L][context][ch], counted straight from the texts."""
-    tables = [{} for _ in range(order)]
-    for text in training:
-        for pos, ch in enumerate(text):
-            for length in range(min(pos, order - 1) + 1):
-                table = tables[length].setdefault(text[pos - length : pos], {})
-                table[ch] = table.get(ch, 0) + 1
-    return tables
-
-
-class NaiveWalker:
-    """Every score from the counts, walking the whole context each time."""
-
-    def __init__(self, training, order, k):
-        self.tables = naive_counts(training, order)
-        self.order = order
-        self.k = k
-        self.size = len(DEFAULT_ALPHABET)
-
-    def level(self, context):
-        suffix = context[max(0, len(context) - (self.order - 1)) :]
-        for hops, length in enumerate(range(len(suffix), -1, -1)):
-            table = self.tables[length].get(suffix[len(suffix) - length :])
-            if table is not None:
-                return table, hops
-        return {}, len(suffix) + 1
-
-    def char_prob(self, ch, context):
-        table, hops = self.level(context)
-        total = sum(table.values())
-        if not total:
-            return (BACKOFF_FACTOR ** hops) / self.size
-        return (BACKOFF_FACTOR ** hops) * ((table.get(ch, 0) + self.k) / (total + self.k * self.size))
-
-    def conditional_distribution(self, context):
-        table, _ = self.level(context)
-        total = sum(table.values())
-        if not total:
-            return {ch: 1.0 / self.size for ch in DEFAULT_ALPHABET}
-        return {ch: (table.get(ch, 0) + self.k) / (total + self.k * self.size) for ch in DEFAULT_ALPHABET}
-
-    def score_continuation(self, context, candidate):
-        log_sum = 0.0
-        for ch in candidate:
-            p = self.char_prob(ch, context)
-            if p == 0.0:
-                return 0.0
-            log_sum += math.log(p)
-            context += ch
-        return math.exp(log_sum / len(candidate))
-
-    def score_with_spacing(self, context, syllable):
-        if syllable == EOS_TEXT:
-            return ContinuationScore(self.score_continuation(context, EOS_CHAR), UNSPACED)
-        unspaced = self.score_continuation(context, syllable)
-        spaced = self.score_continuation(context, " " + syllable)
-        if unspaced >= spaced:
-            return ContinuationScore(unspaced, UNSPACED)
-        return ContinuationScore(spaced, SPACED)
-
-    def score_candidates(self, context, syllables):
-        return tuple(self.score_with_spacing(context, syllable) for syllable in syllables)
-
-    def score_nsp_rows(self, rows):
-        return [
-            (self.score_continuation(context.replace(EOS_TEXT, EOS_CHAR),
-                                     candidate.replace("_", " ").replace(EOS_TEXT, EOS_CHAR)), label)
-            for context, candidate, label in rows
-        ]
-
-    def nsp_score(self, context, candidate):
-        [(score, _)] = self.score_nsp_rows([(context, candidate, 1)])
-        return score
 
 
 def trained(training, order, k):
