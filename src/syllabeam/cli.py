@@ -168,13 +168,13 @@ def cmd_nsp_eval(args: argparse.Namespace) -> int:
         raise ValueError("--lm is not read by the oracle scorer")
     if not math.isfinite(args.threshold):
         raise ValueError(f"threshold must be finite, got {args.threshold!r}")
-    rows = read_nsp_tsv(args.dataset)  # lazily: the scorer is ready, or has failed, before it opens
+    # the scorer is ready, or has failed, before the dataset is opened
     if args.scorer == "oracle":
-        scored = [((0.0, 0), (1.0, 1))[label] for _, _, label in rows]  # each row scored by its label
+        scored = [((0.0, 0), (1.0, 1))[label] for _, _, label in read_nsp_tsv(args.dataset)]  # by its label
     else:
         if args.lm is None:
             raise ValueError("--lm is required for the lm scorer")
-        scored = CharNgramModel.load(args.lm).score_nsp_rows(rows)
+        scored = CharNgramModel.load(args.lm).score_nsp_file(args.dataset)
     if not scored:
         with naming(args.dataset):
             raise ValueError("dataset is empty")

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import modelfile
 from .corpus import _SYLLABLE_RE, EOS_TEXT, naming
-from .nsp import check_row
+from .nsp import check_row, read_nsp_tsv
 
 EOS_CHAR = "$"
 # every character a lyric in the corpus grammar encodes to: syllables match
@@ -96,7 +96,7 @@ class CharNgramModel:
         self._rows: dict[str, dict] = {}
         self._entries = 0
         # (context suffix, encoded NSP candidate) -> _continuation result; read
-        # and written only by score_nsp_rows
+        # and written only by _score_rows
         self._continuations: dict[tuple[str, str], float] = {}
 
     # -- probabilities ----------------------------------------------------
@@ -199,38 +199,35 @@ class CharNgramModel:
         return ContinuationScore(*((unspaced, UNSPACED) if unspaced >= spaced else (spaced, SPACED)))
 
     def nsp_score(self, context: str, candidate: str) -> float:
-        """A one-row `score_nsp_rows`, once `context` and `candidate` are a row
-        the builder can write (`nsp.check_row`): the candidate's underscore marks
-        a leading space, and a context may embed the end marker mid-string
+        """The score of one row, once `context` and `candidate` are a row the
+        builder can write (`nsp.check_row`): the candidate's underscore marks a
+        leading space, and a context may embed the end marker mid-string
         (corruption rows)."""
         check_row(context, candidate)
-        return self.score_nsp_rows(((context, candidate, 1),))[0][0]
+        return self._score_rows(((context, candidate, 1),))[0][0]
 
-    def score_nsp_rows(self, rows: Iterable) -> list[tuple[float, int]]:
-        """(nsp_score, label) of each row `nsp.read_nsp_tsv` yields, the one NSP
-        scoring path. Each run of equal contexts is encoded and checked once,
-        and scores are memoized per (context suffix, encoded candidate); a key
-        is stored only once its candidate passed its checks, so only a miss
-        needs them. An encoded context or candidate outside the alphabet, or
-        an empty candidate, raises ValueError."""
+    def score_nsp_file(self, path) -> list[tuple[float, int]]:
+        """(nsp_score, label) of each row of the NSP TSV file at `path`, as
+        `read_nsp_tsv` checks and yields it; a bad line raises its ValueError."""
+        return self._score_rows(read_nsp_tsv(path))
+
+    def _score_rows(self, rows: Iterable) -> list[tuple[float, int]]:
+        """(nsp_score, label) of each row, every row already checked against
+        `nsp`'s row grammar, the one NSP scoring path. Each run of equal
+        contexts is encoded once, and scores are memoized per (context suffix,
+        encoded candidate)."""
         scored = []
         memo = self._continuations
         last = suffix = None
         for context, candidate, label in rows:
             if context != last:
-                encoded = context.replace(EOS_TEXT, EOS_CHAR)
-                _check_chars(encoded)
-                last, suffix = context, self._suffix(encoded)
-            text = candidate.replace("_", " ").replace(EOS_TEXT, EOS_CHAR)
-            key = (suffix, text)
+                last, suffix = context, self._suffix(context.replace(EOS_TEXT, EOS_CHAR))
+            key = (suffix, candidate.replace("_", " ").replace(EOS_TEXT, EOS_CHAR))
             score = memo.get(key)
             if score is None:
-                if not text:
-                    raise ValueError("candidate must be non-empty")
-                _check_chars(text)
                 if len(memo) >= MEMO_LIMIT:
                     memo.clear()
-                score = memo[key] = self._continuation(suffix, text)
+                score = memo[key] = self._continuation(*key)
             scored.append((score, label))
         return scored
 

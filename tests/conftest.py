@@ -9,8 +9,10 @@ distribution the trained generator must match, float for float; it is the
 generator oracle of the top-k tests and of the search oracles.
 `NaiveWalker` is the LM's counting oracle: it counts the training texts
 itself and repeats the model's arithmetic, and trained and reloaded models
-must match it exactly. `continuation_scores` reads the LM's score of any
-alphabet text through `score_nsp_rows`. Decode's rules and the search
+must match it exactly; a test that checks one LM call against another
+reads the walker as its oracle. `continuation_scores` reads the library
+LM's own score of any alphabet text from the one function every LM query
+scores through, past every query's checks. Decode's rules and the search
 oracles built on them live in `decode_rules.py`.
 """
 
@@ -192,13 +194,13 @@ class NaiveGenerator(Keyed):
 
 
 def continuation_scores(lm, context, texts):
-    """The LM's score of each alphabet text in `texts` after `context`, the
-    geometric mean of its per-character probabilities (so a one-character
-    text scores P(ch | context), discounted per backoff hop), read through
-    `score_nsp_rows` with each text written in dataset notation."""
-    context = context.replace(EOS_CHAR, EOS_TEXT)
-    rows = [(context, text.replace(" ", "_").replace(EOS_CHAR, EOS_TEXT), 1) for text in texts]
-    return [score for score, _ in lm.score_nsp_rows(rows)]
+    """The library LM's own score of each alphabet text in `texts` after
+    `context`, the geometric mean of its per-character probabilities (so a
+    one-character text scores P(ch | context), discounted per backoff hop),
+    read from `_continuation`, the one function every LM query scores
+    through, past every query's checks and score memos."""
+    suffix = lm._suffix(context)
+    return [lm._continuation(suffix, text) for text in texts]
 
 
 def naive_counts(training, order):
@@ -265,16 +267,9 @@ class NaiveWalker:
     def score_candidates(self, context, syllables):
         return tuple(self.score_with_spacing(context, syllable) for syllable in syllables)
 
-    def score_nsp_rows(self, rows):
-        return [
-            (self.score_continuation(context.replace(EOS_TEXT, EOS_CHAR),
-                                     candidate.replace("_", " ").replace(EOS_TEXT, EOS_CHAR)), label)
-            for context, candidate, label in rows
-        ]
-
     def nsp_score(self, context, candidate):
-        [(score, _)] = self.score_nsp_rows([(context, candidate, 1)])
-        return score
+        return self.score_continuation(context.replace(EOS_TEXT, EOS_CHAR),
+                                       candidate.replace("_", " ").replace(EOS_TEXT, EOS_CHAR))
 
 
 def expected_dataset_size(corpus: Sequence[LyricSequence], config: BuilderConfig) -> tuple[float, float]:

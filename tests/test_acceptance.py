@@ -44,6 +44,7 @@ from syllabeam.nsp import (
 from conftest import (
     Batched,
     NaiveGenerator,
+    NaiveWalker,
     continuation_scores,
     expected_dataset_size,
     make_corpus,
@@ -321,9 +322,8 @@ def test_criterion_08_metrics():
 @criterion(9, "LM contracts: scores normalize per backoff hop, spacing max exact, oracle accuracy 1.0")
 def test_criterion_09_lm_contracts():
     corpus = make_corpus(50, seed=909, min_syllables=6, max_syllables=14)
-    model = train_char_ngram(
-        [lyric_lm_text(render_text(p.lyric)) for p in corpus], order=4, k=0.2
-    )
+    texts = [lyric_lm_text(render_text(p.lyric)) for p in corpus]
+    model, walker = train_char_ngram(texts, order=4, k=0.2), NaiveWalker(texts, 4, 0.2)
     rnd = random.Random(910)
     alphabet = DEFAULT_ALPHABET
     for _ in range(1000):
@@ -337,7 +337,7 @@ def test_criterion_09_lm_contracts():
         context = "".join(rnd.choice(alphabet) for _ in range(rnd.randint(1, 7)))
         syllable = "".join(rnd.choice("abcdefgh'") for _ in range(rnd.randint(1, 4)))
         got = model.score_with_spacing(context, syllable)
-        assert got.value == max(continuation_scores(model, context, [syllable, " " + syllable]))
+        assert got.value == max(walker.score_continuation(context, text) for text in (syllable, " " + syllable))
 
     lyrics = [p.lyric for p in corpus[:20]]
     examples = []

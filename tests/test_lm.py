@@ -17,7 +17,7 @@ from syllabeam.lm import (
 )
 from syllabeam.nsp import NspExample, read_nsp_tsv
 
-from conftest import continuation_scores
+from conftest import NaiveWalker, continuation_scores
 
 A = len(DEFAULT_ALPHABET)  # 26 letters + apostrophe + space + end char = 29
 
@@ -107,9 +107,10 @@ class TestDistributions:
 
 
 class TestScoreContinuation:
-    """The continuation score behind every LM query, through `score_nsp_rows`
-    where a case needs any alphabet text, through `score_candidates` where it
-    needs a rejection."""
+    """The continuation score behind every LM query, read through
+    `continuation_scores` where a case needs any alphabet text and through
+    `score_candidates` where it needs a rejection; `NaiveWalker`, which
+    counts the same texts itself, is its oracle."""
 
     def test_certainty(self):
         model = train_char_ngram(["ab", "ab"], order=2, k=0.0)
@@ -127,20 +128,14 @@ class TestScoreContinuation:
             assert math.isclose(value, 1 / A, abs_tol=1e-12)
 
     def test_matches_naive_walker(self):
-        model = train_char_ngram(["the rain in spain stays", "sing a song"], order=3, k=0.2)
+        texts = ["the rain in spain stays", "sing a song"]
+        model, walker = train_char_ngram(texts, order=3, k=0.2), NaiveWalker(texts, 3, 0.2)
         rnd = random.Random(13)
         for _ in range(100):
             context = random_text(rnd, rnd.randint(0, 8))
             candidate = random_text(rnd, rnd.randint(1, 6))
-            # naive reference: explicit product of one-character scores,
-            # then the length root
-            product = 1.0
-            running = context
-            for ch in candidate:
-                product *= score(model, running, ch)
-                running += ch
-            expected = product ** (1.0 / len(candidate))
-            assert math.isclose(score(model, context, candidate), expected, abs_tol=1e-12)
+            # the walker counts the texts itself and walks the whole context
+            assert score(model, context, candidate) == walker.score_continuation(context, candidate)
 
     def test_range(self):
         model = train_char_ngram(["some words here"], order=3, k=0.3)
@@ -176,18 +171,21 @@ class TestScoreWithSpacing:
         assert result.chosen_variant == SPACED
 
     def test_empty_context_takes_max(self):
-        model = train_char_ngram(["i am", "am i"], order=2, k=0.1)
+        texts = ["i am", "am i"]
+        model, walker = train_char_ngram(texts, order=2, k=0.1), NaiveWalker(texts, 2, 0.1)
         result = model.score_with_spacing("", "i")
-        assert result.value == max(continuation_scores(model, "", ["i", " i"]))
+        assert result.value == max(walker.score_continuation("", "i"), walker.score_continuation("", " i"))
 
     def test_value_is_exact_max(self):
-        model = train_char_ngram(["hello world", "hell of a ride"], order=3, k=0.05)
+        texts = ["hello world", "hell of a ride"]
+        model, walker = train_char_ngram(texts, order=3, k=0.05), NaiveWalker(texts, 3, 0.05)
         rnd = random.Random(21)
         for _ in range(100):
             context = random_text(rnd, rnd.randint(1, 8))
             syllable = "".join(rnd.choice("abcdefgh'") for _ in range(rnd.randint(1, 4)))
             result = model.score_with_spacing(context, syllable)
-            unspaced, spaced = continuation_scores(model, context, [syllable, " " + syllable])
+            unspaced = walker.score_continuation(context, syllable)
+            spaced = walker.score_continuation(context, " " + syllable)
             assert result.value == max(spaced, unspaced)
             if unspaced >= spaced:
                 assert result.chosen_variant == UNSPACED

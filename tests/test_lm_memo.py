@@ -9,11 +9,13 @@ import random
 import pytest
 
 from syllabeam import lm as lm_module
+from syllabeam import nsp as nsp_module
 from syllabeam.beam import FusionConfig, decode
+from syllabeam.cli import main
 from syllabeam.corpus import EOS_TEXT, build_vocabulary, render_text
 from syllabeam.generator import train_generator
 from syllabeam.lm import EOS_CHAR, CharNgramModel, lyric_lm_text, train_char_ngram
-from syllabeam.nsp import BuilderConfig, build_dataset
+from syllabeam.nsp import BuilderConfig, build_dataset, nsp_line
 
 from conftest import continuation_scores, make_corpus, make_melody
 
@@ -69,6 +71,21 @@ def test_memo_limit_empties_and_stays_exact(tmp_path, monkeypatch):
         assert sum(map(len, model._rows.values())) <= 2 * 5
 
 
+def error_of(query, *args):
+    """The message `query(*args)` raises with, or None when it returns."""
+    try:
+        query(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def memoize(model, context, text):
+    """Put the continuation of `text` after `context` in the NSP memo, as the
+    key a scored row encoding to them would leave."""
+    model._continuations[model._suffix(context), text] = continuation_scores(model, context, [text])[0]
+
+
 def test_invalid_context_raises_after_its_key_was_cached():
     model = train_char_ngram(corpus_texts(10, seed=9), 4, 0.1)
     model.score_with_spacing("ab lo", "ve")  # caches (" lo", "ve")
@@ -96,37 +113,67 @@ def test_rejected_queries_keep_their_messages(context, syllable, message):
         assert str(info.value) == message
 
 
-@pytest.mark.parametrize("query", ["score_nsp_rows", "score_with_spacing"])
-def test_out_of_alphabet_candidate_rejected_before_scoring(query):
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        pytest.param("nsp_score", "bad candidate 'a9'", id="nsp_score"),
+        pytest.param("score_with_spacing", "character '9' at position 1 not in alphabet", id="score_with_spacing"),
+    ],
+)
+def test_out_of_alphabet_candidate_rejected_before_scoring(query, message):
     # with k=0, P('a' | 'a') and P(' ' | 'a') are 0, so a walk that checked
     # characters as it went would stop before it reached '9'
     model = train_char_ngram(["ab"], order=2, k=0.0)
-    ask = {
-        "score_nsp_rows": lambda: model.score_nsp_rows([("a", "a9", 1)]),
-        "score_with_spacing": lambda: model.score_with_spacing("a", "a9"),
-    }[query]
     for _ in range(2):
         with pytest.raises(ValueError) as info:
-            ask()
-        assert str(info.value) == "character '9' at position 1 not in alphabet"
+            getattr(model, query)("a", "a9")
+        assert str(info.value) == message
     assert model._rows == {} and model._continuations == {}
 
 
-def test_score_nsp_rows_rejects_an_empty_candidate():
+def test_score_nsp_file_rejects_an_empty_candidate(tmp_path):
     model = train_char_ngram(corpus_texts(10, seed=12), 4, 0.1)
+    path = tmp_path / "nsp.tsv"
+    path.write_text("la\t\t1\n", encoding="utf-8")
     with pytest.raises(ValueError) as info:
-        model.score_nsp_rows([("la", "", 1)])
-    assert str(info.value) == "candidate must be non-empty"
+        model.score_nsp_file(path)
+    assert str(info.value) == f"{path}:1: bad candidate ''"
     assert model._continuations == {}
 
 
-def test_score_nsp_rows_rejects_a_context_outside_the_alphabet():
+def test_score_nsp_file_rejects_a_context_outside_the_row_grammar(tmp_path):
     # the context's own suffix ("la") is cached first, so only a context check finds 'A'
     model = train_char_ngram(corpus_texts(10, seed=12), 3, 0.1)
-    model.score_nsp_rows([("la", "la", 1)])
+    model.nsp_score("la", "la")
+    path = tmp_path / "nsp.tsv"
+    path.write_text("la\tla\t1\nA9?la\tla\t1\n", encoding="utf-8")
     with pytest.raises(ValueError) as info:
-        model.score_nsp_rows([("la", "la", 1), ("A9?la", "la", 1)])
-    assert str(info.value) == "character 'A' at position 0 not in alphabet"
+        model.score_nsp_file(path)
+    assert str(info.value) == f"{path}:2: bad context 'A9?la'"
+
+
+@pytest.mark.parametrize(
+    "context, candidate, message",
+    [
+        ("la$mi", "so", "bad context 'la$mi'"),
+        ("la", " so", "bad candidate ' so'"),
+        ("", "so", "bad context ''"),
+        ("la", "a_b", "bad candidate 'a_b'"),
+        ("la", "so$", "bad candidate 'so$'"),
+    ],
+)
+def test_a_row_no_builder_writes_fails_every_nsp_entry(tmp_path, capsys, context, candidate, message):
+    # each row's characters are all in the alphabet, so only the row grammar rejects it
+    model = train_char_ngram(corpus_texts(10, seed=14), 4, 0.1)
+    model.save(tmp_path / "lm.json")
+    path = tmp_path / "nsp.tsv"
+    path.write_text(f"{context}\t{candidate}\t1\n", encoding="utf-8")
+    assert error_of(model.nsp_score, context, candidate) == message
+    assert error_of(model.score_nsp_file, path) == f"{path}:1: {message}"
+    assert model._continuations == {}
+    code = main(["nsp-eval", "--dataset", str(path), "--lm", str(tmp_path / "lm.json")])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {path}:1: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -147,12 +194,14 @@ def test_continuation_memo_hit_still_checks_the_query(query, cached, bad, messag
     assert str(info.value) == message
 
 
-def test_nsp_score_is_memoized_per_suffix_and_candidate():
+def test_nsp_score_is_memoized_per_suffix_and_candidate(tmp_path):
     model = train_char_ngram(corpus_texts(10, seed=12), 4, 0.1)
     first = model.nsp_score("my love<eos>for e", "_ver")
     assert model.nsp_score("all for e", "_ver") == first
     assert model._continuations == {("r e", " ver"): first}
-    assert model.score_nsp_rows([("or e", "_ver", 1)]) == [(first, 1)]
+    path = tmp_path / "nsp.tsv"
+    path.write_text("or e\t_ver\t1\n", encoding="utf-8")
+    assert model.score_nsp_file(path) == [(first, 1)]
 
 
 def test_rejected_context_fails_again_after_a_valid_one():
@@ -173,15 +222,6 @@ def test_rejected_context_fails_again_after_a_valid_one():
 
 
 # -- score_candidates --------------------------------------------------------
-
-
-def error_of(query, *args):
-    """The message `query(*args)` raises with, or None when it returns."""
-    try:
-        query(*args)
-    except ValueError as exc:
-        return str(exc)
-    return None
 
 
 @pytest.mark.parametrize("order", [1, 2, 4])
@@ -271,14 +311,12 @@ def test_candidates_hit_still_checks_the_context(order, cached, bad, message):
     ],
 )
 def test_nsp_score_rejects_text_outside_the_dataset_notation(bad, scored_as, message):
-    # `scored_as` is the continuation the bad query was once scored as; the
+    # `scored_as` is the continuation the bad query would be scored as; the
     # second round finds it in the memo
     model = train_char_ngram(corpus_texts(10, seed=29), 4, 0.1)
-    context, text = scored_as
     for _ in range(2):
         assert error_of(model.nsp_score, *bad) == message
-        continuation_scores(model, context, [text])
-        assert (model._suffix(context), text) in model._continuations
+        memoize(model, *scored_as)
 
 
 @pytest.mark.parametrize("candidate", ["a b", "_ b", " b", "_a b", "_ "])
@@ -287,7 +325,7 @@ def test_nsp_score_rejects_a_candidate_outside_the_row_grammar(candidate):
     model = train_char_ngram(corpus_texts(10, seed=30), 4, 0.1)
     for _ in range(2):
         assert error_of(model.nsp_score, "la", candidate) == f"bad candidate {candidate!r}"
-        continuation_scores(model, "la", [candidate.replace("_", " ")])
+        memoize(model, "la", candidate.replace("_", " "))
 
 
 @pytest.mark.parametrize("syllable", ["a$", "$", "mi$", "a b", " a", "a "])
@@ -359,12 +397,20 @@ def test_decode_computes_each_continuation_once(monkeypatch):
     assert limited == computed
 
 
-def test_nsp_rows_compute_each_continuation_once():
-    corpus = make_corpus(40, seed=43)
+def written_dataset(corpus, seed, path):
+    """The rows `build_dataset` makes of `corpus` under `seed`, once written
+    to the TSV file at `path`."""
     rows = []
-    build_dataset([p.lyric for p in corpus], BuilderConfig(seed=44), rows.append)
+    build_dataset([p.lyric for p in corpus], BuilderConfig(seed=seed), rows.append)
+    path.write_text("".join(map(nsp_line, rows)), encoding="utf-8")
+    return rows
+
+
+def test_nsp_rows_compute_each_continuation_once(tmp_path):
+    corpus = make_corpus(40, seed=43)
+    rows = written_dataset(corpus, 44, tmp_path / "nsp.tsv")
     lm, computed = counting_model(corpus)
-    scored = lm.score_nsp_rows(rows)
+    scored = lm.score_nsp_file(tmp_path / "nsp.tsv")
     keys = {
         (lm._suffix(c.replace(EOS_TEXT, EOS_CHAR)), k.replace("_", " ").replace(EOS_TEXT, EOS_CHAR))
         for c, k, _ in rows
@@ -374,3 +420,28 @@ def test_nsp_rows_compute_each_continuation_once():
     one_by_one, computed_by_row = counting_model(corpus)
     assert [(one_by_one.nsp_score(c, k), label) for c, k, label in rows] == scored
     assert computed_by_row == computed
+
+
+class CountedPattern:
+    """A compiled pattern that counts its `fullmatch` calls."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def fullmatch(self, text):
+        self.calls += 1
+        return self.pattern.fullmatch(text)
+
+
+def test_nsp_file_checks_each_row_once(tmp_path, monkeypatch):
+    # the reader's row grammar is the one check: one match per row, and no
+    # alphabet check of a context or a candidate after it
+    corpus = make_corpus(40, seed=45)
+    rows = written_dataset(corpus, 46, tmp_path / "nsp.tsv")
+    lm = train_char_ngram([lyric_lm_text(render_text(p.lyric)) for p in corpus], 4, 0.1)
+    checked, check_chars = [], lm_module._check_chars
+    monkeypatch.setattr(lm_module, "_check_chars", lambda text: checked.append(text) or check_chars(text))
+    monkeypatch.setattr(nsp_module, "_ROW_RE", CountedPattern(nsp_module._ROW_RE))
+    scored = lm.score_nsp_file(tmp_path / "nsp.tsv")
+    assert len(scored) == len(rows) > 0
+    assert (len(checked), nsp_module._ROW_RE.calls) == (0, len(rows))

@@ -12,6 +12,7 @@ probabilities.
 
 import math
 import tempfile
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -47,13 +48,17 @@ def trained(training, order, k):
 
 
 def answers(model, batch):
-    """Every public query of `batch`, as comparable tuples: the continuation
-    score of `candidate` and of each of its characters, read through
-    `score_nsp_rows`, then the syllable and NSP queries."""
+    """Every query of `batch`, as comparable tuples: the continuation score of
+    `candidate` and of each of its characters, which the walker computes and
+    the library model reads from `continuation_scores`, then the public
+    syllable and NSP queries."""
+    if isinstance(model, NaiveWalker):
+        continuations = lambda context, texts: [model.score_continuation(context, text) for text in texts]
+    else:
+        continuations = partial(continuation_scores, model)
     return [
         (
-            continuation_scores(model, context, [candidate, *candidate]),
-            model.score_nsp_rows([(nsp_context, nsp_candidate, 1)]),
+            continuations(context, [candidate, *candidate]),
             model.score_with_spacing(context or "a", syllable),
             model.score_candidates(context or "a", (syllable, "ab", syllable)),
             model.nsp_score(nsp_context, nsp_candidate),

@@ -398,7 +398,7 @@ def test_lm_zero_counts_load_as_unseen(tmp_path):
     tables = [{"": {"a": 0, "b": 0}}]
     path.write_text(json.dumps({"format": "syllabeam-charlm", "version": 1, "order": 1, "k": 0,
                                 "alphabet": DEFAULT_ALPHABET, "tables": tables}))
-    [(score, _)] = CharNgramModel.load(path).score_nsp_rows([("", "a", 1)])
+    score = CharNgramModel.load(path).nsp_score("la", "a")
     assert math.isclose(score, 1 / len(DEFAULT_ALPHABET), rel_tol=0, abs_tol=1e-15)
 
 

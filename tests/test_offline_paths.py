@@ -3,8 +3,8 @@
 `train_char_ngram` counts each level over all texts at once, and
 `train_generator` tallies (history, bucket, syllable) events before adding
 them to the four generator tables; their tables must equal counts taken one
-character, or one event, at a time. `nsp-eval` scores rows `read_nsp_tsv` has
-proven through `score_nsp_rows`, `nsp_metrics` counts each tie group in one
+character, or one event, at a time. `nsp-eval` scores the rows `read_nsp_tsv`
+checks through `score_nsp_file`, `nsp_metrics` counts each tie group in one
 pass, and `load_aligned_corpus` shares equal tokens and notes; each is
 checked against the form it replaced.
 """
@@ -35,7 +35,7 @@ from syllabeam.lm import (
     nsp_metrics,
     train_char_ngram,
 )
-from syllabeam.nsp import BuilderConfig, NspExample, build_dataset, nsp_line, read_nsp_tsv
+from syllabeam.nsp import BuilderConfig, NspExample, build_dataset, nsp_line
 
 from conftest import make_corpus, random_syllable_corpus
 
@@ -133,13 +133,13 @@ def test_nsp_eval_prints_nsp_accuracy_of_nsp_score(tmp_path, capsys, corpus):
     assert out == [json.dumps({**expected, "examples": len(rows)}, sort_keys=True)]
 
 
-def test_score_nsp_rows_pairs_each_score_with_its_label(tmp_path):
+def test_score_nsp_file_pairs_each_score_with_its_label(tmp_path):
     pairs = make_corpus(20, seed=73)
     model = train_char_ngram([lyric_lm_text(render_text(p.lyric)) for p in pairs], 3, 0.1)
     rows = []
     build_dataset([p.lyric for p in pairs], BuilderConfig(seed=6), rows.append)
     (tmp_path / "nsp.tsv").write_text("".join(map(nsp_line, rows)), encoding="utf-8")
-    assert model.score_nsp_rows(read_nsp_tsv(tmp_path / "nsp.tsv")) == [
+    assert model.score_nsp_file(tmp_path / "nsp.tsv") == [
         (model.nsp_score(row.context, row.candidate), row.label) for row in rows
     ]
 
@@ -167,7 +167,7 @@ def test_every_row_in_the_grammar_scores_as_nsp_score_scores_it(tmp_path_factory
     texts = [lyric_lm_text(render_text(p.lyric)) for p in make_corpus(10, seed=74)]
     # two models, so that neither answers from a cache the other filled
     by_rows, by_row = train_char_ngram(texts, order, 0.1), train_char_ngram(texts, order, 0.1)
-    assert by_rows.score_nsp_rows(read_nsp_tsv(path)) == [(by_row.nsp_score(c, k), label) for c, k, label in rows]
+    assert by_rows.score_nsp_file(path) == [(by_row.nsp_score(c, k), label) for c, k, label in rows]
 
 
 def grouped_auc_sum(scored):
