@@ -13,19 +13,18 @@ import json
 import math
 import sys
 from dataclasses import asdict, fields
+from typing import Callable
 
 from . import modelfile
 from .beam import FusionConfig, audit_trace, decode
 from .corpus import (
     _NUMBER_RE,
     _PITCH_RE,
-    AlignedPair,
-    load_aligned_corpus,
+    aligned_pair_parser,
     naming,
     open_input,
     parse_lyric_line,
     parse_melody_line,
-    raise_at_record,
     read_lines,
     render_text,
     serialize_lyric_line,
@@ -34,7 +33,7 @@ from .corpus import (
 from .generator import MelodyConditionedNgram, train_generator
 from .lm import CharNgramModel, lyric_lm_text, nsp_metrics, train_char_ngram
 from .metrics import EvalPair, corpus_eval, emit_llm_eval_prompt
-from .nsp import BuilderConfig, ShortLyricError, read_nsp_tsv, write_dataset
+from .nsp import BuilderConfig, checked_lyric, read_nsp_tsv, write_dataset
 
 
 def _decimal(cast, pattern):
@@ -62,13 +61,14 @@ def _lyric_line(line: str) -> str:
     return line
 
 
-def _read_corpus(path: str) -> list[AlignedPair]:
-    """The pairs of the corpus file at `path`, which must hold one."""
-    pairs = load_aligned_corpus(path)
-    if not pairs:
+def _read_corpus(path: str, parse: Callable[[str], object]) -> list:
+    """What `parse` makes of each record line of the corpus file at `path`,
+    which must hold one."""
+    records = list(read_lines(path, parse))
+    if not records:
         with naming(path):
             raise ValueError("corpus is empty")
-    return pairs
+    return records
 
 
 # -- commands ---------------------------------------------------------------
@@ -77,11 +77,11 @@ def _read_corpus(path: str) -> list[AlignedPair]:
 def cmd_build_nsp_dataset(args: argparse.Namespace) -> int:
     config = BuilderConfig(**{f.name: getattr(args, f.name) for f in fields(BuilderConfig)})
 
-    lyrics = [pair.lyric for pair in _read_corpus(args.corpus)]
-    try:
-        summary = write_dataset(lyrics, config, args.out)  # checks every lyric before it opens --out
-    except ShortLyricError as exc:
-        raise_at_record(args.corpus, exc.index, exc.reason)
+    pair = aligned_pair_parser()
+    # each lyric is checked as its line is read, so every lyric has passed
+    # before --out is opened, and the first bad line in the file is named
+    lyrics = _read_corpus(args.corpus, lambda line: checked_lyric(pair(line).lyric))
+    summary = write_dataset(lyrics, config, args.out)
 
     _echo("build-nsp-dataset", {"corpus": args.corpus, "out": args.out, **asdict(config)})
     summary["lyrics"] = len(lyrics)
@@ -90,7 +90,7 @@ def cmd_build_nsp_dataset(args: argparse.Namespace) -> int:
 
 
 def cmd_train_lm(args: argparse.Namespace) -> int:
-    pairs = _read_corpus(args.corpus)
+    pairs = _read_corpus(args.corpus, aligned_pair_parser())
     texts = [lyric_lm_text(render_text(pair.lyric)) for pair in pairs]
     model = train_char_ngram(texts, args.order, args.k)
     model.save(args.out)
@@ -101,7 +101,7 @@ def cmd_train_lm(args: argparse.Namespace) -> int:
 
 
 def cmd_train_generator(args: argparse.Namespace) -> int:
-    pairs = _read_corpus(args.corpus)
+    pairs = _read_corpus(args.corpus, aligned_pair_parser())
     vocab = build_vocabulary([pair.lyric for pair in pairs])
     model = train_generator(pairs, vocab, args.history, args.k)
     model.save(args.out)

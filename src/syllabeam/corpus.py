@@ -8,13 +8,12 @@ notes, one note per syllable.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 BOS_TEXT = "<bos>"
 EOS_TEXT = "<eos>"
@@ -74,23 +73,6 @@ def read_lines(path, parse: Callable[[str], object]) -> Iterator:
         for place.line, line in enumerate(fh, start=1):
             if line != "\n":
                 yield parse(line.rstrip("\n"))
-
-
-def raise_at_record(path, index: int, message: str) -> NoReturn:
-    """Raise ValueError `message`, named at the line of the input file at
-    `path` that holds its record `index` (0-based), as `read_lines` counts
-    records: for a check that runs once the whole file is read, so that only
-    a failure reads the file again."""
-    records = itertools.count()
-
-    def parse(line: str) -> None:
-        if next(records) == index:
-            raise ValueError(message)
-
-    for _ in read_lines(path, parse):
-        pass
-    with naming(path):  # the file lost the record since it was read
-        raise ValueError(f"record {index}: {message}")
 
 
 @dataclass(frozen=True)
@@ -323,15 +305,19 @@ _RECORD_DECODER = json.JSONDecoder(object_pairs_hook=_object)
 
 
 def load_aligned_corpus(path) -> list[AlignedPair]:
-    """Read aligned pairs from JSONL, one record a line (`read_lines`).
+    """Read aligned pairs from JSONL, one record a line (`read_lines`), each
+    as `aligned_pair_parser` parses it. An error names the file and the
+    record's 1-based line, blank lines counted (`naming`)."""
+    return list(read_lines(path, aligned_pair_parser()))
 
-    Each record is a JSON object of exactly the keys "syllables",
-    "word_initial" and "notes", once each, all JSON arrays of one length:
-    syllables JSON strings, flags JSON booleans, notes JSON arrays of 3,
-    pitches JSON integers, durations and rests JSON numbers. An error names
-    the file and the record's 1-based line, blank lines counted (`naming`).
-    """
-    tokens_seen, notes_seen = {}, {}  # equal tokens and notes, shared
+
+def aligned_pair_parser() -> Callable[[str], AlignedPair]:
+    """A parser of corpus record lines, each a JSON object of exactly the keys
+    "syllables", "word_initial" and "notes", once each, all JSON arrays of one
+    length: syllables JSON strings, flags JSON booleans, notes JSON arrays of
+    3, pitches JSON integers, durations and rests JSON numbers. The pairs one
+    parser returns share their equal tokens and notes."""
+    tokens_seen, notes_seen = {}, {}
 
     def pair(line: str) -> AlignedPair:
         if line.startswith("\ufeff"):  # json.loads's own check, which the decoder lacks
@@ -362,7 +348,7 @@ def load_aligned_corpus(path) -> list[AlignedPair]:
         melody = MelodySequence(tuple(_note(notes_seen, p, d, r) for p, d, r in notes))
         return AlignedPair(melody, LyricSequence(tokens))
 
-    return list(read_lines(path, pair))
+    return pair
 
 
 def write_aligned_corpus(pairs: Iterable[AlignedPair], path) -> None:

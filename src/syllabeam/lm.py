@@ -38,8 +38,8 @@ _FORMAT = "syllabeam-charlm"
 _VERSION = 1
 _SCHEMA = {"order": int, "k": float, "alphabet": str, "tables": list}
 
-# entries the level and NSP caches each hold before they are emptied; the
-# row table holds twice as many, its syllable scores and batches together
+# entries the level cache holds before it is emptied; the row table holds
+# twice as many, its syllable scores and batches together
 MEMO_LIMIT = 1 << 14
 _NO_ROW: dict = {}  # the row of a suffix with no entry; never written
 
@@ -95,9 +95,6 @@ class CharNgramModel:
         # syllables tuple -> its score_candidates result; _entries counts both
         self._rows: dict[str, dict] = {}
         self._entries = 0
-        # (context suffix, encoded NSP candidate) -> _continuation result; read
-        # and written only by _score_rows
-        self._continuations: dict[tuple[str, str], float] = {}
 
     # -- probabilities ----------------------------------------------------
 
@@ -214,20 +211,23 @@ class CharNgramModel:
     def _score_rows(self, rows: Iterable) -> list[tuple[float, int]]:
         """(nsp_score, label) of each row, every row already checked against
         `nsp`'s row grammar, the one NSP scoring path. Each run of equal
-        contexts is encoded once, and scores are memoized per (context suffix,
-        encoded candidate)."""
+        contexts is encoded once and finds its context suffix's row of the
+        memo once. The memo, candidate as written -> score per suffix, lives
+        for this call alone; a candidate is encoded only on a miss, as the
+        row grammar gives each encoding one spelling."""
         scored = []
-        memo = self._continuations
-        last = suffix = None
+        memo: dict[str, dict[str, float]] = {}
+        last = None
         for context, candidate, label in rows:
             if context != last:
                 last, suffix = context, self._suffix(context.replace(EOS_TEXT, EOS_CHAR))
-            key = (suffix, candidate.replace("_", " ").replace(EOS_TEXT, EOS_CHAR))
-            score = memo.get(key)
+                row = memo.get(suffix)
+                if row is None:
+                    row = memo[suffix] = {}
+            score = row.get(candidate)
             if score is None:
-                if len(memo) >= MEMO_LIMIT:
-                    memo.clear()
-                score = memo[key] = self._continuation(*key)
+                encoded = candidate.replace("_", " ").replace(EOS_TEXT, EOS_CHAR)
+                score = row[candidate] = self._continuation(suffix, encoded)
             scored.append((score, label))
         return scored
 

@@ -91,9 +91,7 @@ def build_examples_for_lyric(
     Position i (1-based) predicts syllable i from the first i syllables;
     the final position predicts the end marker from the whole lyric.
     """
-    syllables = lyric.syllables()
-    if len(syllables) < 2:
-        raise ValueError("lyric must contain at least 2 syllables")
+    syllables = checked_lyric(lyric).syllables()
 
     # (text, spaced) occurrence list the negatives draw from; the end
     # marker is a drawable candidate and corruption symbol too.
@@ -130,24 +128,23 @@ def build_examples_for_lyric(
     return examples
 
 
-class ShortLyricError(ValueError):
-    """A lyric of fewer than 2 syllables; `index` is its place in the corpus."""
-
-    reason = "must contain at least 2 syllables"
-
-    def __init__(self, index: int) -> None:
-        super().__init__(f"lyric {index}: {self.reason}")
-        self.index = index
+def checked_lyric(lyric: LyricSequence) -> LyricSequence:
+    """`lyric`, once it has the 2 syllables or more that its rows need."""
+    if len(lyric.syllables()) < 2:
+        raise ValueError("must contain at least 2 syllables")
+    return lyric
 
 
 def check_corpus(corpus: Sequence[LyricSequence]) -> None:
-    """Raise ValueError unless the corpus has a lyric, and ShortLyricError
-    unless each has 2 syllables or more."""
+    """Raise ValueError unless the corpus has a lyric and each lyric I passes
+    `checked_lyric`, the message then starting `lyric I: `."""
     if not corpus:
         raise ValueError("empty corpus")
     for index, lyric in enumerate(corpus):
-        if len(lyric.syllables()) < 2:
-            raise ShortLyricError(index)
+        try:
+            checked_lyric(lyric)
+        except ValueError as exc:
+            raise ValueError(f"lyric {index}: {exc}") from None
 
 
 def _build(

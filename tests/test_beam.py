@@ -235,7 +235,7 @@ class TestWorkedFusionExample:
         assert render_text(results[0].lyric) == "don't get any big ideas"
 
 
-class TestExpandStep:
+class TestDecodeLaterSteps:
     """The steps after the first, checked through decode against
     `reference_decode`."""
 

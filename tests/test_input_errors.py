@@ -87,6 +87,9 @@ CASES = [
     pytest.param(["train-lm", *CORPUS], (RECORD + "\n").encode() * 200 + b"\xff\n", "", id="corpus not UTF-8"),
     pytest.param(["train-generator", *CORPUS], "\n\n", "", id="corpus empty"),
     pytest.param(["build-nsp-dataset", *CORPUS], ONE_SYLLABLE + "\n", ":1", id="corpus lyric of one syllable"),
+    # the first bad line in file order is the one named
+    pytest.param(["build-nsp-dataset", *CORPUS], RECORD + "\n" + ONE_SYLLABLE + "\n\n{\n", ":2",
+                 id="corpus lyric of one syllable before a bad record"),
     pytest.param(swap(EVALUATE, "--candidates"), "la _mi\nso\nLA\n", ":3", id="candidate lyric line"),
     pytest.param(swap(EVALUATE, "--references"), "la _mi\n<eos>\n", ":2", id="reference without syllables"),
     pytest.param(swap(EVALUATE, "--references"), "la _mi\n\n<eos>\n", ":3",

@@ -80,12 +80,6 @@ def error_of(query, *args):
     return None
 
 
-def memoize(model, context, text):
-    """Put the continuation of `text` after `context` in the NSP memo, as the
-    key a scored row encoding to them would leave."""
-    model._continuations[model._suffix(context), text] = continuation_scores(model, context, [text])[0]
-
-
 def test_invalid_context_raises_after_its_key_was_cached():
     model = train_char_ngram(corpus_texts(10, seed=9), 4, 0.1)
     model.score_with_spacing("ab lo", "ve")  # caches (" lo", "ve")
@@ -128,7 +122,7 @@ def test_out_of_alphabet_candidate_rejected_before_scoring(query, message):
         with pytest.raises(ValueError) as info:
             getattr(model, query)("a", "a9")
         assert str(info.value) == message
-    assert model._rows == {} and model._continuations == {}
+    assert model._rows == {} and model._levels == {}  # nothing was scored
 
 
 def test_score_nsp_file_rejects_an_empty_candidate(tmp_path):
@@ -138,7 +132,7 @@ def test_score_nsp_file_rejects_an_empty_candidate(tmp_path):
     with pytest.raises(ValueError) as info:
         model.score_nsp_file(path)
     assert str(info.value) == f"{path}:1: bad candidate ''"
-    assert model._continuations == {}
+    assert model._levels == {}  # nothing was scored
 
 
 def test_score_nsp_file_rejects_a_context_outside_the_row_grammar(tmp_path):
@@ -170,7 +164,7 @@ def test_a_row_no_builder_writes_fails_every_nsp_entry(tmp_path, capsys, context
     path.write_text(f"{context}\t{candidate}\t1\n", encoding="utf-8")
     assert error_of(model.nsp_score, context, candidate) == message
     assert error_of(model.score_nsp_file, path) == f"{path}:1: {message}"
-    assert model._continuations == {}
+    assert model._levels == {}  # nothing was scored
     code = main(["nsp-eval", "--dataset", str(path), "--lm", str(tmp_path / "lm.json")])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {path}:1: {message}\n")
@@ -186,22 +180,34 @@ def test_a_row_no_builder_writes_fails_every_nsp_entry(tmp_path, capsys, context
         ("nsp_score", ("ab lo", "_ve"), ("ab lo", ""), "bad candidate ''"),
     ],
 )
-def test_continuation_memo_hit_still_checks_the_query(query, cached, bad, message):
+def test_continuation_memo_hit_still_checks_the_query(tmp_path, query, cached, bad, message):
     model = train_char_ngram(corpus_texts(10, seed=11), 4, 0.1)
     getattr(model, query)(*cached)
     with pytest.raises(ValueError) as info:
         getattr(model, query)(*bad)
     assert str(info.value) == message
+    if query == "nsp_score":
+        # the NSP memo lives for one call, so the bad row follows the cached
+        # one in one file, where its key would hit the cached row's score
+        path = tmp_path / "nsp.tsv"
+        path.write_text(f"{cached[0]}\t{cached[1]}\t1\n{bad[0]}\t{bad[1]}\t1\n", encoding="utf-8")
+        assert error_of(model.score_nsp_file, path) == f"{path}:2: {message}"
 
 
 def test_nsp_score_is_memoized_per_suffix_and_candidate(tmp_path):
-    model = train_char_ngram(corpus_texts(10, seed=12), 4, 0.1)
+    # the memo lives for one call: the rows of one file that share a (context
+    # suffix, encoded candidate) key cost one continuation, and no call leaves
+    # anything on the model
+    model, computed = counting_model(make_corpus(10, seed=12))
+    attributes = set(vars(model))
     first = model.nsp_score("my love<eos>for e", "_ver")
     assert model.nsp_score("all for e", "_ver") == first
-    assert model._continuations == {("r e", " ver"): first}
+    assert computed == [("r e", " ver")] * 2
     path = tmp_path / "nsp.tsv"
-    path.write_text("or e\t_ver\t1\n", encoding="utf-8")
-    assert model.score_nsp_file(path) == [(first, 1)]
+    path.write_text("my love<eos>for e\t_ver\t1\nall for e\t_ver\t0\nor e\t_ver\t1\n", encoding="utf-8")
+    assert model.score_nsp_file(path) == [(first, 1), (first, 0), (first, 1)]
+    assert computed == [("r e", " ver")] * 3
+    assert set(vars(model)) == attributes
 
 
 def test_rejected_context_fails_again_after_a_valid_one():
@@ -312,11 +318,11 @@ def test_candidates_hit_still_checks_the_context(order, cached, bad, message):
 )
 def test_nsp_score_rejects_text_outside_the_dataset_notation(bad, scored_as, message):
     # `scored_as` is the continuation the bad query would be scored as; the
-    # second round finds it in the memo
+    # second round asks once it was scored and its levels are cached
     model = train_char_ngram(corpus_texts(10, seed=29), 4, 0.1)
     for _ in range(2):
         assert error_of(model.nsp_score, *bad) == message
-        memoize(model, *scored_as)
+        continuation_scores(model, scored_as[0], [scored_as[1]])
 
 
 @pytest.mark.parametrize("candidate", ["a b", "_ b", " b", "_a b", "_ "])
@@ -325,7 +331,7 @@ def test_nsp_score_rejects_a_candidate_outside_the_row_grammar(candidate):
     model = train_char_ngram(corpus_texts(10, seed=30), 4, 0.1)
     for _ in range(2):
         assert error_of(model.nsp_score, "la", candidate) == f"bad candidate {candidate!r}"
-        memoize(model, "la", candidate.replace("_", " "))
+        continuation_scores(model, "la", [candidate.replace("_", " ")])
 
 
 @pytest.mark.parametrize("syllable", ["a$", "$", "mi$", "a b", " a", "a "])
@@ -417,9 +423,21 @@ def test_nsp_rows_compute_each_continuation_once(tmp_path):
     }
     assert len(keys) < len(rows)
     assert sorted(computed) == sorted(keys)
+    # one row a call: the memo lives for the call, so each row computes once
     one_by_one, computed_by_row = counting_model(corpus)
     assert [(one_by_one.nsp_score(c, k), label) for c, k, label in rows] == scored
-    assert computed_by_row == computed
+    assert len(computed_by_row) == len(rows) and set(computed_by_row) == keys
+
+
+def test_nsp_file_computes_each_continuation_once_past_the_memo_limit(tmp_path, monkeypatch):
+    # MEMO_LIMIT bounds the caches kept across calls; the NSP memo lives for
+    # one call, and no limit empties it within the call
+    monkeypatch.setattr(lm_module, "MEMO_LIMIT", 5)
+    corpus = make_corpus(40, seed=43)
+    written_dataset(corpus, 44, tmp_path / "nsp.tsv")
+    lm, computed = counting_model(corpus)
+    lm.score_nsp_file(tmp_path / "nsp.tsv")
+    assert len(computed) == len(set(computed)) > 5
 
 
 class CountedPattern:

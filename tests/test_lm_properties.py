@@ -83,8 +83,7 @@ def test_warm_model_matches_fresh_load_and_naive_walker(order, k, memo_limit, tr
         expected = answers(fresh, after + before)
         assert answers(model, after + before) == expected
         assert expected == answers(walker, after + before)
-        for cache in (model._levels, model._continuations):
-            assert len(cache) <= memo_limit
+        assert len(model._levels) <= memo_limit
         assert sum(map(len, model._rows.values())) <= 2 * memo_limit
 
 
