@@ -54,6 +54,12 @@ def _check_chars(text: str) -> None:
                 raise ValueError(f"character {ch!r} at position {pos} not in alphabet")
 
 
+def _nsp_encoded(text: str) -> str:
+    """A checked NSP context or candidate as the model reads it: an underscore
+    is a space, and the end marker is EOS_CHAR."""
+    return text.replace("_", " ").replace(EOS_TEXT, EOS_CHAR)
+
+
 @dataclass(frozen=True)
 class ContinuationScore:
     value: float
@@ -199,9 +205,10 @@ class CharNgramModel:
         """The score of one row, once `context` and `candidate` are a row the
         builder can write (`nsp.check_row`): the candidate's underscore marks a
         leading space, and a context may embed the end marker mid-string
-        (corruption rows)."""
+        (corruption rows). One call computes its continuation afresh: only
+        `score_nsp_file` keeps a memo, for the length of its call."""
         check_row(context, candidate)
-        return self._score_rows(((context, candidate, 1),))[0][0]
+        return self._continuation(self._suffix(_nsp_encoded(context)), _nsp_encoded(candidate))
 
     def score_nsp_file(self, path) -> list[tuple[float, int]]:
         """(nsp_score, label) of each row of the NSP TSV file at `path`, as
@@ -210,7 +217,7 @@ class CharNgramModel:
 
     def _score_rows(self, rows: Iterable) -> list[tuple[float, int]]:
         """(nsp_score, label) of each row, every row already checked against
-        `nsp`'s row grammar, the one NSP scoring path. Each run of equal
+        `nsp`'s row grammar, encoded as `nsp_score` encodes one. Each run of equal
         contexts is encoded once and finds its context suffix's row of the
         memo once. The memo, candidate as written -> score per suffix, lives
         for this call alone; a candidate is encoded only on a miss, as the
@@ -220,14 +227,13 @@ class CharNgramModel:
         last = None
         for context, candidate, label in rows:
             if context != last:
-                last, suffix = context, self._suffix(context.replace(EOS_TEXT, EOS_CHAR))
+                last, suffix = context, self._suffix(_nsp_encoded(context))
                 row = memo.get(suffix)
                 if row is None:
                     row = memo[suffix] = {}
             score = row.get(candidate)
             if score is None:
-                encoded = candidate.replace("_", " ").replace(EOS_TEXT, EOS_CHAR)
-                score = row[candidate] = self._continuation(suffix, encoded)
+                score = row[candidate] = self._continuation(suffix, _nsp_encoded(candidate))
             scored.append((score, label))
         return scored
 

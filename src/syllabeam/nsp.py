@@ -16,6 +16,8 @@ of negative rows:
 Rows are (context, candidate, label) where a candidate's leading
 underscore marks a preceding space. Output is deterministic for a given
 seed: each lyric draws from its own substream keyed by (seed, lyric index).
+`_lyric_text` is the one builder; `tests/nsp_rules.py` states the same rules
+row by row as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, NoReturn, Sequence
 
-from .corpus import EOS_TEXT, LyricSequence, SyllableToken, read_lines
-from .rng import SplitMix64, substream
+from .corpus import EOS_TEXT, LyricSequence, read_lines
+from .rng import _GAMMA, _MASK, _MIX1, _MIX2, _UNIT, SplitMix64, substream
 
-# The rows build_dataset writes. A context is (?:[a-z' ]|<eos>)+; the context
+# The rows the builder writes. A context is (?:[a-z' ]|<eos>)+; the context
 # pattern matches the same strings, the empty one aside, without branching per
 # character. A candidate `_<eos>` is the end marker with its spacing flipped.
 _CONTEXT_RE = re.compile(r"[a-z' ]*(?:<eos>[a-z' ]*)*")
@@ -69,63 +71,84 @@ def candidate_marker(text: str, spaced: bool) -> str:
     return ("_" + text) if spaced else text
 
 
-def corrupted_context(
-    syllables: Sequence[SyllableToken], slot: int, replacement: str, spaced: bool
-) -> str:
-    """Render a context with one syllable slot replaced.
+def _draw_from(rng: SplitMix64) -> Callable[[], int]:
+    """A function returning what `rng.next_uint64()` would, call after call,
+    with the recurrence inlined in it; `rng` itself does not advance."""
+    state = rng._state
 
-    The replacement is rendered literally (the end marker included) and
-    joined to its neighbours according to `spaced`; all other syllables
-    keep their own word boundaries.
-    """
-    pieces = [(tok.text, tok.word_initial) for tok in syllables]
-    pieces[slot] = (replacement, spaced)
-    return "".join(" " + text if i and initial else text for i, (text, initial) in enumerate(pieces))
+    def draw() -> int:
+        nonlocal state
+        state = (state + _GAMMA) & _MASK
+        z = ((state ^ (state >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        return z ^ (z >> 31)
+
+    return draw
 
 
-def build_examples_for_lyric(
-    lyric: LyricSequence, config: BuilderConfig, rng: SplitMix64
-) -> list[NspExample]:
-    """All dataset rows of one lyric, in position order.
+def _outside(n: int, skip: list[int]) -> int:
+    """The n-th index, counted from 0, of those not in `skip`, an ascending list."""
+    for j in skip:
+        if j <= n:
+            n += 1
+    return n
 
-    Position i (1-based) predicts syllable i from the first i syllables;
-    the final position predicts the end marker from the whole lyric.
-    """
-    syllables = checked_lyric(lyric).syllables()
+
+def _lyric_text(lyric: LyricSequence, config: BuilderConfig, index: int) -> str:
+    """The `nsp_line`s of every row of `lyric` in position order, drawn from
+    `substream(config.seed, index)`; checks nothing, as `check_corpus` has.
+
+    Position i (1-based) predicts syllable i from the first i syllables; the
+    final position predicts the end marker from the whole lyric. The
+    markers, rendered contexts and the indices each draw pool leaves out
+    are built once per lyric, and `draw` is `_draw_from` the lyric's
+    substream: `randrange(n)` is `draw() % n` and `bernoulli(p)` is
+    `(draw() >> 11) * _UNIT < p`, the same draws in the same order."""
+    draw = _draw_from(substream(config.seed, index))
 
     # (text, spaced) occurrence list the negatives draw from; the end
     # marker is a drawable candidate and corruption symbol too.
-    occurrences = [(tok.text, tok.word_initial) for tok in syllables]
+    occurrences = [(tok.text, tok.word_initial) for tok in lyric.syllables()]
     occurrences.append((EOS_TEXT, False))
+    markers = [candidate_marker(text, spaced) for text, spaced in occurrences]
+    flipped = [candidate_marker(text, not spaced) for text, spaced in occurrences]
+    # the random negative's pool is the occurrences unequal to the true one,
+    # the swap's those of another text: each the list less the indices here
+    same_occurrence: dict[tuple[str, bool], list[int]] = {}
+    same_text: dict[str, list[int]] = {}
+    for j, occ in enumerate(occurrences):
+        same_occurrence.setdefault(occ, []).append(j)
+        same_text.setdefault(occ[0], []).append(j)
+    size = len(occurrences)
+    first_k, spacing_rate = config.always_spacing_first_k, config.spacing_negative_rate
+    swap_rate, space_rate = config.context_swap_rate, config.swap_space_rate
 
-    examples: list[NspExample] = []
-    context = ""  # render_text of the first i syllables, grown one syllable per position
-    for i in range(1, len(syllables) + 1):
-        last = syllables[i - 1]
-        context += " " + last.text if i > 1 and last.word_initial else last.text
-        true = occurrences[i]  # the end marker at the final position
-        true_text, true_spaced = true
-        true_candidate = candidate_marker(true_text, true_spaced)
+    lines = []
+    contexts = [""]  # contexts[i]: render_text of the first i syllables
+    context = ""
+    for i, (text, initial) in enumerate(occurrences[:-1], start=1):
+        context += " " + text if i > 1 and initial else text
+        contexts.append(context)
+        positive = markers[i]  # the end marker at the final position
+        skip = same_occurrence[occurrences[i]]
+        negative = markers[_outside(draw() % (size - len(skip)), skip)]
+        lines.append(f"{context}\t{positive}\t1\n{context}\t{negative}\t0\n")
 
-        examples.append(_row((context, true_candidate, 1)))
+        if i <= first_k or (draw() >> 11) * _UNIT < spacing_rate:
+            lines.append(f"{context}\t{flipped[i]}\t0\n")
 
-        pool = [occ for occ in occurrences if occ != true]
-        rand_text, rand_spaced = pool[rng.randrange(len(pool))]
-        examples.append(_row((context, candidate_marker(rand_text, rand_spaced), 0)))
+        if (draw() >> 11) * _UNIT < swap_rate:
+            slot = draw() % i
+            skip = same_text[occurrences[slot][0]]
+            replacement = occurrences[_outside(draw() % (size - len(skip)), skip)][0]
+            # the replacement is preceded by a space at a coin flip, glued to
+            # the previous word otherwise; the first slot never has a space
+            if (draw() >> 11) * _UNIT < space_rate and slot:
+                replacement = " " + replacement
+            corrupted = contexts[slot] + replacement + context[len(contexts[slot + 1]) :]
+            lines.append(f"{corrupted}\t{positive}\t0\n")
 
-        if i <= config.always_spacing_first_k or rng.bernoulli(config.spacing_negative_rate):
-            examples.append(_row((context, candidate_marker(true_text, not true_spaced), 0)))
-
-        if rng.bernoulli(config.context_swap_rate):
-            slot = rng.randrange(i)
-            slot_text = syllables[slot].text
-            swap_pool = [occ for occ in occurrences if occ[0] != slot_text]
-            replacement = swap_pool[rng.randrange(len(swap_pool))][0]
-            spaced = rng.bernoulli(config.swap_space_rate)
-            corrupted = corrupted_context(syllables[:i], slot, replacement, spaced)
-            examples.append(_row((corrupted, true_candidate, 0)))
-
-    return examples
+    return "".join(lines)
 
 
 def checked_lyric(lyric: LyricSequence) -> LyricSequence:
@@ -148,16 +171,16 @@ def check_corpus(corpus: Sequence[LyricSequence]) -> None:
 
 
 def _build(
-    corpus: Sequence[LyricSequence], first: int, config: BuilderConfig, sink: Callable[[NspExample], None]
+    corpus: Sequence[LyricSequence], first: int, config: BuilderConfig, write: Callable[[str], object]
 ) -> int:
-    """Stream the rows of `corpus` to `sink` in lyric order, its lyric i drawing
-    from the substream of index `first + i`; return the number of rows."""
+    """Hand each lyric's text (`_lyric_text`) to `write` in lyric order, its
+    lyric i drawing from the substream of index `first + i`; return the
+    number of rows."""
     total = 0
     for index, lyric in enumerate(corpus, start=first):
-        examples = build_examples_for_lyric(lyric, config, substream(config.seed, index))
-        for example in examples:
-            sink(example)
-        total += len(examples)
+        text = _lyric_text(lyric, config, index)
+        write(text)
+        total += text.count("\n")  # rows hold no line break
     return total
 
 
@@ -172,9 +195,17 @@ def build_dataset(
     config: BuilderConfig,
     sink: Callable[[NspExample], None],
 ) -> dict[str, int]:
-    """Stream every lyric's rows to `sink` in lyric order once `check_corpus` passes; return counts."""
+    """Hand every lyric's rows to `sink` in lyric order once `check_corpus`
+    passes, each an `NspExample` of one line of the text `write_dataset`
+    writes; return counts."""
     check_corpus(corpus)
-    return _summary(corpus, _build(corpus, 0, config, sink))
+
+    def split(text: str) -> None:
+        for line in text.splitlines():
+            context, candidate, label = line.split("\t")
+            sink(_row((context, candidate, 1 if label == "1" else 0)))
+
+    return _summary(corpus, _build(corpus, 0, config, split))
 
 
 def _cpus() -> int:
@@ -186,8 +217,9 @@ def _cpus() -> int:
 
 
 def write_dataset(corpus: Sequence[LyricSequence], config: BuilderConfig, path) -> dict[str, int]:
-    """`build_dataset` with each row written to a new file at `path` as its
-    `nsp_line`, opened once `check_corpus` passes; return counts.
+    """The rows `build_dataset` hands over, written to a new file at `path`
+    one lyric's text at a time, the file opened once `check_corpus` passes;
+    return counts.
 
     Where `os.fork` exists, two CPUs are free and the corpus has two lyrics
     or more, a forked child builds the rows of the second half of the
@@ -202,18 +234,14 @@ def write_dataset(corpus: Sequence[LyricSequence], config: BuilderConfig, path) 
     check_corpus(corpus)
     half = len(corpus) // 2
     with open(path, "w", encoding="utf-8", newline="") as fh:
-
-        def write(example: NspExample) -> None:
-            fh.write(nsp_line(example))
-
         if not (half and hasattr(os, "fork") and _cpus() > 1):
-            return _summary(corpus, _build(corpus, 0, config, write))
+            return _summary(corpus, _build(corpus, 0, config, fh.write))
         with tempfile.TemporaryFile() as spill:
             pid = os.fork()
             if pid == 0:
                 _build_in_child(corpus[half:], half, config, spill.fileno())
             try:
-                total = _build(corpus[:half], 0, config, write)
+                total = _build(corpus[:half], 0, config, fh.write)
             except BaseException:
                 os.kill(pid, signal.SIGKILL)
                 raise
@@ -237,7 +265,7 @@ def _build_in_child(corpus: Sequence[LyricSequence], first: int, config: Builder
     code = 1
     try:
         with open(fd, "w", encoding="utf-8", newline="", closefd=False) as out:
-            _build(corpus, first, config, lambda example: out.write(nsp_line(example)))
+            _build(corpus, first, config, out.write)
         code = 0
     finally:
         os._exit(code)

@@ -21,6 +21,7 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_UNIT = 2.0 ** -53  # a draw's top 53 bits times _UNIT is uniform in [0, 1)
 
 
 def _mix(z: int) -> int:
@@ -42,7 +43,7 @@ class SplitMix64:
 
     def random(self) -> float:
         """Uniform float in [0, 1): the top 53 bits of one draw / 2**53."""
-        return (self.next_uint64() >> 11) * (2.0 ** -53)
+        return (self.next_uint64() >> 11) * _UNIT
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n): one draw reduced mod n."""

@@ -5,23 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syllabeam import nsp
 from syllabeam.corpus import EOS_TEXT, LyricSequence, SyllableToken, parse_lyric_line, render_text
 from syllabeam.nsp import (
     _ROW_RE,
     BuilderConfig,
     NspExample,
+    _draw_from,
+    _lyric_text,
     build_dataset,
-    build_examples_for_lyric,
     candidate_marker,
     check_row,
-    corrupted_context,
     nsp_line,
     read_nsp_tsv,
+    write_dataset,
 )
 from syllabeam.lm import nsp_accuracy, nsp_metrics
-from syllabeam.rng import substream
+from syllabeam.rng import _UNIT, SplitMix64, substream
 
 from conftest import expected_dataset_size, make_corpus, make_lyric
+from nsp_rules import build_examples_for_lyric, corrupted_context
 
 # the running example lyric: "i know why your mean to me when i call on the telephone"
 PHONE_LINE = "i _know _why _your _mean _to _me _when _i _call _on _the _tel e phone"
@@ -155,6 +158,8 @@ class TestBuildExamples:
         lyric = LyricSequence((SyllableToken("hey", True),))
         with pytest.raises(ValueError):
             rows_for(lyric, BuilderConfig())
+        with pytest.raises(ValueError, match="^lyric 1: must contain at least 2 syllables$"):
+            build_dataset([PHONE, lyric], BuilderConfig(), lambda row: None)
 
     def test_all_rules_count(self):
         # every rule fires at every position: 4 rows per position
@@ -226,6 +231,48 @@ class TestBuildExamples:
             assert spacing.candidate.lstrip("_") == positive.candidate.lstrip("_")
 
 
+# few syllable texts, so that a lyric repeats some, each spaced or glued;
+# the first syllable of a lyric always starts a word
+LYRICS = st.lists(st.tuples(st.sampled_from(["la", "mi", "so", "tel", "e", "don't"]), st.booleans()),
+                  min_size=2, max_size=20).map(
+    lambda pairs: LyricSequence(tuple(SyllableToken(text, spaced or not i) for i, (text, spaced) in enumerate(pairs)))
+)
+RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    lyric=LYRICS,
+    config=st.builds(
+        BuilderConfig,
+        spacing_negative_rate=RATES,
+        always_spacing_first_k=st.integers(0, 5),
+        context_swap_rate=RATES,
+        swap_space_rate=RATES,
+        seed=st.integers(0, 2**64 - 1),
+    ),
+    index=st.integers(0, 10**6),
+)
+def test_builder_text_is_the_oracle_rows_lines(lyric, config, index):
+    """The one builder writes, as one string, the `nsp_line`s of the rows the
+    oracle states rule by rule, drawing through `SplitMix64` itself."""
+    rows = build_examples_for_lyric(lyric, config, substream(config.seed, index))
+    assert _lyric_text(lyric, config, index) == "".join(map(nsp_line, rows))
+
+
+def test_inlined_draws_are_splitmix64s():
+    # the builder's randrange(n) is draw() % n and its bernoulli(p) is
+    # (draw() >> 11) * _UNIT < p, one draw each, as SplitMix64 defines them
+    rnd = random.Random(12)
+    for seed in [0, 1, 2**63, 2**64 - 1, *(rnd.getrandbits(64) for _ in range(500))]:
+        rng, draw = SplitMix64(seed), _draw_from(SplitMix64(seed))
+        for n in (1, 2, 3, 7, 21, 2**40 + 1):
+            assert draw() % n == rng.randrange(n)
+        for p in (0.0, 0.4, 0.5, 0.6, 1.0, rnd.random()):
+            assert ((draw() >> 11) * _UNIT < p) == rng.bernoulli(p)
+        assert draw() == rng.next_uint64()
+
+
 class TestBuildDataset:
     def test_determinism(self):
         corpus = [p.lyric for p in make_corpus(20, seed=61)]
@@ -263,6 +310,25 @@ class TestBuildDataset:
         summary = build_dataset(corpus, config, rows.append)
         mean, sigma = expected_dataset_size(corpus, config)
         assert abs(summary["total"] - mean) <= 3 * sigma
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one cpu", "forked"])
+def test_build_dataset_rows_are_the_written_file(tmp_path, monkeypatch, cpus):
+    """`build_dataset` hands over the rows `write_dataset` writes, on either
+    path, and they are the oracle's rows lyric by lyric."""
+    corpus = [p.lyric for p in make_corpus(41, seed=67)]
+    config = BuilderConfig(seed=8)
+    forks = []
+    fork = nsp.os.fork
+    monkeypatch.setattr(nsp, "_cpus", lambda: cpus)
+    monkeypatch.setattr(nsp.os, "fork", lambda: forks.append(1) or fork())
+    written = write_dataset(corpus, config, tmp_path / "nsp.tsv")
+    rows = []
+    assert build_dataset(corpus, config, rows.append) == written
+    assert len(forks) == cpus - 1
+    assert list(read_nsp_tsv(tmp_path / "nsp.tsv")) == rows
+    oracle = [row for index, lyric in enumerate(corpus) for row in rows_for(lyric, config, index)]
+    assert rows == oracle and all(type(row) is NspExample for row in rows)
 
 
 class TestTsv:

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from syllabeam import nsp
+from syllabeam import cli, nsp
 from syllabeam.cli import main
 from syllabeam.corpus import write_aligned_corpus
 
@@ -64,6 +64,25 @@ def test_forked_build_writes_the_serial_bytes(tmp_path, capsys, monkeypatch, cor
     assert (serial_forks, forks) == (0, int(lyrics > 1))
     assert serial[0] == 0 and serial[1].count("\n") == 2 and serial[3]
     assert forked == serial
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one cpu", "forked"])
+def test_each_lyric_is_checked_twice(tmp_path, capsys, monkeypatch, corpus_of, cpus):
+    # once as its line is read, once by write_dataset's check_corpus; the
+    # builder checks nothing
+    checked = []
+    checked_lyric = nsp.checked_lyric
+
+    def counted(lyric):
+        checked.append(lyric)
+        return checked_lyric(lyric)
+
+    monkeypatch.setattr(cli, "checked_lyric", counted)
+    monkeypatch.setattr(nsp, "checked_lyric", counted)
+    (code, *_), forks = build(capsys, monkeypatch, corpus_of(7), tmp_path / "nsp.tsv", cpus)
+    assert (code, forks, len(checked)) == (0, cpus - 1, 2 * 7)
+    assert checked[:7] == checked[7:]
     assert_no_child_left()
 
 
