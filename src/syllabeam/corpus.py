@@ -34,9 +34,9 @@ class naming:
     body, or the OverflowError or RecursionError of a number or a nesting the
     input holds, is raised again as a ValueError reading `PATH: message`, or
     `PATH:LINE: message` once `line`, a 1-based file line, is set. Every input
-    is opened under it (`open_input`), and `read_lines` sets `line` as it
-    reads, so only a failure formats; a decoding error names no line, as text
-    is decoded by the chunk."""
+    is opened under it (`open_input`), and a line reader (`read_lines`,
+    `nsp.read_nsp_blocks`) sets `line`, so only a failure formats; a decoding
+    error names no line, as text is decoded by the chunk."""
 
     __slots__ = ("path", "line")
 

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import modelfile
 from .corpus import _SYLLABLE_RE, EOS_TEXT, naming
-from .nsp import check_row, read_nsp_tsv
+from .nsp import check_row, read_nsp_blocks
 
 EOS_CHAR = "$"
 # every character a lyric in the corpus grammar encodes to: syllables match
@@ -42,6 +42,7 @@ _SCHEMA = {"order": int, "k": float, "alphabet": str, "tables": list}
 # twice as many, its syllable scores and batches together
 MEMO_LIMIT = 1 << 14
 _NO_ROW: dict = {}  # the row of a suffix with no entry; never written
+_LABELS = {"0": 0, "1": 1}  # an NSP row's label column, as nsp_metrics reads it
 
 
 def _check_chars(text: str) -> None:
@@ -212,29 +213,28 @@ class CharNgramModel:
 
     def score_nsp_file(self, path) -> list[tuple[float, int]]:
         """(nsp_score, label) of each row of the NSP TSV file at `path`, as
-        `read_nsp_tsv` checks and yields it; a bad line raises its ValueError."""
-        return self._score_rows(read_nsp_tsv(path))
-
-    def _score_rows(self, rows: Iterable) -> list[tuple[float, int]]:
-        """(nsp_score, label) of each row, every row already checked against
-        `nsp`'s row grammar, encoded as `nsp_score` encodes one. Each run of equal
-        contexts is encoded once and finds its context suffix's row of the
-        memo once. The memo, candidate as written -> score per suffix, lives
-        for this call alone; a candidate is encoded only on a miss, as the
-        row grammar gives each encoding one spelling."""
+        `read_nsp_blocks` checks and yields it; a bad line raises its
+        ValueError. Each run of equal contexts is encoded once and finds its
+        suffix's row of the memo, candidate as written -> (score, label), once.
+        The memo lives for this call alone. A candidate is encoded only on a
+        miss, as the row grammar gives each encoding one spelling, and a hit
+        of the same label appends the same pair."""
         scored = []
-        memo: dict[str, dict[str, float]] = {}
+        memo: dict[str, dict[str, tuple[float, int]]] = {}
         last = None
-        for context, candidate, label in rows:
-            if context != last:
-                last, suffix = context, self._suffix(_nsp_encoded(context))
-                row = memo.get(suffix)
-                if row is None:
-                    row = memo[suffix] = {}
-            score = row.get(candidate)
-            if score is None:
-                score = row[candidate] = self._continuation(suffix, _nsp_encoded(candidate))
-            scored.append((score, label))
+        for block in read_nsp_blocks(path):
+            for context, candidate, label in block:
+                if context != last:
+                    last, suffix = context, self._suffix(_nsp_encoded(context))
+                    row = memo.get(suffix)
+                    if row is None:
+                        row = memo[suffix] = {}
+                pair = row.get(candidate)
+                if pair is None:
+                    pair = row[candidate] = (self._continuation(suffix, _nsp_encoded(candidate)), _LABELS[label])
+                elif pair[1] != _LABELS[label]:
+                    pair = (pair[0], _LABELS[label])
+                scored.append(pair)
         return scored
 
     # -- persistence ------------------------------------------------------

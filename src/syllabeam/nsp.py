@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, NoReturn, Sequence
 
-from .corpus import EOS_TEXT, LyricSequence, read_lines
+from .corpus import EOS_TEXT, LyricSequence, naming, open_input
 from .rng import _GAMMA, _MASK, _MIX1, _MIX2, _UNIT, SplitMix64, substream
 
 # The rows the builder writes. A context is (?:[a-z' ]|<eos>)+; the context
@@ -39,8 +39,10 @@ from .rng import _GAMMA, _MASK, _MIX1, _MIX2, _UNIT, SplitMix64, substream
 # character. A candidate `_<eos>` is the end marker with its spacing flipped.
 _CONTEXT_RE = re.compile(r"[a-z' ]*(?:<eos>[a-z' ]*)*")
 _CANDIDATE_RE = re.compile(r"_?(?:[a-z']+|<eos>)")
-# a whole row in one match, so that a valid line costs one regex call
-_ROW_RE = re.compile(f"({_CONTEXT_RE.pattern})\t({_CANDIDATE_RE.pattern})\t([01])")
+# a row on a line of its own, its context non-empty: one `findall` reads a
+# block of lines; a hint above 16 KiB raises nsp-eval's peak
+_ROWS_RE = re.compile(f"^(?!\t)({_CONTEXT_RE.pattern})\t({_CANDIDATE_RE.pattern})\t([01])$", re.MULTILINE)
+_BLOCK_HINT = 1 << 14
 
 
 # One dataset row; a tuple, so it compares equal to (context, candidate, label).
@@ -289,19 +291,32 @@ def check_row(context: str, candidate: str, label: str = "1") -> None:
         raise ValueError(f"bad candidate {candidate!r}")
 
 
-def _parse_row(line: str) -> NspExample:
-    """The row of one TSV line; a valid line costs one regex call."""
-    row = _ROW_RE.fullmatch(line)
-    if row and row[1]:
-        return _row((row[1], row[2], int(row[3])))  # _ROW_RE has checked the label
-    parts = line.split("\t")
-    if len(parts) != 3:
-        raise ValueError(f"expected 3 columns, got {len(parts)}")
-    check_row(*parts)  # raises: _ROW_RE matches every row it passes
+def read_nsp_blocks(path) -> Iterator[list[tuple[str, str, str]]]:
+    """The rows of an NSP TSV file a block of lines at a time, each the
+    (context, candidate, label) columns of a line that is a row the builder
+    can write (`check_row`); only an empty line is skipped. A block holding
+    another line is read again line by line, its rows yielded up to the
+    ValueError of that line, which names the file and the line (`naming`)."""
+    with naming(path) as place, open_input(path) as fh:
+        start = 1
+        while block := fh.readlines(_BLOCK_HINT):
+            rows = _ROWS_RE.findall("".join(block))
+            if len(rows) == len(block) - block.count("\n"):
+                yield rows
+            else:
+                for place.line, line in enumerate(block, start):
+                    row = _ROWS_RE.fullmatch(line := line.rstrip("\n"))
+                    if row:
+                        yield [row.groups()]
+                    elif line:
+                        parts = line.split("\t")
+                        if len(parts) != 3:
+                            raise ValueError(f"expected 3 columns, got {len(parts)}")
+                        check_row(*parts)  # raises: _ROWS_RE matches every row it passes
+            start += len(block)
 
 
 def read_nsp_tsv(path) -> Iterator[NspExample]:
-    """Each row of an NSP TSV file as its line is read (`read_lines`), once it
-    is a row the builder can write (`check_row`). Iteration raises ValueError
-    when it reaches a bad line, naming the file and the line (`naming`)."""
-    return read_lines(path, _parse_row)
+    """Each row of an NSP TSV file (`read_nsp_blocks`), its label an int."""
+    blocks = read_nsp_blocks(path)
+    return (_row((context, candidate, int(label))) for block in blocks for context, candidate, label in block)

@@ -5,6 +5,7 @@ and keep rejecting every input it rejected before.
 """
 
 import random
+import re
 
 import pytest
 
@@ -441,25 +442,54 @@ def test_nsp_file_computes_each_continuation_once_past_the_memo_limit(tmp_path, 
 
 
 class CountedPattern:
-    """A compiled pattern that counts its `fullmatch` calls."""
+    """A compiled pattern that keeps the text of each `findall` call, a block
+    of lines, and of each `fullmatch` call, one line."""
 
     def __init__(self, pattern):
-        self.pattern, self.calls = pattern, 0
+        self.pattern, self.blocks, self.lines = pattern, [], []
+
+    def findall(self, text):
+        self.blocks.append(text)
+        return self.pattern.findall(text)
 
     def fullmatch(self, text):
-        self.calls += 1
+        self.lines.append(text)
         return self.pattern.fullmatch(text)
 
 
+def blocks_of(path, hint):
+    """The blocks of lines `readlines(hint)` reads from the file at `path`."""
+    with open(path, encoding="utf-8") as fh:
+        return list(iter(lambda: fh.readlines(hint), []))
+
+
 def test_nsp_file_checks_each_row_once(tmp_path, monkeypatch):
-    # the reader's row grammar is the one check: one match per row, and no
+    # the reader's row grammar is the one check: one `findall` per block of
+    # lines, no match of a single line while every line is a row, and no
     # alphabet check of a context or a candidate after it
     corpus = make_corpus(40, seed=45)
-    rows = written_dataset(corpus, 46, tmp_path / "nsp.tsv")
+    path = tmp_path / "nsp.tsv"
+    rows = written_dataset(corpus, 46, path)
     lm = train_char_ngram([lyric_lm_text(render_text(p.lyric)) for p in corpus], 4, 0.1)
     checked, check_chars = [], lm_module._check_chars
     monkeypatch.setattr(lm_module, "_check_chars", lambda text: checked.append(text) or check_chars(text))
-    monkeypatch.setattr(nsp_module, "_ROW_RE", CountedPattern(nsp_module._ROW_RE))
-    scored = lm.score_nsp_file(tmp_path / "nsp.tsv")
-    assert len(scored) == len(rows) > 0
-    assert (len(checked), nsp_module._ROW_RE.calls) == (0, len(rows))
+    pattern = CountedPattern(nsp_module._ROWS_RE)
+    monkeypatch.setattr(nsp_module, "_ROWS_RE", pattern)
+    monkeypatch.setattr(nsp_module, "_BLOCK_HINT", 4096)
+    blocks = blocks_of(path, 4096)
+    scored = lm.score_nsp_file(path)
+    assert len(scored) == len(rows) > 0 and len(blocks) > 2
+    assert (len(checked), pattern.blocks, pattern.lines) == (0, ["".join(block) for block in blocks], [])
+    # one bad line, the fourth of the second block: that block alone is read
+    # again line by line, up to the bad line
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = len(blocks[0]) + 3
+    lines[bad] = "i know\t_why\t2\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    blocks = blocks_of(path, 4096)
+    pattern.blocks.clear()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{bad + 1}: bad label '2'$"):
+        lm.score_nsp_file(path)
+    assert pattern.blocks == ["".join(block) for block in blocks[:2]]
+    assert pattern.lines == [line.rstrip("\n") for line in blocks[1][:4]]
+    assert checked == []

@@ -1,5 +1,6 @@
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from syllabeam import nsp
 from syllabeam.corpus import EOS_TEXT, LyricSequence, SyllableToken, parse_lyric_line, render_text
 from syllabeam.nsp import (
-    _ROW_RE,
+    _ROWS_RE,
     BuilderConfig,
     NspExample,
     _draw_from,
@@ -401,23 +402,88 @@ def column(*pieces, min_size=0):
 
 ANY = column("a", "z", "'", " ", "<eos>", "_", "0", "1", "<", "eos>", "$", "A", "9", "\u00e9", "\ufeff",
              "\x0b", "\r", "\n")
-CONTEXTS = st.one_of(column("a", "z", "'", " ", "<eos>", min_size=1), ANY)
-CANDIDATES = st.one_of(st.builds(str.__add__, st.sampled_from(["", "_"]),
-                                 st.one_of(st.just("<eos>"), column("a", "z", "'", min_size=1))), ANY)
+GOOD_CONTEXTS = column("a", "z", "'", " ", "<eos>", min_size=1)
+GOOD_CANDIDATES = st.builds(str.__add__, st.sampled_from(["", "_"]),
+                            st.one_of(st.just("<eos>"), column("a", "z", "'", min_size=1)))
+CONTEXTS = st.one_of(GOOD_CONTEXTS, ANY)
+CANDIDATES = st.one_of(GOOD_CANDIDATES, ANY)
+LABELS = st.one_of(st.sampled_from(["0", "1"]), ANY)
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
-@given(context=CONTEXTS, candidate=CANDIDATES, label=st.one_of(st.sampled_from(["0", "1"]), ANY))
+@given(context=CONTEXTS, candidate=CANDIDATES, label=LABELS)
 def test_row_pattern_accepts_exactly_the_checked_rows(context, candidate, label):
-    """A line the one-regex path reads, its context non-empty, is a row
-    `check_row` passes, and no other, so `_parse_row` needs no fallback read."""
-    match = _ROW_RE.fullmatch(f"{context}\t{candidate}\t{label}")
+    """A line the block pattern matches whole is a row `check_row` passes,
+    and no other: its `(?!\t)` rejects the empty context."""
+    match = _ROWS_RE.fullmatch(f"{context}\t{candidate}\t{label}")
     try:
         check_row(context, candidate, label)
     except ValueError:
-        assert not (match and match[1])
+        assert not match
     else:
         assert match and match.groups() == (context, candidate, label)
+
+
+def per_line_rows(path):
+    """The rows of the NSP TSV file at `path` up to its first bad line, read
+    line by line and checked by `check_row` alone, and the error that line
+    raises, `PATH:LINE: message`, or None."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if line == "\n":
+                continue
+            parts = line.rstrip("\n").split("\t")
+            try:
+                if len(parts) != 3:
+                    raise ValueError(f"expected 3 columns, got {len(parts)}")
+                check_row(*parts)
+            except ValueError as exc:
+                return rows, f"{path}:{number}: {exc}"
+            rows.append((parts[0], parts[1], int(parts[2])))
+    return rows, None
+
+
+# a file's lines: rows and blank lines, and then up to two lines put in at
+# drawn places, from columns that may be bad or from any text, tabs and
+# line breaks among it
+ROW_LINES = st.lists(
+    st.one_of(st.tuples(GOOD_CONTEXTS, GOOD_CANDIDATES, st.sampled_from(["0", "1"])).map("\t".join), st.just("")),
+    max_size=30,
+)
+ODD_LINES = st.lists(
+    st.tuples(st.integers(0, 30), st.one_of(st.tuples(CONTEXTS, CANDIDATES, LABELS).map("\t".join), ANY)),
+    max_size=2,
+)
+LINE_ENDS = st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=32, max_size=32)
+
+
+@pytest.fixture(scope="module")
+def tsv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("tsv") / "nsp.tsv"
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(lines=ROW_LINES, odd=ODD_LINES, ends=LINE_ENDS, final_newline=st.booleans(),
+       hint=st.sampled_from([1, 8, 40, 200]))
+def test_block_reader_is_the_per_line_reader(tsv_path, lines, odd, ends, final_newline, hint):
+    """`read_nsp_tsv` yields the rows a line-by-line read checked by
+    `check_row` yields, and raises the same error at the same row, whatever
+    the line ends and wherever the blocks of lines split the file."""
+    for position, line in odd:
+        lines.insert(position, line)
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and not final_newline:
+        text = text[: -len(ends[len(lines) - 1])]
+    tsv_path.write_text(text, encoding="utf-8", newline="")
+    rows, error = [], None
+    with mock.patch.object(nsp, "_BLOCK_HINT", hint):
+        try:
+            rows.extend(read_nsp_tsv(tsv_path))
+        except ValueError as exc:
+            error = str(exc)
+    assert (rows, error) == per_line_rows(tsv_path)
+    assert all(type(row) is NspExample and type(row.label) is int for row in rows)
 
 
 class TestMetric:

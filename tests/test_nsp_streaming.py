@@ -1,8 +1,9 @@
 """The NSP commands pass rows through instead of collecting them.
 
-`read_nsp_tsv` yields each row as it reads the line, `build-nsp-dataset`
-writes each row as the builder hands it to its sink, and `nsp-eval` feeds
-the rows straight into its scorer. Three consequences are pinned here:
+`read_nsp_tsv` yields the rows of each block of lines as it reads the
+block, `build-nsp-dataset` writes each row as the builder hands it to its
+sink, and `nsp-eval` feeds each block's rows straight into its scorer.
+Three consequences are pinned here:
 
 - a bad line surfaces when iteration reaches it, after the rows before it;
 - `build-nsp-dataset` checks every lyric before it opens `--out`, and names
