@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import modelfile
 from .corpus import _SYLLABLE_RE, EOS_TEXT, naming
-from .nsp import check_row, read_nsp_blocks
+from .nsp import check_row, score_file
 
 EOS_CHAR = "$"
 # every character a lyric in the corpus grammar encodes to: syllables match
@@ -214,15 +214,25 @@ class CharNgramModel:
     def score_nsp_file(self, path) -> list[tuple[float, int]]:
         """(nsp_score, label) of each row of the NSP TSV file at `path`, as
         `read_nsp_blocks` checks and yields it; a bad line raises its
-        ValueError. Each run of equal contexts is encoded once and finds its
-        suffix's row of the memo, candidate as written -> (score, label), once.
-        The memo lives for this call alone. A candidate is encoded only on a
-        miss, as the row grammar gives each encoding one spelling, and a hit
-        of the same label appends the same pair."""
+        ValueError. `nsp.score_file` reads the file, on two processes where
+        it can, and each process scores its rows with a memo of its own
+        (`_scored_blocks`), so each computes each continuation its rows ask
+        for once."""
+        return score_file(path, self._scored_blocks)
+
+    def _scored_blocks(self, blocks: Iterable[list[tuple[str, str, str]]]) -> list[tuple[float, int]]:
+        """(nsp_score, label) of each row of checked NSP `blocks`. Each run of
+        equal contexts is encoded once and finds its suffix's row of the
+        memo, candidate as written -> (score, label), once. The memo lives
+        for this call alone. A candidate is encoded only on a miss, as the
+        row grammar gives each encoding one spelling. A hit appends the
+        stored pair, or its twin of the other label, kept once per pair in
+        `flipped`, so each key's pairs of one label are one tuple."""
         scored = []
         memo: dict[str, dict[str, tuple[float, int]]] = {}
+        flipped: dict[tuple[float, int], tuple[float, int]] = {}
         last = None
-        for block in read_nsp_blocks(path):
+        for block in blocks:
             for context, candidate, label in block:
                 if context != last:
                     last, suffix = context, self._suffix(_nsp_encoded(context))
@@ -233,7 +243,10 @@ class CharNgramModel:
                 if pair is None:
                     pair = row[candidate] = (self._continuation(suffix, _nsp_encoded(candidate)), _LABELS[label])
                 elif pair[1] != _LABELS[label]:
-                    pair = (pair[0], _LABELS[label])
+                    twin = flipped.get(pair)
+                    if twin is None:
+                        twin = flipped[pair] = (pair[0], _LABELS[label])
+                    pair = twin
                 scored.append(pair)
         return scored
 

@@ -17,19 +17,25 @@ Rows are (context, candidate, label) where a candidate's leading
 underscore marks a preceding space. Output is deterministic for a given
 seed: each lyric draws from its own substream keyed by (seed, lyric index).
 `_lyric_text` is the one builder; `tests/nsp_rules.py` states the same rules
-row by row as the tests' oracle.
+row by row as the tests' oracle. Building a dataset (`write_dataset`) and
+scoring one (`score_file`) each run on two processes where they can, through
+one fork helper (`_forked`).
 """
 
 from __future__ import annotations
 
+import io
 import os
 import re
 import signal
+import sys
 import tempfile
+from array import array
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .corpus import EOS_TEXT, LyricSequence, naming, open_input
 from .rng import _GAMMA, _MASK, _MIX1, _MIX2, _UNIT, SplitMix64, substream
@@ -218,40 +224,65 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _forks() -> bool:
+    """Whether work may be split with a forked child: `os.fork` exists and
+    two CPUs are free."""
+    return hasattr(os, "fork") and _cpus() > 1
+
+
+@contextmanager
+def _forked(child: Callable[[], object], work: str) -> Iterator[None]:
+    """Run `child()` in a forked child process while the body runs in this one.
+
+    The child leaves by `os._exit`, flushing none of this process's buffers,
+    with the exit code the CLI gives a failure of its kind: 0 once `child()`
+    returns, 2 on a ValueError and 1 on anything else. It is always reaped,
+    and killed first if the body fails. Once the body is done, a child that
+    failed raises ValueError (code 2) or ChildProcessError, each naming
+    `work` and the code. Like the collector pause, this assumes one thread:
+    a fork beside other threads may copy a lock another thread holds."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            child()
+            code = 0
+        except ValueError:
+            code = 2
+        finally:
+            os._exit(code)
+    try:
+        yield
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        message = f"the process {work} exited with code {code}"
+        raise ValueError(message) if code == 2 else ChildProcessError(message)
+
+
 def write_dataset(corpus: Sequence[LyricSequence], config: BuilderConfig, path) -> dict[str, int]:
     """The rows `build_dataset` hands over, written to a new file at `path`
     one lyric's text at a time, the file opened once `check_corpus` passes;
     return counts.
 
-    Where `os.fork` exists, two CPUs are free and the corpus has two lyrics
-    or more, a forked child builds the rows of the second half of the
-    lyrics into an unlinked temporary file while this process writes those
-    of the first half, then this process copies the child's rows after its
-    own in chunks. Each lyric draws from its own substream, so the file is
-    the same byte for byte either way. The child leaves by `os._exit`,
-    flushing none of this process's buffers; it is always reaped, and killed
-    first if this process fails. A child that fails raises
-    ChildProcessError. Like the collector pause, this assumes one thread:
-    a fork beside other threads may copy a lock another thread holds."""
+    Where the work may be split (`_forks`) and the corpus has two lyrics or
+    more, a `_forked` child builds the rows of the second half of the lyrics
+    into an unlinked temporary file while this process writes those of the
+    first half, then this process copies the child's rows after its own in
+    chunks. Each lyric draws from its own substream, so the file is the same
+    byte for byte either way."""
     check_corpus(corpus)
     half = len(corpus) // 2
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if not (half and hasattr(os, "fork") and _cpus() > 1):
+        if not (half and _forks()):
             return _summary(corpus, _build(corpus, 0, config, fh.write))
         with tempfile.TemporaryFile() as spill:
-            pid = os.fork()
-            if pid == 0:
-                _build_in_child(corpus[half:], half, config, spill.fileno())
-            try:
+            child = partial(_build_into, corpus[half:], half, config, spill.fileno())
+            with _forked(child, f"building lyrics {half} to {len(corpus) - 1}"):
                 total = _build(corpus[:half], 0, config, fh.write)
-            except BaseException:
-                os.kill(pid, signal.SIGKILL)
-                raise
-            finally:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code:
-                last = len(corpus) - 1
-                raise ChildProcessError(f"the process building lyrics {half} to {last} exited with code {code}")
             spill.seek(0)
             fh.flush()
             while chunk := spill.read(1 << 16):
@@ -260,17 +291,10 @@ def write_dataset(corpus: Sequence[LyricSequence], config: BuilderConfig, path) 
     return _summary(corpus, total)
 
 
-def _build_in_child(corpus: Sequence[LyricSequence], first: int, config: BuilderConfig, fd: int) -> NoReturn:
-    """In a forked child: write the rows of `corpus`, lyric `first` onwards,
-    to the file open at `fd`, then leave by `os._exit`, with code 0 once
-    every row is written and 1 on any failure."""
-    code = 1
-    try:
-        with open(fd, "w", encoding="utf-8", newline="", closefd=False) as out:
-            _build(corpus, first, config, out.write)
-        code = 0
-    finally:
-        os._exit(code)
+def _build_into(corpus: Sequence[LyricSequence], first: int, config: BuilderConfig, fd: int) -> None:
+    """Write the rows of `corpus`, lyric `first` onwards, to the file open at `fd`."""
+    with open(fd, "w", encoding="utf-8", newline="", closefd=False) as out:
+        _build(corpus, first, config, out.write)
 
 
 def nsp_line(example: NspExample) -> str:
@@ -291,20 +315,50 @@ def check_row(context: str, candidate: str, label: str = "1") -> None:
         raise ValueError(f"bad candidate {candidate!r}")
 
 
-def read_nsp_blocks(path) -> Iterator[list[tuple[str, str, str]]]:
+class _Part(io.RawIOBase):
+    """Bytes `start` up to `stop` of the binary file `raw`, as a raw stream;
+    `_text_part` decodes it."""
+
+    def __init__(self, raw, start: int, stop: int) -> None:
+        raw.seek(start)
+        self.raw, self.left = raw, stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        with memoryview(buffer) as view:
+            read = self.raw.readinto(view[: self.left])
+        self.left -= read
+        return read
+
+
+def _text_part(fh, start: int, stop: Optional[int]):
+    """The text file `fh`, or given `start` or `stop`, its bytes from `start`
+    up to `stop` (the end by default), decoded as UTF-8 with the same
+    universal newlines."""
+    if not start and stop is None:
+        return fh
+    part = _Part(fh.buffer.raw, start, sys.maxsize if stop is None else stop)
+    return io.TextIOWrapper(io.BufferedReader(part), encoding="utf-8")
+
+
+def read_nsp_blocks(path, start: int = 0, stop: Optional[int] = None) -> Iterator[list[tuple[str, str, str]]]:
     """The rows of an NSP TSV file a block of lines at a time, each the
     (context, candidate, label) columns of a line that is a row the builder
     can write (`check_row`); only an empty line is skipped. A block holding
     another line is read again line by line, its rows yielded up to the
-    ValueError of that line, which names the file and the line (`naming`)."""
-    with naming(path) as place, open_input(path) as fh:
-        start = 1
+    ValueError of that line, which names the file and the line (`naming`).
+    Given `start` or `stop`, only the file's bytes from `start` up to `stop`
+    (the end by default) are read (`_text_part`), their lines counted from 1."""
+    with naming(path) as place, open_input(path) as whole, _text_part(whole, start, stop) as fh:
+        first = 1
         while block := fh.readlines(_BLOCK_HINT):
             rows = _ROWS_RE.findall("".join(block))
             if len(rows) == len(block) - block.count("\n"):
                 yield rows
             else:
-                for place.line, line in enumerate(block, start):
+                for place.line, line in enumerate(block, first):
                     row = _ROWS_RE.fullmatch(line := line.rstrip("\n"))
                     if row:
                         yield [row.groups()]
@@ -313,7 +367,76 @@ def read_nsp_blocks(path) -> Iterator[list[tuple[str, str, str]]]:
                         if len(parts) != 3:
                             raise ValueError(f"expected 3 columns, got {len(parts)}")
                         check_row(*parts)  # raises: _ROWS_RE matches every row it passes
-            start += len(block)
+            first += len(block)
+
+
+def _split(path) -> Optional[int]:
+    """The byte just past the first line break at or after the middle byte of
+    the regular file at `path`, where a byte follows it."""
+    if not os.path.isfile(path):
+        return None
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        fh.seek(size // 2)
+        fh.readline()
+        split = fh.tell()
+    return split if split < size else None
+
+
+_Scorer = Callable[[Iterator[list[tuple[str, str, str]]]], list[tuple[float, int]]]
+
+
+def score_file(path, score: _Scorer) -> list[tuple[float, int]]:
+    """`score(read_nsp_blocks(path))`: the (score, label) pair `score` makes
+    of each row of the NSP TSV file at `path`, in file order.
+
+    Where the work may be split (`_forks`) and a line break at or past the
+    middle byte has bytes after it (`_split`), a `_forked` child scores the
+    bytes past that break while this process scores those before it, each
+    part read once. The child packs its pairs into an unlinked temporary
+    file (`_score_into`), and this process appends them after its own. On a
+    ValueError of either part, a bad line, the whole file is scored again in
+    this process alone, so the error raised is the one-process read's, its
+    line and message the same."""
+    split = _split(path) if _forks() else None
+    if split is not None:
+        try:
+            with tempfile.TemporaryFile() as spill:
+                child = partial(_score_into, score, path, split, spill.fileno())
+                with _forked(child, f"scoring {path} from byte {split}"):
+                    scored = score(read_nsp_blocks(path, 0, split))
+                _append_unpacked(scored, spill)
+            return scored
+        except ValueError:
+            pass  # a bad line: the read below fails on it as it would alone
+    return score(read_nsp_blocks(path))
+
+
+def _score_into(score: _Scorer, path, start: int, fd: int) -> None:
+    """Write the pairs `score` makes of the rows from byte `start` of the file
+    at `path` on to the file open at `fd`, as `_append_unpacked` reads
+    them: the number of distinct pairs, their scores (doubles), their
+    labels (a byte each), then the index of each row's pair among them."""
+    pairs = score(read_nsp_blocks(path, start))
+    slots: dict[tuple[float, int], int] = {}  # each distinct pair -> its index
+    index = array("L", [slots.setdefault(pair, len(slots)) for pair in pairs])
+    with open(fd, "wb", closefd=False) as out:
+        array("q", [len(slots)]).tofile(out)
+        array("d", [value for value, _ in slots]).tofile(out)
+        out.write(bytes([label for _, label in slots]))
+        index.tofile(out)
+
+
+def _append_unpacked(scored: list[tuple[float, int]], spill) -> None:
+    """Append to `scored` the pairs `_score_into` wrote to the file `spill`,
+    equal pairs one tuple, reading the row indices 64 KiB at a time."""
+    spill.seek(0)
+    count, scores = array("q"), array("d")
+    count.fromfile(spill, 1)
+    scores.fromfile(spill, count[0])
+    distinct = list(zip(scores, spill.read(count[0])))
+    while chunk := spill.read(1 << 16):
+        scored.extend(map(distinct.__getitem__, array("L", chunk)))
 
 
 def read_nsp_tsv(path) -> Iterator[NspExample]:

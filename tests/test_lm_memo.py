@@ -413,7 +413,9 @@ def written_dataset(corpus, seed, path):
     return rows
 
 
-def test_nsp_rows_compute_each_continuation_once(tmp_path):
+def test_nsp_rows_compute_each_continuation_once(tmp_path, monkeypatch):
+    # on one CPU: a forked read counts each process's keys in that process
+    monkeypatch.setattr(nsp_module, "_cpus", lambda: 1)
     corpus = make_corpus(40, seed=43)
     rows = written_dataset(corpus, 44, tmp_path / "nsp.tsv")
     lm, computed = counting_model(corpus)
@@ -428,6 +430,20 @@ def test_nsp_rows_compute_each_continuation_once(tmp_path):
     one_by_one, computed_by_row = counting_model(corpus)
     assert [(one_by_one.nsp_score(c, k), label) for c, k, label in rows] == scored
     assert len(computed_by_row) == len(rows) and set(computed_by_row) == keys
+
+
+def test_nsp_file_keeps_one_pair_per_key_and_label(tmp_path, monkeypatch):
+    # a memo hit of either label appends a pair already made, so the list
+    # holds at most one tuple per (suffix, candidate, label)
+    monkeypatch.setattr(nsp_module, "_cpus", lambda: 1)
+    corpus = make_corpus(40, seed=43)
+    rows = written_dataset(corpus, 44, tmp_path / "nsp.tsv")
+    lm, _ = counting_model(corpus)
+    scored = lm.score_nsp_file(tmp_path / "nsp.tsv")
+    keys = {(lm._suffix(c.replace(EOS_TEXT, EOS_CHAR)), k) for c, k, _ in rows}
+    labelled = {(lm._suffix(c.replace(EOS_TEXT, EOS_CHAR)), k, label) for c, k, label in rows}
+    assert len(keys) < len(labelled) < len(rows)
+    assert len({id(pair) for pair in scored}) <= len(labelled)
 
 
 def test_nsp_file_computes_each_continuation_once_past_the_memo_limit(tmp_path, monkeypatch):
@@ -466,7 +482,9 @@ def blocks_of(path, hint):
 def test_nsp_file_checks_each_row_once(tmp_path, monkeypatch):
     # the reader's row grammar is the one check: one `findall` per block of
     # lines, no match of a single line while every line is a row, and no
-    # alphabet check of a context or a candidate after it
+    # alphabet check of a context or a candidate after it; on one CPU, so
+    # that this process reads every block
+    monkeypatch.setattr(nsp_module, "_cpus", lambda: 1)
     corpus = make_corpus(40, seed=45)
     path = tmp_path / "nsp.tsv"
     rows = written_dataset(corpus, 46, path)
