@@ -20,6 +20,7 @@ from .beam import FusionConfig, audit_trace, decode
 from .corpus import (
     _NUMBER_RE,
     _PITCH_RE,
+    Vocabulary,
     aligned_pair_parser,
     naming,
     open_input,
@@ -28,12 +29,11 @@ from .corpus import (
     read_lines,
     render_text,
     serialize_lyric_line,
-    build_vocabulary,
 )
-from .generator import MelodyConditionedNgram, train_generator
+from .generator import MelodyConditionedNgram, train_records, training_record
 from .lm import CharNgramModel, lyric_lm_text, nsp_metrics, train_char_ngram
 from .metrics import EvalPair, corpus_eval, emit_llm_eval_prompt
-from .nsp import BuilderConfig, checked_lyric, read_nsp_tsv, write_dataset
+from .nsp import BuilderConfig, halves, read_nsp_tsv, write_dataset
 
 
 def _decimal(cast, pattern):
@@ -63,8 +63,8 @@ def _lyric_line(line: str) -> str:
 
 def _read_corpus(path: str, parse: Callable[[str], object]) -> list:
     """What `parse` makes of each record line of the corpus file at `path`,
-    which must hold one."""
-    records = list(read_lines(path, parse))
+    which must hold one, the file read in `halves`."""
+    records = halves(path, lambda start, stop: list(read_lines(path, parse, start, stop)))
     if not records:
         with naming(path):
             raise ValueError("corpus is empty")
@@ -77,21 +77,16 @@ def _read_corpus(path: str, parse: Callable[[str], object]) -> list:
 def cmd_build_nsp_dataset(args: argparse.Namespace) -> int:
     config = BuilderConfig(**{f.name: getattr(args, f.name) for f in fields(BuilderConfig)})
 
-    pair = aligned_pair_parser()
-    # each lyric is checked as its line is read, so every lyric has passed
-    # before --out is opened, and the first bad line in the file is named
-    lyrics = _read_corpus(args.corpus, lambda line: checked_lyric(pair(line).lyric))
-    summary = write_dataset(lyrics, config, args.out)
+    summary = write_dataset(args.corpus, config, args.out)
 
     _echo("build-nsp-dataset", {"corpus": args.corpus, "out": args.out, **asdict(config)})
-    summary["lyrics"] = len(lyrics)
     print(json.dumps(summary, sort_keys=True))
     return 0
 
 
 def cmd_train_lm(args: argparse.Namespace) -> int:
-    pairs = _read_corpus(args.corpus, aligned_pair_parser())
-    texts = [lyric_lm_text(render_text(pair.lyric)) for pair in pairs]
+    pair = aligned_pair_parser()
+    texts = _read_corpus(args.corpus, lambda line: lyric_lm_text(render_text(pair(line).lyric)))
     model = train_char_ngram(texts, args.order, args.k)
     model.save(args.out)
 
@@ -101,14 +96,15 @@ def cmd_train_lm(args: argparse.Namespace) -> int:
 
 
 def cmd_train_generator(args: argparse.Namespace) -> int:
-    pairs = _read_corpus(args.corpus, aligned_pair_parser())
-    vocab = build_vocabulary([pair.lyric for pair in pairs])
-    model = train_generator(pairs, vocab, args.history, args.k)
+    pair, record = aligned_pair_parser(), training_record()
+    records = _read_corpus(args.corpus, lambda line: record(pair(line)))
+    vocab = Vocabulary(text for texts, _ in records for text in texts)
+    model = train_records(records, vocab, args.history, args.k)
     model.save(args.out)
 
     config = {"corpus": args.corpus, "out": args.out, "history": args.history, "k": args.k}
     _echo("train-generator", config)
-    print(json.dumps({"pairs": len(pairs), **model.stats()}, sort_keys=True))
+    print(json.dumps({"pairs": len(records), **model.stats()}, sort_keys=True))
     return 0
 
 

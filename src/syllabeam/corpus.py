@@ -8,12 +8,13 @@ notes, one note per syllable.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 BOS_TEXT = "<bos>"
 EOS_TEXT = "<eos>"
@@ -53,23 +54,53 @@ class naming:
             raise ValueError(f"{self.path}:{self.line}: {exc}") from exc
 
 
-def open_input(path):
-    """The input file at `path`, open for reading as UTF-8 text; call it under
-    `naming`. A missing path raises ValueError `no such file`, and a directory,
-    FIFO or device `not a regular file`, before anything is opened, so a FIFO
-    never blocks."""
+def open_input(path, start: int = 0, stop: Optional[int] = None):
+    """The input file at `path`, open for reading as UTF-8 text with universal
+    newlines; call it under `naming`. A missing path raises ValueError `no
+    such file`, and a directory, FIFO or device `not a regular file`, before
+    anything is opened, so a FIFO never blocks. Given `start` or `stop`, only
+    the file's bytes from `start` up to `stop` (the end by default) are read:
+    a part that runs to the end is a plain text file opened at `start`, and
+    one that stops early reads through `_Part`."""
     if not os.path.isfile(path):
         raise ValueError("not a regular file" if os.path.exists(path) else "no such file")
-    return open(path, "r", encoding="utf-8")
+    if stop is None:
+        binary = open(path, "rb")
+        binary.seek(start)
+        return io.TextIOWrapper(binary, encoding="utf-8")
+    return io.TextIOWrapper(io.BufferedReader(_Part(path, start, stop)), encoding="utf-8")
 
 
-def read_lines(path, parse: Callable[[str], object]) -> Iterator:
+class _Part(io.RawIOBase):
+    """Bytes `start` up to `stop` of the file at `path`, as a raw stream."""
+
+    def __init__(self, path, start: int, stop: int) -> None:
+        self.raw, self.left = open(path, "rb", buffering=0), stop - start
+        self.raw.seek(start)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        with memoryview(buffer) as view:
+            read = self.raw.readinto(view[: self.left])
+        self.left -= read
+        return read
+
+    def close(self) -> None:
+        self.raw.close()
+        super().close()
+
+
+def read_lines(path, parse: Callable[[str], object], start: int = 0, stop: Optional[int] = None) -> Iterator:
     """`parse(line)` of each line of the input file at `path`, its newline
     removed, as the line is read. Only an empty line is skipped: any other
     line, blanks and all, is one record and is passed as written. The file is
     opened at the first record asked for; its errors and those of `parse` are
-    named under `naming`, the latter with their line."""
-    with naming(path) as place, open_input(path) as fh:
+    named under `naming`, the latter with their line. Given `start` or
+    `stop`, only the file's bytes from `start` up to `stop` (the end by
+    default) are read (`open_input`), their lines counted from 1."""
+    with naming(path) as place, open_input(path, start, stop) as fh:
         for place.line, line in enumerate(fh, start=1):
             if line != "\n":
                 yield parse(line.rstrip("\n"))

@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import modelfile
 from .corpus import (
@@ -64,6 +64,10 @@ _BUCKETS = {
     (*bucket, *map(type, bucket)): bucket
     for bucket in (bucket_note(MelodyNote(p, d, r)) for p in range(128) for d in (0.5, 1, 2) for r in (0, 1))
 }
+# the buckets in a fixed order, and each one's index there: a training
+# record's notes (`training_record`)
+_BUCKET_LIST = tuple(_BUCKETS.values())
+_BUCKET_IDS = {bucket: index for index, bucket in enumerate(_BUCKET_LIST)}
 
 
 def _bucket_from_json(data) -> Optional[NoteBucket]:
@@ -321,35 +325,60 @@ class MelodyConditionedNgram:
         }
 
 
+def training_record() -> Callable[[AlignedPair], tuple[list[str], list[int]]]:
+    """A function making the training record of an aligned pair: its
+    syllable texts and the index of each note's bucket among `_BUCKETS`.
+    Equal notes have equal buckets, so each note object is bucketed once,
+    keyed by its identity (the corpus parser shares one object among equal
+    notes); the notes of the pairs it is given must outlive it, as those of
+    a corpus list or of one parser's pairs do."""
+    ids: dict[int, int] = {}  # id(note) -> its bucket's index
+
+    def record(pair: AlignedPair) -> tuple[list[str], list[int]]:
+        notes = []
+        for note in pair.melody.notes:
+            index = ids.get(id(note))
+            if index is None:
+                index = ids[id(note)] = _BUCKET_IDS[bucket_note(note)]
+            notes.append(index)
+        return [tok.text for tok in pair.lyric.syllables()], notes
+
+    return record
+
+
 def train_generator(
     corpus: Sequence[AlignedPair], vocab: Vocabulary, history: int = 2, k: float = 0.1
 ) -> MelodyConditionedNgram:
     """A model of every (history, note bucket) -> syllable event of the
-    corpus, once every pair passed its check: the events are tallied with one
-    Counter, and each distinct event's count is its (history, bucket) row's."""
-    if not corpus:
+    corpus: `train_records` of each pair's `training_record`."""
+    return train_records(list(map(training_record(), corpus)), vocab, history, k)
+
+
+def train_records(
+    records: Sequence[tuple[Sequence[str], Sequence[int]]], vocab: Vocabulary, history: int = 2, k: float = 0.1
+) -> MelodyConditionedNgram:
+    """A model of every (history, note bucket) -> syllable event of the
+    training records (`training_record`), once every syllable passed its
+    check: the events are tallied with one Counter, and each distinct
+    event's count is its (history, bucket) row's."""
+    if not records:
         raise ValueError("empty corpus")
     model = MelodyConditionedNgram(vocab, history, k)
     known = frozenset(vocab.emittable()) | {BOS_TEXT}
-    lyrics = [[tok.text for tok in pair.lyric.syllables()] for pair in corpus]
-    for text in itertools.chain.from_iterable(lyrics):
+    for text in itertools.chain.from_iterable(texts for texts, _ in records):
         if text not in known:
             raise ValueError(f"syllable {text!r} not in vocabulary")
-    # equal notes have equal buckets, so each note object is bucketed once
-    # (the corpus loader shares one object among equal notes)
-    buckets: dict[int, NoteBucket] = {}
     events = Counter()
-    for pair, texts in zip(corpus, lyrics):
+    pad = [BOS_TEXT] * history
+    for texts, notes in records:
         # each history key is a window of the BOS-padded texts
-        texts = [BOS_TEXT] * history + texts + [EOS_TEXT]
+        texts = [*pad, *texts, EOS_TEXT]
         keys = zip(*[texts[i:] for i in range(history)])
-        notes = [
-            buckets.get(id(n)) or buckets.setdefault(id(n), bucket_note(n)) for n in pair.melody.notes
-        ]
-        events.update(zip(keys, notes + [None], texts[history:]))
+        events.update(zip(keys, [*notes, None], texts[history:]))
     by_hist_bucket = model._by_hist_bucket
-    for (hist, bucket, target), n in events.items():
+    for (hist, note, target), n in events.items():
         # each event is distinct, so its (history, bucket) row is only assigned
+        bucket = None if note is None else _BUCKET_LIST[note]
         row = by_hist_bucket.get((hist, bucket))
         if row is None:
             row = by_hist_bucket[hist, bucket] = {}

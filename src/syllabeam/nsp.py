@@ -18,26 +18,25 @@ underscore marks a preceding space. Output is deterministic for a given
 seed: each lyric draws from its own substream keyed by (seed, lyric index).
 `_lyric_text` is the one builder; `tests/nsp_rules.py` states the same rules
 row by row as the tests' oracle. Building a dataset (`write_dataset`) and
-scoring one (`score_file`) each run on two processes where they can, through
-one fork helper (`_forked`).
+scoring one (`score_file`) each read their file in `halves`, on two
+processes where they can, as the CLI's training commands read the corpus.
 """
 
 from __future__ import annotations
 
-import io
+import marshal
 import os
 import re
+import shutil
 import signal
-import sys
 import tempfile
-from array import array
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .corpus import EOS_TEXT, LyricSequence, naming, open_input
+from .corpus import EOS_TEXT, LyricSequence, aligned_pair_parser, naming, open_input, read_lines
 from .rng import _GAMMA, _MASK, _MIX1, _MIX2, _UNIT, SplitMix64, substream
 
 # The rows the builder writes. A context is (?:[a-z' ]|<eos>)+; the context
@@ -179,22 +178,22 @@ def check_corpus(corpus: Sequence[LyricSequence]) -> None:
 
 
 def _build(
-    corpus: Sequence[LyricSequence], first: int, config: BuilderConfig, write: Callable[[str], object]
-) -> int:
+    lyrics: Iterable[LyricSequence], first: int, config: BuilderConfig, write: Callable[[str], object]
+) -> tuple[int, int, int]:
     """Hand each lyric's text (`_lyric_text`) to `write` in lyric order, its
     lyric i drawing from the substream of index `first + i`; return the
-    number of rows."""
-    total = 0
-    for index, lyric in enumerate(corpus, start=first):
-        text = _lyric_text(lyric, config, index)
+    numbers of lyrics, of positives (one per position) and of rows."""
+    count = positives = total = 0
+    for count, lyric in enumerate(lyrics, start=1):
+        text = _lyric_text(lyric, config, first + count - 1)
         write(text)
+        positives += len(lyric.syllables())
         total += text.count("\n")  # rows hold no line break
-    return total
+    return count, positives, total
 
 
-def _summary(corpus: Sequence[LyricSequence], total: int) -> dict[str, int]:
-    """The counts of `total` rows built from `corpus`: one positive per position."""
-    positives = sum(len(lyric.syllables()) for lyric in corpus)
+def _summary(positives: int, total: int) -> dict[str, int]:
+    """The counts of `total` rows of which `positives` are positive."""
     return {"positives": positives, "negatives": total - positives, "total": total}
 
 
@@ -213,7 +212,8 @@ def build_dataset(
             context, candidate, label = line.split("\t")
             sink(_row((context, candidate, 1 if label == "1" else 0)))
 
-    return _summary(corpus, _build(corpus, 0, config, split))
+    _, positives, total = _build(corpus, 0, config, split)
+    return _summary(positives, total)
 
 
 def _cpus() -> int:
@@ -263,40 +263,6 @@ def _forked(child: Callable[[], object], work: str) -> Iterator[None]:
         raise ValueError(message) if code == 2 else ChildProcessError(message)
 
 
-def write_dataset(corpus: Sequence[LyricSequence], config: BuilderConfig, path) -> dict[str, int]:
-    """The rows `build_dataset` hands over, written to a new file at `path`
-    one lyric's text at a time, the file opened once `check_corpus` passes;
-    return counts.
-
-    Where the work may be split (`_forks`) and the corpus has two lyrics or
-    more, a `_forked` child builds the rows of the second half of the lyrics
-    into an unlinked temporary file while this process writes those of the
-    first half, then this process copies the child's rows after its own in
-    chunks. Each lyric draws from its own substream, so the file is the same
-    byte for byte either way."""
-    check_corpus(corpus)
-    half = len(corpus) // 2
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if not (half and _forks()):
-            return _summary(corpus, _build(corpus, 0, config, fh.write))
-        with tempfile.TemporaryFile() as spill:
-            child = partial(_build_into, corpus[half:], half, config, spill.fileno())
-            with _forked(child, f"building lyrics {half} to {len(corpus) - 1}"):
-                total = _build(corpus[:half], 0, config, fh.write)
-            spill.seek(0)
-            fh.flush()
-            while chunk := spill.read(1 << 16):
-                fh.buffer.write(chunk)
-                total += chunk.count(b"\n")  # rows hold no line break
-    return _summary(corpus, total)
-
-
-def _build_into(corpus: Sequence[LyricSequence], first: int, config: BuilderConfig, fd: int) -> None:
-    """Write the rows of `corpus`, lyric `first` onwards, to the file open at `fd`."""
-    with open(fd, "w", encoding="utf-8", newline="", closefd=False) as out:
-        _build(corpus, first, config, out.write)
-
-
 def nsp_line(example: NspExample) -> str:
     """The TSV line of one row: context, candidate and label, tab-separated."""
     return f"{example[0]}\t{example[1]}\t{example[2]}\n"
@@ -315,34 +281,6 @@ def check_row(context: str, candidate: str, label: str = "1") -> None:
         raise ValueError(f"bad candidate {candidate!r}")
 
 
-class _Part(io.RawIOBase):
-    """Bytes `start` up to `stop` of the binary file `raw`, as a raw stream;
-    `_text_part` decodes it."""
-
-    def __init__(self, raw, start: int, stop: int) -> None:
-        raw.seek(start)
-        self.raw, self.left = raw, stop - start
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        with memoryview(buffer) as view:
-            read = self.raw.readinto(view[: self.left])
-        self.left -= read
-        return read
-
-
-def _text_part(fh, start: int, stop: Optional[int]):
-    """The text file `fh`, or given `start` or `stop`, its bytes from `start`
-    up to `stop` (the end by default), decoded as UTF-8 with the same
-    universal newlines."""
-    if not start and stop is None:
-        return fh
-    part = _Part(fh.buffer.raw, start, sys.maxsize if stop is None else stop)
-    return io.TextIOWrapper(io.BufferedReader(part), encoding="utf-8")
-
-
 def read_nsp_blocks(path, start: int = 0, stop: Optional[int] = None) -> Iterator[list[tuple[str, str, str]]]:
     """The rows of an NSP TSV file a block of lines at a time, each the
     (context, candidate, label) columns of a line that is a row the builder
@@ -350,8 +288,8 @@ def read_nsp_blocks(path, start: int = 0, stop: Optional[int] = None) -> Iterato
     another line is read again line by line, its rows yielded up to the
     ValueError of that line, which names the file and the line (`naming`).
     Given `start` or `stop`, only the file's bytes from `start` up to `stop`
-    (the end by default) are read (`_text_part`), their lines counted from 1."""
-    with naming(path) as place, open_input(path) as whole, _text_part(whole, start, stop) as fh:
+    (the end by default) are read (`open_input`), their lines counted from 1."""
+    with naming(path) as place, open_input(path, start, stop) as fh:
         first = 1
         while block := fh.readlines(_BLOCK_HINT):
             rows = _ROWS_RE.findall("".join(block))
@@ -383,60 +321,97 @@ def _split(path) -> Optional[int]:
     return split if split < size else None
 
 
-_Scorer = Callable[[Iterator[list[tuple[str, str, str]]]], list[tuple[float, int]]]
-
-
-def score_file(path, score: _Scorer) -> list[tuple[float, int]]:
-    """`score(read_nsp_blocks(path))`: the (score, label) pair `score` makes
-    of each row of the NSP TSV file at `path`, in file order.
+def halves(path, part: Callable[[int, Optional[int]], list]) -> list:
+    """`part(0, None)`: the list `part` makes of the whole file at `path`,
+    `part(start, stop)` reading only the file's bytes from `start` up to
+    `stop` (the end for None).
 
     Where the work may be split (`_forks`) and a line break at or past the
-    middle byte has bytes after it (`_split`), a `_forked` child scores the
-    bytes past that break while this process scores those before it, each
-    part read once. The child packs its pairs into an unlinked temporary
-    file (`_score_into`), and this process appends them after its own. On a
-    ValueError of either part, a bad line, the whole file is scored again in
+    middle byte has bytes after it (`_split`), a `_forked` child makes
+    `part(split, None)` while this process makes `part(0, split)`, each part
+    of the file read once. The child dumps its list with `marshal` to an
+    unlinked temporary file, and this process appends it to its own. On a
+    ValueError of either part, a bad line, the whole file is read again in
     this process alone, so the error raised is the one-process read's, its
     line and message the same."""
     split = _split(path) if _forks() else None
     if split is not None:
         try:
             with tempfile.TemporaryFile() as spill:
-                child = partial(_score_into, score, path, split, spill.fileno())
-                with _forked(child, f"scoring {path} from byte {split}"):
-                    scored = score(read_nsp_blocks(path, 0, split))
-                _append_unpacked(scored, spill)
-            return scored
+                with _forked(partial(_dump, part, split, spill.fileno()), f"reading {path} from byte {split}"):
+                    made = part(0, split)
+                spill.seek(0)
+                made.extend(marshal.loads(spill.read()))
+            return made
         except ValueError:
             pass  # a bad line: the read below fails on it as it would alone
-    return score(read_nsp_blocks(path))
+    return part(0, None)
 
 
-def _score_into(score: _Scorer, path, start: int, fd: int) -> None:
-    """Write the pairs `score` makes of the rows from byte `start` of the file
-    at `path` on to the file open at `fd`, as `_append_unpacked` reads
-    them: the number of distinct pairs, their scores (doubles), their
-    labels (a byte each), then the index of each row's pair among them."""
-    pairs = score(read_nsp_blocks(path, start))
-    slots: dict[tuple[float, int], int] = {}  # each distinct pair -> its index
-    index = array("L", [slots.setdefault(pair, len(slots)) for pair in pairs])
+def _dump(part: Callable[[int, Optional[int]], list], start: int, fd: int) -> None:
+    """Write `part(start, None)`, marshalled, to the file open at `fd`."""
     with open(fd, "wb", closefd=False) as out:
-        array("q", [len(slots)]).tofile(out)
-        array("d", [value for value, _ in slots]).tofile(out)
-        out.write(bytes([label for _, label in slots]))
-        index.tofile(out)
+        out.write(marshal.dumps(part(start, None)))
 
 
-def _append_unpacked(scored: list[tuple[float, int]], spill) -> None:
-    """Append to `scored` the pairs `_score_into` wrote to the file `spill`,
-    equal pairs one tuple, reading the row indices 64 KiB at a time."""
-    spill.seek(0)
-    count, scores = array("q"), array("d")
-    count.fromfile(spill, 1)
-    scores.fromfile(spill, count[0])
-    distinct = list(zip(scores, spill.read(count[0])))
-    while chunk := spill.read(1 << 16):
-        scored.extend(map(distinct.__getitem__, array("L", chunk)))
+def score_file(path, score: Callable[[Iterator[list[tuple[str, str, str]]]], list]) -> list[tuple[float, int]]:
+    """`score(read_nsp_blocks(path))`: the (score, label) pair `score` makes
+    of each row of the NSP TSV file at `path`, in file order, the file read
+    in `halves`. The pairs `marshal` loads keep the sharing the child's had,
+    so its equal pairs of one key and label stay one tuple."""
+    return halves(path, lambda start, stop: score(read_nsp_blocks(path, start, stop)))
+
+
+def _records_before(path, stop: int) -> int:
+    """The number of records, lines that are not empty, in the first `stop`
+    bytes of the file at `path`, each line ending where `read_lines` ends
+    it: at a line feed, a carriage return and line feed, or a lone
+    carriage return, as `bytes.splitlines` splits."""
+    if not stop:
+        return 0
+    with open(path, "rb") as fh:
+        return len(list(filter(None, fh.read(stop).splitlines())))
+
+
+def write_dataset(path, config: BuilderConfig, out) -> dict[str, int]:
+    """The rows of every lyric of the corpus file at `path`, written to a new
+    file at `out`, which is opened once every lyric has passed; return the
+    counts of lyrics and rows.
+
+    Each lyric is checked (`checked_lyric`) as its line is read, so a short
+    one fails at its line, and its rows (`_lyric_text`) go to an unlinked
+    temporary file, so no process holds them. The corpus is read in
+    `halves`: where it is split, a child builds the rows of the lyrics past
+    the split into a file of its own, their substreams offset by the records
+    before the split (`_records_before`), and this process copies both files
+    into `out` in order. Each lyric draws from its own substream, so `out`
+    is the same byte for byte either way."""
+    pair = aligned_pair_parser()
+
+    def lyric(line: str) -> LyricSequence:
+        return checked_lyric(pair(line).lyric)
+
+    with tempfile.TemporaryFile() as head, tempfile.TemporaryFile() as tail:
+
+        def part(start: int, stop: Optional[int]) -> list[tuple[int, int, int]]:
+            """[(lyrics, positives, rows)] of the rows built afresh into `head`
+            from the first byte, or into `tail` from a later one."""
+            spill = tail if start else head
+            spill.seek(0)
+            spill.truncate()
+            with open(spill.fileno(), "w", encoding="utf-8", newline="", closefd=False) as rows:
+                return [_build(read_lines(path, lyric, start, stop), _records_before(path, start), config, rows.write)]
+
+        parts = halves(path, part)  # head's counts, then tail's if the child's part was kept
+        lyrics, positives, total = map(sum, zip(*parts))
+        if not lyrics:
+            with naming(path):
+                raise ValueError("corpus is empty")
+        with open(out, "wb") as fh:
+            for spill in (head, tail)[: len(parts)]:
+                spill.seek(0)
+                shutil.copyfileobj(spill, fh)
+    return {"lyrics": lyrics, **_summary(positives, total)}
 
 
 def read_nsp_tsv(path) -> Iterator[NspExample]:

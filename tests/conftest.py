@@ -13,16 +13,22 @@ must match it exactly; a test that checks one LM call against another
 reads the walker as its oracle. `continuation_scores` reads the library
 LM's own score of any alphabet text from the one function every LM query
 scores through, past every query's checks. Decode's rules and the search
-oracles built on them live in `decode_rules.py`.
+oracles built on them live in `decode_rules.py`. `counting_forks`,
+`assert_no_child_left`, `ONE_CPU_OR_FORKED` and `LINE_ENDS` serve the tests
+of the two-process reader (`nsp.halves`) in both `*_fork.py` modules.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 from typing import Optional, Sequence
 
+import pytest
+
+from syllabeam import nsp
 from syllabeam.corpus import (
     BOS_TEXT,
     EOS_TEXT,
@@ -90,6 +96,40 @@ def make_corpus(
     return [
         make_pair(rnd, rnd.randint(min_syllables, max_syllables)) for _ in range(n_pairs)
     ]
+
+
+# -- the two-process readers -------------------------------------------------
+
+ONE_CPU_OR_FORKED = pytest.mark.parametrize("cpus", [1, 2], ids=["one cpu", "forked"])
+
+# a file's text with each line end of the TSV or corpus the tests write
+LINE_ENDS = {
+    "lf": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "lone cr": lambda text: text.replace("\n", "\r"),
+    "blank lines": lambda text: text.replace("\n", "\n\n"),
+    "no final newline": lambda text: text.rstrip("\n"),
+}
+
+
+def counting_forks(monkeypatch, cpus):
+    """The list `os.fork` appends to on each fork once the CPU probe reports
+    `cpus`; undone with `monkeypatch`."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(nsp, "_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # 84 onset-vowel-coda syllables, for corpora whose words start at random

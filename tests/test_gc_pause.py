@@ -21,7 +21,7 @@ import syllabeam
 from syllabeam import cli
 from syllabeam.beam import FusionConfig, decode
 from syllabeam.corpus import build_vocabulary, load_aligned_corpus, render_text, write_aligned_corpus
-from syllabeam.generator import MelodyConditionedNgram, train_generator
+from syllabeam.generator import MelodyConditionedNgram, train_generator, train_records
 from syllabeam.lm import CharNgramModel, lyric_lm_text, train_char_ngram
 from syllabeam.modelfile import gc_paused
 from syllabeam.nsp import BuilderConfig, build_dataset, nsp_line, read_nsp_tsv
@@ -149,9 +149,9 @@ def test_collector_is_off_while_a_command_runs(files, tmp_path, capsys, monkeypa
 
     def recording(*args, **kwargs):
         seen.append(gc.isenabled())
-        return train_generator(*args, **kwargs)
+        return train_records(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "train_generator", recording)
+    monkeypatch.setattr(cli, "train_records", recording)
     argv = ["train-generator", "--corpus", str(root / "corpus.jsonl"), "--out", str(tmp_path / "g.json")]
     assert cli.main(argv) == 0
     assert seen == [False] and gc.isenabled()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syllabeam import nsp
-from syllabeam.corpus import EOS_TEXT, LyricSequence, SyllableToken, parse_lyric_line, render_text
+from syllabeam.corpus import EOS_TEXT, LyricSequence, SyllableToken, parse_lyric_line, render_text, write_aligned_corpus
 from syllabeam.nsp import (
     _ROWS_RE,
     BuilderConfig,
@@ -315,17 +315,19 @@ class TestBuildDataset:
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["one cpu", "forked"])
 def test_build_dataset_rows_are_the_written_file(tmp_path, monkeypatch, cpus):
-    """`build_dataset` hands over the rows `write_dataset` writes, on either
-    path, and they are the oracle's rows lyric by lyric."""
-    corpus = [p.lyric for p in make_corpus(41, seed=67)]
+    """`build_dataset` hands over the rows `write_dataset` writes from the
+    corpus file, on either path, and they are the oracle's rows lyric by lyric."""
+    pairs = make_corpus(41, seed=67)
+    write_aligned_corpus(pairs, tmp_path / "corpus.jsonl")
+    corpus = [p.lyric for p in pairs]
     config = BuilderConfig(seed=8)
     forks = []
     fork = nsp.os.fork
     monkeypatch.setattr(nsp, "_cpus", lambda: cpus)
     monkeypatch.setattr(nsp.os, "fork", lambda: forks.append(1) or fork())
-    written = write_dataset(corpus, config, tmp_path / "nsp.tsv")
+    written = write_dataset(tmp_path / "corpus.jsonl", config, tmp_path / "nsp.tsv")
     rows = []
-    assert build_dataset(corpus, config, rows.append) == written
+    assert {"lyrics": len(corpus), **build_dataset(corpus, config, rows.append)} == written
     assert len(forks) == cpus - 1
     assert list(read_nsp_tsv(tmp_path / "nsp.tsv")) == rows
     oracle = [row for index, lyric in enumerate(corpus) for row in rows_for(lyric, config, index)]

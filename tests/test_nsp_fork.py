@@ -1,9 +1,11 @@
 """Both NSP commands work on two processes where they can.
 
-`build-nsp-dataset`: a forked child builds the rows of the second half of
-the lyrics while the command writes the first half, and the command then
-copies the child's rows after its own. Each lyric draws from its own
-substream, so the TSV and stdout must equal those of the one-process path.
+`build-nsp-dataset`: a forked child reads the corpus past the first line
+break at or after the middle byte and builds those lyrics' rows, their
+substreams offset by the records before the split, while the command does
+the same for the part before it; the command then writes its rows and the
+child's to `--out`. Each lyric draws from its own substream, so the TSV and
+stdout must equal those of the one-process path.
 
 `nsp-eval`: a forked child scores the TSV's bytes past the first line break
 at or after the middle byte while the command scores those before it, and
@@ -22,29 +24,12 @@ import time
 
 import pytest
 
-from syllabeam import cli, lm as lm_module, nsp
+from syllabeam import lm as lm_module, nsp
 from syllabeam.cli import main
-from syllabeam.corpus import render_text, write_aligned_corpus
+from syllabeam.corpus import load_aligned_corpus, render_text, serialize_lyric_line, write_aligned_corpus
 from syllabeam.lm import lyric_lm_text, train_char_ngram
 
-from conftest import make_corpus
-
-ONE_CPU_OR_FORKED = pytest.mark.parametrize("cpus", [1, 2], ids=["one cpu", "forked"])
-
-
-def counting_forks(monkeypatch, cpus):
-    """The list `os.fork` appends to on each fork once the CPU probe reports
-    `cpus`; undone with `monkeypatch`."""
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(nsp, "_cpus", lambda: cpus)
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
+from conftest import LINE_ENDS, ONE_CPU_OR_FORKED, assert_no_child_left, counting_forks, make_corpus
 
 
 def build(capsys, monkeypatch, corpus, out, cpus, *extra):
@@ -56,11 +41,6 @@ def build(capsys, monkeypatch, corpus, out, cpus, *extra):
     captured = capsys.readouterr()
     tsv = out.read_bytes() if out.exists() else None
     return (code, captured.out, captured.err, tsv), len(forks)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -80,28 +60,34 @@ def test_forked_build_writes_the_serial_bytes(tmp_path, capsys, monkeypatch, cor
     serial, serial_forks = build(capsys, monkeypatch, corpus, out, 1, "--seed", str(seed))
     out.unlink()
     forked, forks = build(capsys, monkeypatch, corpus, out, 2, "--seed", str(seed))
-    assert (serial_forks, forks) == (0, int(lyrics > 1))
+    assert (serial_forks, forks) == (0, int(nsp._split(corpus) is not None))
+    assert forks or lyrics < 3  # a split needs a line break before the last line
     assert serial[0] == 0 and serial[1].count("\n") == 2 and serial[3]
     assert forked == serial
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["one cpu", "forked"])
-def test_each_lyric_is_checked_twice(tmp_path, capsys, monkeypatch, corpus_of, cpus):
-    # once as its line is read, once by write_dataset's check_corpus; the
-    # builder checks nothing
-    checked = []
+@ONE_CPU_OR_FORKED
+def test_each_lyric_is_checked_once_as_its_line_is_read(tmp_path, capsys, monkeypatch, corpus_of, cpus):
+    # by whichever process reads its line; the builder checks nothing. Each
+    # check appends its process and lyric to a file both processes share.
+    log = tmp_path / "checked.txt"
     checked_lyric = nsp.checked_lyric
 
     def counted(lyric):
-        checked.append(lyric)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {serialize_lyric_line(lyric)}\n")
         return checked_lyric(lyric)
 
-    monkeypatch.setattr(cli, "checked_lyric", counted)
     monkeypatch.setattr(nsp, "checked_lyric", counted)
-    (code, *_), forks = build(capsys, monkeypatch, corpus_of(7), tmp_path / "nsp.tsv", cpus)
-    assert (code, forks, len(checked)) == (0, cpus - 1, 2 * 7)
-    assert checked[:7] == checked[7:]
+    corpus = corpus_of(7)
+    (code, *_), forks = build(capsys, monkeypatch, corpus, tmp_path / "nsp.tsv", cpus)
+    checks = [line.split(" ", 1) for line in log.read_text(encoding="utf-8").splitlines()]
+    assert (code, forks) == (0, cpus - 1)
+    assert sorted(lyric for _, lyric in checks) == sorted(
+        serialize_lyric_line(pair.lyric) for pair in load_aligned_corpus(corpus)
+    )
+    assert len({pid for pid, _ in checks}) == cpus
     assert_no_child_left()
 
 
@@ -110,38 +96,48 @@ def test_cpus_without_an_affinity_call_counts_the_cpus(monkeypatch):
     assert nsp._cpus() == (os.cpu_count() or 1)
 
 
+def child_part(corpus):
+    """The split `nsp._split` takes in the corpus file, and the index of the
+    first lyric past it."""
+    split = nsp._split(corpus)
+    return split, len([line for line in corpus.read_bytes()[:split].splitlines() if line])
+
+
 def test_a_failing_child_fails_the_command(tmp_path, capsys, monkeypatch, corpus_of):
     corpus, out = corpus_of(101), tmp_path / "nsp.tsv"
+    split, first = child_part(corpus)
     substream = nsp.substream
 
-    def failing_past_the_half(seed, index):
-        if index >= 50:  # the child's lyrics
+    def failing_past_the_split(seed, index):
+        if index >= first:  # the child's lyrics
             raise RuntimeError("child failure")
         return substream(seed, index)
 
-    monkeypatch.setattr(nsp, "substream", failing_past_the_half)
-    (code, stdout, stderr, _), forks = build(capsys, monkeypatch, corpus, out, 2)
-    assert (code, stdout, forks) == (1, "", 1)
-    assert stderr == "error: the process building lyrics 50 to 100 exited with code 1\n"
+    monkeypatch.setattr(nsp, "substream", failing_past_the_split)
+    (code, stdout, stderr, tsv), forks = build(capsys, monkeypatch, corpus, out, 2)
+    assert (code, stdout, tsv, forks) == (1, "", None, 1)
+    assert stderr == f"error: the process reading {corpus} from byte {split} exited with code 1\n"
     assert_no_child_left()
 
 
 def test_a_failing_command_kills_its_child(tmp_path, capsys, monkeypatch, corpus_of):
     corpus, out = corpus_of(101), tmp_path / "nsp.tsv"
+    _, first = child_part(corpus)
     substream = nsp.substream
 
     def hanging_child_failing_parent(seed, index):
-        if index >= 50:
+        if index >= first:
             time.sleep(60)  # the child's lyrics: only a kill ends it in time
-        elif index == 49:
+        elif index == first - 1:
             raise ValueError("parent failure")
         return substream(seed, index)
 
     monkeypatch.setattr(nsp, "substream", hanging_child_failing_parent)
     start = time.monotonic()
-    (code, stdout, stderr, _), forks = build(capsys, monkeypatch, corpus, out, 2)
+    (code, stdout, stderr, tsv), forks = build(capsys, monkeypatch, corpus, out, 2)
     assert time.monotonic() - start < 30
-    assert (code, stdout, stderr, forks) == (2, "", "error: parent failure\n", 1)
+    # a ValueError: the corpus is read again in this process, which fails alike
+    assert (code, stdout, stderr, tsv, forks) == (2, "", "error: parent failure\n", None, 1)
     assert_no_child_left()
 
 
@@ -197,15 +193,6 @@ def test_no_split_of_a_path_that_is_not_a_regular_file(tmp_path):
     assert nsp._split(tmp_path) is None and nsp._split(tmp_path / "missing") is None
 
 
-LINE_ENDS = {
-    "lf": lambda text: text,
-    "crlf": lambda text: text.replace("\n", "\r\n"),
-    "lone cr": lambda text: text.replace("\n", "\r"),
-    "blank lines": lambda text: text.replace("\n", "\n\n"),
-    "no final newline": lambda text: text.rstrip("\n"),
-}
-
-
 @ONE_CPU_OR_FORKED
 @pytest.mark.parametrize("ends", LINE_ENDS)
 def test_forked_eval_prints_the_serial_stdout(tmp_path, capsys, monkeypatch, scored_set, ends, cpus):
@@ -232,9 +219,11 @@ def test_forked_pairs_are_the_serial_pairs_in_file_order(tmp_path, monkeypatch, 
     scored = lm.score_nsp_file(dataset)
     assert len(forks) == cpus - 1
     assert scored == [(lm.nsp_score(c, k), label) for c, k, label in rows]
-    if cpus > 1:  # the child's pairs, after the parent's: equal ones are one tuple
+    if cpus > 1:  # the child's pairs, after the parent's, share tuples as its scorer's did
         tail = scored[split_line(dataset.read_bytes()) :]
-        assert len({id(pair) for pair in tail}) == len(set(tail)) < len(tail)
+        alone = lm._scored_blocks(nsp.read_nsp_blocks(dataset, nsp._split(dataset)))
+        assert tail == alone
+        assert len({id(pair) for pair in tail}) == len({id(pair) for pair in alone}) < len(tail)
     assert_no_child_left()
 
 
@@ -300,7 +289,7 @@ def test_a_failing_scoring_child_fails_the_command(tmp_path, capsys, monkeypatch
 
     before_each_continuation(monkeypatch, failing_child)
     outcome, forks = evaluate(capsys, monkeypatch, dataset, lm, 2)
-    message = f"error: the process scoring {dataset} from byte {nsp._split(dataset)} exited with code 1\n"
+    message = f"error: the process reading {dataset} from byte {nsp._split(dataset)} exited with code 1\n"
     assert (outcome, forks) == ((1, "", message), 1)
     assert_no_child_left()
 
