@@ -60,36 +60,16 @@ def open_input(path, start: int = 0, stop: Optional[int] = None):
     such file`, and a directory, FIFO or device `not a regular file`, before
     anything is opened, so a FIFO never blocks. Given `start` or `stop`, only
     the file's bytes from `start` up to `stop` (the end by default) are read:
-    a part that runs to the end is a plain text file opened at `start`, and
-    one that stops early reads through `_Part`."""
+    a part that runs to the end is the file opened at `start`, and one that
+    stops early is read in one read, so its bytes are held while it is open."""
     if not os.path.isfile(path):
         raise ValueError("not a regular file" if os.path.exists(path) else "no such file")
-    if stop is None:
-        binary = open(path, "rb")
-        binary.seek(start)
-        return io.TextIOWrapper(binary, encoding="utf-8")
-    return io.TextIOWrapper(io.BufferedReader(_Part(path, start, stop)), encoding="utf-8")
-
-
-class _Part(io.RawIOBase):
-    """Bytes `start` up to `stop` of the file at `path`, as a raw stream."""
-
-    def __init__(self, path, start: int, stop: int) -> None:
-        self.raw, self.left = open(path, "rb", buffering=0), stop - start
-        self.raw.seek(start)
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        with memoryview(buffer) as view:
-            read = self.raw.readinto(view[: self.left])
-        self.left -= read
-        return read
-
-    def close(self) -> None:
-        self.raw.close()
-        super().close()
+    binary = open(path, "rb")
+    binary.seek(start)
+    if stop is not None:
+        with binary:
+            binary = io.BytesIO(binary.read(stop - start))
+    return io.TextIOWrapper(binary, encoding="utf-8")
 
 
 def read_lines(path, parse: Callable[[str], object], start: int = 0, stop: Optional[int] = None) -> Iterator:

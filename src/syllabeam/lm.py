@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import modelfile
 from .corpus import _SYLLABLE_RE, EOS_TEXT, naming
-from .nsp import check_row, score_file
+from .nsp import check_row, halves, read_nsp_blocks
 
 EOS_CHAR = "$"
 # every character a lyric in the corpus grammar encodes to: syllables match
@@ -214,11 +214,12 @@ class CharNgramModel:
     def score_nsp_file(self, path) -> list[tuple[float, int]]:
         """(nsp_score, label) of each row of the NSP TSV file at `path`, as
         `read_nsp_blocks` checks and yields it; a bad line raises its
-        ValueError. `nsp.score_file` reads the file, on two processes where
+        ValueError. The file is read in `nsp.halves`, on two processes where
         it can, and each process scores its rows with a memo of its own
         (`_scored_blocks`), so each computes each continuation its rows ask
-        for once."""
-        return score_file(path, self._scored_blocks)
+        for once. The pairs `marshal` loads keep the sharing the child's had,
+        so its equal pairs of one key and label stay one tuple."""
+        return halves(path, lambda start, stop: self._scored_blocks(read_nsp_blocks(path, start, stop)))
 
     def _scored_blocks(self, blocks: Iterable[list[tuple[str, str, str]]]) -> list[tuple[float, int]]:
         """(nsp_score, label) of each row of checked NSP `blocks`. Each run of

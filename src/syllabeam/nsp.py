@@ -18,8 +18,9 @@ underscore marks a preceding space. Output is deterministic for a given
 seed: each lyric draws from its own substream keyed by (seed, lyric index).
 `_lyric_text` is the one builder; `tests/nsp_rules.py` states the same rules
 row by row as the tests' oracle. Building a dataset (`write_dataset`) and
-scoring one (`score_file`) each read their file in `halves`, on two
-processes where they can, as the CLI's training commands read the corpus.
+scoring one (`lm.CharNgramModel.score_nsp_file`) each read their file in
+`halves`, on two processes where they can, as the CLI's training commands
+read the corpus.
 """
 
 from __future__ import annotations
@@ -328,49 +329,50 @@ def halves(path, part: Callable[[int, Optional[int]], list]) -> list:
 
     Where the work may be split (`_forks`) and a line break at or past the
     middle byte has bytes after it (`_split`), a `_forked` child makes
-    `part(split, None)` while this process makes `part(0, split)`, each part
-    of the file read once. The child dumps its list with `marshal` to an
-    unlinked temporary file, and this process appends it to its own. On a
-    ValueError of either part, a bad line, the whole file is read again in
-    this process alone, so the error raised is the one-process read's, its
-    line and message the same."""
+    `part(0, split)` while this process makes `part(split, None)`, each part
+    of the file read once. Only the child reads a part that stops early, so
+    only the child holds its part's bytes (`open_input`). The child dumps its
+    list with `marshal` to an unlinked temporary file, and this process
+    appends its own list to the child's. On a ValueError of either part, a
+    bad line, the whole file is read again in this process alone, so the
+    error raised is the one-process read's, its line and message the same."""
     split = _split(path) if _forks() else None
     if split is not None:
         try:
             with tempfile.TemporaryFile() as spill:
-                with _forked(partial(_dump, part, split, spill.fileno()), f"reading {path} from byte {split}"):
-                    made = part(0, split)
+                with _forked(partial(_dump, part, split, spill.fileno()), f"reading {path} up to byte {split}"):
+                    tail = part(split, None)
                 spill.seek(0)
-                made.extend(marshal.loads(spill.read()))
+                made = marshal.loads(spill.read())
+            made.extend(tail)
             return made
         except ValueError:
             pass  # a bad line: the read below fails on it as it would alone
     return part(0, None)
 
 
-def _dump(part: Callable[[int, Optional[int]], list], start: int, fd: int) -> None:
-    """Write `part(start, None)`, marshalled, to the file open at `fd`."""
+def _dump(part: Callable[[int, Optional[int]], list], stop: int, fd: int) -> None:
+    """Write `part(0, stop)`, marshalled, to the file open at `fd`."""
     with open(fd, "wb", closefd=False) as out:
-        out.write(marshal.dumps(part(start, None)))
-
-
-def score_file(path, score: Callable[[Iterator[list[tuple[str, str, str]]]], list]) -> list[tuple[float, int]]:
-    """`score(read_nsp_blocks(path))`: the (score, label) pair `score` makes
-    of each row of the NSP TSV file at `path`, in file order, the file read
-    in `halves`. The pairs `marshal` loads keep the sharing the child's had,
-    so its equal pairs of one key and label stay one tuple."""
-    return halves(path, lambda start, stop: score(read_nsp_blocks(path, start, stop)))
+        out.write(marshal.dumps(part(0, stop)))
 
 
 def _records_before(path, stop: int) -> int:
     """The number of records, lines that are not empty, in the first `stop`
     bytes of the file at `path`, each line ending where `read_lines` ends
     it: at a line feed, a carriage return and line feed, or a lone
-    carriage return, as `bytes.splitlines` splits."""
+    carriage return, as `bytes.splitlines` splits. The bytes are read a
+    block at a time, so the command, which counts the child's part, never
+    holds it; a record that a block's end cuts is counted once."""
     if not stop:
         return 0
+    records, cut = 0, False
     with open(path, "rb") as fh:
-        return len(list(filter(None, fh.read(stop).splitlines())))
+        while stop > 0 and (block := fh.read(min(stop, _BLOCK_HINT))):
+            stop -= len(block)
+            records += len(list(filter(None, block.splitlines()))) - (cut and block[:1] not in b"\r\n")
+            cut = block[-1:] not in b"\r\n"
+    return records
 
 
 def write_dataset(path, config: BuilderConfig, out) -> dict[str, int]:
@@ -381,11 +383,12 @@ def write_dataset(path, config: BuilderConfig, out) -> dict[str, int]:
     Each lyric is checked (`checked_lyric`) as its line is read, so a short
     one fails at its line, and its rows (`_lyric_text`) go to an unlinked
     temporary file, so no process holds them. The corpus is read in
-    `halves`: where it is split, a child builds the rows of the lyrics past
-    the split into a file of its own, their substreams offset by the records
-    before the split (`_records_before`), and this process copies both files
-    into `out` in order. Each lyric draws from its own substream, so `out`
-    is the same byte for byte either way."""
+    `halves`: where it is split, a child builds the rows of the lyrics before
+    the split into a file of its own while this process builds those past
+    it, their substreams offset by the records before the split
+    (`_records_before`), and this process copies both files into `out` in
+    order. Each lyric draws from its own substream, so `out` is the same
+    byte for byte either way."""
     pair = aligned_pair_parser()
 
     def lyric(line: str) -> LyricSequence:
@@ -402,7 +405,7 @@ def write_dataset(path, config: BuilderConfig, out) -> dict[str, int]:
             with open(spill.fileno(), "w", encoding="utf-8", newline="", closefd=False) as rows:
                 return [_build(read_lines(path, lyric, start, stop), _records_before(path, start), config, rows.write)]
 
-        parts = halves(path, part)  # head's counts, then tail's if the child's part was kept
+        parts = halves(path, part)  # head's counts, then tail's unless read on one process
         lyrics, positives, total = map(sum, zip(*parts))
         if not lyrics:
             with naming(path):

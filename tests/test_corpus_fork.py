@@ -2,10 +2,11 @@
 they can.
 
 `train-lm`, `train-generator` and `build-nsp-dataset` each read the corpus
-in `nsp.halves`: a forked child reads the bytes past the first line break at
-or after the middle byte while the command reads those before it, and the
+in `nsp.halves`: a forked child reads the bytes up to the first line break
+at or after the middle byte while the command reads those past it, and the
 child ships back what the command keeps of each record (an LM text, a
 training record, or its lyrics' counts, their rows in a file of its own).
+Each part is read once, by its own process.
 Model files, the TSV and stdout must equal those of the one-process path,
 and bad input must fail as it fails there, with `--out` neither created nor
 truncated.
@@ -75,9 +76,33 @@ def test_forked_read_writes_the_serial_bytes(tmp_path, capsys, monkeypatch, lf_t
     assert_no_child_left()
 
 
+@EACH_COMMAND
+def test_each_part_is_read_once_by_its_process(tmp_path, capsys, monkeypatch, lf_text, command):
+    # the output and the fork count alone would not show a part read again
+    corpus, out, log = tmp_path / "corpus.jsonl", tmp_path / "out", tmp_path / "parts.txt"
+    corpus.write_text(lf_text, encoding="utf-8")
+    parent, halves = os.getpid(), nsp.halves
+
+    def logged_halves(path, part):
+        def logged_part(start, stop):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid() != parent} {start} {stop}\n")
+            return part(start, stop)
+
+        return halves(path, logged_part)
+
+    monkeypatch.setattr(cli, "halves", logged_halves)
+    monkeypatch.setattr(nsp, "halves", logged_halves)
+    outcome, forks = run(capsys, monkeypatch, command, corpus, out, 2)
+    split = nsp._split(corpus)
+    assert (outcome[0], forks) == (0, 1)
+    assert sorted(log.read_text(encoding="utf-8").splitlines()) == [f"False {split} None", f"True 0 {split}"]
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("ends", LINE_ENDS)
 def test_the_records_before_the_split_are_those_read(tmp_path, lf_text, ends):
-    # the build child's first substream index
+    # the build command's first substream index
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes(LINE_ENDS[ends](lf_text.replace("\n", "\r\n", 3)).encode())
     split = nsp._split(corpus)
@@ -86,6 +111,17 @@ def test_the_records_before_the_split_are_those_read(tmp_path, lf_text, ends):
         split = len(lf_text) // 2  # no line starts here: the count runs to the next break
     count = sum(1 for _ in read_lines(corpus, str, 0, split))
     assert 0 < nsp._records_before(corpus, split) == count < 61
+
+
+def test_the_records_before_a_byte_are_counted_a_block_at_a_time(tmp_path, monkeypatch):
+    # each kind of line end, cut at every byte and between any two blocks
+    path = tmp_path / "corpus.jsonl"
+    data = b"ab\r\n\r\ncd\ref\n\n\rg\r\n\nh"
+    path.write_bytes(data)
+    expected = [len(list(filter(None, data[:stop].splitlines()))) for stop in range(len(data) + 2)]
+    for hint in (1, 2, 3, 1 << 14):
+        monkeypatch.setattr(nsp, "_BLOCK_HINT", hint)
+        assert [nsp._records_before(path, stop) for stop in range(len(data) + 2)] == expected
 
 
 @EACH_COMMAND
@@ -160,7 +196,7 @@ def test_a_failing_child_fails_the_command(tmp_path, capsys, monkeypatch, lf_tex
 
     before_each_read(monkeypatch, failing_child)
     outcome, forks = run(capsys, monkeypatch, command, corpus, out, 2)
-    message = f"error: the process reading {corpus} from byte {nsp._split(corpus)} exited with code 1\n"
+    message = f"error: the process reading {corpus} up to byte {nsp._split(corpus)} exited with code 1\n"
     assert (outcome, forks) == ((1, "", message, OLD_OUT), 1)
     assert_no_child_left()
 

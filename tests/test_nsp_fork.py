@@ -1,15 +1,15 @@
 """Both NSP commands work on two processes where they can.
 
-`build-nsp-dataset`: a forked child reads the corpus past the first line
-break at or after the middle byte and builds those lyrics' rows, their
-substreams offset by the records before the split, while the command does
-the same for the part before it; the command then writes its rows and the
-child's to `--out`. Each lyric draws from its own substream, so the TSV and
+`build-nsp-dataset`: a forked child reads the corpus up to the first line
+break at or after the middle byte and builds those lyrics' rows, while the
+command does the same for the part past it, its substreams offset by the
+records before the split; the command then writes the child's rows and its
+own to `--out`. Each lyric draws from its own substream, so the TSV and
 stdout must equal those of the one-process path.
 
-`nsp-eval`: a forked child scores the TSV's bytes past the first line break
-at or after the middle byte while the command scores those before it, and
-the command appends the child's pairs after its own. The pairs, and so
+`nsp-eval`: a forked child scores the TSV's bytes up to the first line
+break at or after the middle byte while the command scores those past it,
+and the command appends its own pairs after the child's. The pairs, and so
 stdout, must equal those of the one-process path, and a bad line must fail
 as it fails there.
 
@@ -97,8 +97,8 @@ def test_cpus_without_an_affinity_call_counts_the_cpus(monkeypatch):
 
 
 def child_part(corpus):
-    """The split `nsp._split` takes in the corpus file, and the index of the
-    first lyric past it."""
+    """The split `nsp._split` takes in the corpus file, up to which the child
+    reads, and the index of the first lyric past it, the command's first."""
     split = nsp._split(corpus)
     return split, len([line for line in corpus.read_bytes()[:split].splitlines() if line])
 
@@ -108,27 +108,27 @@ def test_a_failing_child_fails_the_command(tmp_path, capsys, monkeypatch, corpus
     split, first = child_part(corpus)
     substream = nsp.substream
 
-    def failing_past_the_split(seed, index):
-        if index >= first:  # the child's lyrics
+    def failing_before_the_split(seed, index):
+        if index < first:  # the child's lyrics
             raise RuntimeError("child failure")
         return substream(seed, index)
 
-    monkeypatch.setattr(nsp, "substream", failing_past_the_split)
+    monkeypatch.setattr(nsp, "substream", failing_before_the_split)
     (code, stdout, stderr, tsv), forks = build(capsys, monkeypatch, corpus, out, 2)
     assert (code, stdout, tsv, forks) == (1, "", None, 1)
-    assert stderr == f"error: the process reading {corpus} from byte {split} exited with code 1\n"
+    assert stderr == f"error: the process reading {corpus} up to byte {split} exited with code 1\n"
     assert_no_child_left()
 
 
 def test_a_failing_command_kills_its_child(tmp_path, capsys, monkeypatch, corpus_of):
     corpus, out = corpus_of(101), tmp_path / "nsp.tsv"
     _, first = child_part(corpus)
-    substream = nsp.substream
+    parent, substream = os.getpid(), nsp.substream
 
     def hanging_child_failing_parent(seed, index):
-        if index >= first:
+        if os.getpid() != parent:
             time.sleep(60)  # the child's lyrics: only a kill ends it in time
-        elif index == first - 1:
+        elif index == first:  # the command's first lyric
             raise ValueError("parent failure")
         return substream(seed, index)
 
@@ -219,11 +219,11 @@ def test_forked_pairs_are_the_serial_pairs_in_file_order(tmp_path, monkeypatch, 
     scored = lm.score_nsp_file(dataset)
     assert len(forks) == cpus - 1
     assert scored == [(lm.nsp_score(c, k), label) for c, k, label in rows]
-    if cpus > 1:  # the child's pairs, after the parent's, share tuples as its scorer's did
-        tail = scored[split_line(dataset.read_bytes()) :]
-        alone = lm._scored_blocks(nsp.read_nsp_blocks(dataset, nsp._split(dataset)))
-        assert tail == alone
-        assert len({id(pair) for pair in tail}) == len({id(pair) for pair in alone}) < len(tail)
+    if cpus > 1:  # the child's pairs, before the parent's, share tuples as its scorer's did
+        head = scored[: split_line(dataset.read_bytes())]
+        alone = lm._scored_blocks(nsp.read_nsp_blocks(dataset, 0, nsp._split(dataset)))
+        assert head == alone
+        assert len({id(pair) for pair in head}) == len({id(pair) for pair in alone}) < len(head)
     assert_no_child_left()
 
 
@@ -289,7 +289,7 @@ def test_a_failing_scoring_child_fails_the_command(tmp_path, capsys, monkeypatch
 
     before_each_continuation(monkeypatch, failing_child)
     outcome, forks = evaluate(capsys, monkeypatch, dataset, lm, 2)
-    message = f"error: the process reading {dataset} from byte {nsp._split(dataset)} exited with code 1\n"
+    message = f"error: the process reading {dataset} up to byte {nsp._split(dataset)} exited with code 1\n"
     assert (outcome, forks) == ((1, "", message), 1)
     assert_no_child_left()
 
