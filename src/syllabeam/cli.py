@@ -33,7 +33,7 @@ from .corpus import (
 from .generator import MelodyConditionedNgram, train_records, training_record
 from .lm import CharNgramModel, lyric_lm_text, nsp_metrics, train_char_ngram
 from .metrics import EvalPair, corpus_eval, emit_llm_eval_prompt
-from .nsp import BuilderConfig, halves, read_nsp_tsv, write_dataset
+from .nsp import BuilderConfig, halves, write_dataset
 
 
 def _decimal(cast, pattern):
@@ -160,22 +160,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_nsp_eval(args: argparse.Namespace) -> int:
-    if args.scorer == "oracle" and args.lm is not None:
-        raise ValueError("--lm is not read by the oracle scorer")
     if not math.isfinite(args.threshold):
         raise ValueError(f"threshold must be finite, got {args.threshold!r}")
-    # the scorer is ready, or has failed, before the dataset is opened
-    if args.scorer == "oracle":
-        scored = [((0.0, 0), (1.0, 1))[label] for _, _, label in read_nsp_tsv(args.dataset)]  # by its label
-    else:
-        if args.lm is None:
-            raise ValueError("--lm is required for the lm scorer")
-        scored = CharNgramModel.load(args.lm).score_nsp_file(args.dataset)
+    # the LM is loaded, or has failed, before the dataset is opened
+    scored = CharNgramModel.load(args.lm).score_nsp_file(args.dataset)
     if not scored:
         with naming(args.dataset):
             raise ValueError("dataset is empty")
     result = nsp_metrics(scored, args.threshold)
-    config = {"dataset": args.dataset, "lm": args.lm, "scorer": args.scorer, "threshold": args.threshold}
+    config = {"dataset": args.dataset, "lm": args.lm, "scorer": "lm", "threshold": args.threshold}
     _echo("nsp-eval", config)
     print(json.dumps({**result, "examples": len(scored)}, sort_keys=True))
     return 0
@@ -249,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nsp-eval", help="score a scorer against an NSP dataset")
     p.add_argument("--dataset", required=True, help="TSV dataset path")
-    p.add_argument("--lm", help="character LM model path")
-    p.add_argument("--scorer", choices=("lm", "oracle"), default="lm")
+    p.add_argument("--lm", required=True, help="character LM model path")
     p.add_argument("--threshold", type=_float, default=0.5)
     p.set_defaults(func=cmd_nsp_eval)
 

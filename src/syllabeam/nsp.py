@@ -416,8 +416,3 @@ def write_dataset(path, config: BuilderConfig, out) -> dict[str, int]:
                 shutil.copyfileobj(spill, fh)
     return {"lyrics": lyrics, **_summary(positives, total)}
 
-
-def read_nsp_tsv(path) -> Iterator[NspExample]:
-    """Each row of an NSP TSV file (`read_nsp_blocks`), its label an int."""
-    blocks = read_nsp_blocks(path)
-    return (_row((context, candidate, int(label))) for block in blocks for context, candidate, label in block)

@@ -16,6 +16,7 @@ scores through, past every query's checks. Decode's rules and the search
 oracles built on them live in `decode_rules.py`. `counting_forks`,
 `assert_no_child_left`, `ONE_CPU_OR_FORKED` and `LINE_ENDS` serve the tests
 of the two-process reader (`nsp.halves`) in both `*_fork.py` modules.
+`tsv_rows` reads a whole NSP TSV file as the builder's rows.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from syllabeam.corpus import (
     SyllableToken,
 )
 from syllabeam.lm import BACKOFF_FACTOR, DEFAULT_ALPHABET, EOS_CHAR, SPACED, UNSPACED, ContinuationScore
-from syllabeam.nsp import BuilderConfig
+from syllabeam.nsp import BuilderConfig, NspExample
 
 # small word inventory, each word pre-split into syllables
 WORDS = [
@@ -324,3 +325,9 @@ def expected_dataset_size(corpus: Sequence[LyricSequence], config: BuilderConfig
             mean += 2.0 + p + q
             variance += p * (1 - p) + q * (1 - q)
     return mean, math.sqrt(variance)
+
+
+def tsv_rows(path) -> list[NspExample]:
+    """Every row `nsp.read_nsp_blocks` reads from the NSP TSV file at `path`,
+    as the builder hands it over: an `NspExample`, its label an int."""
+    return [NspExample(c, k, int(label)) for block in nsp.read_nsp_blocks(path) for c, k, label in block]

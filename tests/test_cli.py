@@ -330,17 +330,6 @@ class TestEvaluate:
 
 
 class TestNspEval:
-    def test_oracle_scorer_perfect(self, tmp_path, corpus_path, capsys):
-        tsv = str(tmp_path / "data.tsv")
-        assert main(["build-nsp-dataset", "--corpus", corpus_path, "--out", tsv, "--seed", "3"]) == 0
-        capsys.readouterr()
-        code, stdout = run(capsys, ["nsp-eval", "--dataset", tsv, "--scorer", "oracle"])
-        assert code == 0
-        assert header_of(stdout)["config"]["lm"] is None
-        result = json.loads(stdout.splitlines()[-1])
-        assert result["accuracy"] == 1.0
-        assert result["auc"] == 1.0
-
     def test_lm_scorer_runs(self, tmp_path, corpus_path, models, capsys):
         lm_path, _ = models
         tsv = str(tmp_path / "data.tsv")
@@ -353,25 +342,13 @@ class TestNspEval:
         assert 0.0 <= result["accuracy"] <= 1.0
         assert 0.0 <= result["auc"] <= 1.0
 
-    def test_oracle_scorer_rejects_an_lm(self, tmp_path, corpus_path, models, capsys):
+    @pytest.mark.parametrize("threshold", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_threshold(self, tmp_path, corpus_path, models, capsys, threshold):
         lm_path, _ = models
         tsv = str(tmp_path / "data.tsv")
         assert main(["build-nsp-dataset", "--corpus", corpus_path, "--out", tsv, "--seed", "3"]) == 0
         capsys.readouterr()
-        # the dataset is never read: an unreadable one fails the same way
-        for dataset in (tsv, str(tmp_path)):
-            code = main(["nsp-eval", "--dataset", dataset, "--scorer", "oracle", "--lm", lm_path])
-            captured = capsys.readouterr()
-            assert code == 2
-            assert captured.out == ""
-            assert captured.err == "error: --lm is not read by the oracle scorer\n"
-
-    @pytest.mark.parametrize("threshold", ["nan", "NaN", "inf", "-inf"])
-    def test_non_finite_threshold(self, tmp_path, corpus_path, capsys, threshold):
-        tsv = str(tmp_path / "data.tsv")
-        assert main(["build-nsp-dataset", "--corpus", corpus_path, "--out", tsv, "--seed", "3"]) == 0
-        capsys.readouterr()
-        code = main(["nsp-eval", "--dataset", tsv, "--scorer", "oracle", f"--threshold={threshold}"])
+        code = main(["nsp-eval", "--dataset", tsv, "--lm", lm_path, f"--threshold={threshold}"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

@@ -24,7 +24,7 @@ COMMANDS = {
     "train-generator": ["train-generator", "--corpus", "corpus.jsonl", "--out", "gen.json"],
     "build-nsp-dataset": ["build-nsp-dataset", "--corpus", "corpus.jsonl", "--out", "nsp.tsv", "--seed", "11"],
     "nsp-eval lm": ["nsp-eval", "--dataset", "nsp.tsv", "--lm", "lm.json"],
-    "nsp-eval oracle": ["nsp-eval", "--dataset", "nsp.tsv", "--scorer", "oracle", "--threshold", "0.7"],
+    "nsp-eval lm threshold 0.7": ["nsp-eval", "--dataset", "nsp.tsv", "--lm", "lm.json", "--threshold", "0.7"],
     "generate": ["generate", "--melody", "melody.txt", "--generator", "gen.json", "--lm", "lm.json",
                  "--beam-size", "4", "--trace"],
     "generate lambda-lm 0.3": ["generate", "--melody", "melody.txt", "--generator", "gen.json",
@@ -82,7 +82,7 @@ GOLDEN = {
         "train-generator": "a36200061604c142013f917fd84e6ff76d5468e4fc5fcb45dc9103350df283ae",
         "build-nsp-dataset": "d3325488ae91a40b631593a8ad49464dbe557f62666557e9a7b3f37541a407b2",
         "nsp-eval lm": "3b8e8f2229ccd80640365c6ed8bdbd3cd1a722ce9a7a4aa73815c4d94cf0b9ef",
-        "nsp-eval oracle": "4beb49bb82bdedb5c33f85f022433fc30300c1403c384b36608cca6ccb94d819",
+        "nsp-eval lm threshold 0.7": "d8ca7018d8c2cd10380e8ab65a16b6c5b7e904a9305c13eef3bd81578ff317a2",
         "generate": "6533c4aa85b498f25cc36bb2fc397c6da2199c1dc8b3667784f9d7cca31853fa",
         "generate lambda-lm 0.3": "3a232aad931637c0e832131ad86c536ce0209ad55b275b8a350407921e773427",
         "generate lambda-lm 0": "c9bd11c5fdec1535567c5d950c54ba3300fb1b9e732e26bd5212e47e2545c4cb",
@@ -100,7 +100,7 @@ GOLDEN = {
         "train-generator": "129a417cbb5e312fd2abfe7d317db3f3070afca18d4ccbf3616b598bd7fd668d",
         "build-nsp-dataset": "0d82e9ad80bc85c47e7c531808d648054cba2caa6bd7fbcd3c8e5f539852adf6",
         "nsp-eval lm": "b46205154ea4e6821c04a963f6752857bec7b70c07bd4c56ee91b77c8e36872c",
-        "nsp-eval oracle": "0b6389f24bc9ea4ca9d407ef4c49aa67b93b0e15438d9ed4d280828674052bb9",
+        "nsp-eval lm threshold 0.7": "76eb4e47105f63fbd8b0edbb14e149d70f57ca9bcf06fa100467de3996803792",
         "generate": "742496770262028a0d490f264ba0ede44cedbead84e787de2b71a53d43c047fa",
         "generate lambda-lm 0.3": "bea54841faac381a77614f0b5cf5e4d61e8cd09f82affef317af797fac84b1d8",
         "generate lambda-lm 0": "986f758c25093d5741a3caa685e0f8a787cf1ab670b3672268005d4a731fac85",

@@ -32,7 +32,7 @@ CORPUS_BLANK_LINE = RECORD + "\n\n" + RECORD.replace('"syllables"', '"sylables"'
 CORPUS = ["--corpus", "{bad}", "--out", "{out}"]
 EVALUATE = ["evaluate", "--candidates", "{good}/lyrics.txt", "--references", "{good}/lyrics.txt"]
 EMIT = ["emit-prompt", "--set", "a={good}/lyrics.txt", "--set", "b={good}/lyrics.txt", "--set", "c={bad}"]
-NSP_EVAL = ["nsp-eval", "--scorer", "oracle", "--dataset", "{bad}"]
+NSP_EVAL = ["nsp-eval", "--lm", "{good}/lm.json", "--dataset", "{bad}"]
 NSP_EVAL_LM = ["nsp-eval", "--dataset", "{good}/nsp.tsv", "--lm", "{bad}"]
 GENERATE = ["generate", "--melody", "{good}/melody.txt", "--generator", "{good}/gen.json", "--lm", "{good}/lm.json"]
 

@@ -15,7 +15,7 @@ from syllabeam.lm import (
     nsp_accuracy,
     train_char_ngram,
 )
-from syllabeam.nsp import NspExample, read_nsp_tsv
+from syllabeam.nsp import NspExample, read_nsp_blocks
 
 from conftest import NaiveWalker, continuation_scores
 
@@ -254,7 +254,7 @@ class TestNspScore:
         with pytest.raises(ValueError) as by_score:
             model.nsp_score(context, candidate)
         with pytest.raises(ValueError) as by_reader:
-            list(read_nsp_tsv(path))
+            list(read_nsp_blocks(path))
         assert (str(by_score.value), str(by_reader.value)) == (message, f"{path}:1: {message}")
 
 

@@ -489,24 +489,18 @@ def test_corpus_record_after_a_byte_order_mark(tmp_path, capsys):
 # every row kind the builder writes: spaced and glued candidates, the end
 # marker mid-context, and the end marker with its spacing flipped
 NSP_ROWS = "i know\t_why\t1\ni know\twhy\t0\nmean to<eos> when\t_i\t0\ntel e phone\t_<eos>\t0\n"
-NSP_SCORERS = ["oracle", "lm"]
 
 
-def run_nsp_eval(tmp_path, capsys, payloads, scorer, data: bytes):
-    dataset = tmp_path / "nsp.tsv"
+def run_nsp_eval(tmp_path, capsys, payloads, data: bytes):
+    dataset, lm = tmp_path / "nsp.tsv", tmp_path / "lm.json"
     dataset.write_bytes(data)
-    argv = ["nsp-eval", "--dataset", str(dataset), "--scorer", scorer]
-    if scorer == "lm":
-        lm = tmp_path / "lm.json"
-        lm.write_text(json.dumps(payloads["lm"]))
-        argv += ["--lm", str(lm)]
-    code = main(argv)
+    lm.write_text(json.dumps(payloads["lm"]))
+    code = main(["nsp-eval", "--dataset", str(dataset), "--lm", str(lm)])
     return code, capsys.readouterr()
 
 
-@pytest.mark.parametrize("scorer", NSP_SCORERS)
-def test_unmutated_nsp_rows_evaluate(tmp_path, capsys, payloads, scorer):
-    code, captured = run_nsp_eval(tmp_path, capsys, payloads, scorer, NSP_ROWS.encode())
+def test_unmutated_nsp_rows_evaluate(tmp_path, capsys, payloads):
+    code, captured = run_nsp_eval(tmp_path, capsys, payloads, NSP_ROWS.encode())
     assert code == 0 and captured.err == ""
     assert json.loads(captured.out.splitlines()[-1])["examples"] == 4
 
@@ -534,11 +528,10 @@ NSP_LINES = [
 ]
 
 
-@pytest.mark.parametrize("scorer", NSP_SCORERS)
 @pytest.mark.parametrize("line", NSP_LINES)
-def test_nsp_row(tmp_path, capsys, payloads, scorer, line):
+def test_nsp_row(tmp_path, capsys, payloads, line):
     data = (NSP_ROWS + line + "\n").encode()
-    code, captured = run_nsp_eval(tmp_path, capsys, payloads, scorer, data)
+    code, captured = run_nsp_eval(tmp_path, capsys, payloads, data)
     assert_clean_failure(code, captured)
     assert captured.err.startswith(f"error: {tmp_path / 'nsp.tsv'}:5: ")
 
@@ -546,12 +539,11 @@ def test_nsp_row(tmp_path, capsys, payloads, scorer, line):
 @pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET.replace("'", ""), DEFAULT_ALPHABET + "9"])
 def test_nsp_eval_rejects_an_lm_of_another_alphabet(tmp_path, capsys, payloads, alphabet):
     lm = {**payloads["lm"], "alphabet": alphabet}
-    code, captured = run_nsp_eval(tmp_path, capsys, {"lm": lm}, "lm", NSP_ROWS.encode())
+    code, captured = run_nsp_eval(tmp_path, capsys, {"lm": lm}, NSP_ROWS.encode())
     assert_clean_failure(code, captured)
     assert captured.err == f"error: {tmp_path / 'lm.json'}: {LM_ALPHABET}\n"
 
 
-@pytest.mark.parametrize("scorer", NSP_SCORERS)
 @pytest.mark.parametrize(
     "data, message",
     [
@@ -560,8 +552,8 @@ def test_nsp_eval_rejects_an_lm_of_another_alphabet(tmp_path, capsys, payloads, 
         pytest.param(b"\n\n", ": dataset is empty", id="blank lines only"),
     ],
 )
-def test_nsp_file(tmp_path, capsys, payloads, scorer, data, message):
-    code, captured = run_nsp_eval(tmp_path, capsys, payloads, scorer, data)
+def test_nsp_file(tmp_path, capsys, payloads, data, message):
+    code, captured = run_nsp_eval(tmp_path, capsys, payloads, data)
     assert_clean_failure(code, captured)
     assert captured.err.startswith(f"error: {tmp_path / 'nsp.tsv'}{message}")
 

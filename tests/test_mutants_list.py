@@ -11,7 +11,10 @@ def test_each_listed_mutant_applies_once():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
-    names = {"mutants_beam.txt", "mutants_generator.txt", "mutants_inputs.txt", "mutants_lm.txt", "mutants_nsp.txt"}
+    names = {
+        "mutants_beam.txt", "mutants_cli.txt", "mutants_generator.txt", "mutants_inputs.txt", "mutants_lm.txt",
+        "mutants_nsp.txt",
+    }
     assert names <= {path.name for path in mutants.MUTANT_FILES}
     for path in mutants.MUTANT_FILES:
         tests, listed = mutants.load(path)

@@ -18,13 +18,12 @@ from syllabeam.nsp import (
     candidate_marker,
     check_row,
     nsp_line,
-    read_nsp_tsv,
     write_dataset,
 )
 from syllabeam.lm import nsp_accuracy, nsp_metrics
 from syllabeam.rng import _UNIT, SplitMix64, substream
 
-from conftest import expected_dataset_size, make_corpus, make_lyric
+from conftest import expected_dataset_size, make_corpus, make_lyric, tsv_rows
 from nsp_rules import build_examples_for_lyric, corrupted_context
 
 # the running example lyric: "i know why your mean to me when i call on the telephone"
@@ -329,7 +328,7 @@ def test_build_dataset_rows_are_the_written_file(tmp_path, monkeypatch, cpus):
     rows = []
     assert {"lyrics": len(corpus), **build_dataset(corpus, config, rows.append)} == written
     assert len(forks) == cpus - 1
-    assert list(read_nsp_tsv(tmp_path / "nsp.tsv")) == rows
+    assert tsv_rows(tmp_path / "nsp.tsv") == rows
     oracle = [row for index, lyric in enumerate(corpus) for row in rows_for(lyric, config, index)]
     assert rows == oracle and all(type(row) is NspExample for row in rows)
 
@@ -341,7 +340,7 @@ class TestTsv:
         build_dataset(corpus, BuilderConfig(seed=9), rows.append)
         path = tmp_path / "data.tsv"
         path.write_text("".join(map(nsp_line, rows)), encoding="utf-8")
-        assert list(read_nsp_tsv(path)) == rows
+        assert tsv_rows(path) == rows
 
     def test_serialized_positive_row(self, tmp_path):
         path = tmp_path / "one.tsv"
@@ -352,13 +351,13 @@ class TestTsv:
         path = tmp_path / "bad.tsv"
         path.write_text("ctx\tcand\t2\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: bad label '2'$"):
-            list(read_nsp_tsv(path))
+            tsv_rows(path)
 
     def test_bad_columns(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("ctx\tcand\n")
         with pytest.raises(ValueError, match="3 columns"):
-            list(read_nsp_tsv(path))
+            tsv_rows(path)
 
     def test_every_row_kind_the_builder_writes(self, tmp_path):
         rows = [
@@ -372,7 +371,7 @@ class TestTsv:
         ]
         path = tmp_path / "data.tsv"
         path.write_text("".join(map(nsp_line, rows)), encoding="utf-8")
-        assert list(read_nsp_tsv(path)) == rows
+        assert tsv_rows(path) == rows
 
     @pytest.mark.parametrize(
         "context, candidate",
@@ -391,7 +390,7 @@ class TestTsv:
         path = tmp_path / "bad.tsv"
         path.write_text(f"i know\t_why\t1\n{context}\t{candidate}\t1\n", encoding="utf-8")
         with pytest.raises(ValueError) as info:
-            list(read_nsp_tsv(path))
+            tsv_rows(path)
         bad = f"context {context!r}" if candidate == "_ve" else f"candidate {candidate!r}"
         assert str(info.value) == f"{path}:2: bad {bad}"
 
@@ -442,7 +441,7 @@ def per_line_rows(path):
                 check_row(*parts)
             except ValueError as exc:
                 return rows, f"{path}:{number}: {exc}"
-            rows.append((parts[0], parts[1], int(parts[2])))
+            rows.append(tuple(parts))
     return rows, None
 
 
@@ -469,7 +468,7 @@ def tsv_path(tmp_path_factory):
 @given(lines=ROW_LINES, odd=ODD_LINES, ends=LINE_ENDS, final_newline=st.booleans(),
        hint=st.sampled_from([1, 8, 40, 200]))
 def test_block_reader_is_the_per_line_reader(tsv_path, lines, odd, ends, final_newline, hint):
-    """`read_nsp_tsv` yields the rows a line-by-line read checked by
+    """`read_nsp_blocks` yields the rows a line-by-line read checked by
     `check_row` yields, and raises the same error at the same row, whatever
     the line ends and wherever the blocks of lines split the file."""
     for position, line in odd:
@@ -481,11 +480,11 @@ def test_block_reader_is_the_per_line_reader(tsv_path, lines, odd, ends, final_n
     rows, error = [], None
     with mock.patch.object(nsp, "_BLOCK_HINT", hint):
         try:
-            rows.extend(read_nsp_tsv(tsv_path))
+            for block in nsp.read_nsp_blocks(tsv_path):
+                rows.extend(block)
         except ValueError as exc:
             error = str(exc)
     assert (rows, error) == per_line_rows(tsv_path)
-    assert all(type(row) is NspExample and type(row.label) is int for row in rows)
 
 
 class TestMetric:

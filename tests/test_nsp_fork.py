@@ -29,7 +29,7 @@ from syllabeam.cli import main
 from syllabeam.corpus import load_aligned_corpus, render_text, serialize_lyric_line, write_aligned_corpus
 from syllabeam.lm import lyric_lm_text, train_char_ngram
 
-from conftest import LINE_ENDS, ONE_CPU_OR_FORKED, assert_no_child_left, counting_forks, make_corpus
+from conftest import LINE_ENDS, ONE_CPU_OR_FORKED, assert_no_child_left, counting_forks, make_corpus, tsv_rows
 
 
 def build(capsys, monkeypatch, corpus, out, cpus, *extra):
@@ -213,7 +213,7 @@ def test_forked_pairs_are_the_serial_pairs_in_file_order(tmp_path, monkeypatch, 
     dataset = tmp_path / "nsp.tsv"
     dataset.write_text(text, encoding="utf-8")
     lm = lm_module.CharNgramModel.load(lm_path)
-    rows = list(nsp.read_nsp_tsv(dataset))
+    rows = tsv_rows(dataset)
     forks = counting_forks(monkeypatch, cpus)
     monkeypatch.setattr(nsp, "_BLOCK_HINT", 2048)  # several blocks on each side
     scored = lm.score_nsp_file(dataset)

@@ -1,6 +1,6 @@
 """The NSP commands pass rows through instead of collecting them.
 
-`read_nsp_tsv` yields the rows of each block of lines as it reads the
+`read_nsp_blocks` yields the rows of each block of lines as it reads the
 block, `build-nsp-dataset` writes each row as the builder hands it to its
 sink, and `nsp-eval` feeds each block's rows straight into its scorer.
 Three consequences are pinned here:
@@ -8,7 +8,7 @@ Three consequences are pinned here:
 - a bad line surfaces when iteration reaches it, after the rows before it;
 - `build-nsp-dataset` checks every lyric before it opens `--out`, and names
   a short lyric by its file line;
-- `nsp-eval` has its scorer ready before it reads a row, so an LM-side
+- `nsp-eval` has its LM loaded before it reads a row, so an LM-side
   error is reported before a dataset error.
 
 The memory guards compare `tracemalloc` peaks with the traced size of the
@@ -27,19 +27,19 @@ from syllabeam import nsp
 from syllabeam.cli import main
 from syllabeam.corpus import load_aligned_corpus, render_text, write_aligned_corpus
 from syllabeam.lm import lyric_lm_text, train_char_ngram
-from syllabeam.nsp import read_nsp_tsv
+from syllabeam.nsp import BuilderConfig, build_dataset, read_nsp_blocks
 
 from conftest import make_corpus
 
 
-def test_read_nsp_tsv_yields_the_rows_before_a_bad_line(tmp_path):
+def test_read_nsp_blocks_yields_the_rows_before_a_bad_line(tmp_path):
     path = tmp_path / "nsp.tsv"
     path.write_text("i know\t_why\t1\ni know\twhy\t0\ni know\t_why\t2\ntel e\tphone\t1\n", encoding="utf-8")
-    rows = read_nsp_tsv(path)
-    assert next(rows) == ("i know", "_why", 1)
-    assert next(rows) == ("i know", "why", 0)
+    blocks = read_nsp_blocks(path)
+    assert next(blocks) == [("i know", "_why", "1")]
+    assert next(blocks) == [("i know", "why", "0")]
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: bad label '2'$"):
-        next(rows)
+        next(blocks)
 
 
 @pytest.mark.parametrize("existing", [b"context\t_candidate\t1\n", None], ids=["out exists", "out missing"])
@@ -65,7 +65,7 @@ def test_short_lyric_fails_before_out_is_opened(tmp_path, capsys, existing):
 @pytest.mark.parametrize(
     "lm_args, message",
     [
-        pytest.param([], "--lm is required for the lm scorer", id="no lm"),
+        pytest.param([], "the following arguments are required: --lm", id="no lm"),
         pytest.param(["--lm", "missing.json"], "missing.json: no such file", id="missing lm"),
         pytest.param(["--lm", "lm.json"], "lm.json: not a syllabeam-charlm file", id="lm rejected"),
     ],
@@ -76,7 +76,12 @@ def test_nsp_eval_reports_the_lm_side_first(tmp_path, capsys, monkeypatch, lm_ar
     (tmp_path / "nsp.tsv").write_text("i know\t_why\t2\n", encoding="utf-8")  # line 1: bad label
     code = main(["nsp-eval", "--dataset", "nsp.tsv", *lm_args])
     captured = capsys.readouterr()
-    assert (code, captured) == (2, ("", f"error: {message}\n"))
+    assert (code, captured.out) == (2, "")
+    if lm_args:
+        assert captured.err == f"error: {message}\n"
+    else:  # argparse's usage error, the one a missing --dataset gets
+        assert captured.err.startswith("usage: syllabeam nsp-eval ")
+        assert captured.err.endswith(f"syllabeam nsp-eval: error: {message}\n")
 
 
 def traced(call):
@@ -93,7 +98,8 @@ def traced(call):
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     """A 250-lyric corpus, an LM trained on it, about 10k NSP rows built from
-    it by the CLI, and the traced peaks of loading the corpus and of building."""
+    it by the CLI, the traced peaks of loading the corpus and of building, and
+    the traced size of the rows as `build_dataset` hands them over."""
     root = tmp_path_factory.mktemp("stream")
     pairs = make_corpus(250, seed=5)
     write_aligned_corpus(pairs, root / "corpus.jsonl")
@@ -105,8 +111,8 @@ def dataset(tmp_path_factory):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(nsp, "_cpus", lambda: cpus)
             _, build_peaks[cpus] = traced(lambda: main(argv))
-    rows = []
-    rows_size, _ = traced(lambda: rows.extend(read_nsp_tsv(root / "nsp.tsv")))
+    rows, lyrics = [], [p.lyric for p in pairs]
+    rows_size, _ = traced(lambda: build_dataset(lyrics, BuilderConfig(), rows.append))  # the rows of nsp.tsv
     assert len(rows) > 9_000
     return root, load_peak, build_peaks, rows_size
 

@@ -3,7 +3,7 @@
 `train_char_ngram` counts each level over all texts at once, and
 `train_generator` tallies (history, bucket, syllable) events before adding
 them to the four generator tables; their tables must equal counts taken one
-character, or one event, at a time. `nsp-eval` scores the rows `read_nsp_tsv`
+character, or one event, at a time. `nsp-eval` scores the rows `read_nsp_blocks`
 checks through `score_nsp_file`, `nsp_metrics` counts each tie group in one
 pass, and `load_aligned_corpus` shares equal tokens and notes; each is
 checked against the form it replaced.
@@ -144,7 +144,7 @@ def test_score_nsp_file_pairs_each_score_with_its_label(tmp_path):
     ]
 
 
-# the row grammar `read_nsp_tsv` accepts: a context of [a-z' ] runs and end
+# the row grammar `read_nsp_blocks` accepts: a context of [a-z' ] runs and end
 # markers, and a candidate that is an optional "_" before [a-z']+ or the end
 # marker; each context carries a run of candidates, as `build_dataset` writes them
 grammar_text = st.text("abcdefghijklmnopqrstuvwxyz' ", min_size=1, max_size=5)
