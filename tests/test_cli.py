@@ -355,6 +355,17 @@ class TestNspEval:
         assert captured.err.startswith("error: threshold must be finite")
         assert captured.err.count("\n") == 1
 
+    def test_scorer_is_not_an_option(self, tmp_path, models, capsys):
+        """nsp-eval scores through the LM alone: `--scorer` is argparse's
+        unrecognised-argument error, reported before anything is read."""
+        lm_path, _ = models
+        tsv = str(tmp_path / "missing.tsv")
+        code = main(["nsp-eval", "--dataset", tsv, "--lm", lm_path, "--scorer", "lm"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("usage: syllabeam")
+        assert captured.err.endswith("error: unrecognized arguments: --scorer lm\n")
+
 
 class TestEmitPrompt:
     def make_sets(self, tmp_path):

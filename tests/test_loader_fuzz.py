@@ -26,7 +26,7 @@ from syllabeam.corpus import (
 from syllabeam.generator import MelodyConditionedNgram, train_generator
 from syllabeam.lm import DEFAULT_ALPHABET, CharNgramModel, lyric_lm_text, train_char_ngram
 
-from conftest import make_corpus
+from conftest import ONE_CPU_OR_FORKED, counting_forks, make_corpus
 
 MELODY = "60:1:0 62:0.5:0 64:1:0.5 65:1:0 67:2:0\n"
 
@@ -487,21 +487,28 @@ def test_corpus_record_after_a_byte_order_mark(tmp_path, capsys):
 
 
 # every row kind the builder writes: spaced and glued candidates, the end
-# marker mid-context, and the end marker with its spacing flipped
+# marker mid-context, and the end marker with its spacing flipped. Each NSP
+# case runs on one CPU and forked, where the bad fifth row is in the part this
+# process reads and the read is done again alone to report it.
 NSP_ROWS = "i know\t_why\t1\ni know\twhy\t0\nmean to<eos> when\t_i\t0\ntel e phone\t_<eos>\t0\n"
 
 
-def run_nsp_eval(tmp_path, capsys, payloads, data: bytes):
+def run_nsp_eval(tmp_path, capsys, monkeypatch, payloads, data: bytes, cpus=1):
+    """(exit code, captured output) of `nsp-eval` with the CPU probe
+    reporting `cpus`, and the number of forks it made."""
     dataset, lm = tmp_path / "nsp.tsv", tmp_path / "lm.json"
     dataset.write_bytes(data)
     lm.write_text(json.dumps(payloads["lm"]))
-    code = main(["nsp-eval", "--dataset", str(dataset), "--lm", str(lm)])
-    return code, capsys.readouterr()
+    with monkeypatch.context() as patch:
+        forks = counting_forks(patch, cpus)
+        code = main(["nsp-eval", "--dataset", str(dataset), "--lm", str(lm)])
+    return (code, capsys.readouterr()), len(forks)
 
 
-def test_unmutated_nsp_rows_evaluate(tmp_path, capsys, payloads):
-    code, captured = run_nsp_eval(tmp_path, capsys, payloads, NSP_ROWS.encode())
-    assert code == 0 and captured.err == ""
+@ONE_CPU_OR_FORKED
+def test_unmutated_nsp_rows_evaluate(tmp_path, capsys, monkeypatch, payloads, cpus):
+    (code, captured), forks = run_nsp_eval(tmp_path, capsys, monkeypatch, payloads, NSP_ROWS.encode(), cpus)
+    assert (code, captured.err, forks) == (0, "", cpus - 1)
     assert json.loads(captured.out.splitlines()[-1])["examples"] == 4
 
 
@@ -528,22 +535,25 @@ NSP_LINES = [
 ]
 
 
+@ONE_CPU_OR_FORKED
 @pytest.mark.parametrize("line", NSP_LINES)
-def test_nsp_row(tmp_path, capsys, payloads, line):
+def test_nsp_row(tmp_path, capsys, monkeypatch, payloads, line, cpus):
     data = (NSP_ROWS + line + "\n").encode()
-    code, captured = run_nsp_eval(tmp_path, capsys, payloads, data)
+    (code, captured), forks = run_nsp_eval(tmp_path, capsys, monkeypatch, payloads, data, cpus)
+    assert forks == cpus - 1
     assert_clean_failure(code, captured)
     assert captured.err.startswith(f"error: {tmp_path / 'nsp.tsv'}:5: ")
 
 
 @pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET.replace("'", ""), DEFAULT_ALPHABET + "9"])
-def test_nsp_eval_rejects_an_lm_of_another_alphabet(tmp_path, capsys, payloads, alphabet):
+def test_nsp_eval_rejects_an_lm_of_another_alphabet(tmp_path, capsys, monkeypatch, payloads, alphabet):
     lm = {**payloads["lm"], "alphabet": alphabet}
-    code, captured = run_nsp_eval(tmp_path, capsys, {"lm": lm}, NSP_ROWS.encode())
+    (code, captured), _ = run_nsp_eval(tmp_path, capsys, monkeypatch, {"lm": lm}, NSP_ROWS.encode())
     assert_clean_failure(code, captured)
     assert captured.err == f"error: {tmp_path / 'lm.json'}: {LM_ALPHABET}\n"
 
 
+@ONE_CPU_OR_FORKED
 @pytest.mark.parametrize(
     "data, message",
     [
@@ -552,8 +562,8 @@ def test_nsp_eval_rejects_an_lm_of_another_alphabet(tmp_path, capsys, payloads, 
         pytest.param(b"\n\n", ": dataset is empty", id="blank lines only"),
     ],
 )
-def test_nsp_file(tmp_path, capsys, payloads, data, message):
-    code, captured = run_nsp_eval(tmp_path, capsys, payloads, data)
+def test_nsp_file(tmp_path, capsys, monkeypatch, payloads, data, message, cpus):
+    (code, captured), _ = run_nsp_eval(tmp_path, capsys, monkeypatch, payloads, data, cpus)
     assert_clean_failure(code, captured)
     assert captured.err.startswith(f"error: {tmp_path / 'nsp.tsv'}{message}")
 
