@@ -28,7 +28,7 @@ from .lm import SPACED, UNSPACED, ContinuationScore
 AUDIT_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FusionConfig:
     """Search settings; the generator weight is the LM weight's complement."""
 
@@ -47,7 +47,7 @@ class FusionConfig:
         object.__setattr__(self, "lambda_gen", 1.0 - self.lambda_lm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     """One decoding step: raw scorer values, spacing choice, fused contribution."""
 

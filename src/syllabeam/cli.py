@@ -227,9 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--melody", required=True, help="melody file of pitch:duration:rest triplets")
     p.add_argument("--generator", required=True, help="generator model path")
     p.add_argument("--lm", help="character LM model path")
-    p.add_argument("--lambda-lm", type=_float, default=FusionConfig.lambda_lm)
-    p.add_argument("--beam-size", type=_int, default=FusionConfig.beam_size)
-    p.add_argument("--max-len", type=_int, default=FusionConfig.max_len)
+    defaults = {field.name: field.default for field in fields(FusionConfig)}
+    p.add_argument("--lambda-lm", type=_float, default=defaults["lambda_lm"])
+    p.add_argument("--beam-size", type=_int, default=defaults["beam_size"])
+    p.add_argument("--max-len", type=_int, default=defaults["max_len"])
     p.add_argument("--trace", action="store_true", help="include per-step score traces")
     p.set_defaults(func=cmd_generate)
 

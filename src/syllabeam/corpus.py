@@ -86,7 +86,7 @@ def read_lines(path, parse: Callable[[str], object], start: int = 0, stop: Optio
                 yield parse(line.rstrip("\n"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SyllableToken:
     """One syllable plus its word-boundary flag (the atomic generation unit)."""
 
@@ -105,7 +105,7 @@ class SyllableToken:
         return self.text == EOS_TEXT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LyricSequence:
     """Ordered syllable tokens; the end token may only appear last."""
 
@@ -132,7 +132,7 @@ class LyricSequence:
         return [t.text for t in self.syllables()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MelodyNote:
     """One symbolic note: MIDI pitch, duration in beats, following rest in beats."""
 
@@ -151,7 +151,7 @@ class MelodyNote:
             raise ValueError(f"rest must be finite and non-negative, got {self.rest!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MelodySequence:
     """Non-empty ordered note list."""
 
@@ -167,7 +167,7 @@ class MelodySequence:
         return len(self.notes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignedPair:
     """A melody and its lyric, one syllable per note."""
 

@@ -8,6 +8,7 @@ the vocabulary, end token included, its top entries or one entry at a time.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
@@ -82,31 +83,25 @@ def _bucket_from_json(data) -> Optional[NoteBucket]:
 
 
 class _Ranking(NamedTuple):
-    """One count table content ranked for top-k queries.
+    """One count table content, ranked for top-k queries as they come.
 
-    `ranked` maps every token whose probability exceeds `floor` to that
-    probability, in (-probability, vocabulary id) order; every other
-    emittable token has probability `floor`. `tops` keeps each top-k list
-    already asked for, padded with floor tokens, by k, as (texts,
-    probabilities, vocabulary ids) tuples.
+    Each entry of `counts` has probability (n + k) / `denom` when that
+    exceeds `floor`; every other emittable token has probability `floor`.
+    `tops` keeps each top-k list already asked for, padded with floor
+    tokens, by k, as (texts, probabilities, vocabulary ids) tuples.
     """
 
     counts: dict[str, int]  # the first table ranked; equal tables share the ranking
-    ranked: dict[str, float]
+    denom: float
     floor: float
     tops: dict[int, tuple[tuple[str, ...], tuple[float, ...], tuple[int, ...]]]
 
 
 def _rank(counts: dict[str, int], vocab: Vocabulary, k: float) -> _Ranking:
     denom = sum(counts.values()) + k * len(vocab.emittable())
-    if denom == 0:
-        return _Ranking(counts, {}, 1.0 / len(vocab.emittable()), {})
-    floor = k / denom
-    ranked = sorted(
-        ((text, (n + k) / denom) for text, n in counts.items()),
-        key=lambda item: (-item[1], vocab.id_of(item[0])),
-    )
-    return _Ranking(counts, {text: p for text, p in ranked if p > floor}, floor, {})
+    if denom == 0:  # no count, no smoothing: every entry is (n + k) / inf = 0, under the uniform floor
+        return _Ranking(counts, math.inf, 1.0 / len(vocab.emittable()), {})
+    return _Ranking(counts, denom, k / denom, {})
 
 
 class MelodyConditionedNgram:
@@ -214,13 +209,17 @@ class MelodyConditionedNgram:
         ranking = self._ranking(key, bucket)
         top = ranking.tops.get(k)
         if top is None:
-            pairs = list(itertools.islice(ranking.ranked.items(), k))
-            if len(pairs) < k:
-                rest = (text for text in self.vocab.emittable() if text not in ranking.ranked)
-                pairs.extend((text, ranking.floor) for text in itertools.islice(rest, k - len(pairs)))
+            smoothing, denom, floor, id_of = self.k, ranking.denom, ranking.floor, self.vocab.id_of
+            # (-probability, vocabulary id, text) of every entry, the k least
+            costs = [(-(n + smoothing) / denom, id_of(text), text) for text, n in ranking.counts.items()]
+            pairs = [(text, -cost) for cost, _, text in heapq.nsmallest(k, costs) if -cost > floor]
+            if len(pairs) < k:  # every entry above the floor is in `pairs`
+                above = {text for text, _ in pairs}
+                rest = (text for text in self.vocab.emittable() if text not in above)
+                pairs.extend((text, floor) for text in itertools.islice(rest, k - len(pairs)))
             texts = tuple(text for text, _ in pairs)
             probs = tuple(p for _, p in pairs)
-            top = ranking.tops[k] = (texts, probs, tuple(map(self.vocab.id_of, texts)))
+            top = ranking.tops[k] = (texts, probs, tuple(map(id_of, texts)))
         return top
 
     def prob_by_key(self, key: tuple[str, ...], bucket: Optional[NoteBucket], text: str) -> float:
@@ -229,7 +228,11 @@ class MelodyConditionedNgram:
         if text == BOS_TEXT or text not in self.vocab:
             raise ValueError(f"{text!r} is not an emittable token")
         ranking = self._ranking(key, bucket)
-        return ranking.ranked.get(text, ranking.floor)
+        n = ranking.counts.get(text)
+        if n is None:
+            return ranking.floor
+        p = (n + self.k) / ranking.denom
+        return p if p > ranking.floor else ranking.floor
 
     # -- persistence ------------------------------------------------------
 

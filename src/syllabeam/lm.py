@@ -61,7 +61,7 @@ def _nsp_encoded(text: str) -> str:
     return text.replace("_", " ").replace(EOS_TEXT, EOS_CHAR)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContinuationScore:
     value: float
     chosen_variant: str

@@ -30,7 +30,7 @@ LLM_EVAL_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalPair:
     candidate: LyricSequence
     reference: LyricSequence
@@ -111,7 +111,7 @@ def sentence_bleu(candidate: Sequence[str], reference: Sequence[str], max_n: int
     return brevity * math.exp(log_sum)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalReport:
     rouge1: float
     rouge2: float

@@ -57,7 +57,7 @@ NspExample = namedtuple("NspExample", "context candidate label")
 _row = partial(tuple.__new__, NspExample)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BuilderConfig:
     spacing_negative_rate: float = 0.6
     always_spacing_first_k: int = 3

@@ -1,10 +1,12 @@
 import argparse
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from syllabeam.beam import FusionConfig
 from syllabeam.cli import build_parser, main
 from syllabeam.corpus import write_aligned_corpus
 
@@ -249,6 +251,21 @@ class TestGenerate:
         _, gen_path = models
         code, _ = run(capsys, ["generate", "--melody", melody_path, "--generator", gen_path])
         assert code == 2
+
+    def test_failed_trace_audit_exits_1_and_prints_nothing(self, melody_path, models, capsys, monkeypatch):
+        lm_path, gen_path = models
+        monkeypatch.setattr("syllabeam.cli.audit_trace", lambda results: False)
+        code = main(["generate", "--melody", melody_path, "--generator", gen_path, "--lm", lm_path])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", "error: trace audit failed\n")
+
+    def test_defaults_are_fusion_configs(self):
+        args = build_parser().parse_args(["generate", "--melody", "melody.txt", "--generator", "gen.json"])
+        config = FusionConfig()
+        settings = [field.name for field in fields(FusionConfig) if field.init]
+        assert [(getattr(args, name), type(getattr(args, name))) for name in settings] == [
+            (getattr(config, name), type(getattr(config, name))) for name in settings
+        ]
 
 
 class TestEvaluate:

@@ -1,7 +1,9 @@
 """Golden outputs: the offline pipeline and evaluation on fixed seeded corpora.
 
-Each CLI command runs once per corpus, in a working directory of its own so
-that the paths its header echoes are the same on every run. The sha256 of
+Each CLI command runs once per corpus with the CPU probe reporting one CPU,
+and once with it reporting two, so both the serial and the forked readers
+are pinned; each run has a working directory of its own so that the paths
+its header echoes are the same on every run. The sha256 of
 every model file, the NSP TSV and every stdout must equal the digest recorded
 here. A change that alters any of them on purpose records the new digests
 and says why.
@@ -17,7 +19,7 @@ import pytest
 from syllabeam.cli import main
 from syllabeam.corpus import serialize_lyric_line, write_aligned_corpus
 
-from conftest import make_corpus, random_syllable_corpus
+from conftest import counting_forks, make_corpus, random_syllable_corpus
 
 COMMANDS = {
     "train-lm": ["train-lm", "--corpus", "corpus.jsonl", "--out", "lm.json", "--order", "4", "--k", "0.1"],
@@ -41,6 +43,8 @@ COMMANDS = {
                     "--set", "references again=references.txt", "--variant", "annotated"],
 }
 FILES = ("lm.json", "gen.json", "nsp.tsv")
+# the CPU counts the probe reports (`nsp._cpus`): one reads serially, two fork
+CPUS = (1, 2)
 
 CORPORA = {
     "words": lambda: make_corpus(70, seed=4242),
@@ -117,13 +121,26 @@ GOLDEN = {
 
 
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
-    return {
-        corpus: run_pipeline(make(), tmp_path_factory.mktemp(corpus)) for corpus, make in CORPORA.items()
-    }
+def runs(tmp_path_factory):
+    """The digests of each corpus's pipeline by (CPUs, corpus), and the forks
+    of each run by CPUs, with the CPU probe reporting each of CPUS."""
+    digests, forks = {}, {}
+    for cpus in CPUS:
+        with pytest.MonkeyPatch.context() as patch:
+            counted = counting_forks(patch, cpus)
+            for corpus, make in CORPORA.items():
+                digests[cpus, corpus] = run_pipeline(make(), tmp_path_factory.mktemp(f"{corpus}-{cpus}cpu"))
+        forks[cpus] = len(counted)
+    return digests, forks
 
 
 @pytest.mark.parametrize("corpus", list(CORPORA))
 @pytest.mark.parametrize("output", [*COMMANDS, *FILES])
-def test_output_matches_its_recorded_digest(digests, corpus, output):
-    assert digests[corpus][output] == GOLDEN[corpus][output]
+def test_output_matches_its_recorded_digest(runs, corpus, output):
+    digests, _ = runs
+    assert [digests[cpus, corpus][output] for cpus in CPUS] == [GOLDEN[corpus][output]] * len(CPUS)
+
+
+def test_only_the_two_cpu_runs_fork(runs):
+    _, forks = runs
+    assert forks[1] == 0 and forks[2] > 0

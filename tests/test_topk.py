@@ -87,6 +87,16 @@ def test_smoothing_zero_ranks_unseen_last_in_id_order():
         assert zero == sorted(zero, key=vocab.id_of)
 
 
+def test_smoothing_past_every_count_ranks_in_id_order():
+    # at k = 1e20 every n + k rounds to k, so every probability is the floor
+    corpus = make_corpus(20, seed=21)
+    vocab = build_vocabulary([p.lyric for p in corpus])
+    model, naive = train_generator(corpus, vocab, history=2, k=1e20), NaiveGenerator(corpus, vocab, 2, 1e20)
+    for history, note in random_queries(vocab, random.Random(22), 40):
+        assert_exact(model, naive, history, note)
+        assert [text for text, _ in top(model, history, note, len(vocab))] == list(vocab.emittable())
+
+
 def test_denominator_zero_is_uniform_in_id_order():
     vocab = Vocabulary(["ba", "by", "love", "sun"])
     model = MelodyConditionedNgram(vocab, history=2, k=0.0)  # no counts at all
