@@ -30,7 +30,7 @@ from .corpus import (
     render_text,
     serialize_lyric_line,
 )
-from .generator import MelodyConditionedNgram, train_records, training_record
+from .generator import MelodyConditionedNgram, training_record, write_trained
 from .lm import CharNgramModel, lyric_lm_text, nsp_metrics, train_char_ngram
 from .metrics import EvalPair, corpus_eval, emit_llm_eval_prompt
 from .nsp import BuilderConfig, halves, write_dataset
@@ -99,12 +99,11 @@ def cmd_train_generator(args: argparse.Namespace) -> int:
     pair, record = aligned_pair_parser(), training_record()
     records = _read_corpus(args.corpus, lambda line: record(pair(line)))
     vocab = Vocabulary(text for texts, _ in records for text in texts)
-    model = train_records(records, vocab, args.history, args.k)
-    model.save(args.out)
+    stats = write_trained(args.out, records, vocab, args.history, args.k)
 
     config = {"corpus": args.corpus, "out": args.out, "history": args.history, "k": args.k}
     _echo("train-generator", config)
-    print(json.dumps({"pairs": len(records), **model.stats()}, sort_keys=True))
+    print(json.dumps({"pairs": len(records), **stats}, sort_keys=True))
     return 0
 
 

@@ -315,6 +315,14 @@ def _object(pairs: list) -> dict:
 _RECORD_DECODER = json.JSONDecoder(object_pairs_hook=_object)
 
 
+def decode_json(decoder: json.JSONDecoder, text: str):
+    """`decoder.decode(text)`, once `text` passes json.loads's own check for a
+    leading byte order mark, which a bare decoder lacks."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return decoder.decode(text)
+
+
 def load_aligned_corpus(path) -> list[AlignedPair]:
     """Read aligned pairs from JSONL, one record a line (`read_lines`), each
     as `aligned_pair_parser` parses it. An error names the file and the
@@ -331,9 +339,7 @@ def aligned_pair_parser() -> Callable[[str], AlignedPair]:
     tokens_seen, notes_seen = {}, {}
 
     def pair(line: str) -> AlignedPair:
-        if line.startswith("\ufeff"):  # json.loads's own check, which the decoder lacks
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-        record = _RECORD_DECODER.decode(line)
+        record = decode_json(_RECORD_DECODER, line)
         if type(record) is not dict:
             raise ValueError("not a JSON object")
         if record.keys() != _RECORD_KEYS:

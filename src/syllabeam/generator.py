@@ -244,7 +244,7 @@ class MelodyConditionedNgram:
         text keeps that order, and it compares faster than a nested tuple."""
         # Each row is a tuple of the model's own history tuple, bucket tuple and
         # counts: the encoder writes tuples, NoteBucket among them, as arrays.
-        bucket_text = {bucket: json.dumps(bucket) for bucket in self._by_bucket}
+        bucket_text = {bucket: json.dumps(bucket) for bucket in {bucket for _, bucket in self._by_hist_bucket}}
         fields = {
             "bucketing": _BUCKETING_VERSION,
             "history": self.history,
@@ -303,6 +303,10 @@ class MelodyConditionedNgram:
         # is released once read, and the first bad row in file order is named
         rows.reverse()
         by_hist_bucket = model._by_hist_bucket
+        # rows may share one count table (`modelfile.load`), so a repeated row
+        # shows as a key that leaves the row count as it was, and each table
+        # object is checked once, by its identity
+        size, checked = 0, set()
         # a saved file holds the rows of each history together, and each run
         # of them shares one key tuple, built and checked once
         last, hist = object(), ()  # `last` equals no parsed history
@@ -313,9 +317,13 @@ class MelodyConditionedNgram:
             data, note, counts = row
             if data != last:
                 hist, last = hist_key(data), data
-            if by_hist_bucket.setdefault((hist, _bucket_from_json(note)), counts) is not counts:
+            by_hist_bucket[hist, _bucket_from_json(note)] = counts
+            if len(by_hist_bucket) == size:
                 raise ValueError(f"repeated 'hist_bucket' row for history {data!r} and bucket {note!r}")
-            modelfile.counts(counts, emittable)
+            size += 1
+            if id(counts) not in checked:
+                modelfile.counts(counts, emittable)
+                checked.add(id(counts))
         model._derive()
         return model
 
@@ -362,8 +370,30 @@ def train_records(
 ) -> MelodyConditionedNgram:
     """A model of every (history, note bucket) -> syllable event of the
     training records (`training_record`), once every syllable passed its
-    check: the events are tallied with one Counter, and each distinct
-    event's count is its (history, bucket) row's."""
+    check (`_count_rows`)."""
+    model = _count_rows(records, vocab, history, k)
+    model._derive()
+    return model
+
+
+def write_trained(
+    path, records: Sequence[tuple[Sequence[str], Sequence[int]]], vocab: Vocabulary, history: int = 2, k: float = 0.1
+) -> dict:
+    """Save the model `train_records` makes of the records to `path`, and
+    return its `stats()`. The file holds only the (history, bucket) rows, so
+    the backoff tables, which answer queries, are never summed."""
+    model = _count_rows(records, vocab, history, k)
+    model.save(path)
+    return model.stats()
+
+
+def _count_rows(
+    records: Sequence[tuple[Sequence[str], Sequence[int]]], vocab: Vocabulary, history: int, k: float
+) -> MelodyConditionedNgram:
+    """A model holding only the (history, bucket) rows of the records, once
+    every syllable passed its check: the events are tallied with one Counter,
+    and each distinct event's count is its row's. It answers no query until
+    `_derive` sums its backoff tables."""
     if not records:
         raise ValueError("empty corpus")
     model = MelodyConditionedNgram(vocab, history, k)
@@ -386,6 +416,4 @@ def train_records(
         if row is None:
             row = by_hist_bucket[hist, bucket] = {}
         row[target] = n
-    del events  # the rows hold every count now; free the tally before the sums
-    model._derive()
     return model

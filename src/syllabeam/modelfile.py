@@ -13,7 +13,7 @@ import contextlib
 import gc
 import json
 
-from .corpus import open_input
+from .corpus import _object, decode_json, open_input
 
 # the JSON type each schema type stands for; float takes any JSON number
 _JSON_NAMES = {
@@ -47,16 +47,39 @@ def save(path, fmt: str, version: int, fields: dict) -> None:
         fh.write(text + "\n")
 
 
+def _object_hook():
+    """A JSON object hook for one file. An object of one entry whose value is
+    an integer, never a bool or a float, is the first dict the hook made of
+    that (key, value) pair; any other object is a new dict, once no key of it
+    repeats (`corpus._object`)."""
+    shared = {}  # (key, integer) -> the one-entry dict of it
+
+    def hook(pairs: list) -> dict:
+        if len(pairs) == 1:
+            pair = pairs[0]
+            if type(pair[1]) is int:  # 1 == True == 1.0, and the three hash alike
+                table = shared.get(pair)
+                if table is None:
+                    table = shared[pair] = dict(pairs)
+                return table
+        return _object(pairs)
+
+    return hook
+
+
 def load(path, fmt: str, version: int, schema: dict[str, type]) -> dict:
-    """The payload of a `fmt` file of `version`, once every `schema` field is
-    present with its exact JSON type and the file has no field beyond these
-    and the header: `int` is a JSON integer and never a bool, `float` any
-    JSON number, and str, bool, list and dict their own JSON types. Raises
-    ValueError otherwise, as for a path that is no regular file
-    (`corpus.open_input`), or RecursionError for JSON nested too deeply; a
-    model's `load` names the file under `corpus.naming`."""
+    """The payload of a `fmt` file of `version`, once no JSON object of it
+    repeats a key, every `schema` field is present with its exact JSON type
+    and the file has no field beyond these and the header: `int` is a JSON
+    integer and never a bool, `float` any JSON number, and str, bool, list
+    and dict their own JSON types. Raises ValueError otherwise, as for a path
+    that is no regular file (`corpus.open_input`), or RecursionError for JSON
+    nested too deeply; a model's `load` names the file under `corpus.naming`.
+
+    Equal objects of one integer entry, such as most count tables, are one
+    shared dict within the payload: nothing may change a loaded table."""
     with open_input(path) as fh:
-        payload = json.load(fh)
+        payload = decode_json(json.JSONDecoder(object_pairs_hook=_object_hook()), fh.read())
     if type(payload) is not dict or payload.get("format") != fmt:
         raise ValueError(f"not a {fmt} file")
     found = payload.get("version")

@@ -25,6 +25,9 @@ from syllabeam.generator import (
     NoteBucket,
     bucket_note,
     train_generator,
+    train_records,
+    training_record,
+    write_trained,
 )
 
 from conftest import NaiveGenerator, make_corpus
@@ -269,6 +272,32 @@ class TestPersistence:
         # the derived tables of the loaded model are the trained ones
         for name in ("_by_hist_bucket", "_by_hist", "_by_bucket", "_unigram"):
             assert getattr(loaded, name) == getattr(model, name)
+
+    @pytest.mark.parametrize("history", [1, 2, 3])
+    @pytest.mark.parametrize("vocabulary", ["small", "large"])
+    def test_write_trained_saves_the_trained_model(self, tmp_path, vocabulary, history):
+        """train-generator's writer, which sums no backoff table, saves the
+        bytes and returns the stats of the model `train_records` makes."""
+        corpus = make_corpus(60, seed=57) if vocabulary == "small" else self.wide_corpus(58)
+        vocab = build_vocabulary([p.lyric for p in corpus])
+        records = list(map(training_record(), corpus))
+        model = train_records(records, vocab, history, 0.1)
+        trained, written = tmp_path / "trained.json", tmp_path / "written.json"
+        model.save(trained)
+        assert write_trained(written, records, vocab, history, 0.1) == model.stats()
+        assert written.read_bytes() == trained.read_bytes()
+
+    @pytest.mark.parametrize("vocabulary", ["small", "large"])
+    def test_equal_one_entry_tables_load_as_one_dict(self, tmp_path, vocabulary):
+        """Within one load, and not across two."""
+        corpus = make_corpus(60, seed=57) if vocabulary == "small" else self.wide_corpus(58)
+        path = tmp_path / "gen.json"
+        train_generator(corpus, build_vocabulary([p.lyric for p in corpus])).save(path)
+        first, second = MelodyConditionedNgram.load(path), MelodyConditionedNgram.load(path)
+        ones = [table for table in first._by_hist_bucket.values() if len(table) == 1]
+        assert len({id(table) for table in ones}) == len({tuple(table.items()) for table in ones}) < len(ones)
+        ids = [{id(table) for table in model._by_hist_bucket.values()} for model in (first, second)]
+        assert not ids[0] & ids[1]
 
     def test_every_note_bucket_loads(self, tmp_path):
         """A file may hold each of the 768 buckets a MIDI note has, those of

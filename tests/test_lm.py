@@ -305,6 +305,18 @@ class TestPersistence:
         model.save(b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_saving_a_loaded_file_writes_it_again(self, tmp_path):
+        """Its equal one-entry count tables load as one dict, and save as before."""
+        rnd = random.Random(37)
+        model = train_char_ngram([random_text(rnd, rnd.randint(1, 30)) for _ in range(80)], order=4, k=0.1)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        model.save(first)
+        loaded = CharNgramModel.load(first)
+        loaded.save(second)
+        assert second.read_bytes() == first.read_bytes()
+        ones = [table for level in loaded._tables for table in level.values() if len(table) == 1]
+        assert len({id(table) for table in ones}) == len({tuple(table.items()) for table in ones}) < len(ones)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"format": "something-else"}')

@@ -194,6 +194,25 @@ def retype_last_bucket(payload, index, kind):
     payload["hist_bucket"][-1][1] = bucket
 
 
+NOT_A_COUNT = "is not a non-negative integer"
+
+
+def first_tables(*tables):
+    """Give the first rows of `hist_bucket` the count tables `tables`, in order."""
+    def put(payload):
+        for row, table in zip(payload["hist_bucket"], tables):
+            row[2] = table
+
+    return edit(put)
+
+
+def repeat_first_row(payload, table):
+    """Give the first `hist_bucket` row `table`, and a copy of the row after it."""
+    row = payload["hist_bucket"][0]
+    row[2] = table
+    payload["hist_bucket"].insert(1, copy.deepcopy(row))
+
+
 def history_cases():
     bad = ["ab", ["<bos>"], [BOS_TEXT, BOS_TEXT, BOS_TEXT], [BOS_TEXT, "zzz"], [BOS_TEXT, 5],
            [BOS_TEXT, []], [BOS_TEXT, None], 2.0, None]
@@ -271,6 +290,14 @@ GEN_CASES = header_cases(
                  id="seen bucket with a float pitch"),
     pytest.param(edit(lambda p: p["hist_bucket"].insert(1, [*p["hist_bucket"][0][:2], {EOS_TEXT: 1}])),
                  "repeated 'hist_bucket' row for history", id="repeated hist_bucket row"),
+    pytest.param(edit(lambda p: repeat_first_row(p, {EOS_TEXT: 1})), "repeated 'hist_bucket' row for history",
+                 id="repeated hist_bucket row of an equal one-entry table"),
+    pytest.param(first_tables({EOS_TEXT: 1}, {EOS_TEXT: True}), f"count True for {EOS_TEXT!r} {NOT_A_COUNT}",
+                 id="count true after a count 1"),
+    pytest.param(first_tables({EOS_TEXT: 1}, {EOS_TEXT: 1.0}), f"count 1.0 for {EOS_TEXT!r} {NOT_A_COUNT}",
+                 id="count 1.0 after a count 1"),
+    pytest.param(first_tables({EOS_TEXT: 1}, {EOS_TEXT: -1}), f"count -1 for {EOS_TEXT!r} {NOT_A_COUNT}",
+                 id="count -1 after a count 1"),
     pytest.param(field("hist", [[[BOS_TEXT, BOS_TEXT], {EOS_TEXT: 1}]]), "unknown field 'hist'",
                  id="hist rows of version 1"),
     pytest.param(field("hist_bucket", []), f"'hist_bucket' {NO_ROWS}", id="no hist_bucket rows"),
@@ -283,7 +310,8 @@ def run_generate(tmp_path, capsys, lm, gen, melody_text=MELODY):
     paths = {}
     for name, payload in (("lm", lm), ("gen", gen)):
         paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(payload))
+        # bytes are a file's text as it is, for what no payload can write
+        paths[name].write_bytes(payload if type(payload) is bytes else json.dumps(payload).encode())
     melody = tmp_path / "melody.txt"
     melody.write_text(melody_text, encoding="utf-8")
     argv = ["generate", "--melody", str(melody), "--generator", str(paths["gen"]),
@@ -323,6 +351,51 @@ def test_lm_file(tmp_path, capsys, payloads, mutate, message):
 def test_generator_file(tmp_path, capsys, payloads, mutate, message):
     gen = mutate(copy.deepcopy(payloads["gen"]))
     assert_model_failure(tmp_path, "gen", *run_generate(tmp_path, capsys, payloads["lm"], gen), message)
+
+
+MARK = "@"
+
+
+def written(put, text):
+    """The JSON text of a payload once `put` stored MARK in it, with MARK's own
+    text replaced by `text`: a file no dict can write."""
+
+    def mutate(payload):
+        put(payload)
+        return json.dumps(payload).replace(json.dumps(MARK), text).encode()
+
+    return mutate
+
+
+def leading(text):
+    return lambda payload: (text + json.dumps(payload)[1:]).encode()
+
+
+@pytest.mark.parametrize("name, mutate, key", [
+    pytest.param("lm", leading('{"k": 0.5, '), "k", id="lm top level"),
+    pytest.param("lm", written(lambda p: p["tables"].__setitem__(1, MARK), '{"a": {"b": 1}, "a": {"b": 1}}'), "a",
+                 id="lm context level"),
+    pytest.param("lm", written(lambda p: p["tables"][1].__setitem__("a", MARK), '{"b": 1, "b": 2}'), "b",
+                 id="lm count table"),
+    pytest.param("gen", leading('{"k": 0.5, '), "k", id="generator top level"),
+    pytest.param("gen", written(lambda p: p["hist_bucket"][0].__setitem__(2, MARK), '{"<eos>": 1, "<eos>": 1}'),
+                 "<eos>", id="generator count table"),
+])
+def test_model_file_with_a_repeated_key(tmp_path, capsys, payloads, name, mutate, key):
+    files = {other: payloads[other] for other in ("lm", "gen")}
+    files[name] = mutate(copy.deepcopy(payloads[name]))
+    code, captured = run_generate(tmp_path, capsys, files["lm"], files["gen"])
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {tmp_path / f'{name}.json'}: repeated key {key!r}\n"
+
+
+@pytest.mark.parametrize("name", ["lm", "gen"])
+def test_model_file_after_a_byte_order_mark(tmp_path, capsys, payloads, name):
+    """The model decoder, which json.loads would build per call, keeps its BOM message."""
+    files = {other: payloads[other] for other in ("lm", "gen")}
+    files[name] = ("\ufeff" + json.dumps(payloads[name])).encode()
+    code, captured = run_generate(tmp_path, capsys, files["lm"], files["gen"])
+    assert_model_failure(tmp_path, name, code, captured, "Unexpected UTF-8 BOM (decode using utf-8-sig)")
 
 
 DEEP = "[" * 100_000 + "]" * 100_000
