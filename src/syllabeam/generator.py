@@ -238,27 +238,30 @@ class MelodyConditionedNgram:
 
     def save(self, path) -> None:
         """Write the model's (history, bucket) rows in the order of their keys'
-        JSON text; `load` derives the other tables from them. Entries are made
-        of [a-z'<>], all above the `"` that ends a JSON string, and histories are
-        of one length, so a flat tuple of a row's history entries and its bucket's
-        text keeps that order, and it compares faster than a nested tuple."""
-        # Each row is a tuple of the model's own history tuple, bucket tuple and
-        # counts: the encoder writes tuples, NoteBucket among them, as arrays.
+        JSON text; `load` derives the other tables from them. Each row's text
+        is the one `json.dumps` writes of `[history, bucket, counts]` with
+        sorted keys: entries are vocabulary texts, `[a-z']+`, BOS or the end
+        token, which JSON writes as they are, and counts are ints. A row's
+        `[history, bucket` text ends in `]` or `null`, so no other row's starts
+        with it, and sorting the row texts sorts the rows by that text."""
         bucket_text = {bucket: json.dumps(bucket) for bucket in {bucket for _, bucket in self._by_hist_bucket}}
+        entries = '", "'.join
+        rows = []
+        for (hist, bucket), counts in self._by_hist_bucket.items():
+            if len(counts) == 1:  # most tables: no sort
+                for target, n in counts.items():
+                    table = f'"{target}": {n}'
+            else:
+                table = ", ".join([f'"{target}": {counts[target]}' for target in sorted(counts)])
+            rows.append(f'[["{entries(hist)}"], {bucket_text[bucket]}, {{{table}}}]')
+        rows.sort()
         fields = {
             "bucketing": _BUCKETING_VERSION,
             "history": self.history,
             "k": self.k,
             "vocabulary": list(self.vocab.syllable_texts()),
-            "hist_bucket": [
-                (hist, bucket, counts)
-                for (hist, bucket), counts in sorted(
-                    self._by_hist_bucket.items(),
-                    key=lambda item: (*item[0][0], bucket_text[item[0][1]]),
-                )
-            ],
         }
-        modelfile.save(path, _FORMAT, _VERSION, fields)
+        modelfile.save(path, _FORMAT, _VERSION, fields, {"hist_bucket": rows})
 
     @classmethod
     @modelfile.gc_paused()

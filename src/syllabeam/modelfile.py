@@ -36,15 +36,27 @@ def gc_paused():
             gc.enable()
 
 
-def save(path, fmt: str, version: int, fields: dict) -> None:
-    """Write `fields` under a `fmt`/`version` header as sorted-key JSON. Fields
+def save(path, fmt: str, version: int, fields: dict, arrays: dict[str, list[str]] = {}) -> None:
+    """Write `fields` under a `fmt`/`version` header as sorted-key JSON, and
+    each `arrays` field as the JSON array of the element texts it names, as
+    given: the caller wrote each element as `json.dumps(element)` would. Fields
     are a model's own tables of strings and numbers, so none contains itself:
     the cycle check is skipped, and any value JSON cannot hold still fails."""
-    # one dumps call: json.dump would take the pure-Python encoder
     payload = {"format": fmt, "version": version, **fields}
-    text = json.dumps(payload, sort_keys=True, check_circular=False)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write("{")
+        for i, name in enumerate(sorted(payload.keys() | arrays.keys())):
+            fh.write(f"{', ' if i else ''}{json.dumps(name)}: ")
+            if name in arrays:
+                # element by element: a joined text would copy the whole array
+                fh.write("[")
+                for j, text in enumerate(arrays[name]):
+                    fh.write(f", {text}" if j else text)
+                fh.write("]")
+            else:
+                # one dumps call: json.dump would take the pure-Python encoder
+                fh.write(json.dumps(payload[name], sort_keys=True, check_circular=False))
+        fh.write("}\n")
 
 
 def _object_hook():

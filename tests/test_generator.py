@@ -244,19 +244,39 @@ class TestPersistence:
             pairs.append(AlignedPair(MelodySequence(notes), LyricSequence(tokens)))
         return pairs
 
+    @staticmethod
+    def reference_payload(model):
+        """The model's fields as the stdlib encoder takes them: the header, and
+        rows in the order of the JSON text of [history, bucket]."""
+        rows = [[list(hist), bucket, counts] for (hist, bucket), counts in model._by_hist_bucket.items()]
+        return {
+            "format": "syllabeam-generator",
+            "version": 2,
+            "bucketing": 1,
+            "history": model.history,
+            "k": model.k,
+            "vocabulary": list(model.vocab.syllable_texts()),
+            "hist_bucket": sorted(rows, key=lambda row: json.dumps(row[:2])),
+        }
+
     @pytest.mark.parametrize("history", [1, 2, 3])
-    @pytest.mark.parametrize("vocabulary", ["small", "large"])
+    @pytest.mark.parametrize("vocabulary", ["small", "large", "many"])
     def test_rows_in_json_text_order(self, tmp_path, vocabulary, history):
-        corpus = make_corpus(60, seed=57) if vocabulary == "small" else self.wide_corpus(58)
-        vocab = build_vocabulary([p.lyric for p in corpus])
+        """`save` writes each row's JSON text itself; the file is the one the
+        stdlib encoder writes of the model's fields with sorted keys."""
+        model = TestSharing.model(tmp_path, TestSharing.corpus(vocabulary), history, "trained")
         path = tmp_path / "gen.json"
-        train_generator(corpus, vocab, history=history, k=0.1).save(path)
-        payload = json.loads(path.read_text())
-        assert set(payload) == {"format", "version", "bucketing", "history", "k", "vocabulary", "hist_bucket"}
-        assert {len(str(row[1][0])) for row in payload["hist_bucket"] if row[1]} == {1, 2}
-        assert payload["hist_bucket"] == sorted(
-            payload["hist_bucket"], key=lambda row: json.dumps(row[:2])
-        )
+        model.save(path)
+        payload = self.reference_payload(model)
+        assert path.read_text(encoding="utf-8") == json.dumps(payload, sort_keys=True) + "\n"
+        rows = payload["hist_bucket"]
+        assert {len(str(row[1][0])) for row in rows if row[1]} == {1, 2}
+        # tables of several entries, listed out of key order as counted, end
+        # tokens, the null bucket, and apostrophes where the corpus has them
+        assert any(len(counts) > 1 and list(counts) != sorted(counts) for _, _, counts in rows)
+        assert any(EOS_TEXT in counts for _, _, counts in rows)
+        assert any(bucket is None for _, bucket, _ in rows)
+        assert (vocabulary == "small") != any("'" in text for text in payload["vocabulary"])
 
     @pytest.mark.parametrize("history", [1, 2, 3])
     @pytest.mark.parametrize("vocabulary", ["small", "large"])
@@ -405,6 +425,16 @@ class TestSharing:
         model.save(tmp_path / "gen.json")
         return MelodyConditionedNgram.load(tmp_path / "gen.json")
 
+    @staticmethod
+    def peak(call) -> int:
+        """The peak traced memory of `call()`, in bytes."""
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("source", ["trained", "loaded"])
     @pytest.mark.parametrize("history", [1, 2, 3])
     @pytest.mark.parametrize("vocabulary", ["small", "large", "many"])
@@ -451,16 +481,20 @@ class TestSharing:
         path = tmp_path / "gen.json"
         self.model(tmp_path, self.corpus(vocabulary), history, "trained").save(path)
 
-        def peak(call):
-            tracemalloc.start()
-            try:
-                call()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         def parse():
             with open(path, encoding="utf-8") as fh:
                 return json.load(fh)
 
-        assert peak(lambda: MelodyConditionedNgram.load(path)) <= 1.05 * peak(parse)
+        assert self.peak(lambda: MelodyConditionedNgram.load(path)) <= 1.05 * self.peak(parse)
+
+    @pytest.mark.parametrize("history", [1, 2, 3])
+    @pytest.mark.parametrize("vocabulary", ["small", "large", "many"])
+    def test_save_peaks_no_higher_than_encoding(self, tmp_path, vocabulary, history):
+        """`save` holds one text per row and writes them one at a time, so it
+        peaks no higher than the stdlib encoder of the same payload, which
+        builds the whole file's text."""
+        model = self.model(tmp_path, self.corpus(vocabulary), history, "trained")
+        payload = TestPersistence.reference_payload(model)
+        assert self.peak(lambda: model.save(tmp_path / "gen.json")) <= self.peak(
+            lambda: json.dumps(payload, sort_keys=True)
+        )
