@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import modelfile
 from .corpus import (
@@ -58,24 +58,30 @@ def bucket_note(note: Optional[MelodyNote]) -> Optional[NoteBucket]:
     return NoteBucket(note.pitch % 12, note.pitch // 12, duration_class, note.rest > 0)
 
 
-# Every bucket a note has: 128 pitches x 3 duration classes x a rest or none.
-# Each is keyed by its values and their types, as 1 == True and 0 == 0.0, so
-# one lookup checks a JSON bucket, and only an array of a note's values passes.
+# Every bucket a note has: 128 pitches x 3 duration classes x a rest or none,
+# each keyed by itself, so the tuple of a JSON bucket's values finds it with
+# one lookup. 1 == True and 0 == 0.0 hash alike, so the value types are
+# checked after it (`_bucket_from_json`).
 _BUCKETS = {
-    (*bucket, *map(type, bucket)): bucket
+    bucket: bucket
     for bucket in (bucket_note(MelodyNote(p, d, r)) for p in range(128) for d in (0.5, 1, 2) for r in (0, 1))
 }
 # the buckets in a fixed order, and each one's index there: a training
 # record's notes (`training_record`)
-_BUCKET_LIST = tuple(_BUCKETS.values())
+_BUCKET_LIST = tuple(_BUCKETS)
 _BUCKET_IDS = {bucket: index for index, bucket in enumerate(_BUCKET_LIST)}
 
 
 def _bucket_from_json(data) -> Optional[NoteBucket]:
+    if data is None:
+        return None
     try:
-        return None if data is None else _BUCKETS[(*data, *map(type, data))]
-    except (KeyError, TypeError):  # no note's bucket, unhashable, or no array
+        bucket = _BUCKETS[tuple(data)]
+    except (KeyError, TypeError):  # no note's values, unhashable, or not iterable
         pass
+    else:  # only an array of a note's values, never true for 1 nor 0.0 for 0
+        if type(data) is list and type(data[0]) is int and type(data[1]) is int and type(data[3]) is bool:
+            return bucket
     raise ValueError(
         f"bucket {data!r} is not a note's"
         " [pitch class 0-11, register 0-10, duration class, rest flag] or null"
@@ -151,14 +157,15 @@ class MelodyConditionedNgram:
 
     bucket = staticmethod(bucket_note)
 
-    def _derive(self) -> None:
-        """Fill the (history), (bucket) and unigram tables: sums of the (history,
-        bucket) rows. A history's table is its first row itself until a second
+    def _derive(self, rows: Iterable[tuple[tuple[tuple[str, ...], Optional[NoteBucket]], dict[str, int]]]) -> None:
+        """Fill the (history), (bucket) and unigram tables with the sums of the
+        (history, bucket) rows, each ((history, bucket), counts) as `rows`
+        hands it over. A history's table is its first row itself until a second
         row of it arrives, which sums into a copy, so no row's counts change and
         a history of one row keeps one table, and one ranking, for both keys."""
         by_hist, by_bucket, unigram = self._by_hist, self._by_bucket, self._unigram
         summed = set()  # the histories whose table is a sum of two or more rows
-        for (hist, bucket), counts in self._by_hist_bucket.items():
+        for (hist, bucket), counts in rows:
             bucket_row = by_bucket.get(bucket)
             if bucket_row is None:
                 bucket_row = by_bucket[bucket] = {}
@@ -284,50 +291,55 @@ class MelodyConditionedNgram:
         model = cls(Vocabulary(payload["vocabulary"]), payload["history"], payload["k"])
         if list(model.vocab.syllable_texts()) != payload["vocabulary"]:
             raise ValueError("vocabulary must be sorted, distinct entries without <bos> or <eos>")
-        emittable = frozenset(model.vocab.emittable())
+        emittable, history = frozenset(model.vocab.emittable()), model.history
         # each history entry maps to the vocabulary's own string object, so a
         # key holds none of the strings the parser made for its row
-        known = {text: text for text in (*model.vocab.emittable(), BOS_TEXT)}
-
-        def hist_key(data) -> tuple[str, ...]:
-            if type(data) is list and len(data) == model.history:
-                try:
-                    return tuple(map(known.__getitem__, data))
-                except (KeyError, TypeError):  # not an entry, or unhashable
-                    pass
-            raise ValueError(f"history {data!r} is not {model.history} vocabulary entries")
-
+        entry = {text: text for text in (*emittable, BOS_TEXT)}.__getitem__
         # training counts every syllable under its history and bucket, so a
         # trained file has rows; without them no row would pin `history` down
         rows = payload.pop("hist_bucket")
         if not rows:
             raise ValueError("'hist_bucket' has no rows; a trained model always has some")
-        # rows are popped from the end of the reversed list, so each parsed row
-        # is released once read, and the first bad row in file order is named
-        rows.reverse()
         by_hist_bucket = model._by_hist_bucket
-        # rows may share one count table (`modelfile.load`), so a repeated row
-        # shows as a key that leaves the row count as it was, and each table
-        # object is checked once, by its identity
-        size, checked = 0, set()
-        # a saved file holds the rows of each history together, and each run
-        # of them shares one key tuple, built and checked once
-        last, hist = object(), ()  # `last` equals no parsed history
-        while rows:
-            row = rows.pop()
-            if type(row) is not list or len(row) != 3:
-                raise ValueError("a 'hist_bucket' row is not a JSON array of 3")
-            data, note, counts = row
-            if data != last:
-                hist, last = hist_key(data), data
-            by_hist_bucket[hist, _bucket_from_json(note)] = counts
-            if len(by_hist_bucket) == size:
-                raise ValueError(f"repeated 'hist_bucket' row for history {data!r} and bucket {note!r}")
-            size += 1
-            if id(counts) not in checked:
-                modelfile.counts(counts, emittable)
-                checked.add(id(counts))
-        model._derive()
+
+        def checked():
+            """Each row as ((history, bucket), counts), keyed in the model once
+            checked. Rows are popped from the end of the reversed list, so each
+            parsed row is released once read, and the first bad row in file
+            order is named."""
+            rows.reverse()
+            pop = rows.pop
+            # rows may share one count table (`modelfile.load`), so a repeated
+            # row shows as a key that leaves the row count as it was, and each
+            # table object is checked once, by its identity
+            size, seen = 0, set()
+            # a saved file holds the rows of each history together, and each
+            # run of them shares one key tuple, built and checked once
+            last, hist = object(), ()  # `last` equals no parsed history
+            for _ in range(len(rows)):
+                row = pop()
+                if type(row) is not list or len(row) != 3:
+                    raise ValueError("a 'hist_bucket' row is not a JSON array of 3")
+                data, note, counts = row
+                if data != last:
+                    try:
+                        hist = tuple(map(entry, data))
+                    except (KeyError, TypeError):  # not an entry, unhashable, or not iterable
+                        hist = ()
+                    if type(data) is not list or len(hist) != history:
+                        raise ValueError(f"history {data!r} is not {history} vocabulary entries")
+                    last = data
+                key = hist, _bucket_from_json(note)
+                by_hist_bucket[key] = counts
+                if len(by_hist_bucket) == size:
+                    raise ValueError(f"repeated 'hist_bucket' row for history {data!r} and bucket {note!r}")
+                size += 1
+                if id(counts) not in seen:
+                    modelfile.counts(counts, emittable)
+                    seen.add(id(counts))
+                yield key, counts
+
+        model._derive(checked())
         return model
 
     def stats(self) -> dict:
@@ -375,7 +387,7 @@ def train_records(
     training records (`training_record`), once every syllable passed its
     check (`_count_rows`)."""
     model = _count_rows(records, vocab, history, k)
-    model._derive()
+    model._derive(model._by_hist_bucket.items())
     return model
 
 

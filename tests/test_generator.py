@@ -373,6 +373,21 @@ class TestLoadRejectsCorruptCounts:
         with pytest.raises(ValueError, match="is not a non-negative integer"):
             MelodyConditionedNgram.load(saved)
 
+    def test_the_first_bad_row_in_file_order_is_named(self, saved):
+        """Rows are checked as they are summed, in file order: a bad count in
+        the first row is named ahead of a bad history and a bad bucket after it."""
+        payload = json.loads(saved.read_text())
+        rows = payload["hist_bucket"]
+        rows[1][0] = ["zzz", "zzz"]
+        rows[-1][1] = [12, 5, "short", False]
+        saved.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"gen\.json: history \['zzz', 'zzz'\] is not 2 vocabulary entries$"):
+            MelodyConditionedNgram.load(saved)
+        rows[0][2] = {EOS_TEXT: -1}
+        saved.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"gen\.json: count -1 for '<eos>' is not a non-negative integer$"):
+            MelodyConditionedNgram.load(saved)
+
     def test_zero_count_accepted(self, saved):
         served = {}
 
@@ -458,6 +473,29 @@ class TestSharing:
         assert model._by_hist_bucket == naive.tables["hist_bucket"]
         assert model._by_hist == naive.tables["hist"]
         assert model._by_bucket == naive.tables["bucket"]
+
+    @pytest.mark.parametrize("history", [1, 2, 3])
+    @pytest.mark.parametrize("vocabulary", ["small", "large", "many"])
+    def test_rows_in_any_order_load_the_trained_tables(self, tmp_path, vocabulary, history):
+        """`load` sums each row into the backoff tables as it reads it, so a
+        file whose rows are shuffled, the rows of one history apart, loads the
+        trained tables, and a history of one row still keeps that row."""
+        corpus = self.corpus(vocabulary)
+        model = self.model(tmp_path, corpus, history, "trained")
+        path = tmp_path / "gen.json"
+        model.save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        random.Random(history).shuffle(payload["hist_bucket"])
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = MelodyConditionedNgram.load(path)
+        for name in ("_by_hist_bucket", "_by_hist", "_by_bucket", "_unigram"):
+            assert getattr(loaded, name) == getattr(model, name)
+        rows = defaultdict(list)
+        for (hist, _), counts in loaded._by_hist_bucket.items():
+            rows[hist].append(counts)
+        assert any(len(of_hist) == 1 for of_hist in rows.values()) or vocabulary != "many"
+        for hist, of_hist in rows.items():
+            assert (loaded._by_hist[hist] is of_hist[0]) == (len(of_hist) == 1)
 
     @pytest.mark.parametrize("history", [1, 2, 3])
     @pytest.mark.parametrize("vocabulary", ["small", "large"])
