@@ -114,13 +114,14 @@ def _search(hyps: list, seams: tuple, melody: MelodySequence, t: int, config: Fu
 
     # pool entries: (-cumulative, parent index, candidate id, text, generator
     # prob, LM score or None, contribution), in natural order; id -1 keeps a
-    # frozen hypothesis ahead of same-score expansions of its parent. A full
-    # pool keeps its best `width`. A candidate no better than the last one is
+    # frozen hypothesis ahead of same-score expansions of its parent. A pool
+    # of twice `width` entries is cut to its best `width`, sorted once per
+    # `width` entries added. A candidate no better than the last one kept is
     # skipped unbuilt: on a tie, its larger parent index sorts it after.
     pool: list[tuple] = []
     bound = math.inf
     for parent, (base, finished, rendered, key, _) in enumerate(hyps):
-        if len(pool) >= width:
+        if len(pool) >= 2 * width:
             pool.sort()
             del pool[width:]
             bound = pool[-1][0]

@@ -31,9 +31,10 @@ from .corpus import (
     serialize_lyric_line,
 )
 from .generator import MelodyConditionedNgram, training_record, write_trained
+from .halves import halves
 from .lm import CharNgramModel, lyric_lm_text, nsp_metrics, train_char_ngram
 from .metrics import EvalPair, corpus_eval, emit_llm_eval_prompt
-from .nsp import BuilderConfig, halves, write_dataset
+from .nsp import BuilderConfig, write_dataset
 
 
 def _decimal(cast, pattern):

@@ -34,6 +34,7 @@ _FORMAT = "syllabeam-generator"
 _VERSION = 2
 _BUCKETING_VERSION = 1
 _SCHEMA = {"bucketing": int, "history": int, "k": float, "vocabulary": list, "hist_bucket": list}
+MAX_HISTORY = 32  # past a lyric's length, a longer history adds only padding
 
 
 class NoteBucket(NamedTuple):
@@ -130,6 +131,8 @@ class MelodyConditionedNgram:
     def __init__(self, vocab: Vocabulary, history: int = 2, k: float = 0.1):
         if history < 1:
             raise ValueError("history must be >= 1")
+        if history > MAX_HISTORY:
+            raise ValueError(f"history must be <= {MAX_HISTORY}")
         if not 0 <= k < math.inf:
             raise ValueError("smoothing k must be finite and >= 0")
         self.vocab = vocab

@@ -18,7 +18,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import modelfile
 from .corpus import _SYLLABLE_RE, EOS_TEXT, naming
-from .nsp import check_row, halves, read_nsp_blocks
+from .halves import halves
+from .nsp import check_row, read_nsp_blocks
 
 EOS_CHAR = "$"
 # every character a lyric in the corpus grammar encodes to: syllables match
@@ -30,6 +31,7 @@ _SIZE = len(DEFAULT_ALPHABET)
 # the pad train_char_ngram puts between texts: a character outside the alphabet
 _PAD = "\0"
 BACKOFF_FACTOR = 0.4
+MAX_ORDER = 32  # past a text's length, a longer context adds only padding
 
 SPACED = "spaced"
 UNSPACED = "unspaced"
@@ -89,6 +91,8 @@ class CharNgramModel:
     def __init__(self, order: int, k: float):
         if order < 1:
             raise ValueError("order must be >= 1")
+        if order > MAX_ORDER:
+            raise ValueError(f"order must be <= {MAX_ORDER}")
         if not 0 <= k < math.inf:
             raise ValueError("smoothing k must be finite and >= 0")
         self.order = order
@@ -214,8 +218,8 @@ class CharNgramModel:
     def score_nsp_file(self, path) -> list[tuple[float, int]]:
         """(nsp_score, label) of each row of the NSP TSV file at `path`, as
         `read_nsp_blocks` checks and yields it; a bad line raises its
-        ValueError. The file is read in `nsp.halves`, on two processes where
-        it can, and each process scores its rows with a memo of its own
+        ValueError. The file is read in `halves.halves`, on two processes
+        where it can, and each process scores its rows with a memo of its own
         (`_scored_blocks`), so each computes each continuation its rows ask
         for once. The pairs `marshal` loads keep the sharing the child's had,
         so its equal pairs of one key and label stay one tuple."""

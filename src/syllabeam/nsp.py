@@ -17,28 +17,23 @@ Rows are (context, candidate, label) where a candidate's leading
 underscore marks a preceding space. Output is deterministic for a given
 seed: each lyric draws from its own substream keyed by (seed, lyric index).
 `_lyric_text` is the one builder; `tests/nsp_rules.py` states the same rules
-row by row as the tests' oracle. Building a dataset (`write_dataset`) and
-scoring one (`lm.CharNgramModel.score_nsp_file`) each read their file in
-`halves`, on two processes where they can, as the CLI's training commands
-read the corpus.
+row by row as the tests' oracle. `write_dataset` reads the corpus in
+`halves.halves`, on two processes where it can.
 """
 
 from __future__ import annotations
 
-import marshal
-import os
 import re
 import shutil
-import signal
 import tempfile
 from collections import namedtuple
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .corpus import EOS_TEXT, LyricSequence, aligned_pair_parser, naming, open_input, read_lines
-from .rng import _GAMMA, _MASK, _MIX1, _MIX2, _UNIT, SplitMix64, substream
+from .halves import halves
+from .rng import _GAMMA, _MASK, _MIX1, _MIX2, _UNIT, substream
 
 # The rows the builder writes. A context is (?:[a-z' ]|<eos>)+; the context
 # pattern matches the same strings, the empty one aside, without branching per
@@ -79,10 +74,10 @@ def candidate_marker(text: str, spaced: bool) -> str:
     return ("_" + text) if spaced else text
 
 
-def _draw_from(rng: SplitMix64) -> Callable[[], int]:
-    """A function returning what `rng.next_uint64()` would, call after call,
-    with the recurrence inlined in it; `rng` itself does not advance."""
-    state = rng._state
+def _draw_from(state: int) -> Callable[[], int]:
+    """A function returning, call after call, the SplitMix64 draws (`rng`)
+    of the stream whose state is `state`, a `substream`; the recurrence is
+    inlined in it."""
 
     def draw() -> int:
         nonlocal state
@@ -110,8 +105,8 @@ def _lyric_text(lyric: LyricSequence, config: BuilderConfig, index: int) -> str:
     final position predicts the end marker from the whole lyric. The
     markers, rendered contexts and the indices each draw pool leaves out
     are built once per lyric, and `draw` is `_draw_from` the lyric's
-    substream: `randrange(n)` is `draw() % n` and `bernoulli(p)` is
-    `(draw() >> 11) * _UNIT < p`, the same draws in the same order."""
+    substream: a draw below n is `draw() % n` and a coin of probability p
+    is `(draw() >> 11) * _UNIT < p`, one draw each."""
     draw = _draw_from(substream(config.seed, index))
 
     # (text, spaced) occurrence list the negatives draw from; the end
@@ -217,53 +212,6 @@ def build_dataset(
     return _summary(positives, total)
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _forks() -> bool:
-    """Whether work may be split with a forked child: `os.fork` exists and
-    two CPUs are free."""
-    return hasattr(os, "fork") and _cpus() > 1
-
-
-@contextmanager
-def _forked(child: Callable[[], object], work: str) -> Iterator[None]:
-    """Run `child()` in a forked child process while the body runs in this one.
-
-    The child leaves by `os._exit`, flushing none of this process's buffers,
-    with the exit code the CLI gives a failure of its kind: 0 once `child()`
-    returns, 2 on a ValueError and 1 on anything else. It is always reaped,
-    and killed first if the body fails. Once the body is done, a child that
-    failed raises ValueError (code 2) or ChildProcessError, each naming
-    `work` and the code. Like the collector pause, this assumes one thread:
-    a fork beside other threads may copy a lock another thread holds."""
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            child()
-            code = 0
-        except ValueError:
-            code = 2
-        finally:
-            os._exit(code)
-    try:
-        yield
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code:
-        message = f"the process {work} exited with code {code}"
-        raise ValueError(message) if code == 2 else ChildProcessError(message)
-
-
 def nsp_line(example: NspExample) -> str:
     """The TSV line of one row: context, candidate and label, tab-separated."""
     return f"{example[0]}\t{example[1]}\t{example[2]}\n"
@@ -307,54 +255,6 @@ def read_nsp_blocks(path, start: int = 0, stop: Optional[int] = None) -> Iterato
                             raise ValueError(f"expected 3 columns, got {len(parts)}")
                         check_row(*parts)  # raises: _ROWS_RE matches every row it passes
             first += len(block)
-
-
-def _split(path) -> Optional[int]:
-    """The byte just past the first line break at or after the middle byte of
-    the regular file at `path`, where a byte follows it."""
-    if not os.path.isfile(path):
-        return None
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        fh.seek(size // 2)
-        fh.readline()
-        split = fh.tell()
-    return split if split < size else None
-
-
-def halves(path, part: Callable[[int, Optional[int]], list]) -> list:
-    """`part(0, None)`: the list `part` makes of the whole file at `path`,
-    `part(start, stop)` reading only the file's bytes from `start` up to
-    `stop` (the end for None).
-
-    Where the work may be split (`_forks`) and a line break at or past the
-    middle byte has bytes after it (`_split`), a `_forked` child makes
-    `part(0, split)` while this process makes `part(split, None)`, each part
-    of the file read once. Only the child reads a part that stops early, so
-    only the child holds its part's bytes (`open_input`). The child dumps its
-    list with `marshal` to an unlinked temporary file, and this process
-    appends its own list to the child's. On a ValueError of either part, a
-    bad line, the whole file is read again in this process alone, so the
-    error raised is the one-process read's, its line and message the same."""
-    split = _split(path) if _forks() else None
-    if split is not None:
-        try:
-            with tempfile.TemporaryFile() as spill:
-                with _forked(partial(_dump, part, split, spill.fileno()), f"reading {path} up to byte {split}"):
-                    tail = part(split, None)
-                spill.seek(0)
-                made = marshal.loads(spill.read())
-            made.extend(tail)
-            return made
-        except ValueError:
-            pass  # a bad line: the read below fails on it as it would alone
-    return part(0, None)
-
-
-def _dump(part: Callable[[int, Optional[int]], list], stop: int, fd: int) -> None:
-    """Write `part(0, stop)`, marshalled, to the file open at `fd`."""
-    with open(fd, "wb", closefd=False) as out:
-        out.write(marshal.dumps(part(0, stop)))
 
 
 def _records_before(path, stop: int) -> int:

@@ -15,7 +15,8 @@ LM's own score of any alphabet text from the one function every LM query
 scores through, past every query's checks. Decode's rules and the search
 oracles built on them live in `decode_rules.py`. `counting_forks`,
 `assert_no_child_left`, `ONE_CPU_OR_FORKED` and `LINE_ENDS` serve the tests
-of the two-process reader (`nsp.halves`) in both `*_fork.py` modules.
+of the two-process reader (`halves.halves`) in `test_halves.py` and both
+`*_fork.py` modules.
 `tsv_rows` reads a whole NSP TSV file as the builder's rows.
 """
 
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 
 import pytest
 
-from syllabeam import nsp
+from syllabeam import halves
 from syllabeam.corpus import (
     BOS_TEXT,
     EOS_TEXT,
@@ -40,7 +41,7 @@ from syllabeam.corpus import (
     SyllableToken,
 )
 from syllabeam.lm import BACKOFF_FACTOR, DEFAULT_ALPHABET, EOS_CHAR, SPACED, UNSPACED, ContinuationScore
-from syllabeam.nsp import BuilderConfig, NspExample
+from syllabeam.nsp import BuilderConfig, NspExample, read_nsp_blocks
 
 # small word inventory, each word pre-split into syllables
 WORDS = [
@@ -123,7 +124,7 @@ def counting_forks(monkeypatch, cpus):
         forks.append(1)
         return fork()
 
-    monkeypatch.setattr(nsp, "_cpus", lambda: cpus)
+    monkeypatch.setattr(halves, "_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", counted_fork)
     return forks
 
@@ -330,4 +331,4 @@ def expected_dataset_size(corpus: Sequence[LyricSequence], config: BuilderConfig
 def tsv_rows(path) -> list[NspExample]:
     """Every row `nsp.read_nsp_blocks` reads from the NSP TSV file at `path`,
     as the builder hands it over: an `NspExample`, its label an int."""
-    return [NspExample(c, k, int(label)) for block in nsp.read_nsp_blocks(path) for c, k, label in block]
+    return [NspExample(c, k, int(label)) for block in read_nsp_blocks(path) for c, k, label in block]

@@ -1,11 +1,12 @@
 """The NSP dataset's rules, stated row by row for the tests' oracle.
 
 `build_examples_for_lyric` writes one lyric's rows as `NspExample`s, each
-drawn through `rng.SplitMix64`'s own `randrange` and `bernoulli`, and
+drawn through `SplitMix64`'s own `randrange` and `bernoulli`, and
 `corrupted_context` renders a context with one slot replaced. The library
 builds each lyric's TSV text in one pass (`nsp._lyric_text`, its draws
 inlined); the tests hold that text equal to `nsp_line` of these rows.
-Nothing here shares code with that builder.
+Nothing here shares code with that builder: `SplitMix64` states the
+recurrence of `rng` on its own, started at the state `rng.substream` gives.
 """
 
 from __future__ import annotations
@@ -14,7 +15,36 @@ from typing import Sequence
 
 from syllabeam.corpus import EOS_TEXT, LyricSequence, SyllableToken, render_text
 from syllabeam.nsp import BuilderConfig, NspExample
-from syllabeam.rng import SplitMix64
+
+MASK = (1 << 64) - 1
+
+
+class SplitMix64:
+    """SplitMix64 (Steele, Lea & Flood, 2014), each derived draw defined by
+    `next_uint64`; never uses global state."""
+
+    def __init__(self, seed: int):
+        self._state = seed & MASK
+
+    def next_uint64(self) -> int:
+        self._state = z = (self._state + 0x9E3779B97F4A7C15) & MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+        return z ^ (z >> 31)
+
+    def random(self) -> float:
+        """Uniform float in [0, 1): the top 53 bits of one draw / 2**53."""
+        return (self.next_uint64() >> 11) / 2**53
+
+    def randrange(self, n: int) -> int:
+        """Uniform integer in [0, n): one draw reduced mod n."""
+        if n <= 0:
+            raise ValueError("randrange() bound must be positive")
+        return self.next_uint64() % n
+
+    def bernoulli(self, p: float) -> bool:
+        """True with probability p; consumes exactly one draw."""
+        return self.random() < p
 
 
 def marker(text: str, spaced: bool) -> str:

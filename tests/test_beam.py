@@ -257,6 +257,18 @@ class TestDecodeLaterSteps:
             gen, lm, melody, config = self.random_instance(rnd)
             assert decode(melody, gen, lm, config) == reference_decode(melody, gen, lm, config)
 
+    def test_matches_reference_with_a_wide_beam(self):
+        # each of 30 parents proposes 30 of 36 syllables, so past the first
+        # step the pool is cut back to its best 30 at 60 entries about three
+        # times a step
+        rnd = random.Random(7)
+        vocab = Vocabulary([f"s{a}{b}" for a in "abcdef" for b in "abcdef"])
+        for _ in range(4):
+            gen = RandomTableGenerator(vocab, rnd.randrange(10**9), eos_weight=0.1)
+            lm = RandomLM(rnd.randrange(10**9))
+            config = FusionConfig(beam_size=30, lambda_lm=rnd.choice([0.5, 1.0]), max_len=7)
+            assert decode(melody_of(6), gen, lm, config) == reference_decode(melody_of(6), gen, lm, config)
+
     def test_matches_reference_past_melody_end(self):
         rnd = random.Random(99)
         for _ in range(20):

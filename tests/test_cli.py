@@ -132,6 +132,17 @@ class TestTrain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command, flag", [("train-lm", "--order"), ("train-generator", "--history")])
+    @pytest.mark.parametrize("value", ["33", "1000000"])
+    def test_a_size_past_the_bound_is_rejected(self, tmp_path, corpus_path, capsys, command, flag, value):
+        # the constructor rejects it before anything of that size is built
+        out = tmp_path / "out"
+        code = main([command, "--corpus", corpus_path, "--out", str(out), flag, value])
+        captured = capsys.readouterr()
+        name = flag.removeprefix("--")
+        assert (code, captured.out, captured.err) == (2, "", f"error: {name} must be <= 32\n")
+        assert not out.exists()
+
 
 class TestGenerate:
     def test_default_lambdas_echoed(self, melody_path, models, capsys):

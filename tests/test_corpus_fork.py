@@ -2,26 +2,22 @@
 they can.
 
 `train-lm`, `train-generator` and `build-nsp-dataset` each read the corpus
-in `nsp.halves`: a forked child reads the bytes up to the first line break
-at or after the middle byte while the command reads those past it, and the
-child ships back what the command keeps of each record (an LM text, a
-training record, or its lyrics' counts, their rows in a file of its own).
-Each part is read once, by its own process.
-Model files, the TSV and stdout must equal those of the one-process path,
-and bad input must fail as it fails there, with `--out` neither created nor
-truncated.
-
-These tests force the one-process path by making the CPU probe report one
-CPU, and count the forks. The child must never outlive the command, whether
-it succeeds, the child fails or the command itself fails.
+in `halves.halves`, whose contract `test_halves.py` states: a forked child
+reads the bytes up to the first line break at or after the middle byte
+while the command reads those past it, and the child ships back what the
+command keeps of each record (an LM text, a training record, or its
+lyrics' counts, their rows in a file of its own). Here, model files, the TSV
+and stdout must equal those of the one-process path, each part must be read
+once by its own process, the build command's substreams must start past the
+records before the split, and a bad record or an empty corpus must leave
+`--out` as it was.
 """
 
 import os
-import time
 
 import pytest
 
-from syllabeam import cli, nsp
+from syllabeam import cli, halves, nsp
 from syllabeam.cli import main
 from syllabeam.corpus import read_lines, write_aligned_corpus
 
@@ -55,12 +51,6 @@ def run(capsys, monkeypatch, command, corpus, out, cpus):
     return (code, captured.out, captured.err, out.read_bytes() if out.exists() else None), len(forks)
 
 
-def first_past_the_split(data: bytes) -> int:
-    """The 0-based number of the first line past the split `nsp._split`
-    takes in `data`."""
-    return data.count(b"\n", 0, data.index(b"\n", len(data) // 2) + 1)
-
-
 @EACH_COMMAND
 @ONE_CPU_OR_FORKED
 @pytest.mark.parametrize("ends", LINE_ENDS)
@@ -81,7 +71,7 @@ def test_each_part_is_read_once_by_its_process(tmp_path, capsys, monkeypatch, lf
     # the output and the fork count alone would not show a part read again
     corpus, out, log = tmp_path / "corpus.jsonl", tmp_path / "out", tmp_path / "parts.txt"
     corpus.write_text(lf_text, encoding="utf-8")
-    parent, halves = os.getpid(), nsp.halves
+    parent, read = os.getpid(), halves.halves
 
     def logged_halves(path, part):
         def logged_part(start, stop):
@@ -89,12 +79,12 @@ def test_each_part_is_read_once_by_its_process(tmp_path, capsys, monkeypatch, lf
                 fh.write(f"{os.getpid() != parent} {start} {stop}\n")
             return part(start, stop)
 
-        return halves(path, logged_part)
+        return read(path, logged_part)
 
     monkeypatch.setattr(cli, "halves", logged_halves)
     monkeypatch.setattr(nsp, "halves", logged_halves)
     outcome, forks = run(capsys, monkeypatch, command, corpus, out, 2)
-    split = nsp._split(corpus)
+    split = halves._split(corpus)
     assert (outcome[0], forks) == (0, 1)
     assert sorted(log.read_text(encoding="utf-8").splitlines()) == [f"False {split} None", f"True 0 {split}"]
     assert_no_child_left()
@@ -105,7 +95,7 @@ def test_the_records_before_the_split_are_those_read(tmp_path, lf_text, ends):
     # the build command's first substream index
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes(LINE_ENDS[ends](lf_text.replace("\n", "\r\n", 3)).encode())
-    split = nsp._split(corpus)
+    split = halves._split(corpus)
     if split is None:
         assert ends == "lone cr"
         split = len(lf_text) // 2  # no line starts here: the count runs to the next break
@@ -127,37 +117,16 @@ def test_the_records_before_a_byte_are_counted_a_block_at_a_time(tmp_path, monke
 @EACH_COMMAND
 @ONE_CPU_OR_FORKED
 @pytest.mark.parametrize("existing", [OLD_OUT, None], ids=["out exists", "out missing"])
-@pytest.mark.parametrize("where", ["last before the split", "just past the split", "last line"])
-def test_a_bad_record_fails_as_it_fails_serially(
-    tmp_path, capsys, monkeypatch, lf_text, command, where, existing, cpus
-):
+def test_a_bad_record_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, lf_text, command, existing, cpus):
     corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
     lines = lf_text.splitlines(keepends=True)
-    first = first_past_the_split(lf_text.encode())
-    bad = {"last before the split": first - 1, "just past the split": first, "last line": len(lines) - 1}[where]
-    lines[bad] = lines[bad].replace('"syllables"', '"syllablez"')  # same length: the split stays
+    lines[-1] = lines[-1].replace('"syllables"', '"syllablez"')
     corpus.write_text("".join(lines), encoding="utf-8")
-    assert nsp._split(corpus) == len("".join(lines[:first]).encode())
     if existing is not None:
         out.write_bytes(existing)
     outcome, forks = run(capsys, monkeypatch, command, corpus, out, cpus)
-    message = f"error: {corpus}:{bad + 1}: unknown key 'syllablez'\n"
+    message = f"error: {corpus}:{len(lines)}: unknown key 'syllablez'\n"
     assert (outcome, forks) == ((2, "", message, existing), cpus - 1)
-    assert_no_child_left()
-
-
-@EACH_COMMAND
-@ONE_CPU_OR_FORKED
-def test_a_bad_byte_past_the_split_fails_as_it_fails_serially(tmp_path, capsys, monkeypatch, lf_text, command, cpus):
-    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
-    data = lf_text.encode()
-    at = data.index(b"\n", len(data) // 2) + 40
-    corpus.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
-    expected, _ = run(capsys, monkeypatch, command, corpus, out, 1)
-    outcome, forks = run(capsys, monkeypatch, command, corpus, out, cpus)
-    assert (outcome, forks) == (expected, cpus - 1)
-    assert expected[:2] == (2, "") and expected[3] is None
-    assert expected[2].startswith(f"error: {corpus}: 'utf-8' codec can't decode byte 0xff in position ")
     assert_no_child_left()
 
 
@@ -168,53 +137,4 @@ def test_a_blank_only_corpus_is_empty(tmp_path, capsys, monkeypatch, command, cp
     corpus.write_bytes(b"\n\n\r\n\n")
     outcome, forks = run(capsys, monkeypatch, command, corpus, out, cpus)
     assert (outcome, forks) == ((2, "", f"error: {corpus}: corpus is empty\n", None), cpus - 1)
-    assert_no_child_left()
-
-
-def before_each_read(monkeypatch, call):
-    """Make each corpus read first call `call(in_child)`, `in_child` true in
-    the forked child and false in this process."""
-    parent = os.getpid()
-
-    def called_first(*args):
-        call(os.getpid() != parent)
-        return read_lines(*args)
-
-    monkeypatch.setattr(cli, "read_lines", called_first)
-    monkeypatch.setattr(nsp, "read_lines", called_first)
-
-
-@EACH_COMMAND
-def test_a_failing_child_fails_the_command(tmp_path, capsys, monkeypatch, lf_text, command):
-    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
-    corpus.write_text(lf_text, encoding="utf-8")
-    out.write_bytes(OLD_OUT)
-
-    def failing_child(in_child):
-        if in_child:
-            raise RuntimeError("child failure")
-
-    before_each_read(monkeypatch, failing_child)
-    outcome, forks = run(capsys, monkeypatch, command, corpus, out, 2)
-    message = f"error: the process reading {corpus} up to byte {nsp._split(corpus)} exited with code 1\n"
-    assert (outcome, forks) == ((1, "", message, OLD_OUT), 1)
-    assert_no_child_left()
-
-
-@EACH_COMMAND
-def test_a_failing_command_kills_its_child(tmp_path, capsys, monkeypatch, lf_text, command):
-    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
-    corpus.write_text(lf_text, encoding="utf-8")
-
-    def hanging_child_failing_parent(in_child):
-        if in_child:
-            time.sleep(60)  # only a kill ends it in time
-        raise ValueError("parent failure")
-
-    before_each_read(monkeypatch, hanging_child_failing_parent)
-    start = time.monotonic()
-    outcome, forks = run(capsys, monkeypatch, command, corpus, out, 2)
-    assert time.monotonic() - start < 30
-    # a ValueError: the corpus is read again in this process, which fails alike
-    assert (outcome, forks) == ((2, "", "error: parent failure\n", None), 1)
     assert_no_child_left()

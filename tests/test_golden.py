@@ -43,7 +43,7 @@ COMMANDS = {
                     "--set", "references again=references.txt", "--variant", "annotated"],
 }
 FILES = ("lm.json", "gen.json", "nsp.tsv")
-# the CPU counts the probe reports (`nsp._cpus`): one reads serially, two fork
+# the CPU counts the probe reports (`halves._cpus`): one reads serially, two fork
 CPUS = (1, 2)
 
 CORPORA = {

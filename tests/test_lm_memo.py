@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from syllabeam import halves
 from syllabeam import lm as lm_module
 from syllabeam import nsp as nsp_module
 from syllabeam.beam import FusionConfig, decode
@@ -415,7 +416,7 @@ def written_dataset(corpus, seed, path):
 
 def test_nsp_rows_compute_each_continuation_once(tmp_path, monkeypatch):
     # on one CPU: a forked read counts each process's keys in that process
-    monkeypatch.setattr(nsp_module, "_cpus", lambda: 1)
+    monkeypatch.setattr(halves, "_cpus", lambda: 1)
     corpus = make_corpus(40, seed=43)
     rows = written_dataset(corpus, 44, tmp_path / "nsp.tsv")
     lm, computed = counting_model(corpus)
@@ -435,7 +436,7 @@ def test_nsp_rows_compute_each_continuation_once(tmp_path, monkeypatch):
 def test_nsp_file_keeps_one_pair_per_key_and_label(tmp_path, monkeypatch):
     # a memo hit of either label appends a pair already made, so the list
     # holds at most one tuple per (suffix, candidate, label)
-    monkeypatch.setattr(nsp_module, "_cpus", lambda: 1)
+    monkeypatch.setattr(halves, "_cpus", lambda: 1)
     corpus = make_corpus(40, seed=43)
     rows = written_dataset(corpus, 44, tmp_path / "nsp.tsv")
     lm, _ = counting_model(corpus)
@@ -484,7 +485,7 @@ def test_nsp_file_checks_each_row_once(tmp_path, monkeypatch):
     # lines, no match of a single line while every line is a row, and no
     # alphabet check of a context or a candidate after it; on one CPU, so
     # that this process reads every block
-    monkeypatch.setattr(nsp_module, "_cpus", lambda: 1)
+    monkeypatch.setattr(halves, "_cpus", lambda: 1)
     corpus = make_corpus(40, seed=45)
     path = tmp_path / "nsp.tsv"
     rows = written_dataset(corpus, 46, path)

@@ -144,6 +144,7 @@ LM_CASES = header_cases(
     pytest.param(edit(lambda p: p.update(tables=p["tables"][:2])), "2 count levels for order 4",
                  id="order 4, two levels"),
     pytest.param(edit(lambda p: p.update(order=0, tables=[])), "order must be >= 1", id="order 0"),
+    pytest.param(edit(lambda p: p.update(order=33, tables=[{}] * 33)), "order must be <= 32", id="order 33"),
     pytest.param(field("k", -0.5), "smoothing k must be finite", id="negative k"),
     pytest.param(field("k", float("nan")), "smoothing k must be finite", id="k NaN"),
     pytest.param(field("k", float("inf")), "smoothing k must be finite", id="k Infinity"),
@@ -263,6 +264,8 @@ GEN_CASES = header_cases(
     whole(None, "syllabeam-generator"),
     pytest.param(field("bucketing", 2), "unsupported bucketing version 2", id="bucketing 2"),
     pytest.param(field("history", 0), "history must be >= 1", id="history 0"),
+    pytest.param(field("history", 33), "history must be <= 32", id="history 33"),
+    pytest.param(field("history", 1_000_000), "history must be <= 32", id="history 1000000"),
     pytest.param(field("k", -1), "smoothing k must be finite", id="negative k"),
     pytest.param(field("k", float("nan")), "smoothing k must be finite", id="k NaN"),
     pytest.param(field("k", float("inf")), "smoothing k must be finite", id="k Infinity"),
@@ -301,8 +304,8 @@ GEN_CASES = header_cases(
     pytest.param(field("hist", [[[BOS_TEXT, BOS_TEXT], {EOS_TEXT: 1}]]), "unknown field 'hist'",
                  id="hist rows of version 1"),
     pytest.param(field("hist_bucket", []), f"'hist_bucket' {NO_ROWS}", id="no hist_bucket rows"),
-    pytest.param(edit(lambda p: p.update(history=1_000_000, hist_bucket=[])), f"'hist_bucket' {NO_ROWS}",
-                 id="history 1000000, no history rows"),
+    pytest.param(edit(lambda p: p.update(history=32, hist_bucket=[])), f"'hist_bucket' {NO_ROWS}",
+                 id="history 32, no history rows"),
 ] + history_cases() + bucket_cases()
 
 

@@ -12,8 +12,8 @@ def test_each_listed_mutant_applies_once():
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
     names = {
-        "mutants_beam.txt", "mutants_cli.txt", "mutants_generator.txt", "mutants_inputs.txt", "mutants_lm.txt",
-        "mutants_modelfile.txt", "mutants_nsp.txt",
+        "mutants_beam.txt", "mutants_cli.txt", "mutants_generator.txt", "mutants_halves.txt", "mutants_inputs.txt",
+        "mutants_lm.txt", "mutants_modelfile.txt", "mutants_nsp.txt",
     }
     assert names <= {path.name for path in mutants.MUTANT_FILES}
     for path in mutants.MUTANT_FILES:

@@ -1,3 +1,4 @@
+import os
 import random
 import re
 from unittest import mock
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syllabeam import nsp
+from syllabeam import halves, nsp
 from syllabeam.corpus import EOS_TEXT, LyricSequence, SyllableToken, parse_lyric_line, render_text, write_aligned_corpus
 from syllabeam.nsp import (
     _ROWS_RE,
@@ -21,10 +22,10 @@ from syllabeam.nsp import (
     write_dataset,
 )
 from syllabeam.lm import nsp_accuracy, nsp_metrics
-from syllabeam.rng import _UNIT, SplitMix64, substream
+from syllabeam.rng import _UNIT, substream
 
 from conftest import expected_dataset_size, make_corpus, make_lyric, tsv_rows
-from nsp_rules import build_examples_for_lyric, corrupted_context
+from nsp_rules import SplitMix64, build_examples_for_lyric, corrupted_context
 
 # the running example lyric: "i know why your mean to me when i call on the telephone"
 PHONE_LINE = "i _know _why _your _mean _to _me _when _i _call _on _the _tel e phone"
@@ -39,7 +40,7 @@ NO_RANDOM_RULES = BuilderConfig(
 
 
 def rows_for(lyric, config, seed_index=0):
-    return build_examples_for_lyric(lyric, config, substream(config.seed, seed_index))
+    return build_examples_for_lyric(lyric, config, SplitMix64(substream(config.seed, seed_index)))
 
 
 def test_contexts_are_rendered_prefixes():
@@ -256,7 +257,7 @@ RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 def test_builder_text_is_the_oracle_rows_lines(lyric, config, index):
     """The one builder writes, as one string, the `nsp_line`s of the rows the
     oracle states rule by rule, drawing through `SplitMix64` itself."""
-    rows = build_examples_for_lyric(lyric, config, substream(config.seed, index))
+    rows = build_examples_for_lyric(lyric, config, SplitMix64(substream(config.seed, index)))
     assert _lyric_text(lyric, config, index) == "".join(map(nsp_line, rows))
 
 
@@ -265,7 +266,7 @@ def test_inlined_draws_are_splitmix64s():
     # (draw() >> 11) * _UNIT < p, one draw each, as SplitMix64 defines them
     rnd = random.Random(12)
     for seed in [0, 1, 2**63, 2**64 - 1, *(rnd.getrandbits(64) for _ in range(500))]:
-        rng, draw = SplitMix64(seed), _draw_from(SplitMix64(seed))
+        rng, draw = SplitMix64(seed), _draw_from(seed)
         for n in (1, 2, 3, 7, 21, 2**40 + 1):
             assert draw() % n == rng.randrange(n)
         for p in (0.0, 0.4, 0.5, 0.6, 1.0, rnd.random()):
@@ -321,9 +322,9 @@ def test_build_dataset_rows_are_the_written_file(tmp_path, monkeypatch, cpus):
     corpus = [p.lyric for p in pairs]
     config = BuilderConfig(seed=8)
     forks = []
-    fork = nsp.os.fork
-    monkeypatch.setattr(nsp, "_cpus", lambda: cpus)
-    monkeypatch.setattr(nsp.os, "fork", lambda: forks.append(1) or fork())
+    fork = os.fork
+    monkeypatch.setattr(halves, "_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     written = write_dataset(tmp_path / "corpus.jsonl", config, tmp_path / "nsp.tsv")
     rows = []
     assert {"lyrics": len(corpus), **build_dataset(corpus, config, rows.append)} == written

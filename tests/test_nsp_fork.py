@@ -9,22 +9,21 @@ stdout must equal those of the one-process path.
 
 `nsp-eval`: a forked child scores the TSV's bytes up to the first line
 break at or after the middle byte while the command scores those past it,
-and the command appends its own pairs after the child's. The pairs, and so
-stdout, must equal those of the one-process path, and a bad line must fail
-as it fails there.
+and the command appends its own pairs after the child's. The pairs, in file
+order, and so stdout, must equal those of the one-process path.
 
-These tests force the one-process path by making the CPU probe report one
-CPU, and count the forks. The child must never outlive the command, whether
-it succeeds, the child fails or the command itself fails.
+`test_halves.py` states the reader's contract for any part: a bad line fails
+as it fails on one process, and a failing child fails the read. These tests
+force the one-process path by making the CPU probe report one CPU, and count
+the forks.
 """
 
 import os
-import re
-import time
 
 import pytest
 
-from syllabeam import lm as lm_module, nsp
+from syllabeam import halves, nsp
+from syllabeam import lm as lm_module
 from syllabeam.cli import main
 from syllabeam.corpus import load_aligned_corpus, render_text, serialize_lyric_line, write_aligned_corpus
 from syllabeam.lm import lyric_lm_text, train_char_ngram
@@ -60,7 +59,7 @@ def test_forked_build_writes_the_serial_bytes(tmp_path, capsys, monkeypatch, cor
     serial, serial_forks = build(capsys, monkeypatch, corpus, out, 1, "--seed", str(seed))
     out.unlink()
     forked, forks = build(capsys, monkeypatch, corpus, out, 2, "--seed", str(seed))
-    assert (serial_forks, forks) == (0, int(nsp._split(corpus) is not None))
+    assert (serial_forks, forks) == (0, int(halves._split(corpus) is not None))
     assert forks or lyrics < 3  # a split needs a line break before the last line
     assert serial[0] == 0 and serial[1].count("\n") == 2 and serial[3]
     assert forked == serial
@@ -91,56 +90,6 @@ def test_each_lyric_is_checked_once_as_its_line_is_read(tmp_path, capsys, monkey
     assert_no_child_left()
 
 
-def test_cpus_without_an_affinity_call_counts_the_cpus(monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert nsp._cpus() == (os.cpu_count() or 1)
-
-
-def child_part(corpus):
-    """The split `nsp._split` takes in the corpus file, up to which the child
-    reads, and the index of the first lyric past it, the command's first."""
-    split = nsp._split(corpus)
-    return split, len([line for line in corpus.read_bytes()[:split].splitlines() if line])
-
-
-def test_a_failing_child_fails_the_command(tmp_path, capsys, monkeypatch, corpus_of):
-    corpus, out = corpus_of(101), tmp_path / "nsp.tsv"
-    split, first = child_part(corpus)
-    substream = nsp.substream
-
-    def failing_before_the_split(seed, index):
-        if index < first:  # the child's lyrics
-            raise RuntimeError("child failure")
-        return substream(seed, index)
-
-    monkeypatch.setattr(nsp, "substream", failing_before_the_split)
-    (code, stdout, stderr, tsv), forks = build(capsys, monkeypatch, corpus, out, 2)
-    assert (code, stdout, tsv, forks) == (1, "", None, 1)
-    assert stderr == f"error: the process reading {corpus} up to byte {split} exited with code 1\n"
-    assert_no_child_left()
-
-
-def test_a_failing_command_kills_its_child(tmp_path, capsys, monkeypatch, corpus_of):
-    corpus, out = corpus_of(101), tmp_path / "nsp.tsv"
-    _, first = child_part(corpus)
-    parent, substream = os.getpid(), nsp.substream
-
-    def hanging_child_failing_parent(seed, index):
-        if os.getpid() != parent:
-            time.sleep(60)  # the child's lyrics: only a kill ends it in time
-        elif index == first:  # the command's first lyric
-            raise ValueError("parent failure")
-        return substream(seed, index)
-
-    monkeypatch.setattr(nsp, "substream", hanging_child_failing_parent)
-    start = time.monotonic()
-    (code, stdout, stderr, tsv), forks = build(capsys, monkeypatch, corpus, out, 2)
-    assert time.monotonic() - start < 30
-    # a ValueError: the corpus is read again in this process, which fails alike
-    assert (code, stdout, stderr, tsv, forks) == (2, "", "error: parent failure\n", None, 1)
-    assert_no_child_left()
-
-
 # -- nsp-eval ---------------------------------------------------------------
 
 
@@ -168,29 +117,9 @@ def evaluate(capsys, monkeypatch, dataset, lm, cpus):
 
 
 def split_line(data: bytes) -> int:
-    """The 0-based number of the first line past the split `nsp._split`
+    """The 0-based number of the first line past the split `halves._split`
     takes in `data`: just past the first line break at or after the middle."""
     return data.count(b"\n", 0, data.index(b"\n", len(data) // 2) + 1)
-
-
-@pytest.mark.parametrize(
-    "data",
-    [b"", b"\n", b"a\n", b"ab\n", b"a\nb", b"a\nbc\n", b"ab\ncd\nef\n", b"abc\r\nde\r\nf", b"ab\rcd\ref\r",
-     b"abcdef\n", b"\n\n\n\n", b"abcd\nefgh\nij"],
-)
-def test_the_split_lies_just_past_a_line_break_at_or_after_the_middle(tmp_path, data):
-    path = tmp_path / "nsp.tsv"
-    path.write_bytes(data)
-    mid = len(data) // 2
-    at = data.find(b"\n", mid)
-    expected = at + 1 if 0 <= at < len(data) - 1 else None
-    assert nsp._split(path) == expected
-    if expected is not None:
-        assert data[expected - 1 : expected] == b"\n" and b"\n" not in data[mid : expected - 1]
-
-
-def test_no_split_of_a_path_that_is_not_a_regular_file(tmp_path):
-    assert nsp._split(tmp_path) is None and nsp._split(tmp_path / "missing") is None
 
 
 @ONE_CPU_OR_FORKED
@@ -221,93 +150,7 @@ def test_forked_pairs_are_the_serial_pairs_in_file_order(tmp_path, monkeypatch, 
     assert scored == [(lm.nsp_score(c, k), label) for c, k, label in rows]
     if cpus > 1:  # the child's pairs, before the parent's, share tuples as its scorer's did
         head = scored[: split_line(dataset.read_bytes())]
-        alone = lm._scored_blocks(nsp.read_nsp_blocks(dataset, 0, nsp._split(dataset)))
+        alone = lm._scored_blocks(nsp.read_nsp_blocks(dataset, 0, halves._split(dataset)))
         assert head == alone
         assert len({id(pair) for pair in head}) == len({id(pair) for pair in alone}) < len(head)
-    assert_no_child_left()
-
-
-def bad_lines(data: bytes) -> dict[str, int]:
-    """The 0-based numbers of the lines a bad-row test breaks: the first one
-    past the split, the last before it, and the last line."""
-    first = split_line(data)
-    return {"just past the split": first, "last before the split": first - 1, "last line": data.count(b"\n") - 1}
-
-
-@ONE_CPU_OR_FORKED
-@pytest.mark.parametrize("where", ["just past the split", "last before the split", "last line"])
-def test_a_bad_row_fails_as_it_fails_serially(tmp_path, capsys, monkeypatch, scored_set, where, cpus):
-    lm, text = scored_set
-    dataset = tmp_path / "nsp.tsv"
-    lines = text.splitlines(keepends=True)
-    bad = bad_lines(text.encode())[where]
-    lines[bad] = re.sub("\t[01]\n", "\t2\n", lines[bad])  # same length: the split stays where it was
-    dataset.write_text("".join(lines), encoding="utf-8")
-    assert nsp._split(dataset) == len("".join(lines[: split_line(text.encode())]).encode())
-    outcome, forks = evaluate(capsys, monkeypatch, dataset, lm, cpus)
-    assert (outcome, forks) == ((2, "", f"error: {dataset}:{bad + 1}: bad label '2'\n"), cpus - 1)
-    assert_no_child_left()
-
-
-@ONE_CPU_OR_FORKED
-def test_a_bad_byte_past_the_split_fails_as_it_fails_serially(tmp_path, capsys, monkeypatch, scored_set, cpus):
-    # a decoding error names its position in the chunk decoded, not a line
-    lm, text = scored_set
-    dataset = tmp_path / "nsp.tsv"
-    data = text.encode()
-    at = data.index(b"\n", len(data) // 2) + 40
-    dataset.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
-    expected, _ = evaluate(capsys, monkeypatch, dataset, lm, 1)
-    outcome, forks = evaluate(capsys, monkeypatch, dataset, lm, cpus)
-    assert (outcome, forks) == (expected, cpus - 1)
-    assert expected[:2] == (2, "")
-    assert re.fullmatch(f"error: {re.escape(str(dataset))}: 'utf-8' codec can't decode byte 0xff in position "
-                        "[0-9]+: invalid start byte\n", expected[2])
-    assert_no_child_left()
-
-
-def before_each_continuation(monkeypatch, call):
-    """Make each continuation first call `call(in_child)`, `in_child` true in
-    the forked child and false in this process."""
-    parent, continuation = os.getpid(), lm_module.CharNgramModel._continuation
-
-    def called_first(self, suffix, candidate):
-        call(os.getpid() != parent)
-        return continuation(self, suffix, candidate)
-
-    monkeypatch.setattr(lm_module.CharNgramModel, "_continuation", called_first)
-
-
-def test_a_failing_scoring_child_fails_the_command(tmp_path, capsys, monkeypatch, scored_set):
-    lm, text = scored_set
-    dataset = tmp_path / "nsp.tsv"
-    dataset.write_text(text, encoding="utf-8")
-
-    def failing_child(in_child):
-        if in_child:
-            raise RuntimeError("child failure")
-
-    before_each_continuation(monkeypatch, failing_child)
-    outcome, forks = evaluate(capsys, monkeypatch, dataset, lm, 2)
-    message = f"error: the process reading {dataset} up to byte {nsp._split(dataset)} exited with code 1\n"
-    assert (outcome, forks) == ((1, "", message), 1)
-    assert_no_child_left()
-
-
-def test_a_failing_eval_kills_its_child(tmp_path, capsys, monkeypatch, scored_set):
-    lm, text = scored_set
-    dataset = tmp_path / "nsp.tsv"
-    dataset.write_text(text, encoding="utf-8")
-
-    def hanging_child_failing_parent(in_child):
-        if in_child:
-            time.sleep(60)  # only a kill ends it in time
-        raise ValueError("parent failure")
-
-    before_each_continuation(monkeypatch, hanging_child_failing_parent)
-    start = time.monotonic()
-    outcome, forks = evaluate(capsys, monkeypatch, dataset, lm, 2)
-    assert time.monotonic() - start < 30
-    # a ValueError: the file is scored again in this process, which fails alike
-    assert (outcome, forks) == ((2, "", "error: parent failure\n"), 1)
     assert_no_child_left()

@@ -23,7 +23,7 @@ import tracemalloc
 
 import pytest
 
-from syllabeam import nsp
+from syllabeam import halves
 from syllabeam.cli import main
 from syllabeam.corpus import load_aligned_corpus, render_text, write_aligned_corpus
 from syllabeam.lm import lyric_lm_text, train_char_ngram
@@ -109,7 +109,7 @@ def dataset(tmp_path_factory):
     build_peaks = {}
     for cpus in (2, 1):  # forked, then serial
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(nsp, "_cpus", lambda: cpus)
+            patch.setattr(halves, "_cpus", lambda: cpus)
             _, build_peaks[cpus] = traced(lambda: main(argv))
     rows, lyrics = [], [p.lyric for p in pairs]
     rows_size, _ = traced(lambda: build_dataset(lyrics, BuilderConfig(), rows.append))  # the rows of nsp.tsv

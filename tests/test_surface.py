@@ -22,7 +22,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "syllabeam"
 
 LIBRARY = "a library entry that README documents, or a function only such an entry calls"
 PERFBENCH = "only perfbench calls it"
-TESTS = "only the tests call it, as their reference"
 CHILD = "it runs only in a forked child, which the profile of the command does not follow"
 
 # each function no command's success path enters, with its one reason
@@ -40,11 +39,22 @@ UNREACHED = {
     "corpus.MelodySequence.__len__": PERFBENCH,
     "corpus.write_aligned_corpus": PERFBENCH,
     "lm.nsp_accuracy": PERFBENCH,
-    "rng.SplitMix64.bernoulli": TESTS,  # tests/nsp_rules.py draws through SplitMix64
-    "rng.SplitMix64.next_uint64": TESTS,
-    "rng.SplitMix64.random": TESTS,
-    "rng.SplitMix64.randrange": TESTS,
-    "nsp._dump": CHILD,
+    "halves._dump": CHILD,
+}
+
+# each module of the package to the package modules it imports
+IMPORTS = {
+    "__init__": {"beam", "corpus", "generator", "lm"},
+    "beam": {"corpus", "lm"},
+    "cli": {"beam", "corpus", "generator", "halves", "lm", "metrics", "modelfile", "nsp"},
+    "corpus": set(),
+    "generator": {"corpus", "modelfile"},
+    "halves": set(),
+    "lm": {"corpus", "halves", "modelfile", "nsp"},
+    "metrics": {"corpus"},
+    "modelfile": {"corpus"},
+    "nsp": {"corpus", "halves", "rng"},
+    "rng": set(),
 }
 
 
@@ -68,6 +78,16 @@ def defs() -> dict[tuple[str, int, str], str]:
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, path.name)
     return found
+
+
+def test_the_import_graph_is_pinned():
+    # `from .module import ...` and `from . import module`
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        nodes = ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        imports = [node for node in nodes if isinstance(node, ast.ImportFrom) and node.level]
+        found[path.stem] = {node.module or alias.name for node in imports for alias in node.names}
+    assert found == IMPORTS
 
 
 def commands(workdir: Path) -> list[list[str]]:
