@@ -9,8 +9,9 @@ command keeps of each record (an LM text, a training record, or its
 lyrics' counts, their rows in a file of its own). Here, model files, the TSV
 and stdout must equal those of the one-process path, each part must be read
 once by its own process, the build command's substreams must start past the
-records before the split, and a bad record or an empty corpus must leave
-`--out` as it was.
+records before the split, and a bad record on either side of the split, a
+bad byte or an empty corpus must fail as on one process, leaving `--out` as
+it was.
 """
 
 import os
@@ -114,19 +115,47 @@ def test_the_records_before_a_byte_are_counted_a_block_at_a_time(tmp_path, monke
         assert [nsp._records_before(path, stop) for stop in range(len(data) + 2)] == expected
 
 
+def first_past_the_split(data: bytes) -> int:
+    """The 0-based number of the first line past the split `halves._split`
+    takes in `data`."""
+    return data.count(b"\n", 0, data.index(b"\n", len(data) // 2) + 1)
+
+
 @EACH_COMMAND
 @ONE_CPU_OR_FORKED
 @pytest.mark.parametrize("existing", [OLD_OUT, None], ids=["out exists", "out missing"])
-def test_a_bad_record_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, lf_text, command, existing, cpus):
+@pytest.mark.parametrize("where", ["last before the split", "just past the split", "last line"])
+def test_a_bad_record_fails_as_it_fails_serially(
+    tmp_path, capsys, monkeypatch, lf_text, command, where, existing, cpus
+):
+    # each reader's own part must raise a ValueError on a bad record in either half
     corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
     lines = lf_text.splitlines(keepends=True)
-    lines[-1] = lines[-1].replace('"syllables"', '"syllablez"')
+    first = first_past_the_split(lf_text.encode())
+    bad = {"last before the split": first - 1, "just past the split": first, "last line": len(lines) - 1}[where]
+    lines[bad] = lines[bad].replace('"syllables"', '"syllablez"')  # same length: the split stays
     corpus.write_text("".join(lines), encoding="utf-8")
+    assert halves._split(corpus) == len("".join(lines[:first]).encode())
     if existing is not None:
         out.write_bytes(existing)
     outcome, forks = run(capsys, monkeypatch, command, corpus, out, cpus)
-    message = f"error: {corpus}:{len(lines)}: unknown key 'syllablez'\n"
+    message = f"error: {corpus}:{bad + 1}: unknown key 'syllablez'\n"
     assert (outcome, forks) == ((2, "", message, existing), cpus - 1)
+    assert_no_child_left()
+
+
+@EACH_COMMAND
+@ONE_CPU_OR_FORKED
+def test_a_bad_byte_past_the_split_fails_as_it_fails_serially(tmp_path, capsys, monkeypatch, lf_text, command, cpus):
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
+    data = lf_text.encode()
+    at = data.index(b"\n", len(data) // 2) + 40
+    corpus.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+    expected, _ = run(capsys, monkeypatch, command, corpus, out, 1)
+    outcome, forks = run(capsys, monkeypatch, command, corpus, out, cpus)
+    assert (outcome, forks) == (expected, cpus - 1)
+    assert expected[:2] == (2, "") and expected[3] is None
+    assert expected[2].startswith(f"error: {corpus}: 'utf-8' codec can't decode byte 0xff in position ")
     assert_no_child_left()
 
 

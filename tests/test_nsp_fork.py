@@ -10,7 +10,8 @@ stdout must equal those of the one-process path.
 `nsp-eval`: a forked child scores the TSV's bytes up to the first line
 break at or after the middle byte while the command scores those past it,
 and the command appends its own pairs after the child's. The pairs, in file
-order, and so stdout, must equal those of the one-process path.
+order, and so stdout, must equal those of the one-process path, and a bad
+row or byte on either side of the split must fail as it fails there.
 
 `test_halves.py` states the reader's contract for any part: a bad line fails
 as it fails on one process, and a failing child fails the read. These tests
@@ -19,6 +20,7 @@ the forks.
 """
 
 import os
+import re
 
 import pytest
 
@@ -133,6 +135,40 @@ def test_forked_eval_prints_the_serial_stdout(tmp_path, capsys, monkeypatch, sco
     outcome, forks = evaluate(capsys, monkeypatch, dataset, lm, cpus)
     assert expected[0] == 0 and expected[1].count("\n") == 2
     assert (outcome, forks) == (expected, 0 if ends == "lone cr" else cpus - 1)
+    assert_no_child_left()
+
+
+@ONE_CPU_OR_FORKED
+@pytest.mark.parametrize("where", ["just past the split", "last before the split", "last line"])
+def test_a_bad_row_fails_as_it_fails_serially(tmp_path, capsys, monkeypatch, scored_set, where, cpus):
+    # the TSV reader's part must raise a ValueError on a bad row in either half
+    lm, text = scored_set
+    dataset = tmp_path / "nsp.tsv"
+    lines = text.splitlines(keepends=True)
+    first = split_line(text.encode())
+    bad = {"just past the split": first, "last before the split": first - 1, "last line": len(lines) - 1}[where]
+    lines[bad] = re.sub("\t[01]\n", "\t2\n", lines[bad])  # same length: the split stays where it was
+    dataset.write_text("".join(lines), encoding="utf-8")
+    assert halves._split(dataset) == len("".join(lines[:first]).encode())
+    outcome, forks = evaluate(capsys, monkeypatch, dataset, lm, cpus)
+    assert (outcome, forks) == ((2, "", f"error: {dataset}:{bad + 1}: bad label '2'\n"), cpus - 1)
+    assert_no_child_left()
+
+
+@ONE_CPU_OR_FORKED
+def test_a_bad_byte_past_the_split_fails_as_it_fails_serially(tmp_path, capsys, monkeypatch, scored_set, cpus):
+    # a decoding error names its position in the chunk decoded, not a line
+    lm, text = scored_set
+    dataset = tmp_path / "nsp.tsv"
+    data = text.encode()
+    at = data.index(b"\n", len(data) // 2) + 40
+    dataset.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+    expected, _ = evaluate(capsys, monkeypatch, dataset, lm, 1)
+    outcome, forks = evaluate(capsys, monkeypatch, dataset, lm, cpus)
+    assert (outcome, forks) == (expected, cpus - 1)
+    assert expected[:2] == (2, "")
+    assert re.fullmatch(f"error: {re.escape(str(dataset))}: 'utf-8' codec can't decode byte 0xff in position "
+                        "[0-9]+: invalid start byte\n", expected[2])
     assert_no_child_left()
 
 
